@@ -25,6 +25,7 @@ import (
 	"context"
 	"encoding/gob"
 	"testing"
+	"time"
 
 	"repro/guanyu"
 	pgar "repro/guanyu/gar"
@@ -431,6 +432,41 @@ func BenchmarkWireDecodeGob1756426(b *testing.B) {
 		if err := dec.Decode(&out); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkWireSendRecvTCP207882 ships one wide-model vector (d = 207,882,
+// the benchmark's 1.66 MB frame) from one TCPNode to another over loopback
+// and receives it: head staging + writev from the vector's memory on the
+// send side, read straight into the delivered vector on the other. The
+// allocation per op is the vector the receiver keeps.
+func BenchmarkWireSendRecvTCP207882(b *testing.B) {
+	recv, err := transport.ListenTCP("recv", "127.0.0.1:0", nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer recv.Close()
+	send, err := transport.ListenTCP("send", "127.0.0.1:0", map[string]string{"recv": recv.Addr()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer send.Close()
+	m := transport.Message{Kind: transport.KindGradient, Step: 7,
+		Vec: tensor.NewRNG(12).NormVec(make(tensor.Vector, 207882), 0, 1)}
+	roundTrip := func() {
+		if err := send.Send("recv", m); err != nil {
+			b.Fatal(err)
+		}
+		if _, ok := recv.Recv(10 * time.Second); !ok {
+			b.Fatal("frame lost on loopback")
+		}
+	}
+	roundTrip() // dial, hello, buffers
+	b.SetBytes(int64(transport.EncodedSize(&m)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		roundTrip()
 	}
 }
 

@@ -2,6 +2,10 @@ package main
 
 import (
 	"bytes"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -51,5 +55,46 @@ func TestRepoTreeIsClean(t *testing.T) {
 	var out, errb bytes.Buffer
 	if code := run([]string{"-dir", "../..", "./..."}, &out, &errb); code != 0 {
 		t.Fatalf("exit %d\nstdout:\n%s\nstderr:\n%s", code, out.String(), errb.String())
+	}
+}
+
+// TestUnsafeIsConfinedToTensorBytes pins the one exception LINT.md grants:
+// the module imports "unsafe" in exactly one file, the audited vector ↔
+// byte view of internal/tensor. (benchmark/ is its own module and pins
+// threads with a raw syscall; it is not part of the program.)
+func TestUnsafeIsConfinedToTensorBytes(t *testing.T) {
+	const root = "../.."
+	var users []string
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			switch d.Name() {
+			case ".git", ".bench_build", "benchmark", "testdata":
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ImportsOnly)
+		if err != nil {
+			return err
+		}
+		for _, imp := range f.Imports {
+			if imp.Path.Value == `"unsafe"` {
+				rel, _ := filepath.Rel(root, path)
+				users = append(users, filepath.ToSlash(rel))
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(users) != 1 || users[0] != "internal/tensor/bytes.go" {
+		t.Fatalf("files importing unsafe: %v, want exactly [internal/tensor/bytes.go] (see LINT.md)", users)
 	}
 }

@@ -37,11 +37,13 @@
 //
 // Live deployments speak a hand-rolled binary wire protocol: length-
 // prefixed frames with a fixed {kind, step, from-len, vec-len} header and
-// little-endian float64 payloads, encoded straight between []float64 and
-// reused buffers (zero allocations in steady state, ~5–12× the throughput
-// of the former gob framing — see the `throughput` experiment), over
-// per-connection hello-authenticated TCP so a Byzantine peer cannot forge
-// other senders into a quorum. WIRE.md is the byte-level specification.
+// little-endian float64 payloads — on a little-endian host the vector's
+// own memory, so a sender writes a vector to its socket from where it lies
+// and a receiver reads it into the vector it keeps (zero allocations in
+// steady state, 14–47× the throughput of the former gob framing — see the
+// `throughput` experiment and BENCH_transport.json), over per-connection
+// hello-authenticated TCP so a Byzantine peer cannot forge other senders
+// into a quorum. WIRE.md is the byte-level specification.
 //
 // With guanyu.WithShardSize (the -shard flag on the commands), vectors
 // stream as fixed coordinate shards — chunk frames on the wire — and every

@@ -105,12 +105,8 @@ func EncodeCheckpoint(c Checkpoint) ([]byte, error) {
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(c.Step))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(c.Horizon))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(c.Theta)))
-	for _, v := range c.Theta {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-	}
-	for _, v := range c.Velocity {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-	}
+	buf = tensor.AppendLE(buf, c.Theta)
+	buf = tensor.AppendLE(buf, c.Velocity)
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
 	return buf, nil
 }
@@ -172,16 +168,10 @@ func DecodeCheckpoint(data []byte) (Checkpoint, error) {
 		return c, fmt.Errorf("cluster: checkpoint checksum mismatch (stored %#x, computed %#x)", sum, got)
 	}
 	c.Theta = make(tensor.Vector, dim)
-	for i := range c.Theta {
-		c.Theta[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[off : off+8]))
-		off += 8
-	}
+	tensor.DecodeLE(c.Theta, data[off:off+8*dim])
 	if flags&ckptFlagVelocity != 0 {
 		c.Velocity = make(tensor.Vector, dim)
-		for i := range c.Velocity {
-			c.Velocity[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[off : off+8]))
-			off += 8
-		}
+		tensor.DecodeLE(c.Velocity, data[off+8*dim:off+16*dim])
 	}
 	return c, nil
 }

@@ -379,6 +379,13 @@ func RunLiveContext(ctx context.Context, cfg LiveConfig) (*LiveResult, error) {
 		runErrs = append(runErrs, err)
 	}
 
+	// Bring-up is two-phase: every endpoint is registered and every honest
+	// send/receive stack built BEFORE the first node loop starts. Links are
+	// lossy with no resend, so a phase-1 broadcast that found its worker
+	// not yet registered ("unknown destination") was lost for good and left
+	// that worker one vector short of its quorum for the whole timeout.
+	var nodes []func() // node loops, started together below
+
 	// Servers.
 	for i := 0; i < cfg.NumServers; i++ {
 		ep, err := network.Register(serverIDs[i])
@@ -415,25 +422,12 @@ func RunLiveContext(ctx context.Context, cfg LiveConfig) (*LiveResult, error) {
 			scfg.Checkpoint = cfg.Checkpoint
 		}
 		idx := i
-		if cfg.Churn != nil && i == cfg.Churn.Server {
-			// The churn victim manages its own endpoints: it is killed
-			// mid-run and re-registers the same ID for the recovery leg.
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				theta, again, err := runChurnServer(network, ep, scfg, cfg.Churn, wrapHonest)
-				mu.Lock()
-				restarted = again
-				mu.Unlock()
-				if err != nil {
-					fail(err)
-					return
-				}
-				mu.Lock()
-				outs = append(outs, serverOut{index: idx, theta: theta})
-				mu.Unlock()
-			}()
-			continue
+		churned := cfg.Churn != nil && i == cfg.Churn.Server
+		if churned && scfg.Metrics == nil {
+			// The kill trigger watches the live step counter, so the victim
+			// always runs with a handle even when the deployment has no registry.
+			scfg.Metrics = &metrics.NodeMetrics{}
+			network.SetNodeMetrics(scfg.ID, scfg.Metrics)
 		}
 		sep := ep
 		if scfg.Attack == nil {
@@ -445,9 +439,26 @@ func RunLiveContext(ctx context.Context, cfg LiveConfig) (*LiveResult, error) {
 				return nil, err
 			}
 		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
+		if churned {
+			// The churn victim's first incarnation is brought up like any
+			// other node; it is killed mid-run and re-registers the same ID
+			// for the recovery leg on its own.
+			nodes = append(nodes, func() {
+				theta, again, err := runChurnServer(network, sep, scfg, cfg.Churn, wrapHonest)
+				mu.Lock()
+				restarted = again
+				mu.Unlock()
+				if err != nil {
+					fail(err)
+					return
+				}
+				mu.Lock()
+				outs = append(outs, serverOut{index: idx, theta: theta})
+				mu.Unlock()
+			})
+			continue
+		}
+		nodes = append(nodes, func() {
 			defer sep.Close()
 			theta, err := RunServer(sep, scfg)
 			if err != nil {
@@ -459,7 +470,7 @@ func RunLiveContext(ctx context.Context, cfg LiveConfig) (*LiveResult, error) {
 				outs = append(outs, serverOut{index: idx, theta: theta})
 				mu.Unlock()
 			}
-		}()
+		})
 	}
 
 	// Workers.
@@ -490,16 +501,21 @@ func RunLiveContext(ctx context.Context, cfg LiveConfig) (*LiveResult, error) {
 				return nil, err
 			}
 		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
+		nodes = append(nodes, func() {
 			defer wep.Close()
 			if err := RunWorker(wep, wcfg); err != nil {
 				fail(err)
 			}
-		}()
+		})
 	}
 
+	wg.Add(len(nodes))
+	for _, run := range nodes {
+		go func() {
+			defer wg.Done()
+			run()
+		}()
+	}
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("cluster: run cancelled: %w", err)
@@ -544,23 +560,12 @@ func RunLiveContext(ctx context.Context, cfg LiveConfig) (*LiveResult, error) {
 // Returns the final parameters of whichever incarnation finished the run and
 // whether the restart leg actually ran (false when the victim outran the
 // kill — possible on tiny runs that finish before the watcher fires).
-func runChurnServer(network *transport.ChanNetwork, ep transport.Endpoint, scfg ServerConfig,
+func runChurnServer(network *transport.ChanNetwork, sep transport.Endpoint, scfg ServerConfig,
 	churn *LiveChurn, wrap func(transport.Endpoint, *metrics.NodeMetrics) (transport.Endpoint, error)) (tensor.Vector, bool, error) {
 
-	vm := scfg.Metrics
-	if vm == nil {
-		// The kill trigger watches the live step counter, so the victim
-		// always runs with a handle even when the deployment has no registry.
-		vm = &metrics.NodeMetrics{}
-		scfg.Metrics = vm
-		network.SetNodeMetrics(scfg.ID, vm)
-	}
+	vm := scfg.Metrics // never nil: RunLiveContext gives the victim a handle
 	scfg.Checkpoint = &CheckpointSpec{Dir: churn.Dir, Every: churn.CheckpointEvery}
 
-	sep, err := wrap(ep, vm)
-	if err != nil {
-		return nil, false, err
-	}
 	done := make(chan struct{})
 	var (
 		firstTheta tensor.Vector

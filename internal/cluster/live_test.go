@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -219,6 +220,46 @@ func TestLiveWithInjectedAsynchrony(t *testing.T) {
 	}
 	if acc := evalFinal(t, model, res.Final, test); acc < 0.8 {
 		t.Fatalf("asynchrony broke convergence: accuracy %.3f", acc)
+	}
+}
+
+// Every endpoint — and every honest node's send stack — exists before the
+// first node loop starts, so no broadcast of any step can find its
+// destination unregistered. The bug this pins: servers were started while
+// the worker endpoints were still being registered, their step-0 parameter
+// broadcasts hit "unknown destination", nothing retransmits, and a worker
+// left with q−1 vectors sat out its whole quorum timeout. The network asks
+// the delay function about a send only once it has found the destination,
+// so counting its calls counts the sends that did not fail: every node runs
+// every step of a fault-free run, which makes the total exact. CI runs this
+// at -cpu 1,2 -count=5.
+func TestLiveBringUpLosesNoFrameToUnregisteredEndpoints(t *testing.T) {
+	model, train, _ := testProblem(31)
+	const servers, workers, steps = 6, 18, 3
+	// Per step: parameters to every worker, gradients to every server, and
+	// the servers' parameter exchange among themselves.
+	const want = steps * (servers*workers + workers*servers + servers*(servers-1))
+	for round := 0; round < 5; round++ {
+		var delivered atomic.Int64
+		_, err := RunLive(LiveConfig{
+			Model:      model,
+			Train:      train,
+			NumServers: servers, FServers: 1,
+			NumWorkers: workers, FWorkers: 5,
+			Delay: func(from, to string) time.Duration {
+				delivered.Add(1)
+				return time.Microsecond // makes Send yield: a late registration would lose a frame
+			},
+			Steps: steps, Batch: 4,
+			Timeout: 20 * time.Second,
+			Seed:    uint64(round),
+		})
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if got := delivered.Load(); got != want {
+			t.Fatalf("round %d: %d of %d sends found their destination registered", round, got, want)
+		}
 	}
 }
 

@@ -186,9 +186,13 @@ func MedianScalar(xs []float64) float64 {
 // IsFinite reports whether every coordinate of v is finite (no NaN/Inf).
 // Correct nodes use it to sanitise values received from the network: a
 // Byzantine node may send NaNs to poison downstream arithmetic.
+//
+// One test per coordinate: NaN and ±Inf are exactly the values whose eleven
+// exponent bits are all set, whatever the sign and mantissa.
 func IsFinite(v Vector) bool {
+	const expMask = 0x7ff << 52
 	for _, x := range v {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
+		if math.Float64bits(x)&expMask == expMask {
 			return false
 		}
 	}

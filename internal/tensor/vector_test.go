@@ -191,6 +191,59 @@ func TestIsFinite(t *testing.T) {
 	}
 }
 
+// The exponent-mask test must agree with math.IsNaN/IsInf on every class of
+// bit pattern, wherever in the vector the value sits.
+func TestIsFiniteBitPatterns(t *testing.T) {
+	cases := []struct {
+		name   string
+		bits   uint64
+		finite bool
+	}{
+		{"+0", 0x0000000000000000, true},
+		{"-0", 0x8000000000000000, true},
+		{"smallest subnormal", 0x0000000000000001, true},
+		{"largest subnormal", 0x000fffffffffffff, true},
+		{"negative subnormal", 0x800fffffffffffff, true},
+		{"smallest normal", 0x0010000000000000, true},
+		{"+MaxFloat64", math.Float64bits(math.MaxFloat64), true},
+		{"-MaxFloat64", math.Float64bits(-math.MaxFloat64), true},
+		{"+Inf", 0x7ff0000000000000, false},
+		{"-Inf", 0xfff0000000000000, false},
+		{"quiet NaN", 0x7ff8000000000000, false},
+		{"quiet NaN with payload", 0x7ff8dead0000beef, false},
+		{"negative quiet NaN", 0xfff8000000000001, false},
+		{"signalling NaN, lowest payload bit", 0x7ff0000000000001, false},
+		{"signalling NaN, full payload", 0xfff7ffffffffffff, false},
+	}
+	for _, c := range cases {
+		x := math.Float64frombits(c.bits)
+		if want := !math.IsNaN(x) && !math.IsInf(x, 0); want != c.finite {
+			t.Fatalf("%s: table says finite=%v, math package says %v", c.name, c.finite, want)
+		}
+		for _, v := range []Vector{{x}, {1, 2, x}, {x, 1, 2}, {1, x, 2}} {
+			if got := IsFinite(v); got != c.finite {
+				t.Fatalf("%s in %v: IsFinite = %v, want %v", c.name, v, got, c.finite)
+			}
+		}
+	}
+	if !IsFinite(nil) {
+		t.Fatal("empty vector reported non-finite")
+	}
+}
+
+var sinkFinite bool
+
+// BenchmarkIsFinite207882 prices the inbound validator on one wide-model
+// frame (the benchmark's d = 207,882): every received vector pays it once.
+func BenchmarkIsFinite207882(b *testing.B) {
+	v := NewRNG(3).NormVec(make(Vector, 207882), 0, 1)
+	b.SetBytes(int64(8 * len(v)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkFinite = IsFinite(v)
+	}
+}
+
 func TestDimensionMismatchPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

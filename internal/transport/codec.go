@@ -4,7 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
+
+	"repro/internal/tensor"
 )
 
 // Hand-rolled binary wire codec for Message — the hot path every byte of
@@ -58,25 +59,42 @@ import (
 //
 // # Buffer ownership contract
 //
+// A payload on the wire is little-endian IEEE-754 — on a little-endian
+// host, byte for byte the memory of the []float64 it came from — so every
+// path moves it at most once per side, in bulk (internal/tensor's
+// AppendLE/DecodeLE/Bytes; big-endian hosts fall back to one store per
+// coordinate, chosen by the machine, not by an option).
+//
 // AppendMessage appends to a caller-owned buffer and returns the extended
 // slice; the message is only read during the call, so the caller may keep
 // mutating m.Vec afterwards (serialisation IS the snapshot — the property
 // the node loops rely on to reuse one parameter vector across broadcasts).
+// TCPNode.Send keeps that property without the copy: it stages only the
+// frame head (appendFrameHead) and hands the kernel m.Vec's own bytes in
+// the same writev, returning once every byte has been written — the vector
+// is referenced during the call and never after.
 // DecodeMessage and ReadMessage write into a caller-owned Message, reusing
-// m.Vec's capacity when it suffices and reallocating when it does not;
-// m.From is only reassigned when the sender actually changed, so decoding a
-// stream from one peer into one reused Message allocates nothing in steady
-// state. The input buffer is never retained: decoded messages alias nothing.
+// m.Vec's (or m.Comp.Data's) capacity when it suffices and reallocating when
+// it does not; m.From is only reassigned when the sender actually changed,
+// so decoding a stream from one peer into one reused Message allocates
+// nothing in steady state. ReadMessage reads the bulk of a payload from the
+// reader directly into that destination. Neither the input buffer, nor the
+// reader's own buffers, nor the scratch buffer is ever retained: decoded
+// messages alias nothing.
 //
 // # Hardening
 //
 // Frames declaring more than MaxFromLen sender bytes or MaxVecLen
-// coordinates are rejected before any allocation, and within the limits
-// ReadMessage commits memory only as body bytes actually arrive (see
-// preallocCoords), so a Byzantine peer cannot make a receiver reserve
-// memory it never pays for in traffic — a 15-byte header alone pins at
-// most one staging chunk. Truncated frames surface as io.ErrUnexpectedEOF
-// from ReadMessage and ErrShortFrame from DecodeMessage.
+// coordinates — or shard/compression extension fields outside their limits
+// — are rejected before any allocation. Within the limits ReadMessage
+// commits memory only as body bytes actually arrive: the first body chunk
+// (readChunkBytes) is staged through the scratch buffer, and the
+// destination is allocated only once it has landed — exact-size up to
+// preallocCoords, geometrically (at most twice the bytes received so far)
+// beyond. A Byzantine peer therefore cannot make a receiver reserve memory
+// it never pays for in traffic: a header alone pins at most one staging
+// chunk. Truncated frames surface as io.ErrUnexpectedEOF from ReadMessage
+// and ErrShortFrame from DecodeMessage.
 const (
 	// FrameHeaderSize is the fixed frame header length in bytes.
 	FrameHeaderSize = 15
@@ -150,6 +168,23 @@ func checkShardMeta(index, count, offset, vecLen int) error {
 // on messages that violate the frame limits rather than emit a frame no
 // receiver would accept.
 func AppendMessage(buf []byte, m *Message) ([]byte, error) {
+	buf, err := appendFrameHead(buf, m)
+	if err != nil {
+		return buf, err
+	}
+	if m.IsCompressed() {
+		return append(buf, m.Comp.Data...), nil
+	}
+	return tensor.AppendLE(buf, m.Vec), nil
+}
+
+// appendFrameHead appends everything of m's frame that precedes the
+// payload — fixed header, extensions, sender ID — after validating m
+// against the frame limits (buf is returned unextended on error). The
+// payload that must follow is m.Comp.Data for a compressed message and
+// m.Vec's little-endian encoding otherwise; TCPNode.Send writes it from
+// where it already lies instead of copying it behind the head.
+func appendFrameHead(buf []byte, m *Message) ([]byte, error) {
 	if len(m.From) > MaxFromLen {
 		return buf, fmt.Errorf("transport: sender ID %d bytes exceeds limit %d", len(m.From), MaxFromLen)
 	}
@@ -171,7 +206,7 @@ func AppendMessage(buf []byte, m *Message) ([]byte, error) {
 	if vecLen > MaxVecLen {
 		return buf, fmt.Errorf("transport: payload %d coordinates exceeds limit %d", vecLen, MaxVecLen)
 	}
-	var hdr [FrameHeaderSize + ShardHeaderSize + CompHeaderSize]byte
+	var hdr [maxFrameHeadSize]byte
 	hdr[0] = byte(m.Kind)
 	binary.LittleEndian.PutUint64(hdr[1:], uint64(int64(m.Step)))
 	binary.LittleEndian.PutUint16(hdr[9:], uint16(len(m.From)))
@@ -194,28 +229,7 @@ func AppendMessage(buf []byte, m *Message) ([]byte, error) {
 		hdrLen += CompHeaderSize
 	}
 	buf = append(buf, hdr[:hdrLen]...)
-	buf = append(buf, m.From...)
-	if m.IsCompressed() {
-		return append(buf, m.Comp.Data...), nil
-	}
-	// Reserve the payload region, then fill it with direct little-endian
-	// stores — the loop compiles to one 8-byte move per coordinate, which
-	// is what makes the encoder memory-bound rather than reflection-bound
-	// like gob. When the buffer already has capacity (the steady state of a
-	// reused connection buffer), reslice instead of append-extending: the
-	// extension would be memclr-zeroed only to be overwritten below, a
-	// wasted full pass over a 14 MB paper-scale payload.
-	off := len(buf)
-	if need := off + 8*len(m.Vec); need <= cap(buf) {
-		buf = buf[:need]
-	} else {
-		buf = append(buf, make([]byte, 8*len(m.Vec))...)
-	}
-	out := buf[off:]
-	for i, v := range m.Vec {
-		binary.LittleEndian.PutUint64(out[8*i:], math.Float64bits(v))
-	}
-	return buf, nil
+	return append(buf, m.From...), nil
 }
 
 // frameExtent validates a header and returns the step, sender and payload
@@ -239,25 +253,6 @@ func frameExtent(hdr []byte) (step, fromLen, vecLen int, err error) {
 		return 0, 0, 0, fmt.Errorf("transport: frame declares %d coordinates (limit %d)", rawVec, MaxVecLen)
 	}
 	return int(rawStep), int(rawFrom), int(rawVec), nil
-}
-
-// decodeInto fills m from a validated header and its body (sender ID
-// followed by payload), reusing m's storage per the ownership contract.
-func decodeInto(m *Message, kind Kind, step int, body []byte, fromLen, vecLen int) {
-	m.Kind = kind
-	m.Step = step
-	if from := body[:fromLen]; string(from) != m.From {
-		m.From = string(from)
-	}
-	if cap(m.Vec) >= vecLen {
-		m.Vec = m.Vec[:vecLen]
-	} else {
-		m.Vec = make([]float64, vecLen)
-	}
-	payload := body[fromLen:]
-	for i := range m.Vec {
-		m.Vec[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[8*i:]))
-	}
 }
 
 // shardExtent parses and validates the 8-byte shard extension of a chunk
@@ -355,119 +350,139 @@ func DecodeMessage(data []byte, m *Message) (int, error) {
 	if len(data) < total {
 		return 0, ErrShortFrame
 	}
-	decodeInto(m, Kind(data[0]&^chunkFlag), step, data[hdrLen:total], fromLen, vecLen)
+	body := data[hdrLen:total]
+	m.Kind = Kind(data[0] &^ chunkFlag)
+	m.Step = step
+	if from := body[:fromLen]; string(from) != m.From {
+		m.From = string(from)
+	}
+	if cap(m.Vec) >= vecLen {
+		m.Vec = m.Vec[:vecLen]
+	} else {
+		m.Vec = make([]float64, vecLen)
+	}
+	tensor.DecodeLE(m.Vec, body[fromLen:])
 	m.Shard = shard
 	m.Comp = CompMeta{}
 	return total, nil
 }
 
-// readChunkBytes bounds the staging buffer ReadMessage stages body bytes
-// through. preallocCoords is the largest declared payload that gets an
-// exact-size allocation (16 MiB — the paper's 1,756,426-coordinate model
-// fits with room to spare, so honest traffic never pays regrowth copies);
-// larger declarations grow geometrically instead. Either way nothing is
-// allocated until the FIRST body chunk has actually been read, so a
-// receiver's memory tracks what a peer SENDS, not what its 15-byte header
-// CLAIMS: a header alone pins one staging chunk, and pinning the 16 MiB
-// prealloc costs the attacker a real chunk of traffic (~16× amplification
-// at worst, per connection — versus the unbounded claim-only reservation
-// this replaces).
+// readChunkBytes is the size of a frame's FIRST body chunk — sender ID plus
+// the leading payload bytes — the only part of a body ReadMessage stages
+// through its scratch buffer. Everything after it is read straight into the
+// destination (see ReadMessage). preallocCoords is the largest declared
+// payload that gets an exact-size allocation (16 MiB — the paper's
+// 1,756,426-coordinate model fits with room to spare, so honest traffic
+// never pays regrowth copies); larger declarations grow geometrically
+// instead. Either way nothing is allocated until the first chunk has
+// actually been read, so a receiver's memory tracks what a peer SENDS, not
+// what its 15-byte header CLAIMS: a header alone pins one staging chunk,
+// and pinning the 16 MiB prealloc costs the attacker that chunk in real
+// traffic (256× amplification at worst, per connection, bounded — versus
+// the unbounded claim-only reservation a trusting reader would make).
 const (
-	readChunkBytes = 1 << 20
+	readChunkBytes = 1 << 16
 	preallocCoords = 1 << 21
+	// maxFrameHeadSize is the fixed header plus both extensions.
+	maxFrameHeadSize = FrameHeaderSize + ShardHeaderSize + CompHeaderSize
 )
 
-// ReadMessage reads one frame from r into m, staging body bytes through
-// *scratch (pass the same pointer across calls; it never grows beyond
-// readChunkBytes, and steady-state reads allocate only the payload vector
-// the receiver keeps). Truncated streams return io.ErrUnexpectedEOF; a
-// clean close before the first header byte returns io.EOF.
+// ReadMessage reads one frame from r into m. Header, extensions and the
+// first body chunk are staged through *scratch (pass the same pointer
+// across calls; it never grows beyond readChunkBytes); once that chunk has
+// landed the destination is committed and the rest of the payload is read
+// directly into it — m.Vec's own memory on a little-endian host, m.Comp.Data
+// for a compressed frame — so a payload byte is copied once out of the
+// reader, not staged and decoded. Steady-state reads allocate only the
+// payload the receiver keeps, and nothing when m's capacity suffices.
+// Truncated streams return io.ErrUnexpectedEOF; a clean close before the
+// first header byte returns io.EOF. After an error m's payload is
+// unspecified (but still aliases neither r nor *scratch).
 func ReadMessage(r io.Reader, scratch *[]byte, m *Message) error {
-	var hdr [FrameHeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	return readMessage(r, scratch, m, tensor.NativeLE())
+}
+
+// readMessage is ReadMessage with the payload path explicit: direct reads
+// the remainder of a raw payload into m.Vec's memory (little-endian hosts
+// only); otherwise every chunk is staged through *scratch and decoded per
+// coordinate — the path a big-endian host takes, exercised directly by the
+// tests on any host.
+func readMessage(r io.Reader, scratch *[]byte, m *Message, direct bool) error {
+	// The header is staged too: a stack array would escape through the
+	// io.Reader interface and cost an allocation per frame.
+	if cap(*scratch) < maxFrameHeadSize {
+		*scratch = make([]byte, maxFrameHeadSize)
+	}
+	hdr := (*scratch)[:FrameHeaderSize]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return err
 	}
-	step, fromLen, vecLen, err := frameExtent(hdr[:])
+	step, fromLen, vecLen, err := frameExtent(hdr)
 	if err != nil {
 		return err
 	}
+	kind := Kind(hdr[0] &^ byte(kindFlagMask))
+	chunked, compressed := hdr[0]&chunkFlag != 0, hdr[0]&compFlag != 0
 	var shard ShardMeta
-	if hdr[0]&chunkFlag != 0 {
-		var ext [ShardHeaderSize]byte
-		if err := readFull(r, ext[:]); err != nil {
+	if chunked {
+		ext := (*scratch)[:ShardHeaderSize]
+		if err := readFull(r, ext); err != nil {
 			return err
 		}
-		if shard, err = shardExtent(ext[:], vecLen); err != nil {
+		if shard, err = shardExtent(ext, vecLen); err != nil {
 			return err
 		}
 	}
 	var scheme uint8
-	encLen := 0
-	if hdr[0]&compFlag != 0 {
-		var ext [CompHeaderSize]byte
-		if err := readFull(r, ext[:]); err != nil {
+	payloadBytes := 8 * vecLen
+	if compressed {
+		ext := (*scratch)[:CompHeaderSize]
+		if err := readFull(r, ext); err != nil {
 			return err
 		}
 		scheme = ext[0]
-		encLen = int(binary.LittleEndian.Uint32(ext[1:]))
-		if err := checkCompMeta(scheme, vecLen, encLen); err != nil {
+		payloadBytes = int(binary.LittleEndian.Uint32(ext[1:]))
+		if err := checkCompMeta(scheme, vecLen, payloadBytes); err != nil {
 			return err
 		}
 	}
-	payloadBytes := 8 * vecLen
-	if scheme != 0 {
-		payloadBytes = encLen
+
+	// First chunk: sender ID plus as much payload as fits beside it, whole
+	// coordinates only. This is all a header can make the receiver commit.
+	first := (readChunkBytes - fromLen) &^ 7
+	if first > payloadBytes {
+		first = payloadBytes
 	}
-	chunk := fromLen + payloadBytes
-	if chunk > readChunkBytes {
-		chunk = readChunkBytes
-	}
-	if cap(*scratch) < chunk {
-		*scratch = make([]byte, chunk)
+	if cap(*scratch) < fromLen+first {
+		*scratch = make([]byte, fromLen+first)
 	}
 	buf := (*scratch)[:cap(*scratch)]
-
-	if err := readFull(r, buf[:fromLen]); err != nil {
+	if err := readFull(r, buf[:fromLen+first]); err != nil {
 		return err
 	}
 	if from := buf[:fromLen]; string(from) != m.From {
 		m.From = string(from)
 	}
-	m.Kind = Kind(hdr[0] &^ byte(kindFlagMask))
+	m.Kind = kind
 	m.Step = step
 	m.Shard = shard
+	head := buf[fromLen : fromLen+first]
 
-	if scheme != 0 {
-		// Compressed payloads stage through the same bounded-chunk loop as
-		// raw ones: the receiver commits memory only as encoded bytes land,
-		// exact-size for payloads an honest scheme would emit at protocol
-		// dimensions, geometric growth tracking received bytes beyond that.
+	if compressed {
 		data := m.Comp.Data[:0]
-		if cap(data) < encLen {
-			data = nil
+		if cap(data) < payloadBytes {
+			data = make([]byte, 0, commitCap(first, payloadBytes, 8*preallocCoords))
 		}
-		for filled := 0; filled < encLen; {
-			n := encLen - filled
-			if n > len(buf) {
-				n = len(buf)
+		data = append(data, head...)
+		for len(data) < payloadBytes {
+			if len(data) == cap(data) {
+				data = append(make([]byte, 0, commitCap(len(data), payloadBytes, 8*preallocCoords)), data...)
 			}
-			if err := readFull(r, buf[:n]); err != nil {
+			next := min(cap(data), payloadBytes)
+			if err := readFull(r, data[len(data):next]); err != nil {
 				return err
 			}
-			if data == nil && encLen <= 8*preallocCoords {
-				data = make([]byte, 0, encLen)
-			}
-			if cap(data) < filled+n {
-				c := 2 * (filled + n)
-				if c > encLen {
-					c = encLen
-				}
-				grown := make([]byte, filled, c)
-				copy(grown, data)
-				data = grown
-			}
-			data = append(data[:filled], buf[:n]...)
-			filled += n
+			data = data[:next]
 		}
 		m.Vec = m.Vec[:0]
 		m.Comp = CompMeta{Scheme: scheme, Dim: vecLen, Data: data}
@@ -475,43 +490,47 @@ func ReadMessage(r io.Reader, scratch *[]byte, m *Message) error {
 	}
 	m.Comp = CompMeta{}
 
-	// Payload memory is committed only after body bytes actually land:
-	// reuse the caller's capacity if it suffices (ownership contract),
-	// otherwise allocate nothing until the first chunk has been read —
+	// Raw payload. Reuse the caller's capacity if it suffices (ownership
+	// contract); otherwise commit memory only now that a chunk has landed —
 	// exact-size for honest protocol dimensions (≤ preallocCoords, no
 	// regrowth), geometric growth tracking received bytes beyond that.
 	vec := m.Vec[:0]
 	if cap(vec) < vecLen {
-		vec = nil
+		vec = make([]float64, 0, commitCap(first/8, vecLen, preallocCoords))
 	}
-	for filled := 0; filled < vecLen; {
-		n := vecLen - filled
-		if lim := len(buf) / 8; n > lim {
-			n = lim
+	vec = vec[:first/8]
+	tensor.DecodeLE(vec, head)
+	for filled := len(vec); filled < vecLen; {
+		if filled == cap(vec) {
+			vec = append(make([]float64, 0, commitCap(filled, vecLen, preallocCoords)), vec...)
 		}
-		if err := readFull(r, buf[:8*n]); err != nil {
+		next := min(cap(vec), vecLen)
+		if direct {
+			err = readFull(r, tensor.Bytes(vec[filled:next]))
+		} else {
+			next = min(next, filled+len(buf)/8)
+			stage := buf[:8*(next-filled)]
+			if err = readFull(r, stage); err == nil {
+				tensor.DecodeLE(vec[filled:next], stage)
+			}
+		}
+		if err != nil {
 			return err
 		}
-		if vec == nil && vecLen <= preallocCoords {
-			vec = make([]float64, 0, vecLen)
-		}
-		if cap(vec) < filled+n {
-			c := 2 * (filled + n)
-			if c > vecLen {
-				c = vecLen
-			}
-			grown := make([]float64, filled, c)
-			copy(grown, vec)
-			vec = grown
-		}
-		vec = vec[:filled+n]
-		for i := 0; i < n; i++ {
-			vec[filled+i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
-		}
-		filled += n
+		vec, filled = vec[:next], next
 	}
-	m.Vec = vec[:vecLen]
+	m.Vec = vec
 	return nil
+}
+
+// commitCap is the capacity to commit for a body of total units of which
+// have (≥ 1, the first chunk) already landed: all of it when the declared
+// size is within prealloc, otherwise double what has arrived.
+func commitCap(have, total, prealloc int) int {
+	if total <= prealloc {
+		return total
+	}
+	return min(2*have, total)
 }
 
 // readFull is io.ReadFull with mid-frame EOF normalised to

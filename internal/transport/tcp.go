@@ -11,15 +11,18 @@ import (
 
 	"repro/internal/compress"
 	"repro/internal/metrics"
+	"repro/internal/tensor"
 )
 
 // TCPNode is a network endpoint backed by real TCP sockets. Messages are
 // length-prefixed binary frames (see codec.go) on long-lived connections —
 // the repository's equivalent of the paper's gRPC/protobuf channels, minus
-// the reflection: encode and decode move raw little-endian float64 bits
-// between []float64 and per-connection reusable buffers, so the wire path
-// is allocation-free in steady state on the send side and allocates only
-// the payload vector the receiver keeps on the read side.
+// the reflection, and minus the copies: a payload is raw little-endian
+// float64 bits, which on a little-endian host is the vector's own memory,
+// so Send hands that memory to the kernel (one writev of frame head +
+// payload) and the read loop receives into the vector the receiver keeps.
+// The wire path is allocation-free in steady state on the send side and
+// allocates only that vector on the read side.
 //
 // Every outbound connection opens with a hello frame naming the dialer;
 // the accepting node pins all traffic on that connection to the hello
@@ -35,6 +38,7 @@ type TCPNode struct {
 
 	mu       sync.Mutex
 	conns    map[string]*tcpConn
+	reached  map[string]bool // peers a dial has succeeded to at least once
 	accepted map[net.Conn]struct{}
 	box      *Mailbox
 	comp     compress.Config // outbound compression; announced in the hello
@@ -63,18 +67,66 @@ type TCPNode struct {
 
 var _ Endpoint = (*TCPNode)(nil)
 
-// tcpConn is one outbound connection: the socket plus a reusable encode
-// buffer, so steady-state sends write one frame with zero allocations. When
-// the node compresses, the connection also owns the link's payload encoder
-// and a second reusable buffer for the encoded payload — per-connection
-// state, so a redial resets the sender's delta/error-feedback streams
-// exactly when the accepting readLoop (and its decoder) is replaced.
+// dialAttempts is how many times a first connection to a peer is tried.
+// The back-off between attempts doubles from 50 ms, so nine attempts are
+// eight sleeps: 50 ms·(2⁸−1) = 12.75 s of cold-start patience per peer.
+const dialAttempts = 9
+
+// tcpConn is one outbound connection: the socket plus a reusable buffer for
+// the frame head (header, extensions, sender ID — tens of bytes; the payload
+// is written from where it lies, so the buffer never grows to frame size),
+// so steady-state sends write one frame with zero allocations. When the
+// node compresses, the connection also owns the link's payload encoder and
+// a second reusable buffer for the encoded payload — per-connection state,
+// so a redial resets the sender's delta/error-feedback streams exactly when
+// the accepting readLoop (and its decoder) is replaced.
 type tcpConn struct {
 	mu   sync.Mutex // serialises frame writes
 	c    net.Conn
-	buf  []byte // reused frame staging; owned by the connection
+	buf  []byte // reused frame-head staging; owned by the connection
 	enc  *compress.Encoder
 	cbuf []byte // reused compressed-payload staging
+
+	// iov and bufs are the writev argument, kept here so building it
+	// allocates nothing; both are cleared before Send returns.
+	iov  [2][]byte
+	bufs net.Buffers
+}
+
+// stage prepares m's frame for flush without touching the socket, so a
+// message that violates the frame limits costs the connection nothing.
+// direct points the writev at m.Vec's own memory beside the staged head
+// (little-endian hosts); otherwise the whole frame is encoded into c.buf —
+// the big-endian path, which the tests also drive directly. Callers hold
+// c.mu.
+func (c *tcpConn) stage(m *Message, direct bool) error {
+	var err error
+	switch {
+	case m.IsCompressed():
+		c.buf, err = appendFrameHead(c.buf[:0], m)
+		c.iov = [2][]byte{c.buf, m.Comp.Data}
+	case direct:
+		c.buf, err = appendFrameHead(c.buf[:0], m)
+		c.iov = [2][]byte{c.buf, tensor.Bytes(m.Vec)}
+	default:
+		c.buf, err = AppendMessage(c.buf[:0], m)
+		c.iov = [2][]byte{c.buf}
+	}
+	if err != nil {
+		c.iov = [2][]byte{}
+	}
+	return err
+}
+
+// flush writes the staged frame — one writev of head and payload — and
+// returns once every byte is in the kernel. It clears the staging on every
+// path: the caller's vector is referenced only while the write runs, never
+// after Send returns (snapshot semantics).
+func (c *tcpConn) flush() error {
+	c.bufs = c.iov[:]
+	_, err := c.bufs.WriteTo(c.c)
+	c.iov, c.bufs = [2][]byte{}, nil
+	return err
 }
 
 // ListenTCP starts a node listening on addr. peers maps every other node's
@@ -89,6 +141,7 @@ func ListenTCP(id, addr string, peers map[string]string) (*TCPNode, error) {
 		ln:       ln,
 		peers:    make(map[string]string, len(peers)),
 		conns:    make(map[string]*tcpConn),
+		reached:  make(map[string]bool),
 		accepted: make(map[net.Conn]struct{}),
 		box:      NewMailbox(),
 		closed:   make(chan struct{}),
@@ -221,10 +274,11 @@ func (n *TCPNode) SetHelloRoster(intent RosterIntent, effectiveStep int, replace
 	n.announce = Hello{Intent: intent, EffectiveStep: effectiveStep, Replaces: replaces}
 }
 
-// Send implements Endpoint: it frames m into the connection's reusable
-// buffer and writes it, dialing (and helloing) on first use. m is only read
-// during the call — serialisation is the snapshot, so the caller may keep
-// mutating m.Vec afterwards.
+// Send implements Endpoint: it stages m's frame head in the connection's
+// reusable buffer and writes head and payload with one writev, dialing (and
+// helloing) on first use. m is only read during the call, and Send returns
+// only after every payload byte is in the kernel — the write is the
+// snapshot, so the caller may keep mutating m.Vec afterwards.
 func (n *TCPNode) Send(to string, m Message) error {
 	m.From = n.id
 	conn, err := n.conn(to)
@@ -245,12 +299,10 @@ func (n *TCPNode) Send(to string, m Message) error {
 		m.Comp = CompMeta{Scheme: uint8(conn.enc.Config().Scheme), Dim: len(m.Vec), Data: data}
 		m.Vec = nil
 	}
-	buf, err := AppendMessage(conn.buf[:0], &m)
-	conn.buf = buf[:0] // keep grown capacity for the next frame
-	if err != nil {
+	if err := conn.stage(&m, tensor.NativeLE()); err != nil {
 		return fmt.Errorf("transport: send to %s: %w", to, err)
 	}
-	if _, err := conn.c.Write(buf); err != nil {
+	if err := conn.flush(); err != nil {
 		// Drop the broken connection so the next Send redials.
 		n.dropConn(to, conn)
 		return fmt.Errorf("transport: send to %s: %w", to, err)
@@ -305,6 +357,10 @@ func (n *TCPNode) conn(to string) (*tcpConn, error) {
 	addr, ok := n.peers[to]
 	comp := n.comp
 	announce := n.announce
+	attempts := dialAttempts
+	if n.reached[to] {
+		attempts = 1
+	}
 	n.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("transport: unknown peer %q", to)
@@ -315,15 +371,23 @@ func (n *TCPNode) conn(to string) (*tcpConn, error) {
 	// fresh deployment come up in arbitrary order, so the first broadcast
 	// of a round regularly races the receivers' listeners. Retrying here is
 	// what a production RPC stack (the paper used gRPC) does transparently.
+	// The back-off is for that cold start only: a peer that has been reached
+	// before and now refuses has finished or crashed, and waiting out the
+	// schedule for it (≈12.75 s per peer) would only stall a straggler's
+	// remaining broadcasts — one attempt, then the best-effort loss the
+	// quorum discipline already tolerates.
 	var (
 		raw     net.Conn
 		err     error
 		backoff = 50 * time.Millisecond
 	)
-	for attempt := 0; attempt < 8; attempt++ {
+	for attempt := 1; ; attempt++ {
 		raw, err = net.DialTimeout("tcp", addr, 5*time.Second)
 		if err == nil {
 			break
+		}
+		if attempt == attempts {
+			return nil, fmt.Errorf("transport: dial %s (%s): %w", to, addr, err)
 		}
 		select {
 		case <-n.closed:
@@ -331,9 +395,6 @@ func (n *TCPNode) conn(to string) (*tcpConn, error) {
 		case <-time.After(backoff):
 		}
 		backoff *= 2
-	}
-	if err != nil {
-		return nil, fmt.Errorf("transport: dial %s (%s): %w", to, addr, err)
 	}
 
 	// Authenticate the connection before it carries any message: the hello
@@ -353,6 +414,7 @@ func (n *TCPNode) conn(to string) (*tcpConn, error) {
 
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	n.reached[to] = true
 	if c, ok := n.conns[to]; ok {
 		// A concurrent Send won the race; keep its connection.
 		_ = raw.Close()
