@@ -21,9 +21,7 @@
 package repro_test
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"testing"
 	"time"
 
@@ -329,11 +327,10 @@ func BenchmarkCIFARNetForwardParallel(b *testing.B) { withParallelism(b, 0); ben
 // ---------------------------------------------------------------------------
 // Wire benchmarks: the transport codec on a full paper-scale payload
 // (1,756,426 coordinates — the Table-1 model as one message). The binary
-// codec must sustain ≥2× gob's encode+decode throughput with 0 allocs/op in
-// steady state; the gob pair measures the retired wire format for the
-// comparison (persistent encoder/decoder, type descriptors amortised, as
-// the old TCP transport ran it). b.SetBytes makes `go test -bench Wire`
-// report MB/s directly — the measured column of the `throughput` experiment.
+// codec must run with 0 allocs/op in steady state (the 5–12× it measured
+// over the retired encoding/gob wire format is a dated row in
+// EXPERIMENTS.md). b.SetBytes makes `go test -bench Wire` report MB/s
+// directly — the measured column of the `throughput` experiment.
 // ---------------------------------------------------------------------------
 
 // wireBenchMessage builds the paper-scale message the wire benchmarks ship.
@@ -379,57 +376,6 @@ func BenchmarkWireDecodeBinary1756426(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := transport.DecodeMessage(frame, &out); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkWireEncodeGob1756426(b *testing.B) {
-	m := wireBenchMessage()
-	var buf bytes.Buffer
-	enc := gob.NewEncoder(&buf)
-	if err := enc.Encode(&m); err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(buf.Len()))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf.Reset()
-		if err := enc.Encode(&m); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkWireDecodeGob1756426(b *testing.B) {
-	m := wireBenchMessage()
-	var prebuf bytes.Buffer
-	enc := gob.NewEncoder(&prebuf)
-	if err := enc.Encode(&m); err != nil { // first frame carries type info
-		b.Fatal(err)
-	}
-	headerLen := prebuf.Len()
-	if err := enc.Encode(&m); err != nil {
-		b.Fatal(err)
-	}
-	frame := prebuf.Bytes()[headerLen:] // one steady-state frame
-	header := prebuf.Bytes()[:headerLen]
-	b.SetBytes(int64(len(frame)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		// A gob stream needs its type descriptors; replay them untimed so
-		// the timed region is one message decode, matching the binary side.
-		dec := gob.NewDecoder(bytes.NewReader(append(append([]byte(nil), header...), frame...)))
-		var skip transport.Message
-		if err := dec.Decode(&skip); err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		var out transport.Message
-		if err := dec.Decode(&out); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -649,7 +595,7 @@ func BenchmarkWireQuorumWhole1756426(b *testing.B) {
 		if _, err := col.Collect(transport.KindParams, 0, 5, -1); err != nil {
 			b.Fatal(err)
 		}
-		peak = col.PeakBytes()
+		peak = col.Metrics.PeakBytes()
 		net.Close()
 	}
 	b.ReportMetric(float64(peak), "peak-bytes")
@@ -684,7 +630,7 @@ func BenchmarkWireQuorumSharded1756426(b *testing.B) {
 		if _, err := scol.Collect(transport.KindParams, 0, 5, nil, "", false, fold, -1); err != nil {
 			b.Fatal(err)
 		}
-		peak = scol.PeakBytes()
+		peak = scol.Metrics.PeakBytes()
 		net.Close()
 	}
 	b.ReportMetric(float64(peak), "peak-bytes")
@@ -802,7 +748,7 @@ func BenchmarkMailboxOverflow(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		box.Put(m)
 	}
-	if got := box.DroppedOverflow(); got != uint64(b.N) {
+	if got := box.Metrics().DroppedOverflow.Load(); got != uint64(b.N) {
 		b.Fatalf("DroppedOverflow = %d, want %d", got, b.N)
 	}
 }

@@ -9,7 +9,7 @@
 //	guanyu-bench -exp matrix         # scenario matrix: attack × GAR × fault grid
 //	guanyu-bench -exp matrix -smoke  # smallest grid cell at tiny scale (CI)
 //	guanyu-bench -exp matrix -attacks alie,antikrum -faults none,chaos
-//	guanyu-bench -exp throughput     # wire codec: steps/sec + MB/s, gob vs binary
+//	guanyu-bench -exp throughput     # wire codec: serialization-bound steps/sec + MB/s
 //	guanyu-bench -list               # show experiment ids
 //
 // Output is plain text, one table/series block per experiment, with the

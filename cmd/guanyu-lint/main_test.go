@@ -15,7 +15,7 @@ func TestListNamesEveryAnalyzer(t *testing.T) {
 	if code := run([]string{"-list"}, &out, &errb); code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errb.String())
 	}
-	for _, name := range []string{"cloneboundary", "counterparity", "nodeterminism", "boundedalloc", "noparallelnest"} {
+	for _, name := range []string{"cloneboundary", "nodeterminism", "boundedalloc", "noparallelnest"} {
 		if !strings.Contains(out.String(), name) {
 			t.Errorf("-list output missing %s:\n%s", name, out.String())
 		}

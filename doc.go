@@ -40,8 +40,8 @@
 // little-endian float64 payloads — on a little-endian host the vector's
 // own memory, so a sender writes a vector to its socket from where it lies
 // and a receiver reads it into the vector it keeps (zero allocations in
-// steady state, 14–47× the throughput of the former gob framing — see the
-// `throughput` experiment and BENCH_transport.json), over per-connection
+// steady state — see the `throughput` experiment and
+// BENCH_transport.json), over per-connection
 // hello-authenticated TCP so a Byzantine peer cannot forge other senders
 // into a quorum. WIRE.md is the byte-level specification.
 //

@@ -118,11 +118,10 @@ func Matrix(s ExperimentScale, spec MatrixSpec) (*MatrixResult, error) {
 // ThroughputRow is one (cluster shape, payload dimension) wire measurement.
 type ThroughputRow = experiments.ThroughputRow
 
-// Throughput measures the wire codecs (binary frames vs the retired gob
-// framing) on protocol-sized payloads and derives the serialization-bound
-// steps/sec ceiling for representative cluster shapes. Timing-based: the
-// absolute numbers are machine-dependent, the gob-vs-binary comparison is
-// the point.
+// Throughput measures the binary wire codec on protocol-sized payloads and
+// derives the serialization-bound steps/sec ceiling for representative
+// cluster shapes. Timing-based: the absolute numbers are machine-dependent,
+// the scaling across shapes is the point.
 func Throughput(s ExperimentScale) ([]ThroughputRow, error) { return experiments.Throughput(s) }
 
 // BandwidthRow is one (dimension, scheme) wire-volume measurement: exact

@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -276,5 +277,108 @@ scrape:
 	}
 	if out.res.DroppedOverflow == 0 || float64(out.res.DroppedOverflow) < prev["guanyu_mailbox_dropped_total"] {
 		t.Errorf("Result.DroppedOverflow = %d, scraped %g", out.res.DroppedOverflow, prev["guanyu_mailbox_dropped_total"])
+	}
+}
+
+// resultFamilies pairs every /metrics drop family with the Result field
+// that must carry its deployment-wide total.
+func resultFamilies(r *guanyu.Result) map[string]uint64 {
+	return map[string]uint64{
+		"guanyu_dropped_future_total":       r.DroppedFuture,
+		"guanyu_dropped_malformed_total":    r.DroppedMalformed,
+		"guanyu_forged_dropped_total":       r.ForgedDropped,
+		"guanyu_dropped_unnegotiated_total": r.DroppedUnnegotiated,
+		"guanyu_dropped_unadmitted_total":   r.DroppedUnadmitted,
+		"guanyu_dropped_roster_total":       r.DroppedRoster,
+		"guanyu_mailbox_dropped_total":      r.DroppedOverflow,
+		"guanyu_courier_dropped_total":      r.CourierDropped,
+		"guanyu_closed_dropped_total":       r.DroppedClosed,
+	}
+}
+
+// TestLiveCompressedResultCoversScrape carries the TCP acceptance test's
+// "Result ≥ last scrape" pattern to the in-process runtime, where the
+// compression wrapper — not a TCP read loop — does the dropping, and the
+// façade used to leave those drops on the floor. One honest server's
+// delta-compressed frames are delivered out of order (every other one
+// held back), so receivers see diffs against a reference they do not
+// hold and drop them as malformed until the next keyframe. Every drop
+// family must come back through Result at least as large as the last
+// scrape saw it, and the malformed total must be there at all.
+func TestLiveCompressedResultCoversScrape(t *testing.T) {
+	var slowSends atomic.Uint64
+	metricsAddr := make(chan string, 1)
+	// All-honest: the in-process runtime wraps only honest endpoints with
+	// the codec, so a Byzantine node could not read its peers' frames.
+	d, err := guanyu.New(
+		guanyu.WithWorkload(guanyu.BlobWorkload(600, 7)),
+		guanyu.WithServers(6, 1),
+		guanyu.WithWorkers(6, 1),
+		guanyu.WithBatch(8),
+		guanyu.WithSeed(11),
+		guanyu.WithRuntime(guanyu.Live),
+		guanyu.WithCompression("delta"),
+		guanyu.WithSteps(120),
+		guanyu.WithDelay(func(from, to string) time.Duration {
+			// ps4 is honest; every quorum completes without it. It sends an
+			// odd number of frames per step, so per link the held-back and
+			// the prompt frames alternate and the prompt one overtakes.
+			if from == "ps4" && slowSends.Add(1)%2 == 1 {
+				return 20 * time.Millisecond
+			}
+			return 0
+		}),
+		guanyu.WithMetricsAddr("127.0.0.1:0", func(addr string) { metricsAddr <- addr }),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type outcome struct {
+		res *guanyu.Result
+		err error
+	}
+	runDone := make(chan outcome, 1)
+	go func() {
+		res, err := d.Run(context.Background())
+		runDone <- outcome{res, err}
+	}()
+	var addr string
+	select {
+	case addr = <-metricsAddr:
+	case <-time.After(10 * time.Second):
+		t.Fatal("metrics listener never came up")
+	}
+
+	prev := make(map[string]float64)
+	var out outcome
+scrape:
+	for {
+		select {
+		case out = <-runDone:
+			break scrape
+		default:
+		}
+		sums, _ := scrapeFamilies(t, addr)
+		for fam, v := range sums {
+			if strings.HasSuffix(fam, "_total") && v < prev[fam] {
+				t.Fatalf("family %s regressed across scrapes: %g -> %g", fam, prev[fam], v)
+			}
+			prev[fam] = v
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if out.err != nil {
+		t.Fatalf("run failed: %v", out.err)
+	}
+	if !guanyu.IsFinite(out.res.Final) {
+		t.Fatal("non-finite final parameters")
+	}
+	if out.res.DroppedMalformed == 0 {
+		t.Error("Result.DroppedMalformed = 0: the compression wrapper's drops must surface through the façade")
+	}
+	for fam, got := range resultFamilies(out.res) {
+		if float64(got) < prev[fam] {
+			t.Errorf("Result carries %d for %s, the last scrape saw %g", got, fam, prev[fam])
+		}
 	}
 }

@@ -46,20 +46,40 @@ type Result struct {
 	// WallTime is the real elapsed time of the run. Live only.
 	WallTime time.Duration
 
-	// DroppedOverflow totals the frames shed by bounded mailboxes across
-	// the deployment — inbound per-sender evictions plus outbound courier
-	// evictions. Live only; zero when nothing overflowed.
-	DroppedOverflow uint64
-	// DroppedClosed totals frames that arrived at nodes after they had
-	// shut down (senders outliving receivers). Live only.
-	DroppedClosed uint64
+	// The drop taxonomy: deployment-wide totals of every frame (or
+	// handshake) a node discarded, one field per /metrics counter family,
+	// read from the run's registry once every node has finished — so they
+	// equal what a final scrape sums to. Live only, under either
+	// transport; all zero on a quiet run.
+	//
+	// DroppedFuture totals frames claiming a step beyond the collection
+	// horizon (step-spraying senders).
+	DroppedFuture uint64
+	// DroppedMalformed totals frames that failed structural validation:
+	// inconsistent shard framing, undecodable or oversized compressed
+	// payloads.
+	DroppedMalformed uint64
 	// ForgedDropped totals inbound frames dropped because their From
-	// field disagreed with the connection's hello-authenticated identity.
-	// Live TCP only.
+	// field disagreed with the connection's hello-authenticated identity
+	// (TCP transport).
 	ForgedDropped uint64
 	// DroppedUnnegotiated totals inbound compressed frames dropped for
-	// using a scheme their sender never negotiated. Live TCP only.
+	// using a scheme their sender never negotiated.
 	DroppedUnnegotiated uint64
+	// DroppedUnadmitted totals hello handshakes refused by a roster
+	// admission check (TCP transport).
+	DroppedUnadmitted uint64
+	// DroppedRoster totals frames from senders outside the roster in
+	// force at the frame's step.
+	DroppedRoster uint64
+	// DroppedOverflow totals the frames shed by bounded inbound mailboxes
+	// (per-sender evictions and rejections); CourierDropped totals the
+	// same events on honest nodes' outbound courier links.
+	DroppedOverflow uint64
+	CourierDropped  uint64
+	// DroppedClosed totals frames that arrived at nodes after they had
+	// shut down (senders outliving receivers).
+	DroppedClosed uint64
 	// ChurnRestarted reports that the WithRejoin victim was actually
 	// killed and came back through checkpoint + median rejoin (false when
 	// the run outran the kill, or no rejoin cycle was armed). Live only.

@@ -94,17 +94,12 @@ type liveRunner struct{}
 
 func (liveRunner) String() string { return "live" }
 
-// liveDrops carries a live run's deployment-wide drop totals into the
-// Result — the counters that used to be discarded at this boundary.
-type liveDrops struct {
-	overflow, closed, forged, unnegotiated uint64
-}
-
 func (liveRunner) Run(ctx context.Context, d *Deployment) (*Result, error) {
 	start := time.Now()
-	// Every live run gets a registry — the per-node handles cost a few
-	// atomics per event — and WithMetricsAddr additionally exposes it
-	// over HTTP for the run's duration.
+	// Every live run counts into one registry — under either transport
+	// the Result's drop totals are its final reading — and
+	// WithMetricsAddr additionally exposes it over HTTP for the run's
+	// duration.
 	reg := metrics.NewRegistry()
 	if d.metricsAddr != "" {
 		srv, serr := metrics.Serve(d.metricsAddr, reg, metrics.DefaultStallAfter)
@@ -119,12 +114,11 @@ func (liveRunner) Run(ctx context.Context, d *Deployment) (*Result, error) {
 	var (
 		final        tensor.Vector
 		serverParams map[int]tensor.Vector
-		drops        liveDrops
 		restarted    bool
 		err          error
 	)
 	if d.tcp {
-		final, serverParams, drops, err = runLiveTCP(ctx, d, reg)
+		final, serverParams, err = runLiveTCP(ctx, d, reg)
 	} else {
 		cfg := cluster.LiveConfig{
 			Model:         d.workload.Model,
@@ -168,23 +162,30 @@ func (liveRunner) Run(ctx context.Context, d *Deployment) (*Result, error) {
 		res, err = cluster.RunLiveContext(ctx, cfg)
 		if err == nil {
 			final, serverParams = res.Final, res.ServerParams
-			drops.overflow, drops.closed = res.DroppedOverflow, res.DroppedClosed
 			restarted = res.ChurnRestarted
 		}
 	}
 	if err != nil {
 		return nil, err
 	}
+	// Every node goroutine (and courier flush) is done: the registry's
+	// totals are final, and equal what a last /metrics scrape sums to.
+	drops := reg.Totals()
 	out := &Result{
 		Runtime:             Live.String(),
 		Final:               final,
 		ServerParams:        serverParams,
 		Updates:             d.steps,
 		WallTime:            time.Since(start),
-		DroppedOverflow:     drops.overflow,
-		DroppedClosed:       drops.closed,
-		ForgedDropped:       drops.forged,
-		DroppedUnnegotiated: drops.unnegotiated,
+		DroppedFuture:       drops.DroppedFuture,
+		DroppedMalformed:    drops.DroppedMalformed,
+		ForgedDropped:       drops.ForgedDropped,
+		DroppedUnnegotiated: drops.DroppedUnnegotiated,
+		DroppedUnadmitted:   drops.DroppedUnadmitted,
+		DroppedRoster:       drops.DroppedRoster,
+		DroppedOverflow:     drops.DroppedOverflow,
+		CourierDropped:      drops.CourierDropped,
+		DroppedClosed:       drops.DroppedClosed,
 		ChurnRestarted:      restarted,
 	}
 	if d.workload.Test != nil {
@@ -200,10 +201,10 @@ func (liveRunner) Run(ctx context.Context, d *Deployment) (*Result, error) {
 // runLiveTCP executes the deployment as one node per goroutine over real
 // loopback TCP sockets — the in-process equivalent of the paper's testbed,
 // where every node is its own OS process (see RunNode for that shape).
-// Every node publishes into reg, so a WithMetricsAddr scraper watches the
-// run live; the returned liveDrops are the end-of-run totals.
+// Every node counts into reg, so a WithMetricsAddr scraper watches the
+// run live and the caller reads the end-of-run totals from it.
 func runLiveTCP(ctx context.Context, d *Deployment, reg *metrics.Registry) (
-	tensor.Vector, map[int]tensor.Vector, liveDrops, error) {
+	tensor.Vector, map[int]tensor.Vector, error) {
 	n := d.numServers + d.numWorkers
 	serverIDs := make([]string, d.numServers)
 	for i := range serverIDs {
@@ -239,13 +240,13 @@ func runLiveTCP(ctx context.Context, d *Deployment, reg *metrics.Registry) (
 	for _, id := range append(append([]string{}, serverIDs...), workerIDs...) {
 		node, err := transport.ListenTCP(id, "127.0.0.1:0", nil)
 		if err != nil {
-			return nil, nil, liveDrops{}, fmt.Errorf("guanyu: listen %s: %w", id, err)
+			return nil, nil, fmt.Errorf("guanyu: listen %s: %w", id, err)
 		}
 		if d.compression.Enabled() && !byzantine[id] {
 			// Before AddPeer: the capability mask rides the hello frame.
 			if err := node.SetCompression(d.compression, dim); err != nil {
 				node.Close()
-				return nil, nil, liveDrops{}, fmt.Errorf("guanyu: compression %s: %w", id, err)
+				return nil, nil, fmt.Errorf("guanyu: compression %s: %w", id, err)
 			}
 		}
 		if d.mailbox.Bounded() {
@@ -253,7 +254,7 @@ func runLiveTCP(ctx context.Context, d *Deployment, reg *metrics.Registry) (
 			// Byzantine included — gets it, matching the in-process runtime.
 			if err := node.SetMailbox(d.mailbox); err != nil {
 				node.Close()
-				return nil, nil, liveDrops{}, fmt.Errorf("guanyu: mailbox %s: %w", id, err)
+				return nil, nil, fmt.Errorf("guanyu: mailbox %s: %w", id, err)
 			}
 		}
 		// Attach the registry handle before any peer can connect, so the
@@ -269,7 +270,7 @@ func runLiveTCP(ctx context.Context, d *Deployment, reg *metrics.Registry) (
 		for id, addr := range addrs {
 			if id != node.ID() {
 				if err := node.AddPeer(id, addr); err != nil {
-					return nil, nil, liveDrops{}, fmt.Errorf("guanyu: peer %s→%s: %w", node.ID(), id, err)
+					return nil, nil, fmt.Errorf("guanyu: peer %s→%s: %w", node.ID(), id, err)
 				}
 			}
 		}
@@ -305,11 +306,10 @@ func runLiveTCP(ctx context.Context, d *Deployment, reg *metrics.Registry) (
 		theta tensor.Vector
 	}
 	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		outs     []serverOut
-		runErrs  []error
-		couriers []*transport.Couriers
+		wg      sync.WaitGroup
+		mu      sync.Mutex
+		outs    []serverOut
+		runErrs []error
 	)
 	for i := 0; i < d.numServers; i++ {
 		peers := make([]string, 0, d.numServers-1)
@@ -352,7 +352,6 @@ func runLiveTCP(ctx context.Context, d *Deployment, reg *metrics.Registry) (
 			if d.mailbox.Bounded() {
 				c := transport.NewCouriers(sep, d.mailbox)
 				c.SetMetrics(scfg.Metrics)
-				couriers = append(couriers, c)
 				sep = c
 			}
 		}
@@ -397,7 +396,6 @@ func runLiveTCP(ctx context.Context, d *Deployment, reg *metrics.Registry) (
 			if d.mailbox.Bounded() {
 				c := transport.NewCouriers(wep, d.mailbox)
 				c.SetMetrics(wcfg.Metrics)
-				couriers = append(couriers, c)
 				wep = c
 			}
 		}
@@ -413,28 +411,15 @@ func runLiveTCP(ctx context.Context, d *Deployment, reg *metrics.Registry) (
 		}()
 	}
 	wg.Wait()
-	// Every node goroutine (and courier flush) is done: the drop totals
-	// are final. Summed from the transport accessors, they equal what the
-	// registry mirrored — the same numbers a /metrics scrape reports.
-	var drops liveDrops
-	for _, node := range nodes {
-		drops.overflow += node.DroppedOverflow()
-		drops.closed += node.DroppedClosed()
-		drops.forged += node.ForgedDropped()
-		drops.unnegotiated += node.DroppedUnnegotiated()
-	}
-	for _, c := range couriers {
-		drops.overflow += c.DroppedOverflow()
-	}
 	if err := ctx.Err(); err != nil {
-		return nil, nil, liveDrops{}, fmt.Errorf("guanyu: live TCP run cancelled: %w", err)
+		return nil, nil, fmt.Errorf("guanyu: live TCP run cancelled: %w", err)
 	}
 	if len(runErrs) > 0 {
-		return nil, nil, liveDrops{}, fmt.Errorf("guanyu: live TCP run failed: %w (and %d more)",
+		return nil, nil, fmt.Errorf("guanyu: live TCP run failed: %w (and %d more)",
 			runErrs[0], len(runErrs)-1)
 	}
 	if len(outs) == 0 {
-		return nil, nil, liveDrops{}, fmt.Errorf("guanyu: no honest server completed")
+		return nil, nil, fmt.Errorf("guanyu: no honest server completed")
 	}
 	serverParams := make(map[int]tensor.Vector, len(outs))
 	finals := make([]tensor.Vector, 0, len(outs))
@@ -444,7 +429,7 @@ func runLiveTCP(ctx context.Context, d *Deployment, reg *metrics.Registry) (
 	}
 	final, err := igar.Median{}.Aggregate(finals)
 	if err != nil {
-		return nil, nil, liveDrops{}, err
+		return nil, nil, err
 	}
-	return final, serverParams, drops, nil
+	return final, serverParams, nil
 }

@@ -138,7 +138,6 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 func All() []*Analyzer {
 	return []*Analyzer{
 		CloneBoundary,
-		CounterParity,
 		NoDeterminism,
 		BoundedAlloc,
 		NoParallelNest,

@@ -14,10 +14,6 @@ func TestCloneBoundary(t *testing.T) {
 	atest.Run(t, fixture("cloneboundary"), analysis.CloneBoundary)
 }
 
-func TestCounterParity(t *testing.T) {
-	atest.Run(t, fixture("counterparity"), analysis.CounterParity)
-}
-
 func TestNoDeterminism(t *testing.T) {
 	atest.Run(t, fixture("nodeterminism"), analysis.NoDeterminism)
 }

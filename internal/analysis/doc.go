@@ -1,4 +1,4 @@
-// Package analysis is the repo's custom static-analysis suite: five
+// Package analysis is the repo's custom static-analysis suite: four
 // vet-style analyzers encoding the load-bearing invariants every
 // correctness claim in this reproduction rests on, each of which has
 // been violated — and fixed — at least once in the repo's history.
@@ -6,10 +6,6 @@
 //   - cloneboundary: transport.Message values must be Clone()d before
 //     crossing a send boundary (goroutine capture, timer callback,
 //     channel send) — the race shape fixed in PRs 2, 3 and 7.
-//   - counterparity: every Dropped*/Forged*/Steps event counted in
-//     internal/transport or internal/cluster must mirror the increment
-//     into its internal/metrics handle at increment time — the
-//     dropped-counter plumbing fixed in PR 8.
 //   - nodeterminism: the deterministic packages (gar, compress,
 //     tensor, stats, transport, trace, metrics) must not read the wall
 //     clock, use unseeded math/rand, or let Go-map iteration order

@@ -9,9 +9,9 @@ import (
 
 // TestHistoricalBugs runs the full suite over a fixture tree that
 // reproduces each historical bug shape in miniature: the un-cloned
-// send, the un-mirrored hardening counter, and map-iteration order
-// deciding a quorum. Every bug must be flagged by exactly the marker
-// on its line, and nothing else in the fixture may be flagged.
+// send and map-iteration order deciding a quorum. Every bug must be
+// flagged by exactly the marker on its line, and nothing else in the
+// fixture may be flagged.
 func TestHistoricalBugs(t *testing.T) {
 	atest.Run(t, fixture("histbugs"), analysis.All()...)
 }
@@ -30,7 +30,7 @@ func TestHistoricalBugsRequireEachAnalyzer(t *testing.T) {
 	for _, d := range full {
 		counts[d.Analyzer]++
 	}
-	for _, name := range []string{"cloneboundary", "counterparity", "nodeterminism"} {
+	for _, name := range []string{"cloneboundary", "nodeterminism"} {
 		if counts[name] == 0 {
 			t.Errorf("full suite found no %s diagnostic in the historical-bug fixture", name)
 		}

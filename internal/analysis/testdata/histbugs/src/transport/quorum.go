@@ -1,15 +1,8 @@
-// Package transport reproduces, in miniature, the three historical
-// bug shapes the lint suite was built to catch: the un-cloned send
-// (the PR 2/3/7 races), the un-mirrored hardening counter (the PR 8
-// scrape gap), and quorum order following Go's randomized map
+// Package transport reproduces, in miniature, the historical bug
+// shapes the lint suite was built to catch: the un-cloned send (the
+// PR 2/3/7 races) and quorum order following Go's randomized map
 // iteration (the PR 4 aggregation bug).
 package transport
-
-import (
-	"sync/atomic"
-
-	"metrics"
-)
 
 // Message mimics the wire message; the analyzers match it by package
 // and type name.
@@ -28,9 +21,7 @@ func (m Message) Clone() Message {
 
 // Collector buffers one step's messages by sender.
 type Collector struct {
-	byPeer        map[string]Message
-	droppedFuture uint64
-	sink          *metrics.NodeMetrics
+	byPeer map[string]Message
 }
 
 // Broadcast fans a buffered message out to every peer without cloning
@@ -41,12 +32,6 @@ func (c *Collector) Broadcast(from string, outs []chan Message) {
 	for _, ch := range outs {
 		ch <- held // want "sent on a channel without Clone"
 	}
-}
-
-// RejectFuture counts a dropped future-step frame but forgets the
-// live mirror: a mid-run scraper reads zero drops.
-func (c *Collector) RejectFuture() {
-	atomic.AddUint64(&c.droppedFuture, 1) // want "incremented without mirroring"
 }
 
 // Quorum returns the first q buffered messages in map-iteration order

@@ -49,13 +49,13 @@
 // Byzantine node can never evict honest traffic. When no overflow occurs
 // the bound is invisible: the regression suite asserts whole-vector,
 // sharded and compressed runs are bit-identical under every policy.
-// LiveResult surfaces the full drop taxonomy (DroppedOverflow /
-// DroppedClosed / ForgedDropped / DroppedUnnegotiated), ServerConfig.Stats
-// exposes the per-node collector counters to tests, and every counter is
-// mirrored into an optional internal/metrics.NodeMetrics handle
-// (LiveConfig.Metrics / ServerConfig.Metrics) the moment it increments —
-// so a /metrics scrape observes live values mid-run instead of a
-// snapshot written at node exit, and a cancelled node's totals are exact.
+// Every hardening counter lives in exactly one place, the node's
+// internal/metrics.NodeMetrics handle (LiveConfig.Metrics /
+// ServerConfig.Metrics), incremented the moment the event happens — so a
+// /metrics scrape observes live values mid-run instead of a snapshot
+// written at node exit, a cancelled node's totals are exact, and
+// LiveResult.Totals (the registry's sum over nodes) carries the full drop
+// taxonomy out of a finished run.
 // The flood soak test (flood_test.go) pins the memory bound: peak heap
 // under a Byzantine-rate TCP spray stays within the
 // nodes × cap × frame-size budget while training converges.

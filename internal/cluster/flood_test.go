@@ -139,10 +139,10 @@ func TestFloodBoundedMemoryAndLiveness(t *testing.T) {
 	// per-sender cap and overflow deterministically: the bound is doing the
 	// work, not the server's drain rate.
 	deadline := time.Now().Add(10 * time.Second)
-	for target.DroppedOverflow() == 0 && time.Now().Before(deadline) {
+	for target.Metrics().DroppedOverflow.Load() == 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if target.DroppedOverflow() == 0 {
+	if target.Metrics().DroppedOverflow.Load() == 0 {
 		t.Fatal("flood never overflowed the per-sender bound")
 	}
 
@@ -243,6 +243,6 @@ func TestFloodBoundedMemoryAndLiveness(t *testing.T) {
 			peak, budget, base.HeapAlloc)
 	}
 	t.Logf("sprayed %d junk frames (%d dropped at the bound), peak heap %.1f MiB of %.1f MiB budget",
-		sprayed.Load(), target.DroppedOverflow(),
+		sprayed.Load(), target.Metrics().DroppedOverflow.Load(),
 		float64(peak)/(1<<20), float64(budget)/(1<<20))
 }

@@ -97,12 +97,14 @@ type LiveConfig struct {
 	// buffering is O(n·Cap) regardless of traffic rates. The zero value
 	// keeps the unbounded mailboxes of the pure asynchronous model, and
 	// overflow-free schedules are byte-for-byte unaffected by the policy
-	// chosen. Drops are counted in LiveResult.DroppedOverflow.
+	// chosen. Drops are counted in LiveResult.Totals (DroppedOverflow
+	// inbound, CourierDropped outbound).
 	Mailbox transport.MailboxConfig
-	// Metrics, when non-nil, receives one live handle per node: every
-	// mailbox, courier and collector counter is mirrored into it as it
-	// increments, and node loops publish step/liveness progress — the
-	// registry a /metrics + /healthz listener scrapes mid-run.
+	// Metrics is the registry every node's handle comes from: every
+	// mailbox, courier, compressor and collector counts into its node's
+	// handle, and node loops publish step/liveness progress — what a
+	// /metrics + /healthz listener scrapes mid-run. Nil means a private
+	// registry, read once for LiveResult.Totals.
 	Metrics *metrics.Registry
 	// Checkpoint, when non-nil, makes every honest server persist its
 	// protocol state into Checkpoint.Dir every Checkpoint.Every steps
@@ -231,14 +233,13 @@ type LiveResult struct {
 	// vectors — the model θ̄ the paper's convergence statement (Eq. 1) is
 	// about.
 	Final tensor.Vector
-	// DroppedOverflow totals the frames shed by bounded mailboxes across
-	// the whole deployment — inbound per-sender evictions plus outbound
-	// courier-queue evictions. Zero whenever the schedule never overflowed
-	// (in particular always zero with the unbounded default).
-	DroppedOverflow uint64
-	// DroppedClosed totals the frames that arrived at nodes after they had
-	// shut down — the tail traffic of senders outliving receivers.
-	DroppedClosed uint64
+	// Totals is the registry's deployment-wide sum of every counter once
+	// all nodes have finished and in-flight deliveries have settled — the
+	// same numbers a final /metrics scrape adds up to. DroppedOverflow and
+	// CourierDropped are zero whenever the schedule never overflowed (in
+	// particular always with the unbounded default); DroppedClosed is the
+	// tail traffic of senders outliving receivers.
+	Totals metrics.Snapshot
 	// ChurnRestarted reports that the configured churn victim was actually
 	// killed and came back through the checkpoint-restore + rejoin leg
 	// (false when the run outran the kill, or no churn was configured).
@@ -279,6 +280,10 @@ func RunLiveContext(ctx context.Context, cfg LiveConfig) (*LiveResult, error) {
 		}
 	}
 
+	reg := cfg.Metrics
+	if reg == nil {
+		reg = metrics.NewRegistry()
+	}
 	network := transport.NewChanNetwork(cfg.Delay)
 	defer network.Close()
 	if err := network.SetMailbox(cfg.Mailbox); err != nil {
@@ -304,45 +309,28 @@ func RunLiveContext(ctx context.Context, cfg LiveConfig) (*LiveResult, error) {
 	// exactly the composition the TCP runtime exhibits. A bounded mailbox
 	// adds couriers on top: the node loop hands frames to per-link bounded
 	// outboxes and never blocks on (or is blocked by) a slow link.
-	var (
-		courierMu sync.Mutex
-		couriers  []*transport.Couriers
-	)
 	wrapHonest := func(ep transport.Endpoint, h *metrics.NodeMetrics) (transport.Endpoint, error) {
 		if cfg.Compression.Enabled() {
 			c, err := transport.NewCompressor(ep, cfg.Compression, len(theta0))
 			if err != nil {
 				return nil, err
 			}
-			if h != nil {
-				// Mirror the wrapper's unnegotiated/malformed drops into the
-				// node's live handle, like the TCP read loop does — without
-				// this the in-process runtime's compression drops were
-				// invisible to /metrics (caught by the counterparity lint).
-				c.SetMetrics(h)
-			}
+			c.SetMetrics(h)
 			ep = c
 		}
 		ep = cfg.Faults.Wrap(ep)
 		if cfg.Mailbox.Bounded() {
 			c := transport.NewCouriers(ep, cfg.Mailbox)
-			if h != nil {
-				c.SetMetrics(h)
-			}
-			courierMu.Lock()
-			couriers = append(couriers, c)
-			courierMu.Unlock()
+			c.SetMetrics(h)
 			ep = c
 		}
 		return ep, nil
 	}
 
-	// nodeHandle hands out (and wires up) one registry handle per node.
+	// nodeHandle hands out one registry handle per node and makes it the
+	// node's on the network, for every incarnation of the ID.
 	nodeHandle := func(id string) *metrics.NodeMetrics {
-		if cfg.Metrics == nil {
-			return nil
-		}
-		h := cfg.Metrics.Node(id)
+		h := reg.Node(id)
 		network.SetNodeMetrics(id, h)
 		return h
 	}
@@ -423,12 +411,6 @@ func RunLiveContext(ctx context.Context, cfg LiveConfig) (*LiveResult, error) {
 		}
 		idx := i
 		churned := cfg.Churn != nil && i == cfg.Churn.Server
-		if churned && scfg.Metrics == nil {
-			// The kill trigger watches the live step counter, so the victim
-			// always runs with a handle even when the deployment has no registry.
-			scfg.Metrics = &metrics.NodeMetrics{}
-			network.SetNodeMetrics(scfg.ID, scfg.Metrics)
-		}
 		sep := ep
 		if scfg.Attack == nil {
 			// Faults and compression hit honest traffic only — the
@@ -525,17 +507,10 @@ func RunLiveContext(ctx context.Context, cfg LiveConfig) (*LiveResult, error) {
 	}
 
 	res := &LiveResult{ServerParams: make(map[int]tensor.Vector, len(outs)), ChurnRestarted: restarted}
-	// Settle in-flight delayed deliveries before reading the drop counters
-	// (the deferred Close is then a no-op).
+	// Settle in-flight delayed deliveries before reading the counters (the
+	// deferred Close is then a no-op).
 	network.Close()
-	for _, id := range append(append([]string{}, serverIDs...), workerIDs...) {
-		over, cl := network.Dropped(id)
-		res.DroppedOverflow += over
-		res.DroppedClosed += cl
-	}
-	for _, c := range couriers {
-		res.DroppedOverflow += c.DroppedOverflow()
-	}
+	res.Totals = reg.Totals()
 	finals := make([]tensor.Vector, 0, len(outs))
 	for _, o := range outs {
 		res.ServerParams[o.index] = o.theta
@@ -563,7 +538,7 @@ func RunLiveContext(ctx context.Context, cfg LiveConfig) (*LiveResult, error) {
 func runChurnServer(network *transport.ChanNetwork, sep transport.Endpoint, scfg ServerConfig,
 	churn *LiveChurn, wrap func(transport.Endpoint, *metrics.NodeMetrics) (transport.Endpoint, error)) (tensor.Vector, bool, error) {
 
-	vm := scfg.Metrics // never nil: RunLiveContext gives the victim a handle
+	vm := scfg.Metrics // the kill trigger watches the victim's live step gauge
 	scfg.Checkpoint = &CheckpointSpec{Dir: churn.Dir, Every: churn.CheckpointEvery}
 
 	done := make(chan struct{})
@@ -617,7 +592,6 @@ func runChurnServer(network *transport.ChanNetwork, sep transport.Endpoint, scfg
 	if err != nil {
 		return nil, false, fmt.Errorf("cluster: churn restart of %s: %w", scfg.ID, err)
 	}
-	network.SetNodeMetrics(scfg.ID, vm)
 	rcfg := scfg
 	rcfg.Restore = &ckpt
 	rcfg.Rejoin = true

@@ -13,10 +13,10 @@ import (
 // TestCancelledServerStillReportsLiveCounters is the regression for the
 // snapshot-at-exit stats bug: counters used to exist only inside the
 // collector, so nothing could be read mid-run and a cancelled node's
-// NodeStats were whatever the deferred snapshot caught. With the live
-// registry handle, the drops a rogue feeder provokes are visible WHILE the
-// server is still blocked on its quorum, and when the network is torn down
-// under it the same exact totals come back through NodeStats — error path
+// totals were whatever a deferred snapshot caught. The registry handle is
+// the counters' only storage: the drops a rogue feeder provokes are visible
+// WHILE the server is still blocked on its quorum, and when the network is
+// torn down under it the same exact totals are still there — error path
 // included. A cancelled node must also never read as cleanly done, so a
 // /healthz scrape reports it stalled instead of finished.
 func TestCancelledServerStillReportsLiveCounters(t *testing.T) {
@@ -35,7 +35,6 @@ func TestCancelledServerStillReportsLiveCounters(t *testing.T) {
 	handle := reg.Node("ps0")
 	network.SetNodeMetrics("ps0", handle)
 
-	var st NodeStats
 	done := make(chan error, 1)
 	go func() {
 		_, err := RunServer(ep, ServerConfig{
@@ -45,7 +44,7 @@ func TestCancelledServerStillReportsLiveCounters(t *testing.T) {
 			QuorumGradients: 1, QuorumParams: 1,
 			Steps: 3, LR: func(int) float64 { return 0.1 },
 			Timeout: time.Minute,
-			Stats:   &st, Metrics: handle,
+			Metrics: handle,
 		})
 		done <- err
 	}()
@@ -79,12 +78,11 @@ func TestCancelledServerStillReportsLiveCounters(t *testing.T) {
 		t.Fatal("server did not return after network close")
 	}
 
-	if st.DroppedFuture != futureFrames {
-		t.Fatalf("NodeStats.DroppedFuture = %d after cancellation, want %d",
-			st.DroppedFuture, futureFrames)
+	if got := handle.DroppedFuture.Load(); got != futureFrames {
+		t.Fatalf("DroppedFuture = %d after cancellation, want %d", got, futureFrames)
 	}
-	if st.Steps != 0 {
-		t.Fatalf("NodeStats.Steps = %d for a run cancelled at step 0, want 0", st.Steps)
+	if got := handle.Steps.Load(); got != 0 {
+		t.Fatalf("Steps = %d for a run cancelled at step 0, want 0", got)
 	}
 	if handle.Done() {
 		t.Fatal("a cancelled run must not read as cleanly done")

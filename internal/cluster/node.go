@@ -62,12 +62,110 @@ func send(ep transport.Endpoint, att attack.Attack, kind transport.Kind,
 	_ = ep.Send(to, m)
 }
 
-// collectStreamed runs one incremental shard quorum: every completed shard
-// feeds the rule's streamer as it arrives, and the aggregate materialises
-// the moment the last shard's quorum closes. Returns the pinned sender
-// order (nil for per-shard quorums), the streamer's selected indices when
-// the rule is selective (Multi-Krum's accountability signal), and the
-// aggregated vector.
+// quorum is a node loop's one way to gather and reduce a quorum, hiding
+// whether inbound traffic is consumed whole-vector (transport.Collector, then
+// Rule.Aggregate over the first q arrivals) or shard by shard
+// (transport.ShardCollector feeding the rule's streamer as each shard's
+// quorum fills). Exactly one of col and scol is set.
+type quorum struct {
+	col     *transport.Collector
+	scol    *transport.ShardCollector
+	timeout time.Duration
+}
+
+// newQuorum picks the path once per node: with a shard size set and every
+// rule the node will aggregate with streaming-capable, traffic streams;
+// otherwise the whole-vector collector runs (it reassembles chunk frames, so
+// sharded senders interoperate either way). Every counter lands in h; a nil
+// roster admits every sender.
+func newQuorum(ep transport.Endpoint, dim, shardSize int, timeout time.Duration,
+	h *metrics.NodeMetrics, roster *Roster, rules ...gar.Rule) *quorum {
+	var membership func(step int, from string) bool
+	if roster != nil {
+		membership = roster.Allows
+	}
+	streams := shardSize > 0
+	for _, r := range rules {
+		if _, ok := r.(gar.StreamingRule); !ok {
+			streams = false
+		}
+	}
+	q := &quorum{timeout: timeout}
+	if streams {
+		q.scol = transport.NewShardCollector(ep, transport.NewShardLayout(dim, shardSize))
+		q.scol.Validator, q.scol.Metrics, q.scol.Membership = shardValidator, h, membership
+	} else {
+		q.col = transport.NewCollector(ep)
+		q.col.Validator, q.col.Metrics, q.col.Membership = validator(dim), h, membership
+	}
+	return q
+}
+
+// advance drops everything buffered for steps before t.
+func (q *quorum) advance(t int) {
+	if q.scol != nil {
+		q.scol.Advance(t)
+	} else {
+		q.col.Advance(t)
+	}
+}
+
+// aggregate gathers n messages of (kind, step) and reduces them with rule,
+// which must be one of the rules the quorum was built for. A non-nil self is
+// this node's own vector, aggregated as input 0 under selfID — the
+// contraction round's "own vector included" without a loopback message.
+// When sus is non-nil (gradient quorums, which carry no self vector) and
+// the rule is selective (Multi-Krum), the senders the rule excluded are
+// reported to it — the accountability signal.
+func (q *quorum) aggregate(kind transport.Kind, step, n int, self tensor.Vector, selfID string,
+	rule gar.Rule, sus *stats.Suspicion) (tensor.Vector, error) {
+	var (
+		senders []string
+		kept    []int
+		out     tensor.Vector
+		err     error
+	)
+	if q.scol != nil {
+		senders, kept, out, err = q.streamed(kind, step, n, self, selfID, rule.(gar.StreamingRule))
+		if err != nil {
+			return nil, err
+		}
+	} else {
+		var msgs []transport.Message
+		if msgs, err = q.col.Collect(kind, step, n, q.timeout); err != nil {
+			return nil, err
+		}
+		senders = make([]string, 0, len(msgs)+1)
+		vecs := make([]tensor.Vector, 0, len(msgs)+1)
+		if self != nil {
+			senders, vecs = append(senders, selfID), append(vecs, self)
+		}
+		for _, m := range msgs {
+			senders, vecs = append(senders, m.From), append(vecs, m.Vec)
+		}
+		if out, err = rule.Aggregate(vecs); err != nil {
+			return nil, fmt.Errorf("aggregate %s: %w", kind, err)
+		}
+		if sel, ok := rule.(gar.SelectiveRule); ok && sus != nil {
+			kept, _ = sel.SelectIndices(vecs) // an error leaves kept nil: nothing to report
+		}
+	}
+	// Per-shard quorums have no single sender order for kept to index.
+	if sus != nil && kept != nil && len(senders) > 0 {
+		keptIDs := make([]string, len(kept))
+		for i, k := range kept {
+			keptIDs[i] = senders[k]
+		}
+		sus.Observe(senders, keptIDs)
+	}
+	return out, nil
+}
+
+// streamed runs one incremental shard quorum: every completed shard feeds
+// the rule's streamer as it arrives, and the aggregate materialises the
+// moment the last shard's quorum closes. Returns the pinned sender order
+// (nil for per-shard quorums), the streamer's selected indices when the
+// rule is selective, and the aggregated vector.
 //
 // Pinned-quorum liveness failover: a pinned membership needs every pinned
 // member's every shard to arrive within the round, so a pinned member that
@@ -78,18 +176,18 @@ func send(ep transport.Endpoint, att attack.Attack, kind transport.Kind,
 // from the senders still alive, which in a churning deployment is the
 // epoch's surviving (or next) roster. A second timeout is returned to the
 // caller: at that point the deployment is below quorum, not unlucky.
-func collectStreamed(col *transport.ShardCollector, kind transport.Kind, step, q int,
-	self tensor.Vector, selfID string, rule gar.StreamingRule, timeout time.Duration,
-) (senders []string, kept []int, out tensor.Vector, err error) {
+func (q *quorum) streamed(kind transport.Kind, step, n int, self tensor.Vector, selfID string,
+	rule gar.StreamingRule) (senders []string, kept []int, out tensor.Vector, err error) {
+	col := q.scol
 	st := rule.NewStreamer(col.Layout.Dim)
 	fold := func(lo, hi int, _ []string, inputs []tensor.Vector) error {
 		return st.Fold(lo, hi, inputs)
 	}
-	senders, err = col.Collect(kind, step, q, self, selfID, rule.PinnedQuorum(), fold, timeout)
+	senders, err = col.Collect(kind, step, n, self, selfID, rule.PinnedQuorum(), fold, q.timeout)
 	if err != nil && rule.PinnedQuorum() && errors.Is(err, transport.ErrQuorumTimeout) {
 		col.ResetRound(kind, step)
 		st = rule.NewStreamer(col.Layout.Dim)
-		senders, err = col.Collect(kind, step, q, self, selfID, true, fold, timeout)
+		senders, err = col.Collect(kind, step, n, self, selfID, true, fold, q.timeout)
 	}
 	if err != nil {
 		return nil, nil, nil, err
@@ -102,89 +200,6 @@ func collectStreamed(col *transport.ShardCollector, kind transport.Kind, step, q
 		kept = sel.SelectedIndices()
 	}
 	return senders, kept, out, nil
-}
-
-// NodeStats is the unified per-node hardening counter snapshot a run
-// leaves behind: the quorum-collector drops (what validation discarded
-// after the transport let it through), the transport-level drops (what
-// the TCP read loop and the bounded mailbox shed before the collector
-// ever saw it), and the node's progress. Attach one per node via
-// ServerConfig.Stats / WorkerConfig.Stats; the node fills it when its
-// loop returns — on success or error — and, when a Metrics handle is
-// attached, the same values are readable live at any moment through
-// the handle (NodeStats is then just its final reading).
-type NodeStats struct {
-	// DroppedFuture counts messages discarded for claiming a step beyond
-	// the collector's buffering horizon (step-spraying senders).
-	DroppedFuture int
-	// DroppedMalformed counts frames discarded for inconsistent shard
-	// framing (changed counts, non-tiling offsets, oversized assemblies)
-	// plus — with a Metrics handle on a TCP node — undecodable or
-	// oversized compressed payloads dropped at the read loop.
-	DroppedMalformed int
-	// PeakBytes is the collector's buffered-payload high-water mark.
-	PeakBytes int
-	// ForgedDropped counts inbound frames whose From field disagreed
-	// with the TCP connection's hello-authenticated identity. Zero
-	// without a Metrics handle (the counter lives on the transport).
-	ForgedDropped uint64
-	// DroppedUnnegotiated counts inbound compressed frames using a
-	// scheme the sender never announced. Zero without a Metrics handle.
-	DroppedUnnegotiated uint64
-	// DroppedOverflow counts inbound frames the node's bounded mailbox
-	// shed under a drop policy. Zero without a Metrics handle.
-	DroppedOverflow uint64
-	// DroppedClosed counts inbound frames that arrived after the node's
-	// mailbox closed. Zero without a Metrics handle.
-	DroppedClosed uint64
-	// DroppedRoster counts frames discarded because their sender was not
-	// a member of the roster in force at the frame's step.
-	DroppedRoster int
-	// DroppedUnadmitted counts hello handshakes the admission check
-	// refused. Zero without a Metrics handle (the counter lives on the
-	// transport).
-	DroppedUnadmitted uint64
-	// Steps is how many protocol steps the node completed. Zero without
-	// a Metrics handle.
-	Steps uint64
-}
-
-// recordStats copies the node's counters into st (nil-safe). With a
-// live handle attached the whole snapshot comes from it — current even
-// when the run is being torn down by cancellation; otherwise only the
-// collector-level counters are available.
-func recordStats(st *NodeStats, col *transport.Collector, scol *transport.ShardCollector,
-	m *metrics.NodeMetrics) {
-	if st == nil {
-		return
-	}
-	switch {
-	case scol != nil:
-		st.DroppedFuture = scol.DroppedFuture()
-		st.DroppedMalformed = scol.DroppedMalformed()
-		st.DroppedRoster = scol.DroppedRoster()
-		st.PeakBytes = scol.PeakBytes()
-	case col != nil:
-		st.DroppedFuture = col.DroppedFuture()
-		st.DroppedMalformed = col.DroppedMalformed()
-		st.DroppedRoster = col.DroppedRoster()
-		st.PeakBytes = col.PeakBytes()
-	}
-	if m == nil {
-		return
-	}
-	st.DroppedFuture = int(m.DroppedFuture.Load())
-	st.DroppedMalformed = int(m.DroppedMalformed.Load())
-	st.DroppedRoster = int(m.DroppedRoster.Load())
-	if pb := m.PeakBytes(); pb > st.PeakBytes {
-		st.PeakBytes = pb
-	}
-	st.ForgedDropped = m.ForgedDropped.Load()
-	st.DroppedUnnegotiated = m.DroppedUnnegotiated.Load()
-	st.DroppedOverflow = m.DroppedOverflow.Load()
-	st.DroppedClosed = m.DroppedClosed.Load()
-	st.DroppedUnadmitted = m.DroppedUnadmitted.Load()
-	st.Steps = m.Steps.Load()
 }
 
 // ServerConfig parameterises one parameter-server node.
@@ -245,15 +260,13 @@ type ServerConfig struct {
 	// still the n→q drop with the distance pass overlapped). Zero keeps
 	// whole-vector framing.
 	ShardSize int
-	// Stats, when non-nil, receives the node's collector counters when the
-	// run ends (on success or error).
-	Stats *NodeStats
-	// Metrics, when non-nil, is this node's live registry handle: the
-	// collectors mirror their counters into it as they increment, and the
-	// loop publishes step completion / quorum progress — the ops surface a
-	// scraper reads mid-run. Attach the same handle to the node's transport
-	// (TCPNode.SetMetrics, ChanNetwork.SetNodeMetrics, Couriers.SetMetrics)
-	// to fold the wire-level drops into the same view.
+	// Metrics is this node's counter handle: the collector counts its drops
+	// and peak buffering into it, and the loop publishes step completion /
+	// quorum progress — current at any moment, also after a cancellation.
+	// Pass the node's registry handle (and attach the same one to the node's
+	// transport: TCPNode.SetMetrics, ChanNetwork.SetNodeMetrics,
+	// Couriers.SetMetrics) for one per-node view a scraper reads mid-run; nil
+	// means a private handle nobody reads.
 	Metrics *metrics.NodeMetrics
 	// Checkpoint, when non-nil with a positive cadence, persists the
 	// server's resumable state (step, θ, velocity, horizon) into
@@ -288,43 +301,11 @@ type ServerConfig struct {
 // timeout or the endpoint closes.
 func RunServer(ep transport.Endpoint, cfg ServerConfig) (tensor.Vector, error) {
 	dim := len(cfg.Init)
-	// With a shard size set and both rules streaming-capable, inbound
-	// traffic is consumed shard-by-shard through a ShardCollector;
-	// otherwise the classic whole-vector Collector runs (it reassembles
-	// chunk frames, so sharded senders interoperate either way).
-	var (
-		col                     *transport.Collector
-		scol                    *transport.ShardCollector
-		gradStream, paramStream gar.StreamingRule
-	)
-	if cfg.ShardSize > 0 {
-		g, gOK := cfg.GradRule.(gar.StreamingRule)
-		p, pOK := cfg.ParamRule.(gar.StreamingRule)
-		if gOK && pOK {
-			gradStream, paramStream = g, p
-			scol = transport.NewShardCollector(ep, transport.NewShardLayout(dim, cfg.ShardSize))
-			scol.Validator = shardValidator
-		}
+	h := cfg.Metrics
+	if h == nil {
+		h = metrics.NewNodeMetrics()
 	}
-	if scol == nil {
-		col = transport.NewCollector(ep)
-		col.Validator = validator(dim)
-	}
-	if cfg.Metrics != nil {
-		if scol != nil {
-			scol.Metrics = cfg.Metrics
-		} else {
-			col.Metrics = cfg.Metrics
-		}
-	}
-	if cfg.Roster != nil {
-		if scol != nil {
-			scol.Membership = cfg.Roster.Allows
-		} else {
-			col.Membership = cfg.Roster.Allows
-		}
-	}
-	defer recordStats(cfg.Stats, col, scol, cfg.Metrics)
+	qm := newQuorum(ep, dim, cfg.ShardSize, cfg.Timeout, h, cfg.Roster, cfg.GradRule, cfg.ParamRule)
 	theta := tensor.Clone(cfg.Init)
 	var velocity tensor.Vector
 	if cfg.Momentum > 0 {
@@ -348,11 +329,11 @@ func RunServer(ep transport.Endpoint, cfg ServerConfig) (tensor.Vector, error) {
 			}
 			velocity = tensor.Clone(r.Velocity)
 		}
-		if col != nil && r.Horizon > 0 {
-			col.Horizon = r.Horizon
+		if qm.col != nil && r.Horizon > 0 {
+			qm.col.Horizon = r.Horizon
 		}
 		if cfg.Rejoin {
-			if col == nil {
+			if qm.col == nil {
 				return nil, fmt.Errorf("server %s: median rejoin requires whole-vector framing (ShardSize 0)", cfg.ID)
 			}
 			// Catch up to wherever the live cluster is: adopt the median
@@ -361,7 +342,7 @@ func RunServer(ep transport.Endpoint, cfg ServerConfig) (tensor.Vector, error) {
 			// so frames for the resumed step stay buffered for phase 3.
 			// No quorum before the timeout means the cluster is not ahead
 			// of us (or not alive): resume from the checkpoint alone.
-			med, at, err := RejoinMedian(col, start, cfg.QuorumParams-1, dim, cfg.Timeout)
+			med, at, err := RejoinMedian(qm.col, start, cfg.QuorumParams-1, dim, cfg.Timeout)
 			switch {
 			case err == nil:
 				theta = med
@@ -379,11 +360,7 @@ func RunServer(ep transport.Endpoint, cfg ServerConfig) (tensor.Vector, error) {
 	}
 
 	for t := start; t < cfg.Steps; t++ {
-		if scol != nil {
-			scol.Advance(t)
-		} else {
-			col.Advance(t)
-		}
+		qm.advance(t)
 		cfg.Trace.Record(cfg.ID, t, trace.EventStepStart, "")
 
 		// Phase 1: publish the current model to every worker. Honest servers
@@ -404,55 +381,13 @@ func RunServer(ep transport.Endpoint, cfg ServerConfig) (tensor.Vector, error) {
 		// Phase 2: gather a quorum of gradients and update locally. On the
 		// sharded path the aggregation streams: partial distance/median work
 		// runs while later shards are still in flight.
-		var agg tensor.Vector
-		if scol != nil {
-			senders, kept, a, err := collectStreamed(scol, transport.KindGradient, t,
-				cfg.QuorumGradients, nil, "", gradStream, cfg.Timeout)
-			if err != nil {
-				cfg.Trace.Recordf(cfg.ID, t, trace.EventError, "%v", err)
-				return nil, fmt.Errorf("server %s step %d: %w", cfg.ID, t, err)
-			}
-			cfg.Trace.Recordf(cfg.ID, t, trace.EventQuorumComplete, "q̄=%d gradients (sharded)", cfg.QuorumGradients)
-			agg = a
-			if cfg.Suspicion != nil && kept != nil && len(senders) > 0 {
-				keptIDs := make([]string, len(kept))
-				for i, k := range kept {
-					keptIDs[i] = senders[k]
-				}
-				cfg.Suspicion.Observe(senders, keptIDs)
-			}
-		} else {
-			msgs, err := col.Collect(transport.KindGradient, t, cfg.QuorumGradients, cfg.Timeout)
-			if err != nil {
-				cfg.Trace.Recordf(cfg.ID, t, trace.EventError, "%v", err)
-				return nil, fmt.Errorf("server %s step %d: %w", cfg.ID, t, err)
-			}
-			cfg.Trace.Recordf(cfg.ID, t, trace.EventQuorumComplete, "q̄=%d gradients", len(msgs))
-			grads := make([]tensor.Vector, len(msgs))
-			senders := make([]string, len(msgs))
-			for i, m := range msgs {
-				grads[i] = m.Vec
-				senders[i] = m.From
-			}
-			agg, err = cfg.GradRule.Aggregate(grads)
-			if err != nil {
-				return nil, fmt.Errorf("server %s step %d: aggregate gradients: %w", cfg.ID, t, err)
-			}
-			if cfg.Suspicion != nil {
-				if sel, ok := cfg.GradRule.(gar.SelectiveRule); ok {
-					if kept, err := sel.SelectIndices(grads); err == nil {
-						keptIDs := make([]string, len(kept))
-						for i, k := range kept {
-							keptIDs[i] = senders[k]
-						}
-						cfg.Suspicion.Observe(senders, keptIDs)
-					}
-				}
-			}
+		agg, err := qm.aggregate(transport.KindGradient, t, cfg.QuorumGradients, nil, "", cfg.GradRule, cfg.Suspicion)
+		if err != nil {
+			cfg.Trace.Recordf(cfg.ID, t, trace.EventError, "%v", err)
+			return nil, fmt.Errorf("server %s step %d: %w", cfg.ID, t, err)
 		}
-		if cfg.Metrics != nil {
-			cfg.Metrics.Progress() // gradient quorum made headway this step
-		}
+		cfg.Trace.Recordf(cfg.ID, t, trace.EventQuorumComplete, "q̄=%d gradients", cfg.QuorumGradients)
+		h.Progress() // gradient quorum made headway this step
 		if cfg.Momentum > 0 {
 			tensor.ScaleInPlace(velocity, cfg.Momentum)
 			tensor.AddInPlace(velocity, agg)
@@ -471,35 +406,17 @@ func RunServer(ep transport.Endpoint, cfg ServerConfig) (tensor.Vector, error) {
 			for _, p := range cfg.Peers {
 				send(ep, cfg.Attack, transport.KindPeerParams, t, p, theta, cfg.ShardSize)
 			}
-			if scol != nil {
-				// The node's own θ rides along as input 0 of every shard —
-				// "its own vector included" without a loopback message.
-				_, _, newTheta, err := collectStreamed(scol, transport.KindPeerParams, t,
-					cfg.QuorumParams-1, theta, cfg.ID, paramStream, cfg.Timeout)
-				if err != nil {
-					return nil, fmt.Errorf("server %s step %d: %w", cfg.ID, t, err)
-				}
-				theta = newTheta
-			} else {
-				peerMsgs, err := col.Collect(transport.KindPeerParams, t, cfg.QuorumParams-1, cfg.Timeout)
-				if err != nil {
-					return nil, fmt.Errorf("server %s step %d: %w", cfg.ID, t, err)
-				}
-				vecs := make([]tensor.Vector, 0, len(peerMsgs)+1)
-				vecs = append(vecs, theta)
-				for _, m := range peerMsgs {
-					vecs = append(vecs, m.Vec)
-				}
-				theta, err = cfg.ParamRule.Aggregate(vecs)
-				if err != nil {
-					return nil, fmt.Errorf("server %s step %d: aggregate params: %w", cfg.ID, t, err)
-				}
+			// The node's own θ rides along as input 0 — "its own vector
+			// included" without a loopback message.
+			theta, err = qm.aggregate(transport.KindPeerParams, t, cfg.QuorumParams-1, theta, cfg.ID, cfg.ParamRule, nil)
+			if err != nil {
+				return nil, fmt.Errorf("server %s step %d: %w", cfg.ID, t, err)
 			}
 		}
 		if cfg.Checkpoint != nil && cfg.Checkpoint.Every > 0 && (t+1)%cfg.Checkpoint.Every == 0 {
 			horizon := 0
-			if col != nil {
-				horizon = col.Horizon
+			if qm.col != nil {
+				horizon = qm.col.Horizon
 			}
 			ckpt := Checkpoint{ID: cfg.ID, Step: t, Theta: theta, Velocity: velocity, Horizon: horizon}
 			if err := ckpt.WriteFile(cfg.Checkpoint.Dir); err != nil {
@@ -507,13 +424,9 @@ func RunServer(ep transport.Endpoint, cfg ServerConfig) (tensor.Vector, error) {
 			}
 			cfg.Trace.Recordf(cfg.ID, t, trace.EventUpdate, "checkpoint written to %s", cfg.Checkpoint.Dir)
 		}
-		if cfg.Metrics != nil {
-			cfg.Metrics.StepDone(t)
-		}
+		h.StepDone(t)
 	}
-	if cfg.Metrics != nil {
-		cfg.Metrics.MarkDone()
-	}
+	h.MarkDone()
 	return theta, nil
 }
 
@@ -546,8 +459,6 @@ type WorkerConfig struct {
 	View *attack.SharedView
 	// ShardSize mirrors ServerConfig.ShardSize for the worker's traffic.
 	ShardSize int
-	// Stats mirrors ServerConfig.Stats.
-	Stats *NodeStats
 	// Metrics mirrors ServerConfig.Metrics.
 	Metrics *metrics.NodeMetrics
 	// Roster mirrors ServerConfig.Roster: parameter vectors from servers
@@ -558,65 +469,19 @@ type WorkerConfig struct {
 // RunWorker executes the worker loop.
 func RunWorker(ep transport.Endpoint, cfg WorkerConfig) error {
 	dim := cfg.Model.ParamCount()
-	var (
-		col         *transport.Collector
-		scol        *transport.ShardCollector
-		paramStream gar.StreamingRule
-	)
-	if cfg.ShardSize > 0 {
-		if p, ok := cfg.ParamRule.(gar.StreamingRule); ok {
-			paramStream = p
-			scol = transport.NewShardCollector(ep, transport.NewShardLayout(dim, cfg.ShardSize))
-			scol.Validator = shardValidator
-		}
+	h := cfg.Metrics
+	if h == nil {
+		h = metrics.NewNodeMetrics()
 	}
-	if scol == nil {
-		col = transport.NewCollector(ep)
-		col.Validator = validator(dim)
-	}
-	if cfg.Metrics != nil {
-		if scol != nil {
-			scol.Metrics = cfg.Metrics
-		} else {
-			col.Metrics = cfg.Metrics
-		}
-	}
-	if cfg.Roster != nil {
-		if scol != nil {
-			scol.Membership = cfg.Roster.Allows
-		} else {
-			col.Membership = cfg.Roster.Allows
-		}
-	}
-	defer recordStats(cfg.Stats, col, scol, cfg.Metrics)
+	qm := newQuorum(ep, dim, cfg.ShardSize, cfg.Timeout, h, cfg.Roster, cfg.ParamRule)
 
 	for t := 0; t < cfg.Steps; t++ {
-		var agg tensor.Vector
-		if scol != nil {
-			scol.Advance(t)
-			// Phase 1 (sharded): aggregate each parameter shard the moment
-			// its quorum fills.
-			_, _, a, err := collectStreamed(scol, transport.KindParams, t,
-				cfg.QuorumParams, nil, "", paramStream, cfg.Timeout)
-			if err != nil {
-				return fmt.Errorf("worker %s step %d: %w", cfg.ID, t, err)
-			}
-			agg = a
-		} else {
-			col.Advance(t)
-			// Phase 1: await a quorum of parameter vectors and aggregate.
-			msgs, err := col.Collect(transport.KindParams, t, cfg.QuorumParams, cfg.Timeout)
-			if err != nil {
-				return fmt.Errorf("worker %s step %d: %w", cfg.ID, t, err)
-			}
-			params := make([]tensor.Vector, len(msgs))
-			for i, m := range msgs {
-				params[i] = m.Vec
-			}
-			agg, err = cfg.ParamRule.Aggregate(params)
-			if err != nil {
-				return fmt.Errorf("worker %s step %d: aggregate params: %w", cfg.ID, t, err)
-			}
+		qm.advance(t)
+		// Phase 1: await a quorum of parameter vectors and aggregate (shard
+		// by shard, the moment each shard's quorum fills, when streaming).
+		agg, err := qm.aggregate(transport.KindParams, t, cfg.QuorumParams, nil, "", cfg.ParamRule, nil)
+		if err != nil {
+			return fmt.Errorf("worker %s step %d: %w", cfg.ID, t, err)
 		}
 		if err := cfg.Model.SetParamVector(agg); err != nil {
 			return fmt.Errorf("worker %s step %d: %w", cfg.ID, t, err)
@@ -639,12 +504,8 @@ func RunWorker(ep transport.Endpoint, cfg WorkerConfig) error {
 		for _, s := range cfg.Servers {
 			send(ep, cfg.Attack, transport.KindGradient, t, s, grad, cfg.ShardSize)
 		}
-		if cfg.Metrics != nil {
-			cfg.Metrics.StepDone(t)
-		}
+		h.StepDone(t)
 	}
-	if cfg.Metrics != nil {
-		cfg.Metrics.MarkDone()
-	}
+	h.MarkDone()
 	return nil
 }

@@ -139,7 +139,7 @@ func TestCrashRecoveryOverTCP(t *testing.T) {
 	// The victim runs with periodic checkpointing until we tear its node
 	// down mid-run; the endpoint closure surfaces as an error, which is the
 	// crash, not a failure.
-	vm := &metrics.NodeMetrics{}
+	vm := metrics.NewNodeMetrics()
 	vcfg := serverCfg(0)
 	vcfg.Checkpoint = &CheckpointSpec{Dir: ckptDir, Every: ckptEvery}
 	vcfg.Metrics = vm
@@ -181,14 +181,12 @@ func TestCrashRecoveryOverTCP(t *testing.T) {
 			}
 		}
 	}
-	rm := &metrics.NodeMetrics{}
-	var rst NodeStats
+	rm := metrics.NewNodeMetrics()
 	rcfg := serverCfg(0)
 	rcfg.Checkpoint = &CheckpointSpec{Dir: ckptDir, Every: ckptEvery}
 	rcfg.Restore = &ckpt
 	rcfg.Rejoin = true
 	rcfg.Metrics = rm
-	rcfg.Stats = &rst
 	theta, err := RunServer(reborn, rcfg)
 	if err != nil {
 		t.Fatalf("recovered server failed: %v", err)
@@ -214,8 +212,8 @@ func TestCrashRecoveryOverTCP(t *testing.T) {
 	if !rm.Done() {
 		t.Fatal("recovered server never marked done")
 	}
-	if rst.Steps == 0 || rst.Steps > uint64(steps-ckpt.Step-1) {
-		t.Fatalf("recovered server completed %d steps, want 1..%d", rst.Steps, steps-ckpt.Step-1)
+	if done := rm.Steps.Load(); done == 0 || done > uint64(steps-ckpt.Step-1) {
+		t.Fatalf("recovered server completed %d steps, want 1..%d", done, steps-ckpt.Step-1)
 	}
 
 	// Contraction: every honest final — the recovered one included — within
@@ -396,7 +394,8 @@ func TestPinnedStreamFailover(t *testing.T) {
 
 	rule := gar.MultiKrum{F: 1}
 	start := time.Now()
-	senders, _, out, err := collectStreamed(col, transport.KindGradient, 3, q, nil, "", rule, timeout)
+	qm := &quorum{scol: col, timeout: timeout}
+	senders, _, out, err := qm.streamed(transport.KindGradient, 3, q, nil, "", rule)
 	if err != nil {
 		t.Fatalf("pinned round did not fail over: %v (after %s)", err, time.Since(start))
 	}

@@ -269,8 +269,8 @@ func TestShardedOverTCP(t *testing.T) {
 //   - DroppedUnnegotiated: the same connection sends compressed frames
 //     under a scheme its hello never announced.
 //
-// All five classes must come back, exactly, both live through the metrics
-// registry handle and in the unified NodeStats after the run. Training
+// All five classes must come back, exactly, through the node's one metrics
+// registry handle — live before the run and after it. Training
 // then converges anyway: every drop class lands in the rogues' own
 // per-sender queues or in validation, never in an honest quorum slot.
 func TestShardedTCPDropCountersUnderRogue(t *testing.T) {
@@ -321,9 +321,8 @@ func TestShardedTCPDropCountersUnderRogue(t *testing.T) {
 		}
 	}
 	target := nodes[ServerID(0)]
-	// The live registry handle, attached before any rogue traffic so every
-	// drop below is mirrored as it happens; NodeStats must report the same
-	// exact counts through it after the run.
+	// The registry handle, attached before any rogue traffic so every drop
+	// below is counted into it as it happens, transport and collector alike.
 	handle := metrics.NewRegistry().Node(target.ID())
 	target.SetMetrics(handle)
 
@@ -356,10 +355,10 @@ func TestShardedTCPDropCountersUnderRogue(t *testing.T) {
 	}
 	const wantOverflow = burst + futureFrames - mailboxCap
 	deadline := time.Now().Add(10 * time.Second)
-	for target.DroppedOverflow() < wantOverflow && time.Now().Before(deadline) {
+	for handle.DroppedOverflow.Load() < wantOverflow && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if got := target.DroppedOverflow(); got != wantOverflow {
+	if got := handle.DroppedOverflow.Load(); got != wantOverflow {
 		t.Fatalf("DroppedOverflow = %d, want %d before the run starts", got, wantOverflow)
 	}
 
@@ -397,14 +396,14 @@ func TestShardedTCPDropCountersUnderRogue(t *testing.T) {
 	if _, err := raw.Write(stream); err != nil {
 		t.Fatal(err)
 	}
-	for (target.ForgedDropped() < forgedFrames ||
-		target.DroppedUnnegotiated() < unnegFrames) && time.Now().Before(deadline) {
+	for (handle.ForgedDropped.Load() < forgedFrames ||
+		handle.DroppedUnnegotiated.Load() < unnegFrames) && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if got := target.ForgedDropped(); got != forgedFrames {
+	if got := handle.ForgedDropped.Load(); got != forgedFrames {
 		t.Fatalf("ForgedDropped = %d, want %d before the run starts", got, forgedFrames)
 	}
-	if got := target.DroppedUnnegotiated(); got != unnegFrames {
+	if got := handle.DroppedUnnegotiated.Load(); got != unnegFrames {
 		t.Fatalf("DroppedUnnegotiated = %d, want %d before the run starts", got, unnegFrames)
 	}
 
@@ -416,7 +415,6 @@ func TestShardedTCPDropCountersUnderRogue(t *testing.T) {
 		finals []tensor.Vector
 		errs   []error
 	)
-	var targetStats NodeStats
 	for i := 0; i < numServers; i++ {
 		peers := make([]string, 0, numServers-1)
 		for k, id := range serverIDs {
@@ -436,7 +434,6 @@ func TestShardedTCPDropCountersUnderRogue(t *testing.T) {
 			ShardSize:       shardSize,
 		}
 		if i == 0 {
-			scfg.Stats = &targetStats
 			scfg.Metrics = handle
 		}
 		ep := nodes[serverIDs[i]]
@@ -483,31 +480,26 @@ func TestShardedTCPDropCountersUnderRogue(t *testing.T) {
 		t.Fatalf("expected %d finals, got %d", numServers, len(finals))
 	}
 
-	if targetStats.DroppedFuture != futureFrames {
-		t.Errorf("DroppedFuture = %d, want %d", targetStats.DroppedFuture, futureFrames)
+	if got := handle.DroppedFuture.Load(); got != futureFrames {
+		t.Errorf("DroppedFuture = %d, want %d", got, futureFrames)
 	}
-	if want := mailboxCap - futureFrames; targetStats.DroppedMalformed != want {
-		t.Errorf("DroppedMalformed = %d, want %d", targetStats.DroppedMalformed, want)
+	if got, want := handle.DroppedMalformed.Load(), uint64(mailboxCap-futureFrames); got != want {
+		t.Errorf("DroppedMalformed = %d, want %d", got, want)
 	}
-	if got := target.DroppedOverflow(); got != wantOverflow {
+	if got := handle.DroppedOverflow.Load(); got != wantOverflow {
 		t.Errorf("DroppedOverflow moved during the run: %d, want %d (honest traffic must not overflow)",
 			got, wantOverflow)
 	}
-	// The unified NodeStats must carry every transport-layer class too,
-	// read back from the live registry handle — not just the collector's
-	// two counters.
-	if targetStats.ForgedDropped != forgedFrames {
-		t.Errorf("NodeStats.ForgedDropped = %d, want %d", targetStats.ForgedDropped, forgedFrames)
+	// The transport-layer classes must not have moved either, and the
+	// loop's own progress lands in the same handle.
+	if got := handle.ForgedDropped.Load(); got != forgedFrames {
+		t.Errorf("ForgedDropped = %d after the run, want %d", got, forgedFrames)
 	}
-	if targetStats.DroppedUnnegotiated != unnegFrames {
-		t.Errorf("NodeStats.DroppedUnnegotiated = %d, want %d",
-			targetStats.DroppedUnnegotiated, unnegFrames)
+	if got := handle.DroppedUnnegotiated.Load(); got != unnegFrames {
+		t.Errorf("DroppedUnnegotiated = %d after the run, want %d", got, unnegFrames)
 	}
-	if targetStats.DroppedOverflow != wantOverflow {
-		t.Errorf("NodeStats.DroppedOverflow = %d, want %d", targetStats.DroppedOverflow, wantOverflow)
-	}
-	if targetStats.Steps != steps {
-		t.Errorf("NodeStats.Steps = %d, want %d", targetStats.Steps, steps)
+	if got := handle.Steps.Load(); got != steps {
+		t.Errorf("Steps = %d, want %d", got, steps)
 	}
 	final, err := gar.Median{}.Aggregate(finals)
 	if err != nil {

@@ -25,7 +25,7 @@ const (
 // ErrMalformed tags payloads that violate their scheme's wire format —
 // truncated index tables, out-of-range or non-increasing indices, k > n
 // claims, bad tags, length mismatches. Receivers drop such frames and count
-// them (transport.TCPNode.DroppedMalformed).
+// them (DroppedMalformed on the node's metrics handle).
 var ErrMalformed = fmt.Errorf("compress: malformed payload")
 
 // ErrReference tags a delta frame whose base step does not match the

@@ -141,7 +141,7 @@ func Memory(s Scale, shardSize int) ([]MemoryRow, error) {
 			net.Close()
 			return nil, fmt.Errorf("memory: whole-vector collect: %w", err)
 		}
-		wholePeak := col.PeakBytes()
+		wholePeak := col.Metrics.PeakBytes()
 		quorum := make([]tensor.Vector, len(msgs))
 		for i, m := range msgs {
 			quorum[i] = m.Vec
@@ -203,8 +203,8 @@ func Memory(s Scale, shardSize int) ([]MemoryRow, error) {
 		rows = append(rows, MemoryRow{
 			Dim: dim, ShardSize: size, Shards: layout.Count(),
 			Senders: memorySenders, Quorum: memoryQuorum,
-			WholePeakBytes: wholePeak, ShardedPeakBytes: scol.PeakBytes(),
-			Ratio:        float64(scol.PeakBytes()) / float64(wholePeak),
+			WholePeakBytes: wholePeak, ShardedPeakBytes: scol.Metrics.PeakBytes(),
+			Ratio:        float64(scol.Metrics.PeakBytes()) / float64(wholePeak),
 			Folds:        folds,
 			OverlapFolds: overlap,
 			OverlapFrac:  float64(overlap) / float64(folds),

@@ -215,7 +215,7 @@ func ScaleSweep(s Scale, smoke bool, mbox transport.MailboxConfig) (*ScaleSweepR
 		elapsed, peak, err := measureRun(func() error {
 			r, err := cluster.RunLive(cfg)
 			if err == nil {
-				dropped = r.DroppedOverflow
+				dropped = r.Totals.DroppedOverflow + r.Totals.CourierDropped
 			}
 			return err
 		})

@@ -85,13 +85,13 @@ type SoakResult struct {
 	// Healthy is the registry's own post-run health check (no node
 	// stalled).
 	Healthy bool
-	// DroppedOverflow and DroppedClosed are the run's mailbox-shed and
-	// after-shutdown totals, as surfaced by the live runtime.
-	DroppedOverflow, DroppedClosed uint64
-	// DroppedFuture and DroppedMalformed total the collectors' horizon
-	// and shape rejections across all nodes, read from the registry.
+	// The run's registry totals, as surfaced by the live runtime:
+	// DroppedOverflow is mailbox-shed frames (inbound plus courier),
+	// DroppedClosed after-shutdown arrivals, DroppedFuture and
+	// DroppedMalformed the collectors' horizon and shape rejections.
+	DroppedOverflow, DroppedClosed  uint64
 	DroppedFuture, DroppedMalformed uint64
-	// StepsTotal sums guanyu_steps_total across nodes (= Nodes × Steps
+	// StepsTotal is guanyu_steps_total summed across nodes (= Nodes × Steps
 	// when every node finished).
 	StepsTotal uint64
 	// FinalAccuracy is the final median model's test accuracy.
@@ -315,14 +315,17 @@ func Soak(s Scale, opts SoakOptions) (*SoakResult, error) {
 		Steps:   steps,
 		Elapsed: elapsed, StepsPerSec: float64(steps) / elapsed.Seconds(),
 		Scrapes: scrapes, MonotonicViolations: violations,
-		DroppedOverflow: live.DroppedOverflow,
-		DroppedClosed:   live.DroppedClosed,
-		ChurnRequested:  opts.Churn,
-		ChurnKillStep:   killAt,
-		ChurnRestarted:  live.ChurnRestarted,
-		PeakHeapBytes:   peak,
-		HeapBudgetBytes: scaleHeapBudget(nodes, dim, mbox),
-		PeakRSSBytes:    readVmHWM(),
+		DroppedOverflow:  live.Totals.DroppedOverflow + live.Totals.CourierDropped,
+		DroppedClosed:    live.Totals.DroppedClosed,
+		DroppedFuture:    live.Totals.DroppedFuture,
+		DroppedMalformed: live.Totals.DroppedMalformed,
+		StepsTotal:       live.Totals.Steps,
+		ChurnRequested:   opts.Churn,
+		ChurnKillStep:    killAt,
+		ChurnRestarted:   live.ChurnRestarted,
+		PeakHeapBytes:    peak,
+		HeapBudgetBytes:  scaleHeapBudget(nodes, dim, mbox),
+		PeakRSSBytes:     readVmHWM(),
 	}
 	res.WithinBudget = res.PeakHeapBytes <= res.HeapBudgetBytes
 
@@ -331,9 +334,6 @@ func Soak(s Scale, opts SoakOptions) (*SoakResult, error) {
 		if !snap.Done {
 			res.AllDone = false
 		}
-		res.DroppedFuture += snap.DroppedFuture
-		res.DroppedMalformed += snap.DroppedMalformed
-		res.StepsTotal += snap.Steps
 	}
 	res.Healthy = reg.CheckHealth(metrics.DefaultStallAfter).Healthy
 

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"strings"
 	"time"
@@ -15,11 +13,13 @@ import (
 // GuanYu step ships O(n·n̄) full-dimension vectors, so the codec's
 // encode+decode rate is the ceiling on live steps/sec long before the
 // network or the arithmetic saturates. The experiment measures the binary
-// frame codec (transport/codec.go) against the retired reflection-based
-// gob framing on the same payloads and derives the serialization-bound
-// step rate for representative cluster shapes — codec cost only; network
-// transfer and gradient compute are deliberately excluded, so the numbers
-// are the protocol's serialization ceiling, not an end-to-end forecast.
+// frame codec (transport/codec.go) on protocol-sized payloads and derives
+// the serialization-bound step rate for representative cluster shapes —
+// codec cost only; network transfer and gradient compute are deliberately
+// excluded, so the numbers are the protocol's serialization ceiling, not an
+// end-to-end forecast. (The comparison against the reflection-based
+// encoding/gob framing the codec replaced — 5–12× — was measured when it
+// was retired and is frozen as a dated row in EXPERIMENTS.md.)
 
 // throughputDims are the payload dimensions measured: the tiny harness CNN
 // the CI-scale experiments train, and the paper's full 1,756,426-parameter
@@ -42,18 +42,16 @@ type ThroughputRow struct {
 	MsgsPerStep int
 	// MBPerStep is the binary wire volume of one step, in megabytes.
 	MBPerStep float64
-	// GobMBps and BinMBps are measured encode+decode throughputs (payload
-	// megabytes per second through one core).
-	GobMBps, BinMBps float64
-	// GobStepsPerSec and BinStepsPerSec are the serialization-bound step
-	// rates 1 / (MsgsPerStep · secPerMsg) for each codec.
-	GobStepsPerSec, BinStepsPerSec float64
-	// Speedup is BinMBps / GobMBps.
-	Speedup float64
+	// BinMBps is the measured encode+decode throughput (payload megabytes
+	// per second through one core).
+	BinMBps float64
+	// BinStepsPerSec is the serialization-bound step rate
+	// 1 / (MsgsPerStep · secPerMsg).
+	BinStepsPerSec float64
 }
 
 // codecReps sizes a measurement batch: enough messages that per-trial
-// setup (encoder construction, buffer reset) amortises away, without
+// setup amortises away, without
 // making the paper-dimension rows take seconds per trial.
 func codecReps(dim int) int {
 	reps := 4_000_000 / dim
@@ -78,10 +76,9 @@ func measureCodec(reps int, fn func(reps int)) float64 {
 	return best
 }
 
-// Throughput measures the wire codecs and derives the serialization-bound
+// Throughput measures the wire codec and derives the serialization-bound
 // protocol ceiling for each cluster shape. Timing-based by nature: numbers
-// vary with the machine, the comparisons (binary vs gob, shape scaling) do
-// not.
+// vary with the machine, the shape scaling does not.
 func Throughput(s Scale) ([]ThroughputRow, error) {
 	rng := tensor.NewRNG(s.Seed)
 	rows := make([]ThroughputRow, 0, len(throughputDims)*len(throughputShapes))
@@ -92,7 +89,6 @@ func Throughput(s Scale) ([]ThroughputRow, error) {
 			Step: 7,
 			Vec:  rng.NormVec(make(tensor.Vector, dim), 0, 1),
 		}
-		wireBytes := transport.EncodedSize(&msg)
 		reps := codecReps(dim)
 
 		// Binary: reused frame buffer, reused decode target — the steady
@@ -112,31 +108,7 @@ func Throughput(s Scale) ([]ThroughputRow, error) {
 			}
 		})
 
-		// Gob: one persistent encoder/decoder pair per stream, exactly as
-		// the retired TCP transport ran it (type descriptors amortised). The
-		// stream buffer is allocated once OUTSIDE the timed region so
-		// bytes.Buffer growth and its memclr — artefacts of measuring in
-		// memory rather than on a socket — are not billed to gob.
-		var gobBuf bytes.Buffer
-		gobBuf.Grow(reps * (wireBytes + 256))
-		gobSec := measureCodec(reps, func(reps int) {
-			gobBuf.Reset()
-			enc := gob.NewEncoder(&gobBuf)
-			for i := 0; i < reps; i++ {
-				if err := enc.Encode(&msg); err != nil {
-					panic(err)
-				}
-			}
-			dec := gob.NewDecoder(&gobBuf)
-			for i := 0; i < reps; i++ {
-				var m transport.Message
-				if err := dec.Decode(&m); err != nil {
-					panic(err)
-				}
-			}
-		})
-
-		mb := float64(wireBytes) / 1e6
+		mb := float64(transport.EncodedSize(&msg)) / 1e6
 		for _, shape := range throughputShapes {
 			n, w := shape[0], shape[1]
 			msgs := n*w + w*n + n*(n-1)
@@ -144,11 +116,8 @@ func Throughput(s Scale) ([]ThroughputRow, error) {
 				Servers: n, Workers: w, Dim: dim,
 				MsgsPerStep:    msgs,
 				MBPerStep:      float64(msgs) * mb,
-				GobMBps:        mb / gobSec,
 				BinMBps:        mb / binSec,
-				GobStepsPerSec: 1 / (float64(msgs) * gobSec),
 				BinStepsPerSec: 1 / (float64(msgs) * binSec),
-				Speedup:        gobSec / binSec,
 			})
 		}
 	}
@@ -158,16 +127,13 @@ func Throughput(s Scale) ([]ThroughputRow, error) {
 // FormatThroughput renders the wire-throughput table.
 func FormatThroughput(rows []ThroughputRow) string {
 	var b strings.Builder
-	b.WriteString("# Wire throughput: serialization-bound protocol ceiling, gob vs binary codec\n")
+	b.WriteString("# Wire throughput: serialization-bound protocol ceiling of the binary codec\n")
 	b.WriteString("(one core, encode+decode, per-step volume = n·n̄ + n̄·n + n·(n−1) messages)\n")
-	fmt.Fprintf(&b, "%-9s %-8s %-9s %-10s %-9s %-10s %-10s %-12s %-12s %-8s\n",
-		"dim", "servers", "workers", "msgs/step", "MB/step",
-		"gob MB/s", "bin MB/s", "gob steps/s", "bin steps/s", "speedup")
+	fmt.Fprintf(&b, "%-9s %-8s %-9s %-10s %-9s %-10s %-12s\n",
+		"dim", "servers", "workers", "msgs/step", "MB/step", "bin MB/s", "bin steps/s")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%-9d %-8d %-9d %-10d %-9.2f %-10.0f %-10.0f %-12.2f %-12.2f %-8s\n",
-			r.Dim, r.Servers, r.Workers, r.MsgsPerStep, r.MBPerStep,
-			r.GobMBps, r.BinMBps, r.GobStepsPerSec, r.BinStepsPerSec,
-			fmt.Sprintf("%.1fx", r.Speedup))
+		fmt.Fprintf(&b, "%-9d %-8d %-9d %-10d %-9.2f %-10.0f %-12.2f\n",
+			r.Dim, r.Servers, r.Workers, r.MsgsPerStep, r.MBPerStep, r.BinMBps, r.BinStepsPerSec)
 	}
 	return b.String()
 }

@@ -7,10 +7,9 @@ import (
 
 // TestThroughputShape checks the wire-throughput experiment's structure:
 // one row per (dim, shape), message counts that match the protocol's
-// O(n·n̄) fan-out, and positive measured rates. The gob-vs-binary speedup
-// itself is asserted by the BenchmarkWire* targets, not here — a loaded CI
-// machine must not be able to flake a correctness test over a timing
-// margin.
+// O(n·n̄) fan-out, and positive measured rates. No rate is compared against
+// a threshold here — a loaded CI machine must not be able to flake a
+// correctness test over a timing margin.
 func TestThroughputShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("times full-dimension codec passes")
@@ -27,15 +26,15 @@ func TestThroughputShape(t *testing.T) {
 		if r.MsgsPerStep != wantMsgs {
 			t.Fatalf("(%d,%d): MsgsPerStep = %d, want %d", r.Servers, r.Workers, r.MsgsPerStep, wantMsgs)
 		}
-		if r.GobMBps <= 0 || r.BinMBps <= 0 || r.GobStepsPerSec <= 0 || r.BinStepsPerSec <= 0 {
+		if r.BinMBps <= 0 || r.BinStepsPerSec <= 0 {
 			t.Fatalf("non-positive rate in row %+v", r)
 		}
-		if r.MBPerStep <= 0 || r.Speedup <= 0 {
-			t.Fatalf("non-positive volume/speedup in row %+v", r)
+		if r.MBPerStep <= 0 {
+			t.Fatalf("non-positive volume in row %+v", r)
 		}
 	}
 	out := FormatThroughput(rows)
-	for _, want := range []string{"Wire throughput", "1756426", "speedup"} {
+	for _, want := range []string{"Wire throughput", "1756426", "bin steps/s"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("rendering missing %q:\n%s", want, out)
 		}

@@ -4,17 +4,25 @@
 //
 // The hardening counters that make Byzantine behaviour visible —
 // forged frames, unnegotiated compression, beyond-horizon steps,
-// malformed shards, mailbox overflow — used to be snapshotted into
-// cluster.NodeStats by a defer on clean return, which meant they died
-// with the process and lied after a cancellation. Here every component
-// keeps its own counter (so exact-count tests and accessors keep their
-// semantics) and additionally mirrors each increment into a
-// *NodeMetrics handle. All handle state is atomic: writers never take
-// a lock on the hot path, and a scraper reading mid-run sees values
-// that are current, monotonic, and race-clean.
+// malformed shards, mailbox overflow — are stored exactly once, in a
+// *NodeMetrics handle. Every component that counts (TCP read loops,
+// compressors, mailboxes, couriers, collectors, the node loops) owns a
+// handle from construction and increments it directly; there is no
+// private copy of a counter anywhere else, so there is nothing to keep
+// in sync. All handle state is atomic: writers never take a lock on the
+// hot path, and a scraper reading mid-run sees values that are current,
+// monotonic, and race-clean — also after a cancellation.
+//
+// A component built on its own counts into a fresh NewNodeMetrics
+// handle. A deployment that wants one view per node attaches the
+// node's registry handle to each of the node's components (SetMetrics,
+// or the collectors' Metrics field) after construction and BEFORE
+// traffic starts: events counted earlier stay on the handle that was
+// attached when they happened.
 //
 // A Registry owns one NodeMetrics per node ID. Snapshot returns a
-// stable-ordered copy for rendering; CheckHealth derives quorum
+// stable-ordered copy for rendering; Totals sums it into the
+// deployment-wide figures a run reports; CheckHealth derives quorum
 // liveness (has every non-done node made progress within the stall
 // window?). The HTTP exposition on top — GET /metrics in Prometheus
 // text format and GET /healthz — lives in http.go.
@@ -33,8 +41,9 @@ import (
 //
 // All counters are cumulative and monotonic for the lifetime of the
 // handle; gauges (peak bytes, queue depth, last step) move as the run
-// does. A nil *NodeMetrics is never published into — call sites guard
-// with `if m != nil`.
+// does. Handles are never nil: build one with NewNodeMetrics or
+// Registry.Node, never by struct literal (the liveness gauges need their
+// initial values).
 type NodeMetrics struct {
 	// Validation drops, summed across the whole collector and the
 	// sharded collector (and, for malformed, the TCP decode path):
@@ -78,7 +87,9 @@ type NodeMetrics struct {
 	addr         atomic.Pointer[string]
 }
 
-func newNodeMetrics() *NodeMetrics {
+// NewNodeMetrics returns a handle outside any registry — what every
+// counting component starts with until a registry handle is attached.
+func NewNodeMetrics() *NodeMetrics {
 	m := &NodeMetrics{}
 	m.lastStep.Store(-1)
 	//lint:allow-clock liveness timestamps are genuinely wall-clock, never protocol state
@@ -198,7 +209,7 @@ func (r *Registry) Node(id string) *NodeMetrics {
 	defer r.mu.Unlock()
 	m, ok := r.nodes[id]
 	if !ok {
-		m = newNodeMetrics()
+		m = NewNodeMetrics()
 		r.nodes[id] = m
 		r.order = append(r.order, id)
 	}
@@ -247,6 +258,29 @@ func (r *Registry) Snapshot() []Snapshot {
 		}
 	}
 	return out
+}
+
+// Totals sums every counter across the registry's nodes — the
+// deployment-wide figures a run's result reports, equal by construction
+// to the per-node samples of a /metrics scrape taken at the same moment.
+// PeakBytes is the maximum across nodes; the remaining gauges and the
+// identity fields are per-node notions and stay zero.
+func (r *Registry) Totals() Snapshot {
+	var t Snapshot
+	for _, s := range r.Snapshot() {
+		t.DroppedFuture += s.DroppedFuture
+		t.DroppedMalformed += s.DroppedMalformed
+		t.ForgedDropped += s.ForgedDropped
+		t.DroppedUnnegotiated += s.DroppedUnnegotiated
+		t.DroppedUnadmitted += s.DroppedUnadmitted
+		t.DroppedRoster += s.DroppedRoster
+		t.DroppedOverflow += s.DroppedOverflow
+		t.CourierDropped += s.CourierDropped
+		t.DroppedClosed += s.DroppedClosed
+		t.Steps += s.Steps
+		t.PeakBytes = max(t.PeakBytes, s.PeakBytes)
+	}
+	return t
 }
 
 // NodeHealth is one node's liveness verdict inside a Health report.

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -218,4 +220,57 @@ func TestExpositionRaceClean(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestEveryCounterReachesEveryReader is the guard against a counter added
+// to the handle and forgotten downstream: each exported atomic.Uint64
+// field of NodeMetrics, bumped to its own distinct value on two nodes,
+// must come back under the same name in Snapshot, summed in Totals, and as
+// a per-node sample in the Prometheus exposition.
+func TestEveryCounterReachesEveryReader(t *testing.T) {
+	r := NewRegistry()
+	nodes := []*NodeMetrics{r.Node("ps0"), r.Node("wrk0")}
+	counterType := reflect.TypeOf(atomic.Uint64{})
+	handle := reflect.TypeOf(NodeMetrics{})
+	var fields []string
+	for i := 0; i < handle.NumField(); i++ {
+		if f := handle.Field(i); f.IsExported() && f.Type == counterType {
+			fields = append(fields, f.Name)
+		}
+	}
+	if len(fields) == 0 {
+		t.Fatal("no exported atomic.Uint64 counter found on NodeMetrics")
+	}
+	// Node k's i-th counter holds (k+1)·1000 + i + 1: distinct across
+	// fields and nodes, so a value can only come from its own counter.
+	value := func(node, field int) uint64 { return uint64(node+1)*1000 + uint64(field) + 1 }
+	for k, h := range nodes {
+		for i, name := range fields {
+			reflect.ValueOf(h).Elem().FieldByName(name).Addr().Interface().(*atomic.Uint64).Store(value(k, i))
+		}
+	}
+
+	snaps, totals := r.Snapshot(), reflect.ValueOf(r.Totals())
+	var expo strings.Builder
+	WritePrometheus(&expo, r)
+	for i, name := range fields {
+		if !totals.FieldByName(name).IsValid() {
+			t.Errorf("%s: no Snapshot field of that name", name)
+			continue
+		}
+		var sum uint64
+		for k, s := range snaps {
+			want := value(k, i)
+			sum += want
+			if got := reflect.ValueOf(s).FieldByName(name).Uint(); got != want {
+				t.Errorf("%s: Snapshot of %s = %d, want %d", name, s.ID, got, want)
+			}
+			if sample := fmt.Sprintf("{node=%q} %d\n", s.ID, want); !strings.Contains(expo.String(), sample) {
+				t.Errorf("%s: no /metrics sample %q", name, strings.TrimSpace(sample))
+			}
+		}
+		if got := totals.FieldByName(name).Uint(); got != sum {
+			t.Errorf("%s: Totals = %d, want %d", name, got, sum)
+		}
+	}
 }

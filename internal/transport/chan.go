@@ -36,26 +36,36 @@ type DelayFunc func(from, to string) time.Duration
 // installed; with delays, messages may be reordered — exactly the
 // asynchrony the protocol must tolerate.
 type ChanNetwork struct {
-	mu     sync.Mutex
-	nodes  map[string]*chanEndpoint
-	dead   map[string]deadDrops
-	delay  DelayFunc
-	mbox   MailboxConfig
-	timers sync.WaitGroup
-	closed bool
+	mu    sync.Mutex
+	nodes map[string]*chanEndpoint
+	// handles holds every node ID's metrics handle. A handle belongs to
+	// the ID, not to one endpoint: it outlives Unregister, so a node
+	// restarting under its name keeps counting where it left off.
+	handles map[string]*metrics.NodeMetrics
+	delay   DelayFunc
+	mbox    MailboxConfig
+	timers  sync.WaitGroup
+	closed  bool
 }
-
-// deadDrops preserves an unregistered endpoint's drop counters so Dropped
-// keeps reporting a node's full history across kill/restart cycles.
-type deadDrops struct{ overflow, closed uint64 }
 
 // NewChanNetwork builds an empty network. delay may be nil.
 func NewChanNetwork(delay DelayFunc) *ChanNetwork {
 	return &ChanNetwork{
-		nodes: make(map[string]*chanEndpoint),
-		dead:  make(map[string]deadDrops),
-		delay: delay,
+		nodes:   make(map[string]*chanEndpoint),
+		handles: make(map[string]*metrics.NodeMetrics),
+		delay:   delay,
 	}
+}
+
+// handle returns id's metrics handle, creating it on first use. Caller
+// holds mu.
+func (n *ChanNetwork) handle(id string) *metrics.NodeMetrics {
+	h := n.handles[id]
+	if h == nil {
+		h = metrics.NewNodeMetrics()
+		n.handles[id] = h
+	}
+	return h
 }
 
 // Register creates the endpoint for the given node ID.
@@ -68,7 +78,7 @@ func (n *ChanNetwork) Register(id string) (Endpoint, error) {
 	if _, ok := n.nodes[id]; ok {
 		return nil, fmt.Errorf("transport: node %q already registered", id)
 	}
-	ep := &chanEndpoint{id: id, net: n, box: NewMailboxWith(n.mbox)}
+	ep := &chanEndpoint{id: id, net: n, box: newMailbox(n.mbox, n.handle(id), false)}
 	n.nodes[id] = ep
 	return ep, nil
 }
@@ -76,25 +86,16 @@ func (n *ChanNetwork) Register(id string) (Endpoint, error) {
 // Unregister closes the named endpoint and releases its ID for a later
 // Register — the in-process analogue of a crashed process freeing its
 // listening socket, which is what lets a killed node restart under the same
-// name mid-run. The endpoint's accumulated drop counters are folded into a
-// per-ID tally that Dropped keeps reporting. Unknown IDs are a no-op.
+// name mid-run. The ID's metrics handle stays, so its drop history carries
+// over to the next incarnation. Unknown IDs are a no-op.
 func (n *ChanNetwork) Unregister(id string) {
 	n.mu.Lock()
 	ep, ok := n.nodes[id]
+	delete(n.nodes, id)
+	n.mu.Unlock()
 	if ok {
-		delete(n.nodes, id)
+		ep.box.Close()
 	}
-	n.mu.Unlock()
-	if !ok {
-		return
-	}
-	ep.box.Close()
-	n.mu.Lock()
-	d := n.dead[id]
-	d.overflow += ep.box.DroppedOverflow()
-	d.closed += ep.box.DroppedClosed()
-	n.dead[id] = d
-	n.mu.Unlock()
 }
 
 // SetMailbox bounds every endpoint's inbound mailbox per sender — those
@@ -117,16 +118,25 @@ func (n *ChanNetwork) SetMailbox(cfg MailboxConfig) error {
 	return nil
 }
 
-// SetNodeMetrics attaches a live counter sink to the named endpoint's
-// inbound mailbox, so its overflow/closed drops and queue depth are
-// readable mid-run. Unknown IDs are ignored.
-func (n *ChanNetwork) SetNodeMetrics(id string, sink *metrics.NodeMetrics) {
+// SetNodeMetrics makes h the named node's handle — what its inbound
+// mailbox (this incarnation's and any later one's) counts overflow and
+// closed drops and publishes queue depth into. Attach the node's registry
+// handle before traffic starts.
+func (n *ChanNetwork) SetNodeMetrics(id string, h *metrics.NodeMetrics) {
 	n.mu.Lock()
-	ep, ok := n.nodes[id]
-	n.mu.Unlock()
-	if ok {
-		ep.box.SetMetrics(sink, false)
+	defer n.mu.Unlock()
+	n.handles[id] = h
+	if ep, ok := n.nodes[id]; ok {
+		ep.box.SetMetrics(h)
 	}
+}
+
+// Metrics returns the named node's handle: its inbound mailbox's
+// DroppedOverflow / DroppedClosed over every incarnation of the ID.
+func (n *ChanNetwork) Metrics(id string) *metrics.NodeMetrics {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.handle(id)
 }
 
 // Close shuts down every endpoint and waits for in-flight delayed deliveries
@@ -149,21 +159,6 @@ func (n *ChanNetwork) Close() error {
 	}
 	n.timers.Wait()
 	return nil
-}
-
-// Dropped returns the named endpoint's inbound mailbox drop counters:
-// frames shed by the overflow policy and frames that arrived after the
-// endpoint closed — including any earlier incarnations removed with
-// Unregister. Unknown IDs read as zero.
-func (n *ChanNetwork) Dropped(id string) (overflow, closed uint64) {
-	n.mu.Lock()
-	ep, ok := n.nodes[id]
-	d := n.dead[id]
-	n.mu.Unlock()
-	if !ok {
-		return d.overflow, d.closed
-	}
-	return d.overflow + ep.box.DroppedOverflow(), d.closed + ep.box.DroppedClosed()
 }
 
 func (n *ChanNetwork) deliver(from, to string, m Message) error {

@@ -332,7 +332,7 @@ func TestTCPForgedSenderDropped(t *testing.T) {
 	if _, ok := srv.Recv(100 * time.Millisecond); ok {
 		t.Fatal("a forged frame was delivered")
 	}
-	if got := srv.ForgedDropped(); got != 3 {
+	if got := srv.Metrics().ForgedDropped.Load(); got != 3 {
 		t.Fatalf("ForgedDropped = %d, want 3", got)
 	}
 }

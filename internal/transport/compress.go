@@ -85,9 +85,9 @@ type Compressor struct {
 	encs map[string]*compLink
 	decs map[string]*compress.Decoder
 
-	unnegotiated uint64
-	malformed    uint64
-	sink         atomic.Pointer[metrics.NodeMetrics]
+	// counts is where inbound drops are counted (DroppedUnnegotiated,
+	// DroppedMalformed); read per frame in Recv, hence the atomic pointer.
+	counts atomic.Pointer[metrics.NodeMetrics]
 }
 
 // compLink is one outbound link's encoder plus the lock that pins encode
@@ -108,13 +108,15 @@ func NewCompressor(ep Endpoint, cfg compress.Config, maxDim int) (*Compressor, e
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Compressor{
+	c := &Compressor{
 		ep:     ep,
 		cfg:    cfg,
 		maxDim: maxDim,
 		encs:   make(map[string]*compLink),
 		decs:   make(map[string]*compress.Decoder),
-	}, nil
+	}
+	c.counts.Store(metrics.NewNodeMetrics())
+	return c, nil
 }
 
 // ID implements Endpoint.
@@ -123,20 +125,17 @@ func (c *Compressor) ID() string { return c.ep.ID() }
 // Close implements Endpoint.
 func (c *Compressor) Close() error { return c.ep.Close() }
 
-// SetMetrics attaches a live counter sink: every subsequent inbound
-// drop is mirrored into its DroppedUnnegotiated / DroppedMalformed
-// counters at increment time, matching the accounting the TCP
-// transport's readLoop performs. A nil sink detaches.
-func (c *Compressor) SetMetrics(sink *metrics.NodeMetrics) { c.sink.Store(sink) }
+// SetMetrics makes h the handle inbound drops are counted into — the same
+// accounting the TCP transport's readLoop performs (attach the node's
+// registry handle before traffic starts).
+func (c *Compressor) SetMetrics(h *metrics.NodeMetrics) { c.counts.Store(h) }
 
-// DroppedUnnegotiated returns how many inbound compressed frames were
-// dropped for carrying a scheme this wrapper cannot decode.
-func (c *Compressor) DroppedUnnegotiated() uint64 { return atomic.LoadUint64(&c.unnegotiated) }
-
-// DroppedMalformed returns how many inbound compressed frames were dropped
-// because their payload failed to expand (structural garbage, a
-// desynchronised delta stream, or an over-limit declared dimension).
-func (c *Compressor) DroppedMalformed() uint64 { return atomic.LoadUint64(&c.malformed) }
+// Metrics returns the handle the wrapper counts into: DroppedUnnegotiated
+// is inbound compressed frames carrying a scheme this wrapper cannot
+// decode, DroppedMalformed those whose payload failed to expand
+// (structural garbage, a desynchronised delta stream, or an over-limit
+// declared dimension).
+func (c *Compressor) Metrics() *metrics.NodeMetrics { return c.counts.Load() }
 
 // Reset discards every link's codec state, sender and receiver side.
 // On TCP a redial replaces both per-connection codecs together; the
@@ -230,24 +229,15 @@ func (c *Compressor) acceptInbound(m *Message) bool {
 		return true
 	}
 	if !compress.Scheme(m.Comp.Scheme).Known() {
-		atomic.AddUint64(&c.unnegotiated, 1)
-		if s := c.sink.Load(); s != nil {
-			s.DroppedUnnegotiated.Add(1)
-		}
+		c.Metrics().DroppedUnnegotiated.Add(1)
 		return false
 	}
 	if c.maxDim > 0 && m.Comp.Dim > c.maxDim {
-		atomic.AddUint64(&c.malformed, 1)
-		if s := c.sink.Load(); s != nil {
-			s.DroppedMalformed.Add(1)
-		}
+		c.Metrics().DroppedMalformed.Add(1)
 		return false
 	}
 	if err := DecompressMessage(c.decoderFor(m.From), m); err != nil {
-		atomic.AddUint64(&c.malformed, 1)
-		if s := c.sink.Load(); s != nil {
-			s.DroppedMalformed.Add(1)
-		}
+		c.Metrics().DroppedMalformed.Add(1)
 		return false
 	}
 	return true

@@ -156,11 +156,11 @@ func sendRecvTCP(t *testing.T, cfg compress.Config, maxDim int) []Message {
 		m, ok := srv.Recv(5 * time.Second)
 		if !ok {
 			t.Fatalf("timed out after %d messages (unnegotiated=%d malformed=%d)",
-				len(out), srv.DroppedUnnegotiated(), srv.DroppedMalformed())
+				len(out), srv.Metrics().DroppedUnnegotiated.Load(), srv.Metrics().DroppedMalformed.Load())
 		}
 		out = append(out, m)
 	}
-	if n := srv.DroppedUnnegotiated() + srv.DroppedMalformed(); n != 0 {
+	if n := srv.Metrics().DroppedUnnegotiated.Load() + srv.Metrics().DroppedMalformed.Load(); n != 0 {
 		t.Fatalf("%d honest frames dropped", n)
 	}
 	return out
@@ -298,7 +298,7 @@ func TestTCPUnnegotiatedCompressedDropped(t *testing.T) {
 	if _, err := legacy.Write(frame); err != nil {
 		t.Fatal(err)
 	}
-	waitCounter(t, srv.DroppedUnnegotiated, 1, "DroppedUnnegotiated")
+	waitCounter(t, srv.Metrics().DroppedUnnegotiated.Load, 1, "DroppedUnnegotiated")
 
 	// A v2 hello announcing delta does not license float32, and an unknown
 	// scheme byte is never licensed.
@@ -309,13 +309,13 @@ func TestTCPUnnegotiatedCompressedDropped(t *testing.T) {
 	if _, err := wrongCaps.Write(append(reframed, unknown...)); err != nil {
 		t.Fatal(err)
 	}
-	waitCounter(t, srv.DroppedUnnegotiated, 3, "DroppedUnnegotiated")
+	waitCounter(t, srv.Metrics().DroppedUnnegotiated.Load, 3, "DroppedUnnegotiated")
 
 	if _, ok := srv.Recv(100 * time.Millisecond); ok {
 		t.Fatal("an un-negotiated compressed frame was delivered")
 	}
-	if srv.DroppedMalformed() != 0 {
-		t.Fatalf("DroppedMalformed = %d", srv.DroppedMalformed())
+	if srv.Metrics().DroppedMalformed.Load() != 0 {
+		t.Fatalf("DroppedMalformed = %d", srv.Metrics().DroppedMalformed.Load())
 	}
 }
 
@@ -349,12 +349,12 @@ func TestTCPMalformedCompressedDropped(t *testing.T) {
 	if _, err := peer.Write(append(garbage, oversize...)); err != nil {
 		t.Fatal(err)
 	}
-	waitCounter(t, srv.DroppedMalformed, 2, "DroppedMalformed")
+	waitCounter(t, srv.Metrics().DroppedMalformed.Load, 2, "DroppedMalformed")
 	if _, ok := srv.Recv(100 * time.Millisecond); ok {
 		t.Fatal("a malformed compressed frame was delivered")
 	}
-	if srv.DroppedUnnegotiated() != 0 {
-		t.Fatalf("DroppedUnnegotiated = %d", srv.DroppedUnnegotiated())
+	if srv.Metrics().DroppedUnnegotiated.Load() != 0 {
+		t.Fatalf("DroppedUnnegotiated = %d", srv.Metrics().DroppedUnnegotiated.Load())
 	}
 }
 
@@ -409,7 +409,7 @@ func TestCompressorWrapperMatchesTCP(t *testing.T) {
 				}
 			}
 		}
-		if n := srv.DroppedUnnegotiated() + srv.DroppedMalformed(); n != 0 {
+		if n := srv.Metrics().DroppedUnnegotiated.Load() + srv.Metrics().DroppedMalformed.Load(); n != 0 {
 			t.Fatalf("%s: wrapper dropped %d honest frames", spec, n)
 		}
 	}
@@ -464,7 +464,7 @@ func TestCompressionDeterministicUnderDupReorder(t *testing.T) {
 				}
 				got = append(got, m)
 			}
-			return got, srv.DroppedUnnegotiated() + srv.DroppedMalformed()
+			return got, srv.Metrics().DroppedUnnegotiated.Load() + srv.Metrics().DroppedMalformed.Load()
 		}
 		first, drops1 := run()
 		second, drops2 := run()

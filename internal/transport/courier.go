@@ -28,7 +28,7 @@ type Couriers struct {
 
 	mu     sync.Mutex
 	links  map[string]*Mailbox
-	sink   *metrics.NodeMetrics
+	counts *metrics.NodeMetrics // every outbox's overflow lands in its CourierDropped
 	closed bool
 	wg     sync.WaitGroup
 }
@@ -39,22 +39,30 @@ var _ Endpoint = (*Couriers)(nil)
 // from the wire but never drops; bounded configs apply their policy per
 // link. Couriers passes Recv and ID through untouched.
 func NewCouriers(ep Endpoint, cfg MailboxConfig) *Couriers {
-	return &Couriers{ep: ep, cfg: cfg, links: make(map[string]*Mailbox)}
+	return &Couriers{ep: ep, cfg: cfg, links: make(map[string]*Mailbox), counts: metrics.NewNodeMetrics()}
 }
 
 // ID implements Endpoint.
 func (c *Couriers) ID() string { return c.ep.ID() }
 
-// SetMetrics attaches a live counter sink: every link outbox (existing
-// and future) mirrors its overflow drops into the sink's CourierDropped
-// counter.
-func (c *Couriers) SetMetrics(sink *metrics.NodeMetrics) {
+// SetMetrics makes h the handle every link outbox (existing and future)
+// counts into (attach the node's registry handle before traffic starts).
+func (c *Couriers) SetMetrics(h *metrics.NodeMetrics) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.sink = sink
+	c.counts = h
 	for _, box := range c.links {
-		box.SetMetrics(sink, true)
+		box.SetMetrics(h)
 	}
+}
+
+// Metrics returns the handle the couriers count into: CourierDropped is
+// the total of outbound frames discarded across all links by the overflow
+// policy.
+func (c *Couriers) Metrics() *metrics.NodeMetrics {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.counts
 }
 
 // Send implements Endpoint: it snapshots m into the destination's outbox
@@ -69,10 +77,7 @@ func (c *Couriers) Send(to string, m Message) error {
 	}
 	box, ok := c.links[to]
 	if !ok {
-		box = NewMailboxWith(c.cfg)
-		if c.sink != nil {
-			box.SetMetrics(c.sink, true)
-		}
+		box = newMailbox(c.cfg, c.counts, true)
 		c.links[to] = box
 		c.wg.Add(1)
 		go c.run(to, box)
@@ -98,18 +103,6 @@ func (c *Couriers) run(to string, box *Mailbox) {
 // Recv implements Endpoint.
 func (c *Couriers) Recv(timeout time.Duration) (Message, bool) {
 	return c.ep.Recv(timeout)
-}
-
-// DroppedOverflow returns the total outbound frames discarded across all
-// links by the overflow policy.
-func (c *Couriers) DroppedOverflow() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var n uint64
-	for _, box := range c.links {
-		n += box.DroppedOverflow()
-	}
-	return n
 }
 
 // Close implements Endpoint: it stops accepting sends, lets every courier

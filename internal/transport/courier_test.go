@@ -129,7 +129,7 @@ func TestCouriersDropNewestOnSlowLink(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := c.DroppedOverflow(); got != extra {
+	if got := c.Metrics().CourierDropped.Load(); got != extra {
 		t.Fatalf("DroppedOverflow = %d, want %d", got, extra)
 	}
 	close(stub.gate)

@@ -8,8 +8,8 @@
 //     configurable per-sender Cap and an overflow Policy (Backpressure
 //     blocks the producer, DropNewest refuses the arriving frame,
 //     DropOldest evicts the sender's oldest queued frame), with
-//     DroppedOverflow / DroppedClosed counters exposing what the bound
-//     discarded;
+//     the DroppedOverflow / DroppedClosed counters of its metrics handle
+//     exposing what the bound discarded;
 //   - Couriers, the per-link outbound actors: Send snapshots the message
 //     (Clone at enqueue) into one bounded outbox Mailbox per destination,
 //     and a dedicated goroutine per link drains it into the wrapped
@@ -89,5 +89,8 @@
 // and — with a bounded Mailbox armed — against flooding (the per-sender
 // cap); the ForgedDropped / DroppedFuture / DroppedMalformed /
 // DroppedOverflow / DroppedClosed counters expose what the hardening
-// discarded. See WIRE.md §6 for the full statement.
+// discarded. They are stored once, in the internal/metrics.NodeMetrics
+// handle every counting type owns from construction (its Metrics accessor
+// or field; SetMetrics attaches the node's registry handle before traffic
+// starts). See WIRE.md §6 for the full statement.
 package transport

@@ -165,24 +165,29 @@ type Mailbox struct {
 	peers      map[string]*peerQueue
 	closed     bool
 
-	droppedOverflow uint64 // messages lost to a full per-sender queue
-	droppedClosed   uint64 // messages put after Close
-
-	// sink, when non-nil, receives a live atomic mirror of every drop
-	// and the current queue depth. sinkOutbound routes overflow drops to
-	// the courier counter instead of the inbound mailbox counter, and
-	// suppresses the depth gauge (one node fans out over many outboxes,
-	// so a single depth number would be meaningless).
-	sink         *metrics.NodeMetrics
-	sinkOutbound bool
+	// counts is the metrics handle the mailbox increments: overflow and
+	// after-Close drops, and (inbound only) the current queue depth.
+	// outbox marks a courier outbox, whose overflow is the node's
+	// CourierDropped and which publishes no depth — one node fans out
+	// over many outboxes, so a single depth number would be meaningless.
+	// Both are guarded by mu.
+	counts *metrics.NodeMetrics
+	outbox bool
 }
 
 // NewMailbox returns an empty open unbounded mailbox.
 func NewMailbox() *Mailbox { return NewMailboxWith(MailboxConfig{}) }
 
-// NewMailboxWith returns an empty open mailbox with the given bounds.
+// NewMailboxWith returns an empty open inbound mailbox with the given
+// bounds, counting into a fresh metrics handle.
 func NewMailboxWith(cfg MailboxConfig) *Mailbox {
-	m := &Mailbox{cfg: cfg, peers: make(map[string]*peerQueue)}
+	return newMailbox(cfg, metrics.NewNodeMetrics(), false)
+}
+
+// newMailbox builds a mailbox counting into h; outbox makes it one courier
+// link's outbound queue.
+func newMailbox(cfg MailboxConfig, h *metrics.NodeMetrics, outbox bool) *Mailbox {
+	m := &Mailbox{cfg: cfg, peers: make(map[string]*peerQueue), counts: h, outbox: outbox}
 	m.recvCond = sync.NewCond(&m.mu)
 	m.sendCond = sync.NewCond(&m.mu)
 	return m
@@ -210,41 +215,38 @@ func (m *Mailbox) Config() MailboxConfig {
 	return m.cfg
 }
 
-// SetMetrics attaches a live counter sink: every subsequent drop is
-// mirrored into it, and (for inbound mailboxes) the queue depth gauge
-// tracks Put/Recv. outbound marks the mailbox as a courier outbox, so
-// its overflow drops land under CourierDropped rather than the node's
-// inbound DroppedOverflow.
-func (m *Mailbox) SetMetrics(sink *metrics.NodeMetrics, outbound bool) {
+// SetMetrics makes h the handle the mailbox counts into from now on
+// (attach the node's registry handle before traffic starts).
+func (m *Mailbox) SetMetrics(h *metrics.NodeMetrics) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.sink = sink
-	m.sinkOutbound = outbound
+	m.counts = h
 }
 
-// mirrorOverflow and mirrorClosed forward one drop to the sink, if
-// any. Caller holds mu.
-func (m *Mailbox) mirrorOverflow() {
-	if m.sink == nil {
-		return
-	}
-	if m.sinkOutbound {
-		m.sink.CourierDropped.Add(1)
+// Metrics returns the handle the mailbox counts into: DroppedOverflow
+// (CourierDropped for a courier outbox) is every message discarded because
+// a sender's queue was at its cap — DropNewest rejections and DropOldest
+// evictions both count, Backpressure never overflows — and DroppedClosed
+// is every message put after Close.
+func (m *Mailbox) Metrics() *metrics.NodeMetrics {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.counts
+}
+
+// dropOverflow counts one overflow discard. Caller holds mu.
+func (m *Mailbox) dropOverflow() {
+	if m.outbox {
+		m.counts.CourierDropped.Add(1)
 	} else {
-		m.sink.DroppedOverflow.Add(1)
+		m.counts.DroppedOverflow.Add(1)
 	}
 }
 
-func (m *Mailbox) mirrorClosed() {
-	if m.sink != nil {
-		m.sink.DroppedClosed.Add(1)
-	}
-}
-
-// mirrorDepth publishes the current queue depth. Caller holds mu.
-func (m *Mailbox) mirrorDepth() {
-	if m.sink != nil && !m.sinkOutbound {
-		m.sink.SetQueueDepth(m.length)
+// publishDepth publishes an inbound mailbox's queue depth. Caller holds mu.
+func (m *Mailbox) publishDepth() {
+	if !m.outbox {
+		m.counts.SetQueueDepth(m.length)
 	}
 }
 
@@ -259,8 +261,7 @@ func (m *Mailbox) Put(msg Message) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
-		m.droppedClosed++
-		m.mirrorClosed()
+		m.counts.DroppedClosed.Add(1)
 		return
 	}
 	pq := m.peers[msg.From]
@@ -275,18 +276,15 @@ func (m *Mailbox) Put(msg Message) {
 				m.sendCond.Wait()
 			}
 			if m.closed {
-				m.droppedClosed++
-				m.mirrorClosed()
+				m.counts.DroppedClosed.Add(1)
 				return
 			}
 		case DropNewest:
-			m.droppedOverflow++
-			m.mirrorOverflow()
+			m.dropOverflow()
 			return
 		case DropOldest:
 			m.unlink(pq.oldest)
-			m.droppedOverflow++
-			m.mirrorOverflow()
+			m.dropOverflow()
 		}
 	}
 	e := &mailEntry{msg: msg, peer: pq}
@@ -306,7 +304,7 @@ func (m *Mailbox) Put(msg Message) {
 	}
 	pq.count++
 	m.length++
-	m.mirrorDepth()
+	m.publishDepth()
 	m.recvCond.Signal()
 }
 
@@ -372,7 +370,7 @@ func (m *Mailbox) Recv(timeout time.Duration) (Message, bool) {
 	}
 	e := m.head
 	m.unlink(e)
-	m.mirrorDepth()
+	m.publishDepth()
 	if m.cfg.Policy == Backpressure {
 		m.sendCond.Broadcast()
 	}
@@ -394,23 +392,6 @@ func (m *Mailbox) PeerLen(from string) int {
 		return pq.count
 	}
 	return 0
-}
-
-// DroppedOverflow returns how many messages were discarded because a
-// sender's queue was at its cap (DropNewest and DropOldest evictions both
-// count; Backpressure never overflows). Exposed for tests and monitoring.
-func (m *Mailbox) DroppedOverflow() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.droppedOverflow
-}
-
-// DroppedClosed returns how many messages were put after Close — frames
-// that raced a node's shutdown and would otherwise vanish silently.
-func (m *Mailbox) DroppedClosed() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.droppedClosed
 }
 
 // Close marks the mailbox closed and wakes all blocked receivers and

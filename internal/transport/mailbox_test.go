@@ -92,13 +92,13 @@ func TestMailboxPolicyPropertySurvivors(t *testing.T) {
 						ref.order[i].From, ref.order[i].Step)
 				}
 			}
-			if box.DroppedOverflow() != ref.dropped {
+			if box.Metrics().DroppedOverflow.Load() != ref.dropped {
 				t.Fatalf("%v seed %d: DroppedOverflow = %d, reference %d",
-					policy, seed, box.DroppedOverflow(), ref.dropped)
+					policy, seed, box.Metrics().DroppedOverflow.Load(), ref.dropped)
 			}
-			if uint64(len(got))+box.DroppedOverflow() != uint64(puts) {
+			if uint64(len(got))+box.Metrics().DroppedOverflow.Load() != uint64(puts) {
 				t.Fatalf("%v seed %d: %d survivors + %d dropped ≠ %d puts",
-					policy, seed, len(got), box.DroppedOverflow(), puts)
+					policy, seed, len(got), box.Metrics().DroppedOverflow.Load(), puts)
 			}
 		}
 	}
@@ -121,8 +121,8 @@ func TestMailboxUnboundedKeepsEverything(t *testing.T) {
 			t.Fatalf("message %d has step %d: FIFO violated", i, m.Step)
 		}
 	}
-	if box.DroppedOverflow() != 0 {
-		t.Fatalf("unbounded mailbox counted %d overflow drops", box.DroppedOverflow())
+	if box.Metrics().DroppedOverflow.Load() != 0 {
+		t.Fatalf("unbounded mailbox counted %d overflow drops", box.Metrics().DroppedOverflow.Load())
 	}
 }
 
@@ -167,8 +167,8 @@ func TestMailboxDropOldestKeepsNewestPerSender(t *testing.T) {
 		}
 	}
 	wantDropped := uint64(senders * (perSender - cap))
-	if box.DroppedOverflow() != wantDropped {
-		t.Fatalf("DroppedOverflow = %d, want %d", box.DroppedOverflow(), wantDropped)
+	if box.Metrics().DroppedOverflow.Load() != wantDropped {
+		t.Fatalf("DroppedOverflow = %d, want %d", box.Metrics().DroppedOverflow.Load(), wantDropped)
 	}
 }
 
@@ -210,9 +210,9 @@ func TestMailboxBackpressureBlocksUntilDrained(t *testing.T) {
 	case <-time.After(time.Second):
 		t.Fatal("producer still blocked after a full drain")
 	}
-	if box.DroppedOverflow() != 0 || box.DroppedClosed() != 0 {
+	if box.Metrics().DroppedOverflow.Load() != 0 || box.Metrics().DroppedClosed.Load() != 0 {
 		t.Fatalf("backpressure dropped: overflow=%d closed=%d",
-			box.DroppedOverflow(), box.DroppedClosed())
+			box.Metrics().DroppedOverflow.Load(), box.Metrics().DroppedClosed.Load())
 	}
 }
 
@@ -234,8 +234,8 @@ func TestMailboxBackpressureCloseUnblocks(t *testing.T) {
 	case <-time.After(time.Second):
 		t.Fatal("Put did not wake on Close")
 	}
-	if box.DroppedClosed() != 1 {
-		t.Fatalf("DroppedClosed = %d, want 1", box.DroppedClosed())
+	if box.Metrics().DroppedClosed.Load() != 1 {
+		t.Fatalf("DroppedClosed = %d, want 1", box.Metrics().DroppedClosed.Load())
 	}
 }
 
@@ -248,8 +248,8 @@ func TestMailboxDroppedClosedCounts(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		box.Put(Message{Step: i})
 	}
-	if box.DroppedClosed() != 3 {
-		t.Fatalf("DroppedClosed = %d, want 3", box.DroppedClosed())
+	if box.Metrics().DroppedClosed.Load() != 3 {
+		t.Fatalf("DroppedClosed = %d, want 3", box.Metrics().DroppedClosed.Load())
 	}
 	// The pre-close message still drains: Close stops intake, not delivery.
 	if m, ok := box.Recv(0); !ok || m.Step != 0 {
@@ -294,9 +294,9 @@ func TestMailboxBoundedConcurrentAccounting(t *testing.T) {
 	<-consumerDone
 	received += uint64(len(drainMailbox(box)))
 	const sent = producers * perProducer
-	if got := received + box.DroppedOverflow(); got != sent {
+	if got := received + box.Metrics().DroppedOverflow.Load(); got != sent {
 		t.Fatalf("accounting: received %d + dropped %d = %d, want %d",
-			received, box.DroppedOverflow(), got, sent)
+			received, box.Metrics().DroppedOverflow.Load(), got, sent)
 	}
 }
 
@@ -369,14 +369,16 @@ func TestTCPDroppedClosedOnTeardown(t *testing.T) {
 	if err := b.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := b.DroppedClosed(); got == 0 {
+	if got := b.Metrics().DroppedClosed.Load(); got == 0 {
 		t.Fatal("teardown discarded the parked frame without counting it")
 	}
 }
 
 // TestChanNetworkBoundedDropCounters pins the in-process network's per-
 // endpoint drop accounting: an undrained receiver under a drop policy
-// sheds exactly the overflow, visible through Dropped.
+// sheds exactly the overflow, visible through the ID's metrics handle —
+// which outlives the endpoint, so a node killed and restarted under its
+// name keeps its drop history.
 func TestChanNetworkBoundedDropCounters(t *testing.T) {
 	const cap, extra = 4, 9
 	net := NewChanNetwork(nil)
@@ -395,12 +397,30 @@ func TestChanNetworkBoundedDropCounters(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	over, closed := net.Dropped("b")
-	if over != extra || closed != 0 {
-		t.Fatalf("Dropped(b) = (%d, %d), want (%d, 0)", over, closed, extra)
+	dropped := func(id string) (over, closed uint64) {
+		h := net.Metrics(id)
+		return h.DroppedOverflow.Load(), h.DroppedClosed.Load()
 	}
-	if over, closed := net.Dropped("nobody"); over != 0 || closed != 0 {
-		t.Fatalf("Dropped(unknown) = (%d, %d), want zeros", over, closed)
+	over, closed := dropped("b")
+	if over != extra || closed != 0 {
+		t.Fatalf("dropped(b) = (%d, %d), want (%d, 0)", over, closed, extra)
+	}
+	if over, closed := dropped("nobody"); over != 0 || closed != 0 {
+		t.Fatalf("dropped(unknown) = (%d, %d), want zeros", over, closed)
+	}
+	// Kill and restart b: the new incarnation's mailbox is empty, the
+	// counts carry on from the old one's.
+	net.Unregister("b")
+	if _, err := net.Register("b"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < cap+1; i++ {
+		if err := a.Send("b", Message{From: "a", Step: i}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if over, closed := dropped("b"); over != extra+1 || closed != 0 {
+		t.Fatalf("dropped(b) after restart = (%d, %d), want (%d, 0)", over, closed, extra+1)
 	}
 	net.Close()
 }

@@ -45,16 +45,20 @@ type Collector struct {
 	// well-formed and authenticated.
 	Membership func(step int, from string) bool
 
-	// Metrics, when non-nil, receives a live atomic mirror of every
-	// counter increment, so an ops scraper reads current values mid-run
-	// while the plain fields below stay single-goroutine.
+	// Metrics is where the collector counts, never nil (NewCollector
+	// starts it on a fresh handle; assign the node's registry handle
+	// before the first Collect). DroppedFuture: messages discarded for
+	// claiming a step beyond the buffering horizon. DroppedMalformed:
+	// chunk frames discarded for inconsistent shard tags (changed counts,
+	// non-tiling offsets, oversized assemblies). DroppedRoster: messages
+	// discarded because their sender was outside the roster in force at
+	// the message's step. PeakBytes: the most payload bytes buffered at
+	// once — whole messages awaiting their quorum plus partial chunk
+	// reassemblies, the O(n·d) ceiling the memory experiment compares
+	// against the ShardCollector's O(q·shard).
 	Metrics *metrics.NodeMetrics
 
-	droppedFuture    int // messages discarded beyond the horizon
-	droppedMalformed int // chunk frames discarded for inconsistent shard tags
-	droppedRoster    int // messages discarded for being outside the epoch's roster
-	curBytes         int // payload bytes currently buffered
-	peakBytes        int // high-water mark of curBytes
+	curBytes int // payload bytes currently buffered
 }
 
 // DefaultHorizon is the future-step buffering bound when Horizon is unset —
@@ -95,7 +99,7 @@ type assembly struct {
 
 // NewCollector wraps an endpoint.
 func NewCollector(ep Endpoint) *Collector {
-	return &Collector{ep: ep, buf: make(map[collectorKey]*arrivalBuf)}
+	return &Collector{ep: ep, buf: make(map[collectorKey]*arrivalBuf), Metrics: metrics.NewNodeMetrics()}
 }
 
 func (c *Collector) horizon() int {
@@ -243,12 +247,7 @@ func (c *Collector) Advance(step int) {
 
 func (c *Collector) account(delta int) {
 	c.curBytes += delta
-	if c.curBytes > c.peakBytes {
-		c.peakBytes = c.curBytes
-		if c.Metrics != nil {
-			c.Metrics.ObservePeak(c.peakBytes)
-		}
-	}
+	c.Metrics.ObservePeak(c.curBytes)
 }
 
 // releaseKey returns every payload byte buffered under b to the accounting.
@@ -274,17 +273,11 @@ func (c *Collector) store(m Message, currentStep int) {
 		return // late message from a completed round: discard
 	}
 	if m.Step > currentStep+c.horizon() {
-		c.droppedFuture++ // step-spraying sender: bound the buffer, count the drop
-		if c.Metrics != nil {
-			c.Metrics.DroppedFuture.Add(1)
-		}
+		c.Metrics.DroppedFuture.Add(1) // step-spraying sender: bound the buffer, count the drop
 		return
 	}
 	if c.Membership != nil && !c.Membership(m.Step, m.From) {
-		c.droppedRoster++ // sender outside the roster in force at this step
-		if c.Metrics != nil {
-			c.Metrics.DroppedRoster.Add(1)
-		}
+		c.Metrics.DroppedRoster.Add(1) // sender outside the roster in force at this step
 		return
 	}
 	key := collectorKey{kind: m.Kind, step: m.Step}
@@ -327,10 +320,7 @@ func (c *Collector) assemble(b *arrivalBuf, m Message) (Message, bool) {
 		b.asm[m.From] = a
 	}
 	drop := func() {
-		c.droppedMalformed++
-		if c.Metrics != nil {
-			c.Metrics.DroppedMalformed.Add(1)
-		}
+		c.Metrics.DroppedMalformed.Add(1)
 		c.account(-a.bytes)
 		delete(b.asm, m.From)
 	}
@@ -379,23 +369,3 @@ func (c *Collector) Buffered(kind Kind, step int) int {
 	}
 	return len(b.msgs)
 }
-
-// DroppedFuture returns how many messages were discarded for claiming a
-// step beyond the buffering horizon. Exposed for tests and monitoring.
-func (c *Collector) DroppedFuture() int { return c.droppedFuture }
-
-// DroppedMalformed returns how many chunk frames were discarded for
-// inconsistent shard tags (changed counts, non-tiling offsets, oversized
-// assemblies). Exposed for tests and monitoring.
-func (c *Collector) DroppedMalformed() int { return c.droppedMalformed }
-
-// DroppedRoster returns how many messages were discarded because their
-// sender was not a member of the roster in force at the message's step.
-// Exposed for tests and monitoring.
-func (c *Collector) DroppedRoster() int { return c.droppedRoster }
-
-// PeakBytes returns the largest number of payload bytes the collector has
-// buffered at once — whole messages awaiting their quorum plus partial
-// chunk reassemblies. The memory experiment compares this O(n·d) ceiling
-// against the ShardCollector's O(q·shard).
-func (c *Collector) PeakBytes() int { return c.peakBytes }

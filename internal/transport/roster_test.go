@@ -34,7 +34,7 @@ func TestCollectorMembership(t *testing.T) {
 		}
 	}
 
-	sink := &metrics.NodeMetrics{}
+	sink := metrics.NewNodeMetrics()
 	c := NewCollector(recv)
 	c.Membership = epochRoster
 	c.Metrics = sink
@@ -54,8 +54,8 @@ func TestCollectorMembership(t *testing.T) {
 			t.Fatal("pre-join sender entered the step-0 quorum")
 		}
 	}
-	if c.DroppedRoster() != 1 {
-		t.Fatalf("DroppedRoster = %d, want 1", c.DroppedRoster())
+	if c.Metrics.DroppedRoster.Load() != 1 {
+		t.Fatalf("DroppedRoster = %d, want 1", c.Metrics.DroppedRoster.Load())
 	}
 
 	// Step 5: a has left and d has joined; the same quorum math now admits
@@ -74,8 +74,8 @@ func TestCollectorMembership(t *testing.T) {
 			t.Fatal("departed sender entered the step-5 quorum")
 		}
 	}
-	if c.DroppedRoster() != 2 {
-		t.Fatalf("DroppedRoster = %d, want 2", c.DroppedRoster())
+	if c.Metrics.DroppedRoster.Load() != 2 {
+		t.Fatalf("DroppedRoster = %d, want 2", c.Metrics.DroppedRoster.Load())
 	}
 	if got := sink.DroppedRoster.Load(); got != 2 {
 		t.Fatalf("metrics mirror DroppedRoster = %d, want 2", got)
@@ -121,8 +121,8 @@ func TestShardCollectorMembership(t *testing.T) {
 	if folded != 2 {
 		t.Fatalf("folded %d shards, want 2", folded)
 	}
-	if c.DroppedRoster() != 2 {
-		t.Fatalf("DroppedRoster = %d, want 2 (one per shard frame)", c.DroppedRoster())
+	if c.Metrics.DroppedRoster.Load() != 2 {
+		t.Fatalf("DroppedRoster = %d, want 2 (one per shard frame)", c.Metrics.DroppedRoster.Load())
 	}
 }
 
@@ -321,7 +321,7 @@ func TestTCPAdmission(t *testing.T) {
 	// never surface on the server side.
 	_ = joiner.Send("srv", Message{Kind: KindGradient, Step: 1, Vec: tensor.Vector{2}})
 	deadline := time.Now().Add(2 * time.Second)
-	for srv.DroppedUnadmitted() == 0 {
+	for srv.Metrics().DroppedUnadmitted.Load() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("admission refusal never counted")
 		}

@@ -156,8 +156,8 @@ type ShardFold func(lo, hi int, senders []string, inputs []tensor.Vector) error
 //     lossy links should stream only coordinate-wise rules, or keep
 //     whole-vector framing for the pinned phase.
 //
-// Buffered payload bytes are tracked (PeakBytes) so the memory experiment
-// can compare this path against the whole-vector Collector.
+// Buffered payload bytes are tracked (Metrics.PeakBytes) so the memory
+// experiment can compare this path against the whole-vector Collector.
 type ShardCollector struct {
 	ep Endpoint
 
@@ -181,17 +181,19 @@ type ShardCollector struct {
 	// for the step the frame claims.
 	Membership func(step int, from string) bool
 
-	// Metrics, when non-nil, receives a live atomic mirror of every
-	// counter increment, exactly as on Collector.
+	// Metrics is where the collector counts, never nil, exactly as on
+	// Collector; DroppedMalformed here is frames disagreeing with the shard
+	// layout. PeakBytes is the most payload bytes the collector has held at
+	// once. Shard buffers are released the moment their quorum is folded,
+	// which is what keeps it O(q·shard) instead of O(n·d). It covers the
+	// collector's own buffers only: payloads handed to a fold are the
+	// fold's memory from then on (coordinate-wise streamers drop them
+	// immediately; Multi-Krum's retains its q inputs until selection).
 	Metrics *metrics.NodeMetrics
 
-	buf              map[collectorKey]*shardStepBuf
-	droppedFuture    int
-	droppedMalformed int
-	droppedRoster    int
-	stored           int
-	curBytes         int
-	peakBytes        int
+	buf      map[collectorKey]*shardStepBuf
+	stored   int
+	curBytes int
 }
 
 // shardStepBuf holds one (kind, step)'s per-shard quorum candidates.
@@ -210,7 +212,8 @@ type shardSlot struct {
 
 // NewShardCollector wraps an endpoint with the given shard layout.
 func NewShardCollector(ep Endpoint, layout ShardLayout) *ShardCollector {
-	return &ShardCollector{ep: ep, Layout: layout, buf: make(map[collectorKey]*shardStepBuf)}
+	return &ShardCollector{ep: ep, Layout: layout, buf: make(map[collectorKey]*shardStepBuf),
+		Metrics: metrics.NewNodeMetrics()}
 }
 
 func (c *ShardCollector) horizon() int {
@@ -220,48 +223,14 @@ func (c *ShardCollector) horizon() int {
 	return DefaultHorizon
 }
 
-// DroppedFuture returns how many messages were discarded for claiming a
-// step beyond the buffering horizon.
-func (c *ShardCollector) DroppedFuture() int { return c.droppedFuture }
-
-// DroppedMalformed returns how many frames were discarded for disagreeing
-// with the shard layout.
-func (c *ShardCollector) DroppedMalformed() int { return c.droppedMalformed }
-
-// DroppedRoster returns how many frames were discarded because their
-// sender was not a member of the roster in force at the frame's step.
-func (c *ShardCollector) DroppedRoster() int { return c.droppedRoster }
-
-// dropMalformed counts one layout-disagreement drop, mirroring it into
-// the live sink when one is attached.
-func (c *ShardCollector) dropMalformed() {
-	c.droppedMalformed++
-	if c.Metrics != nil {
-		c.Metrics.DroppedMalformed.Add(1)
-	}
-}
-
 // StoredFrames returns how many frames have been buffered so far — the
 // receive-progress counter the memory experiment reads from its fold
 // callback to decide whether an aggregation overlapped the receive stream.
 func (c *ShardCollector) StoredFrames() int { return c.stored }
 
-// PeakBytes returns the largest number of payload bytes the collector has
-// held at once. Shard buffers are released the moment their quorum is
-// folded, which is what keeps this O(q·shard) instead of O(n·d). The
-// counter covers the collector's own buffers only: payloads handed to a
-// fold are the fold's memory from then on (coordinate-wise streamers drop
-// them immediately; Multi-Krum's retains its q inputs until selection).
-func (c *ShardCollector) PeakBytes() int { return c.peakBytes }
-
 func (c *ShardCollector) account(delta int) {
 	c.curBytes += delta
-	if c.curBytes > c.peakBytes {
-		c.peakBytes = c.curBytes
-		if c.Metrics != nil {
-			c.Metrics.ObservePeak(c.peakBytes)
-		}
-	}
+	c.Metrics.ObservePeak(c.curBytes)
 }
 
 // ResetRound discards all buffered state for one (kind, step) round —
@@ -527,26 +496,20 @@ func (c *ShardCollector) store(m Message, currentStep int) {
 		return
 	}
 	if m.Step > currentStep+c.horizon() {
-		c.droppedFuture++
-		if c.Metrics != nil {
-			c.Metrics.DroppedFuture.Add(1)
-		}
+		c.Metrics.DroppedFuture.Add(1)
 		return
 	}
 	if c.Membership != nil && !c.Membership(m.Step, m.From) {
-		c.droppedRoster++
-		if c.Metrics != nil {
-			c.Metrics.DroppedRoster.Add(1)
-		}
+		c.Metrics.DroppedRoster.Add(1)
 		return
 	}
 	if m.IsShard() {
 		if !c.Layout.CheckMeta(m.Shard, len(m.Vec)) {
-			c.dropMalformed()
+			c.Metrics.DroppedMalformed.Add(1)
 			return
 		}
 	} else if len(m.Vec) != c.Layout.Dim {
-		c.dropMalformed()
+		c.Metrics.DroppedMalformed.Add(1)
 		return
 	}
 	if c.Validator != nil && !c.Validator(m) {

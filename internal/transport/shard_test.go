@@ -299,7 +299,7 @@ func TestCollectorDropsInconsistentChunkStreams(t *testing.T) {
 	if msgs[0].From != "ok" {
 		t.Fatalf("quorum filled by %q, want the consistent sender", msgs[0].From)
 	}
-	if col.DroppedMalformed() == 0 {
+	if col.Metrics.DroppedMalformed.Load() == 0 {
 		t.Fatal("inconsistent stream not counted as malformed")
 	}
 
@@ -316,7 +316,7 @@ func TestCollectorDropsInconsistentChunkStreams(t *testing.T) {
 	if _, err := col2.Collect(KindParams, 0, 1, 200*time.Millisecond); err == nil {
 		t.Fatal("non-tiling stream satisfied a quorum")
 	}
-	if col2.DroppedMalformed() == 0 {
+	if col2.Metrics.DroppedMalformed.Load() == 0 {
 		t.Fatal("non-tiling stream not counted as malformed")
 	}
 }
@@ -588,11 +588,11 @@ func TestShardCollectorHorizonAndMalformed(t *testing.T) {
 	if _, err := col.Collect(KindGradient, 0, 2, nil, "", false, fold, 2*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if col.DroppedFuture() != 1 {
-		t.Fatalf("DroppedFuture = %d, want 1", col.DroppedFuture())
+	if col.Metrics.DroppedFuture.Load() != 1 {
+		t.Fatalf("DroppedFuture = %d, want 1", col.Metrics.DroppedFuture.Load())
 	}
-	if col.DroppedMalformed() != 3 {
-		t.Fatalf("DroppedMalformed = %d, want 3", col.DroppedMalformed())
+	if col.Metrics.DroppedMalformed.Load() != 3 {
+		t.Fatalf("DroppedMalformed = %d, want 3", col.Metrics.DroppedMalformed.Load())
 	}
 }
 
@@ -618,8 +618,8 @@ func TestShardCollectorPeakBytes(t *testing.T) {
 	if _, err := col.Collect(KindParams, 0, q, 2*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if want := q * dim * 8; col.PeakBytes() != want {
-		t.Fatalf("whole-vector peak %d bytes, want %d", col.PeakBytes(), want)
+	if want := q * dim * 8; col.Metrics.PeakBytes() != want {
+		t.Fatalf("whole-vector peak %d bytes, want %d", col.Metrics.PeakBytes(), want)
 	}
 
 	shardNet := NewChanNetwork(nil)
@@ -641,10 +641,10 @@ func TestShardCollectorPeakBytes(t *testing.T) {
 	if _, err := scol.Collect(KindParams, 0, q, nil, "", false, fold, 2*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if want := q * size * 8; scol.PeakBytes() != want {
-		t.Fatalf("sharded peak %d bytes, want %d", scol.PeakBytes(), want)
+	if want := q * size * 8; scol.Metrics.PeakBytes() != want {
+		t.Fatalf("sharded peak %d bytes, want %d", scol.Metrics.PeakBytes(), want)
 	}
-	if scol.PeakBytes()*4 > col.PeakBytes() {
-		t.Fatalf("sharded peak %d not well under whole peak %d", scol.PeakBytes(), col.PeakBytes())
+	if scol.Metrics.PeakBytes()*4 > col.Metrics.PeakBytes() {
+		t.Fatalf("sharded peak %d not well under whole peak %d", scol.Metrics.PeakBytes(), col.Metrics.PeakBytes())
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/compress"
@@ -49,16 +48,6 @@ type TCPNode struct {
 	// admission, when non-nil, vets every inbound handshake.
 	announce  Hello
 	admission func(Hello) bool
-
-	forged       uint64 // frames dropped for From ≠ hello identity
-	unnegotiated uint64 // compressed frames dropped for an unannounced scheme
-	malformed    uint64 // compressed frames dropped for an undecodable payload
-	unadmitted   uint64 // hello handshakes rejected by the admission check
-
-	// sink, when set, receives a live atomic mirror of the three TCP
-	// hardening counters above (read per-frame in readLoop, hence the
-	// atomic pointer) and is forwarded to the inbound mailbox.
-	sink atomic.Pointer[metrics.NodeMetrics]
 
 	closed    chan struct{}
 	closeOnce sync.Once
@@ -173,44 +162,25 @@ func (n *TCPNode) AddPeer(id, addr string) error {
 // ID implements Endpoint.
 func (n *TCPNode) ID() string { return n.id }
 
-// ForgedDropped returns how many inbound frames were dropped because their
-// From field disagreed with the connection's hello identity. Exposed for
-// tests and monitoring.
-func (n *TCPNode) ForgedDropped() uint64 { return atomic.LoadUint64(&n.forged) }
+// SetMetrics makes h the node's handle: the read loops' hardening drops and
+// the inbound mailbox's drops and depth are counted into it from then on.
+// Like SetCompression, call it between ListenTCP and traffic.
+func (n *TCPNode) SetMetrics(h *metrics.NodeMetrics) { n.box.SetMetrics(h) }
 
-// DroppedUnnegotiated returns how many inbound compressed frames were
-// dropped because their scheme was not announced in the connection's hello
-// (or is unknown to this build). Negotiation is announce-then-use: a peer
-// that skipped the capability bit does not get to ship the scheme.
-func (n *TCPNode) DroppedUnnegotiated() uint64 { return atomic.LoadUint64(&n.unnegotiated) }
-
-// DroppedMalformed returns how many inbound compressed frames were dropped
-// because their payload failed to expand: structural garbage, a
-// desynchronised delta stream, or a declared dimension above the
-// SetCompression bound.
-func (n *TCPNode) DroppedMalformed() uint64 { return atomic.LoadUint64(&n.malformed) }
-
-// DroppedUnadmitted returns how many inbound hello handshakes the
-// admission check rejected — the whole connection is refused, so this
-// counts peers turned away at the door, not individual frames.
-func (n *TCPNode) DroppedUnadmitted() uint64 { return atomic.LoadUint64(&n.unadmitted) }
-
-// DroppedOverflow returns how many inbound frames the bounded mailbox
-// discarded under a drop policy (see SetMailbox).
-func (n *TCPNode) DroppedOverflow() uint64 { return n.box.DroppedOverflow() }
-
-// DroppedClosed returns how many inbound frames arrived after Close and
-// were discarded by the mailbox — frames that raced the node's shutdown.
-func (n *TCPNode) DroppedClosed() uint64 { return n.box.DroppedClosed() }
-
-// SetMetrics attaches a live counter sink: the TCP hardening drops
-// (forged, unnegotiated, malformed) and the inbound mailbox's drops
-// and depth are mirrored into it from then on. Like SetCompression,
-// call it between ListenTCP and traffic for complete counts.
-func (n *TCPNode) SetMetrics(sink *metrics.NodeMetrics) {
-	n.sink.Store(sink)
-	n.box.SetMetrics(sink, false)
-}
+// Metrics returns the handle the node counts into — one handle, shared by
+// the read loops and the inbound mailbox. ForgedDropped: inbound
+// frames whose From field disagreed with the connection's hello identity.
+// DroppedUnnegotiated: compressed frames whose scheme was not announced in
+// the connection's hello (or is unknown to this build) — negotiation is
+// announce-then-use. DroppedMalformed: compressed frames whose payload
+// failed to expand (structural garbage, a desynchronised delta stream, or
+// a declared dimension above the SetCompression bound). DroppedUnadmitted:
+// hello handshakes the admission check rejected — the whole connection is
+// refused, so this counts peers turned away at the door, not frames.
+// DroppedOverflow / DroppedClosed: frames the bounded mailbox discarded
+// under a drop policy (see SetMailbox), and frames that raced the node's
+// shutdown.
+func (n *TCPNode) Metrics() *metrics.NodeMetrics { return n.box.Metrics() }
 
 // SetMailbox bounds the node's inbound mailbox per sender. With
 // Backpressure, a full per-sender queue blocks that connection's readLoop:
@@ -473,10 +443,7 @@ func (n *TCPNode) readLoop(conn net.Conn) {
 	if admission != nil && !admission(hello) {
 		// Un-admitted identity or refused roster intent: the connection is
 		// closed at the handshake, before any frame can cost buffer space.
-		atomic.AddUint64(&n.unadmitted, 1)
-		if s := n.sink.Load(); s != nil {
-			s.DroppedUnadmitted.Add(1)
-		}
+		n.Metrics().DroppedUnadmitted.Add(1)
 		return
 	}
 	peer, caps := hello.ID, hello.Caps
@@ -499,10 +466,7 @@ func (n *TCPNode) readLoop(conn net.Conn) {
 			// Forged sender: the frame claims an identity other than the
 			// one this connection authenticated as. Dropping it is what
 			// keeps per-sender quorum dedup meaningful.
-			atomic.AddUint64(&n.forged, 1)
-			if s := n.sink.Load(); s != nil {
-				s.ForgedDropped.Add(1)
-			}
+			n.Metrics().ForgedDropped.Add(1)
 			continue
 		}
 		if m.IsCompressed() {
@@ -510,30 +474,21 @@ func (n *TCPNode) readLoop(conn net.Conn) {
 			if !s.Known() || s.Bit()&caps == 0 {
 				// Announce-then-use: a scheme the hello did not claim (or
 				// that this build cannot decode) is not negotiated.
-				atomic.AddUint64(&n.unnegotiated, 1)
-				if s := n.sink.Load(); s != nil {
-					s.DroppedUnnegotiated.Add(1)
-				}
+				n.Metrics().DroppedUnnegotiated.Add(1)
 				continue
 			}
 			n.mu.Lock()
 			maxDim := n.maxDim
 			n.mu.Unlock()
 			if maxDim > 0 && m.Comp.Dim > maxDim {
-				atomic.AddUint64(&n.malformed, 1)
-				if s := n.sink.Load(); s != nil {
-					s.DroppedMalformed.Add(1)
-				}
+				n.Metrics().DroppedMalformed.Add(1)
 				continue
 			}
 			if dec == nil {
 				dec = compress.NewDecoder()
 			}
 			if err := DecompressMessage(dec, &m); err != nil {
-				atomic.AddUint64(&n.malformed, 1)
-				if s := n.sink.Load(); s != nil {
-					s.DroppedMalformed.Add(1)
-				}
+				n.Metrics().DroppedMalformed.Add(1)
 				continue
 			}
 		}

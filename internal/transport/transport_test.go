@@ -272,7 +272,7 @@ func TestCollectorFutureHorizonBounded(t *testing.T) {
 	if err != nil || msgs[0].From != "honest" {
 		t.Fatalf("collect: %v %+v", err, msgs)
 	}
-	if got := c.DroppedFuture(); got != spray-c.Horizon {
+	if got := c.Metrics.DroppedFuture.Load(); got != uint64(spray-c.Horizon) {
 		t.Fatalf("DroppedFuture = %d, want %d", got, spray-c.Horizon)
 	}
 	for s := 1; s <= c.Horizon; s++ {
