@@ -577,39 +577,17 @@ func wireQuorumFeed(n int) []tensor.Vector {
 	return vecs
 }
 
-// BenchmarkWireQuorumWhole1756426 replays an 8-sender, q=5 round through
-// the whole-vector Collector; the peak-bytes metric is the O(q·d) buffer
-// the sharded path exists to avoid.
-func BenchmarkWireQuorumWhole1756426(b *testing.B) {
+// benchWireQuorum replays an 8-sender, q=5 round through the Collector as
+// round-robin frames of the given shard size (0: whole vectors); the
+// peak-bytes metric is the collector's buffer high-water mark.
+func benchWireQuorum(b *testing.B, size int) {
 	vecs := wireQuorumFeed(8)
-	peak := 0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		net := transport.NewChanNetwork(nil)
-		recv, _ := net.Register("recv")
-		for j := range vecs {
-			ep, _ := net.Register(string(rune('a' + j)))
-			_ = ep.Send("recv", transport.Message{Kind: transport.KindParams, Step: 0, Vec: vecs[j]})
-		}
-		col := transport.NewCollector(recv)
-		if _, err := col.Collect(transport.KindParams, 0, 5, -1); err != nil {
-			b.Fatal(err)
-		}
-		peak = col.Metrics.PeakBytes()
-		net.Close()
-	}
-	b.ReportMetric(float64(peak), "peak-bytes")
-}
-
-// BenchmarkWireQuorumSharded1756426 replays the identical round as
-// round-robin chunk frames through the ShardCollector.
-func BenchmarkWireQuorumSharded1756426(b *testing.B) {
-	vecs := wireQuorumFeed(8)
+	layout := transport.NewShardLayout(len(vecs[0]), size)
 	frames := make([][]transport.Message, len(vecs))
 	for i := range vecs {
 		frames[i] = transport.SplitMessage(transport.Message{
 			Kind: transport.KindParams, Step: 0, Vec: vecs[i],
-		}, wireBenchShardSize)
+		}, size)
 	}
 	peak := 0
 	fold := func(int, int, []string, []tensor.Vector) error { return nil }
@@ -621,20 +599,28 @@ func BenchmarkWireQuorumSharded1756426(b *testing.B) {
 		for j := range vecs {
 			eps[j], _ = net.Register(string(rune('a' + j)))
 		}
-		for s := 0; s < len(frames[0]); s++ {
+		for s := 0; s < layout.Count(); s++ {
 			for j := range eps {
 				_ = eps[j].Send("recv", frames[j][s])
 			}
 		}
-		scol := transport.NewShardCollector(recv, transport.NewShardLayout(1756426, wireBenchShardSize))
-		if _, err := scol.Collect(transport.KindParams, 0, 5, nil, "", false, fold, -1); err != nil {
+		col := transport.NewCollector(recv, layout)
+		if _, err := col.Collect(transport.KindParams, 0, 5, nil, "", false, fold, -1); err != nil {
 			b.Fatal(err)
 		}
-		peak = scol.Metrics.PeakBytes()
+		peak = col.Metrics.PeakBytes()
 		net.Close()
 	}
 	b.ReportMetric(float64(peak), "peak-bytes")
 }
+
+// BenchmarkWireQuorumWhole1756426 is the one-shard layout: the O(q·d)
+// buffer sharding exists to avoid.
+func BenchmarkWireQuorumWhole1756426(b *testing.B) { benchWireQuorum(b, 0) }
+
+// BenchmarkWireQuorumSharded1756426 replays the identical round as chunk
+// frames at the sharded layout.
+func BenchmarkWireQuorumSharded1756426(b *testing.B) { benchWireQuorum(b, wireBenchShardSize) }
 
 // BenchmarkAttackCorrupt measures the per-message cost of the heaviest
 // attack (fresh Gaussian vector per receiver).

@@ -157,12 +157,12 @@ func CheckWireBench(committed []byte, rows []BandwidthRow) error {
 	return experiments.CheckWireBench(committed, rows)
 }
 
-// MemoryRow is one dimension's whole-vs-sharded collector measurement.
+// MemoryRow is one dimension's one-shard-vs-sharded collector measurement.
 type MemoryRow = experiments.MemoryRow
 
-// Memory replays one deterministic arrival schedule through the
-// whole-vector Collector and the chunk-streaming ShardCollector and
-// reports peak buffered bytes, the receive→aggregate overlap, and a
+// Memory replays one deterministic arrival schedule through one collector
+// at two layouts — one shard (whole-vector framing) and chunk-streamed —
+// and reports peak buffered bytes, the receive→aggregate overlap, and a
 // bit-identity check of the two aggregates. shardSize overrides the
 // per-dimension default when positive (the -shard flag on guanyu-bench).
 func Memory(s ExperimentScale, shardSize int) ([]MemoryRow, error) {

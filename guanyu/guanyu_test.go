@@ -216,6 +216,67 @@ func TestLiveTCPThroughBuilder(t *testing.T) {
 	}
 }
 
+// paperShape is the paper's deployment — 6 servers (f=1), 18 workers (f̄=5),
+// two of them running ALIE — at a few steps of the blob workload.
+func paperShape(steps int, extra ...guanyu.Option) []guanyu.Option {
+	opts := []guanyu.Option{
+		guanyu.WithWorkload(guanyu.BlobWorkload(600, 7)),
+		guanyu.WithServers(6, 1),
+		guanyu.WithWorkers(18, 5),
+		guanyu.WithAttackedWorkers(2, func(int) guanyu.Attack { return &guanyu.ALIE{} }),
+		guanyu.WithRuntime(guanyu.Live),
+		guanyu.WithSteps(steps),
+		guanyu.WithBatch(8),
+		guanyu.WithSeed(11),
+		guanyu.WithTimeout(20 * time.Second),
+	}
+	return append(opts, extra...)
+}
+
+// TestLiveCompressionWithByzantineWorkers: on the in-process runtime a
+// Byzantine node runs the honest receive loop, so it must be able to expand
+// the compressed frames its honest peers send it. It used to get no codec
+// at all, and died at step 0 one full quorum timeout later.
+func TestLiveCompressionWithByzantineWorkers(t *testing.T) {
+	d, err := guanyu.New(paperShape(3, guanyu.WithCompression("float32"))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := d.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.ServerParams) != 6 || !guanyu.IsFinite(res.Final) {
+		t.Fatalf("%d honest finals, finite=%v", len(res.ServerParams), guanyu.IsFinite(res.Final))
+	}
+	if res.DroppedMalformed != 0 || res.DroppedUnnegotiated != 0 {
+		t.Fatalf("codec drops on a fault-free run: malformed=%d unnegotiated=%d",
+			res.DroppedMalformed, res.DroppedUnnegotiated)
+	}
+}
+
+// TestLiveTCPOneStepReturnsPromptly: a node loop that finishes must leave
+// its listener up until every loop has returned. With one step, the server
+// outside a worker's quorum makes its first-ever dial to workers that have
+// already finished; against closed listeners each of those dials sat out
+// the cold-start back-off, serially — a 1-step run took over a minute.
+func TestLiveTCPOneStepReturnsPromptly(t *testing.T) {
+	if testing.Short() {
+		t.Skip("boots 24 TCP nodes")
+	}
+	d, err := guanyu.New(paperShape(1, guanyu.WithTCPTransport())...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if _, err := d.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took > 5*time.Second {
+		t.Fatalf("1-step TCP run took %s, want < 5s", took)
+	}
+}
+
 // TestLiveTCPCancellationMidRun cancels a TCP deployment mid-run: the
 // watcher and the deferred cleanup then race to close the same sockets,
 // which must be safe, and the run must surface the context's error.

@@ -308,8 +308,7 @@ func resultFamilies(r *guanyu.Result) map[string]uint64 {
 func TestLiveCompressedResultCoversScrape(t *testing.T) {
 	var slowSends atomic.Uint64
 	metricsAddr := make(chan string, 1)
-	// All-honest: the in-process runtime wraps only honest endpoints with
-	// the codec, so a Byzantine node could not read its peers' frames.
+	// All-honest, so every malformed drop below is a reordered delta frame.
 	d, err := guanyu.New(
 		guanyu.WithWorkload(guanyu.BlobWorkload(600, 7)),
 		guanyu.WithServers(6, 1),

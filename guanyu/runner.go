@@ -198,6 +198,15 @@ func (liveRunner) Run(ctx context.Context, d *Deployment) (*Result, error) {
 	return out, nil
 }
 
+// heldOpen is a node's socket as its loop sees it: Close is the deferred
+// closeAll's job, once every loop has returned. A loop that finished early
+// (one step is enough) must still accept the connections of peers whose
+// quorums it was not part of — their first dial to a closed listener sits
+// out the transport's cold-start back-off, once per finished peer.
+type heldOpen struct{ transport.Endpoint }
+
+func (heldOpen) Close() error { return nil }
+
 // runLiveTCP executes the deployment as one node per goroutine over real
 // loopback TCP sockets — the in-process equivalent of the paper's testbed,
 // where every node is its own OS process (see RunNode for that shape).
@@ -343,7 +352,7 @@ func runLiveTCP(ctx context.Context, d *Deployment, reg *metrics.Registry) (
 			}
 		}
 		idx := i
-		var sep transport.Endpoint = nodes[scfg.ID]
+		var sep transport.Endpoint = heldOpen{nodes[scfg.ID]}
 		if scfg.Attack == nil {
 			// Faults hit honest traffic only (the adversary's covert network
 			// is ideal, as in the simulator). Bounded deployments add per-link
@@ -357,9 +366,9 @@ func runLiveTCP(ctx context.Context, d *Deployment, reg *metrics.Registry) (
 		}
 		wg.Add(1)
 		go func() {
-			// Closing the wrapper flushes reorder-held and delay-spiked
-			// messages while the sockets are still up; the raw nodes are
-			// closed by the deferred closeAll.
+			// Closing the wrappers flushes reorder-held, delay-spiked and
+			// courier-queued messages; the sockets under them stay up
+			// (heldOpen) until the deferred closeAll.
 			defer sep.Close()
 			defer wg.Done()
 			theta, err := cluster.RunServer(sep, scfg)
@@ -390,7 +399,7 @@ func runLiveTCP(ctx context.Context, d *Deployment, reg *metrics.Registry) (
 			ShardSize:    d.shardSize,
 			Metrics:      reg.Node(workerIDs[j]),
 		}
-		var wep transport.Endpoint = nodes[wcfg.ID]
+		var wep transport.Endpoint = heldOpen{nodes[wcfg.ID]}
 		if wcfg.Attack == nil {
 			wep = d.faults.Wrap(wep)
 			if d.mailbox.Bounded() {

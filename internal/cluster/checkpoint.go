@@ -268,24 +268,20 @@ type CheckpointSpec struct {
 // lost. On timeout (no step ever fills q) the error wraps
 // transport.ErrQuorumTimeout and the caller falls back to resuming from
 // the checkpoint alone.
-func RejoinMedian(col *transport.Collector, minStep, q, dim int, timeout time.Duration) (tensor.Vector, int, error) {
+func RejoinMedian(col *transport.Collector, minStep, q int, timeout time.Duration) (tensor.Vector, int, error) {
 	if q <= 0 {
 		return nil, 0, fmt.Errorf("cluster: rejoin needs a positive quorum, got %d", q)
 	}
-	msgs, step, err := col.CollectAny(transport.KindPeerParams, minStep, q, timeout)
+	step, err := col.CollectAny(transport.KindPeerParams, minStep, q, timeout)
 	if err != nil {
 		return nil, 0, fmt.Errorf("cluster: rejoin: %w", err)
 	}
-	vecs := make([]tensor.Vector, len(msgs))
-	for i, m := range msgs {
-		if len(m.Vec) != dim {
-			return nil, 0, fmt.Errorf("cluster: rejoin: peer %s sent dimension %d, deployment is %d", m.From, len(m.Vec), dim)
-		}
-		vecs[i] = m.Vec
-	}
-	theta, err := gar.Median{}.Aggregate(vecs)
+	// The quorum CollectAny found is buffered: this reduces it, exactly as
+	// phase 3 would, without waiting.
+	qm := &quorum{col: col, timeout: timeout}
+	_, _, theta, err := qm.reduce(transport.KindPeerParams, step, q, nil, "", gar.Median{})
 	if err != nil {
-		return nil, 0, fmt.Errorf("cluster: rejoin median: %w", err)
+		return nil, 0, fmt.Errorf("cluster: rejoin: %w", err)
 	}
 	return theta, step, nil
 }

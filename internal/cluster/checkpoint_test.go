@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -246,40 +247,55 @@ func TestRosterAdmission(t *testing.T) {
 }
 
 // TestRejoinMedian: the restarted server adopts the coordinate-wise
-// median of a live peer quorum and learns the cluster's current step.
+// median of a live peer quorum and learns the cluster's current step — at
+// the one-shard layout and at a sharded one, from whole-vector and from
+// chunk-streaming peers alike.
 func TestRejoinMedian(t *testing.T) {
-	net := transport.NewChanNetwork(nil)
-	defer net.Close()
-	recv, _ := net.Register("ps0")
-	peers := make([]transport.Endpoint, 3)
-	for i := range peers {
-		peers[i], _ = net.Register(fmt.Sprintf("ps%d", i+1))
-	}
-	// The cluster is at step 40 — ahead of ps0's checkpoint at step 12 —
-	// with one outlier peer (Byzantine or just divergent).
-	vecs := []tensor.Vector{{1, 10}, {2, 20}, {1000, -1000}}
-	for i, p := range peers {
-		if err := p.Send("ps0", transport.Message{Kind: transport.KindPeerParams, Step: 40, Vec: vecs[i]}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	col := transport.NewCollector(recv)
-	theta, step, err := RejoinMedian(col, 13, 3, 2, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if step != 40 {
-		t.Fatalf("rejoined at step %d, want 40", step)
-	}
-	if theta[0] != 2 || theta[1] != 10 {
-		t.Fatalf("median = %v, want [2 10]", theta)
-	}
+	for _, tc := range []struct {
+		name               string
+		layoutSize, sendAs int
+	}{
+		{"one shard", 0, 0},
+		{"one shard, sharded peers", 0, 1},
+		{"two shards", 1, 1},
+		{"two shards, whole-vector peers", 1, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			net := transport.NewChanNetwork(nil)
+			defer net.Close()
+			recv, _ := net.Register("ps0")
+			peers := make([]transport.Endpoint, 3)
+			for i := range peers {
+				peers[i], _ = net.Register(fmt.Sprintf("ps%d", i+1))
+			}
+			// The cluster is at step 40 — ahead of ps0's checkpoint at step 12 —
+			// with one outlier peer (Byzantine or just divergent).
+			vecs := []tensor.Vector{{1, 10}, {2, 20}, {1000, -1000}}
+			for i, p := range peers {
+				m := transport.Message{Kind: transport.KindPeerParams, Step: 40, Vec: vecs[i]}
+				if err := transport.SendSharded(p, "ps0", m, tc.sendAs); err != nil {
+					t.Fatal(err)
+				}
+			}
+			col := transport.NewCollector(recv, transport.NewShardLayout(2, tc.layoutSize))
+			theta, step, err := RejoinMedian(col, 13, 3, time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if step != 40 {
+				t.Fatalf("rejoined at step %d, want 40", step)
+			}
+			if theta[0] != 2 || theta[1] != 10 {
+				t.Fatalf("median = %v, want [2 10]", theta)
+			}
 
-	// Timeout without a quorum wraps the sentinel the server loop's
-	// fallback branch matches on.
-	_, _, err = RejoinMedian(col, 41, 3, 2, 50*time.Millisecond)
-	if err == nil {
-		t.Fatal("rejoin without live traffic succeeded")
+			// Timeout without a quorum wraps the sentinel the server loop's
+			// fallback branch matches on.
+			_, _, err = RejoinMedian(col, 41, 3, 50*time.Millisecond)
+			if !errors.Is(err, transport.ErrQuorumTimeout) {
+				t.Fatalf("rejoin without live traffic: %v, want a quorum timeout", err)
+			}
+		})
 	}
 }
 

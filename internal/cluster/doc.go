@@ -22,17 +22,19 @@
 //
 // # Wire framing
 //
-// With ShardSize set (ServerConfig/WorkerConfig/LiveConfig), every
-// broadcast streams as fixed coordinate shards and every quorum collects
-// incrementally through a transport.ShardCollector feeding the rule's
-// gar.ShardStreamer: each shard aggregates the moment its first-q set
-// completes, so peak receive memory is O(q·shard) instead of O(n·d) and
-// aggregation overlaps the network receive. Aggregates are bit-identical
-// to the whole-vector path at any shard size and parallelism (the
-// regression suite asserts it). Rules without a streaming path — and
-// deployments mixing sharded and whole-vector nodes — fall back to the
-// classic Collector, which reassembles inbound chunk streams per sender,
-// so the two framings interoperate within one deployment.
+// Every quorum is gathered by one transport.Collector feeding the rule's
+// gar.ShardStreamer (gar.StreamerFor); ShardSize
+// (ServerConfig/WorkerConfig/LiveConfig) only picks the collector's layout.
+// Unset, the layout has one shard: whole-vector frames, one fold of the
+// first q vectors. Set, every broadcast streams as fixed coordinate shards
+// and each shard aggregates the moment its first-q set completes, so peak
+// receive memory is O(q·shard) instead of O(q·d) and aggregation overlaps
+// the network receive. Aggregates are bit-identical at any layout and
+// parallelism (the regression suite asserts it). A node whose rules have no
+// streaming path (krum, bulyan, geomed, mda) keeps the one-shard layout
+// whatever ShardSize says — its collector reassembles inbound chunk streams
+// per sender, and a sharded collector takes whole vectors as every shard at
+// once, so the two framings interoperate within one deployment.
 //
 // # Actor runtime
 //
@@ -63,9 +65,10 @@
 // # Invariants
 //
 //   - Quorum membership and order are decided by arrival time alone; the
-//     inbound validator discards malformed payloads (wrong dimension,
-//     non-finite values, anonymous senders) so they act as silence, never
-//     as poison.
+//     inbound boundary discards malformed payloads (wrong dimension or
+//     shard extent — counted in DroppedMalformed by the collector;
+//     non-finite values, anonymous senders — the validator) so they act as
+//     silence, never as poison.
 //   - Send errors are dropped: the network model is best-effort and the
 //     quorum discipline tolerates missing messages.
 //   - Payload immutability from the Send boundary on is the transport's

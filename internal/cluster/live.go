@@ -84,9 +84,10 @@ type LiveConfig struct {
 	// see internal/compress). Honest endpoints are wrapped below the fault
 	// injector, so injected duplication, reordering and delay spikes hit
 	// already-negotiated compressed streams the way a real network would.
-	// Byzantine nodes are exempt, mirroring Faults: the adversary's covert
+	// Byzantine nodes send raw, mirroring Faults: the adversary's covert
 	// network is ideal, and compressing its payloads would perturb its
-	// chosen attack vectors. The zero value disables compression.
+	// chosen attack vectors; they still expand what their honest peers send
+	// them. The zero value disables compression.
 	Compression compress.Config
 	// Mailbox bounds every node's inbound mailbox per sender and, when
 	// bounded, routes every honest node's sends through per-link courier
@@ -302,21 +303,32 @@ func RunLiveContext(ctx context.Context, cfg LiveConfig) (*LiveResult, error) {
 	rng := tensor.NewRNG(cfg.Seed)
 	theta0 := cfg.Model.ParamVector()
 
-	// wrapHonest stacks an honest node's send/receive path: compression
-	// sits next to the wire (per-link codec state, inbound drop counters
-	// bounded by the model dimension), the fault injector above it — so a
-	// delayed or duplicated delivery re-enters an already-encoded stream,
-	// exactly the composition the TCP runtime exhibits. A bounded mailbox
-	// adds couriers on top: the node loop hands frames to per-link bounded
-	// outboxes and never blocks on (or is blocked by) a slow link.
-	wrapHonest := func(ep transport.Endpoint, h *metrics.NodeMetrics) (transport.Endpoint, error) {
+	// wrap stacks a node's send/receive path. Honest: compression sits next
+	// to the wire (per-link codec state, inbound drop counters bounded by
+	// the model dimension), the fault injector above it — so a delayed or
+	// duplicated delivery re-enters an already-encoded stream, exactly the
+	// composition the TCP runtime exhibits. A bounded mailbox adds couriers
+	// on top: the node loop hands frames to per-link bounded outboxes and
+	// never blocks on (or is blocked by) a slow link. Byzantine: the codec's
+	// receive half only — the node runs the honest receive loop, so it must
+	// expand its honest peers' compressed frames, while its own payloads
+	// stay raw and unfaulted (the adversary's covert network is ideal by
+	// assumption, exactly as in the simulator).
+	wrap := func(ep transport.Endpoint, h *metrics.NodeMetrics, honest bool) (transport.Endpoint, error) {
 		if cfg.Compression.Enabled() {
-			c, err := transport.NewCompressor(ep, cfg.Compression, len(theta0))
+			ccfg := cfg.Compression
+			if !honest {
+				ccfg = compress.Config{} // sends raw, expands inbound
+			}
+			c, err := transport.NewCompressor(ep, ccfg, len(theta0))
 			if err != nil {
 				return nil, err
 			}
 			c.SetMetrics(h)
 			ep = c
+		}
+		if !honest {
+			return ep, nil
 		}
 		ep = cfg.Faults.Wrap(ep)
 		if cfg.Mailbox.Bounded() {
@@ -411,22 +423,16 @@ func RunLiveContext(ctx context.Context, cfg LiveConfig) (*LiveResult, error) {
 		}
 		idx := i
 		churned := cfg.Churn != nil && i == cfg.Churn.Server
-		sep := ep
-		if scfg.Attack == nil {
-			// Faults and compression hit honest traffic only — the
-			// adversary's covert network is ideal by assumption, exactly as
-			// in the simulator.
-			sep, err = wrapHonest(ep, scfg.Metrics)
-			if err != nil {
-				return nil, err
-			}
+		sep, err := wrap(ep, scfg.Metrics, scfg.Attack == nil)
+		if err != nil {
+			return nil, err
 		}
 		if churned {
 			// The churn victim's first incarnation is brought up like any
 			// other node; it is killed mid-run and re-registers the same ID
 			// for the recovery leg on its own.
 			nodes = append(nodes, func() {
-				theta, again, err := runChurnServer(network, sep, scfg, cfg.Churn, wrapHonest)
+				theta, again, err := runChurnServer(network, sep, scfg, cfg.Churn, wrap)
 				mu.Lock()
 				restarted = again
 				mu.Unlock()
@@ -476,12 +482,9 @@ func RunLiveContext(ctx context.Context, cfg LiveConfig) (*LiveResult, error) {
 			ShardSize:    cfg.ShardSize,
 			Metrics:      nodeHandle(workerIDs[j]),
 		}
-		wep := ep
-		if wcfg.Attack == nil {
-			wep, err = wrapHonest(ep, wcfg.Metrics)
-			if err != nil {
-				return nil, err
-			}
+		wep, err := wrap(ep, wcfg.Metrics, wcfg.Attack == nil)
+		if err != nil {
+			return nil, err
 		}
 		nodes = append(nodes, func() {
 			defer wep.Close()
@@ -536,7 +539,7 @@ func RunLiveContext(ctx context.Context, cfg LiveConfig) (*LiveResult, error) {
 // whether the restart leg actually ran (false when the victim outran the
 // kill — possible on tiny runs that finish before the watcher fires).
 func runChurnServer(network *transport.ChanNetwork, sep transport.Endpoint, scfg ServerConfig,
-	churn *LiveChurn, wrap func(transport.Endpoint, *metrics.NodeMetrics) (transport.Endpoint, error)) (tensor.Vector, bool, error) {
+	churn *LiveChurn, wrap func(transport.Endpoint, *metrics.NodeMetrics, bool) (transport.Endpoint, error)) (tensor.Vector, bool, error) {
 
 	vm := scfg.Metrics // the kill trigger watches the victim's live step gauge
 	scfg.Checkpoint = &CheckpointSpec{Dir: churn.Dir, Every: churn.CheckpointEvery}
@@ -595,7 +598,7 @@ func runChurnServer(network *transport.ChanNetwork, sep transport.Endpoint, scfg
 	rcfg := scfg
 	rcfg.Restore = &ckpt
 	rcfg.Rejoin = true
-	sep2, err := wrap(ep2, vm)
+	sep2, err := wrap(ep2, vm, true)
 	if err != nil {
 		return nil, false, err
 	}

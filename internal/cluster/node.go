@@ -16,23 +16,15 @@ import (
 	"repro/internal/transport"
 )
 
-// validator returns the inbound-message filter every honest node installs:
+// validator is the inbound-message filter every honest node installs:
 // messages must carry a sender identity (the TCP transport pins it to the
 // connection's hello-authenticated peer; an empty From could otherwise
-// occupy a quorum slot as a phantom sender) and payloads must have the
-// deployment's dimension and contain only finite values. Anything else is
-// treated as silence from that sender. Frame-level sanity (bounded lengths,
-// well-formed floats) is the wire codec's job — see transport/codec.go.
-func validator(dim int) func(transport.Message) bool {
-	return func(m transport.Message) bool {
-		return m.From != "" && len(m.Vec) == dim && tensor.IsFinite(m.Vec)
-	}
-}
-
-// shardValidator is the sharded path's inbound filter: sender identity and
-// finite payload, applied per frame (whole vector or single shard).
-// Dimension and shard-extent checks are the ShardCollector's layout job.
-func shardValidator(m transport.Message) bool {
+// occupy a quorum slot as a phantom sender) and payloads — whole vectors or
+// single shards — must contain only finite values. Anything else is treated
+// as silence from that sender. Dimension and shard-extent checks are the
+// collector's layout job; frame-level sanity (bounded lengths, well-formed
+// floats) is the wire codec's — see transport/codec.go.
+func validator(m transport.Message) bool {
 	return m.From != "" && tensor.IsFinite(m.Vec)
 }
 
@@ -54,60 +46,34 @@ func send(ep transport.Endpoint, att attack.Attack, kind transport.Kind,
 			return // silent this message
 		}
 	}
-	m := transport.Message{Kind: kind, Step: step, Vec: out}
-	if shardSize > 0 {
-		_ = transport.SendSharded(ep, to, m, shardSize)
-		return
-	}
-	_ = ep.Send(to, m)
+	_ = transport.SendSharded(ep, to, transport.Message{Kind: kind, Step: step, Vec: out}, shardSize)
 }
 
-// quorum is a node loop's one way to gather and reduce a quorum, hiding
-// whether inbound traffic is consumed whole-vector (transport.Collector, then
-// Rule.Aggregate over the first q arrivals) or shard by shard
-// (transport.ShardCollector feeding the rule's streamer as each shard's
-// quorum fills). Exactly one of col and scol is set.
+// quorum is a node loop's one way to gather and reduce a quorum: the node's
+// collector plus the wait each collection is allowed.
 type quorum struct {
 	col     *transport.Collector
-	scol    *transport.ShardCollector
 	timeout time.Duration
 }
 
-// newQuorum picks the path once per node: with a shard size set and every
-// rule the node will aggregate with streaming-capable, traffic streams;
-// otherwise the whole-vector collector runs (it reassembles chunk frames, so
-// sharded senders interoperate either way). Every counter lands in h; a nil
-// roster admits every sender.
+// newQuorum picks the node's layout once: with a shard size set and every
+// rule the node will aggregate with streaming-capable, inbound traffic is
+// reduced shard by shard; otherwise at the one-shard layout, whole vectors
+// (which reassembles chunk frames, so sharded senders interoperate either
+// way). Every counter lands in h; a nil roster admits every sender.
 func newQuorum(ep transport.Endpoint, dim, shardSize int, timeout time.Duration,
 	h *metrics.NodeMetrics, roster *Roster, rules ...gar.Rule) *quorum {
-	var membership func(step int, from string) bool
-	if roster != nil {
-		membership = roster.Allows
-	}
-	streams := shardSize > 0
 	for _, r := range rules {
 		if _, ok := r.(gar.StreamingRule); !ok {
-			streams = false
+			shardSize = 0
 		}
 	}
-	q := &quorum{timeout: timeout}
-	if streams {
-		q.scol = transport.NewShardCollector(ep, transport.NewShardLayout(dim, shardSize))
-		q.scol.Validator, q.scol.Metrics, q.scol.Membership = shardValidator, h, membership
-	} else {
-		q.col = transport.NewCollector(ep)
-		q.col.Validator, q.col.Metrics, q.col.Membership = validator(dim), h, membership
+	col := transport.NewCollector(ep, transport.NewShardLayout(dim, shardSize))
+	col.Validator, col.Metrics = validator, h
+	if roster != nil {
+		col.Membership = roster.Allows
 	}
-	return q
-}
-
-// advance drops everything buffered for steps before t.
-func (q *quorum) advance(t int) {
-	if q.scol != nil {
-		q.scol.Advance(t)
-	} else {
-		q.col.Advance(t)
-	}
+	return &quorum{col: col, timeout: timeout}
 }
 
 // aggregate gathers n messages of (kind, step) and reduces them with rule,
@@ -119,87 +85,63 @@ func (q *quorum) advance(t int) {
 // reported to it — the accountability signal.
 func (q *quorum) aggregate(kind transport.Kind, step, n int, self tensor.Vector, selfID string,
 	rule gar.Rule, sus *stats.Suspicion) (tensor.Vector, error) {
-	var (
-		senders []string
-		kept    []int
-		out     tensor.Vector
-		err     error
-	)
-	if q.scol != nil {
-		senders, kept, out, err = q.streamed(kind, step, n, self, selfID, rule.(gar.StreamingRule))
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		var msgs []transport.Message
-		if msgs, err = q.col.Collect(kind, step, n, q.timeout); err != nil {
-			return nil, err
-		}
-		senders = make([]string, 0, len(msgs)+1)
-		vecs := make([]tensor.Vector, 0, len(msgs)+1)
-		if self != nil {
-			senders, vecs = append(senders, selfID), append(vecs, self)
-		}
-		for _, m := range msgs {
-			senders, vecs = append(senders, m.From), append(vecs, m.Vec)
-		}
-		if out, err = rule.Aggregate(vecs); err != nil {
-			return nil, fmt.Errorf("aggregate %s: %w", kind, err)
-		}
-		if sel, ok := rule.(gar.SelectiveRule); ok && sus != nil {
-			kept, _ = sel.SelectIndices(vecs) // an error leaves kept nil: nothing to report
-		}
+	senders, st, out, err := q.reduce(kind, step, n, self, selfID, rule)
+	if err != nil {
+		return nil, err
 	}
-	// Per-shard quorums have no single sender order for kept to index.
-	if sus != nil && kept != nil && len(senders) > 0 {
-		keptIDs := make([]string, len(kept))
-		for i, k := range kept {
-			keptIDs[i] = senders[k]
+	// Only a pinned quorum has a single sender order for kept to index.
+	if sel, ok := st.(interface{ SelectedIndices() []int }); ok && sus != nil && len(senders) > 0 {
+		if kept := sel.SelectedIndices(); kept != nil {
+			keptIDs := make([]string, len(kept))
+			for i, k := range kept {
+				keptIDs[i] = senders[k]
+			}
+			sus.Observe(senders, keptIDs)
 		}
-		sus.Observe(senders, keptIDs)
 	}
 	return out, nil
 }
 
-// streamed runs one incremental shard quorum: every completed shard feeds
-// the rule's streamer as it arrives, and the aggregate materialises the
-// moment the last shard's quorum closes. Returns the pinned sender order
-// (nil for per-shard quorums), the streamer's selected indices when the
-// rule is selective, and the aggregated vector.
+// reduce runs one quorum through the rule's streamer (gar.StreamerFor):
+// every completed shard is folded as it arrives, and the aggregate
+// materialises the moment the last shard's quorum closes — at the one-shard
+// layout, one fold of the first n whole vectors. Returns the pinned sender
+// order (nil for per-shard quorums), the finished streamer, and the
+// aggregated vector.
 //
 // Pinned-quorum liveness failover: a pinned membership needs every pinned
 // member's every shard to arrive within the round, so a pinned member that
-// crashes mid-round stalls the collection where a whole-vector quorum
-// would have substituted another sender. When a pinned collection times
-// out, the round is reset (transport.ShardCollector.ResetRound) and
-// retried once with a fresh streamer — the retry's first-q pin is drawn
-// from the senders still alive, which in a churning deployment is the
-// epoch's surviving (or next) roster. A second timeout is returned to the
-// caller: at that point the deployment is below quorum, not unlucky.
-func (q *quorum) streamed(kind transport.Kind, step, n int, self tensor.Vector, selfID string,
-	rule gar.StreamingRule) (senders []string, kept []int, out tensor.Vector, err error) {
-	col := q.scol
-	st := rule.NewStreamer(col.Layout.Dim)
-	fold := func(lo, hi int, _ []string, inputs []tensor.Vector) error {
-		return st.Fold(lo, hi, inputs)
+// crashes mid-round stalls the collection where a one-shard quorum would
+// have substituted another sender. When a collection times out on its pin,
+// the round is reset (transport.Collector.ResetRound) and retried once with
+// a fresh streamer — the retry's first-q pin is drawn from the senders still
+// alive, which in a churning deployment is the epoch's surviving (or next)
+// roster. A second timeout is returned to the caller: at that point the
+// deployment is below quorum, not unlucky.
+func (q *quorum) reduce(kind transport.Kind, step, n int, self tensor.Vector, selfID string,
+	rule gar.Rule) (senders []string, st gar.ShardStreamer, out tensor.Vector, err error) {
+	collect := func() ([]string, error) {
+		var pinned bool
+		st, pinned = gar.StreamerFor(rule, q.col.Layout.Dim)
+		return q.col.Collect(kind, step, n, self, selfID, pinned,
+			func(lo, hi int, _ []string, inputs []tensor.Vector) error {
+				if err := st.Fold(lo, hi, inputs); err != nil {
+					return fmt.Errorf("aggregate %s: %w", kind, err)
+				}
+				return nil
+			}, q.timeout)
 	}
-	senders, err = col.Collect(kind, step, n, self, selfID, rule.PinnedQuorum(), fold, q.timeout)
-	if err != nil && rule.PinnedQuorum() && errors.Is(err, transport.ErrQuorumTimeout) {
-		col.ResetRound(kind, step)
-		st = rule.NewStreamer(col.Layout.Dim)
-		senders, err = col.Collect(kind, step, n, self, selfID, true, fold, q.timeout)
+	senders, err = collect()
+	if err != nil && errors.Is(err, transport.ErrQuorumTimeout) && q.col.ResetRound(kind, step) {
+		senders, err = collect()
 	}
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	out, err = st.Result()
-	if err != nil {
-		return nil, nil, nil, err
+	if out, err = st.Result(); err != nil {
+		return nil, nil, nil, fmt.Errorf("aggregate %s: %w", kind, err)
 	}
-	if sel, ok := st.(interface{ SelectedIndices() []int }); ok {
-		kept = sel.SelectedIndices()
-	}
-	return senders, kept, out, nil
+	return senders, st, out, nil
 }
 
 // ServerConfig parameterises one parameter-server node.
@@ -252,13 +194,13 @@ type ServerConfig struct {
 	Momentum float64
 	// ShardSize, when positive, streams every outbound vector as chunk
 	// frames of that many coordinates and — when both rules support
-	// streaming — aggregates inbound shards incrementally as their quorums
-	// fill (see transport.ShardCollector). Results are bit-identical to the
-	// whole-vector path. Peak receive buffering drops from O(n·d) to
-	// O(q·shard) for coordinate-wise rules; Multi-Krum's streamer retains
-	// its q pinned inputs until the post-selection mean (an O(q·d) floor,
-	// still the n→q drop with the distance pass overlapped). Zero keeps
-	// whole-vector framing.
+	// streaming — makes it the collector's layout, so inbound shards are
+	// aggregated incrementally as their quorums fill (see
+	// transport.Collector). Results are bit-identical at every layout. Peak
+	// receive buffering drops from O(q·d) to O(q·shard) for coordinate-wise
+	// rules; Multi-Krum's streamer retains its q pinned inputs until the
+	// post-selection mean (an O(q·d) floor, with the distance pass
+	// overlapped). Zero is the one-shard layout: whole-vector framing.
 	ShardSize int
 	// Metrics is this node's counter handle: the collector counts its drops
 	// and peak buffering into it, and the loop publishes step completion /
@@ -285,9 +227,10 @@ type ServerConfig struct {
 	// and adopts the coordinate-wise median of QuorumParams−1 peers'
 	// states at whatever step the cluster has reached (RejoinMedian),
 	// falling back to the plain Restore state if no quorum materialises
-	// within Timeout. Requires whole-vector framing (ShardSize 0): the
-	// discovery phase must buffer, not consume, the frames of the step it
-	// resumes into.
+	// within Timeout. The discovery phase buffers, never consumes, the
+	// frames of the step it resumes into. (The façade and LiveChurn still
+	// gate rejoin to whole-vector framing: the cycle is untested end to end
+	// under streaming.)
 	Rejoin bool
 	// Roster, when non-nil, scopes every quorum to the membership in
 	// force at each frame's step (see Roster in checkpoint.go): frames
@@ -329,20 +272,17 @@ func RunServer(ep transport.Endpoint, cfg ServerConfig) (tensor.Vector, error) {
 			}
 			velocity = tensor.Clone(r.Velocity)
 		}
-		if qm.col != nil && r.Horizon > 0 {
+		if r.Horizon > 0 {
 			qm.col.Horizon = r.Horizon
 		}
 		if cfg.Rejoin {
-			if qm.col == nil {
-				return nil, fmt.Errorf("server %s: median rejoin requires whole-vector framing (ShardSize 0)", cfg.ID)
-			}
 			// Catch up to wherever the live cluster is: adopt the median
 			// of a peer-params quorum at the first step ≥ our checkpoint
 			// that completes one. Discovery shares the loop's collector,
 			// so frames for the resumed step stay buffered for phase 3.
 			// No quorum before the timeout means the cluster is not ahead
 			// of us (or not alive): resume from the checkpoint alone.
-			med, at, err := RejoinMedian(qm.col, start, cfg.QuorumParams-1, dim, cfg.Timeout)
+			med, at, err := RejoinMedian(qm.col, start, cfg.QuorumParams-1, cfg.Timeout)
 			switch {
 			case err == nil:
 				theta = med
@@ -360,7 +300,7 @@ func RunServer(ep transport.Endpoint, cfg ServerConfig) (tensor.Vector, error) {
 	}
 
 	for t := start; t < cfg.Steps; t++ {
-		qm.advance(t)
+		qm.col.Advance(t)
 		cfg.Trace.Record(cfg.ID, t, trace.EventStepStart, "")
 
 		// Phase 1: publish the current model to every worker. Honest servers
@@ -378,9 +318,9 @@ func RunServer(ep transport.Endpoint, cfg ServerConfig) (tensor.Vector, error) {
 		}
 		cfg.Trace.Recordf(cfg.ID, t, trace.EventBroadcast, "params to %d workers", len(cfg.Workers))
 
-		// Phase 2: gather a quorum of gradients and update locally. On the
-		// sharded path the aggregation streams: partial distance/median work
-		// runs while later shards are still in flight.
+		// Phase 2: gather a quorum of gradients and update locally. At a
+		// sharded layout the aggregation streams: partial distance/median
+		// work runs while later shards are still in flight.
 		agg, err := qm.aggregate(transport.KindGradient, t, cfg.QuorumGradients, nil, "", cfg.GradRule, cfg.Suspicion)
 		if err != nil {
 			cfg.Trace.Recordf(cfg.ID, t, trace.EventError, "%v", err)
@@ -414,11 +354,7 @@ func RunServer(ep transport.Endpoint, cfg ServerConfig) (tensor.Vector, error) {
 			}
 		}
 		if cfg.Checkpoint != nil && cfg.Checkpoint.Every > 0 && (t+1)%cfg.Checkpoint.Every == 0 {
-			horizon := 0
-			if qm.col != nil {
-				horizon = qm.col.Horizon
-			}
-			ckpt := Checkpoint{ID: cfg.ID, Step: t, Theta: theta, Velocity: velocity, Horizon: horizon}
+			ckpt := Checkpoint{ID: cfg.ID, Step: t, Theta: theta, Velocity: velocity, Horizon: qm.col.Horizon}
 			if err := ckpt.WriteFile(cfg.Checkpoint.Dir); err != nil {
 				return nil, fmt.Errorf("server %s step %d: %w", cfg.ID, t, err)
 			}
@@ -476,7 +412,7 @@ func RunWorker(ep transport.Endpoint, cfg WorkerConfig) error {
 	qm := newQuorum(ep, dim, cfg.ShardSize, cfg.Timeout, h, cfg.Roster, cfg.ParamRule)
 
 	for t := 0; t < cfg.Steps; t++ {
-		qm.advance(t)
+		qm.col.Advance(t)
 		// Phase 1: await a quorum of parameter vectors and aggregate (shard
 		// by shard, the moment each shard's quorum fills, when streaming).
 		agg, err := qm.aggregate(transport.KindParams, t, cfg.QuorumParams, nil, "", cfg.ParamRule, nil)

@@ -357,7 +357,7 @@ func TestPinnedStreamFailover(t *testing.T) {
 		eps[id], _ = net.Register(id)
 	}
 	layout := transport.NewShardLayout(dim, shard)
-	col := transport.NewShardCollector(recv, layout)
+	col := transport.NewCollector(recv, layout)
 
 	vec := func(x float64) tensor.Vector { return tensor.Vector{x, x, x, x} }
 	sendShard := func(id string, idx int, v tensor.Vector) {
@@ -394,8 +394,8 @@ func TestPinnedStreamFailover(t *testing.T) {
 
 	rule := gar.MultiKrum{F: 1}
 	start := time.Now()
-	qm := &quorum{scol: col, timeout: timeout}
-	senders, _, out, err := qm.streamed(transport.KindGradient, 3, q, nil, "", rule)
+	qm := &quorum{col: col, timeout: timeout}
+	senders, _, out, err := qm.reduce(transport.KindGradient, 3, q, nil, "", rule)
 	if err != nil {
 		t.Fatalf("pinned round did not fail over: %v (after %s)", err, time.Since(start))
 	}

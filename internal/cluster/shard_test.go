@@ -49,7 +49,7 @@ func TestLiveShardedConverges(t *testing.T) {
 // streaming two-pass path filters the attacked gradients. Faults that can
 // defer a frame past its round (drops, reorder holds) are excluded here:
 // a pinned membership cannot substitute senders, so its liveness needs
-// within-round delivery — see the ShardCollector doc and
+// within-round delivery — see the transport.Collector doc and
 // TestLiveShardedMedianSurvivesDrops for the lossy-link mode.
 func TestLiveShardedSurvivesByzantineAndFaults(t *testing.T) {
 	model, train, test := testProblem(200)

@@ -11,18 +11,18 @@ import (
 	"repro/internal/transport"
 )
 
-// The memory experiment prices the receive path's buffering: the
-// whole-vector Collector holds O(q·d) payload bytes before aggregation can
-// even start (~70 MB at the paper's 1,756,426-coordinate dimension with
-// q=5), and every byte of aggregation work waits for the last byte of
-// network receive — the "non-optimised low-level runtime" overhead the
-// paper blames for ≈65% of GuanYu's slowdown (Section 5.3). Chunked
-// streaming (transport.ShardCollector) caps the buffer at O(q·shard) and
-// folds each shard into the aggregation the moment its quorum fills, so
-// the receive stream and the aggregation arithmetic overlap. This
-// experiment replays one identical arrival schedule through both
-// collectors and reports peak buffered bytes, the receive→aggregate
-// overlap, and a bit-identity check of the two aggregates.
+// The memory experiment prices the receive path's buffering: at the
+// one-shard layout (whole-vector framing) the Collector holds O(q·d) payload
+// bytes before aggregation can even start (~70 MB at the paper's
+// 1,756,426-coordinate dimension with q=5), and every byte of aggregation
+// work waits for the last byte of network receive — the "non-optimised
+// low-level runtime" overhead the paper blames for ≈65% of GuanYu's
+// slowdown (Section 5.3). At a sharded layout the same collector caps the
+// buffer at O(q·shard) and folds each shard into the aggregation the moment
+// its quorum fills, so the receive stream and the aggregation arithmetic
+// overlap. This experiment replays one identical arrival schedule through
+// one collector at the two layouts and reports peak buffered bytes, the
+// receive→aggregate overlap, and a bit-identity check of the two aggregates.
 
 // memoryDims are the payload dimensions measured: the tiny harness CNN and
 // the paper's full Table-1 model.
@@ -58,14 +58,16 @@ type MemoryRow struct {
 	Dim, ShardSize, Shards int
 	// Senders and Quorum are n and q of the replayed round.
 	Senders, Quorum int
-	// WholePeakBytes and ShardedPeakBytes are the collectors' high-water
-	// buffer marks over the identical arrival schedule.
+	// WholePeakBytes and ShardedPeakBytes are the collector's high-water
+	// buffer marks at the one-shard and the sharded layout, over the
+	// identical arrival schedule.
 	WholePeakBytes, ShardedPeakBytes int
 	// Ratio is ShardedPeakBytes / WholePeakBytes.
 	Ratio float64
 	// OverlapFolds of Folds shard aggregations completed while frames were
-	// still arriving (the whole-vector path overlaps nothing by
-	// construction); OverlapFrac is their fraction.
+	// still arriving at the sharded layout (the one-shard layout has a
+	// single fold, after its quorum's last byte); OverlapFrac is their
+	// fraction.
 	Folds, OverlapFolds int
 	OverlapFrac         float64
 	// BitIdentical reports that the sharded aggregate carried the exact
@@ -73,10 +75,7 @@ type MemoryRow struct {
 	BitIdentical bool
 }
 
-// memoryFeed builds one deterministic arrival schedule: n whole vectors
-// (for the Collector) and their round-robin shard interleaving (for the
-// ShardCollector) — shard 0 from every sender, then shard 1, and so on,
-// the steady state of n peers streaming concurrently over fair links.
+// memoryFeed builds one deterministic input set: n whole vectors.
 func memoryFeed(rng *tensor.RNG, dim, senders int) []tensor.Vector {
 	vecs := make([]tensor.Vector, senders)
 	for i := range vecs {
@@ -85,32 +84,65 @@ func memoryFeed(rng *tensor.RNG, dim, senders int) []tensor.Vector {
 	return vecs
 }
 
-// memoryEndpoints registers one receiver and n senders on a fresh
-// in-process network and returns their endpoints.
-func memoryEndpoints(n int) (*transport.ChanNetwork, transport.Endpoint, []transport.Endpoint, error) {
+// memoryReplay ships vecs to one receiver as frames of the given shard size
+// (0: whole vectors) in round-robin order — shard 0 from every sender, then
+// shard 1, and so on, the steady state of n peers streaming concurrently
+// over fair links — and reduces the first-q quorum through the streaming
+// median at that layout. It returns the collector's peak buffered bytes,
+// how many of the folds ran while frames were still arriving, and the
+// aggregate.
+func memoryReplay(vecs []tensor.Vector, size int) (peak, folds, overlap int, out tensor.Vector, err error) {
+	const timeout = 30 * time.Second
 	net := transport.NewChanNetwork(nil)
+	defer net.Close()
 	recv, err := net.Register("recv")
 	if err != nil {
-		return nil, nil, nil, err
+		return 0, 0, 0, nil, err
 	}
-	eps := make([]transport.Endpoint, n)
-	for i := range eps {
+	layout := transport.NewShardLayout(len(vecs[0]), size)
+	eps := make([]transport.Endpoint, len(vecs))
+	frames := make([][]transport.Message, len(vecs))
+	for i := range vecs {
 		if eps[i], err = net.Register(fmt.Sprintf("s%d", i)); err != nil {
-			return nil, nil, nil, err
+			return 0, 0, 0, nil, err
+		}
+		frames[i] = transport.SplitMessage(transport.Message{
+			Kind: transport.KindPeerParams, Step: 0, Vec: vecs[i],
+		}, size)
+	}
+	for shard := 0; shard < layout.Count(); shard++ {
+		for i, ep := range eps {
+			if err := ep.Send("recv", frames[i][shard]); err != nil {
+				return 0, 0, 0, nil, err
+			}
 		}
 	}
-	return net, recv, eps, nil
+	col := transport.NewCollector(recv, layout)
+	streamer := gar.Median{}.NewStreamer(layout.Dim)
+	total := len(vecs) * layout.Count()
+	fold := func(lo, hi int, _ []string, inputs []tensor.Vector) error {
+		folds++
+		if col.StoredFrames() < total {
+			overlap++
+		}
+		return streamer.Fold(lo, hi, inputs)
+	}
+	if _, err := col.Collect(transport.KindPeerParams, 0, memoryQuorum,
+		nil, "", false, fold, timeout); err != nil {
+		return 0, 0, 0, nil, fmt.Errorf("memory: collect at shard size %d: %w", size, err)
+	}
+	out, err = streamer.Result()
+	return col.Metrics.PeakBytes(), folds, overlap, out, err
 }
 
-// Memory replays the schedule through both collectors at every measured
-// dimension. shardSize overrides the per-dimension default when positive
-// (the -shard flag on guanyu-bench). Peak bytes and the overlap count are
-// deterministic — they derive from one FIFO arrival order — while the
-// aggregates must match bit-for-bit.
+// Memory replays the schedule through the collector at both layouts at
+// every measured dimension. shardSize overrides the per-dimension default
+// when positive (the -shard flag on guanyu-bench). Peak bytes and the
+// overlap count are deterministic — they derive from one FIFO arrival order
+// — while the aggregates must match bit-for-bit.
 func Memory(s Scale, shardSize int) ([]MemoryRow, error) {
 	rng := tensor.NewRNG(s.Seed)
 	rows := make([]MemoryRow, 0, len(memoryDims))
-	const timeout = 30 * time.Second
 	for _, dim := range memoryDims {
 		size := shardSize
 		if size <= 0 {
@@ -121,77 +153,16 @@ func Memory(s Scale, shardSize int) ([]MemoryRow, error) {
 		}
 		vecs := memoryFeed(rng, dim, memorySenders)
 
-		// Whole-vector path: every sender ships its full vector; the
+		// One-shard layout: every sender ships its full vector; the
 		// collector buffers q of them before the rule sees a single byte.
-		net, recv, eps, err := memoryEndpoints(memorySenders)
+		wholePeak, _, _, want, err := memoryReplay(vecs, 0)
 		if err != nil {
 			return nil, err
 		}
-		for i, ep := range eps {
-			if err := ep.Send("recv", transport.Message{
-				Kind: transport.KindPeerParams, Step: 0, Vec: vecs[i],
-			}); err != nil {
-				net.Close()
-				return nil, err
-			}
-		}
-		col := transport.NewCollector(recv)
-		msgs, err := col.Collect(transport.KindPeerParams, 0, memoryQuorum, timeout)
-		if err != nil {
-			net.Close()
-			return nil, fmt.Errorf("memory: whole-vector collect: %w", err)
-		}
-		wholePeak := col.Metrics.PeakBytes()
-		quorum := make([]tensor.Vector, len(msgs))
-		for i, m := range msgs {
-			quorum[i] = m.Vec
-		}
-		want, err := gar.Median{}.Aggregate(quorum)
-		net.Close()
-		if err != nil {
-			return nil, err
-		}
-
-		// Sharded path: the same vectors as round-robin chunk frames; each
+		// Sharded layout: the same vectors as round-robin chunk frames; each
 		// shard folds into the streaming median as its quorum fills, while
 		// later shards are still arriving.
-		layout := transport.NewShardLayout(dim, size)
-		net, recv, eps, err = memoryEndpoints(memorySenders)
-		if err != nil {
-			return nil, err
-		}
-		frames := make([][]transport.Message, memorySenders)
-		for i := range frames {
-			frames[i] = transport.SplitMessage(transport.Message{
-				Kind: transport.KindPeerParams, Step: 0, Vec: vecs[i],
-			}, size)
-		}
-		for shard := 0; shard < layout.Count(); shard++ {
-			for i, ep := range eps {
-				if err := ep.Send("recv", frames[i][shard]); err != nil {
-					net.Close()
-					return nil, err
-				}
-			}
-		}
-		scol := transport.NewShardCollector(recv, layout)
-		streamer := gar.Median{}.NewStreamer(dim)
-		total := memorySenders * layout.Count()
-		folds, overlap := 0, 0
-		fold := func(lo, hi int, _ []string, inputs []tensor.Vector) error {
-			folds++
-			if scol.StoredFrames() < total {
-				overlap++
-			}
-			return streamer.Fold(lo, hi, inputs)
-		}
-		if _, err := scol.Collect(transport.KindPeerParams, 0, memoryQuorum,
-			nil, "", false, fold, timeout); err != nil {
-			net.Close()
-			return nil, fmt.Errorf("memory: sharded collect: %w", err)
-		}
-		got, err := streamer.Result()
-		net.Close()
+		shardedPeak, folds, overlap, got, err := memoryReplay(vecs, size)
 		if err != nil {
 			return nil, err
 		}
@@ -201,10 +172,10 @@ func Memory(s Scale, shardSize int) ([]MemoryRow, error) {
 			identical = math.Float64bits(got[i]) == math.Float64bits(want[i])
 		}
 		rows = append(rows, MemoryRow{
-			Dim: dim, ShardSize: size, Shards: layout.Count(),
+			Dim: dim, ShardSize: size, Shards: folds, // one fold per shard
 			Senders: memorySenders, Quorum: memoryQuorum,
-			WholePeakBytes: wholePeak, ShardedPeakBytes: scol.Metrics.PeakBytes(),
-			Ratio:        float64(scol.Metrics.PeakBytes()) / float64(wholePeak),
+			WholePeakBytes: wholePeak, ShardedPeakBytes: shardedPeak,
+			Ratio:        float64(shardedPeak) / float64(wholePeak),
 			Folds:        folds,
 			OverlapFolds: overlap,
 			OverlapFrac:  float64(overlap) / float64(folds),
@@ -218,7 +189,7 @@ func Memory(s Scale, shardSize int) ([]MemoryRow, error) {
 func FormatMemory(rows []MemoryRow) string {
 	var b strings.Builder
 	b.WriteString("# Collector memory: whole-vector vs chunked streaming (first-q quorum, coordinate-median)\n")
-	fmt.Fprintf(&b, "(n=%d senders racing into q=%d, one FIFO arrival schedule replayed through both paths)\n",
+	fmt.Fprintf(&b, "(n=%d senders racing into q=%d, one FIFO arrival schedule replayed through one collector at both layouts)\n",
 		memorySenders, memoryQuorum)
 	fmt.Fprintf(&b, "%-9s %-9s %-8s %-14s %-14s %-8s %-9s %-9s\n",
 		"dim", "shard", "shards", "whole peak", "sharded peak", "ratio", "overlap", "bits")

@@ -24,8 +24,10 @@
 // parallelism — including fully serial.
 //
 // Rules implementing StreamingRule (mean, median, trimmed-mean,
-// multi-krum) additionally aggregate shard-by-shard for the chunked wire
-// path (see stream.go and transport.ShardCollector): folding the shards
+// multi-krum) additionally aggregate shard-by-shard — how the node loops
+// reduce every quorum, whole vectors being the one-shard case (see
+// stream.go and transport.Collector; StreamerFor adapts the other rules to
+// one shard): folding the shards
 // of a fixed input set — in any arrival order, at any shard size —
 // produces the exact bits of the whole-vector Aggregate on that set.
 // Coordinate-wise rules get this by construction; Multi-Krum extends each

@@ -7,11 +7,11 @@ import (
 	"repro/internal/tensor"
 )
 
-// Shard-streaming aggregation. The chunked wire path (see
-// internal/transport's ShardCollector) hands each coordinate shard's
-// quorum to the aggregation rule the moment it completes, instead of
-// buffering whole vectors; the interfaces below are the rule-side half of
-// that contract.
+// Shard-streaming aggregation. The quorum collector (see
+// internal/transport's Collector) hands each coordinate shard's quorum to
+// the aggregation rule the moment it completes — the whole vectors at once
+// under the one-shard layout; the interfaces below are the rule-side half
+// of that contract.
 //
 // The invariant every streamer maintains: folding the shards of a fixed
 // input set — in any arrival order, at any shard size, at any parallelism
@@ -51,6 +51,48 @@ type StreamingRule interface {
 	PinnedQuorum() bool
 }
 
+// StreamerFor starts one aggregation round of rule at the given dimension
+// and reports the membership mode it needs: a StreamingRule's own streamer,
+// or — for a rule without a streaming path (krum, bulyan, geomed, mda) — a
+// one-shard adapter whose single Fold takes the whole vectors and whose
+// Result is rule.Aggregate over them. With one shard pinned and per-shard
+// membership coincide; the adapter asks for pinned so that its caller learns
+// the sender order SelectedIndices indexes.
+func StreamerFor(rule Rule, dim int) (st ShardStreamer, pinned bool) {
+	if sr, ok := rule.(StreamingRule); ok {
+		return sr.NewStreamer(dim), sr.PinnedQuorum()
+	}
+	return &wholeStreamer{rule: rule, dim: dim}, true
+}
+
+type wholeStreamer struct {
+	rule   Rule
+	dim    int
+	inputs []tensor.Vector
+}
+
+func (s *wholeStreamer) Fold(lo, hi int, inputs []tensor.Vector) error {
+	if lo != 0 || hi != s.dim || s.inputs != nil {
+		return fmt.Errorf("gar: %s has no streaming path: it folds [0, %d) once, got [%d, %d)",
+			s.rule.Name(), s.dim, lo, hi)
+	}
+	s.inputs = inputs
+	return nil
+}
+
+func (s *wholeStreamer) Result() (tensor.Vector, error) { return s.rule.Aggregate(s.inputs) }
+
+// SelectedIndices is the adapter's accountability signal: a SelectiveRule's
+// kept inputs (computed on demand), nil for any other rule.
+func (s *wholeStreamer) SelectedIndices() []int {
+	sel, ok := s.rule.(SelectiveRule)
+	if !ok {
+		return nil
+	}
+	kept, _ := sel.SelectIndices(s.inputs) // an error leaves kept nil: nothing to report
+	return kept
+}
+
 // Streaming support for the three deployment rules plus the mean baseline.
 var (
 	_ StreamingRule = Mean{}
@@ -63,19 +105,18 @@ var (
 // streamers: an output vector, tiling bookkeeping, and the per-fold input
 // checks.
 type coordStreamer struct {
-	out    tensor.Vector
-	folded int // coordinates folded so far (ranges are disjoint, so a count suffices)
-	marks  []bool
+	dim    int
+	out    tensor.Vector // allocated by the first fold: a streamer still waiting for its quorum holds no vector
+	folded int           // coordinates folded so far (ranges are disjoint, so a count suffices)
+	ranges [][2]int      // the folded ranges, contiguous ones merged: in-order folding keeps one entry
 }
 
-func newCoordStreamer(dim int) coordStreamer {
-	return coordStreamer{out: make(tensor.Vector, dim), marks: make([]bool, dim)}
-}
+func newCoordStreamer(dim int) coordStreamer { return coordStreamer{dim: dim} }
 
 // claim validates one fold's range and inputs and marks the range folded.
 func (c *coordStreamer) claim(lo, hi int, inputs []tensor.Vector) error {
-	if lo < 0 || hi > len(c.out) || lo >= hi {
-		return fmt.Errorf("gar: shard fold range [%d, %d) outside dimension %d", lo, hi, len(c.out))
+	if lo < 0 || hi > c.dim || lo >= hi {
+		return fmt.Errorf("gar: shard fold range [%d, %d) outside dimension %d", lo, hi, c.dim)
 	}
 	if len(inputs) == 0 {
 		return fmt.Errorf("%w: empty shard quorum", ErrTooFewInputs)
@@ -85,19 +126,31 @@ func (c *coordStreamer) claim(lo, hi int, inputs []tensor.Vector) error {
 			return fmt.Errorf("gar: shard input %d has %d coordinates, range wants %d", k, len(v), hi-lo)
 		}
 	}
-	for i := lo; i < hi; i++ {
-		if c.marks[i] {
-			return fmt.Errorf("gar: coordinate %d folded twice", i)
+	grow := -1
+	for i, r := range c.ranges {
+		if lo < r[1] && r[0] < hi {
+			return fmt.Errorf("gar: coordinate %d folded twice", max(lo, r[0]))
 		}
-		c.marks[i] = true
+		if r[1] == lo || r[0] == hi {
+			grow = i
+		}
+	}
+	if grow < 0 {
+		c.ranges = append(c.ranges, [2]int{lo, hi})
+	} else {
+		r := &c.ranges[grow]
+		r[0], r[1] = min(r[0], lo), max(r[1], hi)
+	}
+	if c.out == nil {
+		c.out = make(tensor.Vector, c.dim)
 	}
 	c.folded += hi - lo
 	return nil
 }
 
 func (c *coordStreamer) result() (tensor.Vector, error) {
-	if c.folded != len(c.out) {
-		return nil, fmt.Errorf("gar: %d of %d coordinates folded", c.folded, len(c.out))
+	if c.folded != c.dim {
+		return nil, fmt.Errorf("gar: %d of %d coordinates folded", c.folded, c.dim)
 	}
 	return c.out, nil
 }

@@ -1,6 +1,7 @@
 package gar
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -163,5 +164,52 @@ func TestStreamErrors(t *testing.T) {
 	}
 	if err := st.Fold(16, 32, half[:8]); err == nil {
 		t.Fatal("multi-krum accepted a shrunken shard quorum")
+	}
+}
+
+// TestStreamerForAdaptsNonStreamingRules: a rule without a streaming path
+// is reduced through the one-shard adapter — one fold of the whole vectors,
+// Result the rule's own Aggregate, a selective rule's kept set on demand —
+// and the adapter refuses anything but that one whole fold.
+func TestStreamerForAdaptsNonStreamingRules(t *testing.T) {
+	const n, d = 9, 23
+	inputs := streamInputs(t, n, d)
+	for _, rule := range []Rule{Krum{F: 2}, Bulyan{F: 1}, GeoMed{}, MDA{F: 2}} {
+		st, pinned := StreamerFor(rule, d)
+		if !pinned {
+			t.Fatalf("%s: adapter must ask for a pinned quorum", rule.Name())
+		}
+		if err := st.Fold(0, d-1, inputs); err == nil {
+			t.Fatalf("%s: adapter folded a partial range", rule.Name())
+		}
+		got := foldShards(t, st, inputs, d, d, []int{0})
+		want, err := rule.Aggregate(inputs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: coordinate %d = %v, want %v", rule.Name(), i, got[i], want[i])
+			}
+		}
+		if err := st.Fold(0, d, inputs); err == nil {
+			t.Fatalf("%s: adapter folded twice", rule.Name())
+		}
+		kept := st.(interface{ SelectedIndices() []int }).SelectedIndices()
+		sel, selective := rule.(SelectiveRule)
+		if !selective {
+			if kept != nil {
+				t.Fatalf("%s: kept %v from a rule that selects nothing", rule.Name(), kept)
+			}
+			continue
+		}
+		wantKept, err := sel.SelectIndices(inputs)
+		if err != nil || fmt.Sprint(kept) != fmt.Sprint(wantKept) {
+			t.Fatalf("%s: kept %v, want %v (%v)", rule.Name(), kept, wantKept, err)
+		}
+	}
+	// A streaming rule gets its own streamer and membership mode.
+	if st, pinned := StreamerFor(Median{}, d); pinned {
+		t.Fatalf("median asked for a pinned quorum (%T)", st)
 	}
 }

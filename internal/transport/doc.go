@@ -25,16 +25,17 @@
 //     payloads over hello-authenticated connections (the repository's
 //     stand-in for the paper's gRPC/protobuf stack, minus the reflection);
 //     WIRE.md is the normative byte-level specification;
-//   - Collector, the "first q messages for step t, in arrival order, late
-//     ones discarded" quorum-gathering primitive at the heart of GuanYu's
-//     bulk-synchronous rounds over an asynchronous network; inbound chunk
-//     streams are reassembled per sender before they can count;
-//   - ShardCollector, the incremental counterpart: per-(step, shard)
-//     arrival-order quorums handed to a streaming aggregation the moment
-//     each shard fills, cutting peak collector memory from O(n·d) to
-//     O(q·shard) and overlapping aggregation with the network receive
-//     (the aggregation side holds that bound for coordinate-wise rules;
-//     see gar.StreamingRule for Multi-Krum's retention floor);
+//   - Collector, the one "first q messages for step t, in arrival order,
+//     late ones discarded" quorum-gathering primitive at the heart of
+//     GuanYu's bulk-synchronous rounds over an asynchronous network. It
+//     keeps that discipline per coordinate shard of a ShardLayout and hands
+//     each shard's quorum to a streaming aggregation the moment it fills.
+//     Whole-vector framing is the one-shard layout (and there it
+//     reassembles senders that stream chunk frames); a sharded layout cuts
+//     peak collector memory from O(q·d) to O(q·shard) and overlaps
+//     aggregation with the network receive (the aggregation side holds
+//     that bound for coordinate-wise rules; see gar.StreamingRule for
+//     Multi-Krum's retention floor);
 //   - FaultInjector, seeded fault schedules (drops, duplication, reorder
 //     holds, delay spikes, step-windowed partitions) derived from pure
 //     (seed, step, sender, receiver, shard) hashes, with one schedule shared

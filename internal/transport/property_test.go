@@ -106,9 +106,9 @@ func TestCollectorRandomOrderProperty(t *testing.T) {
 			}
 		}
 
-		c := NewCollector(recv)
+		c := wholeCollector(recv, 1)
 		c.Advance(step)
-		msgs, err := c.Collect(KindGradient, step, q, 2*time.Second)
+		msgs, err := collect(c, KindGradient, step, q, 2*time.Second)
 		if err != nil || len(msgs) != q {
 			return false
 		}

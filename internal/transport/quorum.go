@@ -2,30 +2,75 @@ package transport
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"time"
 
 	"repro/internal/metrics"
 	"repro/internal/tensor"
 )
 
+// ShardFold consumes one completed shard quorum: the ordered payloads (and
+// their senders) for coordinate range [lo, hi) of the logical vector.
+// Payload slices are handed off — the collector never touches them again,
+// so a fold may retain them (the streaming Multi-Krum path does).
+type ShardFold func(lo, hi int, senders []string, inputs []tensor.Vector) error
+
 // Collector implements the quorum-gathering discipline of the protocol
-// (Figure 2 of the paper): for a given (kind, step), return the first q
+// (Figure 2 of the paper): for a given (kind, step), aggregate the first q
 // messages received — at most one per sender, in true arrival order —
 // discarding messages from past steps and buffering messages from future
-// steps (up to a bounded horizon) or other kinds.
+// steps (up to a bounded horizon) or other kinds. It keeps that discipline
+// per coordinate shard of its Layout and hands each shard to the aggregation
+// fold the moment that shard's first-q sender set is complete. Whole-vector
+// collection is the one-shard layout (NewShardLayout(dim, 0)): one fold, of
+// whole vectors, when the q-th sender arrives. A wider layout drops
+// collector memory from O(q·d) to O(q·shard) and overlaps the aggregation
+// arithmetic with the network receive.
+//
+// Framings interoperate both ways, so a deployment may mix them: a
+// whole-vector message delivers every shard of its sender at once, and a
+// one-shard collector reassembles senders that stream chunk frames, each
+// arriving when its last shard lands.
 //
 // Deduplication per sender is a safety requirement, not an optimisation: a
 // Byzantine node could otherwise fill an entire quorum with its own copies
 // and fully control the aggregation input.
+//
+// Two membership modes, selected per collection (with one shard they
+// coincide):
+//
+//   - per-shard (pinned=false): every shard's quorum is its own first q
+//     arrivals. Legal for coordinate-wise rules (median, trimmed mean),
+//     whose resilience argument holds per coordinate for any q-set with at
+//     most f Byzantine members.
+//   - pinned (pinned=true): the first shard to fill pins an ordered sender
+//     set; every other shard waits for exactly those senders and folds
+//     them in pinned order. Required by rules that correlate coordinates
+//     across shards (Multi-Krum's pairwise distances need the same input
+//     set in the same order everywhere). Liveness caveat: once pinned, the
+//     round needs every pinned member's every shard to arrive within the
+//     round — the paper's reliable-asynchronous link assumption. A frame
+//     that is silently lost, or deferred past the round (the fault
+//     injector's reorder holds a frame until its sender's NEXT send to that
+//     destination, which in a bulk-synchronous protocol is next step),
+//     stalls a pinned round, where an unpinned quorum's margin absorbs the
+//     gap by substituting senders (per-shard mode: a lost frame costs its
+//     sender that one shard's slot). Deployments on lossy links should
+//     stream only coordinate-wise rules, or keep whole-vector framing for
+//     the pinned phase.
 type Collector struct {
-	ep  Endpoint
-	buf map[collectorKey]*arrivalBuf // (kind, step) → messages in receipt order
+	ep Endpoint
 
-	// Validator, when non-nil, vets every inbound message before it can
-	// count toward any quorum. Messages failing validation are dropped —
-	// this is where honest nodes discard malformed Byzantine payloads
-	// (wrong dimension, NaN/Inf coordinates) so they behave like silence
-	// rather than poisoning downstream arithmetic.
+	// Layout is the size-derived shard partition every frame is checked
+	// against; frames disagreeing with it are dropped as malformed.
+	Layout ShardLayout
+
+	// Validator, when non-nil, vets every inbound payload — a whole vector
+	// or a single shard — before it can count toward any quorum (finiteness,
+	// sender identity): a failing Byzantine payload behaves like silence
+	// rather than poisoning downstream arithmetic. Dimension and
+	// shard-extent checks are the collector's own job.
 	Validator func(Message) bool
 
 	// Horizon bounds how many steps ahead of the one being collected a
@@ -35,30 +80,33 @@ type Collector struct {
 	// steps t+1..t+10⁹ would grow the buffer without limit.
 	Horizon int
 
-	// Membership, when non-nil, scopes quorums to a roster per epoch:
-	// a message counts toward a quorum only if Membership(step, from)
-	// holds for the step the message claims. Frames from senders
-	// outside the roster in force at that step are dropped and counted
-	// — quorum math is always evaluated against the epoch's roster, so
-	// a node that left (or has not yet joined) at step t can never fill
-	// a slot in step t's aggregation, even if its frames are otherwise
-	// well-formed and authenticated.
+	// Membership, when non-nil, scopes quorums to a roster per epoch: a
+	// frame counts toward a quorum (and can enter a pinned membership) only
+	// if Membership(step, from) holds for the step the frame claims; other
+	// frames are dropped and counted. A node that left (or has not yet
+	// joined) at step t can thus never fill a slot in step t's aggregation,
+	// however well-formed and authenticated its frames.
 	Membership func(step int, from string) bool
 
-	// Metrics is where the collector counts, never nil (NewCollector
-	// starts it on a fresh handle; assign the node's registry handle
-	// before the first Collect). DroppedFuture: messages discarded for
-	// claiming a step beyond the buffering horizon. DroppedMalformed:
-	// chunk frames discarded for inconsistent shard tags (changed counts,
-	// non-tiling offsets, oversized assemblies). DroppedRoster: messages
-	// discarded because their sender was outside the roster in force at
-	// the message's step. PeakBytes: the most payload bytes buffered at
-	// once — whole messages awaiting their quorum plus partial chunk
-	// reassemblies, the O(n·d) ceiling the memory experiment compares
-	// against the ShardCollector's O(q·shard).
+	// Metrics is where the collector counts, never nil (NewCollector starts
+	// it on a fresh handle; assign the node's registry handle before the
+	// first Collect). DroppedFuture: messages claiming a step beyond the
+	// horizon. DroppedMalformed: frames disagreeing with the layout (a whole
+	// vector of the wrong dimension, a shard tag or extent the layout does
+	// not produce) and, at a one-shard collector, chunk streams that cannot
+	// be reassembled (changed counts, non-tiling offsets, oversized
+	// assemblies). DroppedRoster: messages from outside the roster in force
+	// at their step. PeakBytes: the most payload bytes held at once,
+	// candidates awaiting their quorum plus partial reassemblies; a shard's
+	// buffer is released the moment its quorum folds. Payloads handed to a
+	// fold are the fold's memory from then on (coordinate-wise streamers
+	// drop them immediately; Multi-Krum's retains its q inputs until
+	// selection).
 	Metrics *metrics.NodeMetrics
 
-	curBytes int // payload bytes currently buffered
+	buf      map[collectorKey]*stepBuf
+	stored   int
+	curBytes int
 }
 
 // DefaultHorizon is the future-step buffering bound when Horizon is unset —
@@ -66,11 +114,11 @@ type Collector struct {
 // memory cap against step-spraying senders.
 const DefaultHorizon = 64
 
-// ErrQuorumTimeout wraps every quorum-wait expiry from Collect, CollectAny
-// and ShardCollector.Collect, so callers can distinguish "the quorum did
-// not fill in time" (retryable: a pinned round can fail over, a rejoiner
-// can fall back to its checkpoint) from structural failures like a closed
-// endpoint. Match with errors.Is.
+// ErrQuorumTimeout wraps every quorum-wait expiry from Collect and
+// CollectAny, so callers can distinguish "the quorum did not fill in time"
+// (retryable: a pinned round can fail over, a rejoiner can fall back to its
+// checkpoint) from structural failures like a closed endpoint. Match with
+// errors.Is.
 var ErrQuorumTimeout = fmt.Errorf("transport: quorum timeout")
 
 type collectorKey struct {
@@ -78,15 +126,24 @@ type collectorKey struct {
 	step int
 }
 
-// arrivalBuf holds one (kind, step)'s quorum candidates exactly as they
-// arrived: msgs is receipt-ordered with at most one entry per sender, seen
-// is the dedup set behind it, and asm holds per-sender partial chunk
-// reassemblies (a sender streaming shards counts as "arrived" only when
-// its last shard lands and the whole vector checks out).
-type arrivalBuf struct {
-	msgs []Message
-	seen map[string]struct{}
-	asm  map[string]*assembly
+// stepBuf holds one (kind, step)'s per-shard quorum candidates.
+type stepBuf struct {
+	slots  []shardSlot
+	pinned []string // pinned membership, nil until decided
+	folded int      // slots handed to the fold so far
+	// asm holds per-sender partial chunk reassemblies at a one-shard
+	// collector (a sender streaming shards counts as "arrived" only when
+	// its last shard lands and the whole vector checks out).
+	asm map[string]*assembly
+}
+
+// shardSlot is one shard's arrival-ordered candidate set: msgs is
+// receipt-ordered with at most one entry per sender, seen the dedup set
+// behind it.
+type shardSlot struct {
+	msgs   []Message
+	seen   map[string]struct{}
+	folded bool
 }
 
 // assembly is one sender's in-flight chunked vector: parts by shard index,
@@ -97,9 +154,10 @@ type assembly struct {
 	bytes int
 }
 
-// NewCollector wraps an endpoint.
-func NewCollector(ep Endpoint) *Collector {
-	return &Collector{ep: ep, buf: make(map[collectorKey]*arrivalBuf), Metrics: metrics.NewNodeMetrics()}
+// NewCollector wraps an endpoint with the given shard layout.
+func NewCollector(ep Endpoint, layout ShardLayout) *Collector {
+	return &Collector{ep: ep, Layout: layout, buf: make(map[collectorKey]*stepBuf),
+		Metrics: metrics.NewNodeMetrics()}
 }
 
 func (c *Collector) horizon() int {
@@ -109,65 +167,209 @@ func (c *Collector) horizon() int {
 	return DefaultHorizon
 }
 
-// Collect blocks until q distinct-sender messages of the given kind and step
-// have been received (counting buffered ones), or the timeout elapses. It
-// returns the first q such messages in the order they arrived — "aggregate
-// the first q received" from the paper, literally: which vectors enter the
-// aggregation, and in what order, is decided by receipt time alone, never
-// by map iteration or sender name. Messages for other (kind, step) pairs
-// observed while waiting are buffered if current-or-near-future, dropped if
-// stale or beyond the horizon.
-//
-// timeout < 0 blocks indefinitely — the faithful asynchronous-model setting,
-// where liveness comes from the quorum bound q ≤ n−f rather than from
-// timing. Tests use finite timeouts to convert protocol bugs into failures
-// rather than hangs.
-func (c *Collector) Collect(kind Kind, step, q int, timeout time.Duration) ([]Message, error) {
-	if q <= 0 {
-		return nil, nil // an empty quorum is satisfied by silence
-	}
-	key := collectorKey{kind: kind, step: step}
-	var deadline time.Time
-	if timeout >= 0 {
-		//lint:allow-clock Recv timeouts are wall-clock by contract; liveness never decides values
-		deadline = time.Now().Add(timeout)
-	}
-	for c.Buffered(kind, step) < q {
-		wait := time.Duration(-1)
-		if timeout >= 0 {
-			//lint:allow-clock deadline bookkeeping for the wall-clock timeout above
-			wait = time.Until(deadline)
-			if wait <= 0 {
-				return nil, fmt.Errorf("%w: have %d/%d %s messages for step %d",
-					ErrQuorumTimeout, c.Buffered(kind, step), q, kind, step)
-			}
-		}
-		m, ok := c.ep.Recv(wait)
-		if !ok {
-			//lint:allow-clock discriminates timeout from closure on the wall-clock deadline
-			if timeout >= 0 && time.Now().After(deadline) {
-				return nil, fmt.Errorf("%w: have %d/%d %s messages for step %d",
-					ErrQuorumTimeout, c.Buffered(kind, step), q, kind, step)
-			}
-			return nil, fmt.Errorf("transport: endpoint closed while collecting %s step %d", kind, step)
-		}
-		c.store(m, step)
-	}
-	out := make([]Message, q)
-	copy(out, c.buf[key].msgs[:q])
-	// The round is decided; drop the remainder for this key (late messages
-	// for an already-completed quorum are discarded per the protocol).
-	c.releaseKey(c.buf[key])
-	delete(c.buf, key)
-	return out, nil
+// StoredFrames returns how many frames have been buffered so far — the
+// receive-progress counter the memory experiment reads from its fold
+// callback to decide whether an aggregation overlapped the receive stream.
+func (c *Collector) StoredFrames() int { return c.stored }
+
+func (c *Collector) account(delta int) {
+	c.curBytes += delta
+	c.Metrics.ObservePeak(c.curBytes)
 }
 
-// CollectAny blocks until ANY single step ≥ minStep has q distinct-sender
-// messages of the given kind, and returns those messages (in arrival
-// order) together with the step they belong to. This is the rejoin
-// discovery primitive: a server restarting from a checkpoint does not know
-// how far the live cluster has advanced, so it listens to the traffic in
-// flight and latches onto the first step a full quorum materialises for.
+// ResetRound discards all buffered state for one (kind, step) round —
+// including a decided pinned membership — and reports whether there was
+// one. This is the failover primitive behind the pinned-mode liveness
+// caveat: when a pinned member goes silent mid-round, the round as pinned
+// can never complete, so the caller abandons it and re-collects from zero
+// arrivals (with a fresh streamer) for a pin drawn from the senders still
+// alive. A round that had not pinned was short of senders, not stalled by
+// its pin: retrying it cannot help.
+func (c *Collector) ResetRound(kind Kind, step int) (wasPinned bool) {
+	key := collectorKey{kind: kind, step: step}
+	b := c.buf[key]
+	if b == nil {
+		return false
+	}
+	c.release(b)
+	delete(c.buf, key)
+	return b.pinned != nil
+}
+
+// Advance drops all buffered state for steps before the given step, of any
+// kind. Nodes call it when entering a new step so stale traffic cannot
+// accumulate without bound.
+func (c *Collector) Advance(step int) {
+	for key, b := range c.buf {
+		if key.step < step {
+			c.release(b)
+			delete(c.buf, key)
+		}
+	}
+}
+
+// release returns every buffered payload byte of b to the accounting.
+func (c *Collector) release(b *stepBuf) {
+	for i := range b.slots {
+		c.releaseSlot(&b.slots[i])
+	}
+	for _, a := range b.asm {
+		c.account(-a.bytes)
+	}
+	b.asm = nil
+}
+
+func (c *Collector) releaseSlot(s *shardSlot) {
+	for _, m := range s.msgs {
+		c.account(-8 * len(m.Vec))
+	}
+	s.msgs = nil
+	s.seen = nil
+}
+
+// bufFor returns the (kind, step) buffer, creating it on first use.
+func (c *Collector) bufFor(key collectorKey) *stepBuf {
+	b := c.buf[key]
+	if b == nil {
+		b = &stepBuf{slots: make([]shardSlot, c.Layout.Count())}
+		c.buf[key] = b
+	}
+	return b
+}
+
+// waiter is one collection's wall-clock budget. timeout < 0 blocks
+// indefinitely — the faithful asynchronous-model setting, where liveness
+// comes from the quorum bound q ≤ n−f rather than from timing. Tests use
+// finite timeouts to convert protocol bugs into failures rather than hangs.
+type waiter struct {
+	timeout  time.Duration
+	deadline time.Time
+}
+
+func newWaiter(timeout time.Duration) waiter {
+	w := waiter{timeout: timeout}
+	if timeout >= 0 {
+		//lint:allow-clock Recv timeouts are wall-clock by contract; liveness never decides values
+		w.deadline = time.Now().Add(timeout)
+	}
+	return w
+}
+
+// recv returns the endpoint's next message; ok is false when the budget ran
+// out (expired) or the endpoint closed.
+func (w waiter) recv(ep Endpoint) (m Message, ok, expired bool) {
+	wait := time.Duration(-1)
+	if w.timeout >= 0 {
+		//lint:allow-clock deadline bookkeeping for the wall-clock timeout above
+		if wait = time.Until(w.deadline); wait <= 0 {
+			return Message{}, false, true
+		}
+	}
+	if m, ok = ep.Recv(wait); ok {
+		return m, true, false
+	}
+	//lint:allow-clock discriminates timeout from closure on the wall-clock deadline
+	return Message{}, false, w.timeout >= 0 && time.Now().After(w.deadline)
+}
+
+// Collect blocks until every shard of the given (kind, step) has been
+// folded, or the timeout elapses (timeout < 0 blocks indefinitely). q is
+// the network quorum per shard: each fold receives that shard's first q
+// distinct senders in the order they arrived — "aggregate the first q
+// received" from the paper, literally: which vectors enter the aggregation,
+// and in what order, is decided by receipt time alone, never by map
+// iteration or sender name. When self is non-nil it is this node's own
+// vector, prepended (as sender selfID, position 0) to every shard's inputs
+// — the contraction round's "own vector included" without a loopback
+// message. pinned selects the membership mode (see the type comment). The
+// returned slice is the pinned ordered membership (nil in per-shard mode);
+// it excludes selfID. Messages for other (kind, step) pairs observed while
+// waiting are buffered if current-or-near-future, dropped if stale or
+// beyond the horizon.
+func (c *Collector) Collect(kind Kind, step, q int, self tensor.Vector, selfID string,
+	pinned bool, fold ShardFold, timeout time.Duration) ([]string, error) {
+	count := c.Layout.Count()
+	if count <= 0 || c.Layout.Dim <= 0 {
+		return nil, fmt.Errorf("transport: collect needs a valid layout, got %+v", c.Layout)
+	}
+	if self != nil && len(self) != c.Layout.Dim {
+		return nil, fmt.Errorf("transport: self vector has dimension %d, layout %d", len(self), c.Layout.Dim)
+	}
+	if q <= 0 {
+		if self == nil {
+			return nil, nil // an empty quorum is satisfied by silence
+		}
+		q = 0 // the aggregation still runs, at once, over the local input alone
+	}
+
+	key := collectorKey{kind: kind, step: step}
+	b := c.bufFor(key)
+	w := newWaiter(timeout)
+	// One sweep up front consumes whatever previous collections buffered;
+	// after that, slots are re-examined only when a frame for THIS
+	// (kind, step) lands — frames buffered for other rounds cost no sweep.
+	if err := c.progress(b, q, self, selfID, pinned, fold); err != nil {
+		return nil, err
+	}
+	for b.folded < count {
+		m, ok, expired := w.recv(c.ep)
+		if expired {
+			return nil, timeoutError(b, kind, step, q)
+		}
+		if !ok {
+			return nil, fmt.Errorf("transport: endpoint closed while collecting %s step %d (%d/%d shards)",
+				kind, step, b.folded, count)
+		}
+		c.store(m, step)
+		if m.Kind == kind && m.Step == step {
+			if err := c.progress(b, q, self, selfID, pinned, fold); err != nil {
+				return nil, err
+			}
+		}
+	}
+	// The round is decided; late messages for it are discarded per the
+	// protocol.
+	c.release(b)
+	delete(c.buf, key)
+	return b.pinned, nil
+}
+
+// timeoutError describes a round that did not fill in time by its first
+// unfolded shard: how many of the senders it needs have arrived, who they
+// are, and — once a membership is pinned — which pinned members it is
+// still waiting on.
+func timeoutError(b *stepBuf, kind Kind, step, q int) error {
+	s := 0
+	for s < len(b.slots)-1 && b.slots[s].folded {
+		s++
+	}
+	slot := &b.slots[s]
+	arrived := make([]string, len(slot.msgs))
+	for i, m := range slot.msgs {
+		arrived[i] = m.From
+	}
+	detail := fmt.Sprintf("shard %d, %d/%d shards folded; arrived: %s",
+		s, b.folded, len(b.slots), strings.Join(arrived, " "))
+	if b.pinned != nil {
+		var missing []string
+		for _, id := range b.pinned {
+			if _, ok := slot.seen[id]; !ok {
+				missing = append(missing, id)
+			}
+		}
+		detail += "; pinned, still missing: " + strings.Join(missing, " ")
+	}
+	return fmt.Errorf("%w: have %d/%d %s messages for step %d (%s)",
+		ErrQuorumTimeout, len(arrived), q, kind, step, detail)
+}
+
+// CollectAny blocks until ANY single step ≥ minStep has a full quorum — q
+// distinct senders buffered for every shard — of the given kind, and
+// returns that step; the quorum stays buffered, so the Collect the caller
+// issues for that step next folds it at once. This is the rejoin discovery
+// primitive: a server restarting from a checkpoint does not know how far
+// the live cluster has advanced, so it listens to the traffic in flight and
+// latches onto the first step a full quorum materialises for.
 //
 // Buffering stays bounded by the same horizon as Collect, but the floor
 // is mobile: a message more than a horizon ahead of the current floor
@@ -180,50 +382,32 @@ func (c *Collector) Collect(kind Kind, step, q int, timeout time.Duration) ([]Me
 // checkpoint alone. When several steps complete a quorum simultaneously,
 // the lowest wins, so the rejoiner re-enters the protocol as early as it
 // can.
-func (c *Collector) CollectAny(kind Kind, minStep, q int, timeout time.Duration) ([]Message, int, error) {
+func (c *Collector) CollectAny(kind Kind, minStep, q int, timeout time.Duration) (int, error) {
 	if q <= 0 {
-		return nil, minStep, nil
+		return minStep, nil
 	}
 	floor := minStep
-	var deadline time.Time
-	if timeout >= 0 {
-		//lint:allow-clock Recv timeouts are wall-clock by contract; liveness never decides values
-		deadline = time.Now().Add(timeout)
-	}
+	w := newWaiter(timeout)
+	short := func(s shardSlot) bool { return len(s.msgs) < q }
 	for {
 		// Lowest already-complete step ≥ floor wins.
 		best := -1
 		for key, b := range c.buf {
-			if key.kind == kind && key.step >= floor && len(b.msgs) >= q &&
-				(best < 0 || key.step < best) {
+			if key.kind == kind && key.step >= floor && (best < 0 || key.step < best) &&
+				!slices.ContainsFunc(b.slots, short) {
 				best = key.step
 			}
 		}
 		if best >= 0 {
-			key := collectorKey{kind: kind, step: best}
-			out := make([]Message, q)
-			copy(out, c.buf[key].msgs[:q])
-			c.releaseKey(c.buf[key])
-			delete(c.buf, key)
-			return out, best, nil
+			return best, nil
 		}
-		wait := time.Duration(-1)
-		if timeout >= 0 {
-			//lint:allow-clock deadline bookkeeping for the wall-clock timeout above
-			wait = time.Until(deadline)
-			if wait <= 0 {
-				return nil, 0, fmt.Errorf("%w: rejoin found no step ≥ %d with %d %s messages",
-					ErrQuorumTimeout, floor, q, kind)
-			}
+		m, ok, expired := w.recv(c.ep)
+		if expired {
+			return 0, fmt.Errorf("%w: rejoin found no step ≥ %d with %d %s messages",
+				ErrQuorumTimeout, floor, q, kind)
 		}
-		m, ok := c.ep.Recv(wait)
 		if !ok {
-			//lint:allow-clock discriminates timeout from closure on the wall-clock deadline
-			if timeout >= 0 && time.Now().After(deadline) {
-				return nil, 0, fmt.Errorf("%w: rejoin found no step ≥ %d with %d %s messages",
-					ErrQuorumTimeout, floor, q, kind)
-			}
-			return nil, 0, fmt.Errorf("transport: endpoint closed while rejoining on %s", kind)
+			return 0, fmt.Errorf("transport: endpoint closed while rejoining on %s", kind)
 		}
 		if m.Kind == kind && m.Step > floor+c.horizon() {
 			floor = m.Step - c.horizon()
@@ -233,38 +417,104 @@ func (c *Collector) CollectAny(kind Kind, minStep, q int, timeout time.Duration)
 	}
 }
 
-// Advance drops all buffered messages for steps before the given step, of
-// any kind. Nodes call it when entering a new step so stale traffic cannot
-// accumulate without bound.
-func (c *Collector) Advance(step int) {
-	for key, b := range c.buf {
-		if key.step < step {
-			c.releaseKey(b)
-			delete(c.buf, key)
+// progress folds every shard whose quorum is complete under the current
+// membership mode.
+func (c *Collector) progress(b *stepBuf, q int, self tensor.Vector, selfID string,
+	pinned bool, fold ShardFold) error {
+	if pinned && b.pinned == nil {
+		// Pin on the first shard (lowest index wins when several are
+		// already complete) whose first q arrivals decide the membership
+		// for the whole step — "aggregate the first q received", decided
+		// once and applied to every coordinate range.
+		for s := range b.slots {
+			if len(b.slots[s].msgs) >= q {
+				members := make([]string, q)
+				for i, m := range b.slots[s].msgs[:q] {
+					members[i] = m.From
+				}
+				b.pinned = members
+				c.prune(b)
+				break
+			}
+		}
+		if b.pinned == nil {
+			return nil
 		}
 	}
-}
-
-func (c *Collector) account(delta int) {
-	c.curBytes += delta
-	c.Metrics.ObservePeak(c.curBytes)
-}
-
-// releaseKey returns every payload byte buffered under b to the accounting.
-func (c *Collector) releaseKey(b *arrivalBuf) {
-	for _, m := range b.msgs {
-		c.account(-8 * len(m.Vec))
+	for s := range b.slots {
+		slot := &b.slots[s]
+		// Allocation-free completeness probe first: most sweeps find a
+		// sender still in flight, and should cost q map lookups, not a
+		// slice build.
+		if slot.folded || !slot.complete(b.pinned, q) {
+			continue
+		}
+		senders := make([]string, 0, q+1)
+		inputs := make([]tensor.Vector, 0, q+1)
+		lo, hi := c.Layout.Bounds(s)
+		if self != nil {
+			senders, inputs = append(senders, selfID), append(inputs, self[lo:hi])
+		}
+		if b.pinned != nil {
+			for _, id := range b.pinned {
+				i := slices.IndexFunc(slot.msgs, func(m Message) bool { return m.From == id })
+				senders, inputs = append(senders, id), append(inputs, slot.msgs[i].Vec)
+			}
+		} else {
+			for _, m := range slot.msgs[:q] {
+				senders, inputs = append(senders, m.From), append(inputs, m.Vec)
+			}
+		}
+		if err := fold(lo, hi, senders, inputs); err != nil {
+			return err
+		}
+		slot.folded = true
+		b.folded++
+		c.releaseSlot(slot)
 	}
-	for _, a := range b.asm {
-		c.account(-a.bytes)
+	return nil
+}
+
+// complete reports whether the slot's quorum is in: every pinned member
+// once a membership is pinned, any q distinct senders otherwise.
+func (s *shardSlot) complete(pinned []string, q int) bool {
+	if pinned == nil {
+		return len(s.msgs) >= q
+	}
+	for _, id := range pinned {
+		if _, ok := s.seen[id]; !ok {
+			return false
+		}
+	}
+	return true
+}
+
+// prune drops buffered shards from senders outside the pinned membership —
+// their payloads can never enter this step's aggregation, so holding them
+// would surrender the memory bound to late senders.
+func (c *Collector) prune(b *stepBuf) {
+	for i := range b.slots {
+		slot := &b.slots[i]
+		if slot.folded {
+			continue
+		}
+		kept := slot.msgs[:0]
+		for _, m := range slot.msgs {
+			if slices.Contains(b.pinned, m.From) {
+				kept = append(kept, m)
+			} else {
+				c.account(-8 * len(m.Vec))
+				delete(slot.seen, m.From)
+			}
+		}
+		clear(slot.msgs[len(kept):])
+		slot.msgs = kept
 	}
 }
 
-// store buffers m unless it is stale relative to the step being collected
-// or beyond the future-step horizon. Chunk messages are reassembled per
-// sender first; a sender "arrives" when its last shard lands and the whole
-// vector checks out, so the quorum discipline downstream never sees
-// partial vectors.
+// store buffers m's shard (or, for a whole-vector message, every shard)
+// unless it is stale relative to the step being collected, beyond the
+// future-step horizon, outside the roster, malformed, or duplicated.
 func (c *Collector) store(m Message, currentStep int) {
 	if !m.Kind.Valid() {
 		return // junk kind: never collected, so never buffer it
@@ -281,26 +531,60 @@ func (c *Collector) store(m Message, currentStep int) {
 		return
 	}
 	key := collectorKey{kind: m.Kind, step: m.Step}
-	b, ok := c.buf[key]
-	if !ok {
-		b = &arrivalBuf{seen: make(map[string]struct{})}
-		c.buf[key] = b
-	}
-	if _, dup := b.seen[m.From]; dup {
-		return // only the first (complete) message per sender counts
-	}
-	if m.IsShard() {
-		whole, done := c.assemble(b, m)
+	if m.IsShard() && c.Layout.Count() == 1 {
+		// A sharded sender at a one-shard receiver: nothing arrives until
+		// the vector is whole.
+		whole, done := c.assemble(c.bufFor(key), m)
 		if !done {
-			return // still streaming; nothing arrives until the vector is whole
+			return
 		}
 		m = whole
+	}
+	if m.IsShard() {
+		if !c.Layout.CheckMeta(m.Shard, len(m.Vec)) {
+			c.Metrics.DroppedMalformed.Add(1)
+			return
+		}
+	} else if len(m.Vec) != c.Layout.Dim {
+		c.Metrics.DroppedMalformed.Add(1)
+		return
 	}
 	if c.Validator != nil && !c.Validator(m) {
 		return // malformed payload: treat the sender as silent this round
 	}
-	b.seen[m.From] = struct{}{}
-	b.msgs = append(b.msgs, m)
+	b := c.bufFor(key)
+	c.stored++
+	if m.IsShard() {
+		c.storeSlot(b, m.Shard.Index, m)
+		return
+	}
+	// A whole-vector message delivers every shard of its sender at once;
+	// the slices share m.Vec's backing array, and the byte accounting
+	// splits it across the slots so releases stay balanced.
+	for s := range b.slots {
+		lo, hi := c.Layout.Bounds(s)
+		sm := m
+		sm.Vec = m.Vec[lo:hi]
+		c.storeSlot(b, s, sm)
+	}
+}
+
+func (c *Collector) storeSlot(b *stepBuf, s int, m Message) {
+	slot := &b.slots[s]
+	if slot.folded {
+		return // quorum already decided for this shard; late arrivals are discarded
+	}
+	if b.pinned != nil && !slices.Contains(b.pinned, m.From) {
+		return // outside the pinned membership: can never be aggregated
+	}
+	if slot.seen == nil {
+		slot.seen = make(map[string]struct{})
+	}
+	if _, dup := slot.seen[m.From]; dup {
+		return // only the first frame per sender counts toward a shard's quorum
+	}
+	slot.seen[m.From] = struct{}{}
+	slot.msgs = append(slot.msgs, m)
 	c.account(8 * len(m.Vec))
 }
 
@@ -310,7 +594,10 @@ func (c *Collector) store(m Message, currentStep int) {
 // (changed shard count, non-tiling offsets, oversized totals) drop the
 // whole assembly: a sender that cannot keep its own framing straight is
 // treated as silent for the round.
-func (c *Collector) assemble(b *arrivalBuf, m Message) (Message, bool) {
+func (c *Collector) assemble(b *stepBuf, m Message) (Message, bool) {
+	if _, dup := b.slots[0].seen[m.From]; dup {
+		return Message{}, false // the sender already arrived whole
+	}
 	if b.asm == nil {
 		b.asm = make(map[string]*assembly)
 	}
@@ -358,14 +645,4 @@ func (c *Collector) assemble(b *arrivalBuf, m Message) (Message, bool) {
 	c.account(-a.bytes)
 	delete(b.asm, m.From)
 	return Message{From: m.From, Kind: m.Kind, Step: m.Step, Vec: vec}, true
-}
-
-// Buffered returns how many distinct senders are buffered for (kind, step).
-// Exposed for tests and monitoring.
-func (c *Collector) Buffered(kind Kind, step int) int {
-	b := c.buf[collectorKey{kind: kind, step: step}]
-	if b == nil {
-		return 0
-	}
-	return len(b.msgs)
 }

@@ -19,110 +19,111 @@ func epochRoster(step int, from string) bool {
 	return from == "b" || from == "c" || from == "d"
 }
 
+// TestCollectorMembership: quorums are scoped to the roster in force at each
+// frame's step, at the one-shard layout and at a sharded one — every frame
+// of an outsider is dropped and counted, and can never fill a slot.
 func TestCollectorMembership(t *testing.T) {
-	net := NewChanNetwork(nil)
-	defer net.Close()
-	recv, _ := net.Register("srv")
-	eps := map[string]Endpoint{}
-	for _, id := range []string{"a", "b", "c", "d"} {
-		eps[id], _ = net.Register(id)
-	}
-	send := func(id string, step int) {
-		t.Helper()
-		if err := eps[id].Send("srv", Message{Kind: KindGradient, Step: step, Vec: tensor.Vector{1}}); err != nil {
-			t.Fatal(err)
-		}
-	}
+	for _, size := range []int{0, 2} {
+		t.Run(fmt.Sprintf("shard size %d", size), func(t *testing.T) {
+			net := NewChanNetwork(nil)
+			defer net.Close()
+			recv, _ := net.Register("srv")
+			eps := map[string]Endpoint{}
+			for _, id := range []string{"a", "b", "c", "d"} {
+				eps[id], _ = net.Register(id)
+			}
+			layout := NewShardLayout(4, size)
+			frames := uint64(layout.Count()) // frames per vector, so drops per outsider
+			send := func(id string, step int) {
+				t.Helper()
+				m := Message{Kind: KindGradient, Step: step, Vec: tensor.Vector{1, 2, 3, 4}}
+				if err := SendSharded(eps[id], "srv", m, size); err != nil {
+					t.Fatal(err)
+				}
+			}
+			sink := metrics.NewNodeMetrics()
+			c := NewCollector(recv, layout)
+			c.Membership = epochRoster
+			c.Metrics = sink
+			round := func(step int, outsider string) {
+				t.Helper()
+				folded := 0
+				_, err := c.Collect(KindGradient, step, 3, nil, "", false,
+					func(lo, hi int, senders []string, _ []tensor.Vector) error {
+						folded++
+						for _, s := range senders {
+							if s == outsider {
+								return fmt.Errorf("sender %s outside the step-%d roster folded into shard [%d,%d)", s, step, lo, hi)
+							}
+						}
+						return nil
+					}, time.Second)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if folded != layout.Count() {
+					t.Fatalf("folded %d shards, want %d", folded, layout.Count())
+				}
+			}
 
-	sink := metrics.NewNodeMetrics()
-	c := NewCollector(recv)
-	c.Membership = epochRoster
-	c.Metrics = sink
+			// Step 0: d is not yet a member; its frames must never fill a slot
+			// even though they arrive first.
+			send("d", 0)
+			for _, id := range []string{"a", "b", "c"} {
+				send(id, 0)
+			}
+			round(0, "d")
+			if got := c.Metrics.DroppedRoster.Load(); got != frames {
+				t.Fatalf("DroppedRoster = %d, want %d (one per frame)", got, frames)
+			}
 
-	// Step 0: d is not yet a member; its frame must never fill a slot even
-	// though it arrives first.
-	send("d", 0)
-	for _, id := range []string{"a", "b", "c"} {
-		send(id, 0)
-	}
-	msgs, err := c.Collect(KindGradient, 0, 3, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range msgs {
-		if m.From == "d" {
-			t.Fatal("pre-join sender entered the step-0 quorum")
-		}
-	}
-	if c.Metrics.DroppedRoster.Load() != 1 {
-		t.Fatalf("DroppedRoster = %d, want 1", c.Metrics.DroppedRoster.Load())
-	}
-
-	// Step 5: a has left and d has joined; the same quorum math now admits
-	// d and rejects a.
-	c.Advance(5)
-	send("a", 5)
-	for _, id := range []string{"b", "c", "d"} {
-		send(id, 5)
-	}
-	msgs, err = c.Collect(KindGradient, 5, 3, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range msgs {
-		if m.From == "a" {
-			t.Fatal("departed sender entered the step-5 quorum")
-		}
-	}
-	if c.Metrics.DroppedRoster.Load() != 2 {
-		t.Fatalf("DroppedRoster = %d, want 2", c.Metrics.DroppedRoster.Load())
-	}
-	if got := sink.DroppedRoster.Load(); got != 2 {
-		t.Fatalf("metrics mirror DroppedRoster = %d, want 2", got)
+			// Step 5: a has left and d has joined; the same quorum math now
+			// admits d and rejects a.
+			c.Advance(5)
+			send("a", 5)
+			for _, id := range []string{"b", "c", "d"} {
+				send(id, 5)
+			}
+			round(5, "a")
+			if got := sink.DroppedRoster.Load(); got != 2*frames {
+				t.Fatalf("DroppedRoster = %d, want %d", got, 2*frames)
+			}
+		})
 	}
 }
 
-func TestShardCollectorMembership(t *testing.T) {
-	net := NewChanNetwork(nil)
-	defer net.Close()
-	recv, _ := net.Register("srv")
-	eps := map[string]Endpoint{}
-	for _, id := range []string{"a", "b", "c", "d"} {
-		eps[id], _ = net.Register(id)
-	}
-
-	c := NewShardCollector(recv, NewShardLayout(4, 2))
-	c.Membership = epochRoster
-
-	vec := tensor.Vector{1, 2, 3, 4}
-	// d streams both shards at step 0 — outside the roster, every frame drops.
-	if err := SendSharded(eps["d"], "srv", Message{Kind: KindGradient, Step: 0, Vec: vec}, 2); err != nil {
-		t.Fatal(err)
-	}
-	for _, id := range []string{"a", "b"} {
-		if err := SendSharded(eps[id], "srv", Message{Kind: KindGradient, Step: 0, Vec: vec}, 2); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var folded int
-	_, err := c.Collect(KindGradient, 0, 2, nil, "", false,
-		func(lo, hi int, senders []string, inputs []tensor.Vector) error {
-			folded++
-			for _, s := range senders {
-				if s == "d" {
-					return fmt.Errorf("pre-join sender %s folded into shard [%d,%d)", s, lo, hi)
-				}
+// TestCollectorCountsWrongDimension: a whole frame whose dimension is not the
+// deployment's is counted malformed at every layout — a wrong-dimension
+// sprayer must be visible in the drop counters wherever it sprays.
+func TestCollectorCountsWrongDimension(t *testing.T) {
+	for _, size := range []int{0, 2} {
+		t.Run(fmt.Sprintf("shard size %d", size), func(t *testing.T) {
+			net := NewChanNetwork(nil)
+			defer net.Close()
+			recv, _ := net.Register("srv")
+			byz, _ := net.Register("byz")
+			ok, _ := net.Register("ok")
+			for _, d := range []int{1, 3, 5} {
+				_ = byz.Send("srv", Message{Kind: KindGradient, Step: 0, Vec: make(tensor.Vector, d)})
 			}
-			return nil
-		}, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if folded != 2 {
-		t.Fatalf("folded %d shards, want 2", folded)
-	}
-	if c.Metrics.DroppedRoster.Load() != 2 {
-		t.Fatalf("DroppedRoster = %d, want 2 (one per shard frame)", c.Metrics.DroppedRoster.Load())
+			_ = ok.Send("srv", Message{Kind: KindGradient, Step: 0, Vec: make(tensor.Vector, 4)})
+			c := NewCollector(recv, NewShardLayout(4, size))
+			senders := map[string]bool{}
+			_, err := c.Collect(KindGradient, 0, 1, nil, "", false,
+				func(_, _ int, from []string, _ []tensor.Vector) error {
+					senders[from[0]] = true
+					return nil
+				}, time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(senders) != 1 || !senders["ok"] {
+				t.Fatalf("quorum filled by %v, want the well-formed sender", senders)
+			}
+			if got := c.Metrics.DroppedMalformed.Load(); got != 3 {
+				t.Fatalf("DroppedMalformed = %d, want 3", got)
+			}
+		})
 	}
 }
 
@@ -144,8 +145,8 @@ func TestCollectAnyLatchesLiveStep(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	c := NewCollector(recv)
-	msgs, step, err := c.CollectAny(KindPeerParams, 12, 3, time.Second)
+	c := wholeCollector(recv, 1)
+	msgs, step, err := collectAny(c, KindPeerParams, 12, 3, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,9 +180,9 @@ func TestCollectAnyMobileFloor(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	c := NewCollector(recv)
+	c := wholeCollector(recv, 1)
 	c.Horizon = 16
-	msgs, step, err := c.CollectAny(KindPeerParams, 0, 3, time.Second)
+	msgs, step, err := collectAny(c, KindPeerParams, 0, 3, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,10 +199,10 @@ func TestCollectAnyTimesOut(t *testing.T) {
 	if err := p.Send("rejoiner", Message{Kind: KindPeerParams, Step: 9, Vec: tensor.Vector{1}}); err != nil {
 		t.Fatal(err)
 	}
-	c := NewCollector(recv)
+	c := wholeCollector(recv, 1)
 	// Only one live sender: no step can ever reach q=3, so the rejoiner
 	// must time out — the caller then resumes from the checkpoint alone.
-	if _, _, err := c.CollectAny(KindPeerParams, 0, 3, 100*time.Millisecond); err == nil {
+	if _, _, err := collectAny(c, KindPeerParams, 0, 3, 100*time.Millisecond); err == nil {
 		t.Fatal("CollectAny returned without a quorum")
 	}
 }
@@ -221,7 +222,7 @@ func TestShardCollectorPinnedFailover(t *testing.T) {
 	}
 
 	layout := NewShardLayout(4, 2) // two shards
-	c := NewShardCollector(recv, layout)
+	c := NewCollector(recv, layout)
 	vec := tensor.Vector{1, 2, 3, 4}
 	shard := func(id string, idx int, step int) {
 		t.Helper()

@@ -214,8 +214,8 @@ func TestChunkFrameRejections(t *testing.T) {
 	}
 }
 
-// TestCollectorReassemblesChunks checks the whole-vector Collector's
-// interop path: senders streaming chunk frames — out of order, duplicated,
+// TestCollectorReassemblesChunks checks the one-shard Collector's interop
+// path: senders streaming chunk frames — out of order, duplicated,
 // interleaved across senders — count toward the quorum exactly when their
 // last shard lands, bit-identically to a whole send.
 func TestCollectorReassemblesChunks(t *testing.T) {
@@ -250,8 +250,8 @@ func TestCollectorReassemblesChunks(t *testing.T) {
 	_ = b.Send("recv", sb[2]) // b completes here
 	_ = a.Send("recv", sa[0]) // a completes last
 
-	col := NewCollector(recv)
-	msgs, err := col.Collect(KindParams, 0, 3, 2*time.Second)
+	col := wholeCollector(recv, 10)
+	msgs, err := collect(col, KindParams, 0, 3, 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,8 +291,8 @@ func TestCollectorDropsInconsistentChunkStreams(t *testing.T) {
 		Shard: ShardMeta{Index: 1, Count: 3, Offset: 3}}) // count changed: assembly dropped
 	_ = ok.Send("recv", Message{Kind: KindParams, Step: 0, Vec: v})
 
-	col := NewCollector(recv)
-	msgs, err := col.Collect(KindParams, 0, 1, 2*time.Second)
+	col := wholeCollector(recv, 6)
+	msgs, err := collect(col, KindParams, 0, 1, 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,8 +312,8 @@ func TestCollectorDropsInconsistentChunkStreams(t *testing.T) {
 		Shard: ShardMeta{Index: 0, Count: 2, Offset: 0}})
 	_ = byz2.Send("recv", Message{Kind: KindParams, Step: 0, Vec: v[:3],
 		Shard: ShardMeta{Index: 1, Count: 2, Offset: 5}}) // gap: 3 expected
-	col2 := NewCollector(recv2)
-	if _, err := col2.Collect(KindParams, 0, 1, 200*time.Millisecond); err == nil {
+	col2 := wholeCollector(recv2, 6)
+	if _, err := collect(col2, KindParams, 0, 1, 200*time.Millisecond); err == nil {
 		t.Fatal("non-tiling stream satisfied a quorum")
 	}
 	if col2.Metrics.DroppedMalformed.Load() == 0 {
@@ -378,7 +378,7 @@ func TestShardCollectorInterleavedAcrossSendersAndSteps(t *testing.T) {
 	_ = eps[1].Send("recv", f1[1][1])
 	_ = eps[1].Send("recv", f1[1][2])
 
-	col := NewShardCollector(recv, NewShardLayout(dim, size))
+	col := NewCollector(recv, NewShardLayout(dim, size))
 	type foldRec struct {
 		lo, hi  int
 		senders []string
@@ -448,7 +448,7 @@ func TestShardCollectorPinned(t *testing.T) {
 	_ = a.Send("recv", sa[1])
 	_ = b.Send("recv", sb[1]) // shard 1 completes for the pinned set
 
-	col := NewShardCollector(recv, NewShardLayout(dim, size))
+	col := NewCollector(recv, NewShardLayout(dim, size))
 	var got [][]string
 	fold := func(lo, hi int, senders []string, inputs []tensor.Vector) error {
 		got = append(got, append([]string(nil), senders...))
@@ -486,7 +486,7 @@ func TestShardCollectorWholeVectorInterop(t *testing.T) {
 	for _, sm := range SplitMessage(Message{Kind: KindParams, Step: 0, Vec: vecs[1]}, size) {
 		_ = b.Send("recv", sm)
 	}
-	col := NewShardCollector(recv, NewShardLayout(dim, size))
+	col := NewCollector(recv, NewShardLayout(dim, size))
 	folds := 0
 	fold := func(lo, hi int, senders []string, inputs []tensor.Vector) error {
 		folds++
@@ -534,7 +534,7 @@ func TestShardCollectorUnderFaults(t *testing.T) {
 		// node-exit path every runtime runs.
 		_ = fep.Close()
 	}
-	col := NewShardCollector(recv, NewShardLayout(dim, size))
+	col := NewCollector(recv, NewShardLayout(dim, size))
 	byName := map[string]tensor.Vector{"a": vecs[0], "b": vecs[1], "c": vecs[2], "d": vecs[3]}
 	folds := 0
 	fold := func(lo, hi int, sendersIn []string, inputs []tensor.Vector) error {
@@ -561,8 +561,8 @@ func TestShardCollectorUnderFaults(t *testing.T) {
 	}
 }
 
-// TestShardCollectorHorizonAndMalformed mirrors the Collector's hardening
-// on the incremental path: far-future shards are dropped and counted,
+// TestShardCollectorHorizonAndMalformed is the collector's hardening at a
+// sharded layout: far-future shards are dropped and counted,
 // frames disagreeing with the layout are dropped and counted.
 func TestShardCollectorHorizonAndMalformed(t *testing.T) {
 	const dim, size = 8, 4
@@ -583,7 +583,7 @@ func TestShardCollectorHorizonAndMalformed(t *testing.T) {
 	_ = a.Send("recv", Message{Kind: KindGradient, Step: 0, Vec: v})
 	_ = b.Send("recv", Message{Kind: KindGradient, Step: 0, Vec: v})
 
-	col := NewShardCollector(recv, NewShardLayout(dim, size))
+	col := NewCollector(recv, NewShardLayout(dim, size))
 	fold := func(int, int, []string, []tensor.Vector) error { return nil }
 	if _, err := col.Collect(KindGradient, 0, 2, nil, "", false, fold, 2*time.Second); err != nil {
 		t.Fatal(err)
@@ -596,9 +596,9 @@ func TestShardCollectorHorizonAndMalformed(t *testing.T) {
 	}
 }
 
-// TestShardCollectorPeakBytes replays one round-robin schedule through
-// both collectors: the incremental path's peak buffer must stay well under
-// the whole-vector path's q·d floor.
+// TestShardCollectorPeakBytes replays one round-robin schedule through the
+// collector at both layouts: the sharded layout's peak buffer must stay
+// well under the one-shard layout's q·d floor.
 func TestShardCollectorPeakBytes(t *testing.T) {
 	const (
 		dim, size = 4096, 256
@@ -614,8 +614,8 @@ func TestShardCollectorPeakBytes(t *testing.T) {
 		ep, _ := wholeNet.Register(string(rune('a' + i)))
 		_ = ep.Send("recv", Message{Kind: KindParams, Step: 0, Vec: vecs[i]})
 	}
-	col := NewCollector(recv)
-	if _, err := col.Collect(KindParams, 0, q, 2*time.Second); err != nil {
+	col := wholeCollector(recv, dim)
+	if _, err := collect(col, KindParams, 0, q, 2*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	if want := q * dim * 8; col.Metrics.PeakBytes() != want {
@@ -636,7 +636,7 @@ func TestShardCollectorPeakBytes(t *testing.T) {
 			_ = eps[i].Send("recv", frames[i][s])
 		}
 	}
-	scol := NewShardCollector(recv2, NewShardLayout(dim, size))
+	scol := NewCollector(recv2, NewShardLayout(dim, size))
 	fold := func(int, int, []string, []tensor.Vector) error { return nil }
 	if _, err := scol.Collect(KindParams, 0, q, nil, "", false, fold, 2*time.Second); err != nil {
 		t.Fatal(err)

@@ -1,8 +1,10 @@
 package transport
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -185,8 +187,8 @@ func TestCollectorQuorum(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	c := NewCollector(recv)
-	msgs, err := c.Collect(KindGradient, 0, 3, time.Second)
+	c := wholeCollector(recv, 1)
+	msgs, err := collect(c, KindGradient, 0, 3, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,9 +229,9 @@ func TestCollectorArrivalOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	c := NewCollector(recv)
+	c := wholeCollector(recv, 1)
 	c.Advance(2)
-	msgs, err := c.Collect(KindGradient, 2, q, time.Second)
+	msgs, err := collect(c, KindGradient, 2, q, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +259,7 @@ func TestCollectorFutureHorizonBounded(t *testing.T) {
 	byz, _ := net.Register("byz")
 	honest, _ := net.Register("honest")
 
-	c := NewCollector(recv)
+	c := wholeCollector(recv, 1)
 	c.Horizon = 16
 	const spray = 200
 	for s := 1; s <= spray; s++ {
@@ -268,7 +270,7 @@ func TestCollectorFutureHorizonBounded(t *testing.T) {
 	if err := honest.Send("srv", Message{Kind: KindGradient, Step: 0, Vec: tensor.Vector{0}}); err != nil {
 		t.Fatal(err)
 	}
-	msgs, err := c.Collect(KindGradient, 0, 1, time.Second)
+	msgs, err := collect(c, KindGradient, 0, 1, time.Second)
 	if err != nil || msgs[0].From != "honest" {
 		t.Fatalf("collect: %v %+v", err, msgs)
 	}
@@ -276,12 +278,12 @@ func TestCollectorFutureHorizonBounded(t *testing.T) {
 		t.Fatalf("DroppedFuture = %d, want %d", got, spray-c.Horizon)
 	}
 	for s := 1; s <= c.Horizon; s++ {
-		if c.Buffered(KindGradient, s) != 1 {
+		if buffered(c, KindGradient, s) != 1 {
 			t.Fatalf("step %d within horizon not buffered", s)
 		}
 	}
 	for s := c.Horizon + 1; s <= spray; s++ {
-		if c.Buffered(KindGradient, s) != 0 {
+		if buffered(c, KindGradient, s) != 0 {
 			t.Fatalf("step %d beyond horizon buffered", s)
 		}
 	}
@@ -304,12 +306,12 @@ func TestCollectorDropsInvalidKinds(t *testing.T) {
 	if err := honest.Send("srv", Message{Kind: KindGradient, Step: 0, Vec: tensor.Vector{0}}); err != nil {
 		t.Fatal(err)
 	}
-	c := NewCollector(recv)
-	if msgs, err := c.Collect(KindGradient, 0, 1, time.Second); err != nil || msgs[0].From != "honest" {
+	c := wholeCollector(recv, 1)
+	if msgs, err := collect(c, KindGradient, 0, 1, time.Second); err != nil || msgs[0].From != "honest" {
 		t.Fatalf("collect: %v %+v", err, msgs)
 	}
 	for _, k := range []Kind{0, 4, 77, 255} {
-		if c.Buffered(k, 0) != 0 {
+		if buffered(c, k, 0) != 0 {
 			t.Fatalf("invalid kind %d buffered", k)
 		}
 	}
@@ -322,11 +324,21 @@ func TestCollectorZeroQuorum(t *testing.T) {
 	net := NewChanNetwork(nil)
 	defer net.Close()
 	recv, _ := net.Register("srv")
-	c := NewCollector(recv)
+	c := wholeCollector(recv, 1)
 	for _, q := range []int{0, -1} {
-		msgs, err := c.Collect(KindPeerParams, 3, q, time.Second)
+		msgs, err := collect(c, KindPeerParams, 3, q, time.Second)
 		if err != nil || len(msgs) != 0 {
 			t.Fatalf("Collect(q=%d) = %v, %v", q, msgs, err)
+		}
+		// With a self vector the fold still runs, over the local input alone.
+		var got []string
+		_, err = c.Collect(KindPeerParams, 3, q, tensor.Vector{7}, "me", false,
+			func(_, _ int, senders []string, inputs []tensor.Vector) error {
+				got = append(got, fmt.Sprint(senders, inputs))
+				return nil
+			}, time.Second)
+		if err != nil || len(got) != 1 || got[0] != "[me] [[7]]" {
+			t.Fatalf("Collect(q=%d, self) folded %v, %v", q, got, err)
 		}
 	}
 }
@@ -344,14 +356,14 @@ func TestCollectorDedupesSenders(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	c := NewCollector(recv)
-	if _, err := c.Collect(KindGradient, 0, 2, 50*time.Millisecond); err == nil {
+	c := wholeCollector(recv, 1)
+	if _, err := collect(c, KindGradient, 0, 2, 50*time.Millisecond); err == nil {
 		t.Fatal("quorum of 2 satisfied by a single flooding sender")
 	}
 	if err := honest.Send("srv", Message{Kind: KindGradient, Step: 0, Vec: tensor.Vector{1}}); err != nil {
 		t.Fatal(err)
 	}
-	msgs, err := c.Collect(KindGradient, 0, 2, time.Second)
+	msgs, err := collect(c, KindGradient, 0, 2, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,8 +388,8 @@ func TestCollectorBuffersFutureDropsPast(t *testing.T) {
 	if err := w.Send("srv", Message{Kind: KindGradient, Step: 1, Vec: tensor.Vector{1}}); err != nil {
 		t.Fatal(err)
 	}
-	c := NewCollector(recv)
-	msgs, err := c.Collect(KindGradient, 1, 1, time.Second)
+	c := wholeCollector(recv, 1)
+	msgs, err := collect(c, KindGradient, 1, 1, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,10 +397,10 @@ func TestCollectorBuffersFutureDropsPast(t *testing.T) {
 		t.Fatalf("collected wrong step payload: %+v", msgs[0])
 	}
 	// The future message is buffered and satisfies the next round instantly.
-	if c.Buffered(KindGradient, 2) != 1 {
-		t.Fatalf("future message not buffered: %d", c.Buffered(KindGradient, 2))
+	if buffered(c, KindGradient, 2) != 1 {
+		t.Fatalf("future message not buffered: %d", buffered(c, KindGradient, 2))
 	}
-	msgs, err = c.Collect(KindGradient, 2, 1, time.Second)
+	msgs, err = collect(c, KindGradient, 2, 1, time.Second)
 	if err != nil || msgs[0].Vec[0] != 2 {
 		t.Fatalf("future buffering broken: %v %+v", err, msgs)
 	}
@@ -402,26 +414,62 @@ func TestCollectorAdvanceDropsStale(t *testing.T) {
 	if err := w.Send("srv", Message{Kind: KindParams, Step: 3, Vec: tensor.Vector{3}}); err != nil {
 		t.Fatal(err)
 	}
-	c := NewCollector(recv)
+	c := wholeCollector(recv, 1)
 	// Pull it into the buffer by collecting a different kind with timeout.
-	_, _ = c.Collect(KindGradient, 3, 1, 20*time.Millisecond)
-	if c.Buffered(KindParams, 3) != 1 {
+	_, _ = collect(c, KindGradient, 3, 1, 20*time.Millisecond)
+	if buffered(c, KindParams, 3) != 1 {
 		t.Fatal("message not buffered")
 	}
 	c.Advance(5)
-	if c.Buffered(KindParams, 3) != 0 {
+	if buffered(c, KindParams, 3) != 0 {
 		t.Fatal("Advance did not drop stale buffer")
 	}
 }
 
+// TestCollectorTimeoutMessage: a quorum that does not fill says how far it
+// got and names the senders — the ones that did arrive and, once a
+// membership is pinned, the members the first unfolded shard still waits on.
 func TestCollectorTimeoutMessage(t *testing.T) {
 	net := NewChanNetwork(nil)
 	defer net.Close()
 	recv, _ := net.Register("srv")
-	c := NewCollector(recv)
-	_, err := c.Collect(KindGradient, 7, 4, 10*time.Millisecond)
-	if err == nil {
-		t.Fatal("expected timeout")
+	eps := map[string]Endpoint{}
+	for _, id := range []string{"a", "b", "c"} {
+		eps[id], _ = net.Register(id)
+	}
+	noFold := func(int, int, []string, []tensor.Vector) error { return nil }
+	vec := tensor.Vector{1, 2, 3, 4}
+
+	c := wholeCollector(recv, 4)
+	_ = eps["b"].Send("srv", Message{Kind: KindGradient, Step: 7, Vec: vec})
+	_ = eps["a"].Send("srv", Message{Kind: KindGradient, Step: 7, Vec: vec})
+	_, err := c.Collect(KindGradient, 7, 4, nil, "", false, noFold, 10*time.Millisecond)
+	if !errors.Is(err, ErrQuorumTimeout) {
+		t.Fatalf("expected a quorum timeout, got %v", err)
+	}
+	for _, want := range []string{"have 2/4 gradient messages for step 7", "arrived: b a"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("one-shard timeout %q does not say %q", err, want)
+		}
+	}
+
+	// Two shards, pinned: c and a fill shard 0 and are pinned; shard 1 has
+	// c's frame only (b's is outside the pin and discarded).
+	c = NewCollector(recv, NewShardLayout(4, 2))
+	fc := SplitMessage(Message{Kind: KindGradient, Step: 8, Vec: vec}, 2)
+	_ = eps["c"].Send("srv", fc[0])
+	_ = eps["a"].Send("srv", fc[0])
+	_ = eps["b"].Send("srv", fc[1])
+	_ = eps["c"].Send("srv", fc[1])
+	_, err = c.Collect(KindGradient, 8, 2, nil, "", true, noFold, 10*time.Millisecond)
+	if !errors.Is(err, ErrQuorumTimeout) {
+		t.Fatalf("expected a quorum timeout, got %v", err)
+	}
+	for _, want := range []string{"have 1/2 gradient messages for step 8", "shard 1, 1/2 shards folded",
+		"arrived: c", "pinned, still missing: a"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("pinned timeout %q does not say %q", err, want)
+		}
 	}
 }
 
