@@ -30,6 +30,7 @@ import (
 
 	"repro/internal/attack"
 	"repro/internal/compress"
+	"repro/internal/gar"
 	"repro/internal/nn"
 	"repro/internal/tensor"
 	"repro/internal/transport"
@@ -279,6 +280,32 @@ func BenchmarkGARBulyan23x2726Serial(b *testing.B) {
 func BenchmarkGARBulyan23x2726Parallel(b *testing.B) {
 	withParallelism(b, 0)
 	benchRule(b, "bulyan", 5, 23, 2726)
+}
+
+// The same rules at the benchmark's wide dimension (paper d / 8) and the
+// paper's two quorums: q = 5 parameter vectors into the median (24 times a
+// step at the 6/18 shape), q̄ = 13 gradients into Multi-Krum (6 times) —
+// whole, and folded as one shard the way the node loops reduce a quorum.
+// BENCH_gar.json records these rows before and after the small-q kernels.
+func BenchmarkGARMedian5x207882(b *testing.B) { benchRule(b, "coordinate-median", 0, 5, 207882) }
+func BenchmarkGARTrimmedMean13x207882(b *testing.B) {
+	benchRule(b, "trimmed-mean", 5, 13, 207882)
+}
+func BenchmarkGARMultiKrum13x207882(b *testing.B) { benchRule(b, "multi-krum", 5, 13, 207882) }
+
+func BenchmarkGARMultiKrum13x207882Streamed(b *testing.B) {
+	const d = 207882
+	vs := benchVectors(13, d)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st := gar.MultiKrum{F: 5}.NewStreamer(d)
+		if err := st.Fold(0, d, vs); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := st.Result(); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // benchGradientTinyConvNet measures the worker-side gradient estimation

@@ -8,8 +8,9 @@
 // aggregation loop of a parameter server:
 //
 //   - Aggregate takes a caller-supplied destination slice, so steady-state
-//     aggregation performs no allocations ("mean" and "coordinate-median"
-//     are allocation-free after first use; see the AllocsPerRun benchmarks);
+//     aggregation performs no allocations ("mean" and, up to 16 inputs,
+//     "coordinate-median" are allocation-free after first use; see the
+//     AllocsPerRun benchmarks);
 //   - Aggregate takes a context.Context, so a deployment being torn down
 //     cancels in-flight aggregation at the next call boundary.
 //
@@ -144,9 +145,9 @@ func New(name string, p Params) (Rule, error) {
 	}
 	switch name {
 	case "mean":
-		return newMeanRule(), nil
+		return newChunkRule(name, 1<<12, igar.MeanChunkInto), nil
 	case "coordinate-median":
-		return newMedianRule(), nil
+		return newChunkRule(name, 1<<10, igar.MedianChunkInto), nil
 	default:
 		return &adapted{name: name, rule: spec.New(p.F)}, nil
 	}
@@ -175,35 +176,32 @@ func prepareDst(dst []float64, inputs [][]float64) []float64 {
 	return dst
 }
 
-// Coordinate-chunk grains of the zero-alloc rules, mirroring the internal
-// kernels: one chunk's compute must dominate pool-dispatch cost.
-const (
-	meanRuleGrain   = 1 << 12
-	medianRuleGrain = 1 << 10
-)
-
-// meanRule is the allocation-free arithmetic mean. Large dimensions are
-// aggregated in parallel coordinate chunks through a reusable
-// parallel.Runner, so the steady-state path stays zero-alloc at any
-// parallelism; per-coordinate addition order is fixed (input order), so the
-// result is bit-identical to serial.
-type meanRule struct {
+// chunkRule is an allocation-free coordinate-wise rule ("mean",
+// "coordinate-median") around one of the internal chunk kernels. Large
+// dimensions are aggregated in parallel coordinate chunks through a
+// reusable parallel.Runner — which is what makes the steady-state path
+// zero-alloc at any parallelism, and the rule single-goroutine only; each
+// coordinate's arithmetic order is fixed by the kernel (input order for the
+// mean, sorted order for the median), so the result is bit-identical to
+// serial. (Beyond the median kernel's 16-input comparator networks each
+// chunk allocates one scratch column.)
+type chunkRule struct {
+	name   string
+	grain  int // one chunk's compute must dominate pool-dispatch cost; mirrors the internal kernels
 	dst    []float64
 	inputs [][]float64
 	runner *parallel.Runner
 }
 
-func newMeanRule() *meanRule {
-	r := &meanRule{}
-	r.runner = parallel.NewRunner(func(_, lo, hi int) {
-		igar.MeanChunkInto(r.dst, r.inputs, lo, hi)
-	})
+func newChunkRule(name string, grain int, kernel func(dst []float64, inputs [][]float64, lo, hi int)) *chunkRule {
+	r := &chunkRule{name: name, grain: grain}
+	r.runner = parallel.NewRunner(func(_, lo, hi int) { kernel(r.dst, r.inputs, lo, hi) })
 	return r
 }
 
-func (*meanRule) Name() string { return "mean" }
+func (r *chunkRule) Name() string { return r.name }
 
-func (m *meanRule) Aggregate(ctx context.Context, dst []float64, inputs [][]float64) ([]float64, error) {
+func (r *chunkRule) Aggregate(ctx context.Context, dst []float64, inputs [][]float64) ([]float64, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -211,57 +209,9 @@ func (m *meanRule) Aggregate(ctx context.Context, dst []float64, inputs [][]floa
 	if err := igar.CheckInto(dst, inputs); err != nil {
 		return nil, err
 	}
-	m.dst, m.inputs = dst, inputs
-	m.runner.Run(len(dst), meanRuleGrain)
-	m.dst, m.inputs = nil, nil
-	return dst, nil
-}
-
-// medianRule is the allocation-free coordinate-wise median. It reuses
-// per-worker column scratch across calls (grown on demand) and dispatches
-// coordinate chunks through a reusable parallel.Runner — which is what makes
-// it zero-alloc in steady state and single-goroutine only.
-type medianRule struct {
-	dst    []float64
-	inputs [][]float64
-	cols   [][]float64
-	runner *parallel.Runner
-}
-
-func newMedianRule() *medianRule {
-	r := &medianRule{}
-	r.runner = parallel.NewRunner(func(w, lo, hi int) {
-		igar.MedianChunkInto(r.dst, r.cols[w], r.inputs, lo, hi)
-	})
-	return r
-}
-
-func (*medianRule) Name() string { return "coordinate-median" }
-
-func (m *medianRule) Aggregate(ctx context.Context, dst []float64, inputs [][]float64) ([]float64, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	dst = prepareDst(dst, inputs)
-	if err := igar.CheckInto(dst, inputs); err != nil {
-		return nil, err
-	}
-	n := len(inputs)
-	// Single read of the worker count: the knob can move concurrently
-	// (Deployment.Run restores it when finishing), and a second read below
-	// it could shrink and make the grow length negative.
-	if w := parallel.Workers(); len(m.cols) < w {
-		m.cols = append(m.cols, make([][]float64, w-len(m.cols))...)
-	}
-	for w := range m.cols {
-		if cap(m.cols[w]) < n {
-			m.cols[w] = make([]float64, n)
-		}
-		m.cols[w] = m.cols[w][:n]
-	}
-	m.dst, m.inputs = dst, inputs
-	m.runner.RunMax(len(dst), medianRuleGrain, len(m.cols))
-	m.dst, m.inputs = nil, nil
+	r.dst, r.inputs = dst, inputs
+	r.runner.Run(len(dst), r.grain)
+	r.dst, r.inputs = nil, nil
 	return dst, nil
 }
 

@@ -17,11 +17,30 @@
 //
 // # Execution invariants
 //
-// The O(n²·d) Krum score matrix and the coordinate loops of the median,
-// trimmed-mean and Bulyan kernels execute through internal/parallel. Every
-// decomposition is element-independent (each output cell owned by one
-// chunk) or an ordered fold, so results are bit-identical at any
-// parallelism — including fully serial.
+// Two kernels carry the sorting and the distance work, both shaped for the
+// paper's small quorums (q = 5 parameter vectors, q̄ = 13 gradients):
+//
+//   - columns.go: median, trimmed mean and Bulyan's phase 2 are three
+//     reductions of one sorted column. For n ≤ 16 inputs a tile of 256
+//     coordinates is copied into n contiguous rows and sorted by a
+//     comparator network run over whole rows with min/max (Batcher's
+//     odd-even merge, pruned to the rows the reduction reads). The
+//     gather-and-sort.Float64s column stays as the reference: it serves
+//     n > 16, and any coordinate whose reduction came out 0 or NaN — the
+//     only outcomes the two orders can differ on (min/max put −0 before +0
+//     and spread a NaN to every row; the sort keeps ±0 in input order and
+//     NaNs first, and a signed zero cannot survive a sum with a non-zero
+//     value) — so every output bit equals gather-and-sort's.
+//   - pairwise.go: Krum, Multi-Krum (whole and streamed), Bulyan and MDA
+//     get their squared distances from one accumulator kernel that visits
+//     the inputs in cache-resident tiles, four pairs per inner loop, each
+//     pair's sum strictly in coordinate order — tensor.SquaredDistance's
+//     additions, resumable at shard boundaries.
+//
+// Both execute through internal/parallel, and every decomposition is
+// element-independent (each output cell owned by one chunk) or an ordered
+// fold, so results are bit-identical at any parallelism — including fully
+// serial.
 //
 // Rules implementing StreamingRule (mean, median, trimmed-mean,
 // multi-krum) additionally aggregate shard-by-shard — how the node loops
@@ -30,8 +49,8 @@
 // one shard): folding the shards
 // of a fixed input set — in any arrival order, at any shard size —
 // produces the exact bits of the whole-vector Aggregate on that set.
-// Coordinate-wise rules get this by construction; Multi-Krum extends each
-// pairwise distance accumulator strictly in coordinate order, the serial
-// whole-vector summation merely paused at shard boundaries, and shares
-// the whole path's scoring, selection and averaging kernels.
+// Coordinate-wise rules get this by construction; Multi-Krum defers
+// out-of-order shards so that the whole-vector path's own distance kernel
+// sees the coordinates in order, and shares its scoring, selection and
+// averaging.
 package gar

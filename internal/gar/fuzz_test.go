@@ -103,26 +103,25 @@ func FuzzAggregateRules(f *testing.F) {
 }
 
 // FuzzMedianInto drives the zero-alloc kernel path the public guanyu/gar
-// median uses, with an independently sized scratch column.
+// median uses, with an independently sized destination.
 func FuzzMedianInto(f *testing.F) {
-	f.Add([]byte{3, 2, 0, 1}, 2, 3)
-	f.Add([]byte{4, 4, 0, 1}, 0, 0)
-	f.Fuzz(func(t *testing.T, data []byte, dstLen, colLen int) {
+	f.Add([]byte{3, 2, 0, 1}, 2)
+	f.Add([]byte{4, 4, 0, 1}, 0)
+	f.Fuzz(func(t *testing.T, data []byte, dstLen int) {
 		inputs, _, _ := decodeFuzzInputs(data)
-		if dstLen < 0 || dstLen > 64 || colLen < 0 || colLen > 64 {
+		if dstLen < 0 || dstLen > 64 {
 			return
 		}
 		dst := make(tensor.Vector, dstLen)
-		col := make([]float64, colLen)
-		// Wrong dst/col sizes must be reported, never written out of
-		// bounds; matching sizes must fill dst with per-coordinate medians.
-		err := MedianInto(dst, col, inputs)
+		// A wrong dst size must be reported, never written out of bounds;
+		// a matching size must fill dst with per-coordinate medians.
+		err := MedianInto(dst, inputs)
 		if err != nil {
 			return
 		}
-		if len(inputs) == 0 || dstLen != len(inputs[0]) || colLen < len(inputs) {
-			t.Fatalf("MedianInto accepted inconsistent sizes: dst=%d col=%d inputs=%dx?",
-				dstLen, colLen, len(inputs))
+		if len(inputs) == 0 || dstLen != len(inputs[0]) {
+			t.Fatalf("MedianInto accepted inconsistent sizes: dst=%d inputs=%dx?",
+				dstLen, len(inputs))
 		}
 	})
 }

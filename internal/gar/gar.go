@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
 
@@ -83,7 +82,7 @@ func (Median) Aggregate(inputs []tensor.Vector) (tensor.Vector, error) {
 		return nil, err
 	}
 	out := make(tensor.Vector, len(inputs[0]))
-	if err := MedianInto(out, make([]float64, len(inputs)), inputs); err != nil {
+	if err := MedianInto(out, inputs); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -100,16 +99,6 @@ func lexLess(a, b tensor.Vector) bool {
 	return false
 }
 
-// medianInPlace computes the median of xs, permuting xs.
-func medianInPlace(xs []float64) float64 {
-	sort.Float64s(xs)
-	n := len(xs)
-	if n%2 == 1 {
-		return xs[n/2]
-	}
-	return xs[n/2-1]/2 + xs[n/2]/2
-}
-
 // KrumScores returns the Krum score of every input: the score of input x is
 // the sum of squared distances between x and its n−f−2 closest other inputs.
 // Lower scores indicate vectors in denser (more plausibly honest)
@@ -120,37 +109,15 @@ func KrumScores(inputs []tensor.Vector, f int) ([]float64, error) {
 		return nil, fmt.Errorf("%w: Krum needs n ≥ 2f+3, got n=%d f=%d",
 			ErrTooFewInputs, n, f)
 	}
-	// Pairwise squared distances, parallel over rows: the task owning row i
-	// computes dist[i][j] and mirrors it into dist[j][i] for every j > i, so
-	// each cell is written by exactly one task (the smaller index) and the
-	// matrix is identical at any parallelism. Rows shrink as i grows; grain-1
-	// chunks pulled dynamically keep the workers balanced. Small problems
-	// collapse to a single chunk and run inline.
-	dist := make([][]float64, n)
-	for i := range dist {
-		dist[i] = make([]float64, n)
-	}
-	d := len(inputs[0])
-	rowGrain := 1
-	if (n-1)*d < 1<<15 {
-		rowGrain = n
-	}
-	parallel.For(n, rowGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			for j := i + 1; j < n; j++ {
-				dd := tensor.SquaredDistance(inputs[i], inputs[j])
-				dist[i][j] = dd
-				dist[j][i] = dd
-			}
-		}
-	})
-	return scoresFromDist(dist, f), nil
+	return scoresFromDist(squaredDistances(inputs), f), nil
 }
 
 // scoresFromDist turns a full pairwise squared-distance matrix into Krum
 // scores: input i scores the sum of its n−f−2 smallest distances to other
 // inputs. Shared verbatim by the whole-vector path and the shard-streaming
-// path, so both produce bit-identical scores from equal matrices.
+// path, so both produce bit-identical scores from equal matrices. Each row
+// is sorted before it is summed, so a score does not depend on the order of
+// the other inputs.
 func scoresFromDist(dist [][]float64, f int) []float64 {
 	n := len(dist)
 	k := n - f - 2 // number of closest neighbours in the score
@@ -207,13 +174,18 @@ func (k Krum) Aggregate(inputs []tensor.Vector) (tensor.Vector, error) {
 	if err != nil {
 		return nil, err
 	}
+	return tensor.Clone(inputs[argmin(scores)]), nil
+}
+
+// argmin returns the first index of the smallest score.
+func argmin(scores []float64) int {
 	best := 0
 	for i, s := range scores {
 		if s < scores[best] {
 			best = i
 		}
 	}
-	return tensor.Clone(inputs[best]), nil
+	return best
 }
 
 // MultiKrum is the paper's F: it averages the n−f−2 smallest-scoring inputs.
@@ -303,28 +275,11 @@ func (t TrimmedMean) Aggregate(inputs []tensor.Vector) (tensor.Vector, error) {
 }
 
 // trimmedInto writes the coordinate-wise f-trimmed mean of inputs into dst
-// (dst and every input share one length). Coordinate-chunked: each chunk
-// owns its coordinate range and sorts into its own column scratch, so the
-// output is identical at any parallelism — and because the shard-streaming
-// path calls this same kernel on shard slices, sharded and whole-vector
-// aggregation are bit-identical by construction.
+// (dst and every input share one length). The shard-streaming path calls
+// this same kernel on shard slices, so sharded and whole-vector aggregation
+// are bit-identical by construction.
 func trimmedInto(dst tensor.Vector, inputs []tensor.Vector, f int) {
-	n := len(inputs)
-	kept := float64(n - 2*f)
-	parallel.For(len(dst), coordGrain, func(lo, hi int) {
-		col := make([]float64, n)
-		for i := lo; i < hi; i++ {
-			for j, v := range inputs {
-				col[j] = v[i]
-			}
-			sort.Float64s(col)
-			var s float64
-			for _, x := range col[f : n-f] {
-				s += x
-			}
-			dst[i] = s / kept
-		}
-	})
+	reduceAllColumns(dst, inputs, reduction{trim: f, beta: len(inputs) - 2*f})
 }
 
 // Bulyan composes Multi-Krum selection with a coordinate-wise trimmed
@@ -353,14 +308,16 @@ func (b Bulyan) Aggregate(inputs []tensor.Vector) (tensor.Vector, error) {
 			ErrTooFewInputs, n, f)
 	}
 	// Phase 1: iteratively pick θ = n − 2f vectors by repeated Krum
-	// selection, removing each winner from the pool.
+	// selection, removing each winner from the pool. Removing a vector
+	// changes no distance between the others, so the matrix is built once
+	// and loses the winner's row and column along with the pool.
 	pool := make([]tensor.Vector, n)
 	copy(pool, inputs)
+	dist := squaredDistances(inputs)
 	theta := n - 2*f
 	selected := make([]tensor.Vector, 0, theta)
 	for len(selected) < theta {
-		scores, err := KrumScores(pool, f)
-		if err != nil {
+		if len(pool) < 2*f+3 {
 			// Pool shrank below the Krum precondition: finish the selection
 			// with the remaining vectors closest to the pool's coordinate-wise
 			// median (still ≥ 2f+1 candidates). Closeness-to-median is
@@ -381,43 +338,15 @@ func (b Bulyan) Aggregate(inputs []tensor.Vector) (tensor.Vector, error) {
 			selected = append(selected, pool[:theta-len(selected)]...)
 			break
 		}
-		best := 0
-		for i, s := range scores {
-			if s < scores[best] {
-				best = i
-			}
-		}
+		best := argmin(scoresFromDist(dist, f))
 		selected = append(selected, pool[best])
 		pool = append(pool[:best], pool[best+1:]...)
+		dist = deleteRowCol(dist, best)
 	}
 	// Phase 2: per coordinate, average the β = θ − 2f values closest to the
-	// median of the selected set. Coordinate-chunked like the trimmed mean;
-	// each chunk owns its coordinate range and scratch column.
-	d := len(inputs[0])
-	beta := theta - 2*f
-	out := make(tensor.Vector, d)
-	parallel.For(d, coordGrain, func(cLo, cHi int) {
-		col := make([]float64, len(selected))
-		for i := cLo; i < cHi; i++ {
-			for j, v := range selected {
-				col[j] = v[i]
-			}
-			sort.Float64s(col)
-			// The β values closest to the median form the tightest contiguous
-			// window of the sorted column; slide to find it.
-			bestLo, bestSpread := 0, col[beta-1]-col[0]
-			for lo := 1; lo+beta <= len(col); lo++ {
-				if s := col[lo+beta-1] - col[lo]; s < bestSpread {
-					bestSpread = s
-					bestLo = lo
-				}
-			}
-			var s float64
-			for _, x := range col[bestLo : bestLo+beta] {
-				s += x
-			}
-			out[i] = s / float64(beta)
-		}
-	})
+	// median of the selected set — the tightest window of β consecutive
+	// entries of the sorted column.
+	out := make(tensor.Vector, len(inputs[0]))
+	reduceAllColumns(out, selected, reduction{beta: theta - 2*f})
 	return out, nil
 }

@@ -134,15 +134,10 @@ func (m MDA) SelectIndices(inputs []tensor.Vector) ([]int, error) {
 	}
 
 	// Pairwise distances once.
-	dist := make([][]float64, n)
-	for i := range dist {
-		dist[i] = make([]float64, n)
-	}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			dd := tensor.Distance(inputs[i], inputs[j])
-			dist[i][j] = dd
-			dist[j][i] = dd
+	dist := squaredDistances(inputs)
+	for _, row := range dist {
+		for j, dd := range row {
+			row[j] = math.Sqrt(dd)
 		}
 	}
 

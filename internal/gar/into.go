@@ -14,20 +14,18 @@ import (
 //
 // Both kernels are coordinate-independent: coordinate i of the output
 // depends only on coordinate i of the inputs, and within one coordinate the
-// arithmetic order is fixed (input order for the mean, a sort for the
-// median). Splitting the coordinate range into chunks therefore produces
-// bit-identical results at any parallelism — including fully serial.
+// arithmetic order is fixed (input order for the mean, sorted order for the
+// median — see columns.go). Splitting the coordinate range into chunks
+// therefore produces bit-identical results at any parallelism — including
+// fully serial.
 
 // Coordinate-chunk grains: one chunk is sized so its compute dominates the
-// dispatch cost of a pool chunk (~1µs). The median pays a small sort per
-// coordinate, the mean only n additions, hence the larger mean grain.
+// dispatch cost of a pool chunk (~1µs). The sorting rules (median, trimmed
+// mean, Bulyan phase 2) pay a small sort per coordinate, the mean only n
+// additions, hence the larger mean grain.
 const (
-	medianGrain = 1 << 10
-	meanGrain   = 1 << 12
-	// coordGrain sizes the coordinate chunks of the sorting rules
-	// (trimmed-mean, Bulyan phase 2), which pay roughly a median's work per
-	// coordinate.
 	coordGrain = 1 << 10
+	meanGrain  = 1 << 12
 )
 
 // CheckInto validates inputs (non-empty, equal dimensions) and that dst
@@ -64,17 +62,9 @@ func MeanChunkInto(dst tensor.Vector, inputs []tensor.Vector, lo, hi int) {
 }
 
 // MedianChunkInto writes coordinates [lo, hi) of the coordinate-wise median
-// of inputs into dst, using col (len(col) ≥ len(inputs)) as scratch. Each
-// coordinate's column is copied out before dst is written, so dst may alias
-// one of the inputs.
-func MedianChunkInto(dst tensor.Vector, col []float64, inputs []tensor.Vector, lo, hi int) {
-	col = col[:len(inputs)]
-	for i := lo; i < hi; i++ {
-		for j, v := range inputs {
-			col[j] = v[i]
-		}
-		dst[i] = medianInPlace(col)
-	}
+// of inputs into dst. dst may alias one of the inputs.
+func MedianChunkInto(dst tensor.Vector, inputs []tensor.Vector, lo, hi int) {
+	reduceColumns(dst, inputs, lo, hi, medianOf(len(inputs)))
 }
 
 // MeanInto writes the arithmetic mean of inputs into dst. dst must have the
@@ -90,32 +80,13 @@ func MeanInto(dst tensor.Vector, inputs []tensor.Vector) error {
 	return nil
 }
 
-// MedianInto writes the coordinate-wise median of inputs into dst, using
-// col (len(col) ≥ len(inputs)) as scratch. Large dimensions are processed in
-// parallel coordinate chunks (bit-identical to serial); extra workers get
-// their own scratch columns so col is only touched by one of them.
-func MedianInto(dst tensor.Vector, col []float64, inputs []tensor.Vector) error {
+// MedianInto writes the coordinate-wise median of inputs into dst. Large
+// dimensions are processed in parallel coordinate chunks (bit-identical to
+// serial).
+func MedianInto(dst tensor.Vector, inputs []tensor.Vector) error {
 	if err := CheckInto(dst, inputs); err != nil {
 		return err
 	}
-	n := len(inputs)
-	if len(col) < n {
-		return fmt.Errorf("gar: median scratch has length %d, need %d", len(col), n)
-	}
-	d := len(dst)
-	if w := parallel.Workers(); w > 1 && d > medianGrain {
-		cols := make([][]float64, w)
-		cols[0] = col
-		parallel.ForWorker(d, medianGrain, len(cols), func(wk, lo, hi int) {
-			c := cols[wk]
-			if c == nil {
-				c = make([]float64, n)
-				cols[wk] = c
-			}
-			MedianChunkInto(dst, c, inputs, lo, hi)
-		})
-		return nil
-	}
-	MedianChunkInto(dst, col, inputs, 0, d)
+	reduceAllColumns(dst, inputs, medianOf(len(inputs)))
 	return nil
 }

@@ -56,7 +56,7 @@ func TestCoordinateKernelsBitIdenticalAcrossWorkers(t *testing.T) {
 		},
 		"median": func() (tensor.Vector, error) {
 			dst := make(tensor.Vector, len(inputs[0]))
-			return dst, MedianInto(dst, make([]float64, len(inputs)), inputs)
+			return dst, MedianInto(dst, inputs)
 		},
 		"trimmed-mean": func() (tensor.Vector, error) {
 			return TrimmedMean{F: 5}.Aggregate(inputs)

@@ -180,21 +180,15 @@ func (s *meanStreamer) Result() (tensor.Vector, error) { return s.result() }
 func (Median) PinnedQuorum() bool { return false }
 
 // NewStreamer implements StreamingRule.
-func (Median) NewStreamer(dim int) ShardStreamer { return &medianStreamer{cs: newCoordStreamer(dim)} }
+func (Median) NewStreamer(dim int) ShardStreamer { return &medianStreamer{newCoordStreamer(dim)} }
 
-type medianStreamer struct {
-	cs  coordStreamer
-	col []float64
-}
+type medianStreamer struct{ cs coordStreamer }
 
 func (s *medianStreamer) Fold(lo, hi int, inputs []tensor.Vector) error {
 	if err := s.cs.claim(lo, hi, inputs); err != nil {
 		return err
 	}
-	if len(s.col) < len(inputs) {
-		s.col = make([]float64, len(inputs))
-	}
-	return MedianInto(s.cs.out[lo:hi], s.col, inputs)
+	return MedianInto(s.cs.out[lo:hi], inputs)
 }
 
 func (s *medianStreamer) Result() (tensor.Vector, error) { return s.cs.result() }
@@ -236,10 +230,10 @@ func (MultiKrum) PinnedQuorum() bool { return true }
 // order (out-of-order shards wait in a small pending set), so the full
 // O(n²·d) distance work overlaps the network instead of following it.
 // Pass two, at Result, scores, selects and averages the retained shard
-// payloads — bit-identical to the whole-vector rule because the
-// accumulator extension IS the serial SquaredDistance loop, merely paused
-// at shard boundaries, and scoring/selection/mean share the whole path's
-// kernels. Memory note: because selection is global, every folded shard
+// payloads — bit-identical to the whole-vector rule because both extend
+// the accumulators through the one kernel (accumulatePairwise: the serial
+// SquaredDistance loop, resumable at shard boundaries) and share
+// scoring, selection and mean. Memory note: because selection is global, every folded shard
 // is retained until Result — the streamer's resident floor is O(q·d),
 // unlike the coordinate-wise streamers' O(q·shard); the win over the
 // whole-vector path is the n→q buffering drop and the overlapped
@@ -274,10 +268,7 @@ func (s *multiKrumStreamer) Fold(lo, hi int, inputs []tensor.Vector) error {
 			return fmt.Errorf("%w: Krum needs n ≥ 2f+3, got n=%d f=%d", ErrTooFewInputs, n, s.f)
 		}
 		s.n = n
-		s.dist = make([][]float64, n)
-		for i := range s.dist {
-			s.dist[i] = make([]float64, n)
-		}
+		s.dist = newDistMatrix(n)
 	}
 	if len(inputs) != s.n {
 		return fmt.Errorf("gar: shard quorum size changed from %d to %d (Multi-Krum needs a pinned quorum)",
@@ -306,36 +297,10 @@ func (s *multiKrumStreamer) Fold(lo, hi int, inputs []tensor.Vector) error {
 			return nil
 		}
 		delete(s.pending, s.cursor)
-		s.accumulate(ch)
+		accumulatePairwise(s.dist, ch.inputs)
 		s.chunks = append(s.chunks, ch)
 		s.cursor = ch.hi
 	}
-}
-
-// accumulate extends every pair's running squared-distance sum over one
-// chunk's coordinates. Parallel over rows exactly like KrumScores' matrix
-// build — row i owns every (i, j>i) accumulator, each of which is a serial
-// fold — so the result is bit-identical at any parallelism.
-func (s *multiKrumStreamer) accumulate(ch foldChunk) {
-	n, w := s.n, len(ch.inputs[0])
-	rowGrain := 1
-	if (n-1)*w < 1<<15 {
-		rowGrain = n
-	}
-	parallel.For(n, rowGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			a := ch.inputs[i]
-			for j := i + 1; j < n; j++ {
-				b := ch.inputs[j]
-				acc := s.dist[i][j]
-				for c := 0; c < w; c++ {
-					d := a[c] - b[c]
-					acc += d * d
-				}
-				s.dist[i][j] = acc
-			}
-		}
-	})
 }
 
 func (s *multiKrumStreamer) Result() (tensor.Vector, error) {
@@ -345,11 +310,7 @@ func (s *multiKrumStreamer) Result() (tensor.Vector, error) {
 	if s.cursor != s.dim || len(s.pending) > 0 {
 		return nil, fmt.Errorf("gar: %d of %d coordinates folded", s.cursor, s.dim)
 	}
-	for i := range s.dist {
-		for j := i + 1; j < s.n; j++ {
-			s.dist[j][i] = s.dist[i][j]
-		}
-	}
+	mirrorUpper(s.dist)
 	scores := scoresFromDist(s.dist, s.f)
 	s.kept = smallestByScore(scores, s.n-s.f-2)
 	out := make(tensor.Vector, s.dim)

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"net"
@@ -168,5 +169,17 @@ func Serve(addr string, reg *Registry, stallAfter time.Duration) (*Server, error
 // Addr returns the bound listen address.
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
-// Close shuts the listener down and terminates in-flight handlers.
-func (s *Server) Close() error { return s.srv.Close() }
+// closeGrace bounds how long Close waits for in-flight scrapes.
+const closeGrace = time.Second
+
+// Close stops accepting, lets in-flight scrapes finish — a scrape that
+// overlaps the end of a run still gets a complete exposition — and after
+// closeGrace terminates whatever is left.
+func (s *Server) Close() error {
+	ctx, cancel := context.WithTimeout(context.Background(), closeGrace)
+	defer cancel()
+	if s.srv.Shutdown(ctx) == nil {
+		return nil
+	}
+	return s.srv.Close()
+}

@@ -1,8 +1,10 @@
 package metrics
 
 import (
+	"bufio"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"reflect"
 	"strings"
@@ -182,6 +184,79 @@ func TestHealthzFlipsUnderStall(t *testing.T) {
 	if code, body := get("/metrics"); code != http.StatusOK ||
 		!strings.Contains(body, `guanyu_steps_total{node="ps0"} 1`) {
 		t.Fatalf("metrics during the same session: %d %q", code, body)
+	}
+}
+
+// TestCloseLetsInFlightScrapeFinish: a scrape still being read when the
+// server closes — the scrape that overlaps the end of a run — receives the
+// whole exposition, not a body cut off mid-line. The client reads through a
+// small receive buffer and the exposition is megabytes, so the handler is
+// blocked mid-write when Close is called.
+func TestCloseLetsInFlightScrapeFinish(t *testing.T) {
+	r := NewRegistry()
+	const nodes = 5000
+	for i := 0; i < nodes; i++ {
+		r.Node(fmt.Sprintf("node%04d", i)).StepDone(i)
+	}
+	srv, err := Serve("127.0.0.1:0", r, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := conn.(*net.TCPConn).SetReadBuffer(64 << 10); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.WriteString(conn, "GET /metrics HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+
+	closed := make(chan error, 1)
+	go func() { closed <- srv.Close() }()
+	// Close has begun once the listener refuses connections.
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		c, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			break
+		}
+		c.Close()
+		if time.Now().After(deadline) {
+			t.Fatal("listener still accepting 5 s after Close")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("scrape cut off after %d bytes: %v", len(body), err)
+	}
+	if err := <-closed; err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(body), "\n"), "\n")
+	for _, line := range lines {
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		var value float64
+		brace := strings.LastIndex(line, "} ")
+		if brace < 0 {
+			t.Fatalf("unparseable sample line %q", line)
+		}
+		if _, err := fmt.Sscanf(line[brace+2:], "%g", &value); err != nil {
+			t.Fatalf("unparseable sample line %q: %v", line, err)
+		}
+	}
+	if want := fmt.Sprintf(`guanyu_node_info{node="node%04d",addr=""} 1`, nodes-1); lines[len(lines)-1] != want {
+		t.Fatalf("exposition ends with %q, want %q", lines[len(lines)-1], want)
 	}
 }
 
