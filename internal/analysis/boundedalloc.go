@@ -17,16 +17,18 @@ import (
 // matches (?i)decode|read|parse|unpack|unmarshal|hello, or a []byte
 // parameter is named like wire input (payload, data, body, buf,
 // frame, raw). Inside those, every make([]T, n) / make([]T, len, cap)
-// whose size is not a constant and not derived from len/cap of an
-// in-memory value must be preceded (within the same function) by a
-// condition — if/for/switch — that mentions the size variable. The
+// — and every tensor.Get(n), the same reservation taken from the
+// vector free list — whose size is not a constant and not derived from
+// len/cap of an in-memory value must be preceded (within the same
+// function) by a condition — if/for/switch — that mentions the size
+// variable. The
 // check is lexical, not a value analysis: it catches the historically
 // observed bug shape (allocate first, validate later or never) while
 // accepting every bounded-staging idiom the codec uses. Escape hatch:
 // //lint:allow-unbounded, for sizes validated by the caller.
 var BoundedAlloc = &Analyzer{
 	Name: "boundedalloc",
-	Doc:  "flag wire-derived make([]T, n) without a preceding bound check in decode paths",
+	Doc:  "flag wire-derived make([]T, n) / tensor.Get(n) without a preceding bound check in decode paths",
 	Run:  runBoundedAlloc,
 }
 
@@ -78,34 +80,48 @@ func (p *Pass) isDecodeFunc(fd *ast.FuncDecl) bool {
 	return false
 }
 
-// checkAllocs inspects every slice-make in fd against the bound-check
-// requirement.
+// checkAllocs inspects every slice-make and every tensor.Get in fd
+// against the bound-check requirement.
 func (p *Pass) checkAllocs(fd *ast.FuncDecl) {
 	guards := p.collectGuards(fd)
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
-		if !ok || !isBuiltin(p.Info, call, "make") || len(call.Args) < 2 {
+		if !ok {
 			return true
 		}
-		t := p.Info.Types[call.Args[0]].Type
-		if t == nil {
+		what, sizes := p.allocSizes(call)
+		if sizes == nil || p.Allowed("unbounded", call.Pos()) {
 			return true
 		}
-		if _, isSlice := t.Underlying().(*types.Slice); !isSlice {
-			return true
-		}
-		if p.Allowed("unbounded", call.Pos()) {
-			return true
-		}
-		for _, size := range call.Args[1:] {
+		for _, size := range sizes {
 			for _, id := range p.unboundedIdents(size, guards, call.Pos()) {
 				p.Reportf(call.Pos(),
-					"make sized by %q without a preceding bound check in this decode path (WIRE.md hardening rule; annotate //lint:allow-unbounded if the caller validates it)",
-					id.Name)
+					"%s sized by %q without a preceding bound check in this decode path (WIRE.md hardening rule; annotate //lint:allow-unbounded if the caller validates it)",
+					what, id.Name)
 			}
 		}
 		return true
 	})
+}
+
+// allocSizes returns the size arguments of a call that reserves a slice —
+// make([]T, len[, cap]) or tensor.Get(n) — and what to call it; nil for
+// any other call.
+func (p *Pass) allocSizes(call *ast.CallExpr) (what string, sizes []ast.Expr) {
+	if isPkgFunc(p.Info, call, "tensor", "Get") && len(call.Args) == 1 {
+		return "tensor.Get", call.Args
+	}
+	if !isBuiltin(p.Info, call, "make") || len(call.Args) < 2 {
+		return "", nil
+	}
+	t := p.Info.Types[call.Args[0]].Type
+	if t == nil {
+		return "", nil
+	}
+	if _, isSlice := t.Underlying().(*types.Slice); !isSlice {
+		return "", nil
+	}
+	return "make", call.Args[1:]
 }
 
 // collectGuards maps every variable mentioned in a condition (if/for

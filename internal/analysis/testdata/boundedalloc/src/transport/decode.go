@@ -2,7 +2,11 @@
 // wire-derived sizes must be bounds-checked before allocation.
 package transport
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+
+	"tensor"
+)
 
 const maxDim = 1 << 20
 
@@ -20,6 +24,22 @@ func DecodeVecBounded(payload []byte) ([]float64, bool) {
 		return nil, false
 	}
 	return make([]float64, n), true
+}
+
+// DecodePooled takes whatever the header claims from the free list —
+// the same reservation as DecodeVec's, by another name.
+func DecodePooled(payload []byte) []float64 {
+	n := int(binary.BigEndian.Uint32(payload))
+	return tensor.Get(n) // want "tensor.Get sized by \"n\" without a preceding bound check"
+}
+
+// DecodePooledBounded checks the claimed dimension first.
+func DecodePooledBounded(payload []byte) ([]float64, bool) {
+	n := int(binary.BigEndian.Uint32(payload))
+	if n < 0 || n > maxDim {
+		return nil, false
+	}
+	return tensor.Get(n), true
 }
 
 // DecodeInto sizes by an in-memory value — already paid for.

@@ -279,7 +279,7 @@ func RejoinMedian(col *transport.Collector, minStep, q int, timeout time.Duratio
 	// The quorum CollectAny found is buffered: this reduces it, exactly as
 	// phase 3 would, without waiting.
 	qm := &quorum{col: col, timeout: timeout}
-	_, _, theta, err := qm.reduce(transport.KindPeerParams, step, q, nil, "", gar.Median{})
+	theta, err := qm.aggregate(transport.KindPeerParams, step, q, nil, "", gar.Median{}, nil)
 	if err != nil {
 		return nil, 0, fmt.Errorf("cluster: rejoin: %w", err)
 	}

@@ -74,4 +74,10 @@
 //   - Payload immutability from the Send boundary on is the transport's
 //     job; node loops mutate their one parameter vector freely between
 //     broadcasts.
+//   - Every d-sized vector of a step has one owner that returns it to the
+//     free list (tensor.Get/Put; the table is in internal/tensor's package
+//     comment): the node loops return the aggregates and gradients they
+//     were given once they have consumed them, and tell the collector to
+//     recycle a quorum's inputs only after the streamer's Result and the
+//     Suspicion report have read them for the last time.
 package cluster

@@ -55,6 +55,7 @@ func FuzzInboundValidator(f *testing.F) {
 		// accepted runs m through a fresh node boundary: a q=1 quorum fills
 		// exactly when the message is admitted.
 		accepted := func(m transport.Message) (bool, uint64) {
+			m.Vec = tensor.Clone(m.Vec) // Recv hands the vector over: the collector recycles it
 			h := metrics.NewNodeMetrics()
 			qm := newQuorum(&oneShot{m: &m}, dim, 0, time.Second, h, nil, gar.Median{})
 			_, err := qm.aggregate(m.Kind, m.Step, 1, nil, "", gar.Median{}, nil)

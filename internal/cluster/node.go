@@ -36,7 +36,8 @@ func validator(m transport.Message) bool {
 // model is best-effort and the quorum discipline tolerates missing
 // messages. Payload immutability is the transport's job: every Endpoint
 // delivers a snapshot (the in-process network clones, TCP copies by
-// serialising), so a sender may keep mutating vec afterwards.
+// serialising) and only borrows vec until Send returns, so a sender may keep
+// mutating vec afterwards — or recycle it.
 func send(ep transport.Endpoint, att attack.Attack, kind transport.Kind,
 	step int, to string, vec tensor.Vector, shardSize int) {
 	out := vec
@@ -82,7 +83,9 @@ func newQuorum(ep transport.Endpoint, dim, shardSize int, timeout time.Duration,
 // contraction round's "own vector included" without a loopback message.
 // When sus is non-nil (gradient quorums, which carry no self vector) and
 // the rule is selective (Multi-Krum), the senders the rule excluded are
-// reported to it — the accountability signal.
+// reported to it — the accountability signal. The caller owns the returned
+// vector (a fresh one or one from tensor.Get) and hands it to tensor.Put
+// when done; the quorum's inputs are recycled here, once nothing reads them.
 func (q *quorum) aggregate(kind transport.Kind, step, n int, self tensor.Vector, selfID string,
 	rule gar.Rule, sus *stats.Suspicion) (tensor.Vector, error) {
 	senders, st, out, err := q.reduce(kind, step, n, self, selfID, rule)
@@ -99,6 +102,9 @@ func (q *quorum) aggregate(kind transport.Kind, step, n int, self tensor.Vector,
 			sus.Observe(senders, keptIDs)
 		}
 	}
+	// Only now: Multi-Krum's Result averaged its retained inputs and the
+	// adapter's SelectedIndices re-read them.
+	q.col.Recycle()
 	return out, nil
 }
 
@@ -328,12 +334,14 @@ func RunServer(ep transport.Endpoint, cfg ServerConfig) (tensor.Vector, error) {
 		}
 		cfg.Trace.Recordf(cfg.ID, t, trace.EventQuorumComplete, "q̄=%d gradients", cfg.QuorumGradients)
 		h.Progress() // gradient quorum made headway this step
+		update := agg
 		if cfg.Momentum > 0 {
 			tensor.ScaleInPlace(velocity, cfg.Momentum)
 			tensor.AddInPlace(velocity, agg)
-			agg = velocity
+			update = velocity
 		}
-		tensor.AXPY(theta, -cfg.LR(t), agg)
+		tensor.AXPY(theta, -cfg.LR(t), update)
+		tensor.Put(agg)
 		cfg.Trace.Recordf(cfg.ID, t, trace.EventUpdate, "η=%g rule=%s", cfg.LR(t), cfg.GradRule.Name())
 
 		// Phase 3: contraction round across servers.
@@ -347,11 +355,14 @@ func RunServer(ep transport.Endpoint, cfg ServerConfig) (tensor.Vector, error) {
 				send(ep, cfg.Attack, transport.KindPeerParams, t, p, theta, cfg.ShardSize)
 			}
 			// The node's own θ rides along as input 0 — "its own vector
-			// included" without a loopback message.
-			theta, err = qm.aggregate(transport.KindPeerParams, t, cfg.QuorumParams-1, theta, cfg.ID, cfg.ParamRule, nil)
+			// included" without a loopback message — and is recycled once
+			// the contracted θ has replaced it.
+			prev := theta
+			theta, err = qm.aggregate(transport.KindPeerParams, t, cfg.QuorumParams-1, prev, cfg.ID, cfg.ParamRule, nil)
 			if err != nil {
 				return nil, fmt.Errorf("server %s step %d: %w", cfg.ID, t, err)
 			}
+			tensor.Put(prev)
 		}
 		if cfg.Checkpoint != nil && cfg.Checkpoint.Every > 0 && (t+1)%cfg.Checkpoint.Every == 0 {
 			ckpt := Checkpoint{ID: cfg.ID, Step: t, Theta: theta, Velocity: velocity, Horizon: qm.col.Horizon}
@@ -422,6 +433,7 @@ func RunWorker(ep transport.Endpoint, cfg WorkerConfig) error {
 		if err := cfg.Model.SetParamVector(agg); err != nil {
 			return fmt.Errorf("worker %s step %d: %w", cfg.ID, t, err)
 		}
+		tensor.Put(agg) // the model holds a copy
 
 		// Estimate the gradient at the aggregated parameters.
 		xs, labels := cfg.Sampler.Batch(cfg.Batch)
@@ -440,6 +452,7 @@ func RunWorker(ep transport.Endpoint, cfg WorkerConfig) error {
 		for _, s := range cfg.Servers {
 			send(ep, cfg.Attack, transport.KindGradient, t, s, grad, cfg.ShardSize)
 		}
+		tensor.Put(grad) // every Send only borrowed it
 		h.StepDone(t)
 	}
 	h.MarkDone()

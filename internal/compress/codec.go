@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+
+	"repro/internal/tensor"
 )
 
 // Compressed-payload layout constants (byte-level spec in WIRE.md §9). All
@@ -449,10 +451,12 @@ func decodeTopK(n int, payload []byte, dst []float64) ([]float64, error) {
 	return dst, nil
 }
 
-// growVec returns dst with length n, reusing capacity when it suffices.
+// growVec returns dst with length n, reusing capacity when it suffices and
+// taking from the free list otherwise. Either way the contents are
+// unspecified: every decoder writes all n coordinates.
 func growVec(dst []float64, n int) []float64 {
 	if cap(dst) >= n {
 		return dst[:n]
 	}
-	return make([]float64, n)
+	return tensor.Get(n)
 }

@@ -24,9 +24,12 @@ import (
 // whole-vector summation, merely paused at shard boundaries.
 
 // ShardStreamer aggregates one round incrementally: Fold consumes the
-// quorum's ordered payloads for coordinate range [lo, hi) (slices are
-// handed off and may be retained); Result finalises once every range has
-// been folded. A streamer is single-use and not safe for concurrent Folds.
+// quorum's ordered payloads for coordinate range [lo, hi) (slices may be
+// retained, and stay valid until their owner recycles them — after Result
+// and after anything read off the finished streamer); Result finalises once
+// every range has been folded, into a vector from tensor.Get that the
+// caller owns (tensor.Put it when done, or leave it to the garbage
+// collector). A streamer is single-use and not safe for concurrent Folds.
 type ShardStreamer interface {
 	// Fold consumes one shard: inputs[k] holds coordinates [lo, hi) of
 	// input k. The folded ranges must eventually tile [0, dim) exactly;
@@ -142,7 +145,9 @@ func (c *coordStreamer) claim(lo, hi int, inputs []tensor.Vector) error {
 		r[0], r[1] = min(r[0], lo), max(r[1], hi)
 	}
 	if c.out == nil {
-		c.out = make(tensor.Vector, c.dim)
+		// Unspecified contents: result refuses until the folds tile the
+		// dimension, and every fold writes its whole range.
+		c.out = tensor.Get(c.dim)
 	}
 	c.folded += hi - lo
 	return nil
@@ -313,7 +318,7 @@ func (s *multiKrumStreamer) Result() (tensor.Vector, error) {
 	mirrorUpper(s.dist)
 	scores := scoresFromDist(s.dist, s.f)
 	s.kept = smallestByScore(scores, s.n-s.f-2)
-	out := make(tensor.Vector, s.dim)
+	out := tensor.Get(s.dim) // the chunks tile [0, dim): every coordinate is written below
 	sel := make([]tensor.Vector, len(s.kept))
 	for _, ch := range s.chunks {
 		for k, i := range s.kept {

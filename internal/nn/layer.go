@@ -133,9 +133,12 @@ func (m *Sequential) SetParamVector(theta tensor.Vector) error {
 }
 
 // GradVector copies all accumulated gradients into a single vector, scaled by
-// alpha (callers pass 1/batchSize to average per-example gradients).
+// alpha (callers pass 1/batchSize to average per-example gradients). The
+// vector comes from tensor.Get and is the caller's: a node loop hands it to
+// tensor.Put after its last send, everyone else leaves it to the garbage
+// collector.
 func (m *Sequential) GradVector(alpha float64) tensor.Vector {
-	out := make(tensor.Vector, m.dim)
+	out := tensor.Get(m.dim)
 	m.GradVectorInto(out, alpha)
 	return out
 }
@@ -158,6 +161,24 @@ func (m *Sequential) GradVectorInto(dst tensor.Vector, alpha float64) {
 	}
 	if alpha != 1 {
 		tensor.ScaleInPlace(dst, alpha)
+	}
+}
+
+// AddGradVectorTo adds the accumulated gradients onto dst, coordinate by
+// coordinate in GradVectorInto's order: dst[i] += g[i], the additions
+// GradVectorInto(scratch, 1) followed by tensor.AddInPlace(dst, scratch)
+// performs, without the scratch. dst must have the model's dimension.
+func (m *Sequential) AddGradVectorTo(dst tensor.Vector) {
+	if len(dst) != m.dim {
+		panic(fmt.Sprintf("nn: gradient destination has dimension %d, model needs %d",
+			len(dst), m.dim))
+	}
+	off := 0
+	for _, l := range m.layers {
+		for _, g := range l.Grads() {
+			tensor.AddInPlace(dst[off:off+len(g)], g)
+			off += len(g)
+		}
 	}
 }
 

@@ -177,3 +177,35 @@ func TestMLPConstructionValidation(t *testing.T) {
 	}()
 	NewMLP(tensor.NewRNG(0), 3)
 }
+
+// TestAddGradVectorToMatchesScratchFold pins the fold BatchGradient's serial
+// path relies on: adding the gradient buffers onto dst in place performs the
+// additions of GradVectorInto(scratch, 1) + AddInPlace(dst, scratch), bit
+// for bit.
+func TestAddGradVectorToMatchesScratchFold(t *testing.T) {
+	rng := tensor.NewRNG(16)
+	m := NewTinyConvNet(rng, 10)
+	m.ZeroGrad()
+	out := m.Forward(rng.NormVec(make([]float64, 3*8*8), 0, 1))
+	_, dout := SoftmaxCrossEntropy(out, 3)
+	m.Backward(dout)
+
+	got := rng.NormVec(make(tensor.Vector, m.ParamCount()), 0, 1)
+	want := tensor.Clone(got)
+	scratch := make(tensor.Vector, m.ParamCount())
+	m.GradVectorInto(scratch, 1)
+	tensor.AddInPlace(want, scratch)
+	m.AddGradVectorTo(got)
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("coordinate %d: in-place fold %v, scratch fold %v", i, got[i], want[i])
+		}
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Fatal("AddGradVectorTo accepted a destination of the wrong dimension")
+		}
+	}()
+	m.AddGradVectorTo(got[:len(got)-1])
+}

@@ -116,14 +116,12 @@ func BatchGradient(m *Sequential, xs [][]float64, labels []int) (float64, tensor
 		// Serial execution of the same chunk list, folded incrementally in
 		// chunk order: identical values to the parallel path (each chunk is
 		// computed from zeroed buffers and folded in the same order) with
-		// O(d) scratch instead of O(chunks·d) and no replicas.
+		// one vector instead of one per chunk, and no replicas.
 		total := chunkLoss(m, 0)
 		grad := m.GradVector(1)
-		scratch := make(tensor.Vector, len(grad))
 		for c := 1; c < chunks; c++ {
 			total += chunkLoss(m, c)
-			m.GradVectorInto(scratch, 1)
-			tensor.AddInPlace(grad, scratch)
+			m.AddGradVectorTo(grad)
 		}
 		tensor.ScaleInPlace(grad, inv)
 		return total * inv, grad
@@ -154,6 +152,7 @@ func BatchGradient(m *Sequential, xs [][]float64, labels []int) (float64, tensor
 	grad := parts[0]
 	for c := 1; c < chunks; c++ {
 		tensor.AddInPlace(grad, parts[c])
+		tensor.Put(parts[c])
 	}
 	tensor.ScaleInPlace(grad, inv)
 	var total float64

@@ -1,9 +1,3 @@
-// Package tensor provides the dense float64 vector and matrix kernels that
-// underpin the neural-network substrate and the gradient aggregation rules.
-//
-// Everything in this package is deterministic: random number generation uses
-// an explicit, seedable generator (splitmix64-seeded xoshiro256**) so that
-// experiments are reproducible bit-for-bit across runs and machines.
 package tensor
 
 import "math"

@@ -10,6 +10,13 @@ import (
 
 // Endpoint is one node's handle on a network: asynchronous best-effort Send
 // and blocking Recv with timeout.
+//
+// Ownership of the payload: Send borrows m.Vec until it returns — an
+// implementation that needs the message afterwards (a queue, a delayed
+// delivery, a recording fake) clones it, because the sender goes on to
+// mutate or recycle the vector. Recv transfers ownership to the caller: the
+// endpoint keeps no reference to a message it has delivered, so the caller
+// may hand the vector back to the free list (tensor.Put) when done.
 type Endpoint interface {
 	// ID returns the node's identifier on the network.
 	ID() string

@@ -78,9 +78,11 @@ import (
 // it does not; m.From is only reassigned when the sender actually changed,
 // so decoding a stream from one peer into one reused Message allocates
 // nothing in steady state. ReadMessage reads the bulk of a payload from the
-// reader directly into that destination. Neither the input buffer, nor the
-// reader's own buffers, nor the scratch buffer is ever retained: decoded
-// messages alias nothing.
+// reader directly into that destination, which — when m brings no capacity,
+// as in the TCP read loop — it takes from the vector free list (tensor.Get)
+// and hands to m's owner. Neither the input buffer, nor the reader's own
+// buffers, nor the scratch buffer is ever retained: decoded messages alias
+// nothing.
 //
 // # Hardening
 //
@@ -89,7 +91,8 @@ import (
 // — are rejected before any allocation. Within the limits ReadMessage
 // commits memory only as body bytes actually arrive: the first body chunk
 // (readChunkBytes) is staged through the scratch buffer, and the
-// destination is allocated only once it has landed — exact-size up to
+// destination is committed only once it has landed — exact-size (and from
+// the free list, which grows no size class on a reader's behalf) up to
 // preallocCoords, geometrically (at most twice the bytes received so far)
 // beyond. A Byzantine peer therefore cannot make a receiver reserve memory
 // it never pays for in traffic: a header alone pins at most one staging
@@ -393,8 +396,9 @@ const (
 // landed the destination is committed and the rest of the payload is read
 // directly into it — m.Vec's own memory on a little-endian host, m.Comp.Data
 // for a compressed frame — so a payload byte is copied once out of the
-// reader, not staged and decoded. Steady-state reads allocate only the
-// payload the receiver keeps, and nothing when m's capacity suffices.
+// reader, not staged and decoded. Steady-state reads take only the payload
+// the receiver keeps, from the free list, and nothing when m's capacity
+// suffices.
 // Truncated streams return io.ErrUnexpectedEOF; a clean close before the
 // first header byte returns io.EOF. After an error m's payload is
 // unspecified (but still aliases neither r nor *scratch).
@@ -492,11 +496,17 @@ func readMessage(r io.Reader, scratch *[]byte, m *Message, direct bool) error {
 
 	// Raw payload. Reuse the caller's capacity if it suffices (ownership
 	// contract); otherwise commit memory only now that a chunk has landed —
-	// exact-size for honest protocol dimensions (≤ preallocCoords, no
-	// regrowth), geometric growth tracking received bytes beyond that.
+	// exact-size and from the free list for honest protocol dimensions
+	// (≤ preallocCoords, no regrowth), geometric growth tracking received
+	// bytes beyond that. A vector taken here and abandoned by a later read
+	// error is left to the garbage collector, never Put: it is half-filled.
 	vec := m.Vec[:0]
 	if cap(vec) < vecLen {
-		vec = make([]float64, 0, commitCap(first/8, vecLen, preallocCoords))
+		if vecLen <= preallocCoords {
+			vec = tensor.Get(vecLen)[:0]
+		} else {
+			vec = make([]float64, 0, commitCap(first/8, vecLen, preallocCoords))
+		}
 	}
 	vec = vec[:first/8]
 	tensor.DecodeLE(vec, head)

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/tensor"
 )
 
 // Couriers decouples a node loop from its slowest link: Send enqueues the
@@ -20,8 +21,10 @@ import (
 // node's worst-case buffering is symmetric: Cap frames per inbound sender
 // plus Cap frames per outbound link — O(n·Cap) either way.
 //
-// Messages are snapshotted (Message.Clone) at the Send boundary, because
-// the courier holds them past it and the node keeps mutating its vector.
+// Messages are snapshotted (Message.Clone, into a free-list vector) at the
+// Send boundary, because the courier holds them past it and the node keeps
+// mutating its vector; the link goroutine returns the snapshot once the
+// wrapped Send — which only borrows it — has returned.
 type Couriers struct {
 	ep  Endpoint
 	cfg MailboxConfig
@@ -97,6 +100,7 @@ func (c *Couriers) run(to string, box *Mailbox) {
 			return
 		}
 		_ = c.ep.Send(to, m)
+		tensor.Put(m.Vec) // Send only borrowed the snapshot taken at enqueue
 	}
 }
 

@@ -32,7 +32,7 @@ func (s *stubEndpoint) Send(to string, m Message) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.sent[to] = append(s.sent[to], m)
+	s.sent[to] = append(s.sent[to], m.Clone()) // Send only borrows m.Vec: record a copy
 	return nil
 }
 

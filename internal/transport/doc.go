@@ -11,10 +11,11 @@
 //     the DroppedOverflow / DroppedClosed counters of its metrics handle
 //     exposing what the bound discarded;
 //   - Couriers, the per-link outbound actors: Send snapshots the message
-//     (Clone at enqueue) into one bounded outbox Mailbox per destination,
-//     and a dedicated goroutine per link drains it into the wrapped
-//     Endpoint, so one slow or dead peer can never stall a node loop or
-//     any other link;
+//     (Clone at enqueue, into a free-list vector) into one bounded outbox
+//     Mailbox per destination, and a dedicated goroutine per link drains
+//     it into the wrapped Endpoint — returning the snapshot when that Send
+//     comes back — so one slow or dead peer can never stall a node loop
+//     or any other link;
 //   - ChanNetwork, an in-process asynchronous network with per-receiver
 //     Mailboxes (unbounded by default, bounded via SetMailbox) and
 //     optional injected delays (used by the live cluster runtime and the
@@ -82,6 +83,49 @@
 // from the sender's perspective afterwards (TCP snapshots by serialising,
 // ChanNetwork by cloning), so node loops reuse one vector across
 // broadcasts. Decoded messages alias nothing.
+//
+// # Vector ownership
+//
+// Payload vectors come from and go back to one free list (tensor.Get /
+// tensor.Put; internal/tensor's package comment has the whole table). This
+// package's half of it:
+//
+//	hand-over                 who owns the vector afterwards
+//	------------------------  ------------------------------------------------
+//	Endpoint.Send(to, m)      still the caller: Send borrows m.Vec until it
+//	                          returns; an endpoint that keeps the message
+//	                          longer (Couriers, ChanNetwork, the fault
+//	                          injector, a recording fake) clones it first
+//	Endpoint.Recv             the caller; the endpoint keeps no reference
+//	Collector, via Recv       the Collector. A frame it drops before buffering
+//	                          (round already decided, stale, beyond the
+//	                          horizon, outside the roster, failing the
+//	                          validator, duplicate sender, slot folded,
+//	                          outside the pin, pruned when the pin is decided)
+//	                          goes back at once; one it buffered goes on a
+//	                          spent list when its slot or round is released,
+//	                          and Recycle — which the node calls once the
+//	                          streamer's Result and the Suspicion report are
+//	                          done, and Advance calls for abandoned rounds —
+//	                          returns the list
+//	ShardFold inputs          the Collector still; a fold may read and retain
+//	                          them until that Recycle
+//
+// Three rules face Byzantine senders. The Collector returns only lengths
+// its own layout produces — the dimension, and at a multi-shard layout the
+// shard extents — so a frame declaring any other length is dropped to the
+// garbage collector and never becomes a size class (Get creates none
+// either); it never returns a view into a longer vector (the per-shard
+// views of a whole-vector message: the whole goes back, once, when the
+// round is released) nor the chunk frames it joined at a one-shard layout
+// (their lengths are the sender's choice). The wire reader takes a vector
+// only where it allocated before: after the frame's first 64 KiB chunk has
+// landed and only up to preallocCoords; a vector a truncated stream left
+// half-filled is dropped, not returned. And every vector from the free
+// list is written in full before it is read — the decoders always did
+// (they reuse dirty capacity), reassembly checks its chunks tile the
+// vector, the streamers refuse a Result before their folds tile the
+// dimension.
 //
 // Receivers are hardened against resource-exhaustion from the header alone
 // (bounded declared lengths, traffic-paced allocation), against

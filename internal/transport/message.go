@@ -119,11 +119,15 @@ func (m *Message) PayloadDim() int {
 // Clone returns a copy of m whose payload aliases nothing — the snapshot
 // every transport must take when it holds a message past its Send boundary
 // (the sender keeps mutating its vector in place). The TCP transport gets
-// this for free by serialising; the in-process network and the fault
-// injector's deferred-delivery paths call Clone explicitly.
+// this for free by serialising; the in-process network, the couriers and
+// the fault injector's deferred-delivery paths call Clone explicitly. The
+// vector comes from the free list (tensor.Get) at exactly len(m.Vec), so
+// whoever ends up owning the clone may return it.
 func (m Message) Clone() Message {
 	if m.Vec != nil {
-		m.Vec = append(tensor.Vector(nil), m.Vec...)
+		vec := tensor.Get(len(m.Vec))
+		copy(vec, m.Vec)
+		m.Vec = vec
 	}
 	if m.Comp.Data != nil {
 		m.Comp.Data = append([]byte(nil), m.Comp.Data...)

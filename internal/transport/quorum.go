@@ -11,9 +11,10 @@ import (
 )
 
 // ShardFold consumes one completed shard quorum: the ordered payloads (and
-// their senders) for coordinate range [lo, hi) of the logical vector.
-// Payload slices are handed off — the collector never touches them again,
-// so a fold may retain them (the streaming Multi-Krum path does).
+// their senders) for coordinate range [lo, hi) of the logical vector. The
+// collector never reads or writes the payloads again, and a fold may retain
+// them (the streaming Multi-Krum path does) — until the caller's next
+// Recycle or Advance, which hands their memory back to the free list.
 type ShardFold func(lo, hi int, senders []string, inputs []tensor.Vector) error
 
 // Collector implements the quorum-gathering discipline of the protocol
@@ -99,12 +100,18 @@ type Collector struct {
 	// at their step. PeakBytes: the most payload bytes held at once,
 	// candidates awaiting their quorum plus partial reassemblies; a shard's
 	// buffer is released the moment its quorum folds. Payloads handed to a
-	// fold are the fold's memory from then on (coordinate-wise streamers
-	// drop them immediately; Multi-Krum's retains its q inputs until
-	// selection).
+	// fold stay readable until Recycle (coordinate-wise streamers are done
+	// with them at once; Multi-Krum's retains its q inputs until selection).
 	Metrics *metrics.NodeMetrics
 
-	buf      map[collectorKey]*stepBuf
+	buf map[collectorKey]*stepBuf
+	// decided remembers the rounds Collect finished until Advance passes
+	// them: their late frames are discarded on sight (a timed-out round is
+	// not decided, so ResetRound and a retry keep working).
+	decided map[collectorKey]struct{}
+	// spent holds the vectors of released slots and rounds. A fold may still
+	// be reading them (see ShardFold), so they wait here for Recycle.
+	spent    []tensor.Vector
 	stored   int
 	curBytes int
 }
@@ -131,6 +138,10 @@ type stepBuf struct {
 	slots  []shardSlot
 	pinned []string // pinned membership, nil until decided
 	folded int      // slots handed to the fold so far
+	// wholes are the whole-vector messages whose per-shard views sit in (or
+	// went through) the slots of a multi-shard layout: the views are never
+	// recycled, the whole is — once, when the round is released.
+	wholes []tensor.Vector
 	// asm holds per-sender partial chunk reassemblies at a one-shard
 	// collector (a sender streaming shards counts as "arrived" only when
 	// its last shard lands and the whole vector checks out).
@@ -157,7 +168,7 @@ type assembly struct {
 // NewCollector wraps an endpoint with the given shard layout.
 func NewCollector(ep Endpoint, layout ShardLayout) *Collector {
 	return &Collector{ep: ep, Layout: layout, buf: make(map[collectorKey]*stepBuf),
-		Metrics: metrics.NewNodeMetrics()}
+		decided: make(map[collectorKey]struct{}), Metrics: metrics.NewNodeMetrics()}
 }
 
 func (c *Collector) horizon() int {
@@ -197,8 +208,10 @@ func (c *Collector) ResetRound(kind Kind, step int) (wasPinned bool) {
 }
 
 // Advance drops all buffered state for steps before the given step, of any
-// kind. Nodes call it when entering a new step so stale traffic cannot
-// accumulate without bound.
+// kind, and recycles it along with whatever earlier rounds left spent: by
+// the time a node enters a new step, nothing reads the previous steps'
+// inputs any more. Nodes call it when entering a new step so stale traffic
+// cannot accumulate without bound.
 func (c *Collector) Advance(step int) {
 	for key, b := range c.buf {
 		if key.step < step {
@@ -206,13 +219,55 @@ func (c *Collector) Advance(step int) {
 			delete(c.buf, key)
 		}
 	}
+	for key := range c.decided {
+		if key.step < step {
+			delete(c.decided, key)
+		}
+	}
+	c.Recycle()
 }
 
-// release returns every buffered payload byte of b to the accounting.
+// Recycle hands the vectors of every released slot and round back to the
+// free list. The caller asserts that no fold, streamer or aggregate still
+// reads the inputs the collector gave it: a node loop calls it after the
+// streamer's Result and after anything that inspects the streamer's
+// selection, never between Fold and Result (Multi-Krum averages its
+// retained inputs at Result).
+func (c *Collector) Recycle() {
+	for _, v := range c.spent {
+		c.put(v)
+	}
+	clear(c.spent)
+	c.spent = c.spent[:0]
+}
+
+// put hands a vector the collector owns — Recv gave it, or assemble made it
+// — to the free list, provided its length is one the layout produces (the
+// dimension, or a shard extent of a multi-shard layout): the collector
+// vouches for those lengths and no others, so whatever lengths a sender
+// declares, the free list grows no size class for them. v must be its own
+// allocation, never a view into a longer vector.
+func (c *Collector) put(v tensor.Vector) {
+	l := c.Layout
+	lo, hi := l.Bounds(l.Count() - 1) // the last shard may be the short one
+	if n := len(v); n == l.Dim || n == l.Size || n == hi-lo {
+		tensor.Put(v[:n:n])
+	}
+}
+
+// owned reports whether a buffered message's vector is its own allocation:
+// everything is, except the per-shard views a whole-vector message is cut
+// into at a multi-shard layout.
+func (c *Collector) owned(m *Message) bool { return m.IsShard() || c.Layout.Count() == 1 }
+
+// release returns every buffered payload byte of b to the accounting and
+// its vectors to the spent list.
 func (c *Collector) release(b *stepBuf) {
 	for i := range b.slots {
 		c.releaseSlot(&b.slots[i])
 	}
+	c.spent = append(c.spent, b.wholes...)
+	b.wholes = nil
 	for _, a := range b.asm {
 		c.account(-a.bytes)
 	}
@@ -220,8 +275,12 @@ func (c *Collector) release(b *stepBuf) {
 }
 
 func (c *Collector) releaseSlot(s *shardSlot) {
-	for _, m := range s.msgs {
+	for i := range s.msgs {
+		m := &s.msgs[i]
 		c.account(-8 * len(m.Vec))
+		if c.owned(m) {
+			c.spent = append(c.spent, m.Vec)
+		}
 	}
 	s.msgs = nil
 	s.seen = nil
@@ -328,9 +387,10 @@ func (c *Collector) Collect(kind Kind, step, q int, self tensor.Vector, selfID s
 		}
 	}
 	// The round is decided; late messages for it are discarded per the
-	// protocol.
+	// protocol (store drops them on sight until Advance passes the step).
 	c.release(b)
 	delete(c.buf, key)
+	c.decided[key] = struct{}{}
 	return b.pinned, nil
 }
 
@@ -505,6 +565,9 @@ func (c *Collector) prune(b *stepBuf) {
 			} else {
 				c.account(-8 * len(m.Vec))
 				delete(slot.seen, m.From)
+				if c.owned(&m) {
+					c.put(m.Vec) // no fold ever saw it
+				}
 			}
 		}
 		clear(slot.msgs[len(kept):])
@@ -513,24 +576,28 @@ func (c *Collector) prune(b *stepBuf) {
 }
 
 // store buffers m's shard (or, for a whole-vector message, every shard)
-// unless it is stale relative to the step being collected, beyond the
-// future-step horizon, outside the roster, malformed, or duplicated.
+// unless its round is already decided, or it is stale relative to the step
+// being collected, beyond the future-step horizon, outside the roster,
+// malformed, or duplicated. Recv made the collector m.Vec's owner: a frame
+// dropped here goes straight back to the free list (put).
 func (c *Collector) store(m Message, currentStep int) {
-	if !m.Kind.Valid() {
-		return // junk kind: never collected, so never buffer it
-	}
-	if m.Step < currentStep {
-		return // late message from a completed round: discard
+	key := collectorKey{kind: m.Kind, step: m.Step}
+	if _, done := c.decided[key]; done || !m.Kind.Valid() || m.Step < currentStep {
+		// Late for a decided or completed round, or a junk kind that is
+		// never collected: discard before it costs a buffer or a validation.
+		c.put(m.Vec)
+		return
 	}
 	if m.Step > currentStep+c.horizon() {
 		c.Metrics.DroppedFuture.Add(1) // step-spraying sender: bound the buffer, count the drop
+		c.put(m.Vec)
 		return
 	}
 	if c.Membership != nil && !c.Membership(m.Step, m.From) {
 		c.Metrics.DroppedRoster.Add(1) // sender outside the roster in force at this step
+		c.put(m.Vec)
 		return
 	}
-	key := collectorKey{kind: m.Kind, step: m.Step}
 	if m.IsShard() && c.Layout.Count() == 1 {
 		// A sharded sender at a one-shard receiver: nothing arrives until
 		// the vector is whole.
@@ -550,42 +617,54 @@ func (c *Collector) store(m Message, currentStep int) {
 		return
 	}
 	if c.Validator != nil && !c.Validator(m) {
+		c.put(m.Vec)
 		return // malformed payload: treat the sender as silent this round
 	}
 	b := c.bufFor(key)
 	c.stored++
-	if m.IsShard() {
-		c.storeSlot(b, m.Shard.Index, m)
+	if c.owned(&m) {
+		if !c.storeSlot(b, m.Shard.Index, m) {
+			c.put(m.Vec)
+		}
 		return
 	}
 	// A whole-vector message delivers every shard of its sender at once;
 	// the slices share m.Vec's backing array, and the byte accounting
 	// splits it across the slots so releases stay balanced.
+	kept := false
 	for s := range b.slots {
 		lo, hi := c.Layout.Bounds(s)
 		sm := m
 		sm.Vec = m.Vec[lo:hi]
-		c.storeSlot(b, s, sm)
+		kept = c.storeSlot(b, s, sm) || kept
+	}
+	if kept {
+		b.wholes = append(b.wholes, m.Vec)
+	} else {
+		c.put(m.Vec)
 	}
 }
 
-func (c *Collector) storeSlot(b *stepBuf, s int, m Message) {
+// storeSlot appends m to shard s's candidates and reports whether it did:
+// false for a slot already folded, a sender outside the pin, a duplicate.
+func (c *Collector) storeSlot(b *stepBuf, s int, m Message) bool {
 	slot := &b.slots[s]
 	if slot.folded {
-		return // quorum already decided for this shard; late arrivals are discarded
+		return false // quorum already decided for this shard; late arrivals are discarded
 	}
 	if b.pinned != nil && !slices.Contains(b.pinned, m.From) {
-		return // outside the pinned membership: can never be aggregated
+		return false // outside the pinned membership: can never be aggregated
 	}
 	if slot.seen == nil {
 		slot.seen = make(map[string]struct{})
 	}
 	if _, dup := slot.seen[m.From]; dup {
-		return // only the first frame per sender counts toward a shard's quorum
+		return false // only the first frame per sender counts toward a shard's quorum
 	}
 	slot.seen[m.From] = struct{}{}
 	slot.msgs = append(slot.msgs, m)
 	c.account(8 * len(m.Vec))
+	return true
 }
 
 // assemble folds one chunk frame into its sender's partial vector and
@@ -638,7 +717,7 @@ func (c *Collector) assemble(b *stepBuf, m Message) (Message, bool) {
 		}
 		total += len(p.Vec)
 	}
-	vec := make(tensor.Vector, total)
+	vec := tensor.Get(total)
 	for _, p := range a.parts {
 		copy(vec[p.Shard.Offset:], p.Vec)
 	}

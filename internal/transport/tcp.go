@@ -21,7 +21,8 @@ import (
 // so Send hands that memory to the kernel (one writev of frame head +
 // payload) and the read loop receives into the vector the receiver keeps.
 // The wire path is allocation-free in steady state on the send side and
-// allocates only that vector on the read side.
+// takes only that vector — from the free list its receiver returns it to —
+// on the read side.
 //
 // Every outbound connection opens with a hello frame naming the dialer;
 // the accepting node pins all traffic on that connection to the hello
@@ -422,6 +423,11 @@ func (n *TCPNode) acceptLoop() {
 	}
 }
 
+// readers recycles the read loops' 64 KiB buffered readers: a deployment
+// that re-dials its mesh every run would otherwise allocate one per accepted
+// connection.
+var readers = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 1<<16) }}
+
 func (n *TCPNode) readLoop(conn net.Conn) {
 	defer n.readers.Done()
 	defer func() {
@@ -430,7 +436,12 @@ func (n *TCPNode) readLoop(conn net.Conn) {
 		n.mu.Unlock()
 		_ = conn.Close()
 	}()
-	br := bufio.NewReaderSize(conn, 1<<16)
+	br := readers.Get().(*bufio.Reader)
+	br.Reset(conn)
+	defer func() {
+		br.Reset(nil) // the pooled reader must not pin the closed connection
+		readers.Put(br)
+	}()
 	// The connection speaks only after identifying itself; a stream that
 	// cannot produce a well-formed hello is not a peer.
 	hello, err := readHello(br)
@@ -451,11 +462,17 @@ func (n *TCPNode) readLoop(conn net.Conn) {
 	// per outbound connection: a redial replaces both together, so delta
 	// reference state never straddles a reconnect.
 	var dec *compress.Decoder
-	var scratch []byte
+	// scratch stages frame heads; comp receives compressed payloads, which
+	// never leave this loop (a compressed frame is expanded or dropped
+	// here). Both are reused by every frame of the connection.
+	var scratch, comp []byte
 	for {
-		var m Message
+		m := Message{Comp: CompMeta{Data: comp}}
 		if err := ReadMessage(br, &scratch, &m); err != nil {
 			return // peer closed or corrupt stream
+		}
+		if m.IsCompressed() {
+			comp = m.Comp.Data
 		}
 		select {
 		case <-n.closed:
