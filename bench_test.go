@@ -22,6 +22,7 @@ package repro_test
 
 import (
 	"context"
+	"fmt"
 	"testing"
 	"time"
 
@@ -440,6 +441,65 @@ func BenchmarkWireSendRecvTCP207882(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		roundTrip()
+	}
+}
+
+// BenchmarkWireBroadcastCouriers207882 is one honest broadcast of the
+// streaming benchmark workload: a wide-model vector to 23 loopback TCPNodes
+// (18 workers + 5 peers) through drop-oldest couriers, float32 on the wire,
+// 13 chunk frames of 16,384 coordinates per link. One op ends when every
+// receiver holds all its frames; B/op shows what the send side (one
+// snapshot and one encoding per frame) and the receive side (vectors handed
+// back to the free list) allocate in steady state.
+func BenchmarkWireBroadcastCouriers207882(b *testing.B) {
+	const dim, shard, receivers = 207882, 16384, 23
+	f32 := compress.Config{Scheme: compress.Float32}
+	peers := make(map[string]string, receivers)
+	nodes := make([]*transport.TCPNode, receivers)
+	tos := make([]string, receivers)
+	for i := range nodes {
+		node, err := transport.ListenTCP(fmt.Sprintf("recv%d", i), "127.0.0.1:0", nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer node.Close()
+		if err := node.SetCompression(compress.Config{}, dim); err != nil {
+			b.Fatal(err)
+		}
+		nodes[i], tos[i], peers[node.ID()] = node, node.ID(), node.Addr()
+	}
+	send, err := transport.ListenTCP("send", "127.0.0.1:0", peers)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := send.SetCompression(f32, 0); err != nil {
+		b.Fatal(err)
+	}
+	couriers := transport.NewCouriers(send, transport.MailboxConfig{Cap: 128, Policy: transport.DropOldest})
+	defer couriers.Close()
+	m := transport.Message{Kind: transport.KindParams, Step: 7,
+		Vec: tensor.NewRNG(12).NormVec(make(tensor.Vector, dim), 0, 1)}
+	frames := transport.NewShardLayout(dim, shard).Count()
+	broadcast := func() {
+		if err := transport.Broadcast(couriers, tos, m, shard); err != nil {
+			b.Fatal(err)
+		}
+		for _, node := range nodes {
+			for f := 0; f < frames; f++ {
+				got, ok := node.Recv(10 * time.Second)
+				if !ok {
+					b.Fatal("frame lost on loopback")
+				}
+				tensor.Put(got.Vec)
+			}
+		}
+	}
+	broadcast() // dials, hellos, buffers, free lists
+	b.SetBytes(int64(receivers * f32.PayloadBytes(dim)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		broadcast()
 	}
 }
 

@@ -42,7 +42,10 @@
 // mailbox (LiveConfig.Mailbox, applied to every endpoint via SetMailbox
 // → transport.Mailbox) and broadcasts through per-link couriers
 // (transport.Couriers), one goroutine and one bounded outbox per
-// destination, so a slow or dead peer delays only its own link. The
+// destination, so a slow or dead peer delays only its own link. An honest
+// node hands each vector over once (transport.Broadcast) and the couriers
+// snapshot — and, under float32, encode — it once for all destinations; a
+// Byzantine node sends per destination, because it may equivocate. The
 // zero-value configuration keeps the historical unbounded behaviour; when
 // a bound is set, drop-oldest is the protocol-safe lossy policy — quorums
 // only ever admit a sender's freshest step, so evicting that sender's

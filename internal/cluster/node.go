@@ -28,26 +28,31 @@ func validator(m transport.Message) bool {
 	return m.From != "" && tensor.IsFinite(m.Vec)
 }
 
-// send transmits vec to the named receiver, routing it through att when the
-// node is Byzantine. A nil attack means honest. A positive shardSize streams
-// the vector as chunk frames (see transport.SendSharded); corruption
-// happens on the whole vector first, so a Byzantine payload shards exactly
-// like an honest one. Send errors are deliberately dropped: the network
-// model is best-effort and the quorum discipline tolerates missing
-// messages. Payload immutability is the transport's job: every Endpoint
-// delivers a snapshot (the in-process network clones, TCP copies by
-// serialising) and only borrows vec until Send returns, so a sender may keep
-// mutating vec afterwards — or recycle it.
-func send(ep transport.Endpoint, att attack.Attack, kind transport.Kind,
-	step int, to string, vec tensor.Vector, shardSize int) {
-	out := vec
-	if att != nil {
-		out = att.Corrupt(vec, step, to)
-		if out == nil {
-			return // silent this message
+// broadcast transmits vec to every node in tos; a positive shardSize streams
+// it as chunk frames (see transport.SendSharded). A nil attack means honest:
+// one transport.Broadcast, which splits the vector once and lets an endpoint
+// that can — the couriers — snapshot and encode each frame once for all
+// destinations. A Byzantine node routes every message through att per
+// destination, because it may equivocate; corruption happens on the whole
+// vector first, so a Byzantine payload shards exactly like an honest one,
+// and a nil result is silence towards that receiver. Send errors are
+// deliberately dropped: the network model is best-effort and the quorum
+// discipline tolerates missing messages. Payload immutability is the
+// transport's job: every Endpoint delivers a snapshot (the in-process
+// network clones per receiver, TCP copies by serialising, the couriers clone
+// once per broadcast) and only borrows vec until the call returns, so a
+// sender may keep mutating vec afterwards — or recycle it.
+func broadcast(ep transport.Endpoint, att attack.Attack, kind transport.Kind,
+	step int, tos []string, vec tensor.Vector, shardSize int) {
+	if att == nil {
+		_ = transport.Broadcast(ep, tos, transport.Message{Kind: kind, Step: step, Vec: vec}, shardSize)
+		return
+	}
+	for _, to := range tos {
+		if out := att.Corrupt(vec, step, to); out != nil {
+			_ = transport.SendSharded(ep, to, transport.Message{Kind: kind, Step: step, Vec: out}, shardSize)
 		}
 	}
-	_ = transport.SendSharded(ep, to, transport.Message{Kind: kind, Step: step, Vec: out}, shardSize)
 }
 
 // quorum is a node loop's one way to gather and reduce a quorum: the node's
@@ -319,9 +324,7 @@ func RunServer(ep transport.Endpoint, cfg ServerConfig) (tensor.Vector, error) {
 				o.Observe(cfg.View.Snapshot(t))
 			}
 		}
-		for _, w := range cfg.Workers {
-			send(ep, cfg.Attack, transport.KindParams, t, w, theta, cfg.ShardSize)
-		}
+		broadcast(ep, cfg.Attack, transport.KindParams, t, cfg.Workers, theta, cfg.ShardSize)
 		cfg.Trace.Recordf(cfg.ID, t, trace.EventBroadcast, "params to %d workers", len(cfg.Workers))
 
 		// Phase 2: gather a quorum of gradients and update locally. At a
@@ -351,9 +354,7 @@ func RunServer(ep transport.Endpoint, cfg ServerConfig) (tensor.Vector, error) {
 					att.Observe(cfg.View.Snapshot(t))
 				}
 			}
-			for _, p := range cfg.Peers {
-				send(ep, cfg.Attack, transport.KindPeerParams, t, p, theta, cfg.ShardSize)
-			}
+			broadcast(ep, cfg.Attack, transport.KindPeerParams, t, cfg.Peers, theta, cfg.ShardSize)
 			// The node's own θ rides along as input 0 — "its own vector
 			// included" without a loopback message — and is recycled once
 			// the contracted θ has replaced it.
@@ -449,10 +450,8 @@ func RunWorker(ep transport.Endpoint, cfg WorkerConfig) error {
 				o.Observe(cfg.View.Snapshot(t))
 			}
 		}
-		for _, s := range cfg.Servers {
-			send(ep, cfg.Attack, transport.KindGradient, t, s, grad, cfg.ShardSize)
-		}
-		tensor.Put(grad) // every Send only borrowed it
+		broadcast(ep, cfg.Attack, transport.KindGradient, t, cfg.Servers, grad, cfg.ShardSize)
+		tensor.Put(grad) // the broadcast only borrowed it
 		h.StepDone(t)
 	}
 	h.MarkDone()

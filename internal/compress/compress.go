@@ -68,6 +68,11 @@ func (s Scheme) Known() bool { return s >= Float32 && s <= TopK }
 // Bit 0 is never set: plain frames need no capability.
 func (s Scheme) Bit() uint8 { return 1 << s }
 
+// Stateless reports whether s's payload bytes are a function of the vector
+// alone — no per-link reference or error-feedback state — so that one
+// encoding serves every link the vector is sent on. True for float32 only.
+func (s Scheme) Stateless() bool { return s == Float32 }
+
 // String implements fmt.Stringer.
 func (s Scheme) String() string {
 	switch s {

@@ -12,7 +12,9 @@
 // package state so that no constructor or interface had to learn about it.
 // The contract is ownership, not reference counting — a vector has exactly
 // one owner at any time, hand-overs are explicit (Endpoint.Send lends,
-// Endpoint.Recv gives), and only the last owner calls Put, once:
+// Endpoint.Recv gives), and only the last owner calls Put, once. (The one
+// owner that counts is the couriers' lease: a broadcast's snapshot is queued
+// on every link's outbox, and the lease — not any link — owns it.)
 //
 //	taken by                                  returned by, when
 //	----------------------------------------  -----------------------------------------
@@ -24,8 +26,13 @@
 //	  delivery)
 //	transport.Collector.assemble (a chunk
 //	  stream joined at a one-shard layout)
-//	transport.Message.Clone (a courier        the link goroutine, when the wrapped
-//	  snapshot)                                 Send returns
+//	transport.Couriers.Broadcast (one         the snapshot's lease, at its last
+//	  snapshot per frame — Message.Clone —      release: each destination's queued copy
+//	  leased to every destination's outbox;     holds one share, given up by the link
+//	  under a stateless codec also one          goroutine when the wrapped Send returns
+//	  encoding, made by the first link to       or by the outbox that rejects, evicts
+//	  compress it, in a pooled byte buffer)     or (closed) refuses the copy; snapshot
+//	                                            and encoding go back together
 //	gar streamers (an aggregate: the first    cluster.RunServer after the update (the
 //	  fold of a coordinate-wise rule,           gradient aggregate) and after the
 //	  Multi-Krum's Result)                      contraction round replaced θ (the

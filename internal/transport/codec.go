@@ -398,7 +398,9 @@ const (
 // for a compressed frame — so a payload byte is copied once out of the
 // reader, not staged and decoded. Steady-state reads take only the payload
 // the receiver keeps, from the free list, and nothing when m's capacity
-// suffices.
+// suffices; a compressed frame that fits m.Comp.Data's capacity commits
+// nothing, so only its sender ID is staged and the whole payload is read
+// into place.
 // Truncated streams return io.ErrUnexpectedEOF; a clean close before the
 // first header byte returns io.EOF. After an error m's payload is
 // unspecified (but still aliases neither r nor *scratch).
@@ -456,6 +458,12 @@ func readMessage(r io.Reader, scratch *[]byte, m *Message, direct bool) error {
 	first := (readChunkBytes - fromLen) &^ 7
 	if first > payloadBytes {
 		first = payloadBytes
+	}
+	if compressed && cap(m.Comp.Data) >= payloadBytes {
+		// The caller's buffer already holds a payload this size (a read loop
+		// reuses one per connection): nothing is committed for this frame, so
+		// nothing of it needs staging — it is read straight into place below.
+		first = 0
 	}
 	if cap(*scratch) < fromLen+first {
 		*scratch = make([]byte, fromLen+first)

@@ -27,21 +27,43 @@ import (
 // network, Compressor keys encoders by destination and decoders by source.
 
 // CompressMessage replaces m's raw payload with its encoding under enc,
-// advancing enc's per-stream state. The kind/step/shard tags are unchanged
-// — compression is decided per frame and composes with chunk streaming. A
-// nil or disabled encoder, an already-compressed message, or an empty
-// payload is a no-op.
+// advancing enc's per-stream state — the one place a raw payload becomes a
+// compressed one, for the TCP transport and the Compressor alike. The
+// kind/step/shard tags are unchanged — compression is decided per frame and
+// composes with chunk streaming. A nil or disabled encoder, an
+// already-compressed message, or an empty payload is a no-op.
+//
+// The encoding is appended to m.Comp.Data[:0] (pass the link's staging
+// buffer there), with one exception: when m is a courier snapshot on lease
+// and the scheme is stateless, its bytes are the same on every link, so the
+// payload is the lease's one encoding — made by the first link to get here,
+// shared read-only by the rest, valid until the courier's Send returns.
+// Stateful schemes (delta, top-k) encode per link, from the shared snapshot.
 func CompressMessage(enc *compress.Encoder, m *Message) error {
 	if enc == nil || !enc.Config().Enabled() || m.IsCompressed() || len(m.Vec) == 0 {
 		return nil
 	}
-	data, err := enc.Encode(m.Comp.Data[:0], uint8(m.Kind), int64(m.Step), m.Shard.Offset, m.Vec)
+	var (
+		data []byte
+		err  error
+	)
+	if m.sharesEncoding(enc) {
+		data, err = m.lease.encoding(enc, m)
+	} else {
+		data, err = enc.Encode(m.Comp.Data[:0], uint8(m.Kind), int64(m.Step), m.Shard.Offset, m.Vec)
+	}
 	if err != nil {
 		return err
 	}
 	m.Comp = CompMeta{Scheme: uint8(enc.Config().Scheme), Dim: len(m.Vec), Data: data}
 	m.Vec = nil
 	return nil
+}
+
+// sharesEncoding reports whether CompressMessage(enc, m) takes m's payload
+// from its lease instead of encoding into the link's own buffer.
+func (m *Message) sharesEncoding(enc *compress.Encoder) bool {
+	return m.lease.holds(m.Vec) && enc.Config().Scheme.Stateless()
 }
 
 // DecompressMessage expands m's compressed payload back into raw

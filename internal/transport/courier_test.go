@@ -14,13 +14,14 @@ import (
 type stubEndpoint struct {
 	mu     sync.Mutex
 	sent   map[string][]Message
+	lent   map[string][]*float64 // where each non-empty payload lay, for identity only
 	gate   chan struct{}
 	inSend chan struct{}
 	closed bool
 }
 
 func newStubEndpoint() *stubEndpoint {
-	return &stubEndpoint{sent: make(map[string][]Message)}
+	return &stubEndpoint{sent: make(map[string][]Message), lent: make(map[string][]*float64)}
 }
 
 func (s *stubEndpoint) ID() string { return "stub" }
@@ -33,6 +34,9 @@ func (s *stubEndpoint) Send(to string, m Message) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.sent[to] = append(s.sent[to], m.Clone()) // Send only borrows m.Vec: record a copy
+	if len(m.Vec) > 0 {
+		s.lent[to] = append(s.lent[to], &m.Vec[0])
+	}
 	return nil
 }
 
@@ -87,27 +91,36 @@ func TestCouriersDeliverAllAndFlushOnClose(t *testing.T) {
 	}
 }
 
-// TestCouriersSnapshotAtEnqueue pins the clone-at-Send contract: the node
-// loop keeps mutating its vector in place, so the courier must snapshot the
-// payload when it accepts the frame, not when the link finally drains.
+// TestCouriersSnapshotAtEnqueue pins the clone-at-enqueue contract: the node
+// loop keeps mutating its vector in place, so the couriers must snapshot the
+// payload when they accept the frame, not when a link finally drains — once
+// for the whole broadcast, every link lending the same snapshot.
 func TestCouriersSnapshotAtEnqueue(t *testing.T) {
+	tos := []string{"n0", "n1", "n2", "n3"}
 	stub := newStubEndpoint()
 	stub.gate = make(chan struct{})
-	stub.inSend = make(chan struct{}, 1)
+	stub.inSend = make(chan struct{}, len(tos))
 	c := NewCouriers(stub, MailboxConfig{Cap: 4, Policy: Backpressure})
 	vec := tensor.Vector{1, 2, 3}
-	if err := c.Send("n0", Message{From: "me", Vec: vec}); err != nil {
+	if err := c.Broadcast(tos, Message{From: "me", Vec: vec}); err != nil {
 		t.Fatal(err)
 	}
-	<-stub.inSend // the courier holds the frame, parked in the slow link
-	vec[0] = 42   // the sender moves on and overwrites its buffer
+	for range tos {
+		<-stub.inSend // every courier holds the frame, parked in its slow link
+	}
+	vec[0] = 42 // the sender moves on and overwrites its buffer
 	close(stub.gate)
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got := stub.sentTo("n0")
-	if len(got) != 1 || got[0].Vec[0] != 1 {
-		t.Fatalf("delivered payload %v: snapshot not taken at enqueue", got)
+	for _, to := range tos {
+		got := stub.sentTo(to)
+		if len(got) != 1 || got[0].Vec[0] != 1 {
+			t.Fatalf("%s: delivered payload %v: snapshot not taken at enqueue", to, got)
+		}
+		if stub.lent[to][0] == &vec[0] || stub.lent[to][0] != stub.lent[tos[0]][0] {
+			t.Fatalf("%s was lent a vector of its own: the broadcast was snapshotted more than once", to)
+		}
 	}
 }
 

@@ -10,12 +10,13 @@
 //     DropOldest evicts the sender's oldest queued frame), with
 //     the DroppedOverflow / DroppedClosed counters of its metrics handle
 //     exposing what the bound discarded;
-//   - Couriers, the per-link outbound actors: Send snapshots the message
-//     (Clone at enqueue, into a free-list vector) into one bounded outbox
-//     Mailbox per destination, and a dedicated goroutine per link drains
-//     it into the wrapped Endpoint — returning the snapshot when that Send
-//     comes back — so one slow or dead peer can never stall a node loop
-//     or any other link;
+//   - Couriers, the per-link outbound actors: Broadcast snapshots the
+//     message once (Clone at enqueue, into a free-list vector) and queues
+//     that snapshot, under a reference-counted lease, on one bounded
+//     outbox Mailbox per destination; a dedicated goroutine per link
+//     drains its outbox into the wrapped Endpoint and gives up its share
+//     when that Send comes back — so one slow or dead peer can never stall
+//     a node loop or any other link. Send is Broadcast to one destination;
 //   - ChanNetwork, an in-process asynchronous network with per-receiver
 //     Mailboxes (unbounded by default, bounded via SetMailbox) and
 //     optional injected delays (used by the live cluster runtime and the
@@ -54,7 +55,8 @@
 // contract: the endpoint owns its inbound Mailbox (readers call Recv, never
 // Put), Couriers own one outbox per link (callers hand over a message at
 // Send and must not mutate it afterwards — Couriers clones defensively at
-// enqueue so node loops may reuse their broadcast vector anyway). Close on
+// enqueue, once per broadcast, so node loops may reuse their broadcast
+// vector anyway). Close on
 // either side flushes: Recv drains messages accepted before Close, Put
 // after Close is refused and counted in DroppedClosed.
 //
@@ -81,8 +83,28 @@
 //
 // Every Endpoint delivers snapshots: a message handed to Send is immutable
 // from the sender's perspective afterwards (TCP snapshots by serialising,
-// ChanNetwork by cloning), so node loops reuse one vector across
-// broadcasts. Decoded messages alias nothing.
+// ChanNetwork by cloning, Couriers by cloning once per broadcast), so node
+// loops reuse one vector across broadcasts. Decoded messages alias nothing.
+//
+// # Broadcast
+//
+// Every message of the protocol goes to many destinations, and an endpoint
+// that queues (Couriers) can pay for that once: Broadcast(ep, tos, m, size)
+// splits m into its chunk frames once and, when ep has a
+// Broadcast(tos, Message) method, hands each frame over once for all
+// destinations — one snapshot per frame, and under a stateless codec
+// (float32) one encoding, which CompressMessage takes from the frame's lease
+// on every link after the first. Stateful codecs (delta, top-k) still encode
+// per link, from the shared snapshot. The method is an optional interface,
+// found by type assertion on the outermost endpoint like io.ReaderFrom:
+// Endpoint itself did not grow, because wrappers outside this package embed
+// it (guanyu's heldOpen, the benchmark module's traced endpoint) and a fifth
+// method would break them, while a wrapper that hides the method merely
+// falls back to the loop. For endpoints whose Send is synchronous that loop
+// — SendSharded per destination — is already the least work: TCPNode's Send
+// is a writev from the caller's own memory, ChanNetwork's receivers must
+// each own a copy. A Byzantine node never broadcasts: it may tell each
+// destination something else.
 //
 // # Vector ownership
 //
@@ -96,6 +118,15 @@
 //	                          returns; an endpoint that keeps the message
 //	                          longer (Couriers, ChanNetwork, the fault
 //	                          injector, a recording fake) clones it first
+//	Couriers.Broadcast        still the caller. The couriers' clone belongs to
+//	                          its lease: every destination's queued copy holds
+//	                          a share, released by the link goroutine after the
+//	                          wrapped Send or by the outbox that drops the copy
+//	                          (rejected, evicted, put after Close); the last
+//	                          release returns the snapshot and, if a stateless
+//	                          codec made one, its encoding. Below the couriers
+//	                          the message is lent like any other — Clone gives
+//	                          a deep copy with no share in the lease
 //	Endpoint.Recv             the caller; the endpoint keeps no reference
 //	Collector, via Recv       the Collector. A frame it drops before buffering
 //	                          (round already decided, stale, beyond the

@@ -256,12 +256,14 @@ func (m *Mailbox) publishDepth() {
 // at the cap, the overflow policy decides: Backpressure blocks until the
 // queue drains or the mailbox closes; DropNewest discards msg; DropOldest
 // evicts the sender's oldest queued message to admit msg. Every overflow
-// discard increments DroppedOverflow.
+// discard increments DroppedOverflow. A discarded message's share of a
+// courier lease is released here: nobody else will see the message again.
 func (m *Mailbox) Put(msg Message) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
 		m.counts.DroppedClosed.Add(1)
+		msg.lease.release()
 		return
 	}
 	pq := m.peers[msg.From]
@@ -277,14 +279,18 @@ func (m *Mailbox) Put(msg Message) {
 			}
 			if m.closed {
 				m.counts.DroppedClosed.Add(1)
+				msg.lease.release()
 				return
 			}
 		case DropNewest:
 			m.dropOverflow()
+			msg.lease.release()
 			return
 		case DropOldest:
-			m.unlink(pq.oldest)
+			evicted := pq.oldest
+			m.unlink(evicted)
 			m.dropOverflow()
+			evicted.msg.lease.release()
 		}
 	}
 	e := &mailEntry{msg: msg, peer: pq}

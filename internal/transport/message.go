@@ -97,6 +97,11 @@ type Message struct {
 	Shard ShardMeta `json:"shard,omitzero"`
 	// Comp is the compression tag; the zero value means Vec is raw.
 	Comp CompMeta `json:"comp,omitzero"`
+
+	// lease, when non-nil, says Vec is a snapshot the couriers share across
+	// the links of one broadcast (see lease in courier.go). It rides along by
+	// value through every Endpoint wrapper below the couriers; Clone drops it.
+	lease *lease
 }
 
 // IsShard reports whether m carries one coordinate shard rather than a
@@ -122,8 +127,10 @@ func (m *Message) PayloadDim() int {
 // this for free by serialising; the in-process network, the couriers and
 // the fault injector's deferred-delivery paths call Clone explicitly. The
 // vector comes from the free list (tensor.Get) at exactly len(m.Vec), so
-// whoever ends up owning the clone may return it.
+// whoever ends up owning the clone may return it. The clone holds no share
+// of a courier lease: it outlives the Send that lent m.
 func (m Message) Clone() Message {
+	m.lease = nil
 	if m.Vec != nil {
 		vec := tensor.Get(len(m.Vec))
 		copy(vec, m.Vec)

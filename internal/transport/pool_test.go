@@ -322,28 +322,37 @@ func (b *borrower) Send(_ string, m Message) error {
 }
 
 // TestCouriersReturnTheirSnapshot: the snapshot taken at enqueue is the
-// courier's own vector, and the link goroutine returns it once the wrapped
-// Send has come back.
+// couriers' own vector, one for all the links of a broadcast, and it goes
+// back once — when the last link's wrapped Send has returned.
 func TestCouriersReturnTheirSnapshot(t *testing.T) {
 	quietPool(t)
-	inner := &borrower{lent: make(chan tensor.Vector, 1)}
+	tos := []string{"n0", "n1", "n2"}
+	inner := &borrower{lent: make(chan tensor.Vector, len(tos))}
 	c := NewCouriers(inner, MailboxConfig{})
 	mine := seq(6464, 1)
-	if err := c.Send("n0", Message{Kind: KindParams, Vec: mine}); err != nil {
+	if err := c.Broadcast(tos, Message{Kind: KindParams, Vec: mine}); err != nil {
 		t.Fatal(err)
 	}
 	snapshot := <-inner.lent
-	if err := c.Close(); err != nil { // waits for the link goroutine
+	for range tos[1:] {
+		if other := <-inner.lent; &other[0] != &snapshot[0] {
+			t.Fatal("two links of one broadcast were lent different vectors")
+		}
+	}
+	if err := c.Close(); err != nil { // waits for the link goroutines
 		t.Fatal(err)
 	}
 	if &snapshot[0] == &mine[0] {
-		t.Fatal("the courier lent the caller's own vector, not a snapshot")
+		t.Fatal("the couriers lent the caller's own vector, not a snapshot")
 	}
 	if mine[0] != 1 || mine[6463] != 6464 {
 		t.Fatal("the caller's vector was touched")
 	}
 	if !recycled(snapshot) {
-		t.Fatal("the courier's snapshot was not returned to the free list after Send")
+		t.Fatal("the couriers' snapshot was not returned to the free list after the last Send")
+	}
+	if again := tensor.Get(len(mine)); &again[0] == &snapshot[0] {
+		t.Fatal("the snapshot was returned to the free list more than once")
 	}
 }
 

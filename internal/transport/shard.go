@@ -75,9 +75,10 @@ func (l ShardLayout) CheckMeta(s ShardMeta, payloadLen int) bool {
 // SplitMessage splits a whole-vector message into its chunk-frame messages
 // under the given shard size. Shard payloads are subslices of m.Vec — no
 // copies; every Endpoint snapshots at its Send boundary (TCP by
-// serialising, the in-process network by cloning), so aliasing the
-// caller's vector is safe exactly as it is for whole messages. A layout
-// with one shard returns the message unchanged (whole-vector framing).
+// serialising, the in-process network by cloning, the couriers once per
+// frame however many links it goes out on), so aliasing the caller's vector
+// is safe exactly as it is for whole messages. A layout with one shard
+// returns the message unchanged (whole-vector framing).
 func SplitMessage(m Message, size int) []Message {
 	l := NewShardLayout(len(m.Vec), size)
 	n := l.Count()
@@ -109,4 +110,40 @@ func SendSharded(ep Endpoint, to string, m Message, size int) error {
 		}
 	}
 	return nil
+}
+
+// broadcaster is what an endpoint offers when sending one message to many
+// destinations costs it less than that many Sends — Couriers, which
+// snapshot (and, for a stateless codec, encode) once per broadcast. It is an
+// optional interface, discovered like io.ReaderFrom: Endpoint keeps its four
+// methods, and wrappers that embed one simply do not forward it.
+type broadcaster interface {
+	Broadcast(tos []string, m Message) error
+}
+
+// Broadcast sends m to every node in tos as chunk frames of the given shard
+// size (whole, when size covers the vector). When ep itself is a
+// broadcaster, the vector is split once and each frame is handed over once
+// for all destinations; every link still sees its frames in shard order.
+// Otherwise this is SendSharded per destination, which for an endpoint
+// whose Send is synchronous is already the least work: TCPNode writes from
+// the vector's own memory, and ChanNetwork's receivers must each own a copy.
+// Every destination is attempted; the first error is returned, and like
+// SendSharded's it is a best-effort loss to Byzantine-tolerant callers.
+func Broadcast(ep Endpoint, tos []string, m Message, size int) error {
+	var first error
+	if b, ok := ep.(broadcaster); ok {
+		for _, sm := range SplitMessage(m, size) {
+			if err := b.Broadcast(tos, sm); err != nil && first == nil {
+				first = err
+			}
+		}
+		return first
+	}
+	for _, to := range tos {
+		if err := SendSharded(ep, to, m, size); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
 }

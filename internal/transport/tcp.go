@@ -67,7 +67,9 @@ const dialAttempts = 9
 // is written from where it lies, so the buffer never grows to frame size),
 // so steady-state sends write one frame with zero allocations. When the
 // node compresses, the connection also owns the link's payload encoder and
-// a second reusable buffer for the encoded payload — per-connection state,
+// a second reusable buffer for the encoded payload (idle for a courier
+// broadcast under a stateless scheme, whose frames bring the one encoding
+// all links share — see CompressMessage) — per-connection state,
 // so a redial resets the sender's delta/error-feedback streams exactly when
 // the accepting readLoop (and its decoder) is replaced.
 type tcpConn struct {
@@ -258,17 +260,18 @@ func (n *TCPNode) Send(to string, m Message) error {
 	}
 	conn.mu.Lock()
 	defer conn.mu.Unlock()
-	if conn.enc != nil && !m.IsCompressed() && len(m.Vec) > 0 {
+	if conn.enc != nil && !m.IsCompressed() {
 		// Compress under the connection lock: the encoder's per-stream state
 		// must advance in the exact order frames hit the wire, or a receiver
 		// reconstructing delta streams in arrival order would desynchronise.
-		data, err := conn.enc.Encode(conn.cbuf[:0], uint8(m.Kind), int64(m.Step), m.Shard.Offset, m.Vec)
-		if err != nil {
+		own := !m.sharesEncoding(conn.enc)
+		m.Comp.Data = conn.cbuf[:0]
+		if err := CompressMessage(conn.enc, &m); err != nil {
 			return fmt.Errorf("transport: compress to %s: %w", to, err)
 		}
-		conn.cbuf = data
-		m.Comp = CompMeta{Scheme: uint8(conn.enc.Config().Scheme), Dim: len(m.Vec), Data: data}
-		m.Vec = nil
+		if own {
+			conn.cbuf = m.Comp.Data // the staging buffer, grown to fit
+		}
 	}
 	if err := conn.stage(&m, tensor.NativeLE()); err != nil {
 		return fmt.Errorf("transport: send to %s: %w", to, err)
