@@ -352,6 +352,45 @@ func BenchmarkCIFARNetForward(b *testing.B)         { benchCIFARNetForward(b) }
 func BenchmarkCIFARNetForwardSerial(b *testing.B)   { withParallelism(b, 1); benchCIFARNetForward(b) }
 func BenchmarkCIFARNetForwardParallel(b *testing.B) { withParallelism(b, 0); benchCIFARNetForward(b) }
 
+// benchGradientCIFARNet measures the worker-side gradient estimation at the
+// paper's model: one mini-batch of 4 on the Table-1 network, the per-worker,
+// per-step compute of a paper-dimension deployment.
+func benchGradientCIFARNet(b *testing.B) {
+	rng := tensor.NewRNG(11)
+	m := nn.NewCIFARNet(rng)
+	xs := make([][]float64, 4)
+	labels := make([]int, 4)
+	for i := range xs {
+		xs[i] = rng.NormVec(make([]float64, 3*32*32), 0, 1)
+		labels[i] = i % 10
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, g := nn.BatchGradient(m, xs, labels)
+		tensor.Put(g)
+	}
+}
+
+func BenchmarkGradientCIFARNetSerial(b *testing.B) { withParallelism(b, 1); benchGradientCIFARNet(b) }
+
+// benchConvForward measures one forward pass of a single convolution layer,
+// serial, at the shapes of the harness CNN and of the Table-1 network.
+func benchConvForward(b *testing.B, inC, inH, inW, outC, k, pad int) {
+	withParallelism(b, 1)
+	rng := tensor.NewRNG(14)
+	conv := nn.NewConv2D(inC, inH, inW, outC, k, k, 1, pad, rng)
+	x := rng.NormVec(make([]float64, inC*inH*inW), 0, 1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		conv.Forward(x)
+	}
+}
+
+func BenchmarkConvForwardTiny1(b *testing.B)  { benchConvForward(b, 3, 8, 8, 6, 3, 1) }
+func BenchmarkConvForwardTiny2(b *testing.B)  { benchConvForward(b, 6, 4, 4, 12, 3, 1) }
+func BenchmarkConvForwardCIFAR1(b *testing.B) { benchConvForward(b, 3, 32, 32, 64, 5, 2) }
+func BenchmarkConvForwardCIFAR2(b *testing.B) { benchConvForward(b, 64, 16, 16, 64, 5, 2) }
+
 // ---------------------------------------------------------------------------
 // Wire benchmarks: the transport codec on a full paper-scale payload
 // (1,756,426 coordinates — the Table-1 model as one message). The binary

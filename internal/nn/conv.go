@@ -7,9 +7,12 @@ import (
 	"repro/internal/tensor"
 )
 
-// convTarget is the per-chunk work (multiply-adds) of the parallel
-// convolution kernels. The harness TinyConvNet falls below it and runs the
-// inline serial path; the Table-1 CIFAR network clears it comfortably.
+// convTarget is the work (multiply-adds, padded taps counted) one chunk of
+// the parallel convolution kernels should hold. Forward splits its output
+// channels into chunks of about that much and goes to the worker pool only
+// if that makes two or more; Backward takes its two-pass form from twice
+// that. Both TinyConvNet layers (27.6k and 41.5k in all) are under one chunk
+// and run inline; the Table-1 CIFAR layers (4.9M and 26.2M) make 16 each.
 const convTarget = 1 << 16
 
 // Conv2D is a 2-D convolution over channels-first C×H×W activations with
@@ -20,6 +23,7 @@ type Conv2D struct {
 	outC, kH, kW   int
 	stride, pad    int
 	outH, outW     int
+	rows, cols     [][2]int  // per kernel row / column: the outputs its tap reaches (tapOutputs)
 	kern           []float64 // outC*inC*kH*kW
 	bias           []float64 // outC
 	gradKern       []float64
@@ -45,6 +49,8 @@ func NewConv2D(inC, inH, inW, outC, kH, kW, stride, pad int, rng *tensor.RNG) *C
 		outC: outC, kH: kH, kW: kW,
 		stride: stride, pad: pad,
 		outH: outH, outW: outW,
+		rows:     tapOutputs(kH, inH, outH, stride, pad),
+		cols:     tapOutputs(kW, inW, outW, stride, pad),
 		kern:     make([]float64, outC*inC*kH*kW),
 		bias:     make([]float64, outC),
 		gradKern: make([]float64, outC*inC*kH*kW),
@@ -60,6 +66,34 @@ func NewConv2D(inC, inH, inW, outC, kH, kW, stride, pad int, rng *tensor.RNG) *C
 	return c
 }
 
+// tapOutputs returns, for each tap t of a k-wide window along one axis, the
+// outputs [lo, hi) whose tap t lands inside the n-long input, i.e. those o
+// with 0 ≤ o·stride − pad + t < n. The coordinate grows with o, so they are
+// one contiguous range (empty when the tap only ever sees padding).
+func tapOutputs(k, n, out, stride, pad int) [][2]int {
+	r := make([][2]int, k)
+	for t := range r {
+		lo := 0
+		for lo < out && lo*stride-pad+t < 0 {
+			lo++
+		}
+		hi := lo
+		for hi < out && hi*stride-pad+t < n {
+			hi++
+		}
+		r[t] = [2]int{lo, hi}
+	}
+	return r
+}
+
+// clipTaps is the transpose of tapOutputs: the taps [lo, hi) of a k-wide
+// window whose tap 0 sits at input coordinate i0 (o·stride − pad, negative
+// inside the padding) that land inside an n-long axis; hi ≤ lo when the
+// whole window is padding.
+func clipTaps(i0, k, n int) (lo, hi int) {
+	return max(0, -i0), min(k, n-i0)
+}
+
 // OutputShape returns (channels, height, width) of the output activation.
 func (c *Conv2D) OutputShape() (int, int, int) { return c.outC, c.outH, c.outW }
 
@@ -70,41 +104,97 @@ func (c *Conv2D) OutputShape() (int, int, int) { return c.outC, c.outH, c.outW }
 func (c *Conv2D) Forward(x []float64) []float64 {
 	c.lastIn = x
 	perOC := c.outH * c.outW * c.inC * c.kH * c.kW
-	parallel.For(c.outC, parallel.GrainFor(perOC, convTarget), func(ocLo, ocHi int) {
+	// Rounded up to whole blocks, so a chunk is not left to the one-channel loop.
+	grain := (parallel.GrainFor(perOC, convTarget) + convBlock - 1) / convBlock * convBlock
+	parallel.For(c.outC, grain, func(ocLo, ocHi int) {
 		c.forwardChannels(x, ocLo, ocHi)
 	})
 	return c.outBuf
 }
 
-// forwardChannels computes output channels [ocLo, ocHi).
+// convBlock is how many output channels the stride-1 forward kernel
+// advances together: they read the same input row, so one load and one pass
+// of loop overhead feed four accumulations.
+const convBlock = 4
+
+// forwardChannels computes output channels [ocLo, ocHi), convBlock at a time
+// while that many are left (and the stride is 1), then one at a time.
 func (c *Conv2D) forwardChannels(x []float64, ocLo, ocHi int) {
-	for oc := ocLo; oc < ocHi; oc++ {
-		b := c.bias[oc]
-		for oy := 0; oy < c.outH; oy++ {
-			for ox := 0; ox < c.outW; ox++ {
-				sum := b
-				iy0 := oy*c.stride - c.pad
-				ix0 := ox*c.stride - c.pad
-				for ic := 0; ic < c.inC; ic++ {
-					kBase := (oc*c.inC + ic) * c.kH * c.kW
-					inBase := ic * c.inH * c.inW
-					for ky := 0; ky < c.kH; ky++ {
-						iy := iy0 + ky
-						if iy < 0 || iy >= c.inH {
-							continue
+	for oc := ocLo; oc < ocHi; {
+		b := 1
+		if c.stride == 1 && oc+convBlock <= ocHi {
+			b = convBlock
+		}
+		c.forwardBlock(x, oc, b)
+		oc += b
+	}
+}
+
+// forwardBlock computes the b (1 or convBlock) output channels from oc on as
+// row AXPYs: each plane starts at its bias, and each tap (ic, ky, kx) then
+// adds k·(input row) to the stretch of every output row it reaches — rows[ky]
+// × cols[kx], the outputs for which the tap is not padding, worked out once
+// in NewConv2D — in a loop with no branch and no dependency between cells.
+//
+// Ordering argument (why every bit equals the cell-at-a-time sum this
+// replaces): float addition is not associative, so what must be preserved is
+// the sequence each single cell sees. The taps are visited in (ic, ky, kx)
+// order with the cells innermost, so one cell still computes
+// ((bias + t₁) + t₂) + … over its in-range taps in (ic, ky, kx) order, and a
+// tap that falls in the padding is skipped, never added as k·0 (which would
+// turn an infinite k into NaN and could flip a −0). Only the interleaving
+// *between* cells — of one plane, or of the block's planes — changed, and
+// cells share no arithmetic.
+func (c *Conv2D) forwardBlock(x []float64, oc, b int) {
+	// Geometry in locals: a store into out could alias a field, and the
+	// compiler would reload each one per row.
+	stride, pad, inW, outW, kW := c.stride, c.pad, c.inW, c.outW, c.kW
+	plane, taps := c.outH*outW, c.inC*c.kH*kW
+	out := c.outBuf[oc*plane : (oc+b)*plane]
+	for j, bias := range c.bias[oc : oc+b] {
+		for i := j * plane; i < (j+1)*plane; i++ {
+			out[i] = bias
+		}
+	}
+	for ic := 0; ic < c.inC; ic++ {
+		for ky, oys := range c.rows {
+			for kx, oxs := range c.cols {
+				n := oxs[1] - oxs[0]
+				if n <= 0 {
+					continue
+				}
+				k := c.kern[oc*taps+(ic*c.kH+ky)*kW+kx:]
+				k0 := k[0]
+				var k1, k2, k3 float64
+				if b == convBlock {
+					k1, k2, k3 = k[taps], k[2*taps], k[3*taps]
+				}
+				oOff := oys[0]*outW + oxs[0]
+				iOff := (ic*c.inH+oys[0]*stride-pad+ky)*inW + oxs[0]*stride - pad + kx
+				for oy := oys[0]; oy < oys[1]; oy++ {
+					o, in := out[oOff:], x[iOff:]
+					oOff += outW
+					iOff += stride * inW
+					switch {
+					case b == convBlock:
+						o0, o1, o2, o3 := o[:n], o[plane:][:n], o[2*plane:][:n], o[3*plane:][:n]
+						for i, v := range in[:n] {
+							o0[i] += k0 * v
+							o1[i] += k1 * v
+							o2[i] += k2 * v
+							o3[i] += k3 * v
 						}
-						kRow := kBase + ky*c.kW
-						inRow := inBase + iy*c.inW
-						for kx := 0; kx < c.kW; kx++ {
-							ix := ix0 + kx
-							if ix < 0 || ix >= c.inW {
-								continue
-							}
-							sum += c.kern[kRow+kx] * x[inRow+ix]
+					case stride == 1:
+						o := o[:n]
+						for i, v := range in[:n] {
+							o[i] += k0 * v
+						}
+					default:
+						for i := range o[:n] {
+							o[i] += k0 * in[i*stride]
 						}
 					}
 				}
-				c.outBuf[(oc*c.outH+oy)*c.outW+ox] = sum
 			}
 		}
 	}
@@ -133,83 +223,76 @@ func (c *Conv2D) backwardOnePass(dout []float64) []float64 {
 	for i := range din {
 		din[i] = 0
 	}
-	x := c.lastIn
 	for oc := 0; oc < c.outC; oc++ {
-		for oy := 0; oy < c.outH; oy++ {
-			for ox := 0; ox < c.outW; ox++ {
-				g := dout[(oc*c.outH+oy)*c.outW+ox]
-				if g == 0 {
-					continue
-				}
+		c.backwardCells(dout, oc, 0, c.inC, c.gradKern, din)
+	}
+	return din
+}
+
+// backwardCells sweeps output channel oc's cells in (oy, ox) order and, for
+// each with a non-zero gradient g, walks input channels [icLo, icHi) and the
+// window's in-range taps (clipped once per cell, not tested per tap) in
+// (ic, ky, kx) order, adding g·x to gradKern and g·kern to din. One of the
+// two may be nil to leave that half to the other pass; gradBias goes with
+// gradKern.
+func (c *Conv2D) backwardCells(dout []float64, oc, icLo, icHi int, gradKern, din []float64) {
+	x := c.lastIn
+	for oy := 0; oy < c.outH; oy++ {
+		iy0 := oy*c.stride - c.pad
+		kyLo, kyHi := clipTaps(iy0, c.kH, c.inH)
+		for ox := 0; ox < c.outW; ox++ {
+			g := dout[(oc*c.outH+oy)*c.outW+ox]
+			if g == 0 {
+				continue
+			}
+			if gradKern != nil {
 				c.gradBias[oc] += g
-				iy0 := oy*c.stride - c.pad
-				ix0 := ox*c.stride - c.pad
-				for ic := 0; ic < c.inC; ic++ {
-					kBase := (oc*c.inC + ic) * c.kH * c.kW
-					inBase := ic * c.inH * c.inW
-					for ky := 0; ky < c.kH; ky++ {
-						iy := iy0 + ky
-						if iy < 0 || iy >= c.inH {
-							continue
+			}
+			ix0 := ox*c.stride - c.pad
+			kxLo, kxHi := clipTaps(ix0, c.kW, c.inW)
+			n := kxHi - kxLo
+			if n <= 0 {
+				continue // the whole window is padding
+			}
+			for ic := icLo; ic < icHi; ic++ {
+				for ky := kyLo; ky < kyHi; ky++ {
+					kRow := ((oc*c.inC+ic)*c.kH+ky)*c.kW + kxLo
+					inRow := (ic*c.inH+iy0+ky)*c.inW + ix0 + kxLo
+					xs, ks := x[inRow:][:n], c.kern[kRow:][:n]
+					switch {
+					case din == nil:
+						gk := gradKern[kRow:][:n]
+						for i, v := range xs {
+							gk[i] += g * v
 						}
-						kRow := kBase + ky*c.kW
-						inRow := inBase + iy*c.inW
-						for kx := 0; kx < c.kW; kx++ {
-							ix := ix0 + kx
-							if ix < 0 || ix >= c.inW {
-								continue
-							}
-							c.gradKern[kRow+kx] += g * x[inRow+ix]
-							din[inRow+ix] += g * c.kern[kRow+kx]
+					case gradKern == nil:
+						ds := din[inRow:][:n]
+						for i, k := range ks {
+							ds[i] += g * k
+						}
+					default:
+						gk, ds := gradKern[kRow:][:n], din[inRow:][:n]
+						for i, v := range xs {
+							gk[i] += g * v
+							ds[i] += g * ks[i]
 						}
 					}
 				}
 			}
 		}
 	}
-	return din
 }
 
 // backwardTwoPass runs the weight-gradient and input-gradient sweeps as two
 // parallel passes. See Backward for why it is bit-identical to the one-pass
 // form.
 func (c *Conv2D) backwardTwoPass(dout []float64, perOC int) []float64 {
-	x := c.lastIn
 	// Pass A: gradKern and gradBias, partitioned by output channel. Loop
 	// order matches backwardOnePass (oy, ox, ic, ky, kx inside oc), so every
 	// gradKern/gradBias cell accumulates its contributions in the same order.
 	parallel.For(c.outC, parallel.GrainFor(perOC, convTarget), func(ocLo, ocHi int) {
 		for oc := ocLo; oc < ocHi; oc++ {
-			for oy := 0; oy < c.outH; oy++ {
-				for ox := 0; ox < c.outW; ox++ {
-					g := dout[(oc*c.outH+oy)*c.outW+ox]
-					if g == 0 {
-						continue
-					}
-					c.gradBias[oc] += g
-					iy0 := oy*c.stride - c.pad
-					ix0 := ox*c.stride - c.pad
-					for ic := 0; ic < c.inC; ic++ {
-						kBase := (oc*c.inC + ic) * c.kH * c.kW
-						inBase := ic * c.inH * c.inW
-						for ky := 0; ky < c.kH; ky++ {
-							iy := iy0 + ky
-							if iy < 0 || iy >= c.inH {
-								continue
-							}
-							kRow := kBase + ky*c.kW
-							inRow := inBase + iy*c.inW
-							for kx := 0; kx < c.kW; kx++ {
-								ix := ix0 + kx
-								if ix < 0 || ix >= c.inW {
-									continue
-								}
-								c.gradKern[kRow+kx] += g * x[inRow+ix]
-							}
-						}
-					}
-				}
-			}
+			c.backwardCells(dout, oc, 0, c.inC, c.gradKern, nil)
 		}
 	})
 	// Pass B: dinBuf, partitioned by input channel. For a fixed input cell
@@ -224,32 +307,7 @@ func (c *Conv2D) backwardTwoPass(dout []float64, perOC int) []float64 {
 				din[i] = 0
 			}
 			for oc := 0; oc < c.outC; oc++ {
-				kBase := (oc*c.inC + ic) * c.kH * c.kW
-				for oy := 0; oy < c.outH; oy++ {
-					for ox := 0; ox < c.outW; ox++ {
-						g := dout[(oc*c.outH+oy)*c.outW+ox]
-						if g == 0 {
-							continue
-						}
-						iy0 := oy*c.stride - c.pad
-						ix0 := ox*c.stride - c.pad
-						for ky := 0; ky < c.kH; ky++ {
-							iy := iy0 + ky
-							if iy < 0 || iy >= c.inH {
-								continue
-							}
-							kRow := kBase + ky*c.kW
-							inRow := inBase + iy*c.inW
-							for kx := 0; kx < c.kW; kx++ {
-								ix := ix0 + kx
-								if ix < 0 || ix >= c.inW {
-									continue
-								}
-								din[inRow+ix] += g * c.kern[kRow+kx]
-							}
-						}
-					}
-				}
+				c.backwardCells(dout, oc, ic, ic+1, nil, din)
 			}
 		}
 	})

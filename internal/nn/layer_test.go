@@ -141,8 +141,13 @@ func TestSummaryAndTable1ParamCount(t *testing.T) {
 	rng := tensor.NewRNG(16)
 	m := NewCIFARNet(rng)
 	// Table 1 architecture: conv1 4,864 + conv2 102,464 + fc1 1,573,248 +
-	// fc2 73,920 + fc3 1,930 = 1,756,426 parameters ("1.75M" in the paper).
-	const want = 4864 + 102464 + 1573248 + 73920 + 1930
+	// fc2 73,920 + fc3 1,930 = 1,756,426 parameters ("1.75M" in the paper) —
+	// the d every paper-dimension number in this repo is quoted at, and the
+	// one transport.preallocCoords is sized for.
+	const want = 1_756_426
+	if sum := 4864 + 102464 + 1573248 + 73920 + 1930; sum != want {
+		t.Fatalf("Table 1's layers add to %d, not %d", sum, want)
+	}
 	if m.ParamCount() != want {
 		t.Fatalf("CIFARNet has %d params, want %d", m.ParamCount(), want)
 	}

@@ -37,7 +37,9 @@ func NewMaxPool2D(c, inH, inW, k, stride, pad int) *MaxPool2D {
 // OutputShape returns (channels, height, width) of the output activation.
 func (p *MaxPool2D) OutputShape() (int, int, int) { return p.c, p.outH, p.outW }
 
-// Forward computes the window maxima and records their positions.
+// Forward computes the window maxima and records their positions: the
+// in-range part of each window (clipTaps) scanned in (ky, kx) order, the
+// first maximum winning ties.
 func (p *MaxPool2D) Forward(x []float64) []float64 {
 	for ch := 0; ch < p.c; ch++ {
 		inBase := ch * p.inH * p.inW
@@ -47,17 +49,11 @@ func (p *MaxPool2D) Forward(x []float64) []float64 {
 				bestIdx := -1
 				iy0 := oy*p.stride - p.pad
 				ix0 := ox*p.stride - p.pad
-				for ky := 0; ky < p.k; ky++ {
-					iy := iy0 + ky
-					if iy < 0 || iy >= p.inH {
-						continue
-					}
-					for kx := 0; kx < p.k; kx++ {
-						ix := ix0 + kx
-						if ix < 0 || ix >= p.inW {
-							continue
-						}
-						idx := inBase + iy*p.inW + ix
+				kyLo, kyHi := clipTaps(iy0, p.k, p.inH)
+				kxLo, kxHi := clipTaps(ix0, p.k, p.inW)
+				for ky := kyLo; ky < kyHi; ky++ {
+					row := inBase + (iy0+ky)*p.inW + ix0
+					for idx := row + kxLo; idx < row+kxHi; idx++ {
 						if x[idx] > best {
 							best = x[idx]
 							bestIdx = idx

@@ -332,6 +332,17 @@ func TestReadMessageOneChunkCommitIsBounded(t *testing.T) {
 	}
 }
 
+// (d, continued) The exact-size path must cover the paper's model: a frame of
+// nn.NewCIFARNet's 1,756,426 coordinates (pinned by nn's
+// TestSummaryAndTable1ParamCount) gets its vector exact-size from the free
+// list (tensor.Get) and never pays the geometric regrowth copies.
+func TestPreallocCoversPaperDimension(t *testing.T) {
+	const paperDim = 1_756_426
+	if preallocCoords < paperDim {
+		t.Fatalf("preallocCoords = %d is below the paper's d = %d", preallocCoords, paperDim)
+	}
+}
+
 // (e) Steady state allocates nothing: a Send on an established connection,
 // and a ReadMessage into a Message whose capacity suffices.
 func TestZeroCopySteadyStateAllocs(t *testing.T) {
