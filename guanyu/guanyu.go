@@ -209,6 +209,9 @@ func (d *Deployment) normalize() error {
 	if d.shardSize > 0 && d.runtime != Live {
 		return fmt.Errorf("WithShardSize applies to the Live runtime only (the simulator models the wire in its cost model)")
 	}
+	if d.delay != nil && (d.runtime != Live || d.tcp) {
+		return fmt.Errorf("WithDelay applies to the Live in-process network only (the simulator has its own latency model, real sockets their own latency)")
+	}
 	if d.mailbox.Bounded() && d.runtime != Live {
 		return fmt.Errorf("WithMailbox applies to the Live runtime only (virtual time admits no overflow to bound)")
 	}
@@ -224,9 +227,6 @@ func (d *Deployment) normalize() error {
 		}
 		if d.tcp {
 			return fmt.Errorf("WithRejoin drives the in-process Live network; TCP nodes restart as real processes (see NodeConfig.Rejoin)")
-		}
-		if d.shardSize > 0 {
-			return fmt.Errorf("WithRejoin needs whole-vector framing, not WithShardSize streaming")
 		}
 		if d.rejoinServer < 0 || d.rejoinServer >= d.numServers {
 			return fmt.Errorf("WithRejoin targets server %d of %d", d.rejoinServer, d.numServers)

@@ -35,6 +35,7 @@ func TestNewRequiresWorkload(t *testing.T) {
 
 func TestNewValidatesTopology(t *testing.T) {
 	base := guanyu.WithWorkload(guanyu.BlobWorkload(200, 1))
+	delay := guanyu.WithDelay(func(string, string) time.Duration { return time.Millisecond })
 	cases := map[string][]guanyu.Option{
 		"servers below 3f+3":  {base, guanyu.WithServers(5, 1)},
 		"workers below 3f+3":  {base, guanyu.WithWorkers(17, 5)},
@@ -44,6 +45,8 @@ func TestNewValidatesTopology(t *testing.T) {
 		"zero steps":          {base, guanyu.WithSteps(0)},
 		"vanilla live":        {base, guanyu.WithVanilla(), guanyu.WithRuntime(guanyu.Live)},
 		"tcp without live":    {base, guanyu.WithTCPTransport()},
+		"delay on sim":        {base, delay},
+		"delay over tcp":      {base, guanyu.WithRuntime(guanyu.Live), guanyu.WithTCPTransport(), delay},
 		"attack out of range": {base, guanyu.WithWorkerAttack(99, guanyu.Zero{})},
 		"all servers byz": {base, guanyu.WithServers(6, 1),
 			guanyu.WithAttackedServers(6, func(int) guanyu.Attack { return guanyu.Zero{} })},

@@ -94,8 +94,7 @@ type NodeConfig struct {
 	// peer quorum at whatever step the cluster has reached, falling back
 	// to the plain restored state if no quorum materialises within
 	// Timeout. This is how a crashed ps<i> process re-enters a running
-	// deployment under the same ID. Requires whole-vector framing
-	// (ShardSize 0). Servers only.
+	// deployment under the same ID. Servers only.
 	Rejoin bool
 	// Timeout bounds each quorum wait (default 5 minutes).
 	Timeout time.Duration
@@ -176,9 +175,6 @@ func RunNode(ctx context.Context, cfg NodeConfig) (*NodeResult, error) {
 		if cfg.Checkpoint == nil {
 			return nil, fmt.Errorf("guanyu: Rejoin requires Checkpoint: the restart restores the newest on-disk snapshot")
 		}
-		if cfg.ShardSize > 0 {
-			return nil, fmt.Errorf("guanyu: Rejoin needs whole-vector framing (ShardSize 0)")
-		}
 		if cfg.Attack != nil {
 			return nil, fmt.Errorf("guanyu: Rejoin is an honest-recovery path; a Byzantine node needs no catch-up")
 		}
@@ -225,18 +221,16 @@ func RunNode(ctx context.Context, cfg NodeConfig) (*NodeResult, error) {
 		return nil, err
 	}
 
-	node, err := transport.ListenTCP(cfg.ID, listen, nil)
-	if err != nil {
-		return nil, err
-	}
-	defer node.Close()
 	// The node's live ops surface: one registry handle that the transport,
 	// couriers and the node loop all publish into, optionally exposed over
 	// HTTP for the process's lifetime.
 	reg := metrics.NewRegistry()
 	handle := reg.Node(cfg.ID)
-	node.SetMetrics(handle)
-	handle.SetAddr(node.Addr())
+	node, err := cluster.OpenTCPNode(cfg.ID, listen, cfg.Peers, comp, w.Model.ParamCount(), mbox, handle)
+	if err != nil {
+		return nil, err
+	}
+	defer node.Close()
 	if cfg.MetricsAddr != "" {
 		srv, err := metrics.Serve(cfg.MetricsAddr, reg, metrics.DefaultStallAfter)
 		if err != nil {
@@ -247,49 +241,17 @@ func RunNode(ctx context.Context, cfg NodeConfig) (*NodeResult, error) {
 			cfg.OnMetricsListen(srv.Addr())
 		}
 	}
-	if comp.Enabled() {
-		// Before AddPeer: the capability mask rides the hello frame, and the
-		// model dimension bounds inbound compressed expansions.
-		if err := node.SetCompression(comp, w.Model.ParamCount()); err != nil {
-			return nil, err
-		}
-	}
-	if mbox.Bounded() {
-		if err := node.SetMailbox(mbox); err != nil {
-			return nil, err
-		}
-	}
-	var ep transport.Endpoint = transport.NewFaultInjector(cfg.Faults).Wrap(node)
-	if mbox.Bounded() {
-		// Per-link couriers decouple this node's broadcast loop from its
-		// slowest peer; closing the courier wrapper flushes queued frames.
-		c := transport.NewCouriers(ep, mbox)
-		c.SetMetrics(handle)
-		ep = c
-	}
-	// Closing the wrapper first flushes reorder-held and delay-spiked
-	// messages before the sockets go away: this process may be the last
-	// sender its peers' final quorums are waiting on.
+	// The same stack the in-process launcher gives its honest nodes. Closing
+	// it first flushes reorder-held, delay-spiked and courier-queued frames
+	// before the sockets go away: this process may be the last sender its
+	// peers' final quorums are waiting on.
+	ep := cluster.StackEndpoint(node, transport.NewFaultInjector(cfg.Faults), mbox, handle)
 	defer ep.Close()
-	for id, addr := range cfg.Peers {
-		if id != cfg.ID {
-			if err := node.AddPeer(id, addr); err != nil {
-				return nil, err
-			}
-		}
-	}
 	if cfg.OnListen != nil {
 		cfg.OnListen(node.Addr())
 	}
-	watchDone := make(chan struct{})
-	defer close(watchDone)
-	go func() {
-		select {
-		case <-ctx.Done():
-			node.Close()
-		case <-watchDone:
-		}
-	}()
+	stop := context.AfterFunc(ctx, func() { node.Close() })
+	defer stop()
 
 	res := &NodeResult{ID: cfg.ID, Role: cfg.Role, Steps: cfg.Steps}
 	switch cfg.Role {

@@ -350,7 +350,8 @@ func WithMetricsAddr(addr string, onListen ...func(addr string)) Option {
 }
 
 // WithDelay injects per-message delivery delays into the Live in-process
-// network (see NewLatencyModel for a realistic generator).
+// network (see NewLatencyModel for a realistic generator). Refused under
+// Sim and under WithTCPTransport, where nothing would apply it.
 func WithDelay(f DelayFunc) Option {
 	return func(d *Deployment) error {
 		d.delay = f

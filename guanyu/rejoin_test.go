@@ -56,8 +56,6 @@ func TestNewValidatesRejoin(t *testing.T) {
 		"rejoin without checkpoint": with(guanyu.WithRejoin(0, 8)),
 		"rejoin over tcp": with(guanyu.WithCheckpointDir(dir, 3),
 			guanyu.WithRejoin(0, 8), guanyu.WithTCPTransport()),
-		"rejoin with sharding": with(guanyu.WithCheckpointDir(dir, 3),
-			guanyu.WithRejoin(0, 8), guanyu.WithShardSize(16)),
 		"rejoin server out of range": with(guanyu.WithCheckpointDir(dir, 3),
 			guanyu.WithRejoin(6, 8)),
 		"rejoin byzantine victim": with(guanyu.WithCheckpointDir(dir, 3),
@@ -135,12 +133,6 @@ func TestRunNodeValidatesCheckpointConfig(t *testing.T) {
 	}
 
 	cfg.Checkpoint = ckpt
-	cfg.ShardSize = 16
-	if _, err := guanyu.RunNode(ctx, cfg); err == nil || !strings.Contains(err.Error(), "whole-vector") {
-		t.Errorf("rejoin with sharding: got %v", err)
-	}
-
-	cfg.ShardSize = 0
 	cfg.Attack = guanyu.Zero{}
 	if _, err := guanyu.RunNode(ctx, cfg); err == nil || !strings.Contains(err.Error(), "honest") {
 		t.Errorf("byzantine rejoin: got %v", err)

@@ -20,6 +20,16 @@
 // an attack.Attack, which may replace it (corruption, equivocation) or
 // suppress it (silence).
 //
+// # Launcher
+//
+// RunLiveContext is the one way a whole deployment comes up in a process:
+// it cuts every node's config from the LiveConfig, opens every endpoint on
+// the mesh LiveConfig.TCP selects, starts all loops together, tears the mesh
+// down on cancellation, on the first node error or when the last loop
+// returns, and reports the median of the honest servers' finals. mesh.go
+// holds both meshes and the layer order of a node's endpoint; guanyu.RunNode,
+// one node per OS process, builds its endpoint from the same two functions.
+//
 // # Wire framing
 //
 // Every quorum is gathered by one transport.Collector feeding the rule's

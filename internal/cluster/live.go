@@ -19,10 +19,11 @@ import (
 )
 
 // LiveConfig describes a full deployment run with real concurrency: one
-// goroutine per node over an in-process asynchronous network. It is the
-// runtime used by integration tests, the failure-injection suite and the
-// examples; the deterministic virtual-time engine used for the paper's
-// figures lives in internal/core.
+// goroutine per node over an asynchronous mesh — in-process channels, or
+// loopback TCP sockets with TCP set. It is the runtime behind guanyu.Live,
+// the integration tests, the failure-injection suite and the examples; the
+// deterministic virtual-time engine used for the paper's figures lives in
+// internal/core.
 type LiveConfig struct {
 	// Model is the template model; every worker gets an independent clone,
 	// and its initial parameters seed every server's θ₀.
@@ -52,7 +53,13 @@ type LiveConfig struct {
 	Rule gar.Rule
 	// ParamRule aggregates parameter vectors; nil defaults to Median.
 	ParamRule gar.Rule
-	// Delay optionally injects per-message delivery delays (asynchrony).
+	// TCP runs every node on its own loopback socket (binary-framed,
+	// hello-authenticated; see transport.TCPNode) instead of the in-process
+	// channel network — the paper's testbed in one process. Delay and Churn
+	// are channel-only.
+	TCP bool
+	// Delay optionally injects per-message delivery delays (asynchrony)
+	// into the channel network.
 	Delay transport.DelayFunc
 	// Faults optionally injects seeded network faults (drops, duplication,
 	// reordering, delay spikes, temporary partitions) into every node's
@@ -81,13 +88,9 @@ type LiveConfig struct {
 	ShardSize int
 	// Compression applies wire payload compression to every honest node's
 	// traffic (float32 truncation, delta frames, or top-k sparsification —
-	// see internal/compress). Honest endpoints are wrapped below the fault
-	// injector, so injected duplication, reordering and delay spikes hit
-	// already-negotiated compressed streams the way a real network would.
-	// Byzantine nodes send raw, mirroring Faults: the adversary's covert
-	// network is ideal, and compressing its payloads would perturb its
-	// chosen attack vectors; they still expand what their honest peers send
-	// them. The zero value disables compression.
+	// see internal/compress), in the layer next to the wire; Byzantine
+	// nodes send raw and only expand what their honest peers send them
+	// (mesh.go has the stack and the reasons). The zero value disables it.
 	Compression compress.Config
 	// Mailbox bounds every node's inbound mailbox per sender and, when
 	// bounded, routes every honest node's sends through per-link courier
@@ -153,8 +156,36 @@ func (c *LiveChurn) validate(cfg *LiveConfig) error {
 	if c.Dir == "" {
 		return fmt.Errorf("cluster: churn needs a checkpoint directory")
 	}
-	if cfg.ShardSize > 0 {
-		return fmt.Errorf("cluster: churn rejoin needs whole-vector framing, not sharded streaming")
+	if cfg.TCP {
+		return fmt.Errorf("cluster: churn drives the channel mesh; TCP nodes restart as real processes")
+	}
+	return nil
+}
+
+// check is everything RunLiveContext refuses before it opens an endpoint.
+func (c *LiveConfig) check() error {
+	if !c.SkipValidation {
+		if err := c.Validate(); err != nil {
+			return err
+		}
+	}
+	if c.Steps <= 0 || c.Batch <= 0 {
+		return fmt.Errorf("cluster: Steps and Batch must be positive")
+	}
+	if err := c.Compression.Validate(); err != nil {
+		return err
+	}
+	if err := c.Mailbox.Validate(); err != nil {
+		return err
+	}
+	if c.Checkpoint != nil && (c.Checkpoint.Dir == "" || c.Checkpoint.Every < 1) {
+		return fmt.Errorf("cluster: checkpointing needs a directory and a positive cadence")
+	}
+	if c.TCP && c.Delay != nil {
+		return fmt.Errorf("cluster: Delay is injected by the channel mesh; it has no effect over TCP")
+	}
+	if c.Churn != nil {
+		return c.Churn.validate(c)
 	}
 	return nil
 }
@@ -254,279 +285,225 @@ func RunLive(cfg LiveConfig) (*LiveResult, error) {
 	return RunLiveContext(context.Background(), cfg)
 }
 
-// RunLiveContext is RunLive with cancellation: when ctx is cancelled the
-// in-process network is torn down, which unblocks every node's quorum wait
-// and makes the run return promptly with ctx's error.
-func RunLiveContext(ctx context.Context, cfg LiveConfig) (*LiveResult, error) {
-	if !cfg.SkipValidation {
-		if err := cfg.Validate(); err != nil {
-			return nil, err
-		}
-	}
-	if cfg.Steps <= 0 || cfg.Batch <= 0 {
-		return nil, fmt.Errorf("cluster: Steps and Batch must be positive")
-	}
-	if err := cfg.Compression.Validate(); err != nil {
-		return nil, err
-	}
-	if err := cfg.Mailbox.Validate(); err != nil {
-		return nil, err
-	}
-	if cfg.Checkpoint != nil && (cfg.Checkpoint.Dir == "" || cfg.Checkpoint.Every < 1) {
-		return nil, fmt.Errorf("cluster: checkpointing needs a directory and a positive cadence")
-	}
-	if cfg.Churn != nil {
-		if err := cfg.Churn.validate(&cfg); err != nil {
-			return nil, err
-		}
-	}
-
-	reg := cfg.Metrics
-	if reg == nil {
-		reg = metrics.NewRegistry()
-	}
-	network := transport.NewChanNetwork(cfg.Delay)
-	defer network.Close()
-	if err := network.SetMailbox(cfg.Mailbox); err != nil {
-		return nil, err
-	}
-	watchDone := make(chan struct{})
-	defer close(watchDone)
-	go func() {
-		select {
-		case <-ctx.Done():
-			network.Close()
-		case <-watchDone:
-		}
-	}()
-
-	rng := tensor.NewRNG(cfg.Seed)
-	theta0 := cfg.Model.ParamVector()
-
-	// wrap stacks a node's send/receive path. Honest: compression sits next
-	// to the wire (per-link codec state, inbound drop counters bounded by
-	// the model dimension), the fault injector above it — so a delayed or
-	// duplicated delivery re-enters an already-encoded stream, exactly the
-	// composition the TCP runtime exhibits. A bounded mailbox adds couriers
-	// on top: the node loop hands frames to per-link bounded outboxes and
-	// never blocks on (or is blocked by) a slow link. Byzantine: the codec's
-	// receive half only — the node runs the honest receive loop, so it must
-	// expand its honest peers' compressed frames, while its own payloads
-	// stay raw and unfaulted (the adversary's covert network is ideal by
-	// assumption, exactly as in the simulator).
-	wrap := func(ep transport.Endpoint, h *metrics.NodeMetrics, honest bool) (transport.Endpoint, error) {
-		if cfg.Compression.Enabled() {
-			ccfg := cfg.Compression
-			if !honest {
-				ccfg = compress.Config{} // sends raw, expands inbound
-			}
-			c, err := transport.NewCompressor(ep, ccfg, len(theta0))
-			if err != nil {
-				return nil, err
-			}
-			c.SetMetrics(h)
-			ep = c
-		}
-		if !honest {
-			return ep, nil
-		}
-		ep = cfg.Faults.Wrap(ep)
-		if cfg.Mailbox.Bounded() {
-			c := transport.NewCouriers(ep, cfg.Mailbox)
-			c.SetMetrics(h)
-			ep = c
-		}
-		return ep, nil
-	}
-
-	// nodeHandle hands out one registry handle per node and makes it the
-	// node's on the network, for every incarnation of the ID.
-	nodeHandle := func(id string) *metrics.NodeMetrics {
-		h := reg.Node(id)
-		network.SetNodeMetrics(id, h)
-		return h
-	}
-
+// plan is what every node's config is cut from: the deployment, the
+// registry its handles come from, its node IDs by index, θ₀, the adversary's
+// shared views and the generator the workers' samplers are split off, in
+// index order.
+type plan struct {
+	*LiveConfig
+	reg              *metrics.Registry
+	servers, workers []string
+	theta0           tensor.Vector
 	// Omniscient attacks get one shared view per message class: honest
 	// nodes' vectors are published to it as they are produced, Byzantine
 	// nodes snapshot it before corrupting (see attack.SharedView).
-	serverView, workerView := AdversaryViews(
-		cfg.FServers, cfg.ServerAttacks, cfg.FWorkers, cfg.WorkerAttacks)
+	serverView, workerView *attack.SharedView
+	rng                    *tensor.RNG
+}
 
-	workerIDs := make([]string, cfg.NumWorkers)
-	for j := range workerIDs {
-		workerIDs[j] = WorkerID(j)
+func (c *LiveConfig) plan() *plan {
+	p := &plan{LiveConfig: c, reg: c.Metrics, theta0: c.Model.ParamVector(), rng: tensor.NewRNG(c.Seed)}
+	if p.reg == nil {
+		p.reg = metrics.NewRegistry()
 	}
-	serverIDs := make([]string, cfg.NumServers)
-	for i := range serverIDs {
-		serverIDs[i] = ServerID(i)
+	for i := 0; i < c.NumServers; i++ {
+		p.servers = append(p.servers, ServerID(i))
+	}
+	for j := 0; j < c.NumWorkers; j++ {
+		p.workers = append(p.workers, WorkerID(j))
+	}
+	p.serverView, p.workerView = AdversaryViews(c.FServers, c.ServerAttacks, c.FWorkers, c.WorkerAttacks)
+	return p
+}
+
+// server is server i's config.
+func (p *plan) server(i int) ServerConfig {
+	peers := make([]string, 0, len(p.servers)-1)
+	peers = append(append(peers, p.servers[:i]...), p.servers[i+1:]...)
+	scfg := ServerConfig{
+		ID:              p.servers[i],
+		Workers:         p.workers,
+		Peers:           peers,
+		Init:            p.theta0,
+		GradRule:        p.gradRule(),
+		ParamRule:       p.paramRule(),
+		QuorumGradients: p.quorumWorkers(),
+		QuorumParams:    p.quorumServers(),
+		Steps:           p.Steps,
+		LR:              p.lr(),
+		Timeout:         p.timeout(),
+		Attack:          p.ServerAttacks[i],
+		Momentum:        p.Momentum,
+		View:            p.serverView,
+		ShardSize:       p.ShardSize,
+		Metrics:         p.reg.Node(p.servers[i]),
+	}
+	if scfg.Attack == nil {
+		scfg.Suspicion = p.Suspicion // honest servers report exclusions
+		scfg.Trace = p.Trace
+		scfg.Checkpoint = p.Checkpoint
+	}
+	return scfg
+}
+
+// worker is worker j's config; call it once per worker, in index order.
+func (p *plan) worker(j int) WorkerConfig {
+	return WorkerConfig{
+		ID:           p.workers[j],
+		Servers:      p.servers,
+		Model:        p.Model.Clone(),
+		Sampler:      dataset.NewSampler(p.Train, p.rng.Split()),
+		Batch:        p.Batch,
+		ParamRule:    p.paramRule(),
+		QuorumParams: p.quorumServers(),
+		Steps:        p.Steps,
+		Timeout:      p.timeout(),
+		Attack:       p.WorkerAttacks[j],
+		View:         p.workerView,
+		ShardSize:    p.ShardSize,
+		Metrics:      p.reg.Node(p.workers[j]),
+	}
+}
+
+// RunLiveContext is RunLive with cancellation: when ctx is cancelled the
+// mesh is torn down, which unblocks every node's quorum wait and makes the
+// run return promptly with ctx's error. It is the one launcher: the same
+// bring-up, node stack (see mesh.go), fan-out and teardown run over
+// in-process channels and, with cfg.TCP, over loopback sockets.
+func RunLiveContext(ctx context.Context, cfg LiveConfig) (*LiveResult, error) {
+	if err := cfg.check(); err != nil {
+		return nil, err
+	}
+	p := cfg.plan()
+	m, err := cfg.mesh()
+	if err != nil {
+		return nil, err
+	}
+	defer m.close()
+
+	// open brings one node up to the endpoint its loop runs on, counting
+	// into the node's registry handle — for every incarnation of the ID.
+	open := func(id string, honest bool) (transport.Endpoint, error) {
+		h := p.reg.Node(id)
+		comp := cfg.Compression
+		if !honest {
+			comp = compress.Config{}
+		}
+		ep, err := m.open(id, comp, h)
+		if err == nil && honest {
+			ep = StackEndpoint(ep, cfg.Faults, cfg.Mailbox, h)
+		}
+		return ep, err
 	}
 
-	type serverOut struct {
-		index int
-		theta tensor.Vector
-	}
 	var (
-		wg        sync.WaitGroup
-		mu        sync.Mutex
-		outs      []serverOut
-		runErrs   []error
-		restarted bool
+		finals    = make([]tensor.Vector, cfg.NumServers) // honest server i's θ, set by its own loop
+		restarted bool                                    // set by the churn victim's loop
 	)
-	fail := func(err error) {
-		mu.Lock()
-		defer mu.Unlock()
-		runErrs = append(runErrs, err)
+
+	// Bring-up is two-phase: every endpoint is opened and every honest
+	// stack built BEFORE the first node loop starts. Links are lossy with
+	// no resend, so a phase-1 broadcast that found its worker not yet
+	// registered ("unknown destination") was lost for good and left that
+	// worker one vector short of its quorum for the whole timeout.
+	type node struct {
+		ep   transport.Endpoint
+		loop func() error
 	}
-
-	// Bring-up is two-phase: every endpoint is registered and every honest
-	// send/receive stack built BEFORE the first node loop starts. Links are
-	// lossy with no resend, so a phase-1 broadcast that found its worker
-	// not yet registered ("unknown destination") was lost for good and left
-	// that worker one vector short of its quorum for the whole timeout.
-	var nodes []func() // node loops, started together below
-
-	// Servers.
-	for i := 0; i < cfg.NumServers; i++ {
-		ep, err := network.Register(serverIDs[i])
+	var nodes []node
+	for i := range p.servers {
+		honest := cfg.ServerAttacks[i] == nil
+		ep, err := open(p.servers[i], honest)
 		if err != nil {
 			return nil, err
 		}
-		peers := make([]string, 0, cfg.NumServers-1)
-		for k, id := range serverIDs {
-			if k != i {
-				peers = append(peers, id)
-			}
-		}
-		scfg := ServerConfig{
-			ID:              serverIDs[i],
-			Workers:         workerIDs,
-			Peers:           peers,
-			Init:            theta0,
-			GradRule:        cfg.gradRule(),
-			ParamRule:       cfg.paramRule(),
-			QuorumGradients: cfg.quorumWorkers(),
-			QuorumParams:    cfg.quorumServers(),
-			Steps:           cfg.Steps,
-			LR:              cfg.lr(),
-			Timeout:         cfg.timeout(),
-			Attack:          cfg.ServerAttacks[i],
-			Momentum:        cfg.Momentum,
-			View:            serverView,
-			ShardSize:       cfg.ShardSize,
-			Metrics:         nodeHandle(serverIDs[i]),
-		}
-		if scfg.Attack == nil {
-			scfg.Suspicion = cfg.Suspicion // honest servers report exclusions
-			scfg.Trace = cfg.Trace
-			scfg.Checkpoint = cfg.Checkpoint
-		}
-		idx := i
-		churned := cfg.Churn != nil && i == cfg.Churn.Server
-		sep, err := wrap(ep, scfg.Metrics, scfg.Attack == nil)
-		if err != nil {
-			return nil, err
-		}
-		if churned {
+		scfg := p.server(i)
+		run := func() (tensor.Vector, error) { return RunServer(ep, scfg) }
+		if cfg.Churn != nil && i == cfg.Churn.Server {
 			// The churn victim's first incarnation is brought up like any
 			// other node; it is killed mid-run and re-registers the same ID
 			// for the recovery leg on its own.
-			nodes = append(nodes, func() {
-				theta, again, err := runChurnServer(network, sep, scfg, cfg.Churn, wrap)
-				mu.Lock()
-				restarted = again
-				mu.Unlock()
-				if err != nil {
-					fail(err)
-					return
-				}
-				mu.Lock()
-				outs = append(outs, serverOut{index: idx, theta: theta})
-				mu.Unlock()
-			})
-			continue
+			run = func() (theta tensor.Vector, err error) {
+				reopen := func() (transport.Endpoint, error) { return open(scfg.ID, true) }
+				theta, restarted, err = runChurnServer(m.(*chanMesh).net, ep, scfg, cfg.Churn, reopen)
+				return theta, err
+			}
 		}
-		nodes = append(nodes, func() {
-			defer sep.Close()
-			theta, err := RunServer(sep, scfg)
-			if err != nil {
-				fail(err)
-				return
+		nodes = append(nodes, node{ep, func() error {
+			theta, err := run()
+			if err == nil && honest {
+				finals[i] = theta
 			}
-			if scfg.Attack == nil {
-				mu.Lock()
-				outs = append(outs, serverOut{index: idx, theta: theta})
-				mu.Unlock()
-			}
-		})
+			return err
+		}})
 	}
-
-	// Workers.
-	for j := 0; j < cfg.NumWorkers; j++ {
-		ep, err := network.Register(workerIDs[j])
+	for j := range p.workers {
+		ep, err := open(p.workers[j], cfg.WorkerAttacks[j] == nil)
 		if err != nil {
 			return nil, err
 		}
-		wcfg := WorkerConfig{
-			ID:           workerIDs[j],
-			Servers:      serverIDs,
-			Model:        cfg.Model.Clone(),
-			Sampler:      dataset.NewSampler(cfg.Train, rng.Split()),
-			Batch:        cfg.Batch,
-			ParamRule:    cfg.paramRule(),
-			QuorumParams: cfg.quorumServers(),
-			Steps:        cfg.Steps,
-			Timeout:      cfg.timeout(),
-			Attack:       cfg.WorkerAttacks[j],
-			View:         workerView,
-			ShardSize:    cfg.ShardSize,
-			Metrics:      nodeHandle(workerIDs[j]),
-		}
-		wep, err := wrap(ep, wcfg.Metrics, wcfg.Attack == nil)
-		if err != nil {
-			return nil, err
-		}
-		nodes = append(nodes, func() {
-			defer wep.Close()
-			if err := RunWorker(wep, wcfg); err != nil {
-				fail(err)
-			}
-		})
+		wcfg := p.worker(j)
+		nodes = append(nodes, node{ep, func() error { return RunWorker(ep, wcfg) }})
 	}
+	// From here on the mesh is closed by whoever needs every quorum wait
+	// unblocked: cancellation, the first node to fail, or the end of the run.
+	stop := context.AfterFunc(ctx, m.close)
+	defer stop()
 
-	wg.Add(len(nodes))
-	for _, run := range nodes {
+	// A node's loop returning and its endpoint being closed are counted
+	// apart: closing flushes what the fault injector held back and what the
+	// couriers still queue, which a peer still in its last quorum wait may
+	// need — and which nobody needs once every loop has returned, so the
+	// mesh goes down then and cuts the remaining flushes short.
+	var (
+		loops, flushes sync.WaitGroup
+		mu             sync.Mutex
+		runErrs        []error
+	)
+	loops.Add(len(nodes))
+	flushes.Add(len(nodes))
+	for _, n := range nodes {
 		go func() {
-			defer wg.Done()
-			run()
+			defer flushes.Done()
+			defer n.ep.Close()
+			defer loops.Done()
+			if err := n.loop(); err != nil {
+				mu.Lock()
+				runErrs = append(runErrs, err)
+				first := len(runErrs) == 1
+				mu.Unlock()
+				if first {
+					// Fail fast: the run is lost, so no other node sits out
+					// its quorum timeout; what the teardown makes the others
+					// report lands behind this error.
+					m.close()
+				}
+			}
 		}()
 	}
-	wg.Wait()
+	loops.Wait()
+	m.close() // also settles in-flight delayed deliveries before the counters are read
+	flushes.Wait()
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("cluster: run cancelled: %w", err)
 	}
 	if len(runErrs) > 0 {
 		return nil, fmt.Errorf("cluster: run failed: %w (and %d more)", runErrs[0], len(runErrs)-1)
 	}
-
-	res := &LiveResult{ServerParams: make(map[int]tensor.Vector, len(outs)), ChurnRestarted: restarted}
-	// Settle in-flight delayed deliveries before reading the counters (the
-	// deferred Close is then a no-op).
-	network.Close()
-	res.Totals = reg.Totals()
-	finals := make([]tensor.Vector, 0, len(outs))
-	for _, o := range outs {
-		res.ServerParams[o.index] = o.theta
-		finals = append(finals, o.theta)
+	res := &LiveResult{ServerParams: make(map[int]tensor.Vector), Totals: p.reg.Totals(), ChurnRestarted: restarted}
+	var vecs []tensor.Vector
+	for i, theta := range finals {
+		if theta != nil {
+			res.ServerParams[i] = theta
+			vecs = append(vecs, theta)
+		}
 	}
-	if len(finals) == 0 {
+	if len(vecs) == 0 {
 		return nil, fmt.Errorf("cluster: no honest server completed")
 	}
-	final, err := gar.Median{}.Aggregate(finals)
-	if err != nil {
+	if res.Final, err = (gar.Median{}).Aggregate(vecs); err != nil {
 		return nil, err
 	}
-	res.Final = final
 	return res, nil
 }
 
@@ -537,9 +514,10 @@ func RunLiveContext(ctx context.Context, cfg LiveConfig) (*LiveResult, error) {
 // rejoin by adopting the median of a live peer quorum (ServerConfig.Rejoin).
 // Returns the final parameters of whichever incarnation finished the run and
 // whether the restart leg actually ran (false when the victim outran the
-// kill — possible on tiny runs that finish before the watcher fires).
+// kill — possible on tiny runs that finish before the watcher fires). The
+// launcher closes sep; the second incarnation's endpoint is closed here.
 func runChurnServer(network *transport.ChanNetwork, sep transport.Endpoint, scfg ServerConfig,
-	churn *LiveChurn, wrap func(transport.Endpoint, *metrics.NodeMetrics, bool) (transport.Endpoint, error)) (tensor.Vector, bool, error) {
+	churn *LiveChurn, reopen func() (transport.Endpoint, error)) (tensor.Vector, bool, error) {
 
 	vm := scfg.Metrics // the kill trigger watches the victim's live step gauge
 	scfg.Checkpoint = &CheckpointSpec{Dir: churn.Dir, Every: churn.CheckpointEvery}
@@ -591,19 +569,14 @@ func runChurnServer(network *transport.ChanNetwork, sep transport.Endpoint, scfg
 	if err != nil {
 		return nil, false, fmt.Errorf("cluster: churn restart of %s: %w", scfg.ID, err)
 	}
-	ep2, err := network.Register(scfg.ID)
+	sep2, err := reopen()
 	if err != nil {
 		return nil, false, fmt.Errorf("cluster: churn restart of %s: %w", scfg.ID, err)
 	}
-	rcfg := scfg
-	rcfg.Restore = &ckpt
-	rcfg.Rejoin = true
-	sep2, err := wrap(ep2, vm, true)
-	if err != nil {
-		return nil, false, err
-	}
 	defer sep2.Close()
-	theta, err := RunServer(sep2, rcfg)
+	scfg.Restore = &ckpt
+	scfg.Rejoin = true
+	theta, err := RunServer(sep2, scfg)
 	if err != nil {
 		return nil, true, fmt.Errorf("cluster: churned server %s failed after restart: %w", scfg.ID, err)
 	}

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -309,6 +311,40 @@ func TestLiveQuorumTimeoutSurfacesAsError(t *testing.T) {
 	}
 	if _, err := RunLive(cfg); err == nil {
 		t.Fatal("expected quorum timeout, run succeeded")
+	}
+}
+
+// TestLiveFirstErrorTearsTheMeshDown: one node's failure ends the run at
+// once. Every server fails its first checkpoint write (the directory is a
+// regular file) while the workers wait for a full quorum of step-1
+// parameters that will never come; the launcher used to sit that wait out —
+// one whole Timeout — before reporting the error it had held since step 0.
+func TestLiveFirstErrorTearsTheMeshDown(t *testing.T) {
+	model, train, _ := testProblem(900)
+	notADir := filepath.Join(t.TempDir(), "ckpt")
+	if err := os.WriteFile(notADir, nil, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	for _, tcp := range []bool{false, true} {
+		cfg := LiveConfig{
+			Model: model, Train: train,
+			NumServers: 3, FServers: 0,
+			NumWorkers: 3, FWorkers: 0,
+			QuorumServers: 3, QuorumWorkers: 3,
+			Steps: 4, Batch: 4,
+			Timeout:    20 * time.Second,
+			Seed:       8,
+			TCP:        tcp,
+			Checkpoint: &CheckpointSpec{Dir: notADir, Every: 1},
+		}
+		start := time.Now()
+		_, err := RunLive(cfg)
+		if err == nil || !strings.Contains(err.Error(), "checkpoint") {
+			t.Fatalf("tcp=%v: want the checkpoint error first, got %v", tcp, err)
+		}
+		if took := time.Since(start); took > cfg.Timeout/4 {
+			t.Fatalf("tcp=%v: the failed run took %s of a %s quorum timeout to return", tcp, took, cfg.Timeout)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -13,14 +14,16 @@ import (
 // property the zero-value escape hatch rests on: when no overflow occurs,
 // the mailbox bound and its policy are invisible — whole-vector, sharded
 // and compressed live runs all produce byte-for-byte the same final model
-// under every policy as with the unbounded default.
+// under every policy as with the unbounded default — and so is the mesh:
+// every cell is run over in-process channels and over loopback sockets, the
+// property that lets one launcher serve both.
 //
 // The deployment is made schedule-independent on purpose: full quorums (q
 // = n, so every run folds the same message set) and Median everywhere (a
 // per-coordinate sort, indifferent to arrival order). What remains to vary
-// across runs is exactly the mailbox configuration — so any difference in
-// the result is the policy leaking into delivery, which is the bug this
-// test exists to catch.
+// across runs is exactly the mailbox configuration and the transport — so
+// any difference in the result is one of them leaking into delivery, which
+// is the bug this test exists to catch.
 func TestMailboxPoliciesBitIdenticalWithoutOverflow(t *testing.T) {
 	model, train, _ := testProblem(900)
 	base := LiveConfig{
@@ -55,29 +58,31 @@ func TestMailboxPoliciesBitIdenticalWithoutOverflow(t *testing.T) {
 	for _, v := range variants {
 		var reference *LiveResult
 		for _, p := range policies {
-			cfg := base
-			v.mut(&cfg)
-			cfg.Mailbox = p.cfg
-			res, err := RunLive(cfg)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", v.name, p.name, err)
-			}
-			if dropped := res.Totals.DroppedOverflow + res.Totals.CourierDropped; dropped != 0 {
-				t.Fatalf("%s/%s: %d overflow drops in a schedule that must not overflow",
-					v.name, p.name, dropped)
-			}
-			if reference == nil {
-				reference = res
-				continue
-			}
-			if len(res.Final) != len(reference.Final) {
-				t.Fatalf("%s/%s: final dimension %d vs %d",
-					v.name, p.name, len(res.Final), len(reference.Final))
-			}
-			for i := range res.Final {
-				if res.Final[i] != reference.Final[i] {
-					t.Fatalf("%s/%s: final[%d] = %v, unbounded run had %v — the policy leaked into delivery",
-						v.name, p.name, i, res.Final[i], reference.Final[i])
+			for _, tcp := range []bool{false, true} {
+				cell := fmt.Sprintf("%s/%s/tcp=%v", v.name, p.name, tcp)
+				cfg := base
+				v.mut(&cfg)
+				cfg.Mailbox = p.cfg
+				cfg.TCP = tcp
+				res, err := RunLive(cfg)
+				if err != nil {
+					t.Fatalf("%s: %v", cell, err)
+				}
+				if dropped := res.Totals.DroppedOverflow + res.Totals.CourierDropped; dropped != 0 {
+					t.Fatalf("%s: %d overflow drops in a schedule that must not overflow", cell, dropped)
+				}
+				if reference == nil {
+					reference = res
+					continue
+				}
+				if len(res.Final) != len(reference.Final) {
+					t.Fatalf("%s: final dimension %d vs %d", cell, len(res.Final), len(reference.Final))
+				}
+				for i := range res.Final {
+					if res.Final[i] != reference.Final[i] {
+						t.Fatalf("%s: final[%d] = %v, the unbounded channel run had %v — the policy or the transport leaked into delivery",
+							cell, i, res.Final[i], reference.Final[i])
+					}
 				}
 			}
 		}

@@ -239,9 +239,7 @@ type ServerConfig struct {
 	// states at whatever step the cluster has reached (RejoinMedian),
 	// falling back to the plain Restore state if no quorum materialises
 	// within Timeout. The discovery phase buffers, never consumes, the
-	// frames of the step it resumes into. (The façade and LiveChurn still
-	// gate rejoin to whole-vector framing: the cycle is untested end to end
-	// under streaming.)
+	// frames of the step it resumes into, at any layout.
 	Rejoin bool
 	// Roster, when non-nil, scopes every quorum to the membership in
 	// force at each frame's step (see Roster in checkpoint.go): frames

@@ -237,11 +237,18 @@ func TestCrashRecoveryOverTCP(t *testing.T) {
 // once it reaches the kill step, restarts under the same ID from its newest
 // checkpoint with median rejoin, and the deployment finishes with all six
 // honest finals inside contraction distance — while the shared metrics
-// registry stays healthy across the restart.
+// registry stays healthy across the restart. Rejoin discovery is
+// layout-agnostic, so the cycle runs at one shard and chunk-streamed.
 func TestLiveChurnKillRestart(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a 12-node live deployment with a restart")
 	}
+	for name, shardSize := range map[string]int{"whole": 0, "sharded": 13} {
+		t.Run(name, func(t *testing.T) { liveChurnKillRestart(t, shardSize) })
+	}
+}
+
+func liveChurnKillRestart(t *testing.T, shardSize int) {
 	reg := metrics.NewRegistry()
 	model, train, test := testProblem(911)
 	cfg := LiveConfig{
@@ -250,7 +257,7 @@ func TestLiveChurnKillRestart(t *testing.T) {
 		NumWorkers: 6, FWorkers: 0,
 		QuorumServers: 3, QuorumWorkers: 3,
 		Rule: gar.Median{}, ParamRule: gar.Median{},
-		Steps: 30, Batch: 16,
+		Steps: 30, Batch: 16, ShardSize: shardSize,
 		LR:      func(int) float64 { return 0.2 },
 		Timeout: time.Minute,
 		Seed:    7,
@@ -324,7 +331,7 @@ func TestLiveChurnRejectsBadCycles(t *testing.T) {
 		"kill past the run":   func(c *LiveConfig) { c.Churn.KillAtStep = 20 },
 		"cadence too slow":    func(c *LiveConfig) { c.Churn.CheckpointEvery = 6 },
 		"no directory":        func(c *LiveConfig) { c.Churn.Dir = "" },
-		"sharded streaming":   func(c *LiveConfig) { c.ShardSize = 4 },
+		"over tcp":            func(c *LiveConfig) { c.TCP = true },
 	}
 	for name, mutate := range mutations {
 		cfg := base()

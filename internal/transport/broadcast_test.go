@@ -421,7 +421,7 @@ func TestBroadcastIntactUnderFaults(t *testing.T) {
 }
 
 // hidesBroadcast embeds the Endpoint interface the way the runtimes' own
-// wrappers do (guanyu's heldOpen, the benchmark's tracedEndpoint): the four
+// wrappers do (cluster's heldOpen, the benchmark's tracedEndpoint): the four
 // methods pass through, Broadcast does not.
 type hidesBroadcast struct{ Endpoint }
 

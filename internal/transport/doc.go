@@ -98,7 +98,7 @@
 // per link, from the shared snapshot. The method is an optional interface,
 // found by type assertion on the outermost endpoint like io.ReaderFrom:
 // Endpoint itself did not grow, because wrappers outside this package embed
-// it (guanyu's heldOpen, the benchmark module's traced endpoint) and a fifth
+// it (internal/cluster's heldOpen, the benchmark module's traced endpoint) and a fifth
 // method would break them, while a wrapper that hides the method merely
 // falls back to the loop. For endpoints whose Send is synchronous that loop
 // — SendSharded per destination — is already the least work: TCPNode's Send
