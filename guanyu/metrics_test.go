@@ -123,7 +123,7 @@ func scrapeFamilies(t *testing.T, addr string) (map[string]float64, map[string]s
 // mailboxes, scraped over HTTP WHILE it runs. A rogue raw connection
 // hellos as one identity and then forges another (guanyu_forged_dropped_total)
 // and sprays junk under its own name at a capped mailbox
-// (guanyu_mailbox_dropped_total). The scrape loop asserts every counter
+// (guanyu_mailbox_dropped_total; the survivors, guanyu_dropped_roster_total). The scrape loop asserts every counter
 // family is monotonic across reads, both families go nonzero live, and the
 // same totals come back through guanyu.Result after the run.
 func TestLiveTCPMetricsAcceptance(t *testing.T) {
@@ -278,6 +278,12 @@ scrape:
 	if out.res.DroppedOverflow == 0 || float64(out.res.DroppedOverflow) < prev["guanyu_mailbox_dropped_total"] {
 		t.Errorf("Result.DroppedOverflow = %d, scraped %g", out.res.DroppedOverflow, prev["guanyu_mailbox_dropped_total"])
 	}
+	// What the mailbox let through of the rogue's own-name junk died at
+	// wrk0's sender table: nobody wrk0's config names, and not a kind a
+	// worker collects.
+	if out.res.DroppedRoster == 0 || float64(out.res.DroppedRoster) < prev["guanyu_dropped_roster_total"] {
+		t.Errorf("Result.DroppedRoster = %d, scraped %g", out.res.DroppedRoster, prev["guanyu_dropped_roster_total"])
+	}
 }
 
 // resultFamilies pairs every /metrics drop family with the Result field
@@ -288,7 +294,6 @@ func resultFamilies(r *guanyu.Result) map[string]uint64 {
 		"guanyu_dropped_malformed_total":    r.DroppedMalformed,
 		"guanyu_forged_dropped_total":       r.ForgedDropped,
 		"guanyu_dropped_unnegotiated_total": r.DroppedUnnegotiated,
-		"guanyu_dropped_unadmitted_total":   r.DroppedUnadmitted,
 		"guanyu_dropped_roster_total":       r.DroppedRoster,
 		"guanyu_mailbox_dropped_total":      r.DroppedOverflow,
 		"guanyu_courier_dropped_total":      r.CourierDropped,

@@ -66,11 +66,10 @@ type Result struct {
 	// DroppedUnnegotiated totals inbound compressed frames dropped for
 	// using a scheme their sender never negotiated.
 	DroppedUnnegotiated uint64
-	// DroppedUnadmitted totals hello handshakes refused by a roster
-	// admission check (TCP transport).
-	DroppedUnadmitted uint64
-	// DroppedRoster totals frames from senders outside the roster in
-	// force at the frame's step.
+	// DroppedRoster totals frames whose sender was not legal for their
+	// kind at the receiving node: a server takes gradients only from its
+	// workers and peer parameters only from its peers, a worker takes
+	// parameters only from its servers. Zero on every fault-free run.
 	DroppedRoster uint64
 	// DroppedOverflow totals the frames shed by bounded inbound mailboxes
 	// (per-sender evictions and rejections); CourierDropped totals the

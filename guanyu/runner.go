@@ -162,7 +162,6 @@ func (liveRunner) Run(ctx context.Context, d *Deployment) (*Result, error) {
 		DroppedMalformed:    drops.DroppedMalformed,
 		ForgedDropped:       drops.ForgedDropped,
 		DroppedUnnegotiated: drops.DroppedUnnegotiated,
-		DroppedUnadmitted:   drops.DroppedUnadmitted,
 		DroppedRoster:       drops.DroppedRoster,
 		DroppedOverflow:     drops.DroppedOverflow,
 		CourierDropped:      drops.CourierDropped,

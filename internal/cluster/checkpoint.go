@@ -7,8 +7,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/gar"
@@ -16,7 +14,7 @@ import (
 	"repro/internal/transport"
 )
 
-// Crash-recovery and elastic membership. A parameter server's entire
+// Crash recovery. A parameter server's entire
 // protocol-relevant state is (step, θ, momentum velocity, collector
 // horizon): everything else — collector buffers, compression stream
 // state — is per-connection and rebuilt from live traffic after a
@@ -29,15 +27,11 @@ import (
 // median of a quorum of peers' contraction-round broadcasts — the same
 // aggregation the paper's phase 3 applies every step, so the adopted
 // state is within the contraction bound of the honest servers' states
-// whenever at most f of the q sampled peers are Byzantine.
-//
-// The Roster type is the membership side: a step-indexed sequence of
-// member sets, changed only at step boundaries by join/leave/replace
-// announcements (hello v3 frames, see transport/codec.go and WIRE.md §10).
-// Collectors consult Roster.Allows so quorum math is always evaluated
-// against the roster in force at the step a frame claims, and the TCP
-// admission gate consults Roster.AdmitHello so a departed node cannot
-// even re-establish a connection.
+// whenever at most f of the q sampled peers are Byzantine. The deployment's
+// membership is fixed, as in the paper: a restarted server comes back under
+// the same ID, and the peers it samples are the ones its config names (the
+// collector's Senders table, which the discovery phase shares with the
+// loop).
 
 // checkpointMagic brands every checkpoint file; a decoder rejects
 // anything else before reading a single length field.
@@ -284,170 +278,4 @@ func RejoinMedian(col *transport.Collector, minStep, q int, timeout time.Duratio
 		return nil, 0, fmt.Errorf("cluster: rejoin: %w", err)
 	}
 	return theta, step, nil
-}
-
-// rosterEpoch is one contiguous step range's member set: in force from
-// step (inclusive) until the next epoch's step.
-type rosterEpoch struct {
-	step    int
-	members map[string]struct{}
-}
-
-// Roster is the step-indexed membership of a deployment: a sequence of
-// epochs, each a member set in force from its effective step until the
-// next change. Changes are announced ahead of their effective step
-// (hello v3 join/leave/replace frames) and always land on step
-// boundaries, so every honest node evaluates step t's quorum against the
-// same member set regardless of when the announcement physically arrived.
-//
-// Safe for concurrent use: collectors call Allows from the node loop
-// while the transport's admission callback calls AdmitHello/Apply from
-// accept goroutines.
-type Roster struct {
-	mu     sync.RWMutex
-	epochs []rosterEpoch // ascending by step; epochs[0].step == 0
-}
-
-// NewRoster builds a roster whose initial members are in force from step 0.
-func NewRoster(members ...string) *Roster {
-	set := make(map[string]struct{}, len(members))
-	for _, id := range members {
-		set[id] = struct{}{}
-	}
-	return &Roster{epochs: []rosterEpoch{{step: 0, members: set}}}
-}
-
-// epochAt returns the member set in force at step (callers hold r.mu).
-func (r *Roster) epochAt(step int) map[string]struct{} {
-	// Epochs are few (one per membership change); scan from the newest.
-	for i := len(r.epochs) - 1; i >= 0; i-- {
-		if r.epochs[i].step <= step {
-			return r.epochs[i].members
-		}
-	}
-	return r.epochs[0].members
-}
-
-// Allows reports whether id is a member of the roster in force at step —
-// the Membership hook both collector types consume.
-func (r *Roster) Allows(step int, id string) bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	_, ok := r.epochAt(step)[id]
-	return ok
-}
-
-// Members returns the sorted member set in force at step.
-func (r *Roster) Members(step int) []string {
-	r.mu.RLock()
-	set := r.epochAt(step)
-	out := make([]string, 0, len(set))
-	for id := range set {
-		out = append(out, id)
-	}
-	r.mu.RUnlock()
-	sort.Strings(out)
-	return out
-}
-
-// AdmitHello is the connection-admission policy derived from the roster's
-// LATEST epoch (the membership in force going forward — admission happens
-// at handshake time, before any frame carries a step):
-//
-//   - member: the node must already be a member,
-//   - join:   the node must NOT already be a member,
-//   - leave:  only members may announce departures,
-//   - replace: the replaced node must be a member and the replacement
-//     must not.
-//
-// AdmitHello only checks; an accepted roster-changing hello takes effect
-// when the caller passes it to Apply. Plug the pair into
-// transport.TCPNode.SetAdmission:
-//
-//	node.SetAdmission(func(h transport.Hello) bool {
-//	        if !roster.AdmitHello(h) { return false }
-//	        if h.Intent != transport.IntentMember { _ = roster.Apply(h) }
-//	        return true
-//	})
-func (r *Roster) AdmitHello(h transport.Hello) bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	latest := r.epochs[len(r.epochs)-1].members
-	_, isMember := latest[h.ID]
-	switch h.Intent {
-	case transport.IntentMember:
-		return isMember
-	case transport.IntentJoin:
-		return !isMember
-	case transport.IntentLeave:
-		return isMember
-	case transport.IntentReplace:
-		_, replacedIsMember := latest[h.Replaces]
-		return replacedIsMember && !isMember
-	default:
-		return false
-	}
-}
-
-// Apply folds one roster-changing announcement into the roster, effective
-// at h.EffectiveStep. The change must not predate the newest existing
-// epoch (membership history is append-only; retroactive edits would let
-// two nodes disagree about a past step's quorum). Announcements with
-// IntentMember are no-ops. Idempotent: re-applying an announcement that
-// already took effect (a rejoining node re-sends its hello on every
-// redial) is accepted without growing the epoch list.
-func (r *Roster) Apply(h transport.Hello) error {
-	if err := h.Validate(); err != nil {
-		return err
-	}
-	if h.Intent == transport.IntentMember {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	newest := &r.epochs[len(r.epochs)-1]
-	base := newest.members
-	_, isMember := base[h.ID]
-	// Idempotency first: a change already reflected in the newest epoch is
-	// accepted as a no-op even when its effective step is long past (the
-	// re-announce path), BEFORE the append-only guard below can reject it.
-	switch h.Intent {
-	case transport.IntentJoin:
-		if isMember {
-			return nil
-		}
-	case transport.IntentLeave:
-		if !isMember {
-			return nil
-		}
-	case transport.IntentReplace:
-		if _, replacedIsMember := base[h.Replaces]; isMember && !replacedIsMember {
-			return nil
-		}
-	}
-	if h.EffectiveStep < newest.step {
-		return fmt.Errorf("cluster: roster change at step %d predates epoch at step %d", h.EffectiveStep, newest.step)
-	}
-	next := make(map[string]struct{}, len(base)+1)
-	for id := range base {
-		next[id] = struct{}{}
-	}
-	switch h.Intent {
-	case transport.IntentJoin:
-		next[h.ID] = struct{}{}
-	case transport.IntentLeave:
-		delete(next, h.ID)
-	case transport.IntentReplace:
-		if _, replacedIsMember := base[h.Replaces]; !replacedIsMember {
-			return fmt.Errorf("cluster: replace of non-member %q", h.Replaces)
-		}
-		delete(next, h.Replaces)
-		next[h.ID] = struct{}{}
-	}
-	if h.EffectiveStep == newest.step {
-		newest.members = next // same boundary: amend the epoch in place
-		return nil
-	}
-	r.epochs = append(r.epochs, rosterEpoch{step: h.EffectiveStep, members: next})
-	return nil
 }

@@ -170,82 +170,6 @@ func TestCheckpointPersistence(t *testing.T) {
 	}
 }
 
-// TestRosterEpochs: membership is evaluated against the epoch in force at
-// each step, changes land on boundaries, history is append-only.
-func TestRosterEpochs(t *testing.T) {
-	r := NewRoster("ps0", "ps1", "ps2")
-	// ps3 joins at step 10; ps0 leaves at step 20; ps4 replaces ps1 at 30.
-	mustApply := func(h transport.Hello) {
-		t.Helper()
-		if err := r.Apply(h); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mustApply(transport.Hello{ID: "ps3", Intent: transport.IntentJoin, EffectiveStep: 10})
-	mustApply(transport.Hello{ID: "ps0", Intent: transport.IntentLeave, EffectiveStep: 20})
-	mustApply(transport.Hello{ID: "ps4", Intent: transport.IntentReplace, Replaces: "ps1", EffectiveStep: 30})
-
-	checks := []struct {
-		step int
-		id   string
-		want bool
-	}{
-		{0, "ps0", true}, {0, "ps3", false},
-		{9, "ps3", false}, {10, "ps3", true},
-		{19, "ps0", true}, {20, "ps0", false},
-		{29, "ps1", true}, {30, "ps1", false}, {30, "ps4", true},
-		{1000, "ps2", true},
-	}
-	for _, c := range checks {
-		if got := r.Allows(c.step, c.id); got != c.want {
-			t.Fatalf("Allows(%d, %s) = %v, want %v", c.step, c.id, got, c.want)
-		}
-	}
-	if got := r.Members(30); fmt.Sprint(got) != "[ps2 ps3 ps4]" {
-		t.Fatalf("Members(30) = %v", got)
-	}
-
-	// Idempotency: a rejoining node re-sends its announcement on redial.
-	mustApply(transport.Hello{ID: "ps3", Intent: transport.IntentJoin, EffectiveStep: 10})
-	if got := len(r.Members(1000)); got != 3 {
-		t.Fatalf("re-applied join changed the roster: %d members", got)
-	}
-
-	// Retroactive changes are refused.
-	if err := r.Apply(transport.Hello{ID: "ps9", Intent: transport.IntentJoin, EffectiveStep: 5}); err == nil {
-		t.Fatal("retroactive roster change accepted")
-	}
-	// Replacing a non-member is refused.
-	if err := r.Apply(transport.Hello{ID: "ps9", Intent: transport.IntentReplace, Replaces: "ghost", EffectiveStep: 40}); err == nil {
-		t.Fatal("replace of non-member accepted")
-	}
-}
-
-// TestRosterAdmission: the handshake-time policy derived from the latest
-// epoch.
-func TestRosterAdmission(t *testing.T) {
-	r := NewRoster("ps0", "ps1")
-	cases := []struct {
-		h    transport.Hello
-		want bool
-	}{
-		{transport.Hello{ID: "ps0", Intent: transport.IntentMember}, true},
-		{transport.Hello{ID: "ghost", Intent: transport.IntentMember}, false},
-		{transport.Hello{ID: "ps2", Intent: transport.IntentJoin, EffectiveStep: 5}, true},
-		{transport.Hello{ID: "ps0", Intent: transport.IntentJoin, EffectiveStep: 5}, false},
-		{transport.Hello{ID: "ps1", Intent: transport.IntentLeave, EffectiveStep: 5}, true},
-		{transport.Hello{ID: "ghost", Intent: transport.IntentLeave, EffectiveStep: 5}, false},
-		{transport.Hello{ID: "ps9", Intent: transport.IntentReplace, Replaces: "ps0", EffectiveStep: 5}, true},
-		{transport.Hello{ID: "ps1", Intent: transport.IntentReplace, Replaces: "ps0", EffectiveStep: 5}, false},
-		{transport.Hello{ID: "ps9", Intent: transport.IntentReplace, Replaces: "ghost", EffectiveStep: 5}, false},
-	}
-	for _, c := range cases {
-		if got := r.AdmitHello(c.h); got != c.want {
-			t.Fatalf("AdmitHello(%+v) = %v, want %v", c.h, got, c.want)
-		}
-	}
-}
-
 // TestRejoinMedian: the restarted server adopts the coordinate-wise
 // median of a live peer quorum and learns the cluster's current step — at
 // the one-shard layout and at a sharded one, from whole-vector and from

@@ -77,11 +77,18 @@
 //
 // # Invariants
 //
-//   - Quorum membership and order are decided by arrival time alone; the
-//     inbound boundary discards malformed payloads (wrong dimension or
-//     shard extent — counted in DroppedMalformed by the collector;
-//     non-finite values, anonymous senders — the validator) so they act as
-//     silence, never as poison.
+//   - Who may fill a quorum is the node's own config: a server takes
+//     gradients only from cfg.Workers and peer parameters only from
+//     cfg.Peers, a worker takes parameters only from cfg.Servers (newQuorum
+//     installs the table; the collector drops and counts every other pair
+//     as DroppedRoster, zero on a fault-free run). The deployment's
+//     membership is fixed, as in the paper: a restarted server returns
+//     under the same ID.
+//   - Among those senders, quorum membership and order are decided by
+//     arrival time alone; the inbound boundary discards malformed payloads
+//     (wrong dimension or shard extent — counted in DroppedMalformed by the
+//     collector; non-finite values, anonymous senders — the validator) so
+//     they act as silence, never as poison.
 //   - Send errors are dropped: the network model is best-effort and the
 //     quorum discipline tolerates missing messages.
 //   - Payload immutability from the Send boundary on is the transport's

@@ -60,7 +60,8 @@ func (s *floodHeapSampler) Peak() uint64 {
 //     runtime, every sprayed frame accumulated in an unbounded inbox.
 //  2. The quorum path stays live: training converges, because drop-oldest
 //     evicts only within the flooder's own per-sender queue and the junk
-//     frames (wrong dimension) die at the validator, never in a quorum.
+//     frames die at the collector's sender table (the flooder is nobody the
+//     server's config names), never in a quorum.
 func TestFloodBoundedMemoryAndLiveness(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spins up 7 TCP listeners and sprays loopback for the whole run")
@@ -106,7 +107,7 @@ func TestFloodBoundedMemoryAndLiveness(t *testing.T) {
 	target := nodes[ServerID(0)]
 
 	// The flooder dials the target like any peer; the target's read loop
-	// accepts any authenticated hello, which is exactly the surface a
+	// accepts any well-formed hello, which is exactly the surface a
 	// Byzantine stranger has.
 	flood, err := transport.ListenTCP("flood", "127.0.0.1:0",
 		map[string]string{target.ID(): target.Addr()})
@@ -156,6 +157,7 @@ func TestFloodBoundedMemoryAndLiveness(t *testing.T) {
 	budget := base.HeapAlloc + (32 << 20) +
 		8*uint64(numServers+numWorkers+1)*mailboxCap*frameBytes
 	sampler := startFloodSampler()
+	sprayedBefore, started := sprayed.Load(), time.Now()
 
 	serverIDs, workerIDs := ids[:numServers], ids[numServers:]
 	rng := tensor.NewRNG(11)
@@ -181,6 +183,7 @@ func TestFloodBoundedMemoryAndLiveness(t *testing.T) {
 			Steps:           steps,
 			LR:              func(int) float64 { return 0.2 },
 			Timeout:         time.Minute,
+			Metrics:         nodes[serverIDs[i]].Metrics(), // one handle: mailbox and collector drops
 		}
 		ep := nodes[serverIDs[i]]
 		wg.Add(1)
@@ -218,6 +221,7 @@ func TestFloodBoundedMemoryAndLiveness(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	duringRun, ran := sprayed.Load()-sprayedBefore, time.Since(started)
 	close(stopFlood)
 	<-floodDone
 	peak := sampler.Peak()
@@ -235,8 +239,14 @@ func TestFloodBoundedMemoryAndLiveness(t *testing.T) {
 	if acc := evalFinal(t, model, final, test); acc < 0.8 {
 		t.Fatalf("quorum path lost liveness under flood: accuracy %.3f", acc)
 	}
-	if n := sprayed.Load(); n < 1000 {
-		t.Fatalf("flooder only managed %d frames; not a Byzantine-rate spray", n)
+	// A rate, not a count: how long the run lasts is the trainer's business
+	// (under 0.1 s here), and 2,000 junk frames a second is already 64 MB/s
+	// aimed at one node.
+	if rate := float64(duringRun) / ran.Seconds(); rate < 2000 {
+		t.Fatalf("flooder only managed %d frames in %v (%.0f/s); not a Byzantine-rate spray", duringRun, ran, rate)
+	}
+	if got := target.Metrics().DroppedRoster.Load(); got == 0 {
+		t.Fatal("no junk frame was refused by the sender table: where did the flood go?")
 	}
 	if peak > budget {
 		t.Fatalf("peak heap %d exceeded the n×cap×frame budget %d (base %d)",

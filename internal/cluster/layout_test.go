@@ -138,10 +138,15 @@ func layoutServer(t *testing.T, shardSize int, cfg ServerConfig, extra func(send
 	net := transport.NewChanNetwork(nil)
 	t.Cleanup(func() { net.Close() })
 	ep, _ := net.Register(cfg.ID)
+	senders := map[string]transport.Endpoint{}
 	send := func(from string, m transport.Message) {
-		w, err := net.Register(from)
-		if err != nil {
-			t.Fatal(err)
+		w := senders[from]
+		if w == nil {
+			var err error
+			if w, err = net.Register(from); err != nil {
+				t.Fatal(err)
+			}
+			senders[from] = w
 		}
 		if err := transport.SendSharded(w, cfg.ID, m, shardSize); err != nil {
 			t.Fatal(err)
@@ -171,19 +176,20 @@ func TestLayoutUniformity(t *testing.T) {
 			h := metrics.NewNodeMetrics()
 			dir := t.TempDir()
 			cfg := ServerConfig{
-				ID: "ps0", Workers: []string{"wrk0", "wrk1", "wrk2"},
+				ID: "ps0", Workers: []string{"wrk0", "wrk1", "wrk2", "wrk3", "wrk4", "wrk5"},
 				GradRule: gar.Median{}, QuorumGradients: 3, Steps: 10,
 				Metrics:    h,
 				Restore:    &Checkpoint{ID: "ps0", Step: 8, Theta: make(tensor.Vector, 4), Horizon: 5},
 				Checkpoint: &CheckpointSpec{Dir: dir, Every: 1},
 			}
 			_, err := layoutServer(t, shardSize, cfg, func(send func(string, transport.Message)) {
-				// Ahead of the quorum in the mailbox: a wrong-dimension sprayer,
-				// and frames just inside and just outside the restored
-				// horizon of 5.
-				send("rogue", transport.Message{Kind: transport.KindGradient, Step: 9, Vec: tensor.Vector{1, 2}})
-				send("early", transport.Message{Kind: transport.KindGradient, Step: 9 + 5, Vec: make(tensor.Vector, 4)})
-				send("far", transport.Message{Kind: transport.KindGradient, Step: 9 + 6, Vec: make(tensor.Vector, 4)})
+				// Ahead of the quorum in the mailbox, from declared workers (an
+				// undeclared sender would be refused before any of this is
+				// looked at): a wrong-dimension sprayer, and frames just inside
+				// and just outside the restored horizon of 5.
+				send("wrk3", transport.Message{Kind: transport.KindGradient, Step: 9, Vec: tensor.Vector{1, 2}})
+				send("wrk4", transport.Message{Kind: transport.KindGradient, Step: 9 + 5, Vec: make(tensor.Vector, 4)})
+				send("wrk5", transport.Message{Kind: transport.KindGradient, Step: 9 + 6, Vec: make(tensor.Vector, 4)})
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -66,19 +66,18 @@ type quorum struct {
 // rule the node will aggregate with streaming-capable, inbound traffic is
 // reduced shard by shard; otherwise at the one-shard layout, whole vectors
 // (which reassembles chunk frames, so sharded senders interoperate either
-// way). Every counter lands in h; a nil roster admits every sender.
+// way). Every counter lands in h. senders is who may fill which quorum —
+// per kind, the IDs the node's own config names — and the collector drops
+// every other (kind, sender) pair on arrival.
 func newQuorum(ep transport.Endpoint, dim, shardSize int, timeout time.Duration,
-	h *metrics.NodeMetrics, roster *Roster, rules ...gar.Rule) *quorum {
+	h *metrics.NodeMetrics, senders map[transport.Kind][]string, rules ...gar.Rule) *quorum {
 	for _, r := range rules {
 		if _, ok := r.(gar.StreamingRule); !ok {
 			shardSize = 0
 		}
 	}
 	col := transport.NewCollector(ep, transport.NewShardLayout(dim, shardSize))
-	col.Validator, col.Metrics = validator, h
-	if roster != nil {
-		col.Membership = roster.Allows
-	}
+	col.Validator, col.Metrics, col.Senders = validator, h, senders
 	return &quorum{col: col, timeout: timeout}
 }
 
@@ -126,8 +125,7 @@ func (q *quorum) aggregate(kind transport.Kind, step, n int, self tensor.Vector,
 // have substituted another sender. When a collection times out on its pin,
 // the round is reset (transport.Collector.ResetRound) and retried once with
 // a fresh streamer — the retry's first-q pin is drawn from the senders still
-// alive, which in a churning deployment is the epoch's surviving (or next)
-// roster. A second timeout is returned to the caller: at that point the
+// alive. A second timeout is returned to the caller: at that point the
 // deployment is below quorum, not unlucky.
 func (q *quorum) reduce(kind transport.Kind, step, n int, self tensor.Vector, selfID string,
 	rule gar.Rule) (senders []string, st gar.ShardStreamer, out tensor.Vector, err error) {
@@ -159,9 +157,11 @@ func (q *quorum) reduce(kind transport.Kind, step, n int, self tensor.Vector, se
 type ServerConfig struct {
 	// ID is this node's network identifier.
 	ID string
-	// Workers lists the worker node IDs (broadcast targets for phase 1).
+	// Workers lists the worker node IDs: broadcast targets for phase 1 and
+	// the only senders whose gradients may enter phase 2's quorum.
 	Workers []string
-	// Peers lists the other parameter servers (phase 3 targets).
+	// Peers lists the other parameter servers: phase 3's targets and the
+	// only senders whose vectors may enter its quorum (or a rejoin's).
 	Peers []string
 	// Init is the shared initial parameter vector θ₀.
 	Init tensor.Vector
@@ -241,11 +241,6 @@ type ServerConfig struct {
 	// within Timeout. The discovery phase buffers, never consumes, the
 	// frames of the step it resumes into, at any layout.
 	Rejoin bool
-	// Roster, when non-nil, scopes every quorum to the membership in
-	// force at each frame's step (see Roster in checkpoint.go): frames
-	// from senders outside that epoch's roster are dropped and counted,
-	// never aggregated.
-	Roster *Roster
 }
 
 // RunServer executes the server loop and returns the node's final parameter
@@ -257,7 +252,10 @@ func RunServer(ep transport.Endpoint, cfg ServerConfig) (tensor.Vector, error) {
 	if h == nil {
 		h = metrics.NewNodeMetrics()
 	}
-	qm := newQuorum(ep, dim, cfg.ShardSize, cfg.Timeout, h, cfg.Roster, cfg.GradRule, cfg.ParamRule)
+	qm := newQuorum(ep, dim, cfg.ShardSize, cfg.Timeout, h, map[transport.Kind][]string{
+		transport.KindGradient:   cfg.Workers,
+		transport.KindPeerParams: cfg.Peers,
+	}, cfg.GradRule, cfg.ParamRule)
 	theta := tensor.Clone(cfg.Init)
 	var velocity tensor.Vector
 	if cfg.Momentum > 0 {
@@ -380,7 +378,8 @@ func RunServer(ep transport.Endpoint, cfg ServerConfig) (tensor.Vector, error) {
 type WorkerConfig struct {
 	// ID is this node's network identifier.
 	ID string
-	// Servers lists the parameter-server IDs (gradient broadcast targets).
+	// Servers lists the parameter-server IDs: gradient broadcast targets
+	// and the only senders whose parameter vectors may enter a quorum.
 	Servers []string
 	// Model is this worker's private model replica (mutated in place).
 	Model *nn.Sequential
@@ -407,9 +406,6 @@ type WorkerConfig struct {
 	ShardSize int
 	// Metrics mirrors ServerConfig.Metrics.
 	Metrics *metrics.NodeMetrics
-	// Roster mirrors ServerConfig.Roster: parameter vectors from servers
-	// outside the roster in force at their step are dropped and counted.
-	Roster *Roster
 }
 
 // RunWorker executes the worker loop.
@@ -419,7 +415,8 @@ func RunWorker(ep transport.Endpoint, cfg WorkerConfig) error {
 	if h == nil {
 		h = metrics.NewNodeMetrics()
 	}
-	qm := newQuorum(ep, dim, cfg.ShardSize, cfg.Timeout, h, cfg.Roster, cfg.ParamRule)
+	qm := newQuorum(ep, dim, cfg.ShardSize, cfg.Timeout, h,
+		map[transport.Kind][]string{transport.KindParams: cfg.Servers}, cfg.ParamRule)
 
 	for t := 0; t < cfg.Steps; t++ {
 		qm.col.Advance(t)

@@ -255,7 +255,9 @@ func TestShardedOverTCP(t *testing.T) {
 // that every inbound drop class fires independently, and asserts each
 // through its own counter:
 //
-//   - DroppedOverflow: a rogue peer bursts 100 malformed frames at ps0
+//   - DroppedOverflow: a rogue — a declared worker, wrk3, gone Byzantine:
+//     an undeclared identity would be refused by the collector's sender
+//     table before any other check — bursts 100 malformed frames at ps0
 //     before anyone drains — with a drop-oldest cap of 8, exactly the
 //     excess is evicted at the mailbox, deterministically.
 //   - DroppedFuture: the rogue's last frames claim a step far beyond the
@@ -326,7 +328,8 @@ func TestShardedTCPDropCountersUnderRogue(t *testing.T) {
 	handle := metrics.NewRegistry().Node(target.ID())
 	target.SetMetrics(handle)
 
-	rogue, err := transport.ListenTCP("rogue", "127.0.0.1:0",
+	rogueID := WorkerID(numWorkers)
+	rogue, err := transport.ListenTCP(rogueID, "127.0.0.1:0",
 		map[string]string{target.ID(): target.Addr()})
 	if err != nil {
 		t.Fatal(err)
@@ -423,7 +426,7 @@ func TestShardedTCPDropCountersUnderRogue(t *testing.T) {
 			}
 		}
 		scfg := ServerConfig{
-			ID: serverIDs[i], Workers: workerIDs, Peers: peers,
+			ID: serverIDs[i], Workers: append(workerIDs[:numWorkers:numWorkers], rogueID), Peers: peers,
 			Init:     theta0,
 			GradRule: gar.MultiKrum{F: 0}, ParamRule: gar.Median{},
 			QuorumGradients: gar.MinQuorum(0),

@@ -34,11 +34,8 @@ var counterFamilies = []struct {
 	{"guanyu_dropped_unnegotiated_total",
 		"Frames dropped for using a compression scheme the sender never negotiated.",
 		func(s Snapshot) uint64 { return s.DroppedUnnegotiated }},
-	{"guanyu_dropped_unadmitted_total",
-		"Hello handshakes rejected by the roster admission check.",
-		func(s Snapshot) uint64 { return s.DroppedUnadmitted }},
 	{"guanyu_dropped_roster_total",
-		"Frames dropped because the sender was outside the roster in force at the frame's step.",
+		"Frames dropped because the sender is not legal for the frame's kind at this node.",
 		func(s Snapshot) uint64 { return s.DroppedRoster }},
 	{"guanyu_mailbox_dropped_total",
 		"Frames evicted or rejected by the node's bounded inbound mailbox.",

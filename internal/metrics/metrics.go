@@ -58,13 +58,9 @@ type NodeMetrics struct {
 	ForgedDropped       atomic.Uint64
 	DroppedUnnegotiated atomic.Uint64
 
-	// Membership drops: hello handshakes rejected by the admission
-	// check (an identity outside the roster, or a roster intent the
-	// node refuses), and collected frames discarded because their
-	// sender was not a member of the roster in force at the frame's
-	// step.
-	DroppedUnadmitted atomic.Uint64
-	DroppedRoster     atomic.Uint64
+	// Sender-table drops: received frames discarded because their sender is
+	// not one this node's configuration takes that kind from.
+	DroppedRoster atomic.Uint64
 
 	// Mailbox drops. DroppedOverflow counts inbound per-sender queue
 	// evictions (drop-oldest) and rejections (drop-newest) at this
@@ -175,7 +171,6 @@ type Snapshot struct {
 	DroppedMalformed    uint64
 	ForgedDropped       uint64
 	DroppedUnnegotiated uint64
-	DroppedUnadmitted   uint64
 	DroppedRoster       uint64
 	DroppedOverflow     uint64
 	CourierDropped      uint64
@@ -244,7 +239,6 @@ func (r *Registry) Snapshot() []Snapshot {
 			DroppedMalformed:    m.DroppedMalformed.Load(),
 			ForgedDropped:       m.ForgedDropped.Load(),
 			DroppedUnnegotiated: m.DroppedUnnegotiated.Load(),
-			DroppedUnadmitted:   m.DroppedUnadmitted.Load(),
 			DroppedRoster:       m.DroppedRoster.Load(),
 			DroppedOverflow:     m.DroppedOverflow.Load(),
 			CourierDropped:      m.CourierDropped.Load(),
@@ -272,7 +266,6 @@ func (r *Registry) Totals() Snapshot {
 		t.DroppedMalformed += s.DroppedMalformed
 		t.ForgedDropped += s.ForgedDropped
 		t.DroppedUnnegotiated += s.DroppedUnnegotiated
-		t.DroppedUnadmitted += s.DroppedUnadmitted
 		t.DroppedRoster += s.DroppedRoster
 		t.DroppedOverflow += s.DroppedOverflow
 		t.CourierDropped += s.CourierDropped

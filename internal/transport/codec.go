@@ -564,120 +564,22 @@ func readFull(r io.Reader, buf []byte) error {
 }
 
 // The hello frame opens every TCP connection and binds it to one sender
-// identity: magic, protocol version, then the dialer's node ID. The
+// identity: magic, the dialer's node ID, and one capability byte. The
 // receiving node pins every subsequent frame's From field to this identity
 // and drops mismatches, so a Byzantine peer cannot forge other senders and
 // defeat the Collector's per-sender deduplication (the f-bound safety
 // argument counts distinct NODES, not distinct From strings). The binding
-// is connection-scoped, not cryptographic: a peer may still claim any free
-// identity at dial time, but it gets exactly one per connection.
+// is connection-scoped, not cryptographic: a peer may still claim any
+// identity at dial time, but it gets exactly one per connection — and which
+// identities may fill which quorum is the receiving node's own
+// configuration, checked in the Collector (Collector.Senders).
 //
-// Three magics coexist. "GYW1" is the legacy hello (magic, ID length, ID)
-// and still what a non-compressing dialer emits, byte-for-byte — so a node
-// configured with `none` compression is wire-identical to a pre-compression
-// build. "GYW2" appends one capability byte after the ID: a bitmask of the
-// compress.Scheme bits the dialer may use on THIS connection (bit 1<<s for
-// scheme s; bit 0 unused — plain frames need no capability). Compression is
+// The capability byte is a bitmask of the compress.Scheme bits the dialer
+// may use on THIS connection (bit 1<<s for scheme s; bit 0 unused — plain
+// frames need no capability; 0 = plain frames only). Compression is
 // negotiated, not assumed: a receiver drops compressed frames whose scheme
-// was not announced in the hello, so a legacy peer and a compressing peer
-// interoperate (the legacy side simply never sees a compressed frame it
-// accepted no capability for — they count as DroppedUnnegotiated).
-//
-// "GYW3" extends v2 with a roster announcement, carried on the same hello
-// channel that authenticates the sender (WIRE.md §10): after the
-// capability byte come an intent byte (member/join/leave/replace), an
-// 8-byte effective step, and a length-prefixed replaced-ID (nonempty
-// exactly for replace). The intent rides the hello because admission IS an
-// identity decision: the same handshake that binds the connection to a
-// sender identity now also states what that identity wants to be in the
-// roster, and a node with an admission check rejects the whole connection
-// — not just frames — when the answer is no (counted DroppedUnadmitted).
-// A v1/v2 hello parses as intent member with effective step 0, so legacy
-// dialers remain standing members and interoperate unchanged.
-const (
-	helloMagic   = "GYW1"
-	helloMagicV2 = "GYW2"
-	helloMagicV3 = "GYW3"
-)
-
-// RosterIntent is the membership action a hello v3 announces.
-type RosterIntent uint8
-
-// Roster intents, in wire order.
-const (
-	// IntentMember is a standing member of the current roster (what v1/v2
-	// hellos implicitly announce).
-	IntentMember RosterIntent = iota
-	// IntentJoin requests admission to the roster at the effective step.
-	IntentJoin
-	// IntentLeave announces departure from the roster at the effective step.
-	IntentLeave
-	// IntentReplace requests to take over the replaced ID's roster slot at
-	// the effective step.
-	IntentReplace
-
-	intentMax = IntentReplace
-)
-
-// String implements fmt.Stringer.
-func (i RosterIntent) String() string {
-	switch i {
-	case IntentMember:
-		return "member"
-	case IntentJoin:
-		return "join"
-	case IntentLeave:
-		return "leave"
-	case IntentReplace:
-		return "replace"
-	default:
-		return fmt.Sprintf("intent(%d)", uint8(i))
-	}
-}
-
-// Hello is the parsed contents of one hello handshake: the authenticated
-// peer identity, its compression capability mask, and its roster
-// announcement (zero values for v1/v2 hellos).
-type Hello struct {
-	// ID is the identity every subsequent frame on the connection is
-	// pinned to.
-	ID string
-	// Caps is the compression capability bitmask (0 = plain frames only).
-	Caps uint8
-	// Intent is the announced roster action (IntentMember for v1/v2).
-	Intent RosterIntent
-	// EffectiveStep is the step boundary at which the intent takes effect.
-	EffectiveStep int
-	// Replaces names the roster slot being taken over (IntentReplace only).
-	Replaces string
-}
-
-// Validate checks the roster fields' internal consistency, symmetrically
-// on the append and read sides.
-func (h Hello) Validate() error {
-	if h.ID == "" || len(h.ID) > MaxFromLen {
-		return fmt.Errorf("transport: hello ID must be 1..%d bytes, got %d", MaxFromLen, len(h.ID))
-	}
-	if h.Intent > intentMax {
-		return fmt.Errorf("transport: unknown roster intent %d", uint8(h.Intent))
-	}
-	if h.EffectiveStep < 0 {
-		return fmt.Errorf("transport: negative roster effective step %d", h.EffectiveStep)
-	}
-	if (h.Intent == IntentReplace) != (h.Replaces != "") {
-		return fmt.Errorf("transport: intent %s with replaced ID %q", h.Intent, h.Replaces)
-	}
-	if len(h.Replaces) > MaxFromLen {
-		return fmt.Errorf("transport: replaced ID %d bytes exceeds limit %d", len(h.Replaces), MaxFromLen)
-	}
-	return nil
-}
-
-// rosterAnnouncing reports whether h needs the v3 frame: any roster field
-// away from its zero value.
-func (h Hello) rosterAnnouncing() bool {
-	return h.Intent != IntentMember || h.EffectiveStep != 0 || h.Replaces != ""
-}
+// was not announced in the hello (counted DroppedUnnegotiated).
+const helloMagic = "GYW2"
 
 // AppendHello appends the hello frame for the given node ID and capability
 // mask (0 = plain frames only). Exported alongside AppendMessage so
@@ -685,105 +587,34 @@ func (h Hello) rosterAnnouncing() bool {
 // protocol — e.g. hello as one identity and then send frames forging
 // another, which TCPNode must drop and count.
 func AppendHello(buf []byte, id string, caps uint8) ([]byte, error) {
-	return AppendHelloRoster(buf, Hello{ID: id, Caps: caps})
+	if id == "" || len(id) > MaxFromLen {
+		return buf, fmt.Errorf("transport: hello ID must be 1..%d bytes, got %d", MaxFromLen, len(id))
+	}
+	buf = append(buf, helloMagic...)
+	buf = append(buf, byte(len(id)))
+	buf = append(buf, id...)
+	return append(buf, caps), nil
 }
 
-// AppendHelloRoster appends the hello frame for h, choosing the smallest
-// magic that carries everything h announces: v1 for a plain member with no
-// capabilities, v2 when only a capability mask is set, v3 whenever any
-// roster field is non-zero. The downgrade keeps non-churning deployments
-// wire-identical to pre-roster builds.
-func AppendHelloRoster(buf []byte, h Hello) ([]byte, error) {
-	if err := h.Validate(); err != nil {
-		return buf, err
-	}
-	magic := helloMagic
-	switch {
-	case h.rosterAnnouncing():
-		magic = helloMagicV3
-	case h.Caps != 0:
-		magic = helloMagicV2
-	}
-	buf = append(buf, magic...)
-	buf = append(buf, byte(len(h.ID)))
-	buf = append(buf, h.ID...)
-	if magic == helloMagic {
-		return buf, nil
-	}
-	buf = append(buf, h.Caps)
-	if magic == helloMagicV2 {
-		return buf, nil
-	}
-	buf = append(buf, byte(h.Intent))
-	var step [8]byte
-	binary.LittleEndian.PutUint64(step[:], uint64(int64(h.EffectiveStep)))
-	buf = append(buf, step[:]...)
-	buf = append(buf, byte(len(h.Replaces)))
-	buf = append(buf, h.Replaces...)
-	return buf, nil
-}
-
-// appendHello appends the hello frame for the given node ID and capability
-// mask. caps == 0 emits the legacy v1 hello.
-func appendHello(buf []byte, id string, caps uint8) ([]byte, error) {
-	return AppendHelloRoster(buf, Hello{ID: id, Caps: caps})
-}
-
-// readHello consumes a hello frame and returns the parsed handshake. v1
-// and v2 hellos yield zero roster fields (a standing member), so the
-// admission layer treats legacy dialers uniformly.
-func readHello(r io.Reader) (Hello, error) {
-	var h Hello
+// readHello consumes a hello frame and returns the identity every
+// subsequent frame on the connection is pinned to and the capability mask.
+// The ID length is bounded by its one-byte wire field, so the largest
+// allocation a hello can force is MaxFromLen+1 bytes.
+func readHello(r io.Reader) (id string, caps uint8, err error) {
 	var fixed [len(helloMagic) + 1]byte
 	if _, err := io.ReadFull(r, fixed[:]); err != nil {
-		return h, fmt.Errorf("transport: read hello: %w", err)
+		return "", 0, fmt.Errorf("transport: read hello: %w", err)
 	}
-	magic := string(fixed[:len(helloMagic)])
-	if magic != helloMagic && magic != helloMagicV2 && magic != helloMagicV3 {
-		return h, fmt.Errorf("transport: bad hello magic %q", fixed[:len(helloMagic)])
+	if string(fixed[:len(helloMagic)]) != helloMagic {
+		return "", 0, fmt.Errorf("transport: bad hello magic %q", fixed[:len(helloMagic)])
 	}
 	n := int(fixed[len(helloMagic)])
 	if n == 0 {
-		return h, fmt.Errorf("transport: hello declares empty peer ID")
+		return "", 0, fmt.Errorf("transport: hello declares empty peer ID")
 	}
-	id := make([]byte, n)
-	if _, err := io.ReadFull(r, id); err != nil {
-		return h, fmt.Errorf("transport: read hello ID: %w", err)
+	rest := make([]byte, n+1) // the ID, then the capability byte
+	if _, err := io.ReadFull(r, rest); err != nil {
+		return "", 0, fmt.Errorf("transport: read hello ID and capabilities: %w", err)
 	}
-	h.ID = string(id)
-	if magic == helloMagic {
-		return h, nil
-	}
-	var c [1]byte
-	if _, err := io.ReadFull(r, c[:]); err != nil {
-		return h, fmt.Errorf("transport: read hello capabilities: %w", err)
-	}
-	h.Caps = c[0]
-	if magic == helloMagicV2 {
-		return h, nil
-	}
-	// v3 roster extension: intent, effective step, replaced ID. The
-	// replaced-ID length is bounded by its one-byte wire field, so the
-	// largest allocation a hello can force is 2·MaxFromLen bytes.
-	var ext [1 + 8 + 1]byte
-	if _, err := io.ReadFull(r, ext[:]); err != nil {
-		return h, fmt.Errorf("transport: read hello roster extension: %w", err)
-	}
-	h.Intent = RosterIntent(ext[0])
-	rawStep := int64(binary.LittleEndian.Uint64(ext[1:9]))
-	if int64(int(rawStep)) != rawStep {
-		return h, fmt.Errorf("transport: hello effective step %d overflows this platform's int", rawStep)
-	}
-	h.EffectiveStep = int(rawStep)
-	if rn := int(ext[9]); rn > 0 {
-		rid := make([]byte, rn)
-		if _, err := io.ReadFull(r, rid); err != nil {
-			return h, fmt.Errorf("transport: read hello replaced ID: %w", err)
-		}
-		h.Replaces = string(rid)
-	}
-	if err := h.Validate(); err != nil {
-		return h, err
-	}
-	return h, nil
+	return string(rest[:n]), rest[n], nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"net"
@@ -173,118 +174,70 @@ func TestReadMessageOversizedClaimIncrementalPath(t *testing.T) {
 	}
 }
 
+// TestHelloRoundTrip is the hello codec as one table: what AppendHello
+// writes reads back, and every frame that is not the one layout — empty or
+// oversized ID, a foreign magic, the two magics earlier builds spoke, a
+// stream cut at any offset — is refused on the side that meets it.
 func TestHelloRoundTrip(t *testing.T) {
-	buf, err := appendHello(nil, "wrk42", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A zero capability mask emits the legacy v1 hello byte-for-byte: a
-	// non-compressing build of this node is wire-identical to a
-	// pre-compression one.
-	if want := append(append([]byte(helloMagic), 5), "wrk42"...); !bytes.Equal(buf, want) {
-		t.Fatalf("v1 hello = %x, want %x", buf, want)
-	}
-	h, err := readHello(bytes.NewReader(buf))
-	if err != nil || h.ID != "wrk42" || h.Caps != 0 {
-		t.Fatalf("readHello = %+v, %v", h, err)
-	}
-	if h.Intent != IntentMember || h.EffectiveStep != 0 || h.Replaces != "" {
-		t.Fatalf("v1 hello parsed with roster fields: %+v", h)
-	}
-	if _, err := appendHello(nil, "", 0); err == nil {
-		t.Fatal("empty hello ID accepted")
-	}
-	if _, err := appendHello(nil, strings.Repeat("x", MaxFromLen+1), 0); err == nil {
-		t.Fatal("oversized hello ID accepted")
-	}
-	if _, err := readHello(bytes.NewReader([]byte("NOPE\x03abc"))); err == nil {
-		t.Fatal("bad magic accepted")
-	}
-	if _, err := readHello(bytes.NewReader(buf[:4])); err == nil {
-		t.Fatal("truncated hello accepted")
-	}
-}
-
-func TestHelloV2Capabilities(t *testing.T) {
-	buf, err := appendHello(nil, "wrk42", 0x0a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := append(append(append([]byte(helloMagicV2), 5), "wrk42"...), 0x0a); !bytes.Equal(buf, want) {
-		t.Fatalf("v2 hello = %x, want %x", buf, want)
-	}
-	h, err := readHello(bytes.NewReader(buf))
-	if err != nil || h.ID != "wrk42" || h.Caps != 0x0a {
-		t.Fatalf("readHello = %+v, %v", h, err)
-	}
-	// Truncated before the capability byte: the header committed the stream
-	// to one more byte.
-	if _, err := readHello(bytes.NewReader(buf[:len(buf)-1])); err == nil {
-		t.Fatal("v2 hello without capability byte accepted")
-	}
-}
-
-func TestHelloV3Roster(t *testing.T) {
-	want := Hello{ID: "ps3", Caps: 0x02, Intent: IntentReplace, EffectiveStep: 71, Replaces: "ps1"}
-	buf, err := AppendHelloRoster(nil, want)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.HasPrefix(buf, []byte(helloMagicV3)) {
-		t.Fatalf("roster hello magic = %q", buf[:4])
-	}
-	h, err := readHello(bytes.NewReader(buf))
-	if err != nil || h != want {
-		t.Fatalf("readHello = %+v, %v (want %+v)", h, err, want)
-	}
-
-	// Join and leave round-trip without a replaced ID.
-	for _, intent := range []RosterIntent{IntentJoin, IntentLeave} {
-		w := Hello{ID: "wrk9", Intent: intent, EffectiveStep: 12}
-		buf, err := AppendHelloRoster(nil, w)
+	mustAppend := func(id string, caps uint8) []byte {
+		t.Helper()
+		buf, err := AppendHello(nil, id, caps)
 		if err != nil {
 			t.Fatal(err)
 		}
-		h, err := readHello(bytes.NewReader(buf))
-		if err != nil || h != w {
-			t.Fatalf("%s hello = %+v, %v", intent, h, err)
+		return buf
+	}
+	retired := func(version byte) string { return helloMagic[:3] + string(version) }
+	longest := strings.Repeat("x", MaxFromLen)
+	type row struct {
+		name  string
+		frame []byte
+		id    string // "" means the reader must refuse the frame
+		caps  uint8
+	}
+	rows := []row{
+		{"plain", mustAppend("wrk42", 0), "wrk42", 0},
+		{"capabilities", mustAppend("wrk42", 0x0a), "wrk42", 0x0a},
+		{"longest ID", mustAppend(longest, 0xff), longest, 0xff},
+		{"empty ID declared", []byte(helloMagic + "\x00\x02"), "", 0},
+		{"wrong magic", []byte("NOPE\x03abc\x00"), "", 0},
+		{"retired magic 1 (magic, ID)", []byte(retired('1') + "\x05wrk42"), "", 0},
+		{"retired magic 1 with a trailing byte", []byte(retired('1') + "\x05wrk42\x00"), "", 0},
+		{"retired magic 3 (magic, ID, caps, intent, step, replaced)",
+			[]byte(retired('3') + "\x03ps3\x02\x01\x47\x00\x00\x00\x00\x00\x00\x00\x00"), "", 0},
+	}
+	whole := mustAppend("wrk42", 0x0a)
+	for cut := 0; cut < len(whole); cut++ {
+		rows = append(rows, row{fmt.Sprintf("truncated at %d of %d", cut, len(whole)), whole[:cut], "", 0})
+	}
+	for _, r := range rows {
+		id, caps, err := readHello(bytes.NewReader(r.frame))
+		switch {
+		case r.id == "" && err == nil:
+			t.Errorf("%s: accepted as (%q, %#x)", r.name, id, caps)
+		case r.id != "" && (err != nil || id != r.id || caps != r.caps):
+			t.Errorf("%s: readHello = (%q, %#x, %v), want (%q, %#x)", r.name, id, caps, err, r.id, r.caps)
 		}
 	}
-
-	// A member announcement with zero roster fields downgrades to the v2
-	// (or v1) frame, keeping fixed-roster deployments wire-identical.
-	buf, err = AppendHelloRoster(nil, Hello{ID: "ps0", Caps: 0x02})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.HasPrefix(buf, []byte(helloMagicV2)) {
-		t.Fatalf("zero-roster hello did not downgrade: magic %q", buf[:4])
-	}
-
-	// Structural rejections, symmetric on both sides.
-	if _, err := AppendHelloRoster(nil, Hello{ID: "x", Intent: IntentReplace}); err == nil {
-		t.Fatal("replace without a replaced ID accepted")
-	}
-	if _, err := AppendHelloRoster(nil, Hello{ID: "x", Intent: IntentJoin, Replaces: "y"}); err == nil {
-		t.Fatal("join with a replaced ID accepted")
-	}
-	if _, err := AppendHelloRoster(nil, Hello{ID: "x", Intent: IntentJoin, EffectiveStep: -1}); err == nil {
-		t.Fatal("negative effective step accepted")
-	}
-	full, err := AppendHelloRoster(nil, want)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for cut := 5; cut < len(full); cut++ {
-		if _, err := readHello(bytes.NewReader(full[:cut])); err == nil {
-			t.Fatalf("hello truncated at %d bytes accepted", cut)
+	for name, id := range map[string]string{"empty": "", "oversized": longest + "x"} {
+		if buf, err := AppendHello([]byte("kept"), id, 0); err == nil || string(buf) != "kept" {
+			t.Errorf("AppendHello with an %s ID = %q, %v; want the buffer untouched and an error", name, buf, err)
 		}
 	}
-	// An unknown intent byte is rejected by the reader's validation.
-	bad := append([]byte(nil), full...)
-	bad[4+1+len("ps3")+1] = 9
-	if _, err := readHello(bytes.NewReader(bad)); err == nil {
-		t.Fatal("unknown roster intent accepted")
+}
+
+// TestHelloV2Capabilities pins the one hello layout byte for byte (WIRE.md
+// §2): magic, ID length, ID, capability byte — always, also when the mask is
+// zero.
+func TestHelloV2Capabilities(t *testing.T) {
+	for _, caps := range []uint8{0, 0x0a} {
+		buf, err := AppendHello(nil, "wrk42", caps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := append([]byte("GYW2\x05wrk42"), caps); !bytes.Equal(buf, want) {
+			t.Fatalf("hello with mask %#x = %x, want %x", caps, buf, want)
+		}
 	}
 }
 
@@ -303,7 +256,7 @@ func TestTCPForgedSenderDropped(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer raw.Close()
-	hello, err := appendHello(nil, "byz", 0)
+	hello, err := AppendHello(nil, "byz", 0)
 	if err != nil {
 		t.Fatal(err)
 	}

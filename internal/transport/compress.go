@@ -221,7 +221,9 @@ func (c *Compressor) Send(to string, m Message) error {
 // Recv implements Endpoint: compressed messages are expanded with the
 // (from → this) link's decoder before delivery; frames that fail to expand
 // are dropped, counted, and never surface to the caller — exactly the
-// socket path's behaviour.
+// socket path's behaviour (expandInbound is both paths' one gate). The
+// in-process network has no hello to negotiate in: every scheme this build
+// can decode counts as announced.
 func (c *Compressor) Recv(timeout time.Duration) (Message, bool) {
 	var deadline time.Time
 	if timeout >= 0 {
@@ -233,7 +235,7 @@ func (c *Compressor) Recv(timeout time.Duration) (Message, bool) {
 		if !ok {
 			return m, false
 		}
-		if c.acceptInbound(&m) {
+		if !m.IsCompressed() || expandInbound(&m, ^uint8(0), c.maxDim, c.decoderFor(m.From), c.Metrics()) {
 			return m, true
 		}
 		if timeout >= 0 {
@@ -245,21 +247,25 @@ func (c *Compressor) Recv(timeout time.Duration) (Message, bool) {
 	}
 }
 
-// acceptInbound expands a compressed message in place, counting drops.
-func (c *Compressor) acceptInbound(m *Message) bool {
-	if !m.IsCompressed() {
-		return true
-	}
-	if !compress.Scheme(m.Comp.Scheme).Known() {
-		c.Metrics().DroppedUnnegotiated.Add(1)
+// expandInbound is the one inbound gate for compressed frames, shared by
+// the TCP read loop and the Compressor so the two transports cannot drift:
+// it expands m in place with the link's decoder and reports whether m may be
+// delivered, counting into h otherwise. Announce-then-use: a scheme outside
+// caps (the link's hello capability mask), or that this build cannot decode,
+// is not negotiated (DroppedUnnegotiated). A declared dimension above maxDim
+// (0 = unbounded) is refused before the decoder allocates its expansion, and
+// a payload that fails to expand is dropped (both DroppedMalformed).
+func expandInbound(m *Message, caps uint8, maxDim int, dec *compress.Decoder, h *metrics.NodeMetrics) bool {
+	if s := compress.Scheme(m.Comp.Scheme); !s.Known() || s.Bit()&caps == 0 {
+		h.DroppedUnnegotiated.Add(1)
 		return false
 	}
-	if c.maxDim > 0 && m.Comp.Dim > c.maxDim {
-		c.Metrics().DroppedMalformed.Add(1)
+	if maxDim > 0 && m.Comp.Dim > maxDim {
+		h.DroppedMalformed.Add(1)
 		return false
 	}
-	if err := DecompressMessage(c.decoderFor(m.From), m); err != nil {
-		c.Metrics().DroppedMalformed.Add(1)
+	if err := DecompressMessage(dec, m); err != nil {
+		h.DroppedMalformed.Add(1)
 		return false
 	}
 	return true

@@ -13,9 +13,9 @@ import (
 )
 
 // The pre-compression wire format, pinned byte-for-byte: a node configured
-// with `none` compression must emit exactly these frames (and the legacy v1
-// hello, pinned in TestHelloRoundTrip), so enabling the compression
-// subsystem without opting in changes nothing on the wire.
+// with `none` compression must emit exactly these frames (under a hello
+// whose capability byte is 0, pinned in TestHelloV2Capabilities), so the
+// compression subsystem costs a node that does not opt in nothing per frame.
 func TestWireGoldenPlainFrames(t *testing.T) {
 	plain := Message{From: "ps0", Kind: KindParams, Step: 2, Vec: tensor.Vector{1, -0.5}}
 	wantPlain := []byte{
@@ -252,7 +252,7 @@ func rawPeer(t *testing.T, srv *TCPNode, id string, caps uint8) net.Conn {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = raw.Close() })
-	hello, err := appendHello(nil, id, caps)
+	hello, err := AppendHello(nil, id, caps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,8 +273,8 @@ func waitCounter(t *testing.T, read func() uint64, want uint64, what string) {
 	}
 }
 
-// Announce-then-use: compressed frames under a v1 hello, or carrying a
-// scheme outside the announced capability mask, or with a scheme byte this
+// Announce-then-use: compressed frames under a zero capability mask, or
+// carrying a scheme outside the announced mask, or with a scheme byte this
 // build cannot decode, are dropped and counted — never delivered, never a
 // decode attempt against unannounced state.
 func TestTCPUnnegotiatedCompressedDropped(t *testing.T) {
@@ -292,7 +292,7 @@ func TestTCPUnnegotiatedCompressedDropped(t *testing.T) {
 	comp := Message{From: "byz", Kind: KindGradient, Step: 1,
 		Comp: CompMeta{Scheme: uint8(compress.Float32), Dim: 2, Data: payload}}
 
-	// A v1 hello announces nothing.
+	// A zero capability mask announces nothing.
 	legacy := rawPeer(t, srv, "byz", 0)
 	frame := mustEncode(t, comp)
 	if _, err := legacy.Write(frame); err != nil {
@@ -300,7 +300,7 @@ func TestTCPUnnegotiatedCompressedDropped(t *testing.T) {
 	}
 	waitCounter(t, srv.Metrics().DroppedUnnegotiated.Load, 1, "DroppedUnnegotiated")
 
-	// A v2 hello announcing delta does not license float32, and an unknown
+	// A hello announcing delta does not license float32, and an unknown
 	// scheme byte is never licensed.
 	wrongCaps := rawPeer(t, srv, "byz2", compress.Delta.Bit())
 	unknown := mustEncode(t, Message{From: "byz2", Kind: KindGradient, Step: 1,

@@ -78,8 +78,14 @@
 // quorum, and in what order, is decided by receipt time alone — never map
 // iteration, never sender name. Per-sender deduplication is a safety
 // requirement (a Byzantine node must not fill a quorum with copies of
-// itself), and the TCP hello binding is what makes From a node identity
-// rather than a free string.
+// itself), and the TCP hello binding is what makes From one identity per
+// connection rather than a free string per frame. Which identities may fill
+// which quorum is the receiving node's own configuration — membership is
+// fixed, as in the paper — held by the Collector as a per-kind sender table
+// (Collector.Senders): a frame whose (kind, sender) pair the table does not
+// list is dropped on arrival, before any buffer, reassembly or validation,
+// and counted DroppedRoster, so one process cannot fill a quorum with
+// made-up names.
 //
 // Every Endpoint delivers snapshots: a message handed to Send is immutable
 // from the sender's perspective afterwards (TCP snapshots by serialising,
@@ -129,8 +135,8 @@
 //	                          a deep copy with no share in the lease
 //	Endpoint.Recv             the caller; the endpoint keeps no reference
 //	Collector, via Recv       the Collector. A frame it drops before buffering
-//	                          (round already decided, stale, beyond the
-//	                          horizon, outside the roster, failing the
+//	                          (sender not legal for its kind, round already
+//	                          decided, stale, beyond the horizon, failing the
 //	                          validator, duplicate sender, slot folded,
 //	                          outside the pin, pruned when the pin is decided)
 //	                          goes back at once; one it buffered goes on a
@@ -159,12 +165,13 @@
 // dimension.
 //
 // Receivers are hardened against resource-exhaustion from the header alone
-// (bounded declared lengths, traffic-paced allocation), against
-// step-spraying (the collectors' future-step Horizon), and against
+// (bounded declared lengths, traffic-paced allocation), against senders
+// the node's configuration does not name (the collectors' sender table),
+// against step-spraying (the collectors' future-step Horizon), and against
 // malformed shard streams (layout checks, tiling checks, assembly caps),
 // and — with a bounded Mailbox armed — against flooding (the per-sender
-// cap); the ForgedDropped / DroppedFuture / DroppedMalformed /
-// DroppedOverflow / DroppedClosed counters expose what the hardening
+// cap); the ForgedDropped / DroppedRoster / DroppedFuture /
+// DroppedMalformed / DroppedOverflow / DroppedClosed counters expose what the hardening
 // discarded. They are stored once, in the internal/metrics.NodeMetrics
 // handle every counting type owns from construction (its Metrics accessor
 // or field; SetMetrics attaches the node's registry handle before traffic

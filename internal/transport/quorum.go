@@ -81,13 +81,18 @@ type Collector struct {
 	// steps t+1..t+10⁹ would grow the buffer without limit.
 	Horizon int
 
-	// Membership, when non-nil, scopes quorums to a roster per epoch: a
-	// frame counts toward a quorum (and can enter a pinned membership) only
-	// if Membership(step, from) holds for the step the frame claims; other
-	// frames are dropped and counted. A node that left (or has not yet
-	// joined) at step t can thus never fill a slot in step t's aggregation,
-	// however well-formed and authenticated its frames.
-	Membership func(step int, from string) bool
+	// Senders, when non-nil, is who may fill a quorum at this node: the
+	// legal senders of each kind the node collects, straight from its own
+	// configuration (a server: its workers' gradients and its peers'
+	// parameters; a worker: its servers' parameters). Any other (kind,
+	// sender) pair — an identity the node was never told about, a worker
+	// posing as a server peer, a peer claiming the node's own ID, a kind
+	// with no entry — is dropped on arrival and counted, before it can cost
+	// a buffer, a reassembly or a validation, however well-formed and
+	// authenticated its frames: the paper's bounds count enumerated nodes.
+	// The table also lets a timeout name who a round is still waiting on.
+	// Nil admits every sender (a bare collector in a test or experiment).
+	Senders map[Kind][]string
 
 	// Metrics is where the collector counts, never nil (NewCollector starts
 	// it on a fresh handle; assign the node's registry handle before the
@@ -96,12 +101,13 @@ type Collector struct {
 	// vector of the wrong dimension, a shard tag or extent the layout does
 	// not produce) and, at a one-shard collector, chunk streams that cannot
 	// be reassembled (changed counts, non-tiling offsets, oversized
-	// assemblies). DroppedRoster: messages from outside the roster in force
-	// at their step. PeakBytes: the most payload bytes held at once,
-	// candidates awaiting their quorum plus partial reassemblies; a shard's
-	// buffer is released the moment its quorum folds. Payloads handed to a
-	// fold stay readable until Recycle (coordinate-wise streamers are done
-	// with them at once; Multi-Krum's retains its q inputs until selection).
+	// assemblies). DroppedRoster: messages whose sender is not legal for
+	// their kind at this node (see Senders). PeakBytes: the most payload
+	// bytes held at once, candidates awaiting their quorum plus partial
+	// reassemblies; a shard's buffer is released the moment its quorum
+	// folds. Payloads handed to a fold stay readable until Recycle
+	// (coordinate-wise streamers are done with them at once; Multi-Krum's
+	// retains its q inputs until selection).
 	Metrics *metrics.NodeMetrics
 
 	buf map[collectorKey]*stepBuf
@@ -373,7 +379,7 @@ func (c *Collector) Collect(kind Kind, step, q int, self tensor.Vector, selfID s
 	for b.folded < count {
 		m, ok, expired := w.recv(c.ep)
 		if expired {
-			return nil, timeoutError(b, kind, step, q)
+			return nil, c.timeoutError(b, kind, step, q)
 		}
 		if !ok {
 			return nil, fmt.Errorf("transport: endpoint closed while collecting %s step %d (%d/%d shards)",
@@ -396,9 +402,10 @@ func (c *Collector) Collect(kind Kind, step, q int, self tensor.Vector, selfID s
 
 // timeoutError describes a round that did not fill in time by its first
 // unfolded shard: how many of the senders it needs have arrived, who they
-// are, and — once a membership is pinned — which pinned members it is
-// still waiting on.
-func timeoutError(b *stepBuf, kind Kind, step, q int) error {
+// are, and who it is still waiting on — the pinned members once a
+// membership is pinned, otherwise the kind's legal senders (when the node
+// declared them) that have not arrived.
+func (c *Collector) timeoutError(b *stepBuf, kind Kind, step, q int) error {
 	s := 0
 	for s < len(b.slots)-1 && b.slots[s].folded {
 		s++
@@ -410,14 +417,18 @@ func timeoutError(b *stepBuf, kind Kind, step, q int) error {
 	}
 	detail := fmt.Sprintf("shard %d, %d/%d shards folded; arrived: %s",
 		s, b.folded, len(b.slots), strings.Join(arrived, " "))
+	waiting, label := c.Senders[kind], "; still missing: "
 	if b.pinned != nil {
+		waiting, label = b.pinned, "; pinned, still missing: "
+	}
+	if waiting != nil {
 		var missing []string
-		for _, id := range b.pinned {
+		for _, id := range waiting {
 			if _, ok := slot.seen[id]; !ok {
 				missing = append(missing, id)
 			}
 		}
-		detail += "; pinned, still missing: " + strings.Join(missing, " ")
+		detail += label + strings.Join(missing, " ")
 	}
 	return fmt.Errorf("%w: have %d/%d %s messages for step %d (%s)",
 		ErrQuorumTimeout, len(arrived), q, kind, step, detail)
@@ -576,11 +587,20 @@ func (c *Collector) prune(b *stepBuf) {
 }
 
 // store buffers m's shard (or, for a whole-vector message, every shard)
-// unless its round is already decided, or it is stale relative to the step
-// being collected, beyond the future-step horizon, outside the roster,
-// malformed, or duplicated. Recv made the collector m.Vec's owner: a frame
-// dropped here goes straight back to the free list (put).
+// unless its sender is not legal for its kind, its round is already decided,
+// or it is stale relative to the step being collected, beyond the
+// future-step horizon, malformed, or duplicated. Recv made the collector
+// m.Vec's owner: a frame dropped here goes straight back to the free list
+// (put).
 func (c *Collector) store(m Message, currentStep int) {
+	if c.Senders != nil && !slices.Contains(c.Senders[m.Kind], m.From) {
+		// Not a sender this node takes this kind from (or a kind it never
+		// collects): dropped first, so it is counted whatever step it claims
+		// and can be charged no buffer, reassembly or validation.
+		c.Metrics.DroppedRoster.Add(1)
+		c.put(m.Vec)
+		return
+	}
 	key := collectorKey{kind: m.Kind, step: m.Step}
 	if _, done := c.decided[key]; done || !m.Kind.Valid() || m.Step < currentStep {
 		// Late for a decided or completed round, or a junk kind that is
@@ -590,11 +610,6 @@ func (c *Collector) store(m Message, currentStep int) {
 	}
 	if m.Step > currentStep+c.horizon() {
 		c.Metrics.DroppedFuture.Add(1) // step-spraying sender: bound the buffer, count the drop
-		c.put(m.Vec)
-		return
-	}
-	if c.Membership != nil && !c.Membership(m.Step, m.From) {
-		c.Metrics.DroppedRoster.Add(1) // sender outside the roster in force at this step
 		c.put(m.Vec)
 		return
 	}

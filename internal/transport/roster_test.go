@@ -1,7 +1,10 @@
 package transport
 
 import (
+	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -9,19 +12,12 @@ import (
 	"repro/internal/tensor"
 )
 
-// epochRoster is the test double for cluster.Roster.Allows: members of
-// {a,b,c} before step 5, {b,c,d} from step 5 on — one join and one leave
-// taking effect at the same boundary.
-func epochRoster(step int, from string) bool {
-	if step < 5 {
-		return from == "a" || from == "b" || from == "c"
-	}
-	return from == "b" || from == "c" || from == "d"
-}
-
-// TestCollectorMembership: quorums are scoped to the roster in force at each
-// frame's step, at the one-shard layout and at a sharded one — every frame
-// of an outsider is dropped and counted, and can never fill a slot.
+// TestCollectorMembership: who may fill a quorum is the node's per-kind
+// sender table, at the one-shard layout and at a sharded one. Every frame of
+// an (kind, sender) pair the table does not list — an unknown identity, a
+// worker posing as a server peer, a peer sending gradients, a kind the node
+// never collects — is dropped and counted on arrival: it never fills a slot,
+// never occupies a partial reassembly, never costs a validation.
 func TestCollectorMembership(t *testing.T) {
 	for _, size := range []int{0, 2} {
 		t.Run(fmt.Sprintf("shard size %d", size), func(t *testing.T) {
@@ -29,31 +25,42 @@ func TestCollectorMembership(t *testing.T) {
 			defer net.Close()
 			recv, _ := net.Register("srv")
 			eps := map[string]Endpoint{}
-			for _, id := range []string{"a", "b", "c", "d"} {
+			for _, id := range []string{"w0", "w1", "w2", "ps1", "ps2", "ghost"} {
 				eps[id], _ = net.Register(id)
 			}
 			layout := NewShardLayout(4, size)
-			frames := uint64(layout.Count()) // frames per vector, so drops per outsider
-			send := func(id string, step int) {
+			const chunk = 2                                    // every sender streams chunk frames
+			frames := uint64(NewShardLayout(4, chunk).Count()) // so this many drops per illegal vector
+			send := func(id string, kind Kind, step int) {
 				t.Helper()
-				m := Message{Kind: KindGradient, Step: step, Vec: tensor.Vector{1, 2, 3, 4}}
-				if err := SendSharded(eps[id], "srv", m, size); err != nil {
+				m := Message{Kind: kind, Step: step, Vec: tensor.Vector{1, 2, 3, 4}}
+				if err := SendSharded(eps[id], "srv", m, chunk); err != nil {
 					t.Fatal(err)
 				}
 			}
 			sink := metrics.NewNodeMetrics()
 			c := NewCollector(recv, layout)
-			c.Membership = epochRoster
 			c.Metrics = sink
-			round := func(step int, outsider string) {
+			c.Senders = map[Kind][]string{
+				KindGradient:   {"w0", "w1", "w2"},
+				KindPeerParams: {"ps1", "ps2"},
+			}
+			legal := func(kind Kind, from string) bool { return slices.Contains(c.Senders[kind], from) }
+			c.Validator = func(m Message) bool {
+				if !legal(m.Kind, m.From) {
+					t.Errorf("validator charged for a %s frame from %s", m.Kind, m.From)
+				}
+				return true
+			}
+			round := func(kind Kind, step, q int) {
 				t.Helper()
 				folded := 0
-				_, err := c.Collect(KindGradient, step, 3, nil, "", false,
+				_, err := c.Collect(kind, step, q, nil, "", false,
 					func(lo, hi int, senders []string, _ []tensor.Vector) error {
 						folded++
 						for _, s := range senders {
-							if s == outsider {
-								return fmt.Errorf("sender %s outside the step-%d roster folded into shard [%d,%d)", s, step, lo, hi)
+							if !legal(kind, s) {
+								return fmt.Errorf("%s folded into the %s quorum, shard [%d,%d)", s, kind, lo, hi)
 							}
 						}
 						return nil
@@ -66,27 +73,45 @@ func TestCollectorMembership(t *testing.T) {
 				}
 			}
 
-			// Step 0: d is not yet a member; its frames must never fill a slot
-			// even though they arrive first.
-			send("d", 0)
-			for _, id := range []string{"a", "b", "c"} {
-				send(id, 0)
+			// Phase 2: an unknown identity and a declared server peer both send
+			// gradients ahead of the workers; neither may fill a slot.
+			send("ghost", KindGradient, 0)
+			send("ps1", KindGradient, 0)
+			for _, id := range []string{"w0", "w1", "w2"} {
+				send(id, KindGradient, 0)
 			}
-			round(0, "d")
-			if got := c.Metrics.DroppedRoster.Load(); got != frames {
-				t.Fatalf("DroppedRoster = %d, want %d (one per frame)", got, frames)
+			round(KindGradient, 0, 3)
+			if got := sink.DroppedRoster.Load(); got != 2*frames {
+				t.Fatalf("DroppedRoster = %d, want %d (one per frame)", got, 2*frames)
 			}
 
-			// Step 5: a has left and d has joined; the same quorum math now
-			// admits d and rejects a.
-			c.Advance(5)
-			send("a", 5)
-			for _, id := range []string{"b", "c", "d"} {
-				send(id, 5)
+			// Phase 3: a declared worker's peer-params frames stay out, and so
+			// does a kind this node never collects.
+			send("w0", KindPeerParams, 0)
+			send("ps1", KindParams, 0)
+			send("ps1", KindPeerParams, 0)
+			send("ps2", KindPeerParams, 0)
+			round(KindPeerParams, 0, 2)
+			if got := sink.DroppedRoster.Load(); got != 4*frames {
+				t.Fatalf("DroppedRoster = %d, want %d", got, 4*frames)
 			}
-			round(5, "a")
-			if got := sink.DroppedRoster.Load(); got != 2*frames {
-				t.Fatalf("DroppedRoster = %d, want %d", got, 2*frames)
+
+			// A half-sent illegal vector holds no reassembly bytes, and the
+			// round that times out beside it says which legal senders it is
+			// still waiting on.
+			first := SplitMessage(Message{Kind: KindGradient, Step: 1, Vec: tensor.Vector{1, 2, 3, 4}}, chunk)[0]
+			_ = eps["ghost"].Send("srv", first)
+			send("w1", KindGradient, 1)
+			_, err := c.Collect(KindGradient, 1, 3, nil, "", false,
+				func(int, int, []string, []tensor.Vector) error { return nil }, 20*time.Millisecond)
+			if !errors.Is(err, ErrQuorumTimeout) || !strings.Contains(err.Error(), "arrived: w1; still missing: w0 w2") {
+				t.Fatalf("timeout %v does not name the missing legal senders", err)
+			}
+			if got, want := c.curBytes, 8*4; got != want {
+				t.Fatalf("collector holds %d payload bytes, want %d (w1's vector alone)", got, want)
+			}
+			if got := sink.DroppedRoster.Load(); got != 4*frames+1 {
+				t.Fatalf("DroppedRoster = %d, want %d", got, 4*frames+1)
 			}
 		})
 	}
@@ -273,65 +298,5 @@ func TestShardCollectorPinnedFailover(t *testing.T) {
 		if id == "a" {
 			t.Fatalf("silent member re-pinned after failover: %v", pinned)
 		}
-	}
-}
-
-// TestTCPAdmission: the hello v3 admission gate. A listener with an
-// admission check refuses connections whose announced roster intent the
-// check rejects — counted, and invisible to the quorum layer.
-func TestTCPAdmission(t *testing.T) {
-	srv, err := ListenTCP("srv", "127.0.0.1:0", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	var gotHello Hello
-	srv.SetAdmission(func(h Hello) bool {
-		gotHello = h
-		return h.Intent != IntentJoin // fixed deployment: refuse joiners
-	})
-
-	// An established member connects and delivers normally.
-	member, err := ListenTCP("member", "127.0.0.1:0", map[string]string{"srv": srv.Addr()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer member.Close()
-	if err := member.Send("srv", Message{Kind: KindGradient, Step: 1, Vec: tensor.Vector{1}}); err != nil {
-		t.Fatal(err)
-	}
-	if m, ok := srv.Recv(2 * time.Second); !ok || m.From != "member" {
-		t.Fatalf("member delivery failed: %+v %v", m, ok)
-	}
-	if gotHello.ID != "member" || gotHello.Intent != IntentMember {
-		t.Fatalf("admission saw %+v, want member hello", gotHello)
-	}
-
-	// A joiner announces its intent and is refused at the handshake.
-	joiner, err := ListenTCP("joiner", "127.0.0.1:0", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer joiner.Close()
-	joiner.SetHelloRoster(IntentJoin, 42, "")
-	if err := joiner.AddPeer("srv", srv.Addr()); err != nil {
-		t.Fatal(err)
-	}
-	// The dial itself succeeds (refusal happens after the hello is read),
-	// so the send may enter the socket buffer; the message must simply
-	// never surface on the server side.
-	_ = joiner.Send("srv", Message{Kind: KindGradient, Step: 1, Vec: tensor.Vector{2}})
-	deadline := time.Now().Add(2 * time.Second)
-	for srv.Metrics().DroppedUnadmitted.Load() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("admission refusal never counted")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if gotHello.ID != "joiner" || gotHello.Intent != IntentJoin || gotHello.EffectiveStep != 42 {
-		t.Fatalf("admission saw %+v, want joiner hello with step 42", gotHello)
-	}
-	if m, ok := srv.Recv(100 * time.Millisecond); ok && m.From == "joiner" {
-		t.Fatal("refused joiner's frame surfaced at the quorum layer")
 	}
 }

@@ -44,12 +44,6 @@ type TCPNode struct {
 	comp     compress.Config // outbound compression; announced in the hello
 	maxDim   int             // inbound declared-dimension bound (0 = none)
 
-	// announce holds the roster fields this node puts in its own hellos
-	// when dialing (zero = plain member, wire-identical to a v1/v2 hello);
-	// admission, when non-nil, vets every inbound handshake.
-	announce  Hello
-	admission func(Hello) bool
-
 	closed    chan struct{}
 	closeOnce sync.Once
 	readers   sync.WaitGroup
@@ -177,12 +171,9 @@ func (n *TCPNode) SetMetrics(h *metrics.NodeMetrics) { n.box.SetMetrics(h) }
 // the connection's hello (or is unknown to this build) — negotiation is
 // announce-then-use. DroppedMalformed: compressed frames whose payload
 // failed to expand (structural garbage, a desynchronised delta stream, or
-// a declared dimension above the SetCompression bound). DroppedUnadmitted:
-// hello handshakes the admission check rejected — the whole connection is
-// refused, so this counts peers turned away at the door, not frames.
-// DroppedOverflow / DroppedClosed: frames the bounded mailbox discarded
-// under a drop policy (see SetMailbox), and frames that raced the node's
-// shutdown.
+// a declared dimension above the SetCompression bound). DroppedOverflow /
+// DroppedClosed: frames the bounded mailbox discarded under a drop policy
+// (see SetMailbox), and frames that raced the node's shutdown.
 func (n *TCPNode) Metrics() *metrics.NodeMetrics { return n.box.Metrics() }
 
 // SetMailbox bounds the node's inbound mailbox per sender. With
@@ -200,8 +191,8 @@ func (n *TCPNode) SetMailbox(cfg MailboxConfig) error { return n.box.SetConfig(c
 // Send: the capability mask rides the hello frame, so connections opened
 // earlier announced nothing and their peers will drop compressed frames as
 // un-negotiated. cfg must validate; the `none` config leaves the node
-// wire-identical to one that never called SetCompression (legacy hello,
-// plain frames).
+// wire-identical to one that never called SetCompression (capability byte
+// 0, plain frames).
 //
 // maxDim (0 = unbounded) caps the logical dimension an inbound compressed
 // frame may declare before the decoder allocates its expansion — pass the
@@ -220,31 +211,6 @@ func (n *TCPNode) SetCompression(cfg compress.Config, maxDim int) error {
 	n.comp = cfg
 	n.maxDim = maxDim
 	return nil
-}
-
-// SetAdmission installs the inbound handshake check: every accepted
-// connection's hello is passed to it, and a false verdict closes the
-// connection before a single frame is read (counted DroppedUnadmitted).
-// This is the sender-auth check extended to membership — the roster
-// decides who may hold a connection at all, not just what a held
-// connection may claim. A nil check admits everyone (the fixed-roster
-// default). Call it between ListenTCP and traffic; connections accepted
-// earlier were vetted by the check in force at their handshake.
-func (n *TCPNode) SetAdmission(check func(Hello) bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.admission = check
-}
-
-// SetHelloRoster sets the roster announcement this node carries in its own
-// hellos from the next dial on: a rejoining or newly joining node states
-// its intent and effective step so receivers can admit it against their
-// roster. The zero announcement restores the plain member hello
-// (wire-identical to v1/v2). Existing connections are not re-helloed.
-func (n *TCPNode) SetHelloRoster(intent RosterIntent, effectiveStep int, replaces string) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.announce = Hello{Intent: intent, EffectiveStep: effectiveStep, Replaces: replaces}
 }
 
 // Send implements Endpoint: it stages m's frame head in the connection's
@@ -330,7 +296,6 @@ func (n *TCPNode) conn(to string) (*tcpConn, error) {
 	}
 	addr, ok := n.peers[to]
 	comp := n.comp
-	announce := n.announce
 	attempts := dialAttempts
 	if n.reached[to] {
 		attempts = 1
@@ -373,11 +338,8 @@ func (n *TCPNode) conn(to string) (*tcpConn, error) {
 
 	// Authenticate the connection before it carries any message: the hello
 	// frame binds everything that follows to this node's identity and
-	// announces which compression schemes it may use — plus, when set, the
-	// node's roster intent (join/leave/replace at a step boundary).
-	announce.ID = n.id
-	announce.Caps = comp.CapMask()
-	hello, err := AppendHelloRoster(nil, announce)
+	// announces which compression schemes it may use.
+	hello, err := AppendHello(nil, n.id, comp.CapMask())
 	if err == nil {
 		_, err = raw.Write(hello)
 	}
@@ -447,20 +409,10 @@ func (n *TCPNode) readLoop(conn net.Conn) {
 	}()
 	// The connection speaks only after identifying itself; a stream that
 	// cannot produce a well-formed hello is not a peer.
-	hello, err := readHello(br)
+	peer, caps, err := readHello(br)
 	if err != nil {
 		return
 	}
-	n.mu.Lock()
-	admission := n.admission
-	n.mu.Unlock()
-	if admission != nil && !admission(hello) {
-		// Un-admitted identity or refused roster intent: the connection is
-		// closed at the handshake, before any frame can cost buffer space.
-		n.Metrics().DroppedUnadmitted.Add(1)
-		return
-	}
-	peer, caps := hello.ID, hello.Caps
 	// The decoder is per accepted connection, like the sender's encoder is
 	// per outbound connection: a redial replaces both together, so delta
 	// reference state never straddles a reconnect.
@@ -490,25 +442,13 @@ func (n *TCPNode) readLoop(conn net.Conn) {
 			continue
 		}
 		if m.IsCompressed() {
-			s := compress.Scheme(m.Comp.Scheme)
-			if !s.Known() || s.Bit()&caps == 0 {
-				// Announce-then-use: a scheme the hello did not claim (or
-				// that this build cannot decode) is not negotiated.
-				n.Metrics().DroppedUnnegotiated.Add(1)
-				continue
+			if dec == nil {
+				dec = compress.NewDecoder()
 			}
 			n.mu.Lock()
 			maxDim := n.maxDim
 			n.mu.Unlock()
-			if maxDim > 0 && m.Comp.Dim > maxDim {
-				n.Metrics().DroppedMalformed.Add(1)
-				continue
-			}
-			if dec == nil {
-				dec = compress.NewDecoder()
-			}
-			if err := DecompressMessage(dec, &m); err != nil {
-				n.Metrics().DroppedMalformed.Add(1)
+			if !expandInbound(&m, caps, maxDim, dec, n.Metrics()) {
 				continue
 			}
 		}

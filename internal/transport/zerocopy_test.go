@@ -99,7 +99,7 @@ func (p *sinkPeer) accept(t *testing.T) (net.Conn, *bufio.Reader) {
 		}
 		t.Cleanup(func() { c.Close() })
 		br := bufio.NewReader(c)
-		if _, err := readHello(br); err != nil {
+		if _, _, err := readHello(br); err != nil {
 			t.Fatal(err)
 		}
 		return c, br
