@@ -391,6 +391,78 @@ func BenchmarkConvForwardTiny2(b *testing.B)  { benchConvForward(b, 6, 4, 4, 12,
 func BenchmarkConvForwardCIFAR1(b *testing.B) { benchConvForward(b, 3, 32, 32, 64, 5, 2) }
 func BenchmarkConvForwardCIFAR2(b *testing.B) { benchConvForward(b, 64, 16, 16, 64, 5, 2) }
 
+// benchConvBackward measures one backward pass of a single convolution
+// layer, serial, through a Sequential: as the model's first layer (parameter
+// gradients only) or, behind the pooling layer that precedes it in the two
+// networks, as a hidden one (input gradient too; the pooling layer's own
+// backward is a clear and a scatter, well under 1 % of the row). dout is
+// 22 % dense, which is what max-pooling's backward leaves of a gradient.
+func benchConvBackward(b *testing.B, first bool, inC, inH, inW, outC, k, pad int) {
+	withParallelism(b, 1)
+	rng := tensor.NewRNG(15)
+	conv := nn.NewConv2D(inC, inH, inW, outC, k, k, 1, pad, rng)
+	m, in := nn.NewSequential(conv), inC*inH*inW
+	if !first {
+		m, in = nn.NewSequential(nn.NewMaxPool2D(inC, 2*inH, 2*inW, 2, 2, 0), conv), 4*in
+	}
+	m.Forward(rng.NormVec(make([]float64, in), 0, 1))
+	dout := rng.NormVec(make([]float64, conv.OutputSize()), 0, 1)
+	for i := range dout {
+		if rng.Intn(100) >= 22 {
+			dout[i] = 0
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.Backward(dout)
+	}
+}
+
+func BenchmarkConvBackwardTiny1(b *testing.B)  { benchConvBackward(b, true, 3, 8, 8, 6, 3, 1) }
+func BenchmarkConvBackwardTiny2(b *testing.B)  { benchConvBackward(b, false, 6, 4, 4, 12, 3, 1) }
+func BenchmarkConvBackwardCIFAR1(b *testing.B) { benchConvBackward(b, true, 3, 32, 32, 64, 5, 2) }
+func BenchmarkConvBackwardCIFAR2(b *testing.B) { benchConvBackward(b, false, 64, 16, 16, 64, 5, 2) }
+
+// signRandom returns n standard normals: about half negative, in no
+// pattern a branch predictor can learn — what a convolution hands a ReLU.
+func signRandom(seed uint64, n int) []float64 {
+	return tensor.NewRNG(seed).NormVec(make([]float64, n), 0, 1)
+}
+
+// BenchmarkReLUForward and BenchmarkReLUBackward run one pass over 65,536
+// activations (CIFARNet's first ReLU).
+func BenchmarkReLUForward(b *testing.B) {
+	relu, x := nn.NewReLU(1<<16), signRandom(16, 1<<16)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		relu.Forward(x)
+	}
+}
+
+func BenchmarkReLUBackward(b *testing.B) {
+	relu, dout := nn.NewReLU(1<<16), signRandom(17, 1<<16)
+	relu.Forward(signRandom(16, 1<<16))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		relu.Backward(dout)
+	}
+}
+
+// benchMaxPoolForward measures one pooling pass over ReLU-clamped input
+// (half the cells +0, so windows tie), at the first pooling layer of the
+// harness CNN and of the Table-1 network.
+func benchMaxPoolForward(b *testing.B, c, inH, inW, k, stride, pad int) {
+	pool := nn.NewMaxPool2D(c, inH, inW, k, stride, pad)
+	x := nn.NewReLU(c * inH * inW).Forward(signRandom(18, c*inH*inW))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pool.Forward(x)
+	}
+}
+
+func BenchmarkMaxPoolForwardTiny1(b *testing.B)  { benchMaxPoolForward(b, 6, 8, 8, 2, 2, 0) }
+func BenchmarkMaxPoolForwardCIFAR1(b *testing.B) { benchMaxPoolForward(b, 64, 32, 32, 3, 2, 1) }
+
 // ---------------------------------------------------------------------------
 // Wire benchmarks: the transport codec on a full paper-scale payload
 // (1,756,426 coordinates — the Table-1 model as one message). The binary

@@ -19,6 +19,9 @@
 // before corrupting. The deterministic simulator feeds complete per-step
 // honest sets (the strongest adversary); the live runtimes publish
 // concurrently, so snapshots may be partial — omniscient, not clairvoyant.
+// An honest live server publishes θ once per step, in phase 1, so the
+// snapshot a Byzantine server takes before the phase-3 contraction round
+// shows the pre-update θ, where the simulator shows the updated one.
 // Multi-process deployments run without a view (an adversary spanning OS
 // processes would need its own covert channel), in which case omniscient
 // attacks degrade to their documented local-knowledge fallbacks.

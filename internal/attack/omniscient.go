@@ -27,9 +27,11 @@ type omniBase struct {
 }
 
 // Observe implements Omniscient. Accepting a view invalidates the crafted
-// cache, so a refresh within a step (the runtimes re-feed server attacks
-// before the phase-3 contraction round with the updated honest thetas) is
-// actually acted on by the next Corrupt.
+// cache, so a refresh within a step is actually acted on by the next
+// Corrupt. Server attacks are re-fed before the phase-3 contraction round:
+// by the simulator with the updated honest thetas, by cluster.RunServer with
+// a fresh snapshot of the same step — which still holds the pre-update
+// thetas, honest servers publishing once per step, in phase 1.
 func (b *omniBase) Observe(v ClusterView) {
 	b.mu.Lock()
 	defer b.mu.Unlock()

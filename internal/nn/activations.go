@@ -2,11 +2,13 @@ package nn
 
 import "math"
 
-// ReLU is the rectified-linear activation, applied element-wise.
+// ReLU is the rectified-linear activation, applied element-wise. Both passes
+// select on bit patterns instead of branching on signs, which are as good as
+// random after a convolution: the compiler turns each `if` below into a
+// conditional move.
 type ReLU struct {
 	size   int
-	mask   []bool
-	outBuf []float64
+	outBuf []float64 // also Backward's mask: bits non-zero exactly where x > 0
 	dinBuf []float64
 }
 
@@ -16,34 +18,37 @@ var _ Layer = (*ReLU)(nil)
 func NewReLU(size int) *ReLU {
 	return &ReLU{
 		size:   size,
-		mask:   make([]bool, size),
 		outBuf: make([]float64, size),
 		dinBuf: make([]float64, size),
 	}
 }
 
-// Forward computes max(0, x).
+// Forward computes max(0, x): x where x > 0 and +0 elsewhere (NaN, −0 and
+// negatives included). x > 0 exactly when its bits lie in [1, bits(+Inf)].
 func (r *ReLU) Forward(x []float64) []float64 {
+	out := r.outBuf[:len(x)]
 	for i, v := range x {
-		if v > 0 {
-			r.outBuf[i] = v
-			r.mask[i] = true
-		} else {
-			r.outBuf[i] = 0
-			r.mask[i] = false
+		b := math.Float64bits(v)
+		var m uint64
+		if b-1 < 0x7ff0<<48 {
+			m = ^uint64(0)
 		}
+		out[i] = math.Float64frombits(b & m)
 	}
 	return r.outBuf
 }
 
-// Backward zeroes the gradient where the forward input was non-positive.
+// Backward passes the gradient through, bits untouched, where the forward
+// input was positive — where the forward output is not +0 — and gives +0
+// elsewhere.
 func (r *ReLU) Backward(dout []float64) []float64 {
+	out, din := r.outBuf[:len(dout)], r.dinBuf[:len(dout)]
 	for i, d := range dout {
-		if r.mask[i] {
-			r.dinBuf[i] = d
-		} else {
-			r.dinBuf[i] = 0
+		var m uint64
+		if math.Float64bits(out[i]) != 0 {
+			m = ^uint64(0)
 		}
+		din[i] = math.Float64frombits(math.Float64bits(d) & m)
 	}
 	return r.dinBuf
 }

@@ -201,25 +201,32 @@ func (c *Conv2D) forwardBlock(x []float64, oc, b int) {
 }
 
 // Backward accumulates kernel/bias gradients and returns dL/d(input).
+func (c *Conv2D) Backward(dout []float64) []float64 { return c.backward(dout, c.dinBuf) }
+
+// backwardParams is Backward with the input-gradient half of every kernel
+// below left out.
+func (c *Conv2D) backwardParams(dout []float64) { c.backward(dout, nil) }
+
+// backward accumulates kernel/bias gradients and, unless din is nil, writes
+// dL/d(input) to it.
 //
 // Two variants produce bit-identical results: the one-pass serial loop, and
 // a two-pass parallel form — pass A owns the weight gradients (chunked over
 // output channels, which partition gradKern and gradBias) and pass B owns
-// the input gradient (chunked over input channels, which partition dinBuf).
+// the input gradient (chunked over input channels, which partition din).
 // Each accumulated cell receives the same contributions in the same order in
 // both variants, so the split is purely a scheduling choice.
-func (c *Conv2D) Backward(dout []float64) []float64 {
+func (c *Conv2D) backward(dout, din []float64) []float64 {
 	perOC := c.outH * c.outW * c.inC * c.kH * c.kW
 	if total := perOC * c.outC; total >= 2*convTarget && parallel.Workers() > 1 && !parallel.Busy() {
-		return c.backwardTwoPass(dout, perOC)
+		return c.backwardTwoPass(dout, din, perOC)
 	}
-	return c.backwardOnePass(dout)
+	return c.backwardOnePass(dout, din)
 }
 
 // backwardOnePass is the serial kernel: one sweep accumulating weight and
 // input gradients together.
-func (c *Conv2D) backwardOnePass(dout []float64) []float64 {
-	din := c.dinBuf
+func (c *Conv2D) backwardOnePass(dout, din []float64) []float64 {
 	for i := range din {
 		din[i] = 0
 	}
@@ -284,9 +291,9 @@ func (c *Conv2D) backwardCells(dout []float64, oc, icLo, icHi int, gradKern, din
 }
 
 // backwardTwoPass runs the weight-gradient and input-gradient sweeps as two
-// parallel passes. See Backward for why it is bit-identical to the one-pass
-// form.
-func (c *Conv2D) backwardTwoPass(dout []float64, perOC int) []float64 {
+// parallel passes (just the first when din is nil). See backward for why it
+// is bit-identical to the one-pass form.
+func (c *Conv2D) backwardTwoPass(dout, din []float64, perOC int) []float64 {
 	// Pass A: gradKern and gradBias, partitioned by output channel. Loop
 	// order matches backwardOnePass (oy, ox, ic, ky, kx inside oc), so every
 	// gradKern/gradBias cell accumulates its contributions in the same order.
@@ -295,10 +302,12 @@ func (c *Conv2D) backwardTwoPass(dout []float64, perOC int) []float64 {
 			c.backwardCells(dout, oc, 0, c.inC, c.gradKern, nil)
 		}
 	})
-	// Pass B: dinBuf, partitioned by input channel. For a fixed input cell
-	// the contributions arrive ordered by (oc, oy, ox, ky, kx) — exactly the
+	if din == nil {
+		return nil
+	}
+	// Pass B: din, partitioned by input channel. For a fixed input cell the
+	// contributions arrive ordered by (oc, oy, ox, ky, kx) — exactly the
 	// order the one-pass sweep produces for that cell.
-	din := c.dinBuf
 	perIC := c.outC * c.outH * c.outW * c.kH * c.kW
 	parallel.For(c.inC, parallel.GrainFor(perIC, convTarget), func(icLo, icHi int) {
 		for ic := icLo; ic < icHi; ic++ {

@@ -193,9 +193,9 @@ func checkConvMatchesReference(t *testing.T, g convGeom, seed uint64, special, t
 		refConvBackward(c, x, dout, wantKern, wantBias, wantDin)
 		var din []float64
 		if twoPass {
-			din = c.backwardTwoPass(dout, c.outH*c.outW*c.inC*c.kH*c.kW)
+			din = c.backwardTwoPass(dout, c.dinBuf, c.outH*c.outW*c.inC*c.kH*c.kW)
 		} else {
-			din = c.backwardOnePass(dout)
+			din = c.backwardOnePass(dout, c.dinBuf)
 		}
 		requireSameBits(t, fmt.Sprintf("din (backward %d)", round+1), din, wantDin)
 	}

@@ -57,15 +57,20 @@ func (d *Dense) Forward(x []float64) []float64 {
 	return d.outBuf
 }
 
-// Backward accumulates dL/dW += dout·xᵀ and dL/db += dout, and returns
+// Backward accumulates the parameter gradients (backwardParams) and returns
 // dL/dx = Wᵀ·dout.
 func (d *Dense) Backward(dout []float64) []float64 {
+	d.backwardParams(dout)
+	d.w.MatVecT(d.dinBuf, dout)
+	return d.dinBuf
+}
+
+// backwardParams accumulates dL/dW += dout·xᵀ and dL/db += dout.
+func (d *Dense) backwardParams(dout []float64) {
 	d.gradW.AddOuter(1, dout, d.lastIn)
 	for i := range dout {
 		d.gradB[i] += dout[i]
 	}
-	d.w.MatVecT(d.dinBuf, dout)
-	return d.dinBuf
 }
 
 // Params returns [weights, bias].

@@ -26,7 +26,8 @@ import (
 // Backward consumes dL/d(output), accumulates dL/d(params) into the layer's
 // gradient buffers, and returns dL/d(input). A layer must tolerate repeated
 // Backward calls between ZeroGrad calls (gradients accumulate, enabling
-// mini-batch averaging by the caller).
+// mini-batch averaging by the caller). Nobody reads the input gradient of a
+// model's first layer, so there a paramBackwarder is asked for less.
 type Layer interface {
 	// Forward runs the layer on x and returns the output. The returned slice
 	// is owned by the layer and valid until the next Forward call.
@@ -83,13 +84,26 @@ func (m *Sequential) Forward(x []float64) []float64 {
 	return x
 }
 
+// paramBackwarder is the optional half of Backward a layer with parameters
+// can offer: accumulate dL/d(params) exactly as Backward does and leave
+// dL/d(input) uncomputed.
+type paramBackwarder interface {
+	backwardParams(dout []float64)
+}
+
 // Backward propagates dL/d(output) through all layers, accumulating
-// parameter gradients. Returns dL/d(input).
-func (m *Sequential) Backward(dout []float64) []float64 {
+// parameter gradients. It returns nothing: the gradient of a training step
+// is read from Grads, and dL/d(model input) is not computed when the first
+// layer is a paramBackwarder.
+func (m *Sequential) Backward(dout []float64) {
 	for i := len(m.layers) - 1; i >= 0; i-- {
-		dout = m.layers[i].Backward(dout)
+		l := m.layers[i]
+		if pb, ok := l.(paramBackwarder); ok && i == 0 {
+			pb.backwardParams(dout)
+			return
+		}
+		dout = l.Backward(dout)
 	}
-	return dout
 }
 
 // ZeroGrad clears every gradient buffer.

@@ -96,10 +96,10 @@ func TestConvBackwardTwoPassMatchesOnePass(t *testing.T) {
 	dout := rng.NormVec(make([]float64, c1.OutputSize()), 0, 1)
 
 	c1.Forward(x)
-	din1 := append([]float64(nil), c1.backwardOnePass(dout)...)
+	din1 := append([]float64(nil), c1.backwardOnePass(dout, c1.dinBuf)...)
 	c2.Forward(x)
 	perOC := c2.outH * c2.outW * c2.inC * c2.kH * c2.kW
-	din2 := c2.backwardTwoPass(dout, perOC)
+	din2 := c2.backwardTwoPass(dout, c2.dinBuf, perOC)
 
 	for i := range din1 {
 		if din1[i] != din2[i] {

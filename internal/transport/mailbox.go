@@ -390,16 +390,6 @@ func (m *Mailbox) Len() int {
 	return m.length
 }
 
-// PeerLen returns how many messages the named sender has queued.
-func (m *Mailbox) PeerLen(from string) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if pq := m.peers[from]; pq != nil {
-		return pq.count
-	}
-	return 0
-}
-
 // Close marks the mailbox closed and wakes all blocked receivers and
 // Backpressure waiters. Closing twice is a no-op.
 func (m *Mailbox) Close() {

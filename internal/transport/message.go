@@ -112,15 +112,6 @@ func (m *Message) IsShard() bool { return m.Shard.Count > 0 }
 // Vec, is the payload).
 func (m *Message) IsCompressed() bool { return m.Comp.Scheme != 0 }
 
-// PayloadDim is the coordinate count of m's payload regardless of
-// representation: len(Vec) for plain messages, Comp.Dim for compressed.
-func (m *Message) PayloadDim() int {
-	if m.IsCompressed() {
-		return m.Comp.Dim
-	}
-	return len(m.Vec)
-}
-
 // Clone returns a copy of m whose payload aliases nothing — the snapshot
 // every transport must take when it holds a message past its Send boundary
 // (the sender keeps mutating its vector in place). The TCP transport gets
