@@ -463,6 +463,22 @@ func benchMaxPoolForward(b *testing.B, c, inH, inW, k, stride, pad int) {
 func BenchmarkMaxPoolForwardTiny1(b *testing.B)  { benchMaxPoolForward(b, 6, 8, 8, 2, 2, 0) }
 func BenchmarkMaxPoolForwardCIFAR1(b *testing.B) { benchMaxPoolForward(b, 64, 32, 32, 3, 2, 1) }
 
+// benchMatVec measures one Dense forward product of the wide workloads'
+// MLP(192, 1024, 10) on one worker, as the benchmark's pinned nodes run it.
+func benchMatVec(b *testing.B, rows, cols int) {
+	withParallelism(b, 1)
+	m := tensor.NewMatrix(rows, cols)
+	tensor.NewRNG(19).NormVec(m.Data, 0, 1)
+	x, dst := signRandom(20, cols), make([]float64, rows)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.MatVec(dst, x)
+	}
+}
+
+func BenchmarkMatVec1024x192(b *testing.B) { benchMatVec(b, 1024, 192) }
+func BenchmarkMatVec10x1024(b *testing.B)  { benchMatVec(b, 10, 1024) }
+
 // ---------------------------------------------------------------------------
 // Wire benchmarks: the transport codec on a full paper-scale payload
 // (1,756,426 coordinates — the Table-1 model as one message). The binary

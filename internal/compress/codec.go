@@ -347,9 +347,7 @@ func (d *Decoder) Decode(scheme Scheme, kind uint8, step int64, off, n int, payl
 			return dst, fmt.Errorf("%w: float32 payload %d bytes for %d coordinates", ErrMalformed, len(payload), n)
 		}
 		dst = growVec(dst, n)
-		for i := range dst {
-			dst[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(payload[4*i:])))
-		}
+		tensor.WidenF32LE(dst, payload)
 		return dst, nil
 	case Delta:
 		return d.decodeDelta(kind, step, off, n, payload, dst)

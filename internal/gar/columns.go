@@ -13,16 +13,16 @@ import (
 // of gathering one coordinate into a scratch column and sorting it d times,
 // the kernel copies a tile of coordinates into n contiguous rows, runs a
 // comparator network over whole rows with the branch-free min/max builtins,
-// and reduces each sorted column. The gather-and-sort stays as the reference
-// (sortedColumn): it serves n > maxNet and every coordinate on which the
-// network could disagree with it — see reduceColumns.
+// and reduces each sorted column (the median of five, median5, needs no tile).
+// The gather-and-sort stays as the reference (sortedColumn): it serves n >
+// maxNet and every coordinate on which the kernels could disagree with it.
 
 const (
 	// maxNet is the largest input count with a comparator network; larger
 	// quorums take the reference path.
 	maxNet = 16
 	// tileW coordinates × maxNet rows × 8 bytes is a 32 KiB stack array; at
-	// q = 5 the ten KiB actually touched stay in L1.
+	// q̄ = 13 the 26 KiB actually touched stay in L1.
 	tileW = 256
 )
 
@@ -191,19 +191,51 @@ func (t *tile) reduce(r reduction, col []float64, w int) []float64 {
 }
 
 // reduceColumns writes dst[i] = r.of(column i of inputs, sorted ascending as
-// sort.Float64s sorts) for i in [lo, hi). Each tile's columns are copied out
-// before dst is written, so dst may alias one of the inputs.
+// sort.Float64s sorts) for i in [lo, hi). Every column is read before its
+// output is written, so dst may alias one of the inputs.
 //
 // A network's rows hold the same multiset a sort produces, in the same
-// order, except where the order is not determined by value: min/max put −0
-// before +0 (the sort keeps their input order) and turn both outputs NaN
-// when either input is (the sort puts NaNs first) — and since every wanted
-// row depends on every input, one NaN anywhere in a column reaches them
-// all. Signed zeros vanish in any sum or difference with a non-zero value,
-// so a reduction that came out neither zero nor NaN saw neither case; one
-// that did is recomputed on the reference column, which makes the output
-// bit-identical to gather-and-sort on every input.
+// order, and median5 its middle entry, except where the order is not
+// determined by value: min/max put −0 before +0 (the sort keeps their input
+// order) and turn both outputs NaN when either input is (the sort puts NaNs
+// first) — and since every wanted row depends on every input, one NaN
+// anywhere in a column reaches them all (not so with raw MINSD/MAXSD: see
+// TestMedian5NeedsNaNExactMinMax). Signed zeros vanish in any sum or
+// difference with a non-zero value, so a reduction that came out neither
+// zero nor NaN saw neither case; one that did is recomputed on the reference
+// column, which makes the output bit-identical to gather-and-sort.
 func reduceColumns(dst tensor.Vector, inputs []tensor.Vector, lo, hi int, r reduction) {
+	if len(inputs) == 5 && r == medianOf(5) {
+		median5Columns(dst, inputs, lo, hi)
+	} else {
+		reduceTiles(dst, inputs, lo, hi, r)
+	}
+}
+
+// median5 is the median of five by ten min/max: f and g are the middle two
+// of a, b, c, d (in either order), and the median is that of e, f and g.
+func median5(a, b, c, d, e float64) float64 {
+	f := max(min(a, b), min(c, d))
+	g := min(max(a, b), max(c, d))
+	return max(min(e, f), min(max(e, f), g))
+}
+
+// median5Columns is reduceColumns for the median of five (the paper's q = 5).
+func median5Columns(dst tensor.Vector, inputs []tensor.Vector, lo, hi int) {
+	out := dst[lo:hi]
+	a, b, c, d, e := inputs[0][lo:hi], inputs[1][lo:hi], inputs[2][lo:hi], inputs[3][lo:hi], inputs[4][lo:hi]
+	var col [5]float64
+	for i := range out {
+		x := median5(a[i], b[i], c[i], d[i], e[i])
+		if x == 0 || x != x {
+			x = medianOf(5).of(sortedColumn(col[:], inputs, lo+i))
+		}
+		out[i] = x
+	}
+}
+
+// reduceTiles is reduceColumns through the networks, in its own 32 KiB frame.
+func reduceTiles(dst tensor.Vector, inputs []tensor.Vector, lo, hi int, r reduction) {
 	n := len(inputs)
 	if n > maxNet {
 		col := make([]float64, n)

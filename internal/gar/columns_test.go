@@ -141,7 +141,8 @@ func FuzzColumnsMatchSort(f *testing.F) {
 	f.Add(bitsFromColumn(-1, negZero, 0, 0, negZero))                                  // ±0 tie at the trim boundary
 	f.Add(bitsFromColumn(2, 2, 2, 1, 1, 3, 3))                                         // duplicated values
 	f.Add(bitsFromColumn(-inf, inf, 1, -inf, inf))                                     // ±Inf: Inf−Inf spreads and sums
-	f.Add(bitsFromColumn(nan, 1, 2, 3, 4))                                             // one NaN, trimmed away by f ≥ 1
+	f.Add(bitsFromColumn(nan, 1, 2, 3, 4))                                             // one NaN, trimmed away by f ≥ 1: the median is 2, not NaN
+	f.Add(bitsFromColumn(nan, 3, 1, 2, 4))                                             // the same column, an order raw MINSD/MAXSD would make 3
 	f.Add(bitsFromColumn(nan, otherNaN, 1, otherNaN))                                  // NaN payloads
 	f.Add(bitsFromColumn(1, inf, nan, -inf, 0, 7, -7))                                 // everything at once
 	f.Add(bitsFromColumn(5e-324, 0, 5e-324, 0))                                        // halves that underflow to zero
@@ -192,6 +193,150 @@ func TestMedianIntoAliasedDst(t *testing.T) {
 		if math.Float64bits(inputs[2][i]) != math.Float64bits(want[i]) {
 			t.Fatalf("coordinate %d: aliased %v, fresh %v", i, inputs[2][i], want[i])
 		}
+	}
+}
+
+// specialValues are the bit patterns the min/max kernels must order exactly
+// as sort.Float64s does: NaNs of both signs with payloads, signed zeros,
+// infinities, subnormals, and a normal that appears twice (duplicates).
+func specialValues() []float64 {
+	bits := []uint64{
+		0x7ff8000000000001, 0xfff800000000beef, // NaNs
+		0x0000000000000000, 0x8000000000000000, // ±0
+		0x7ff0000000000000, 0xfff0000000000000, // ±Inf
+		0x0000000000000001, 0x800fffffffffffff, // smallest subnormal, largest negative subnormal
+		0x3ff0000000000000, 0xc000000000000000, // 1, −2
+	}
+	vs := make([]float64, len(bits))
+	for i, b := range bits {
+		vs[i] = math.Float64frombits(b)
+	}
+	return vs
+}
+
+// TestMedian5MatchesSortOnSpecials: every column of five drawn from the
+// specials table (10⁵ columns) through median5Columns equals gather-and-sort
+// bit for bit, as does every other reduction of five.
+func TestMedian5MatchesSortOnSpecials(t *testing.T) {
+	sp := specialValues()
+	inputs := make([]tensor.Vector, 5)
+	for j := range inputs {
+		inputs[j] = make(tensor.Vector, 0, 100000)
+	}
+	for k := 0; k < 100000; k++ {
+		for j, q := 0, k; j < 5; j, q = j+1, q/len(sp) {
+			inputs[j] = append(inputs[j], sp[q%len(sp)])
+		}
+	}
+	checkColumnsMatchSort(t, inputs)
+}
+
+// TestMedian5ZeroOne is the zero-one principle for median5: a min/max
+// formula returns the median of every input iff it does on all 2⁵ inputs of
+// zeros and ones.
+func TestMedian5ZeroOne(t *testing.T) {
+	for bits := 0; bits < 1<<5; bits++ {
+		var x [5]float64
+		ones := 0
+		for r := range x {
+			x[r] = float64(bits >> r & 1)
+			ones += bits >> r & 1
+		}
+		want := 0.0
+		if ones >= 3 {
+			want = 1
+		}
+		if got := median5(x[0], x[1], x[2], x[3], x[4]); got != want {
+			t.Fatalf("input %05b: median5 = %v, want %v", bits, got, want)
+		}
+	}
+}
+
+// TestMedian5ColumnsAliasAndRanges: median5Columns writes [lo, hi) only and
+// reads each column before writing it, so dst may be any of the five inputs.
+func TestMedian5ColumnsAliasAndRanges(t *testing.T) {
+	rng := tensor.NewRNG(13)
+	const d = 300
+	fresh := func() []tensor.Vector {
+		inputs := make([]tensor.Vector, 5)
+		for j := range inputs {
+			inputs[j] = rng.NormVec(make(tensor.Vector, d), 0, 1)
+			inputs[j][17+j] = 0 // columns that fall back
+			inputs[j][101] = math.NaN()
+		}
+		return inputs
+	}
+	for alias := 0; alias < 5; alias++ {
+		for _, rg := range [][2]int{{0, d}, {0, 1}, {17, 18}, {5, 131}, {100, 102}, {d - 3, d}} {
+			inputs := fresh()
+			want := referenceReduce(inputs, medianOf(5))
+			before := append(tensor.Vector(nil), inputs[alias]...)
+			lo, hi := rg[0], rg[1]
+			reduceColumns(inputs[alias], inputs, lo, hi, medianOf(5))
+			for i, x := range inputs[alias] {
+				w := before[i]
+				if lo <= i && i < hi {
+					w = want[i]
+				}
+				if math.Float64bits(x) != math.Float64bits(w) {
+					t.Fatalf("dst = input %d, range [%d, %d), coordinate %d: got %v, want %v", alias, lo, hi, i, x, w)
+				}
+			}
+		}
+	}
+}
+
+// TestMedian5NeedsNaNExactMinMax pins why median5 uses Go's min/max and not
+// raw MINSD/MAXSD (which return the second operand when either is NaN): with
+// the raw ones some order of {NaN, 1, 2, 3, 4} comes out finite and
+// non-zero, so the fallback never fires and the result differs from the
+// sort's 2. With the builtins every order is NaN and falls back.
+func TestMedian5NeedsNaNExactMinMax(t *testing.T) {
+	rawMin := func(x, y float64) float64 {
+		if x < y {
+			return x
+		}
+		return y
+	}
+	rawMax := func(x, y float64) float64 {
+		if x > y {
+			return x
+		}
+		return y
+	}
+	rawMedian5 := func(a, b, c, d, e float64) float64 {
+		f := rawMax(rawMin(a, b), rawMin(c, d))
+		g := rawMin(rawMax(a, b), rawMax(c, d))
+		return rawMax(rawMin(e, f), rawMin(rawMax(e, f), g))
+	}
+	col := []float64{math.NaN(), 1, 2, 3, 4}
+	escaped := 0
+	var permute func(k int)
+	permute = func(k int) {
+		if k == len(col) {
+			if x := median5(col[0], col[1], col[2], col[3], col[4]); x == x {
+				t.Fatalf("median5%v = %v, want NaN", col, x)
+			}
+			if x := rawMedian5(col[0], col[1], col[2], col[3], col[4]); x == x && x != 0 && x != 2 {
+				escaped++
+			}
+			return
+		}
+		for i := k; i < len(col); i++ {
+			col[k], col[i] = col[i], col[k]
+			permute(k + 1)
+			col[k], col[i] = col[i], col[k]
+		}
+	}
+	permute(0)
+	if escaped == 0 {
+		t.Fatal("raw MINSD/MAXSD semantics never escaped the fallback; the pin is vacuous")
+	}
+	got := make(tensor.Vector, 1)
+	inputs := []tensor.Vector{{math.NaN()}, {3}, {1}, {2}, {4}}
+	reduceColumns(got, inputs, 0, 1, medianOf(5))
+	if got[0] != 2 {
+		t.Fatalf("median of {NaN, 3, 1, 2, 4} = %v, want 2", got[0])
 	}
 }
 

@@ -72,6 +72,27 @@ func DecodeLE(dst Vector, src []byte) {
 	decodeLEPortable(dst, src)
 }
 
+// WidenF32LE fills dst by converting each float32 of src, its little-endian
+// encoding, to float64. Panics unless len(src) == 4·len(dst), like DecodeLE.
+// On a little-endian host with a 4-aligned src it reads src as a []float32;
+// otherwise it decodes coordinate by coordinate. The alignment guard is ours
+// to keep: checkptr lets unaligned pointer-free views through (LINT.md).
+func WidenF32LE(dst Vector, src []byte) {
+	if len(src) != 4*len(dst) {
+		panic("tensor: WidenF32LE length mismatch")
+	}
+	p := unsafe.Pointer(unsafe.SliceData(src))
+	if !nativeLE || uintptr(p)%4 != 0 {
+		for i := range dst {
+			dst[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:])))
+		}
+		return
+	}
+	for i, x := range unsafe.Slice((*float32)(p), len(dst)) {
+		dst[i] = float64(x)
+	}
+}
+
 // appendLEPortable is AppendLE's per-coordinate form: the only one a
 // big-endian host runs, and the reference the bulk path is tested against.
 func appendLEPortable(dst []byte, v Vector) []byte {

@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"testing"
 )
@@ -84,4 +85,72 @@ func TestDecodeLELengthMismatchPanics(t *testing.T) {
 		}
 	}()
 	DecodeLE(make(Vector, 2), make([]byte, 15))
+}
+
+// f32Classes is one float32 bit pattern of every class the widening must
+// carry through: signed zeros, subnormal extremes, normals, MaxFloat32,
+// infinities, and quiet and signalling NaNs of both signs with payloads.
+var f32Classes = []uint32{
+	0x00000000, 0x80000000, // ±0
+	0x00000001, 0x807fffff, // smallest subnormal, largest (negative) subnormal
+	0x00800000, 0x3fc00000, 0xc2f6e979, // smallest normal, 1.5, −123.456
+	0x7f7fffff, 0xff7fffff, // ±MaxFloat32
+	0x7f800000, 0xff800000, // ±Inf
+	0x7fc00000, 0xffc0beef, // quiet NaNs, the second with a payload
+	0x7f800001, 0xffbfffff, // signalling NaNs, lowest and full payload
+}
+
+// WidenF32LE must equal the per-coordinate loop bit for bit, through the
+// []float32 view (src 4-aligned) and through its per-coordinate fallback
+// (src at the other byte offsets of the same buffer): one of offsets 0–3
+// takes each path whatever the buffer's own alignment.
+func TestWidenF32LEMatchesPortable(t *testing.T) {
+	var enc []byte
+	for r := 0; r < 3; r++ { // enough coordinates for an unrolled loop body
+		for _, b := range f32Classes {
+			enc = binary.LittleEndian.AppendUint32(enc, b)
+		}
+	}
+	n := len(enc) / 4
+	buf := make([]byte, len(enc)+3)
+	for off := 0; off < 4; off++ {
+		src := buf[off : off+len(enc)]
+		copy(src, enc)
+		for _, m := range []int{0, 1, n} {
+			got := make(Vector, m)
+			WidenF32LE(got, src[:4*m])
+			for i := range got {
+				// The reference: the loop compress.Decoder ran before PR 29.
+				want := float64(math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:])))
+				if math.Float64bits(got[i]) != math.Float64bits(want) {
+					t.Fatalf("offset %d, coordinate %d (float32 %#08x): got %#x, reference %#x", off, i,
+						binary.LittleEndian.Uint32(src[4*i:]), math.Float64bits(got[i]), math.Float64bits(want))
+				}
+			}
+		}
+	}
+}
+
+func TestWidenF32LELengthMismatchPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("no panic")
+		}
+	}()
+	WidenF32LE(make(Vector, 2), make([]byte, 7))
+}
+
+// BenchmarkWidenF32LE16384 widens one float32 shard of the streaming
+// workloads (16,384 coordinates, cache-resident).
+func BenchmarkWidenF32LE16384(b *testing.B) {
+	v := NewRNG(3).NormVec(make(Vector, 16384), 0, 1)
+	var src []byte
+	for _, x := range v {
+		src = binary.LittleEndian.AppendUint32(src, math.Float32bits(float32(x)))
+	}
+	b.SetBytes(int64(len(src)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		WidenF32LE(v, src)
+	}
 }

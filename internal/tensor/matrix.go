@@ -52,12 +52,26 @@ func (m *Matrix) MatVec(dst, x []float64) {
 	}
 	// Row-chunked: each output element is one row's dot product, written by
 	// exactly one chunk, so the result is identical at any parallelism.
+	// Four rows per pass share each x[j]; each row still sums in j order.
 	parallel.For(m.Rows, parallel.GrainFor(m.Cols, matVecTarget), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			row := m.Data[i*m.Cols : i*m.Cols+m.Cols]
+		c, i := m.Cols, lo
+		for ; i+4 <= hi; i += 4 {
+			r0, r1 := m.Data[i*c:][:len(x)], m.Data[(i+1)*c:][:len(x)]
+			r2, r3 := m.Data[(i+2)*c:][:len(x)], m.Data[(i+3)*c:][:len(x)]
+			var s0, s1, s2, s3 float64
+			for j, xj := range x {
+				s0 += r0[j] * xj
+				s1 += r1[j] * xj
+				s2 += r2[j] * xj
+				s3 += r3[j] * xj
+			}
+			dst[i], dst[i+1], dst[i+2], dst[i+3] = s0, s1, s2, s3
+		}
+		for ; i < hi; i++ {
+			row := m.Data[i*c:][:len(x)]
 			var s float64
-			for j, w := range row {
-				s += w * x[j]
+			for j, xj := range x {
+				s += row[j] * xj
 			}
 			dst[i] = s
 		}

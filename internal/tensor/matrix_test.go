@@ -36,6 +36,45 @@ func TestMatVec(t *testing.T) {
 	}
 }
 
+// MatVec runs four rows per pass and the remainder one by one; every row
+// must equal the one-row dot product summed in column order, bit for bit —
+// with NaN and ±Inf entries, for row counts around the block of four, and
+// with parallel chunk boundaries that split blocks (192 columns make
+// 341-row chunks).
+func TestMatVecMatchesOneRowReference(t *testing.T) {
+	rng := NewRNG(5)
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1)}
+	for _, workers := range []int{1, 2} {
+		withWorkers(t, workers)
+		for _, rows := range []int{1, 3, 4, 5, 1023, 1024} {
+			for _, cols := range []int{1, 7, 192} {
+				m := NewMatrix(rows, cols)
+				rng.NormVec(m.Data, 0, 1)
+				x := rng.NormVec(make([]float64, cols), 0, 1)
+				// Sparse enough that most rows stay finite.
+				for k := 0; k < len(m.Data); k += 997 {
+					m.Data[k] = specials[k%len(specials)]
+				}
+				if cols == 7 {
+					x[3] = math.Inf(1)
+				}
+				got := make([]float64, rows)
+				m.MatVec(got, x)
+				for i := range got {
+					var want float64
+					for j, w := range m.Row(i) {
+						want += w * x[j]
+					}
+					if math.Float64bits(got[i]) != math.Float64bits(want) {
+						t.Fatalf("workers %d, %dx%d, row %d: got %v (%#x), reference %v (%#x)", workers, rows, cols,
+							i, got[i], math.Float64bits(got[i]), want, math.Float64bits(want))
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestMatVecT(t *testing.T) {
 	// [1 2; 3 4]ᵀ · [5, 6] = [1·5+3·6, 2·5+4·6] = [23, 34]
 	m := NewMatrix(2, 2)

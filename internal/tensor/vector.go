@@ -187,11 +187,22 @@ func MedianScalar(xs []float64) float64 {
 // Correct nodes use it to sanitise values received from the network: a
 // Byzantine node may send NaNs to poison downstream arithmetic.
 //
-// One test per coordinate: NaN and ±Inf are exactly the values whose eleven
-// exponent bits are all set, whatever the sign and mantissa.
+// NaN and ±Inf are exactly the values whose exponent bits are all set, i.e.
+// whose exponent + 1<<52 carries into bit 63; blocks of eight branch once.
 func IsFinite(v Vector) bool {
 	const expMask = 0x7ff << 52
-	for _, x := range v {
+	i := 0
+	for ; i+8 <= len(v); i += 8 {
+		b := v[i : i+8 : i+8]
+		carry := (math.Float64bits(b[0])&expMask + 1<<52) | (math.Float64bits(b[1])&expMask + 1<<52) |
+			(math.Float64bits(b[2])&expMask + 1<<52) | (math.Float64bits(b[3])&expMask + 1<<52) |
+			(math.Float64bits(b[4])&expMask + 1<<52) | (math.Float64bits(b[5])&expMask + 1<<52) |
+			(math.Float64bits(b[6])&expMask + 1<<52) | (math.Float64bits(b[7])&expMask + 1<<52)
+		if carry>>63 != 0 {
+			return false
+		}
+	}
+	for _, x := range v[i:] {
 		if math.Float64bits(x)&expMask == expMask {
 			return false
 		}

@@ -192,7 +192,8 @@ func TestIsFinite(t *testing.T) {
 }
 
 // The exponent-mask test must agree with math.IsNaN/IsInf on every class of
-// bit pattern, wherever in the vector the value sits.
+// bit pattern, wherever in the vector the value sits: IsFinite tests blocks
+// of eight with one branch and the tail one by one.
 func TestIsFiniteBitPatterns(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -220,9 +221,17 @@ func TestIsFiniteBitPatterns(t *testing.T) {
 		if want := !math.IsNaN(x) && !math.IsInf(x, 0); want != c.finite {
 			t.Fatalf("%s: table says finite=%v, math package says %v", c.name, c.finite, want)
 		}
-		for _, v := range []Vector{{x}, {1, 2, x}, {x, 1, 2}, {1, x, 2}} {
-			if got := IsFinite(v); got != c.finite {
-				t.Fatalf("%s in %v: IsFinite = %v, want %v", c.name, v, got, c.finite)
+		// Every position of one or two blocks of eight and of the tail.
+		for n := 1; n <= 17; n++ {
+			for i := 0; i < n; i++ {
+				v := make(Vector, n)
+				for k := range v {
+					v[k] = float64(k) - 3.5
+				}
+				v[i] = x
+				if got := IsFinite(v); got != c.finite {
+					t.Fatalf("%s at %d of %d: IsFinite = %v, want %v", c.name, i, n, got, c.finite)
+				}
 			}
 		}
 	}
@@ -235,8 +244,15 @@ var sinkFinite bool
 
 // BenchmarkIsFinite207882 prices the inbound validator on one wide-model
 // frame (the benchmark's d = 207,882): every received vector pays it once.
-func BenchmarkIsFinite207882(b *testing.B) {
-	v := NewRNG(3).NormVec(make(Vector, 207882), 0, 1)
+// At this size the pass is memory-bound.
+func BenchmarkIsFinite207882(b *testing.B) { benchIsFinite(b, 207882) }
+
+// BenchmarkIsFinite16384 is the same pass over one shard of the streaming
+// workloads, which stays in cache.
+func BenchmarkIsFinite16384(b *testing.B) { benchIsFinite(b, 16384) }
+
+func benchIsFinite(b *testing.B, d int) {
+	v := NewRNG(3).NormVec(make(Vector, d), 0, 1)
 	b.SetBytes(int64(8 * len(v)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
