@@ -294,6 +294,19 @@ func BenchmarkGARTrimmedMean13x207882(b *testing.B) {
 }
 func BenchmarkGARMultiKrum13x207882(b *testing.B) { benchRule(b, "multi-krum", 5, 13, 207882) }
 
+// The two wide rules at kernel parallelism 1, which is how a benchmark node
+// runs them; the rows above split Multi-Krum's distance pass by rows across
+// every CPU. BENCH_simd.json records these before and after the AVX2 bodies.
+func BenchmarkGARMedian5x207882Serial(b *testing.B) {
+	withParallelism(b, 1)
+	benchRule(b, "coordinate-median", 0, 5, 207882)
+}
+
+func BenchmarkGARMultiKrum13x207882Serial(b *testing.B) {
+	withParallelism(b, 1)
+	benchRule(b, "multi-krum", 5, 13, 207882)
+}
+
 func BenchmarkGARMultiKrum13x207882Streamed(b *testing.B) {
 	const d = 207882
 	vs := benchVectors(13, d)

@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"io/fs"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -96,5 +97,37 @@ func TestUnsafeIsConfinedToTensorBytes(t *testing.T) {
 	}
 	if len(users) != 1 || users[0] != "internal/tensor/bytes.go" {
 		t.Fatalf("files importing unsafe: %v, want exactly [internal/tensor/bytes.go] (see LINT.md)", users)
+	}
+}
+
+// TestAssemblyIsConfined pins the other exception LINT.md grants: the
+// module's assembly is the CPU check and the AVX2 bodies of three kernels,
+// each with its Go reference, and nothing else.
+func TestAssemblyIsConfined(t *testing.T) {
+	const root = "../.."
+	var files []string
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			switch d.Name() {
+			case ".git", ".bench_build", "benchmark":
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if ext := filepath.Ext(path); ext == ".s" || ext == ".S" {
+			rel, _ := filepath.Rel(root, path)
+			files = append(files, filepath.ToSlash(rel))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"internal/cpu/cpu_amd64.s", "internal/gar/kernels_amd64.s", "internal/tensor/vector_amd64.s"}
+	if !slices.Equal(files, want) {
+		t.Fatalf("assembly files: %v, want exactly %v (see LINT.md, \"The assembly sites\")", files, want)
 	}
 }

@@ -3,6 +3,7 @@ package gar
 import (
 	"sort"
 
+	"repro/internal/cpu"
 	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
@@ -12,19 +13,30 @@ import (
 // (q = 5 parameter vectors, q̄ = 13 gradients at the 6/18 shape), so instead
 // of gathering one coordinate into a scratch column and sorting it d times,
 // the kernel copies a tile of coordinates into n contiguous rows, runs a
-// comparator network over whole rows with the branch-free min/max builtins,
-// and reduces each sorted column (the median of five, median5, needs no tile).
-// The gather-and-sort stays as the reference (sortedColumn): it serves n >
-// maxNet and every coordinate on which the kernels could disagree with it.
+// comparator network over whole rows with Go's NaN-exact min/max builtins,
+// and reduces each sorted column. The median of five needs no tile: median5
+// is ten min/max in registers — with AVX2, VMINPD/VMAXPD on four coordinates
+// at once (median5AVX2). The gather-and-sort stays as the reference
+// (sortedColumn): it serves n > maxNet and every coordinate on which the
+// kernels could disagree with it.
 
 const (
-	// maxNet is the largest input count with a comparator network; larger
-	// quorums take the reference path.
+	// maxNet is the largest input count with a comparator network (and
+	// with an AVX2 pairwise-distance body); larger quorums take the
+	// reference path.
 	maxNet = 16
 	// tileW coordinates × maxNet rows × 8 bytes is a 32 KiB stack array; at
 	// q̄ = 13 the 26 KiB actually touched stay in L1.
 	tileW = 256
+	// avx2Span bounds an assembly call, inside which a goroutine cannot be
+	// preempted: ≤ avx2Span coordinates of a median, one tile of avx2Span
+	// values (16 KiB; at q̄ = 13 larger tiles measured slower) of distances.
+	avx2Span = 2048
 )
+
+// useAVX2 selects median5Columns' and accumulatePairwise's assembly bodies;
+// their Go loops are the body elsewhere and the tests' reference.
+var useAVX2 = cpu.AVX2
 
 // comparator orders rows a < b of a tile: row a receives the minimum when
 // lo, row b the maximum when hi (a pruned comparator keeps one of the two).
@@ -221,7 +233,28 @@ func median5(a, b, c, d, e float64) float64 {
 }
 
 // median5Columns is reduceColumns for the median of five (the paper's q = 5).
+// With AVX2 the kernel stops at a block of four with a NaN input or a zero
+// result, which median5Loop takes, as it takes the last hi−lo mod 4
+// coordinates. Without NaNs VMINPD/VMAXPD differ from min/max only in which
+// of two zeros they return, which cannot change a non-zero result, so every
+// block the kernel stores has median5's bits. Each block is loaded before
+// it is stored: dst may still alias an input.
 func median5Columns(dst tensor.Vector, inputs []tensor.Vector, lo, hi int) {
+	for useAVX2 && hi-lo >= 4 {
+		w := min(hi-lo, avx2Span) &^ 3
+		a, b, c, d, e := inputs[0][lo:lo+w], inputs[1][lo:lo+w], inputs[2][lo:lo+w], inputs[3][lo:lo+w], inputs[4][lo:lo+w]
+		done := median5AVX2(dst[lo:lo+w], a, b, c, d, e)
+		if done < w {
+			median5Loop(dst, inputs, lo+done, lo+done+4)
+			done += 4
+		}
+		lo += done
+	}
+	median5Loop(dst, inputs, lo, hi)
+}
+
+// median5Loop is median5Columns in Go.
+func median5Loop(dst tensor.Vector, inputs []tensor.Vector, lo, hi int) {
 	out := dst[lo:hi]
 	a, b, c, d, e := inputs[0][lo:hi], inputs[1][lo:hi], inputs[2][lo:hi], inputs[3][lo:hi], inputs[4][lo:hi]
 	var col [5]float64

@@ -3,6 +3,7 @@ package gar
 import (
 	"encoding/binary"
 	"math"
+	"math/bits"
 	"testing"
 
 	"repro/internal/tensor"
@@ -77,21 +78,26 @@ func reductionsFor(n int) []reduction {
 	return rs
 }
 
+// checkColumnsMatchSort holds every reduction of inputs to gather-and-sort,
+// on each of the bodies the kernels can take on this CPU.
 func checkColumnsMatchSort(t *testing.T, inputs []tensor.Vector) {
 	t.Helper()
 	d := len(inputs[0])
-	for _, r := range reductionsFor(len(inputs)) {
-		want := referenceReduce(inputs, r)
-		got := make(tensor.Vector, d)
-		reduceColumns(got, inputs, 0, d, r)
-		for i := range want {
-			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				col := make([]float64, len(inputs))
-				for j, v := range inputs {
-					col[j] = v[i]
+	for _, avx2 := range kernelSides() {
+		defer setAVX2(avx2)()
+		for _, r := range reductionsFor(len(inputs)) {
+			want := referenceReduce(inputs, r)
+			got := make(tensor.Vector, d)
+			reduceColumns(got, inputs, 0, d, r)
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					col := make([]float64, len(inputs))
+					for j, v := range inputs {
+						col[j] = v[i]
+					}
+					t.Fatalf("avx2=%v n=%d %+v column %v: got %v (%#x), sort reference %v (%#x)", avx2, len(inputs), r, col,
+						got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
 				}
-				t.Fatalf("n=%d %+v column %v: got %v (%#x), sort reference %v (%#x)", len(inputs), r, col,
-					got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
 			}
 		}
 	}
@@ -148,6 +154,22 @@ func FuzzColumnsMatchSort(f *testing.F) {
 	f.Add(bitsFromColumn(5e-324, 0, 5e-324, 0))                                        // halves that underflow to zero
 	f.Add(bitsFromColumn(17, 16, 15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1))   // n = 17: reference only
 	f.Add(bitsFromColumn(16, 15, 14, 13, 12, 11, 10, 9, 8, 7, 6, negZero, 0, 4, 3, 2)) // n = 16: largest network
+	// Five inputs, nine columns: AVX2 blocks with a NaN input, with a zero
+	// median and with neither, then a column of tail.
+	wide := []byte{4}
+	for c := range 9 {
+		for j := range 5 {
+			x := float64((c*3+j*7)%11) - 5
+			switch {
+			case c == 1 && j == 3:
+				x = otherNaN
+			case c == 6:
+				x = []float64{0, negZero, 1, -1, 0}[j]
+			}
+			wide = binary.LittleEndian.AppendUint64(wide, math.Float64bits(x))
+		}
+	}
+	f.Add(wide)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if inputs := columnsFromBits(data); inputs != nil {
 			checkColumnsMatchSort(t, inputs)
@@ -175,7 +197,9 @@ func TestColumnsMatchSortAcrossTiles(t *testing.T) {
 
 // TestMedianIntoAliasedDst: the kernel copies each tile out before writing
 // dst, so dst may be one of the inputs — including on reference columns.
-func TestMedianIntoAliasedDst(t *testing.T) {
+func TestMedianIntoAliasedDst(t *testing.T) { onEachSide(t, testMedianIntoAliasedDst) }
+
+func testMedianIntoAliasedDst(t *testing.T) {
 	rng := tensor.NewRNG(11)
 	inputs := make([]tensor.Vector, 5)
 	for j := range inputs {
@@ -250,11 +274,33 @@ func TestMedian5ZeroOne(t *testing.T) {
 			t.Fatalf("input %05b: median5 = %v, want %v", bits, got, want)
 		}
 	}
+	// The same for median5Columns, the 2⁵ inputs as 32 columns, with 1 and
+	// 2 for 0 and 1: a zero result would send its block to median5.
+	onEachSide(t, func(t *testing.T) {
+		inputs := make([]tensor.Vector, 5)
+		for r := range inputs {
+			inputs[r] = make(tensor.Vector, 1<<5)
+			for in := range inputs[r] {
+				inputs[r][in] = float64(1 + in>>r&1)
+			}
+		}
+		got := make(tensor.Vector, 1<<5)
+		median5Columns(got, inputs, 0, len(got))
+		for in, x := range got {
+			if want := float64(1 + min(bits.OnesCount(uint(in))/3, 1)); x != want {
+				t.Fatalf("input %05b: median %v, want %v", in, x, want)
+			}
+		}
+	})
 }
 
 // TestMedian5ColumnsAliasAndRanges: median5Columns writes [lo, hi) only and
-// reads each column before writing it, so dst may be any of the five inputs.
-func TestMedian5ColumnsAliasAndRanges(t *testing.T) {
+// reads each column before writing it, so dst may be any of the five inputs
+// — at every length 0–11 (no, part of, one or two AVX2 blocks) and longer,
+// next to and across columns that fall back.
+func TestMedian5ColumnsAliasAndRanges(t *testing.T) { onEachSide(t, testMedian5ColumnsAliasAndRanges) }
+
+func testMedian5ColumnsAliasAndRanges(t *testing.T) {
 	rng := tensor.NewRNG(13)
 	const d = 300
 	fresh := func() []tensor.Vector {
@@ -266,8 +312,12 @@ func TestMedian5ColumnsAliasAndRanges(t *testing.T) {
 		}
 		return inputs
 	}
+	ranges := [][2]int{{0, d}, {17, 18}, {5, 131}, {100, 102}, {d - 3, d}}
+	for n := 0; n <= 11; n++ {
+		ranges = append(ranges, [2]int{0, n}, [2]int{37, 37 + n}, [2]int{99, 99 + n}, [2]int{d - n, d})
+	}
 	for alias := 0; alias < 5; alias++ {
-		for _, rg := range [][2]int{{0, d}, {0, 1}, {17, 18}, {5, 131}, {100, 102}, {d - 3, d}} {
+		for _, rg := range ranges {
 			inputs := fresh()
 			want := referenceReduce(inputs, medianOf(5))
 			before := append(tensor.Vector(nil), inputs[alias]...)
@@ -332,12 +382,35 @@ func TestMedian5NeedsNaNExactMinMax(t *testing.T) {
 	if escaped == 0 {
 		t.Fatal("raw MINSD/MAXSD semantics never escaped the fallback; the pin is vacuous")
 	}
-	got := make(tensor.Vector, 1)
-	inputs := []tensor.Vector{{math.NaN()}, {3}, {1}, {2}, {4}}
-	reduceColumns(got, inputs, 0, 1, medianOf(5))
-	if got[0] != 2 {
-		t.Fatalf("median of {NaN, 3, 1, 2, 4} = %v, want 2", got[0])
+	// VMINPD/VMAXPD have the raw semantics, so the AVX2 kernel must send a
+	// block with a NaN input to median5: every order of {NaN, 1, 2, 3, 4},
+	// one column each, comes out 2 on both bodies.
+	inputs := make([]tensor.Vector, 5)
+	permute = func(k int) {
+		if k == len(col) {
+			for j, x := range col {
+				inputs[j] = append(inputs[j], x)
+			}
+			return
+		}
+		for i := k; i < len(col); i++ {
+			col[k], col[i] = col[i], col[k]
+			permute(k + 1)
+			col[k], col[i] = col[i], col[k]
+		}
 	}
+	col = []float64{math.NaN(), 1, 2, 3, 4}
+	permute(0)
+	onEachSide(t, func(t *testing.T) {
+		got := make(tensor.Vector, len(inputs[0]))
+		reduceColumns(got, inputs, 0, len(got), medianOf(5))
+		for i, x := range got {
+			if x != 2 {
+				t.Fatalf("median of column %d, {%v, %v, %v, %v, %v}, = %v, want 2",
+					i, inputs[0][i], inputs[1][i], inputs[2][i], inputs[3][i], inputs[4][i], x)
+			}
+		}
+	})
 }
 
 // TestSortingStreamersAllocateNoScratch: the tile is a stack array, so a

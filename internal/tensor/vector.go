@@ -4,7 +4,16 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"repro/internal/cpu"
 )
+
+// useAVX2 selects IsFinite's assembly body (vector_amd64.s), which scans at
+// most avx2Span coordinates a call, as a goroutine cannot be preempted in
+// one; the Go loop is the body elsewhere and the tests' reference.
+var useAVX2 = cpu.AVX2
+
+const avx2Span = 4096
 
 // Vector is a dense slice of float64. All model parameters, gradients and
 // aggregation-rule inputs in this repository are Vectors: GuanYu treats the
@@ -187,11 +196,19 @@ func MedianScalar(xs []float64) float64 {
 // Correct nodes use it to sanitise values received from the network: a
 // Byzantine node may send NaNs to poison downstream arithmetic.
 //
-// NaN and ±Inf are exactly the values whose exponent bits are all set, i.e.
-// whose exponent + 1<<52 carries into bit 63; blocks of eight branch once.
+// NaN and ±Inf are exactly the values whose exponent bits are all set: the
+// AVX2 body branches once per 16 coordinates; the Go loop, on the rest,
+// once per eight, where some exponent + 1<<52 carries into bit 63.
 func IsFinite(v Vector) bool {
 	const expMask = 0x7ff << 52
 	i := 0
+	for useAVX2 && len(v)-i >= 16 {
+		n := min(len(v)-i, avx2Span) &^ 15
+		if !isFiniteAVX2(v[i : i+n]) {
+			return false
+		}
+		i += n
+	}
 	for ; i+8 <= len(v); i += 8 {
 		b := v[i : i+8 : i+8]
 		carry := (math.Float64bits(b[0])&expMask + 1<<52) | (math.Float64bits(b[1])&expMask + 1<<52) |

@@ -192,9 +192,12 @@ func TestIsFinite(t *testing.T) {
 }
 
 // The exponent-mask test must agree with math.IsNaN/IsInf on every class of
-// bit pattern, wherever in the vector the value sits: IsFinite tests blocks
-// of eight with one branch and the tail one by one.
-func TestIsFiniteBitPatterns(t *testing.T) {
+// bit pattern, wherever in the vector the value sits, on both of IsFinite's
+// bodies: the AVX2 one tests blocks of sixteen and hands the rest to the Go
+// loop, which tests blocks of eight with one branch and the tail one by one.
+func TestIsFiniteBitPatterns(t *testing.T) { onEachSide(t, testIsFiniteBitPatterns) }
+
+func testIsFiniteBitPatterns(t *testing.T) {
 	cases := []struct {
 		name   string
 		bits   uint64
@@ -221,8 +224,9 @@ func TestIsFiniteBitPatterns(t *testing.T) {
 		if want := !math.IsNaN(x) && !math.IsInf(x, 0); want != c.finite {
 			t.Fatalf("%s: table says finite=%v, math package says %v", c.name, c.finite, want)
 		}
-		// Every position of one or two blocks of eight and of the tail.
-		for n := 1; n <= 17; n++ {
+		// Every position of lengths 0–40: up to two blocks of sixteen, the
+		// blocks of eight after them, and the tail.
+		for n := 0; n <= 40; n++ {
 			for i := 0; i < n; i++ {
 				v := make(Vector, n)
 				for k := range v {
@@ -238,6 +242,26 @@ func TestIsFiniteBitPatterns(t *testing.T) {
 	if !IsFinite(nil) {
 		t.Fatal("empty vector reported non-finite")
 	}
+}
+
+// TestIsFiniteAcrossCalls: a vector longer than one assembly call's span is
+// scanned in several calls, and a NaN on either side of a seam is found.
+func TestIsFiniteAcrossCalls(t *testing.T) {
+	onEachSide(t, func(t *testing.T) {
+		const d = 2*avx2Span + 37
+		v := NewRNG(5).NormVec(make(Vector, d), 0, 1)
+		if !IsFinite(v) {
+			t.Fatal("finite vector reported non-finite")
+		}
+		for _, i := range []int{0, avx2Span - 1, avx2Span, 2*avx2Span - 1, 2 * avx2Span, d - 1} {
+			x := v[i]
+			v[i] = math.NaN()
+			if IsFinite(v) {
+				t.Fatalf("NaN at %d of %d not detected", i, d)
+			}
+			v[i] = x
+		}
+	})
 }
 
 var sinkFinite bool
