@@ -101,7 +101,7 @@ func TestUnsafeIsConfinedToTensorBytes(t *testing.T) {
 }
 
 // TestAssemblyIsConfined pins the other exception LINT.md grants: the
-// module's assembly is the CPU check and the AVX2 bodies of three kernels,
+// module's assembly is the CPU check and the AVX2 bodies of five kernels,
 // each with its Go reference, and nothing else.
 func TestAssemblyIsConfined(t *testing.T) {
 	const root = "../.."
@@ -126,7 +126,7 @@ func TestAssemblyIsConfined(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"internal/cpu/cpu_amd64.s", "internal/gar/kernels_amd64.s", "internal/tensor/vector_amd64.s"}
+	want := []string{"internal/cpu/cpu_amd64.s", "internal/gar/kernels_amd64.s", "internal/nn/conv_amd64.s", "internal/tensor/vector_amd64.s"}
 	if !slices.Equal(files, want) {
 		t.Fatalf("assembly files: %v, want exactly %v (see LINT.md, \"The assembly sites\")", files, want)
 	}

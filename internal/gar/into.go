@@ -3,7 +3,6 @@ package gar
 import (
 	"fmt"
 
-	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
 
@@ -65,19 +64,6 @@ func MeanChunkInto(dst tensor.Vector, inputs []tensor.Vector, lo, hi int) {
 // of inputs into dst. dst may alias one of the inputs.
 func MedianChunkInto(dst tensor.Vector, inputs []tensor.Vector, lo, hi int) {
 	reduceColumns(dst, inputs, lo, hi, medianOf(len(inputs)))
-}
-
-// MeanInto writes the arithmetic mean of inputs into dst. dst must have the
-// inputs' dimension; it may alias one of the inputs. Large dimensions are
-// processed in parallel coordinate chunks (bit-identical to serial).
-func MeanInto(dst tensor.Vector, inputs []tensor.Vector) error {
-	if err := CheckInto(dst, inputs); err != nil {
-		return err
-	}
-	parallel.For(len(dst), meanGrain, func(lo, hi int) {
-		MeanChunkInto(dst, inputs, lo, hi)
-	})
-	return nil
 }
 
 // MedianInto writes the coordinate-wise median of inputs into dst. Large

@@ -51,8 +51,11 @@ func TestCoordinateKernelsBitIdenticalAcrossWorkers(t *testing.T) {
 	inputs := parInputs(23, 5000) // d clears every coordinate-chunk gate
 	rules := map[string]func() (tensor.Vector, error){
 		"mean": func() (tensor.Vector, error) {
-			dst := make(tensor.Vector, len(inputs[0]))
-			return dst, MeanInto(dst, inputs)
+			s := Mean{}.NewStreamer(len(inputs[0]))
+			if err := s.Fold(0, len(inputs[0]), inputs); err != nil {
+				return nil, err
+			}
+			return s.Result()
 		},
 		"median": func() (tensor.Vector, error) {
 			dst := make(tensor.Vector, len(inputs[0]))

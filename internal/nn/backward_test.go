@@ -3,6 +3,7 @@ package nn
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"testing"
 
@@ -165,28 +166,80 @@ func TestBatchGradientMatchesFullBackward(t *testing.T) {
 		for _, workers := range []int{1, 2} {
 			t.Run(fmt.Sprintf("%s/workers=%d", tc.name, workers), func(t *testing.T) {
 				withWorkers(t, workers)
-				rng := tensor.NewRNG(2701)
-				m := tc.build(rng)
-				if _, ok := m.layers[0].(paramBackwarder); !ok {
-					t.Fatalf("%T does not offer backwardParams: the test would compare Backward with itself", m.layers[0])
-				}
-				layers := m.Clone().layers
-				layers[0] = fullBackward{layers[0]}
-				ref := NewSequential(layers...)
+				onEachSide(t, func(t *testing.T) {
+					rng := tensor.NewRNG(2701)
+					m := tc.build(rng)
+					if _, ok := m.layers[0].(paramBackwarder); !ok {
+						t.Fatalf("%T does not offer backwardParams: the test would compare Backward with itself", m.layers[0])
+					}
+					layers := m.Clone().layers
+					layers[0] = fullBackward{layers[0]}
+					ref := NewSequential(layers...)
 
-				xs, labels := make([][]float64, tc.batch), make([]int, tc.batch)
-				for i := range xs {
-					xs[i] = rng.NormVec(make([]float64, tc.in), 0, 1)
-					labels[i] = i % tc.out
-				}
-				wantLoss, want := BatchGradient(ref, xs, labels)
-				gotLoss, got := BatchGradient(m, xs, labels)
-				if math.Float64bits(gotLoss) != math.Float64bits(wantLoss) {
-					t.Fatalf("loss %v, full backward %v", gotLoss, wantLoss)
-				}
-				requireExactBits(t, "gradient", got, want)
+					xs, labels := make([][]float64, tc.batch), make([]int, tc.batch)
+					for i := range xs {
+						xs[i] = rng.NormVec(make([]float64, tc.in), 0, 1)
+						labels[i] = i % tc.out
+					}
+					wantLoss, want := BatchGradient(ref, xs, labels)
+					gotLoss, got := BatchGradient(m, xs, labels)
+					if math.Float64bits(gotLoss) != math.Float64bits(wantLoss) {
+						t.Fatalf("loss %v, full backward %v", gotLoss, wantLoss)
+					}
+					requireExactBits(t, "gradient", got, want)
+				})
 			})
 		}
+	}
+}
+
+// TestBatchGradientHashOnEverySide hashes (FNV-64a) the loss and gradient
+// bits of BatchGradient over the harness CNN, the Table-1 CNN and the wide
+// workloads' MLP, and requires one hash per model at parallelism 1 and 2 on
+// the Go and the AVX2 bodies alike; -v prints them, so two trees can be
+// compared by running the test on both.
+func TestBatchGradientHashOnEverySide(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		build   func(*tensor.RNG) *Sequential
+		in, out int
+		batch   int
+	}{
+		{"TinyConvNet", func(r *tensor.RNG) *Sequential { return NewTinyConvNet(r, 10) }, 3 * 8 * 8, 10, 16},
+		{"CIFARNet", NewCIFARNet, 3 * 32 * 32, 10, 2},
+		{"MLP_192_1024_10", func(r *tensor.RNG) *Sequential { return NewMLP(r, 192, 1024, 10) }, 192, 10, 9},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var want uint64
+			for _, workers := range []int{1, 2} {
+				withWorkers(t, workers)
+				for _, avx2 := range kernelSides() {
+					restore := setAVX2(avx2)
+					rng := tensor.NewRNG(2703)
+					m := tc.build(rng)
+					xs, labels := make([][]float64, tc.batch), make([]int, tc.batch)
+					for i := range xs {
+						xs[i] = rng.NormVec(make([]float64, tc.in), 0, 1)
+						labels[i] = i % tc.out
+					}
+					loss, grad := BatchGradient(m, xs, labels)
+					restore()
+					h := fnv.New64a()
+					b := binary.LittleEndian.AppendUint64(nil, math.Float64bits(loss))
+					for _, v := range grad {
+						b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+					}
+					h.Write(b)
+					got := h.Sum64()
+					t.Logf("workers=%d %s: %016x", workers, sideName(avx2), got)
+					if want == 0 {
+						want = got
+					} else if got != want {
+						t.Fatalf("workers=%d %s: hash %016x, first run %016x", workers, sideName(avx2), got, want)
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -3,9 +3,15 @@ package nn
 import (
 	"math"
 
+	"repro/internal/cpu"
 	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
+
+// useAVX2 selects the stride-1 Forward's and Backward's assembly bodies
+// (conv_amd64.s); the Go loops are the body elsewhere and the tests'
+// reference.
+var useAVX2 = cpu.AVX2
 
 // convTarget is the work (multiply-adds, padded taps counted) one chunk of
 // the parallel convolution kernels should hold. Forward splits its output
@@ -24,6 +30,8 @@ type Conv2D struct {
 	stride, pad    int
 	outH, outW     int
 	rows, cols     [][2]int  // per kernel row / column: the outputs its tap reaches (tapOutputs)
+	tiles          []fwdTile // stride 1: the output cells, four per tile of convTileAVX2
+	kernT          []float64 // stride 1: kern transposed to [tap][outC], refreshed by each Forward
 	kern           []float64 // outC*inC*kH*kW
 	bias           []float64 // outC
 	gradKern       []float64
@@ -58,12 +66,85 @@ func NewConv2D(inC, inH, inW, outC, kH, kW, stride, pad int, rng *tensor.RNG) *C
 		outBuf:   make([]float64, outC*outH*outW),
 		dinBuf:   make([]float64, inC*inH*inW),
 	}
+	if stride == 1 && outC >= convBlock {
+		c.tiles = c.fwdTiles()
+		c.kernT = make([]float64, len(c.kern))
+	}
 	fanIn := float64(inC * kH * kW)
 	limit := math.Sqrt(6.0 / fanIn)
 	for i := range c.kern {
 		c.kern[i] = (2*rng.Float64() - 1) * limit
 	}
 	return c
+}
+
+// fwdTile is one call of convTileAVX2: four output cells (repeats allowed)
+// whose windows keep the same taps. In bytes: x and out per cell, its first
+// tap (ic = 0) in the input and its place in an output plane; k, that tap in
+// kernT; the skips from a kernel row's last tap to the next row's first and
+// from an input channel's last row to the next channel's first.
+type fwdTile struct {
+	x, out         [4]int
+	k              int
+	rows, cols     int // in-range kernel rows and columns; 0 when the window is all padding
+	xRow, kRow     int
+	xPlane, kPlane int
+}
+
+// fwdTiles groups a stride-1 layer's output cells by the taps their windows
+// keep — by output row, the same kernel rows; by output column, the same
+// kernel columns, so only the pad cells at each edge form classes of their
+// own — and deals each class, row by row, into tiles of four.
+func (c *Conv2D) fwdTiles() []fwdTile {
+	var tiles []fwdTile
+	for _, ys := range clipRuns(c.kH, c.inH, c.outH, c.pad) {
+		for _, xs := range clipRuns(c.kW, c.inW, c.outW, c.pad) {
+			kyLo, kxLo := ys.taps[0], xs.taps[0]
+			rows, cols := max(0, ys.taps[1]-kyLo), max(0, xs.taps[1]-kxLo)
+			t := fwdTile{
+				k:    (kyLo*c.kW + kxLo) * c.outC * 8,
+				rows: rows, cols: cols,
+				xRow: (c.inW - cols) * 8, kRow: (c.kW - cols) * c.outC * 8,
+				xPlane: (c.inH - rows) * c.inW * 8, kPlane: (c.kH - rows) * c.kW * c.outC * 8,
+			}
+			n := 0
+			for oy := ys.outs[0]; oy < ys.outs[1]; oy++ {
+				for ox := xs.outs[0]; ox < xs.outs[1]; ox++ {
+					t.x[n] = ((oy-c.pad+kyLo)*c.inW + ox - c.pad + kxLo) * 8
+					t.out[n] = (oy*c.outW + ox) * 8
+					if n++; n == len(t.x) {
+						tiles, n = append(tiles, t), 0
+					}
+				}
+			}
+			if n > 0 {
+				for i := n; i < len(t.x); i++ {
+					t.x[i], t.out[i] = t.x[0], t.out[0]
+				}
+				tiles = append(tiles, t)
+			}
+		}
+	}
+	return tiles
+}
+
+// clipRun is a run of outputs [outs[0], outs[1]) along one axis whose
+// stride-1 windows all keep the taps [taps[0], taps[1]).
+type clipRun struct{ outs, taps [2]int }
+
+// clipRuns splits the out outputs of one axis into the runs of equal
+// clipTaps: the pad outputs at either end one by one, the interior as one.
+func clipRuns(k, n, out, pad int) []clipRun {
+	var runs []clipRun
+	for o := 0; o < out; o++ {
+		lo, hi := clipTaps(o-pad, k, n)
+		if last := len(runs) - 1; last >= 0 && runs[last].taps == [2]int{lo, hi} {
+			runs[last].outs[1] = o + 1
+			continue
+		}
+		runs = append(runs, clipRun{outs: [2]int{o, o + 1}, taps: [2]int{lo, hi}})
+	}
+	return runs
 }
 
 // tapOutputs returns, for each tap t of a k-wide window along one axis, the
@@ -100,26 +181,82 @@ func (c *Conv2D) OutputShape() (int, int, int) { return c.outC, c.outH, c.outW }
 // Forward computes the convolution. Output channels are independent, so the
 // channel loop is chunked across the worker pool (each output cell written
 // by exactly one chunk — identical results at any parallelism); small layers
-// collapse to the inline serial path.
+// collapse to the inline serial path, which allocates nothing.
 func (c *Conv2D) Forward(x []float64) []float64 {
 	c.lastIn = x
+	if useAVX2 && c.kernT != nil {
+		c.transposeKern()
+	}
 	perOC := c.outH * c.outW * c.inC * c.kH * c.kW
 	// Rounded up to whole blocks, so a chunk is not left to the one-channel loop.
 	grain := (parallel.GrainFor(perOC, convTarget) + convBlock - 1) / convBlock * convBlock
-	parallel.For(c.outC, grain, func(ocLo, ocHi int) {
-		c.forwardChannels(x, ocLo, ocHi)
-	})
+	if grain >= c.outC || parallel.Workers() == 1 || parallel.Busy() {
+		c.forwardChannels(x, 0, c.outC)
+	} else {
+		parallel.For(c.outC, grain, func(ocLo, ocHi int) { c.forwardChannels(x, ocLo, ocHi) })
+	}
 	return c.outBuf
 }
 
-// convBlock is how many output channels the stride-1 forward kernel
-// advances together: they read the same input row, so one load and one pass
-// of loop overhead feed four accumulations.
+// transposeKern refreshes kernT from kern, with the slices in locals: a
+// store into kernT could alias a field.
+func (c *Conv2D) transposeKern() {
+	kernT, outC, taps := c.kernT, c.outC, c.inC*c.kH*c.kW
+	for oc := 0; oc < outC; oc++ {
+		col := kernT[oc:]
+		for t, k := range c.kern[oc*taps : (oc+1)*taps] {
+			col[t*outC] = k
+		}
+	}
+}
+
+// fwdPass is what the convTileAVX2 calls of one pass share: the input, and
+// two blocks of convBlock output channels — kernT and bias at block 0's
+// first lane, out at its first plane; block 1 next bytes further on in
+// kernT and bias, outNext bytes in out. plane and step are the bytes
+// between output planes and between the taps of kernT.
+type fwdPass struct {
+	x, k, bias, out *float64
+	next, outNext   int
+	plane, step     int
+	inC             int
+}
+
+// forwardAVX2 computes output channels [ocLo, ocHi), at least convBlock of
+// them, in passes of two blocks: lanes are output channels, and each cell
+// adds its in-range taps to its bias in (ic, ky, kx) order, as
+// refConvForward does. A block that would pass ocHi starts at ocHi −
+// convBlock (lanes computed twice store the same bits); a pass short of a
+// second block has next = 0.
+func (c *Conv2D) forwardAVX2(x []float64, ocLo, ocHi int) {
+	plane, last := c.outH*c.outW, ocHi-convBlock
+	x = x[:c.inC*c.inH*c.inW] // the assembly reads without bounds checks
+	p := fwdPass{x: &x[0], plane: plane * 8, step: c.outC * 8, inC: c.inC}
+	for b := ocLo; b < ocHi; b += 2 * convBlock {
+		s0, s1 := min(b, last), min(b+convBlock, last)
+		p.k, p.bias, p.out = &c.kernT[s0], &c.bias[s0], &c.outBuf[s0*plane]
+		p.next, p.outNext = (s1-s0)*8, (s1-s0)*plane*8
+		for i := range c.tiles {
+			convTileAVX2(&c.tiles[i], &p)
+		}
+	}
+}
+
+// convBlock is how many output channels the stride-1 forward kernels
+// advance together: in the Go loop they read the same input row, so one load
+// and one pass of loop overhead feed four accumulations; in the AVX2 one
+// they are the four lanes of a vector.
 const convBlock = 4
 
-// forwardChannels computes output channels [ocLo, ocHi), convBlock at a time
-// while that many are left (and the stride is 1), then one at a time.
+// forwardChannels computes output channels [ocLo, ocHi): with the AVX2
+// kernel when Forward made kernT and there are convBlock of them, else
+// convBlock at a time while that many are left (and the stride is 1), then
+// one at a time.
 func (c *Conv2D) forwardChannels(x []float64, ocLo, ocHi int) {
+	if useAVX2 && c.kernT != nil && ocHi-ocLo >= convBlock {
+		c.forwardAVX2(x, ocLo, ocHi)
+		return
+	}
 	for oc := ocLo; oc < ocHi; {
 		b := 1
 		if c.stride == 1 && oc+convBlock <= ocHi {
@@ -241,25 +378,45 @@ func (c *Conv2D) backwardOnePass(dout, din []float64) []float64 {
 // window's in-range taps (clipped once per cell, not tested per tap) in
 // (ic, ky, kx) order, adding g·x to gradKern and g·kern to din. One of the
 // two may be nil to leave that half to the other pass; gradBias goes with
-// gradKern.
+// gradKern, summed in a register in the same order. At stride 1 on AVX2 one
+// convCellAVX2 call walks a cell's window.
 func (c *Conv2D) backwardCells(dout []float64, oc, icLo, icHi int, gradKern, din []float64) {
-	x := c.lastIn
+	x, vec := c.lastIn, useAVX2 && c.stride == 1
+	var gb float64
+	if gradKern != nil {
+		gb = c.gradBias[oc]
+	}
 	for oy := 0; oy < c.outH; oy++ {
 		iy0 := oy*c.stride - c.pad
 		kyLo, kyHi := clipTaps(iy0, c.kH, c.inH)
-		for ox := 0; ox < c.outW; ox++ {
-			g := dout[(oc*c.outH+oy)*c.outW+ox]
+		for ox, g := range dout[(oc*c.outH+oy)*c.outW:][:c.outW] {
 			if g == 0 {
 				continue
 			}
 			if gradKern != nil {
-				c.gradBias[oc] += g
+				gb += g
 			}
 			ix0 := ox*c.stride - c.pad
 			kxLo, kxHi := clipTaps(ix0, c.kW, c.inW)
 			n := kxHi - kxLo
 			if n <= 0 {
 				continue // the whole window is padding
+			}
+			if vec {
+				if rows := kyHi - kyLo; rows > 0 {
+					kRow := ((oc*c.inC+icLo)*c.kH+kyLo)*c.kW + kxLo
+					inRow := (icLo*c.inH+iy0+kyLo)*c.inW + ix0 + kxLo
+					var gk, ds *float64
+					if gradKern != nil {
+						gk = &gradKern[kRow]
+					}
+					if din != nil {
+						ds = &din[inRow]
+					}
+					convCellAVX2(g, gk, ds, &x[inRow], &c.kern[kRow], n, rows, icHi-icLo,
+						c.kW, (c.kH-rows)*c.kW, c.inW, (c.inH-rows)*c.inW)
+				}
+				continue
 			}
 			for ic := icLo; ic < icHi; ic++ {
 				for ky := kyLo; ky < kyHi; ky++ {
@@ -287,6 +444,9 @@ func (c *Conv2D) backwardCells(dout []float64, oc, icLo, icHi int, gradKern, din
 				}
 			}
 		}
+	}
+	if gradKern != nil {
+		c.gradBias[oc] = gb
 	}
 }
 
@@ -341,6 +501,9 @@ func (c *Conv2D) Clone() Layer {
 	cp.gradBias = make([]float64, len(c.gradBias))
 	cp.outBuf = make([]float64, len(c.outBuf))
 	cp.dinBuf = make([]float64, len(c.dinBuf))
+	if c.kernT != nil {
+		cp.kernT = make([]float64, len(c.kernT))
+	}
 	cp.lastIn = nil
 	return &cp
 }

@@ -171,10 +171,13 @@ func (g convGeom) String() string {
 
 // checkConvMatchesReference runs Forward and two accumulating Backward calls
 // — through the one-pass kernel, or through both passes of the two-pass one —
-// and requires out, gradKern, gradBias and din to equal the reference's bit
-// for bit.
-func checkConvMatchesReference(t *testing.T, g convGeom, seed uint64, special, twoPass bool) {
+// on the Go loops or the AVX2 bodies, and requires out, gradKern, gradBias
+// and din to equal the reference's bit for bit. With special set, gradKern
+// and gradBias start at −0, which only an exact −0 keeps.
+func checkConvMatchesReference(t *testing.T, g convGeom, seed uint64, special, twoPass, avx2 bool) {
 	t.Helper()
+	defer setAVX2(avx2)()
+	side := sideName(avx2) + ": "
 	rng := tensor.NewRNG(seed)
 	c := NewConv2D(g.inC, g.inH, g.inW, g.outC, g.kH, g.kW, g.stride, g.pad, rng)
 	sprinkle(rng, c.kern, special)
@@ -183,11 +186,18 @@ func checkConvMatchesReference(t *testing.T, g convGeom, seed uint64, special, t
 
 	wantOut := make([]float64, c.OutputSize())
 	refConvForward(c, x, wantOut)
-	requireSameBits(t, "out", c.Forward(x), wantOut)
+	requireSameBits(t, side+"out", c.Forward(x), wantOut)
 
 	wantKern := make([]float64, len(c.kern))
 	wantBias := make([]float64, len(c.bias))
 	wantDin := make([]float64, len(x))
+	if special {
+		for _, v := range [][]float64{c.gradKern, c.gradBias, wantKern, wantBias} {
+			for i := range v {
+				v[i] = math.Copysign(0, -1)
+			}
+		}
+	}
 	for round := 0; round < 2; round++ {
 		dout := sprinkle(rng, make([]float64, c.OutputSize()), special)
 		refConvBackward(c, x, dout, wantKern, wantBias, wantDin)
@@ -197,10 +207,10 @@ func checkConvMatchesReference(t *testing.T, g convGeom, seed uint64, special, t
 		} else {
 			din = c.backwardOnePass(dout, c.dinBuf)
 		}
-		requireSameBits(t, fmt.Sprintf("din (backward %d)", round+1), din, wantDin)
+		requireSameBits(t, fmt.Sprintf("%sdin (backward %d)", side, round+1), din, wantDin)
 	}
-	requireSameBits(t, "gradKern", c.gradKern, wantKern)
-	requireSameBits(t, "gradBias", c.gradBias, wantBias)
+	requireSameBits(t, side+"gradKern", c.gradKern, wantKern)
+	requireSameBits(t, side+"gradBias", c.gradBias, wantBias)
 }
 
 func TestConvMatchesReference(t *testing.T) {
@@ -227,12 +237,17 @@ func TestConvMatchesReference(t *testing.T) {
 		{1, 40, 3, 1, 9, 3, 4, 4},    // tall input, stride 4
 		{2, 5, 5, 2, 5, 5, 1, 0},     // kernel = input: one output cell
 		{1, 8, 8, 1, 2, 2, 3, 0},     // stride > kernel: some inputs unread
+		{2, 4, 4, 5, 3, 3, 1, 3},     // pad ≥ kernel with a block and a tail: cells of bias only
 	} {
 		for _, special := range []bool{false, true} {
 			for _, twoPass := range []bool{false, true} {
 				name := fmt.Sprintf("%v/special=%v/twoPass=%v", g, special, twoPass)
 				t.Run(name, func(t *testing.T) {
-					checkConvMatchesReference(t, g, 2100, special, twoPass)
+					for _, avx2 := range kernelSides() {
+						t.Run(sideName(avx2), func(t *testing.T) {
+							checkConvMatchesReference(t, g, 2100, special, twoPass, avx2)
+						})
+					}
 				})
 			}
 		}
@@ -242,7 +257,7 @@ func TestConvMatchesReference(t *testing.T) {
 // FuzzConvMatchesReference draws the geometry from the fuzzer (each
 // argument folded into a small legal range: up to 9 output channels, so whole
 // blocks, a block plus a tail and single channels all occur) and the data
-// from seed (odd seeds sprinkle NaN and ±Inf too).
+// from seed (odd seeds sprinkle NaN and ±Inf too), on every body.
 func FuzzConvMatchesReference(f *testing.F) {
 	// More seeds are committed under testdata/fuzz/FuzzConvMatchesReference.
 	f.Add(uint64(1), uint8(2), uint8(7), uint8(7), uint8(5), uint8(2), uint8(2), uint8(0), uint8(1))  // 3×8×8 → 6, 3×3, pad 1
@@ -256,10 +271,156 @@ func FuzzConvMatchesReference(f *testing.F) {
 		if g.inH+2*g.pad < g.kH || g.inW+2*g.pad < g.kW {
 			t.Skip("kernel does not fit: NewConv2D panics by contract")
 		}
-		for _, twoPass := range []bool{false, true} {
-			checkConvMatchesReference(t, g, seed, seed%2 == 1, twoPass)
+		for _, avx2 := range kernelSides() {
+			for _, twoPass := range []bool{false, true} {
+				checkConvMatchesReference(t, g, seed, seed%2 == 1, twoPass, avx2)
+			}
 		}
 	})
+}
+
+// TestConvChannelCounts covers channel counts around the AVX2 forward's
+// four-channel blocks (a block that overlaps its neighbour, a pass of one
+// block, fewer channels than a block) and kernel widths around the backward
+// kernel's four-column vectors (1 and 3 columns short of one, 5 wider).
+func TestConvChannelCounts(t *testing.T) {
+	counts := []int{1, 3, 5, 6, 7, 12}
+	for _, inC := range counts {
+		for _, outC := range counts {
+			for _, kW := range []int{1, 3, 5} {
+				g := convGeom{inC, 5, 7, outC, 3, kW, 1, kW / 2}
+				t.Run(g.String(), func(t *testing.T) {
+					for _, avx2 := range kernelSides() {
+						checkConvMatchesReference(t, g, uint64(2103+kW), true, false, avx2)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestConvBackwardSkipsZeroGradients: a cell whose gradient is ±0 adds
+// nothing, not 0·NaN, even when every input and some weights are NaN or
+// ±Inf — only the one non-zero cell's window may move.
+func TestConvBackwardSkipsZeroGradients(t *testing.T) {
+	onEachSide(t, func(t *testing.T) {
+		rng := tensor.NewRNG(2104)
+		c := NewConv2D(3, 6, 6, 5, 3, 3, 1, 1, rng)
+		sprinkle(rng, c.kern, true)
+		specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
+		x := make([]float64, 3*6*6)
+		for i := range x {
+			x[i] = specials[i%len(specials)]
+		}
+		c.Forward(x)
+		dout := make([]float64, c.OutputSize())
+		for i := range dout {
+			dout[i] = math.Copysign(0, float64(i%2)-0.5)
+		}
+		const oc, oy, ox = 2, 3, 4
+		dout[(oc*c.outH+oy)*c.outW+ox] = 1.5
+
+		wantKern, wantBias, wantDin := make([]float64, len(c.kern)), make([]float64, len(c.bias)), make([]float64, len(x))
+		refConvBackward(c, x, dout, wantKern, wantBias, wantDin)
+		din := c.Backward(dout)
+		requireSameBits(t, "gradKern", c.gradKern, wantKern)
+		requireSameBits(t, "gradBias", c.gradBias, wantBias)
+		requireSameBits(t, "din", din, wantDin)
+		taps := c.inC * c.kH * c.kW
+		for i, v := range c.gradKern {
+			if i/taps != oc && math.Float64bits(v) != 0 {
+				t.Fatalf("gradKern[%d] of channel %d = %v: a zero-gradient cell was not skipped", i, i/taps, v)
+			}
+		}
+		for i, v := range din {
+			iy, ix := i/c.inW%c.inH, i%c.inW
+			if (iy < oy-1 || iy > oy+1 || ix < ox-1 || ix > ox+1) && math.Float64bits(v) != 0 {
+				t.Fatalf("din[%d] (row %d, column %d) = %v, outside the one window", i, iy, ix, v)
+			}
+		}
+	})
+}
+
+// TestConvStaysInsideItsBuffers gives the layer buffers that end exactly
+// where its geometry does, each followed by a guard of signalling-NaN bit
+// patterns, with windows reaching the last row and column of the input: the
+// kernels must leave every guard as it was (nothing written past a buffer)
+// and match the reference (nothing read past one changed a result).
+func TestConvStaysInsideItsBuffers(t *testing.T) {
+	const guardBits = 0x7ff4000000c0ffee
+	guarded := func(src []float64) []float64 {
+		v := make([]float64, len(src)+8)
+		for i := copy(v, src); i < len(v); i++ {
+			v[i] = math.Float64frombits(guardBits)
+		}
+		return v[:len(src):len(src)]
+	}
+	checkGuard := func(t *testing.T, what string, v []float64) {
+		t.Helper()
+		for i, g := range v[len(v):cap(v)] {
+			if math.Float64bits(g) != guardBits {
+				t.Fatalf("%s: guard %d past the end is %#x", what, i, math.Float64bits(g))
+			}
+		}
+	}
+	for _, g := range []convGeom{
+		{3, 8, 8, 6, 3, 3, 1, 1}, {6, 4, 4, 12, 3, 3, 1, 1}, {2, 6, 7, 5, 3, 5, 1, 0}, {3, 5, 5, 7, 1, 1, 1, 0}, {1, 4, 9, 4, 2, 5, 1, 2},
+	} {
+		t.Run(g.String(), func(t *testing.T) {
+			onEachSide(t, func(t *testing.T) {
+				rng := tensor.NewRNG(2105)
+				c := NewConv2D(g.inC, g.inH, g.inW, g.outC, g.kH, g.kW, g.stride, g.pad, rng)
+				c.kern, c.bias = guarded(sprinkle(rng, c.kern, true)), guarded(sprinkle(rng, c.bias, true))
+				c.gradKern, c.gradBias = guarded(c.gradKern), guarded(c.gradBias)
+				c.outBuf, c.dinBuf = guarded(c.outBuf), guarded(c.dinBuf)
+				if c.kernT != nil {
+					c.kernT = guarded(c.kernT)
+				}
+				x := guarded(sprinkle(rng, make([]float64, g.inC*g.inH*g.inW), true))
+				dout := sprinkle(rng, make([]float64, c.OutputSize()), true)
+
+				wantOut := make([]float64, c.OutputSize())
+				refConvForward(c, x, wantOut)
+				wantKern, wantBias, wantDin := make([]float64, len(c.kern)), make([]float64, len(c.bias)), make([]float64, len(x))
+				refConvBackward(c, x, dout, wantKern, wantBias, wantDin)
+				requireSameBits(t, "out", c.Forward(x), wantOut)
+				requireSameBits(t, "din", c.Backward(dout), wantDin)
+				requireSameBits(t, "gradKern", c.gradKern, wantKern)
+				requireSameBits(t, "gradBias", c.gradBias, wantBias)
+				for _, b := range []struct {
+					what string
+					v    []float64
+				}{{"x", x}, {"kern", c.kern}, {"bias", c.bias}, {"kernT", c.kernT}, {"out", c.outBuf}, {"din", c.dinBuf}, {"gradKern", c.gradKern}, {"gradBias", c.gradBias}} {
+					checkGuard(t, b.what, b.v)
+				}
+			})
+		})
+	}
+}
+
+// TestConvSteadyStateAllocatesNothing: at the harness shapes Forward and
+// Backward run inline on the layer's own buffers, on every body and with or
+// without a worker pool.
+func TestConvSteadyStateAllocatesNothing(t *testing.T) {
+	for _, g := range []convGeom{{3, 8, 8, 6, 3, 3, 1, 1}, {6, 4, 4, 12, 3, 3, 1, 1}} {
+		for _, workers := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%v/workers=%d", g, workers), func(t *testing.T) {
+				withWorkers(t, workers)
+				onEachSide(t, func(t *testing.T) {
+					rng := tensor.NewRNG(2106)
+					c := NewConv2D(g.inC, g.inH, g.inW, g.outC, g.kH, g.kW, g.stride, g.pad, rng)
+					x := rng.NormVec(make([]float64, g.inC*g.inH*g.inW), 0, 1)
+					dout := sprinkle(rng, make([]float64, c.OutputSize()), false)
+					if n := testing.AllocsPerRun(50, func() { c.Forward(x) }); n != 0 {
+						t.Fatalf("Forward: %v allocations a call", n)
+					}
+					if n := testing.AllocsPerRun(50, func() { c.Backward(dout) }); n != 0 {
+						t.Fatalf("Backward: %v allocations a call", n)
+					}
+				})
+			})
+		}
+	}
 }
 
 // TestMaxPoolMatchesReference draws inputs from a handful of values so most

@@ -88,50 +88,56 @@ func TestBatchGradientSingleChunkMatchesClassicSerial(t *testing.T) {
 
 func TestConvBackwardTwoPassMatchesOnePass(t *testing.T) {
 	withWorkers(t, 4)
-	rng := tensor.NewRNG(11)
-	// Large enough that the two-pass gate triggers on its own in Backward.
-	c1 := NewConv2D(8, 16, 16, 16, 3, 3, 1, 1, rng)
-	c2 := c1.Clone().(*Conv2D)
-	x := rng.NormVec(make([]float64, 8*16*16), 0, 1)
-	dout := rng.NormVec(make([]float64, c1.OutputSize()), 0, 1)
+	onEachSide(t, func(t *testing.T) {
+		rng := tensor.NewRNG(11)
+		// Large enough that the two-pass gate triggers on its own in Backward.
+		c1 := NewConv2D(8, 16, 16, 16, 3, 3, 1, 1, rng)
+		c2 := c1.Clone().(*Conv2D)
+		x := rng.NormVec(make([]float64, 8*16*16), 0, 1)
+		dout := rng.NormVec(make([]float64, c1.OutputSize()), 0, 1)
 
-	c1.Forward(x)
-	din1 := append([]float64(nil), c1.backwardOnePass(dout, c1.dinBuf)...)
-	c2.Forward(x)
-	perOC := c2.outH * c2.outW * c2.inC * c2.kH * c2.kW
-	din2 := c2.backwardTwoPass(dout, c2.dinBuf, perOC)
+		c1.Forward(x)
+		din1 := append([]float64(nil), c1.backwardOnePass(dout, c1.dinBuf)...)
+		c2.Forward(x)
+		perOC := c2.outH * c2.outW * c2.inC * c2.kH * c2.kW
+		din2 := c2.backwardTwoPass(dout, c2.dinBuf, perOC)
 
-	for i := range din1 {
-		if din1[i] != din2[i] {
-			t.Fatalf("din[%d]: one-pass %v vs two-pass %v", i, din1[i], din2[i])
-		}
-	}
-	for b, g1 := range c1.Grads() {
-		g2 := c2.Grads()[b]
-		for i := range g1 {
-			if g1[i] != g2[i] {
-				t.Fatalf("grad buffer %d cell %d: one-pass %v vs two-pass %v",
-					b, i, g1[i], g2[i])
+		for i := range din1 {
+			if din1[i] != din2[i] {
+				t.Fatalf("din[%d]: one-pass %v vs two-pass %v", i, din1[i], din2[i])
 			}
 		}
-	}
+		for b, g1 := range c1.Grads() {
+			g2 := c2.Grads()[b]
+			for i := range g1 {
+				if g1[i] != g2[i] {
+					t.Fatalf("grad buffer %d cell %d: one-pass %v vs two-pass %v",
+						b, i, g1[i], g2[i])
+				}
+			}
+		}
+	})
 }
 
+// TestConvForwardBitIdenticalAcrossWorkers runs chunks of four output
+// channels in parallel: on the AVX2 body each is a pass of one block.
 func TestConvForwardBitIdenticalAcrossWorkers(t *testing.T) {
-	rng := tensor.NewRNG(13)
-	conv := NewConv2D(3, 32, 32, 64, 5, 5, 1, 2, rng) // clears the size gate
-	x := rng.NormVec(make([]float64, 3*32*32), 0, 1)
-	withWorkers(t, 1)
-	want := append([]float64(nil), conv.Forward(x)...)
-	for _, w := range []int{2, 4} {
-		withWorkers(t, w)
-		got := conv.Forward(x)
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d changed forward output %d", w, i)
+	onEachSide(t, func(t *testing.T) {
+		rng := tensor.NewRNG(13)
+		conv := NewConv2D(3, 32, 32, 64, 5, 5, 1, 2, rng) // clears the size gate
+		x := rng.NormVec(make([]float64, 3*32*32), 0, 1)
+		withWorkers(t, 1)
+		want := append([]float64(nil), conv.Forward(x)...)
+		for _, w := range []int{2, 4} {
+			withWorkers(t, w)
+			got := conv.Forward(x)
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("workers=%d changed forward output %d", w, i)
+				}
 			}
 		}
-	}
+	})
 }
 
 func TestAccuracyExactAcrossWorkers(t *testing.T) {
