@@ -39,83 +39,52 @@ func main() {
 	}
 }
 
-type nodeConfig struct {
-	role      string
-	id        string
-	listen    string
-	peers     map[string]string
-	fServers  int
-	fWorkers  int
-	steps     int
-	batch     int
-	seed      uint64
-	examples  int
-	byzMode   string
-	faultSpec string
-	ckptPath  string
-	ckptDir   string
-	ckptEvery int
-	rejoin    bool
-	timeout   time.Duration
-	shardSize int
-	compress  string
-	mailbox   string
-	metrics   string
+// nodeFlags is one node's command line: the guanyu.NodeConfig it runs,
+// plus the specs and paths run resolves around it.
+type nodeFlags struct {
+	guanyu.NodeConfig
+	byzMode, faultSpec, ckptPath, ckptDir string
+	ckptEvery                             int
 }
 
-func parseFlags(args []string) (*nodeConfig, error) {
+func parseFlags(args []string) (*nodeFlags, error) {
+	var c nodeFlags
 	fs := flag.NewFlagSet("guanyu-node", flag.ContinueOnError)
-	var (
-		role     = fs.String("role", "", "node role: server | worker")
-		id       = fs.String("id", "", "node id (ps<i> or wrk<j>)")
-		listen   = fs.String("listen", "127.0.0.1:0", "listen address")
-		peers    = fs.String("peers", "", "comma-separated id=addr pairs for every node")
-		fServers = fs.Int("fservers", 1, "declared Byzantine servers")
-		fWorkers = fs.Int("fworkers", 1, "declared Byzantine workers")
-		steps    = fs.Int("steps", 100, "learning steps")
-		batch    = fs.Int("batch", 16, "mini-batch size")
-		seed     = fs.Uint64("seed", 1, "deployment seed (shared by all nodes)")
-		examples = fs.Int("examples", 1200, "synthetic dataset size")
-		byzMode  = fs.String("byzantine", "",
-			fmt.Sprintf("make THIS node Byzantine, spec name[:k=v,...] of %v", guanyu.AttackNames()))
-		faultSpec = fs.String("faults", "none",
-			fmt.Sprintf("fault profile for THIS node's sends, name[:k=v,...] of %v (same spec+seed on all nodes = cluster-wide schedule)", guanyu.FaultNames()))
-		ckpt     = fs.String("checkpoint", "", "server only: write the final model here")
-		ckptDir  = fs.String("checkpoint-dir", "", "server only: persist protocol state (step, θ, horizon, momentum) into this directory every -checkpoint-every steps, atomically")
-		ckptEvr  = fs.Int("checkpoint-every", 10, "server only: checkpoint cadence in steps (with -checkpoint-dir)")
-		rejoin   = fs.Bool("rejoin", false, "server only: restart from the newest -checkpoint-dir snapshot and catch up by adopting the median of a live peer quorum (how a crashed ps<i> re-enters a running deployment)")
-		timeout  = fs.Duration("timeout", 5*time.Minute, "per-quorum timeout")
-		parallel = fs.Int("parallel", 0, "kernel worker count for this node (0 = all CPUs, 1 = serial; results are identical at any setting)")
-		shard    = fs.Int("shard", 0, "stream vectors as chunk frames of this many coordinates (0 = whole-vector framing; arm every node identically)")
-		comp     = fs.String("compress", "none", "wire compression for THIS node's sends: none | float32 | delta[:key=N] | topk:k=F (negotiated per connection; plain peers drop un-negotiated frames)")
-		mbox     = fs.String("mailbox", "none", "bound THIS node's inbound mailbox per sender, none | policy[:cap=N] with policy backpressure | drop-newest | drop-oldest")
-		metrics  = fs.String("metrics", "", "serve THIS node's /metrics + /healthz on this address for the process's lifetime (e.g. 127.0.0.1:9464, or :0 for an ephemeral port)")
-	)
+	fs.StringVar(&c.Role, "role", "", "node role: server | worker")
+	fs.StringVar(&c.ID, "id", "", "node id (ps<i> or wrk<j>)")
+	fs.StringVar(&c.Listen, "listen", "127.0.0.1:0", "listen address")
+	peers := fs.String("peers", "", "comma-separated id=addr pairs for every node")
+	fs.IntVar(&c.FServers, "fservers", 1, "declared Byzantine servers")
+	fs.IntVar(&c.FWorkers, "fworkers", 1, "declared Byzantine workers")
+	fs.IntVar(&c.Steps, "steps", 100, "learning steps")
+	fs.IntVar(&c.Batch, "batch", 16, "mini-batch size")
+	fs.Uint64Var(&c.Seed, "seed", 1, "deployment seed (shared by all nodes)")
+	fs.IntVar(&c.Examples, "examples", 1200, "synthetic dataset size")
+	fs.StringVar(&c.byzMode, "byzantine", "",
+		fmt.Sprintf("make THIS node Byzantine, spec name[:k=v,...] of %v", guanyu.AttackNames()))
+	fs.StringVar(&c.faultSpec, "faults", "none",
+		fmt.Sprintf("fault profile for THIS node's sends, name[:k=v,...] of %v (same spec+seed on all nodes = cluster-wide schedule)", guanyu.FaultNames()))
+	fs.StringVar(&c.ckptPath, "checkpoint", "", "server only: write the final model here")
+	fs.StringVar(&c.ckptDir, "checkpoint-dir", "", "server only: persist protocol state (step, θ, horizon, momentum) into this directory every -checkpoint-every steps, atomically")
+	fs.IntVar(&c.ckptEvery, "checkpoint-every", 10, "server only: checkpoint cadence in steps (with -checkpoint-dir)")
+	fs.BoolVar(&c.Rejoin, "rejoin", false, "server only: restart from the newest -checkpoint-dir snapshot and catch up by adopting the median of a live peer quorum (how a crashed ps<i> re-enters a running deployment)")
+	fs.DurationVar(&c.Timeout, "timeout", 5*time.Minute, "per-quorum timeout")
+	parallel := fs.Int("parallel", 0, "kernel worker count for this node (0 = all CPUs, 1 = serial; results are identical at any setting)")
+	fs.IntVar(&c.ShardSize, "shard", 0, "stream vectors as chunk frames of this many coordinates (0 = whole-vector framing; arm every node identically)")
+	fs.StringVar(&c.Compression, "compress", "none", "wire compression for THIS node's sends: none | float32 | delta[:key=N] | topk:k=F (negotiated per connection; plain peers drop un-negotiated frames)")
+	fs.StringVar(&c.Mailbox, "mailbox", "none", "bound THIS node's inbound mailbox per sender, none | policy[:cap=N] with policy backpressure | drop-newest | drop-oldest")
+	fs.StringVar(&c.MetricsAddr, "metrics", "", "serve THIS node's /metrics + /healthz on this address for the process's lifetime (e.g. 127.0.0.1:9464, or :0 for an ephemeral port)")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
 	guanyu.SetParallelism(*parallel)
-	if *role != "server" && *role != "worker" {
-		return nil, fmt.Errorf("-role must be server or worker, got %q", *role)
-	}
-	if *id == "" {
-		return nil, fmt.Errorf("-id is required")
-	}
-	peerMap, err := parsePeers(*peers)
+	// Role, ID and self-in-peers are guanyu.RunNode's to check.
+	var err error
+	c.Peers, err = parsePeers(*peers)
 	if err != nil {
 		return nil, err
 	}
-	if _, ok := peerMap[*id]; !ok {
-		return nil, fmt.Errorf("-peers must include this node's id %q", *id)
-	}
-	return &nodeConfig{
-		role: *role, id: *id, listen: *listen, peers: peerMap,
-		fServers: *fServers, fWorkers: *fWorkers,
-		steps: *steps, batch: *batch, seed: *seed, examples: *examples,
-		byzMode: *byzMode, faultSpec: *faultSpec, ckptPath: *ckpt,
-		ckptDir: *ckptDir, ckptEvery: *ckptEvr, rejoin: *rejoin, timeout: *timeout,
-		shardSize: *shard, compress: *comp, mailbox: *mbox, metrics: *metrics,
-	}, nil
+	return &c, nil
 }
 
 // parsePeers parses "id=addr,id=addr" into a map.
@@ -168,52 +137,29 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	att, err := mkAttack(cfg.byzMode, cfg.seed+guanyu.HashID(cfg.id))
-	if err != nil {
+	if cfg.Attack, err = mkAttack(cfg.byzMode, cfg.Seed+guanyu.HashID(cfg.ID)); err != nil {
 		return err
 	}
 	// The fault seed is the deployment seed, NOT offset per node: every
 	// node derives the same cluster-wide fault schedule.
-	faults, err := guanyu.FaultsByName(cfg.faultSpec, cfg.seed)
+	if cfg.Faults, err = guanyu.FaultsByName(cfg.faultSpec, cfg.Seed); err != nil {
+		return err
+	}
+	servers, workers, err := guanyu.SplitPeers(cfg.Peers)
 	if err != nil {
 		return err
 	}
-	servers, workers, err := guanyu.SplitPeers(cfg.peers)
-	if err != nil {
-		return err
+	cfg.OnListen = func(addr string) {
+		fmt.Fprintf(out, "%s listening on %s (%d servers, %d workers)\n",
+			cfg.ID, addr, len(servers), len(workers))
 	}
-
-	ncfg := guanyu.NodeConfig{
-		Role:        cfg.role,
-		ID:          cfg.id,
-		Listen:      cfg.listen,
-		Peers:       cfg.peers,
-		FServers:    cfg.fServers,
-		FWorkers:    cfg.fWorkers,
-		Steps:       cfg.steps,
-		Batch:       cfg.batch,
-		Examples:    cfg.examples,
-		Seed:        cfg.seed,
-		Attack:      att,
-		Faults:      faults,
-		Timeout:     cfg.timeout,
-		ShardSize:   cfg.shardSize,
-		Compression: cfg.compress,
-		Mailbox:     cfg.mailbox,
-		Rejoin:      cfg.rejoin,
-		OnListen: func(addr string) {
-			fmt.Fprintf(out, "%s listening on %s (%d servers, %d workers)\n",
-				cfg.id, addr, len(servers), len(workers))
-		},
-		MetricsAddr: cfg.metrics,
-		OnMetricsListen: func(addr string) {
-			fmt.Fprintf(out, "%s metrics on http://%s/metrics\n", cfg.id, addr)
-		},
+	cfg.OnMetricsListen = func(addr string) {
+		fmt.Fprintf(out, "%s metrics on http://%s/metrics\n", cfg.ID, addr)
 	}
 	if cfg.ckptDir != "" {
-		ncfg.Checkpoint = &guanyu.CheckpointSpec{Dir: cfg.ckptDir, Every: cfg.ckptEvery}
+		cfg.Checkpoint = &guanyu.CheckpointSpec{Dir: cfg.ckptDir, Every: cfg.ckptEvery}
 	}
-	res, err := guanyu.RunNode(context.Background(), ncfg)
+	res, err := guanyu.RunNode(context.Background(), cfg.NodeConfig)
 	if err != nil {
 		return err
 	}

@@ -40,16 +40,22 @@ func TestSplitPeers(t *testing.T) {
 	}
 }
 
+// TestParseFlagsValidation: a bad role, a missing ID or a node missing from
+// its own -peers is refused by run, through guanyu.RunNode, before the node
+// listens; parseFlags itself only parses.
 func TestParseFlagsValidation(t *testing.T) {
-	cases := [][]string{
-		{},                  // role missing
-		{"-role", "server"}, // id missing
-		{"-role", "boss", "-id", "x", "-peers", "x=1"},       // bad role
-		{"-role", "server", "-id", "ps0", "-peers", "ps1=1"}, // self missing from peers
+	cases := []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-peers", "ps0=1"}, "role must be server or worker"},
+		{[]string{"-role", "server", "-peers", "ps0=1"}, "node ID is required"},
+		{[]string{"-role", "boss", "-id", "ps0", "-peers", "ps0=1"}, "role must be server or worker, got \"boss\""},
+		{[]string{"-role", "server", "-id", "ps0", "-peers", "ps1=1"}, "peers must include this node's id"},
 	}
-	for i, args := range cases {
-		if _, err := parseFlags(args); err == nil {
-			t.Fatalf("case %d accepted: %v", i, args)
+	for i, c := range cases {
+		if err := run(c.args, &strings.Builder{}); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("case %d %v: got %v, want an error containing %q", i, c.args, err, c.want)
 		}
 	}
 	cfg, err := parseFlags([]string{"-role", "worker", "-id", "wrk0",
@@ -57,7 +63,7 @@ func TestParseFlagsValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.role != "worker" || cfg.id != "wrk0" || len(cfg.peers) != 2 {
+	if cfg.Role != "worker" || cfg.ID != "wrk0" || len(cfg.Peers) != 2 {
 		t.Fatalf("parsed %+v", cfg)
 	}
 }

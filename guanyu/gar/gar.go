@@ -133,7 +133,7 @@ func New(name string, p Params) (Rule, error) {
 		return c(p)
 	}
 	if p.Deployment > 0 {
-		if err := igar.CheckDeployment("node", p.Deployment, p.F); err != nil {
+		if err := igar.CheckRole("node", p.Deployment, p.F, 0, nil); err != nil {
 			return nil, err
 		}
 	}

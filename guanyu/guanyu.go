@@ -45,8 +45,9 @@ import (
 )
 
 // Deployment is a fully validated description of one GuanYu (or vanilla
-// baseline) run. Build one with New; execute it with Run. A Deployment is
-// immutable after New and may be run multiple times.
+// baseline) run. Build one with New; execute it with Run. What New
+// validated is the runtime config Run executes, built by the same code. A
+// Deployment is immutable after New and may be run multiple times.
 type Deployment struct {
 	workload  Workload
 	vanilla   bool
@@ -98,9 +99,15 @@ type Deployment struct {
 	parallelismSet bool
 }
 
-// New builds and validates a deployment from the given options. Topology
-// bounds (n ≥ 3f+3, 2f+3 ≤ q ≤ n−f per role), rule names and mode
-// constraints are all checked here, so a non-nil Deployment is runnable.
+// New builds and validates a deployment from the given options. It checks
+// what only the façade knows — a workload, rule names that resolve, rules
+// legal at their quorums, no option the selected runtime would ignore —
+// then builds the runtime config Run executes (core.Config for Sim,
+// cluster.LiveConfig for Live, through the same builder Run calls) and
+// returns that config's own validation error: the paper's bounds (n ≥ 3f+3,
+// 2f+3 ≤ q ≤ n−f per role, attacked indices inside each population, an
+// honest node in each), steps, batch, checkpoint and rejoin settings. So a
+// non-nil Deployment is runnable.
 func New(opts ...Option) (*Deployment, error) {
 	d := &Deployment{
 		numServers: PaperServers, fServers: PaperByzServers,
@@ -127,13 +134,13 @@ func New(opts ...Option) (*Deployment, error) {
 	return d, nil
 }
 
-// normalize applies mode defaults and validates the full configuration.
+// normalize applies mode defaults and checks what no runtime config can —
+// the workload, the rule names, each rule's inputs at its quorum, options
+// the selected runtime would ignore — then returns the validation error of
+// the runtime config Run will execute, built by the same builder.
 func (d *Deployment) normalize() error {
 	if d.workload.Model == nil || d.workload.Train == nil {
 		return fmt.Errorf("a workload is required (use WithWorkload, e.g. ImageWorkload or BlobWorkload)")
-	}
-	if d.steps <= 0 || d.batch <= 0 {
-		return fmt.Errorf("steps and batch must be positive (got %d, %d)", d.steps, d.batch)
 	}
 	if d.vanilla && !d.serversSet {
 		d.numServers, d.fServers = 1, 0
@@ -145,60 +152,26 @@ func (d *Deployment) normalize() error {
 			d.ruleName = "multi-krum"
 		}
 	}
-	if _, err := igar.LookupSpec(d.ruleName); err != nil {
+	grad, err := igar.LookupSpec(d.ruleName)
+	if err != nil {
 		return err
 	}
-	if _, err := igar.LookupSpec(d.paramRuleName); err != nil {
+	param, err := igar.LookupSpec(d.paramRuleName)
+	if err != nil {
 		return err
-	}
-	if d.vanilla {
-		if d.numServers != 1 {
-			return fmt.Errorf("vanilla mode runs exactly 1 server, got %d", d.numServers)
-		}
-		if d.numWorkers < 1 {
-			return fmt.Errorf("vanilla mode needs ≥ 1 worker")
-		}
-	} else {
-		if err := igar.CheckDeployment("server", d.numServers, d.fServers); err != nil {
-			return err
-		}
-		if err := igar.CheckDeployment("worker", d.numWorkers, d.fWorkers); err != nil {
-			return err
-		}
-		if err := igar.CheckQuorum("server", d.numServers, d.fServers, d.quorumServers()); err != nil {
-			return err
-		}
-		if err := igar.CheckQuorum("worker", d.numWorkers, d.fWorkers, d.quorumWorkers()); err != nil {
-			return err
-		}
 	}
 	// The selected rules must be legal at the quorums they will aggregate
 	// (e.g. Bulyan needs n ≥ 4f+3 inputs, more than the minimum gradient
 	// quorum provides) — checked here so a validated Deployment cannot fail
 	// its first step on a rule precondition.
-	if min, err := igar.MinInputs(d.ruleName, d.fWorkers); err == nil && d.quorumWorkers() < min {
+	q, qBar := d.quorums()
+	if min := grad.MinInputs(d.fWorkers); qBar < min {
 		return fmt.Errorf("rule %q needs ≥ %d inputs with f̄=%d, but the gradient quorum is %d (raise WithQuorums or the worker population)",
-			d.ruleName, min, d.fWorkers, d.quorumWorkers())
+			d.ruleName, min, d.fWorkers, qBar)
 	}
-	if min, err := igar.MinInputs(d.paramRuleName, d.fServers); err == nil && d.quorumServers() < min {
+	if min := param.MinInputs(d.fServers); q < min {
 		return fmt.Errorf("parameter rule %q needs ≥ %d inputs with f=%d, but the parameter quorum is %d",
-			d.paramRuleName, min, d.fServers, d.quorumServers())
-	}
-	if len(d.serverAttacks) >= d.numServers {
-		return fmt.Errorf("every server is Byzantine; nothing to measure")
-	}
-	if len(d.workerAttacks) >= d.numWorkers {
-		return fmt.Errorf("every worker is Byzantine; nothing to measure")
-	}
-	for i := range d.serverAttacks {
-		if i < 0 || i >= d.numServers {
-			return fmt.Errorf("server attack index %d outside population [0, %d)", i, d.numServers)
-		}
-	}
-	for j := range d.workerAttacks {
-		if j < 0 || j >= d.numWorkers {
-			return fmt.Errorf("worker attack index %d outside population [0, %d)", j, d.numWorkers)
-		}
+			d.paramRuleName, min, d.fServers, q)
 	}
 	if d.vanilla && d.runtime == Live {
 		return fmt.Errorf("the vanilla baseline is simulation-only; use the default Sim runtime")
@@ -209,8 +182,8 @@ func (d *Deployment) normalize() error {
 	if d.shardSize > 0 && d.runtime != Live {
 		return fmt.Errorf("WithShardSize applies to the Live runtime only (the simulator models the wire in its cost model)")
 	}
-	if d.delay != nil && (d.runtime != Live || d.tcp) {
-		return fmt.Errorf("WithDelay applies to the Live in-process network only (the simulator has its own latency model, real sockets their own latency)")
+	if d.delay != nil && d.runtime != Live {
+		return fmt.Errorf("WithDelay applies to the Live runtime only (the simulator has its own latency model)")
 	}
 	if d.mailbox.Bounded() && d.runtime != Live {
 		return fmt.Errorf("WithMailbox applies to the Live runtime only (virtual time admits no overflow to bound)")
@@ -218,69 +191,45 @@ func (d *Deployment) normalize() error {
 	if d.metricsAddr != "" && d.runtime != Live {
 		return fmt.Errorf("WithMetricsAddr applies to the Live runtime only (the simulator has no wall-clock run to scrape)")
 	}
-	if d.checkpointDir != "" && d.runtime != Live {
-		return fmt.Errorf("WithCheckpointDir applies to the Live runtime only (the simulator has no process state to persist)")
+	if (d.checkpointDir != "" || d.rejoinSet) && d.runtime != Live {
+		return fmt.Errorf("WithCheckpointDir and WithRejoin apply to the Live runtime only (the simulator has no process state to persist)")
 	}
-	if d.rejoinSet {
-		if d.checkpointDir == "" {
-			return fmt.Errorf("WithRejoin requires WithCheckpointDir: the restart leg restores the newest on-disk snapshot")
-		}
-		if d.tcp {
-			return fmt.Errorf("WithRejoin drives the in-process Live network; TCP nodes restart as real processes (see NodeConfig.Rejoin)")
-		}
-		if d.rejoinServer < 0 || d.rejoinServer >= d.numServers {
-			return fmt.Errorf("WithRejoin targets server %d of %d", d.rejoinServer, d.numServers)
-		}
-		if d.serverAttacks[d.rejoinServer] != nil {
-			return fmt.Errorf("WithRejoin victim %d is Byzantine; only honest servers churn", d.rejoinServer)
-		}
-		if d.rejoinKill <= 0 || d.rejoinKill >= d.steps {
-			return fmt.Errorf("WithRejoin kill step %d outside (0, %d)", d.rejoinKill, d.steps)
-		}
-		if d.checkpointEvery > d.rejoinKill {
-			return fmt.Errorf("WithRejoin kill step %d precedes the first checkpoint (cadence %d)", d.rejoinKill, d.checkpointEvery)
-		}
+	switch d.runtime.(type) {
+	case simRunner:
+		cfg := d.simConfig()
+		return cfg.Validate()
+	case liveRunner:
+		cfg := d.liveConfig(nil)
+		return cfg.Validate()
 	}
 	return nil
 }
 
-func (d *Deployment) quorumServers() int {
+// quorums returns q and q̄ as the runtimes resolve them.
+func (d *Deployment) quorums() (q, qBar int) {
 	if d.vanilla {
-		return 1
+		return 1, d.numWorkers
 	}
-	if d.qServers > 0 {
-		return d.qServers
+	if q, qBar = d.qServers, d.qWorkers; q <= 0 {
+		q = igar.MinQuorum(d.fServers)
 	}
-	return igar.MinQuorum(d.fServers)
+	if qBar <= 0 {
+		qBar = igar.MinQuorum(d.fWorkers)
+	}
+	return q, qBar
 }
 
-func (d *Deployment) quorumWorkers() int {
-	if d.vanilla {
-		return d.numWorkers
-	}
-	if d.qWorkers > 0 {
-		return d.qWorkers
-	}
-	return igar.MinQuorum(d.fWorkers)
-}
+// gradRule and paramRule resolve the registry names normalize checked into
+// engine rules; a negative f is left for the runtime config to refuse.
+func (d *Deployment) gradRule() igar.Rule  { return ruleSpec(d.ruleName).New(d.fWorkers) }
+func (d *Deployment) paramRule() igar.Rule { return ruleSpec(d.paramRuleName).New(d.fServers) }
 
-// gradRule and paramRule resolve the registry names into engine rules.
-func (d *Deployment) gradRule() igar.Rule {
-	f := d.fWorkers
-	r, err := igar.FromName(d.ruleName, f)
+func ruleSpec(name string) igar.Spec {
+	s, err := igar.LookupSpec(name)
 	if err != nil {
-		// normalize() validated the name; this cannot happen.
-		panic(err)
+		panic(err) // normalize validated the name; this cannot happen
 	}
-	return r
-}
-
-func (d *Deployment) paramRule() igar.Rule {
-	r, err := igar.FromName(d.paramRuleName, d.fServers)
-	if err != nil {
-		panic(err)
-	}
-	return r
+	return s
 }
 
 // Runtime returns the runner the deployment executes under.

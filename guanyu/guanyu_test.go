@@ -33,31 +33,67 @@ func TestNewRequiresWorkload(t *testing.T) {
 	}
 }
 
+// TestNewValidatesTopology pins every refusal New makes to its reason. The
+// paper's bounds are checked by the runtime config Run executes, so each
+// topology row runs under both runtimes and must be refused for the same
+// reason by each.
 func TestNewValidatesTopology(t *testing.T) {
 	base := guanyu.WithWorkload(guanyu.BlobWorkload(200, 1))
 	delay := guanyu.WithDelay(func(string, string) time.Duration { return time.Millisecond })
-	cases := map[string][]guanyu.Option{
-		"servers below 3f+3":  {base, guanyu.WithServers(5, 1)},
-		"workers below 3f+3":  {base, guanyu.WithWorkers(17, 5)},
-		"quorum above n-f":    {base, guanyu.WithServers(6, 1), guanyu.WithQuorums(6, 0)},
-		"unknown rule":        {base, guanyu.WithRule("no-such-rule")},
-		"unknown param rule":  {base, guanyu.WithParamRule("no-such-rule")},
-		"zero steps":          {base, guanyu.WithSteps(0)},
-		"vanilla live":        {base, guanyu.WithVanilla(), guanyu.WithRuntime(guanyu.Live)},
-		"tcp without live":    {base, guanyu.WithTCPTransport()},
-		"delay on sim":        {base, delay},
-		"delay over tcp":      {base, guanyu.WithRuntime(guanyu.Live), guanyu.WithTCPTransport(), delay},
-		"attack out of range": {base, guanyu.WithWorkerAttack(99, guanyu.Zero{})},
-		"all servers byz": {base, guanyu.WithServers(6, 1),
+	live := guanyu.WithRuntime(guanyu.Live)
+	topology := []struct {
+		name string
+		opts []guanyu.Option
+		want string
+	}{
+		{"servers below 3f+3", []guanyu.Option{base, guanyu.WithServers(5, 1)},
+			"server population n=5 violates n ≥ 3f+3"},
+		{"workers below 3f+3", []guanyu.Option{base, guanyu.WithWorkers(17, 5)},
+			"worker population n=17 violates n ≥ 3f+3"},
+		{"quorum above n-f", []guanyu.Option{base, guanyu.WithServers(6, 1), guanyu.WithQuorums(6, 0)},
+			"server quorum q=6 violates q ≤ n−f"},
+		{"attack out of range", []guanyu.Option{base, guanyu.WithWorkerAttack(99, guanyu.Zero{})},
+			"worker attack index 99 outside population [0, 18)"},
+		{"all servers byz", []guanyu.Option{base, guanyu.WithServers(6, 1),
 			guanyu.WithAttackedServers(6, func(int) guanyu.Attack { return guanyu.Zero{} })},
+			"every server is Byzantine"},
+	}
+	for _, c := range topology {
+		for _, rt := range []guanyu.Runner{guanyu.Sim, guanyu.Live} {
+			opts := append(append([]guanyu.Option{}, c.opts...), guanyu.WithRuntime(rt))
+			if _, err := guanyu.New(opts...); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%s under %s: got %v, want an error containing %q", c.name, rt, err, c.want)
+			}
+		}
+	}
+	cases := []struct {
+		name string
+		opts []guanyu.Option
+		want string
+	}{
+		{"unknown rule", []guanyu.Option{base, guanyu.WithRule("no-such-rule")},
+			`unknown rule "no-such-rule"`},
+		{"unknown param rule", []guanyu.Option{base, guanyu.WithParamRule("no-such-param-rule")},
+			`unknown rule "no-such-param-rule"`},
+		{"zero steps", []guanyu.Option{base, guanyu.WithSteps(0)},
+			"core: Steps and Batch must be positive"},
+		{"vanilla live", []guanyu.Option{base, guanyu.WithVanilla(), live},
+			"the vanilla baseline is simulation-only"},
+		{"tcp without live", []guanyu.Option{base, guanyu.WithTCPTransport()},
+			"WithTCPTransport applies to the Live runtime only"},
+		{"delay on sim", []guanyu.Option{base, delay},
+			"WithDelay applies to the Live runtime only"},
+		{"delay over tcp", []guanyu.Option{base, live, guanyu.WithTCPTransport(), delay},
+			"Delay is injected by the channel mesh; it has no effect over TCP"},
 		// Bulyan needs n ≥ 4f+3 = 23 inputs at f̄=5, more than the paper
 		// deployment's minimum gradient quorum q̄ = 13: New must reject it
 		// instead of handing back a Deployment that fails its first step.
-		"rule illegal at quorum": {base, guanyu.WithRule("bulyan")},
+		{"rule illegal at quorum", []guanyu.Option{base, guanyu.WithRule("bulyan")},
+			`rule "bulyan" needs ≥ 23 inputs with f̄=5, but the gradient quorum is 13`},
 	}
-	for name, opts := range cases {
-		if _, err := guanyu.New(opts...); err == nil {
-			t.Errorf("%s: accepted", name)
+	for _, c := range cases {
+		if _, err := guanyu.New(c.opts...); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: got %v, want an error containing %q", c.name, err, c.want)
 		}
 	}
 }

@@ -168,8 +168,10 @@ func RunNode(ctx context.Context, cfg NodeConfig) (*NodeResult, error) {
 	if cfg.Role == "worker" && (cfg.Checkpoint != nil || cfg.Rejoin) {
 		return nil, fmt.Errorf("guanyu: checkpoint/rejoin are server-side (workers are stateless; restart them cold)")
 	}
-	if cfg.Checkpoint != nil && (cfg.Checkpoint.Dir == "" || cfg.Checkpoint.Every < 1) {
-		return nil, fmt.Errorf("guanyu: node checkpointing needs a directory and a positive cadence")
+	if cfg.Checkpoint != nil {
+		if err := cfg.Checkpoint.Validate(); err != nil {
+			return nil, err
+		}
 	}
 	if cfg.Rejoin {
 		if cfg.Checkpoint == nil {
@@ -183,10 +185,12 @@ func RunNode(ctx context.Context, cfg NodeConfig) (*NodeResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := igar.CheckDeployment("server", len(servers), cfg.FServers); err != nil {
+	// Both roles run the default quorums; a process knows no other node's
+	// attack, so no attacked indices are passed.
+	if err := igar.CheckRole("server", len(servers), cfg.FServers, 0, nil); err != nil {
 		return nil, err
 	}
-	if err := igar.CheckDeployment("worker", len(workers), cfg.FWorkers); err != nil {
+	if err := igar.CheckRole("worker", len(workers), cfg.FWorkers, 0, nil); err != nil {
 		return nil, err
 	}
 

@@ -287,14 +287,8 @@ func WithCompression(spec string) Option {
 // are what WithRejoin and NodeConfig.Rejoin restart from.
 func WithCheckpointDir(dir string, every int) Option {
 	return func(d *Deployment) error {
-		if dir == "" {
-			return fmt.Errorf("WithCheckpointDir: empty directory")
-		}
-		if every < 1 {
-			return fmt.Errorf("WithCheckpointDir: cadence must be ≥ 1 step, got %d", every)
-		}
 		d.checkpointDir, d.checkpointEvery = dir, every
-		return nil
+		return CheckpointSpec{Dir: dir, Every: every}.Validate()
 	}
 }
 
@@ -308,12 +302,6 @@ func WithCheckpointDir(dir string, every int) Option {
 // Result.ChurnRestarted reports whether the kill actually fired.
 func WithRejoin(server, killAtStep int) Option {
 	return func(d *Deployment) error {
-		if server < 0 {
-			return fmt.Errorf("WithRejoin: negative server index %d", server)
-		}
-		if killAtStep <= 0 {
-			return fmt.Errorf("WithRejoin: kill step must be positive, got %d", killAtStep)
-		}
 		d.rejoinServer, d.rejoinKill, d.rejoinSet = server, killAtStep, true
 		return nil
 	}

@@ -48,33 +48,42 @@ func TestNewValidatesRejoin(t *testing.T) {
 		return append(append([]guanyu.Option{}, base...), extra...)
 	}
 	dir := t.TempDir()
-	cases := map[string][]guanyu.Option{
-		"checkpoint on sim": {
+	cases := []struct {
+		name string
+		opts []guanyu.Option
+		want string
+	}{
+		{"checkpoint on sim", []guanyu.Option{
 			guanyu.WithWorkload(guanyu.BlobWorkload(200, 1)),
 			guanyu.WithCheckpointDir(dir, 3),
-		},
-		"rejoin without checkpoint": with(guanyu.WithRejoin(0, 8)),
-		"rejoin over tcp": with(guanyu.WithCheckpointDir(dir, 3),
+		}, "WithCheckpointDir and WithRejoin apply to the Live runtime only"},
+		{"rejoin without checkpoint", with(guanyu.WithRejoin(0, 8)),
+			"churn needs a checkpoint directory"},
+		{"rejoin over tcp", with(guanyu.WithCheckpointDir(dir, 3),
 			guanyu.WithRejoin(0, 8), guanyu.WithTCPTransport()),
-		"rejoin server out of range": with(guanyu.WithCheckpointDir(dir, 3),
+			"churn drives the channel mesh"},
+		{"rejoin server out of range", with(guanyu.WithCheckpointDir(dir, 3),
 			guanyu.WithRejoin(6, 8)),
-		"rejoin byzantine victim": with(guanyu.WithCheckpointDir(dir, 3),
-			guanyu.WithRejoin(0, 8), guanyu.WithServers(6, 1),
-			guanyu.WithServerAttack(0, guanyu.Zero{})),
-		"kill past the run": with(guanyu.WithCheckpointDir(dir, 3),
+			"churn targets server 6 of 6"},
+		{"rejoin byzantine victim", with(guanyu.WithCheckpointDir(dir, 3),
+			guanyu.WithRejoin(0, 8), guanyu.WithServerAttack(0, guanyu.Zero{})),
+			"churn victim 0 is Byzantine"},
+		{"kill past the run", with(guanyu.WithCheckpointDir(dir, 3),
 			guanyu.WithRejoin(0, 30)),
-		"kill before first checkpoint": with(guanyu.WithCheckpointDir(dir, 9),
+			"churn kill step 30 outside (0, 30)"},
+		{"kill before first checkpoint", with(guanyu.WithCheckpointDir(dir, 9),
 			guanyu.WithRejoin(0, 5)),
+			"churn checkpoint cadence 9 outside [1, kill step 5]"},
 	}
-	for name, opts := range cases {
-		if _, err := guanyu.New(opts...); err == nil {
-			t.Errorf("%s: accepted", name)
+	for _, c := range cases {
+		if _, err := guanyu.New(c.opts...); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: got %v, want an error containing %q", c.name, err, c.want)
 		}
 	}
-	if _, err := guanyu.New(guanyu.WithCheckpointDir("", 3)); err == nil || !strings.Contains(err.Error(), "empty") {
+	if _, err := guanyu.New(guanyu.WithCheckpointDir("", 3)); err == nil || !strings.Contains(err.Error(), "checkpoint directory is empty") {
 		t.Errorf("empty checkpoint dir: got %v", err)
 	}
-	if _, err := guanyu.New(guanyu.WithCheckpointDir(dir, 0)); err == nil || !strings.Contains(err.Error(), "cadence") {
+	if _, err := guanyu.New(guanyu.WithCheckpointDir(dir, 0)); err == nil || !strings.Contains(err.Error(), "checkpoint cadence must be ≥ 1 step, got 0") {
 		t.Errorf("zero cadence: got %v", err)
 	}
 }
@@ -120,7 +129,7 @@ func TestRunNodeValidatesCheckpointConfig(t *testing.T) {
 
 	cfg := base
 	cfg.Checkpoint = ckpt
-	if _, err := guanyu.RunNode(ctx, cfg); err == nil || !strings.Contains(err.Error(), "server-side") {
+	if _, err := guanyu.RunNode(ctx, cfg); err == nil || !strings.Contains(err.Error(), "checkpoint/rejoin are server-side") {
 		t.Errorf("worker checkpoint: got %v", err)
 	}
 
@@ -128,19 +137,29 @@ func TestRunNodeValidatesCheckpointConfig(t *testing.T) {
 	cfg.Role, cfg.ID = "server", "ps0"
 	cfg.Peers = map[string]string{"ps0": "127.0.0.1:1"}
 	cfg.Rejoin = true
-	if _, err := guanyu.RunNode(ctx, cfg); err == nil || !strings.Contains(err.Error(), "requires Checkpoint") {
+	if _, err := guanyu.RunNode(ctx, cfg); err == nil || !strings.Contains(err.Error(), "Rejoin requires Checkpoint") {
 		t.Errorf("rejoin without checkpoint: got %v", err)
 	}
 
 	cfg.Checkpoint = ckpt
 	cfg.Attack = guanyu.Zero{}
-	if _, err := guanyu.RunNode(ctx, cfg); err == nil || !strings.Contains(err.Error(), "honest") {
+	if _, err := guanyu.RunNode(ctx, cfg); err == nil || !strings.Contains(err.Error(), "Rejoin is an honest-recovery path") {
 		t.Errorf("byzantine rejoin: got %v", err)
 	}
 
 	cfg.Attack = nil
 	cfg.Checkpoint = &guanyu.CheckpointSpec{Dir: "", Every: 2}
-	if _, err := guanyu.RunNode(ctx, cfg); err == nil || !strings.Contains(err.Error(), "directory") {
+	if _, err := guanyu.RunNode(ctx, cfg); err == nil || !strings.Contains(err.Error(), "checkpoint directory is empty") {
 		t.Errorf("empty checkpoint dir: got %v", err)
+	}
+
+	// The paper's population bound, checked on the address book: two
+	// servers cannot make n ≥ 3f+3 even with f = 0.
+	cfg = base
+	cfg.Role, cfg.ID = "server", "ps0"
+	cfg.Peers = map[string]string{"ps0": "127.0.0.1:1", "ps1": "127.0.0.1:2",
+		"wrk0": "127.0.0.1:3", "wrk1": "127.0.0.1:4", "wrk2": "127.0.0.1:5"}
+	if _, err := guanyu.RunNode(ctx, cfg); err == nil || !strings.Contains(err.Error(), "server population n=2 violates n ≥ 3f+3") {
+		t.Errorf("two servers: got %v", err)
 	}
 }

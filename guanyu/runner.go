@@ -35,41 +35,46 @@ type simRunner struct{}
 
 func (simRunner) String() string { return "sim" }
 
-func (simRunner) Run(ctx context.Context, d *Deployment) (*Result, error) {
+// simConfig is the simulator's config for d — the one builder New
+// validates and simRunner.Run executes.
+func (d *Deployment) simConfig() core.Config {
 	mode := core.ModeGuanYu
 	if d.vanilla {
 		mode = core.ModeVanilla
 	}
-	cfg := core.Config{
-		Mode:          mode,
-		Model:         d.workload.Model,
-		Train:         d.workload.Train,
-		Test:          d.workload.Test,
-		NumServers:    d.numServers,
-		FServers:      d.fServers,
-		NumWorkers:    d.numWorkers,
-		FWorkers:      d.fWorkers,
-		QuorumServers: d.qServers,
-		QuorumWorkers: d.qWorkers,
-		ServerAttacks: d.serverAttacks,
-		WorkerAttacks: d.workerAttacks,
-		Steps:         d.steps,
-		Batch:         d.batch,
-		LR:            d.lr,
-		Momentum:      d.momentum,
-		Rule:          d.gradRule(),
-		ParamRule:     d.paramRule(),
-		EvalEvery:     d.evalEvery,
-		EvalExamples:  d.evalExamples,
-		AlignEvery:    d.alignEvery,
-		AlignAfter:    d.alignAfter,
-		Seed:          d.seed,
+	return core.Config{
+		Mode:                  mode,
+		Model:                 d.workload.Model,
+		Train:                 d.workload.Train,
+		Test:                  d.workload.Test,
+		NumServers:            d.numServers,
+		FServers:              d.fServers,
+		NumWorkers:            d.numWorkers,
+		FWorkers:              d.fWorkers,
+		QuorumServers:         d.qServers,
+		QuorumWorkers:         d.qWorkers,
+		ServerAttacks:         d.serverAttacks,
+		WorkerAttacks:         d.workerAttacks,
+		Steps:                 d.steps,
+		Batch:                 d.batch,
+		LR:                    d.lr,
+		Momentum:              d.momentum,
+		Rule:                  d.gradRule(),
+		ParamRule:             d.paramRule(),
+		DisableServerExchange: d.noExchange,
+		EvalEvery:             d.evalEvery,
+		EvalExamples:          d.evalExamples,
+		AlignEvery:            d.alignEvery,
+		AlignAfter:            d.alignAfter,
+		Cost:                  core.CostModel{OptimizedRuntime: d.optimized},
+		Faults:                d.faults,
+		Compression:           d.compression,
+		Seed:                  d.seed,
 	}
-	cfg.DisableServerExchange = d.noExchange
-	cfg.Cost.OptimizedRuntime = d.optimized
-	cfg.Faults = d.faults
-	cfg.Compression = d.compression
-	res, err := core.RunContext(ctx, cfg)
+}
+
+func (simRunner) Run(ctx context.Context, d *Deployment) (*Result, error) {
+	res, err := core.RunContext(ctx, d.simConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -84,27 +89,10 @@ func (simRunner) Run(ctx context.Context, d *Deployment) (*Result, error) {
 	}, nil
 }
 
-type liveRunner struct{}
-
-func (liveRunner) String() string { return "live" }
-
-func (liveRunner) Run(ctx context.Context, d *Deployment) (*Result, error) {
-	start := time.Now()
-	// Every live run counts into one registry — under either transport
-	// the Result's drop totals are its final reading — and
-	// WithMetricsAddr additionally exposes it over HTTP for the run's
-	// duration.
-	reg := metrics.NewRegistry()
-	if d.metricsAddr != "" {
-		srv, serr := metrics.Serve(d.metricsAddr, reg, metrics.DefaultStallAfter)
-		if serr != nil {
-			return nil, serr
-		}
-		defer srv.Close()
-		if d.onMetricsListen != nil {
-			d.onMetricsListen(srv.Addr())
-		}
-	}
+// liveConfig is the live launcher's config for d, counting into reg — the
+// one builder New validates (with no registry: nothing listens or counts
+// yet) and liveRunner.Run executes.
+func (d *Deployment) liveConfig(reg *metrics.Registry) cluster.LiveConfig {
 	cfg := cluster.LiveConfig{
 		Model:         d.workload.Model,
 		Train:         d.workload.Train,
@@ -144,7 +132,31 @@ func (liveRunner) Run(ctx context.Context, d *Deployment) (*Result, error) {
 			Dir:             d.checkpointDir,
 		}
 	}
-	res, err := cluster.RunLiveContext(ctx, cfg)
+	return cfg
+}
+
+type liveRunner struct{}
+
+func (liveRunner) String() string { return "live" }
+
+func (liveRunner) Run(ctx context.Context, d *Deployment) (*Result, error) {
+	start := time.Now()
+	// Every live run counts into one registry — under either transport
+	// the Result's drop totals are its final reading — and
+	// WithMetricsAddr additionally exposes it over HTTP for the run's
+	// duration.
+	reg := metrics.NewRegistry()
+	if d.metricsAddr != "" {
+		srv, serr := metrics.Serve(d.metricsAddr, reg, metrics.DefaultStallAfter)
+		if serr != nil {
+			return nil, serr
+		}
+		defer srv.Close()
+		if d.onMetricsListen != nil {
+			d.onMetricsListen(srv.Addr())
+		}
+	}
+	res, err := cluster.RunLiveContext(ctx, d.liveConfig(reg))
 	if err != nil {
 		return nil, err
 	}

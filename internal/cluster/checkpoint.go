@@ -241,8 +241,21 @@ type CheckpointSpec struct {
 	Dir string
 	// Every is the cadence in steps: the server persists its state after
 	// completing steps Every−1, 2·Every−1, … (i.e. every Every steps).
-	// Values ≤ 0 disable periodic writes.
+	// A ServerConfig with Every ≤ 0 writes nothing; a deployment's spec
+	// must pass Validate.
 	Every int
+}
+
+// Validate refuses a spec without a directory or a positive cadence, for
+// guanyu.WithCheckpointDir, LiveConfig and guanyu.NodeConfig alike.
+func (s CheckpointSpec) Validate() error {
+	if s.Dir == "" {
+		return fmt.Errorf("cluster: checkpoint directory is empty")
+	}
+	if s.Every < 1 {
+		return fmt.Errorf("cluster: checkpoint cadence must be ≥ 1 step, got %d", s.Every)
+	}
+	return nil
 }
 
 // RejoinMedian is the restarted server's catch-up path: listen to the

@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"maps"
 	"sync"
 	"time"
 
@@ -70,8 +71,11 @@ type LiveConfig struct {
 	Timeout time.Duration
 	// Seed drives all per-node generators.
 	Seed uint64
-	// SkipValidation disables the theoretical bound checks (used by tests
-	// that deliberately run illegal deployments, e.g. the vanilla baseline).
+	// SkipValidation skips gar.CheckRole for both roles — n ≥ 3f+3, the
+	// quorum range 2f+3 ≤ q ≤ n−f, attacked indices inside the population
+	// and at least one honest node — and nothing else Validate checks (used
+	// by tests that deliberately run illegal deployments, e.g. the vanilla
+	// baseline).
 	SkipValidation bool
 	// Suspicion, when non-nil, is shared by all honest servers to
 	// accumulate per-worker exclusion statistics (requires a selective
@@ -141,6 +145,9 @@ type LiveChurn struct {
 
 // validate checks the churn cycle against the deployment.
 func (c *LiveChurn) validate(cfg *LiveConfig) error {
+	if c.Dir == "" {
+		return fmt.Errorf("cluster: churn needs a checkpoint directory")
+	}
 	if c.Server < 0 || c.Server >= cfg.NumServers {
 		return fmt.Errorf("cluster: churn targets server %d of %d", c.Server, cfg.NumServers)
 	}
@@ -153,19 +160,21 @@ func (c *LiveChurn) validate(cfg *LiveConfig) error {
 	if c.CheckpointEvery < 1 || c.CheckpointEvery > c.KillAtStep {
 		return fmt.Errorf("cluster: churn checkpoint cadence %d outside [1, kill step %d]", c.CheckpointEvery, c.KillAtStep)
 	}
-	if c.Dir == "" {
-		return fmt.Errorf("cluster: churn needs a checkpoint directory")
-	}
 	if cfg.TCP {
 		return fmt.Errorf("cluster: churn drives the channel mesh; TCP nodes restart as real processes")
 	}
 	return nil
 }
 
-// check is everything RunLiveContext refuses before it opens an endpoint.
-func (c *LiveConfig) check() error {
+// Validate is everything RunLiveContext refuses before it opens an
+// endpoint: each role against the paper's legality section (gar.CheckRole,
+// unless SkipValidation), then the run's own settings.
+func (c *LiveConfig) Validate() error {
 	if !c.SkipValidation {
-		if err := c.Validate(); err != nil {
+		if err := gar.CheckRole("server", c.NumServers, c.FServers, c.QuorumServers, maps.Keys(c.ServerAttacks)); err != nil {
+			return err
+		}
+		if err := gar.CheckRole("worker", c.NumWorkers, c.FWorkers, c.QuorumWorkers, maps.Keys(c.WorkerAttacks)); err != nil {
 			return err
 		}
 	}
@@ -178,32 +187,16 @@ func (c *LiveConfig) check() error {
 	if err := c.Mailbox.Validate(); err != nil {
 		return err
 	}
-	if c.Checkpoint != nil && (c.Checkpoint.Dir == "" || c.Checkpoint.Every < 1) {
-		return fmt.Errorf("cluster: checkpointing needs a directory and a positive cadence")
+	if c.Checkpoint != nil {
+		if err := c.Checkpoint.Validate(); err != nil {
+			return err
+		}
 	}
 	if c.TCP && c.Delay != nil {
 		return fmt.Errorf("cluster: Delay is injected by the channel mesh; it has no effect over TCP")
 	}
 	if c.Churn != nil {
 		return c.Churn.validate(c)
-	}
-	return nil
-}
-
-// Validate checks the deployment against the theoretical requirements of the
-// paper (n ≥ 3f+3, 2f+3 ≤ q ≤ n−f for both roles).
-func (c *LiveConfig) Validate() error {
-	if err := gar.CheckDeployment("server", c.NumServers, c.FServers); err != nil {
-		return err
-	}
-	if err := gar.CheckDeployment("worker", c.NumWorkers, c.FWorkers); err != nil {
-		return err
-	}
-	if err := gar.CheckQuorum("server", c.NumServers, c.FServers, c.quorumServers()); err != nil {
-		return err
-	}
-	if err := gar.CheckQuorum("worker", c.NumWorkers, c.FWorkers, c.quorumWorkers()); err != nil {
-		return err
 	}
 	return nil
 }
@@ -371,7 +364,7 @@ func (p *plan) worker(j int) WorkerConfig {
 // bring-up, node stack (see mesh.go), fan-out and teardown run over
 // in-process channels and, with cfg.TCP, over loopback sockets.
 func RunLiveContext(ctx context.Context, cfg LiveConfig) (*LiveResult, error) {
-	if err := cfg.check(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	p := cfg.plan()

@@ -265,28 +265,40 @@ func TestLiveBringUpLosesNoFrameToUnregisteredEndpoints(t *testing.T) {
 	}
 }
 
+// TestLiveValidationRejectsIllegalDeployments pins each refusal Validate
+// makes before any endpoint opens to its reason. A deployment with no
+// honest server would otherwise run to the end for nothing, and an attack
+// on a node that does not exist would be counted among the omniscient
+// colluders without ever running.
 func TestLiveValidationRejectsIllegalDeployments(t *testing.T) {
 	model, train, _ := testProblem(800)
-	bad := []LiveConfig{
-		{Model: model, Train: train, NumServers: 5, FServers: 1,
-			NumWorkers: 6, FWorkers: 1, Steps: 1, Batch: 1}, // n < 3f+3
-		{Model: model, Train: train, NumServers: 6, FServers: 1,
-			NumWorkers: 5, FWorkers: 1, Steps: 1, Batch: 1}, // n̄ < 3f̄+3
-		{Model: model, Train: train, NumServers: 6, FServers: 1,
-			NumWorkers: 6, FWorkers: 1, QuorumServers: 6, Steps: 1, Batch: 1}, // q > n−f
-		{Model: model, Train: train, NumServers: 6, FServers: 1,
-			NumWorkers: 6, FWorkers: 1, QuorumWorkers: 4, Steps: 1, Batch: 1}, // q̄ < 2f̄+3
+	all := map[int]attack.Attack{}
+	for i := 0; i < 6; i++ {
+		all[i] = attack.Zero{}
 	}
-	for i, cfg := range bad {
-		if _, err := RunLive(cfg); err == nil {
-			t.Fatalf("case %d: illegal deployment accepted", i)
+	cases := []struct {
+		name   string
+		mutate func(*LiveConfig)
+		want   string
+	}{
+		{"n < 3f+3", func(c *LiveConfig) { c.NumServers = 5 }, "server population n=5 violates n ≥ 3f+3"},
+		{"n̄ < 3f̄+3", func(c *LiveConfig) { c.NumWorkers = 5 }, "worker population n=5 violates n ≥ 3f+3"},
+		{"q > n−f", func(c *LiveConfig) { c.QuorumServers = 6 }, "server quorum q=6 violates q ≤ n−f"},
+		{"q̄ < 2f̄+3", func(c *LiveConfig) { c.QuorumWorkers = 4 }, "worker quorum q=4 violates q ≥ 2f+3"},
+		{"every server Byzantine", func(c *LiveConfig) { c.ServerAttacks = all }, "every server is Byzantine"},
+		{"attack index out of range", func(c *LiveConfig) {
+			c.WorkerAttacks = map[int]attack.Attack{99: attack.Zero{}}
+		}, "worker attack index 99 outside population [0, 6)"},
+		{"zero steps", func(c *LiveConfig) { c.Steps = 0 }, "cluster: Steps and Batch must be positive"},
+	}
+	for _, c := range cases {
+		cfg := LiveConfig{Model: model, Train: train,
+			NumServers: 6, FServers: 1, NumWorkers: 6, FWorkers: 1,
+			Steps: 2, Batch: 4, Timeout: 5 * time.Second, Seed: 8}
+		c.mutate(&cfg)
+		if _, err := RunLive(cfg); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: got %v, want an error containing %q", c.name, err, c.want)
 		}
-	}
-	// Positive sizes enforced too.
-	ok := LiveConfig{Model: model, Train: train, NumServers: 6, FServers: 1,
-		NumWorkers: 6, FWorkers: 1}
-	if _, err := RunLive(ok); err == nil || !strings.Contains(err.Error(), "Steps") {
-		t.Fatalf("zero steps accepted: %v", err)
 	}
 }
 

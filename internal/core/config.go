@@ -15,6 +15,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 
 	"repro/internal/attack"
 	"repro/internal/compress"
@@ -210,8 +211,9 @@ type Config struct {
 	Seed uint64
 }
 
-// Validate checks the configuration, enforcing the theoretical bounds in
-// GuanYu mode.
+// Validate checks the configuration: in GuanYu mode each role against the
+// paper's legality section (gar.CheckRole); in vanilla mode the baseline's
+// one honest server and its attack map, the only bounds it has.
 func (c *Config) Validate() error {
 	if c.Model == nil || c.Train == nil {
 		return fmt.Errorf("core: Model and Train are required")
@@ -221,23 +223,22 @@ func (c *Config) Validate() error {
 	}
 	switch c.Mode {
 	case ModeVanilla:
-		if c.NumServers != 1 {
-			return fmt.Errorf("core: vanilla mode requires exactly 1 server, got %d", c.NumServers)
+		if c.NumServers != 1 || len(c.ServerAttacks) > 0 {
+			return fmt.Errorf("core: vanilla mode runs exactly 1 honest server, got %d with %d attacked", c.NumServers, len(c.ServerAttacks))
 		}
-		if c.NumWorkers < 1 {
-			return fmt.Errorf("core: vanilla mode requires ≥ 1 worker")
+		for j := range c.WorkerAttacks {
+			if j < 0 || j >= c.NumWorkers {
+				return fmt.Errorf("core: vanilla worker attack index %d outside [0, %d)", j, c.NumWorkers)
+			}
+		}
+		if len(c.WorkerAttacks) >= c.NumWorkers {
+			return fmt.Errorf("core: vanilla mode needs an honest worker")
 		}
 	case ModeGuanYu:
-		if err := gar.CheckDeployment("server", c.NumServers, c.FServers); err != nil {
+		if err := gar.CheckRole("server", c.NumServers, c.FServers, c.QuorumServers, maps.Keys(c.ServerAttacks)); err != nil {
 			return err
 		}
-		if err := gar.CheckDeployment("worker", c.NumWorkers, c.FWorkers); err != nil {
-			return err
-		}
-		if err := gar.CheckQuorum("server", c.NumServers, c.FServers, c.quorumServers()); err != nil {
-			return err
-		}
-		if err := gar.CheckQuorum("worker", c.NumWorkers, c.FWorkers, c.quorumWorkers()); err != nil {
+		if err := gar.CheckRole("worker", c.NumWorkers, c.FWorkers, c.QuorumWorkers, maps.Keys(c.WorkerAttacks)); err != nil {
 			return err
 		}
 	default:
@@ -253,12 +254,6 @@ func (c *Config) Validate() error {
 		if err := c.Churn.Validate(c.NumServers, c.Steps, c.quorumServers(), c.ServerAttacks); err != nil {
 			return err
 		}
-	}
-	if len(c.ServerAttacks) >= c.NumServers {
-		return fmt.Errorf("core: every server is Byzantine; nothing to measure")
-	}
-	if len(c.WorkerAttacks) >= c.NumWorkers {
-		return fmt.Errorf("core: every worker is Byzantine; nothing to measure")
 	}
 	return nil
 }

@@ -40,6 +40,11 @@ func TestValidateConfig(t *testing.T) {
 				c.WorkerAttacks[i] = attack.Zero{}
 			}
 		}, "Byzantine"},
+		// An attack the simulator would never run, yet would count among
+		// the colluders it hands the omniscient attacks.
+		{"attack out of range", func(c *Config) {
+			c.WorkerAttacks = map[int]attack.Attack{99: attack.Zero{}}
+		}, "attack index 99 outside population"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -57,6 +62,11 @@ func TestValidateConfig(t *testing.T) {
 	v.NumServers = 3
 	if err := v.Validate(); err == nil {
 		t.Fatal("vanilla with 3 servers accepted")
+	}
+	v = VanillaTF(w, 10, 8, 1)
+	v.WorkerAttacks = map[int]attack.Attack{99: attack.Zero{}}
+	if err := v.Validate(); err == nil || !strings.Contains(err.Error(), "vanilla worker attack index 99 outside [0, 18)") {
+		t.Fatalf("vanilla attack out of range: %v", err)
 	}
 }
 

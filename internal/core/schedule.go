@@ -1,7 +1,5 @@
 package core
 
-import "math"
-
 // Schedule is a learning-rate schedule η_t. The convergence proof requires
 // the Robbins-Monro conditions: Σ η_t = ∞ and Σ η_t² < ∞ (Assumption 6 of
 // the paper).
@@ -17,48 +15,4 @@ func ConstantLR(eta float64) Schedule {
 // Robbins-Monro-compliant schedule used throughout the experiments.
 func InverseTimeLR(eta0 float64, halfLife float64) Schedule {
 	return func(t int) float64 { return eta0 / (1 + float64(t)/halfLife) }
-}
-
-// StepDecayLR returns a schedule that multiplies eta0 by factor every
-// `every` steps (factor < 1). Satisfies Robbins-Monro when factor < 1 is
-// applied forever? No — it decays geometrically, so Σ η_t < ∞; it trades
-// asymptotic guarantees for fast finite-horizon convergence, like most
-// practical deployments.
-func StepDecayLR(eta0, factor float64, every int) Schedule {
-	return func(t int) float64 {
-		return eta0 * math.Pow(factor, float64(t/every))
-	}
-}
-
-// CheckRobbinsMonro numerically probes a schedule over a horizon: it
-// verifies η_t > 0 throughout, that the partial sum Σ η_t keeps growing
-// (consistent with divergence) and that Σ η_t² is converging (its tail
-// contribution is a vanishing fraction). It is a heuristic sanity check for
-// user-supplied schedules, not a proof; it returns false when the schedule
-// clearly violates the assumptions (e.g. constant, or summable η_t).
-func CheckRobbinsMonro(s Schedule, horizon int) bool {
-	if horizon < 100 {
-		horizon = 100
-	}
-	var sum, sumSq, headSum, headSq float64
-	half := horizon / 2
-	for t := 0; t < horizon; t++ {
-		eta := s(t)
-		if eta <= 0 || math.IsNaN(eta) || math.IsInf(eta, 0) {
-			return false
-		}
-		sum += eta
-		sumSq += eta * eta
-		if t == half-1 {
-			headSum, headSq = sum, sumSq
-		}
-	}
-	// Σ η_t should NOT look convergent: the second half must still
-	// contribute a non-negligible fraction. The slowest admissible growth
-	// is logarithmic (η_t ~ 1/t), whose tail fraction over a horizon N is
-	// ln2/lnN ≈ 0.04–0.07 for practical N — hence the low threshold.
-	tailSumFrac := (sum - headSum) / sum
-	// Σ η_t² SHOULD look convergent: the second half contributes little.
-	tailSqFrac := (sumSq - headSq) / sumSq
-	return tailSumFrac > 0.03 && tailSqFrac < 0.35
 }

@@ -27,38 +27,6 @@ func TestInverseTimeLR(t *testing.T) {
 	}
 }
 
-func TestStepDecayLR(t *testing.T) {
-	s := StepDecayLR(1.0, 0.5, 10)
-	if s(0) != 1.0 || s(9) != 1.0 {
-		t.Fatal("decay before boundary")
-	}
-	if s(10) != 0.5 || s(20) != 0.25 {
-		t.Fatalf("decay wrong: s(10)=%v s(20)=%v", s(10), s(20))
-	}
-}
-
-func TestCheckRobbinsMonro(t *testing.T) {
-	// 1/(1+t) satisfies both conditions.
-	if !CheckRobbinsMonro(InverseTimeLR(0.5, 1), 100_000) {
-		t.Fatal("inverse-time schedule rejected")
-	}
-	// Constant violates Σ η² < ∞.
-	if CheckRobbinsMonro(ConstantLR(0.1), 100_000) {
-		t.Fatal("constant schedule accepted")
-	}
-	// Geometric decay violates Σ η = ∞.
-	if CheckRobbinsMonro(StepDecayLR(1, 0.5, 10), 100_000) {
-		t.Fatal("geometric decay accepted")
-	}
-	// Negative or zero rates are rejected outright.
-	if CheckRobbinsMonro(func(int) float64 { return 0 }, 1000) {
-		t.Fatal("zero schedule accepted")
-	}
-	if CheckRobbinsMonro(func(t int) float64 { return math.NaN() }, 1000) {
-		t.Fatal("NaN schedule accepted")
-	}
-}
-
 func TestMomentumRunConverges(t *testing.T) {
 	w := BlobWorkload(500, 130)
 	cfg := fastGuanYu(w, 80, 15)

@@ -1,6 +1,9 @@
 package gar
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
 // The theoretical preconditions of GuanYu (Section 3.2 of the paper;
 // authoritative statement: guanyu/gar/bounds.go):
@@ -12,9 +15,38 @@ import "fmt"
 //
 // Per-rule input bounds (n ≥ 2f+3 for krum/multi-krum, n ≥ 2f+1 for
 // trimmed-mean, n ≥ 4f+3 for bulyan, n ≥ f+1 for mda) are enforced by the
-// registry's MinInputs entries. These helpers centralise the checks so
-// every deployment entry point validates against the same statement of the
-// theory.
+// registry's MinInputs entries. CheckRole is the one legality function:
+// core.Config, cluster.LiveConfig and guanyu.RunNode call it per role, and
+// guanyu.New reaches it through the runtime config it builds.
+
+// CheckRole checks one role — population n, declared Byzantine count f,
+// quorum q (≤ 0 means the 2f+3 default), the distinct attacked indices
+// (nil: none) — against the legality section: f ≥ 0, n ≥ 3f+3,
+// 2f+3 ≤ q ≤ n−f, every attacked index in [0, n), an honest node left.
+func CheckRole(role string, n, f, q int, byzantine iter.Seq[int]) error {
+	if err := CheckDeployment(role, n, f); err != nil {
+		return err
+	}
+	if q <= 0 {
+		q = MinQuorum(f)
+	}
+	if err := CheckQuorum(role, n, f, q); err != nil {
+		return err
+	}
+	attacked := 0
+	if byzantine != nil {
+		for i := range byzantine {
+			if i < 0 || i >= n {
+				return fmt.Errorf("gar: %s attack index %d outside population [0, %d)", role, i, n)
+			}
+			attacked++
+		}
+	}
+	if attacked >= n {
+		return fmt.Errorf("gar: every %s is Byzantine; nothing to measure", role)
+	}
+	return nil
+}
 
 // CheckDeployment verifies the population bound n ≥ 3f+3 for one node role.
 func CheckDeployment(role string, n, f int) error {
