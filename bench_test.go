@@ -498,7 +498,8 @@ func BenchmarkMatVec10x1024(b *testing.B)  { benchMatVec(b, 10, 1024) }
 // codec must run with 0 allocs/op in steady state (the 5–12× it measured
 // over the retired encoding/gob wire format is a dated row in
 // EXPERIMENTS.md). b.SetBytes makes `go test -bench Wire` report MB/s
-// directly — the measured column of the `throughput` experiment.
+// directly — the codec rate the retired `throughput` experiment priced
+// (EXPERIMENTS.md keeps its last numbers).
 // ---------------------------------------------------------------------------
 
 // wireBenchMessage builds the paper-scale message the wire benchmarks ship.
@@ -644,7 +645,7 @@ func BenchmarkWireBroadcastCouriers207882(b *testing.B) {
 }
 
 // wireBenchShardSize is the chunk width of the sharded wire benchmarks —
-// the memory experiment's full-scale default (64 Ki coordinates, 512 KiB
+// the bandwidth experiment's streaming width (64 Ki coordinates, 512 KiB
 // frames; 27 shards at the paper dimension).
 const wireBenchShardSize = 1 << 16
 

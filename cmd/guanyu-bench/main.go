@@ -9,11 +9,13 @@
 //	guanyu-bench -exp matrix         # scenario matrix: attack × GAR × fault grid
 //	guanyu-bench -exp matrix -smoke  # smallest grid cell at tiny scale (CI)
 //	guanyu-bench -exp matrix -attacks alie,antikrum -faults none,chaos
-//	guanyu-bench -exp throughput     # wire codec: serialization-bound steps/sec + MB/s
+//	guanyu-bench -wire-check BENCH_wire.json  # exact wire bytes per compression scheme
 //	guanyu-bench -list               # show experiment ids
 //
 // Output is plain text, one table/series block per experiment, with the
-// paper's expected shape quoted next to each measurement.
+// paper's expected shape quoted next to each measurement. Systems numbers
+// of the live runtime (steps/s, MB/step, resident memory) come from the
+// benchmark module under benchmark/, not from this command.
 package main
 
 import (
@@ -44,16 +46,11 @@ func run(args []string, out io.Writer) error {
 		attacks  = fs.String("attacks", "", "scenario matrix only: comma-separated attack specs (default grid when empty)")
 		rules    = fs.String("rules", "", "scenario matrix only: comma-separated gradient GAR names")
 		faults   = fs.String("faults", "", "scenario matrix only: comma-separated fault profile specs")
-		churn    = fs.String("churn", "", "scenario matrix: comma-separated churn scenarios (none | crash | rolling | joinleave | kind:server@step,... schedules); soak: any non-empty value arms the kill/restart cycle")
+		churn    = fs.String("churn", "", "scenario matrix only: semicolon-separated churn scenarios (none | crash | rolling | joinleave | kind:server@step,... schedules)")
 		parallel = fs.Int("parallel", 0, "worker count for kernels and concurrent curves (0 = all CPUs, 1 = serial; results are identical at any setting)")
-		shard    = fs.Int("shard", 0, "memory experiment only: shard size in coordinates (0 = per-dimension default)")
 		compAxis = fs.String("compress", "", "scenario matrix only: comma-separated compression specs (none | float32 | delta[:key=N] | topk:k=F)")
 		wireJSON = fs.String("wire-json", "", "write the bandwidth experiment's wire rows to this file (commit as BENCH_wire.json) and exit")
 		wireChk  = fs.String("wire-check", "", "re-measure the bandwidth wire rows and compare byte counts against this committed BENCH_wire.json, then exit")
-		mbox     = fs.String("mailbox", "", "scale experiment only: mailbox bound for the live rows, policy[:cap=N] (default drop-oldest at the transport cap)")
-		scaleOut = fs.String("scale-json", "", "scale experiment only: also write the sweep rows to this file (commit as BENCH_scale.json)")
-		metrics  = fs.String("metrics", "", "soak experiment only: serve /metrics + /healthz on this address for the run's duration (e.g. 127.0.0.1:9464)")
-		linger   = fs.Duration("linger", 0, "soak experiment only: keep the -metrics listener up this long after the run, for external scrapers")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -107,54 +104,6 @@ func run(args []string, out io.Writer) error {
 	// runOne routes "matrix" through it so they apply under -exp all too.
 	customMatrix := *smoke || *attacks != "" || *rules != "" || *faults != "" || *compAxis != "" || *churn != ""
 	runOne := func(id string) error {
-		if id == "scale" {
-			// Routed here rather than through RunExperiment so -smoke picks the
-			// CI population sizing and -mailbox/-scale-json apply.
-			mcfg, err := guanyu.ParseMailbox(*mbox)
-			if err != nil {
-				return err
-			}
-			r, err := guanyu.ScaleSweep(scale, *smoke, mcfg)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(out, r.Format())
-			if *scaleOut != "" {
-				data, err := guanyu.ScaleBenchJSON(r)
-				if err != nil {
-					return err
-				}
-				if err := os.WriteFile(*scaleOut, data, 0o644); err != nil {
-					return err
-				}
-				fmt.Fprintf(out, "wrote %d scale rows to %s\n", len(r.Rows), *scaleOut)
-			}
-			return nil
-		}
-		if id == "soak" {
-			// Routed here rather than through RunExperiment so -smoke picks the
-			// CI sizing, -metrics/-linger expose the live registry, and -churn
-			// arms the kill/restart cycle.
-			r, err := guanyu.Soak(scale, guanyu.SoakOptions{
-				Smoke:       *smoke,
-				MetricsAddr: *metrics,
-				Linger:      *linger,
-				Churn:       *churn != "",
-			})
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(out, r.Format())
-			return nil
-		}
-		if id == "memory" && *shard > 0 {
-			rows, err := guanyu.Memory(scale, *shard)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(out, guanyu.FormatMemory(rows))
-			return nil
-		}
 		if id == "matrix" && customMatrix {
 			spec := guanyu.DefaultMatrixSpec()
 			if *smoke {

@@ -1,28 +1,40 @@
 package main
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro/guanyu"
 )
 
+// TestListExperiments pins the experiment ids, in presentation order.
 func TestListExperiments(t *testing.T) {
 	var out strings.Builder
 	if err := run([]string{"-list"}, &out); err != nil {
 		t.Fatal(err)
 	}
-	for _, id := range guanyu.ExperimentIDs() {
-		if !strings.Contains(out.String(), id) {
-			t.Fatalf("list missing %q:\n%s", id, out.String())
-		}
+	want := "table1 fig3 fig4 table2 overhead contraction quorum gar async noniid matrix bandwidth"
+	if got := strings.Join(strings.Fields(out.String()), " "); got != want {
+		t.Fatalf("-list printed %q, want %q", got, want)
 	}
 }
 
+// TestUnknownExperimentRejected covers a made-up id and the four retired
+// systems experiments: each errors, and the error lists the known ids.
 func TestUnknownExperimentRejected(t *testing.T) {
-	var out strings.Builder
-	if err := run([]string{"-exp", "fig99"}, &out); err == nil {
-		t.Fatal("unknown experiment accepted")
+	known := fmt.Sprint(guanyu.ExperimentIDs())
+	for _, id := range []string{"fig99", "throughput", "memory", "scale", "soak"} {
+		t.Run(id, func(t *testing.T) {
+			var out strings.Builder
+			err := run([]string{"-exp", id}, &out)
+			if err == nil {
+				t.Fatalf("-exp %s accepted", id)
+			}
+			if !strings.Contains(err.Error(), known) {
+				t.Fatalf("-exp %s: error %q does not list the known ids %s", id, err, known)
+			}
+		})
 	}
 }
 

@@ -9,7 +9,6 @@
 //	guanyu-train -mode guanyu -byz-workers 5 -byz-servers 1 -attack signflip
 //	guanyu-train -mode guanyu -runtime live -steps 50
 //	guanyu-train -runtime live -metrics 127.0.0.1:9464 -mailbox drop-oldest
-//	guanyu-train -soak -metrics 127.0.0.1:9464
 package main
 
 import (
@@ -56,27 +55,12 @@ func run(args []string, out io.Writer) error {
 		ckptDir   = fs.String("checkpoint-dir", "", "live runtime only: honest servers persist protocol state into this directory every -checkpoint-every steps")
 		ckptEvr   = fs.Int("checkpoint-every", 10, "live runtime only: checkpoint cadence in steps (with -checkpoint-dir)")
 		rejoin    = fs.String("rejoin", "", "live runtime only: kill/restart cycle as server@step (e.g. 0@25): that honest server is killed once it completes the step and rejoins from its newest -checkpoint-dir snapshot via median catch-up")
-		soak      = fs.Bool("soak", false, "run the long-haul soak instead of one training run: thousands of live steps under flaky faults and an equivocating server, self-checking counters, liveness and memory")
-		soakChurn = fs.Bool("soak-churn", false, "-soak only: kill one honest server mid-run and restart it from its newest checkpoint with median rejoin")
-		metrics   = fs.String("metrics", "", "serve /metrics + /healthz on this address (live runtime or -soak; e.g. 127.0.0.1:9464)")
-		linger    = fs.Duration("linger", 0, "-soak only: keep the -metrics listener up this long after the run")
+		metrics   = fs.String("metrics", "", "live runtime only: serve /metrics + /healthz on this address for the run's duration (e.g. 127.0.0.1:9464)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	guanyu.SetParallelism(*parallel)
-
-	if *soak {
-		scale := guanyu.ExperimentScale{Batch: *batch, Examples: *examples, Seed: *seed}
-		r, err := guanyu.Soak(scale, guanyu.SoakOptions{
-			MetricsAddr: *metrics, Linger: *linger, Churn: *soakChurn,
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(out, r.Format())
-		return nil
-	}
 
 	opts := []guanyu.Option{
 		guanyu.WithWorkload(guanyu.ImageWorkload(*examples, *seed)),

@@ -40,19 +40,19 @@
 // little-endian float64 payloads — on a little-endian host the vector's
 // own memory, so a sender writes a vector to its socket from where it lies
 // and a receiver reads it into the vector it keeps (zero allocations in
-// steady state — see the `throughput` experiment and
+// steady state — see BenchmarkWireEncodeBinary1756426 and
 // BENCH_transport.json), over per-connection
 // hello-authenticated TCP so a Byzantine peer cannot forge other senders
 // into a quorum. WIRE.md is the byte-level specification.
 //
-// With guanyu.WithShardSize (the -shard flag on the commands), vectors
-// stream as fixed coordinate shards — chunk frames on the wire — and every
-// quorum aggregates incrementally as each shard's first-q set completes:
-// peak receive buffering drops from O(n·d) to O(q·shard) for the
-// coordinate-wise rules (Multi-Krum's streamer retains its q inputs until
-// the post-selection mean, an O(q·d) floor) and aggregation overlaps the
-// network receive (see the `memory` experiment), with results bit-identical
-// to whole-vector framing at any shard size.
+// With guanyu.WithShardSize (the -shard flag on guanyu-train and
+// guanyu-node), vectors stream as fixed coordinate shards — chunk frames on
+// the wire — and every quorum aggregates incrementally as each shard's
+// first-q set completes: peak receive buffering drops from O(n·d) to
+// O(q·shard) for the coordinate-wise rules (Multi-Krum's streamer retains
+// its q inputs until the post-selection mean, an O(q·d) floor) and
+// aggregation overlaps the network receive, with results bit-identical to
+// whole-vector framing at any shard size.
 //
 // The protocol implementation lives under internal/ (see DESIGN.md for the
 // system inventory), the runnable entry points under cmd/ and examples/,

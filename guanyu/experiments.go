@@ -115,15 +115,6 @@ func Matrix(s ExperimentScale, spec MatrixSpec) (*MatrixResult, error) {
 	return experiments.Matrix(s, spec)
 }
 
-// ThroughputRow is one (cluster shape, payload dimension) wire measurement.
-type ThroughputRow = experiments.ThroughputRow
-
-// Throughput measures the binary wire codec on protocol-sized payloads and
-// derives the serialization-bound steps/sec ceiling for representative
-// cluster shapes. Timing-based: the absolute numbers are machine-dependent,
-// the scaling across shapes is the point.
-func Throughput(s ExperimentScale) ([]ThroughputRow, error) { return experiments.Throughput(s) }
-
 // BandwidthRow is one (dimension, scheme) wire-volume measurement: exact
 // steady-state bytes per vector under each compression scheme vs raw
 // framing, plus advisory codec rates.
@@ -155,60 +146,4 @@ func WireBenchJSON(rows []BandwidthRow) ([]byte, error) { return experiments.Wir
 // BENCH_wire.json: exact byte counts must match; rates are ignored.
 func CheckWireBench(committed []byte, rows []BandwidthRow) error {
 	return experiments.CheckWireBench(committed, rows)
-}
-
-// MemoryRow is one dimension's one-shard-vs-sharded collector measurement.
-type MemoryRow = experiments.MemoryRow
-
-// Memory replays one deterministic arrival schedule through one collector
-// at two layouts — one shard (whole-vector framing) and chunk-streamed —
-// and reports peak buffered bytes, the receive→aggregate overlap, and a
-// bit-identity check of the two aggregates. shardSize overrides the
-// per-dimension default when positive (the -shard flag on guanyu-bench).
-func Memory(s ExperimentScale, shardSize int) ([]MemoryRow, error) {
-	return experiments.Memory(s, shardSize)
-}
-
-// FormatMemory renders the peak-memory comparison table.
-func FormatMemory(rows []MemoryRow) string { return experiments.FormatMemory(rows) }
-
-// ScaleRow is one population point of the scale sweep.
-type ScaleRow = experiments.ScaleRow
-
-// ScaleSweepResult is the full scale sweep plus its peak-heap verdict.
-type ScaleSweepResult = experiments.ScaleSweepResult
-
-// ScaleSweep runs the node-count sweep enabled by the bounded-mailbox actor
-// runtime: the deterministic simulator at populations beyond 200 nodes and
-// the live goroutine-per-node runtime at 100, reporting steps/sec and the
-// sampled peak heap against a derived O(n·cap·frame) budget. smoke selects
-// the CI sizing (64 sim / 24 live); the zero mbox arms the default
-// drop-oldest bound on the live rows.
-func ScaleSweep(s ExperimentScale, smoke bool, mbox MailboxConfig) (*ScaleSweepResult, error) {
-	return experiments.ScaleSweep(s, smoke, mbox)
-}
-
-// ScaleBenchJSON serialises scale sweep rows for committing as
-// BENCH_scale.json (timings machine-dependent, informational baseline).
-func ScaleBenchJSON(r *ScaleSweepResult) ([]byte, error) { return experiments.ScaleBenchJSON(r) }
-
-// SoakResult is one soak run's measurements and verdicts.
-type SoakResult = experiments.SoakResult
-
-// SoakOptions selects a soak run's mode: CI sizing, the /metrics listener,
-// and the optional kill/restart churn cycle.
-type SoakOptions = experiments.SoakOptions
-
-// Soak runs the long-haul live deployment — an equivocating server, the
-// "flaky" fault profile on every link, bounded drop-oldest mailboxes — while
-// self-scraping its live metrics registry and checking counter
-// monotonicity, full liveness, and the scale experiment's peak-heap budget.
-// opts.Smoke selects the CI sizing. When opts.MetricsAddr is non-empty a
-// /metrics + /healthz listener serves the run's registry and stays up
-// opts.Linger after the run finishes, so external scrapers can read the
-// final counters. opts.Churn kills one honest server mid-run and restarts
-// it from its newest checkpoint with median rejoin, and the verdict then
-// also requires the restart to have actually happened.
-func Soak(s ExperimentScale, opts SoakOptions) (*SoakResult, error) {
-	return experiments.Soak(s, opts)
 }

@@ -241,15 +241,15 @@ func WithTCPTransport() Option {
 // fills (coordinate-wise rules shard-by-shard; multi-krum via a streaming
 // two-pass distance fold). Results are bit-identical to whole-vector
 // framing at any shard size and parallelism, and aggregation overlaps the
-// network receive (see `guanyu-bench -exp memory`). Receive buffering
-// drops from O(n·d) to O(q·shard) for coordinate-wise rules
-// (coordinate-median, trimmed-mean, mean — each shard is aggregated and
-// released as it completes); multi-krum's streamer must retain its q
-// pinned inputs until the post-selection mean, so its resident floor is
-// O(q·d) — still the n→q buffering drop plus the overlapped O(q²·d)
-// distance pass, but not the coordinate-wise bound. n ≤ 0 or ≥ the model
-// dimension keeps whole-vector framing. Live-only: the simulator prices
-// the wire in its cost model rather than framing real traffic.
+// network receive. Receive buffering drops from O(n·d) to O(q·shard) for
+// coordinate-wise rules (coordinate-median, trimmed-mean, mean — each
+// shard is aggregated and released as it completes); multi-krum's
+// streamer must retain its q pinned inputs until the post-selection mean,
+// so its resident floor is O(q·d) — still the n→q buffering drop plus the
+// overlapped O(q²·d) distance pass, but not the coordinate-wise bound.
+// n ≤ 0 or ≥ the model dimension keeps whole-vector framing. Live-only:
+// the simulator prices the wire in its cost model rather than framing real
+// traffic.
 func WithShardSize(n int) Option {
 	return func(d *Deployment) error {
 		if n < 0 {

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -195,7 +196,7 @@ func TestLiveOmniscientAttackGetsSharedView(t *testing.T) {
 		Timeout: time.Minute,
 		Seed:    3,
 	}
-	res, err := RunLive(cfg)
+	res, err := RunLiveContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

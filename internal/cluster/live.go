@@ -271,13 +271,6 @@ type LiveResult struct {
 	ChurnRestarted bool
 }
 
-// RunLive executes the deployment to completion and returns the honest
-// servers' final models. Every node runs in its own goroutine; the call
-// blocks until all have finished or one fails.
-func RunLive(cfg LiveConfig) (*LiveResult, error) {
-	return RunLiveContext(context.Background(), cfg)
-}
-
 // plan is what every node's config is cut from: the deployment, the
 // registry its handles come from, its node IDs by index, θ₀, the adversary's
 // shared views and the generator the workers' samplers are split off, in
@@ -358,9 +351,11 @@ func (p *plan) worker(j int) WorkerConfig {
 	}
 }
 
-// RunLiveContext is RunLive with cancellation: when ctx is cancelled the
-// mesh is torn down, which unblocks every node's quorum wait and makes the
-// run return promptly with ctx's error. It is the one launcher: the same
+// RunLiveContext executes the deployment to completion and returns the
+// honest servers' final models. Every node runs in its own goroutine; the
+// call blocks until all have finished or one fails. When ctx is cancelled
+// the mesh is torn down, which unblocks every node's quorum wait and makes
+// the run return promptly with ctx's error. It is the one launcher: the same
 // bring-up, node stack (see mesh.go), fan-out and teardown run over
 // in-process channels and, with cfg.TCP, over loopback sockets.
 func RunLiveContext(ctx context.Context, cfg LiveConfig) (*LiveResult, error) {

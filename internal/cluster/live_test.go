@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -48,7 +49,7 @@ func TestLiveGuanYuConvergesNonByzantine(t *testing.T) {
 		Timeout: 60 * time.Second,
 		Seed:    1,
 	}
-	res, err := RunLive(cfg)
+	res, err := RunLiveContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestLiveGuanYuSurvivesByzantineWorkersAndServer(t *testing.T) {
 		Timeout: 60 * time.Second,
 		Seed:    2,
 	}
-	res, err := RunLive(cfg)
+	res, err := RunLiveContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +122,7 @@ func TestLiveVanillaDivergesUnderSingleByzantineWorker(t *testing.T) {
 		Seed:           3,
 		SkipValidation: true, // vanilla deliberately ignores the theory bounds
 	}
-	res, err := RunLive(vanilla)
+	res, err := RunLiveContext(context.Background(), vanilla)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +147,7 @@ func TestLiveVanillaConvergesWithoutAttack(t *testing.T) {
 		Seed:           4,
 		SkipValidation: true,
 	}
-	res, err := RunLive(vanilla)
+	res, err := RunLiveContext(context.Background(), vanilla)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +169,7 @@ func TestLiveSilentServerDoesNotBlockProgress(t *testing.T) {
 		Timeout: 60 * time.Second,
 		Seed:    5,
 	}
-	res, err := RunLive(cfg)
+	res, err := RunLiveContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +191,7 @@ func TestLiveNaNInjectionIsFilteredAtReceipt(t *testing.T) {
 		Timeout: 60 * time.Second,
 		Seed:    6,
 	}
-	res, err := RunLive(cfg)
+	res, err := RunLiveContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +217,7 @@ func TestLiveWithInjectedAsynchrony(t *testing.T) {
 		Timeout: 120 * time.Second,
 		Seed:    7,
 	}
-	res, err := RunLive(cfg)
+	res, err := RunLiveContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +244,7 @@ func TestLiveBringUpLosesNoFrameToUnregisteredEndpoints(t *testing.T) {
 	const want = steps * (servers*workers + workers*servers + servers*(servers-1))
 	for round := 0; round < 5; round++ {
 		var delivered atomic.Int64
-		_, err := RunLive(LiveConfig{
+		_, err := RunLiveContext(context.Background(), LiveConfig{
 			Model:      model,
 			Train:      train,
 			NumServers: servers, FServers: 1,
@@ -296,7 +297,7 @@ func TestLiveValidationRejectsIllegalDeployments(t *testing.T) {
 			NumServers: 6, FServers: 1, NumWorkers: 6, FWorkers: 1,
 			Steps: 2, Batch: 4, Timeout: 5 * time.Second, Seed: 8}
 		c.mutate(&cfg)
-		if _, err := RunLive(cfg); err == nil || !strings.Contains(err.Error(), c.want) {
+		if _, err := RunLiveContext(context.Background(), cfg); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: got %v, want an error containing %q", c.name, err, c.want)
 		}
 	}
@@ -321,7 +322,7 @@ func TestLiveQuorumTimeoutSurfacesAsError(t *testing.T) {
 		Timeout: 300 * time.Millisecond,
 		Seed:    8,
 	}
-	if _, err := RunLive(cfg); err == nil {
+	if _, err := RunLiveContext(context.Background(), cfg); err == nil {
 		t.Fatal("expected quorum timeout, run succeeded")
 	}
 }
@@ -350,7 +351,7 @@ func TestLiveFirstErrorTearsTheMeshDown(t *testing.T) {
 			Checkpoint: &CheckpointSpec{Dir: notADir, Every: 1},
 		}
 		start := time.Now()
-		_, err := RunLive(cfg)
+		_, err := RunLiveContext(context.Background(), cfg)
 		if err == nil || !strings.Contains(err.Error(), "checkpoint") {
 			t.Fatalf("tcp=%v: want the checkpoint error first, got %v", tcp, err)
 		}
@@ -373,7 +374,7 @@ func TestLiveDelayedServerToleratedByQuorums(t *testing.T) {
 		Timeout: 60 * time.Second,
 		Seed:    9,
 	}
-	res, err := RunLive(cfg)
+	res, err := RunLiveContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +398,7 @@ func TestSuspicionIdentifiesByzantineWorker(t *testing.T) {
 		Seed:      10,
 		Suspicion: susp,
 	}
-	if _, err := RunLive(cfg); err != nil {
+	if _, err := RunLiveContext(context.Background(), cfg); err != nil {
 		t.Fatal(err)
 	}
 	ranks := susp.Ranking()
@@ -427,7 +428,7 @@ func TestLiveTraceRecordsProtocolEvents(t *testing.T) {
 		Seed:    11,
 		Trace:   rec,
 	}
-	if _, err := RunLive(cfg); err != nil {
+	if _, err := RunLiveContext(context.Background(), cfg); err != nil {
 		t.Fatal(err)
 	}
 	// 6 servers × 5 steps × 4 event kinds.
@@ -455,7 +456,7 @@ func TestLiveMomentumConverges(t *testing.T) {
 		Timeout:  60 * time.Second,
 		Seed:     12,
 	}
-	res, err := RunLive(cfg)
+	res, err := RunLiveContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

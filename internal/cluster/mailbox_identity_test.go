@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -64,7 +65,7 @@ func TestMailboxPoliciesBitIdenticalWithoutOverflow(t *testing.T) {
 				v.mut(&cfg)
 				cfg.Mailbox = p.cfg
 				cfg.TCP = tcp
-				res, err := RunLive(cfg)
+				res, err := RunLiveContext(context.Background(), cfg)
 				if err != nil {
 					t.Fatalf("%s: %v", cell, err)
 				}

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -268,7 +269,17 @@ func liveChurnKillRestart(t *testing.T, shardSize int) {
 		Delay: func(string, string) time.Duration { return 2 * time.Millisecond },
 		Churn: &LiveChurn{Server: 0, KillAtStep: 8, CheckpointEvery: 3, Dir: t.TempDir()},
 	}
-	res, err := RunLive(cfg)
+	// A scraper reads the registry every few milliseconds while the run is in
+	// flight, as a /metrics poll would: no node's drop counters or step count
+	// may ever go down between two reads — across the restart too, since the
+	// second incarnation counts into the first one's handle.
+	stop, reads := make(chan struct{}), make(chan int)
+	go func() { reads <- scrapeMonotonic(t, reg, stop) }()
+	res, err := RunLiveContext(context.Background(), cfg)
+	close(stop)
+	if n := <-reads; n < 2 {
+		t.Errorf("the scraper read the registry %d times during the run, want at least 2", n)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,6 +321,41 @@ func liveChurnKillRestart(t *testing.T, shardSize int) {
 	}
 }
 
+// scrapeMonotonic snapshots reg every 2 ms until stop is closed, then once
+// more, and reports every node counter that went down between two reads. It
+// returns how many reads it made.
+func scrapeMonotonic(t *testing.T, reg *metrics.Registry, stop <-chan struct{}) int {
+	names := [...]string{"future", "malformed", "forged", "unnegotiated", "roster",
+		"overflow", "courier", "closed", "steps"}
+	prev := make(map[string][len(names)]uint64)
+	tick := time.NewTicker(2 * time.Millisecond)
+	defer tick.Stop()
+	for n := 1; ; n++ {
+		stopped := false
+		select {
+		case <-stop:
+			stopped = true
+		case <-tick.C:
+		}
+		for _, s := range reg.Snapshot() {
+			cur := [len(names)]uint64{s.DroppedFuture, s.DroppedMalformed, s.ForgedDropped,
+				s.DroppedUnnegotiated, s.DroppedRoster, s.DroppedOverflow, s.CourierDropped,
+				s.DroppedClosed, s.Steps}
+			if old, ok := prev[s.ID]; ok {
+				for i := range cur {
+					if cur[i] < old[i] {
+						t.Errorf("%s: %s counter went %d → %d between two scrapes", s.ID, names[i], old[i], cur[i])
+					}
+				}
+			}
+			prev[s.ID] = cur
+		}
+		if stopped {
+			return n
+		}
+	}
+}
+
 // TestLiveChurnRejectsBadCycles covers the churn validation surface.
 func TestLiveChurnRejectsBadCycles(t *testing.T) {
 	model, train, _ := testProblem(912)
@@ -336,7 +382,7 @@ func TestLiveChurnRejectsBadCycles(t *testing.T) {
 	for name, mutate := range mutations {
 		cfg := base()
 		mutate(&cfg)
-		if _, err := RunLive(cfg); err == nil {
+		if _, err := RunLiveContext(context.Background(), cfg); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}

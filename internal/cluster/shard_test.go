@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"net"
 	"sync"
 	"testing"
@@ -31,7 +32,7 @@ func TestLiveShardedConverges(t *testing.T) {
 		Seed:      1,
 		ShardSize: 13,
 	}
-	res, err := RunLive(cfg)
+	res, err := RunLiveContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +74,7 @@ func TestLiveShardedSurvivesByzantineAndFaults(t *testing.T) {
 		Suspicion: sus,
 		ShardSize: 13,
 	}
-	res, err := RunLive(cfg)
+	res, err := RunLiveContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +117,7 @@ func TestLiveShardedMedianSurvivesDrops(t *testing.T) {
 		}),
 		ShardSize: 13,
 	}
-	res, err := RunLive(cfg)
+	res, err := RunLiveContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"strings"
+	"time"
 
 	"repro/internal/attack"
 	"repro/internal/compress"
@@ -31,9 +32,10 @@ var bandwidthDims = []int{2726, 1756426}
 var bandwidthSchemes = []string{"none", "float32", "delta", "topk:k=0.01"}
 
 // bandwidthShard is the chunk-streaming shard size the wire rows assume —
-// the same 2^16-coordinate default the memory experiment uses, so the
-// compressed frames measured here are exactly the frames a sharded live
-// deployment ships.
+// 2^16 coordinates (512 KiB raw frames, 27 shards at the paper dimension),
+// the width of the root package's sharded wire benchmarks, so the
+// compressed frames measured here are exactly the frames a live deployment
+// at that shard size ships.
 const bandwidthShard = 1 << 16
 
 // BandwidthRow is one (dimension, scheme) wire measurement.
@@ -142,6 +144,32 @@ func shardMeta(i, n, off int) transport.ShardMeta {
 		return transport.ShardMeta{}
 	}
 	return transport.ShardMeta{Index: i, Count: n, Offset: off}
+}
+
+// codecReps sizes a measurement batch: enough messages that per-trial
+// setup amortises away, without making the paper-dimension rows take
+// seconds per trial.
+func codecReps(dim int) int {
+	reps := 4_000_000 / dim
+	if reps < 4 {
+		reps = 4
+	}
+	return reps
+}
+
+// measureCodec times fn (reps encode+decode passes over one message) and
+// returns seconds per message, taking the best of three trials so a
+// scheduler hiccup cannot masquerade as codec cost.
+func measureCodec(reps int, fn func(reps int)) float64 {
+	best := 0.0
+	for trial := 0; trial < 3; trial++ {
+		start := time.Now()
+		fn(reps)
+		if sec := time.Since(start).Seconds() / float64(reps); trial == 0 || sec < best {
+			best = sec
+		}
+	}
+	return best
 }
 
 // measureBandwidth prices one (scheme, vector) pair: exact steady-state

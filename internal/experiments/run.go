@@ -5,14 +5,12 @@ import (
 	"io"
 
 	"repro/internal/stats"
-	"repro/internal/transport"
 )
 
 // ids is the presentation order of the experiment suite: the paper's tables
 // and figures first, then the design-choice ablations.
 var ids = []string{"table1", "fig3", "fig4", "table2", "overhead",
-	"contraction", "quorum", "gar", "async", "noniid", "matrix", "throughput",
-	"memory", "bandwidth", "scale", "soak"}
+	"contraction", "quorum", "gar", "async", "noniid", "matrix", "bandwidth"}
 
 // IDs returns the experiment identifiers in presentation order.
 func IDs() []string {
@@ -87,32 +85,8 @@ func Run(id string, s Scale, out io.Writer) error {
 			return err
 		}
 		fmt.Fprint(out, r.Format())
-	case "throughput":
-		rows, err := Throughput(s)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(out, FormatThroughput(rows))
-	case "memory":
-		rows, err := Memory(s, 0)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(out, FormatMemory(rows))
 	case "bandwidth":
 		r, err := Bandwidth(s)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(out, r.Format())
-	case "scale":
-		r, err := ScaleSweep(s, false, transport.MailboxConfig{})
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(out, r.Format())
-	case "soak":
-		r, err := Soak(s, SoakOptions{})
 		if err != nil {
 			return err
 		}

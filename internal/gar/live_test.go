@@ -1,6 +1,7 @@
 package gar_test
 
 import (
+	"context"
 	"math"
 	"testing"
 	"time"
@@ -52,7 +53,7 @@ func TestSuspicionSelectsOnce(t *testing.T) {
 		Seed:      55,
 		Suspicion: susp,
 	}
-	if _, err := cluster.RunLive(cfg); err != nil {
+	if _, err := cluster.RunLiveContext(context.Background(), cfg); err != nil {
 		t.Fatal(err)
 	}
 	// Which senders make a first-q̄-of-n̄ quorum is the scheduler's choice (on

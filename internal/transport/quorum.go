@@ -117,7 +117,9 @@ type Collector struct {
 	decided map[collectorKey]struct{}
 	// spent holds the vectors of released slots and rounds. A fold may still
 	// be reading them (see ShardFold), so they wait here for Recycle.
-	spent    []tensor.Vector
+	spent []tensor.Vector
+	// stored counts the frames buffered so far: a fold that runs while it
+	// is below the frames sent has overlapped the receive stream.
 	stored   int
 	curBytes int
 }
@@ -183,11 +185,6 @@ func (c *Collector) horizon() int {
 	}
 	return DefaultHorizon
 }
-
-// StoredFrames returns how many frames have been buffered so far — the
-// receive-progress counter the memory experiment reads from its fold
-// callback to decide whether an aggregation overlapped the receive stream.
-func (c *Collector) StoredFrames() int { return c.stored }
 
 func (c *Collector) account(delta int) {
 	c.curBytes += delta

@@ -598,7 +598,8 @@ func TestShardCollectorHorizonAndMalformed(t *testing.T) {
 
 // TestShardCollectorPeakBytes replays one round-robin schedule through the
 // collector at both layouts: the sharded layout's peak buffer must stay
-// well under the one-shard layout's q·d floor.
+// well under the one-shard layout's q·d floor, and its shards must fold
+// while later frames are still arriving.
 func TestShardCollectorPeakBytes(t *testing.T) {
 	const (
 		dim, size = 4096, 256
@@ -637,9 +638,20 @@ func TestShardCollectorPeakBytes(t *testing.T) {
 		}
 	}
 	scol := NewCollector(recv2, NewShardLayout(dim, size))
-	fold := func(int, int, []string, []tensor.Vector) error { return nil }
+	sent := senders * len(frames[0])
+	folds, overlapped := 0, 0
+	fold := func(int, int, []string, []tensor.Vector) error {
+		folds++
+		if scol.stored < sent {
+			overlapped++
+		}
+		return nil
+	}
 	if _, err := scol.Collect(KindParams, 0, q, nil, "", false, fold, 2*time.Second); err != nil {
 		t.Fatal(err)
+	}
+	if overlapped == 0 {
+		t.Fatalf("none of %d shard folds ran before the last of %d frames was buffered", folds, sent)
 	}
 	if want := q * size * 8; scol.Metrics.PeakBytes() != want {
 		t.Fatalf("sharded peak %d bytes, want %d", scol.Metrics.PeakBytes(), want)
