@@ -13,10 +13,10 @@
 // column" section; the "Experiment index" section maps each benchmark to
 // its experiment id and the paper's expected value).
 //
-// The kernel micro-benchmarks come in Serial/Parallel pairs pinned to
-// parallelism 1 and the machine's CPU count, so the speedup of the worker
-// pool is measured, not claimed — and the unsuffixed originals keep
-// measuring the ambient default. Parallelism never changes results (see
+// Some kernel micro-benchmarks are pinned with a suffix: Serial runs at
+// parallelism 1, how a benchmark node runs its kernels, and the gradient
+// and forward Parallel twins run at the machine's CPU count; the unsuffixed
+// rows measure the ambient default. Parallelism never changes results (see
 // guanyu.SetParallelism), only wall-clock.
 package repro_test
 
@@ -27,8 +27,6 @@ import (
 	"time"
 
 	"repro/guanyu"
-	pgar "repro/guanyu/gar"
-
 	"repro/internal/attack"
 	"repro/internal/compress"
 	"repro/internal/gar"
@@ -198,10 +196,10 @@ func BenchmarkAsyncSweep(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Micro benchmarks: the public GAR contract at the paper's aggregation
-// fan-in (q̄ = 13 gradients) and the tiny CNN dimension. Mean and
-// coordinate-median run on the zero-alloc dst path; guanyu/gar's own
-// benchmarks assert the allocation count.
+// Micro benchmarks: the aggregation rules at the paper's fan-in (q̄ = 13
+// gradients) and the tiny CNN dimension, reduced the way the node loops
+// reduce a one-shard quorum (cluster's quorum.reduce): gar.StreamerFor, one
+// Fold of the whole vectors, Result, and the output back to the free list.
 // ---------------------------------------------------------------------------
 
 func benchVectors(n, d int) [][]float64 {
@@ -215,15 +213,22 @@ func benchVectors(n, d int) [][]float64 {
 
 func benchRule(b *testing.B, name string, f, n, d int) {
 	b.Helper()
-	r := pgar.MustNew(name, pgar.Params{F: f, Inputs: n})
+	rule, err := gar.FromName(name, f)
+	if err != nil {
+		b.Fatal(err)
+	}
 	vs := benchVectors(n, d)
-	dst := make([]float64, d)
-	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := r.Aggregate(ctx, dst, vs); err != nil {
+		st, _ := gar.StreamerFor(rule, d)
+		if err := st.Fold(0, d, vs); err != nil {
 			b.Fatal(err)
 		}
+		out, err := st.Result()
+		if err != nil {
+			b.Fatal(err)
+		}
+		tensor.Put(out)
 	}
 }
 
@@ -242,14 +247,9 @@ func BenchmarkGARMultiKrum13x2726(b *testing.B)   { benchRule(b, "multi-krum", 5
 func BenchmarkGARTrimmedMean13x2726(b *testing.B) { benchRule(b, "trimmed-mean", 5, 13, 2726) }
 func BenchmarkGARBulyan23x2726(b *testing.B)      { benchRule(b, "bulyan", 5, 23, 2726) }
 
-// Serial/parallel pairs for the aggregation rules at the paper's fan-in.
+// The same rules at kernel parallelism 1, how a benchmark node runs them.
 func BenchmarkGARMedian13x2726Serial(b *testing.B) {
 	withParallelism(b, 1)
-	benchRule(b, "coordinate-median", 0, 13, 2726)
-}
-
-func BenchmarkGARMedian13x2726Parallel(b *testing.B) {
-	withParallelism(b, 0)
 	benchRule(b, "coordinate-median", 0, 13, 2726)
 }
 
@@ -258,18 +258,8 @@ func BenchmarkGARMultiKrum13x2726Serial(b *testing.B) {
 	benchRule(b, "multi-krum", 5, 13, 2726)
 }
 
-func BenchmarkGARMultiKrum13x2726Parallel(b *testing.B) {
-	withParallelism(b, 0)
-	benchRule(b, "multi-krum", 5, 13, 2726)
-}
-
 func BenchmarkGARTrimmedMean13x2726Serial(b *testing.B) {
 	withParallelism(b, 1)
-	benchRule(b, "trimmed-mean", 5, 13, 2726)
-}
-
-func BenchmarkGARTrimmedMean13x2726Parallel(b *testing.B) {
-	withParallelism(b, 0)
 	benchRule(b, "trimmed-mean", 5, 13, 2726)
 }
 
@@ -278,15 +268,9 @@ func BenchmarkGARBulyan23x2726Serial(b *testing.B) {
 	benchRule(b, "bulyan", 5, 23, 2726)
 }
 
-func BenchmarkGARBulyan23x2726Parallel(b *testing.B) {
-	withParallelism(b, 0)
-	benchRule(b, "bulyan", 5, 23, 2726)
-}
-
 // The same rules at the benchmark's wide dimension (paper d / 8) and the
 // paper's two quorums: q = 5 parameter vectors into the median (24 times a
-// step at the 6/18 shape), q̄ = 13 gradients into Multi-Krum (6 times) —
-// whole, and folded as one shard the way the node loops reduce a quorum.
+// step at the 6/18 shape), q̄ = 13 gradients into Multi-Krum (6 times).
 // BENCH_gar.json records these rows before and after the small-q kernels.
 func BenchmarkGARMedian5x207882(b *testing.B) { benchRule(b, "coordinate-median", 0, 5, 207882) }
 func BenchmarkGARTrimmedMean13x207882(b *testing.B) {
@@ -305,21 +289,6 @@ func BenchmarkGARMedian5x207882Serial(b *testing.B) {
 func BenchmarkGARMultiKrum13x207882Serial(b *testing.B) {
 	withParallelism(b, 1)
 	benchRule(b, "multi-krum", 5, 13, 207882)
-}
-
-func BenchmarkGARMultiKrum13x207882Streamed(b *testing.B) {
-	const d = 207882
-	vs := benchVectors(13, d)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		st := gar.MultiKrum{F: 5}.NewStreamer(d)
-		if err := st.Fold(0, d, vs); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := st.Result(); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // benchGradientTinyConvNet measures the worker-side gradient estimation

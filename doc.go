@@ -8,8 +8,9 @@
 // describes a deployment, one Runner interface executes it under the
 // deterministic virtual-time simulator (guanyu.Sim, reproduces the paper's
 // figures) or with real concurrency (guanyu.Live, in-process or TCP).
-// Aggregation rules live behind the registry in guanyu/gar, keyed by stable
-// names such as "multi-krum" and "coordinate-median".
+// Aggregation rules are chosen by name with guanyu.WithRule and
+// guanyu.WithParamRule ("multi-krum", "coordinate-median", ...); an unknown
+// name is refused with the list of known ones.
 //
 //	d, _ := guanyu.New(
 //		guanyu.WithWorkload(guanyu.ImageWorkload(1200, 1)),

@@ -30,8 +30,9 @@
 //
 // Swapping guanyu.WithRuntime(guanyu.Live) executes the identical
 // deployment with real concurrency instead of virtual time. Aggregation
-// rules are selected by registry name (see guanyu/gar); Byzantine
-// behaviours by value (see Attack and AttackByName).
+// rules are selected by name (WithRule, WithParamRule; New refuses an
+// unknown name with the list of known ones); Byzantine behaviours by value
+// (see Attack and AttackByName).
 package guanyu
 
 import (

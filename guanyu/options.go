@@ -48,8 +48,8 @@ func WithQuorums(q, qBar int) Option {
 }
 
 // WithRule selects the gradient aggregation rule by registry name (the
-// paper's F; default "multi-krum", or "mean" in vanilla mode). See
-// guanyu/gar for the names.
+// paper's F; default "multi-krum", or "mean" in vanilla mode). New refuses
+// an unknown name with the list of known ones.
 func WithRule(name string) Option {
 	return func(d *Deployment) error {
 		if name == "" {

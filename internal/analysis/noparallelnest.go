@@ -12,12 +12,12 @@ import (
 // kernel without failing a single test. This analyzer turns the
 // lexical form of that mistake into a lint failure.
 //
-// A "region entry" is a call to parallel.For, parallel.ForWorker,
-// parallel.Do, or the Run/RunMax methods of parallel.Runner. A "worker
-// body" is a function literal passed to one of those calls (or to
-// parallel.NewRunner). Only lexical nesting is detected — a body that
-// calls a helper which itself enters a region needs the runtime guard
-// (and parallel.Busy) as before. Escape hatch:
+// A "region entry" is a call to parallel.For, parallel.ForWorker or
+// parallel.Do (a parallel.Runner is only built inside For and ForWorker).
+// A "worker body" is a function literal passed to one of those calls. Only
+// lexical nesting is detected — a body that calls a helper which itself
+// enters a region needs the runtime guard (and parallel.Busy) as before.
+// Escape hatch:
 // //lint:allow-parallelnest, for bodies that intentionally call an
 // entry point documented to degrade gracefully.
 var NoParallelNest = &Analyzer{
@@ -32,7 +32,7 @@ func runNoParallelNest(p *Pass) {
 		bodies := make(map[*ast.FuncLit]bool)
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
-			if !ok || !p.isParallelCall(call, true) {
+			if !ok || !p.isParallelCall(call) {
 				return true
 			}
 			for _, arg := range call.Args {
@@ -55,7 +55,7 @@ func runNoParallelNest(p *Pass) {
 				inBody--
 				return false
 			}
-			if call, ok := n.(*ast.CallExpr); ok && inBody > 0 && p.isParallelCall(call, false) {
+			if call, ok := n.(*ast.CallExpr); ok && inBody > 0 && p.isParallelCall(call) {
 				if !p.Allowed("parallelnest", call.Pos()) {
 					p.Reportf(call.Pos(),
 						"parallel region entered from inside a parallel worker body: the inner region silently serialises")
@@ -67,28 +67,19 @@ func runNoParallelNest(p *Pass) {
 	}
 }
 
-// isParallelCall reports whether call enters a parallel region (or,
-// with includeCtors, merely installs a worker body via NewRunner).
-func (p *Pass) isParallelCall(call *ast.CallExpr, includeCtors bool) bool {
+// isParallelCall reports whether call enters a parallel region.
+func (p *Pass) isParallelCall(call *ast.CallExpr) bool {
 	obj := calleeObj(p.Info, call)
 	if obj == nil || obj.Pkg() == nil || obj.Pkg().Name() != "parallel" {
 		return false
 	}
 	fn, ok := obj.(*types.Func)
-	if !ok {
+	if !ok || fn.Type().(*types.Signature).Recv() != nil {
 		return false
-	}
-	if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
-		if !namedFromPkg(recv.Type(), "parallel", "Runner") {
-			return false
-		}
-		return obj.Name() == "Run" || obj.Name() == "RunMax"
 	}
 	switch obj.Name() {
 	case "For", "ForWorker", "Do":
 		return true
-	case "NewRunner":
-		return includeCtors
 	}
 	return false
 }

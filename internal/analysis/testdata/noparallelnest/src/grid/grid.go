@@ -27,16 +27,6 @@ func NestedDo(tasks []func()) {
 	})
 }
 
-// RunnerNest nests through a constructed runner's worker body.
-func RunnerNest(rows, cols int, cell func(r, c int)) {
-	r := parallel.NewRunner(func(i int) {
-		parallel.For(cols, func(c int) { // want "inside a parallel worker body"
-			cell(i, c)
-		})
-	})
-	r.Run(rows)
-}
-
 // Sequential entries are fine, and the escape hatch waives a
 // documented graceful degradation.
 func Sequential(n int, f, g func(i int)) {

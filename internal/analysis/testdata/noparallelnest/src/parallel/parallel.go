@@ -15,16 +15,3 @@ func Do(tasks ...func()) {
 		task()
 	}
 }
-
-// Runner is a reusable region entry point.
-type Runner struct{ body func(i int) }
-
-// NewRunner returns a Runner over the given worker body.
-func NewRunner(body func(i int)) *Runner { return &Runner{body: body} }
-
-// Run enters the region for n items.
-func (r *Runner) Run(n int) {
-	for i := 0; i < n; i++ {
-		r.body(i)
-	}
-}

@@ -18,8 +18,9 @@ import (
 // protocol-relevant state is (step, θ, momentum velocity, collector
 // horizon): everything else — collector buffers, compression stream
 // state — is per-connection and rebuilt from live traffic after a
-// restart (TCP redials reset both ends' codec streams; in-process
-// deployments call Compressor.Reset). The Checkpoint codec below
+// restart: the restarted node starts with fresh codecs (a TCP redial, or a
+// fresh transport.Compressor in process), and peers' delta streams to it
+// heal at their next keyframe. The Checkpoint codec below
 // serialises that state with bit-exact float round-tripping, the
 // persistence helpers write it atomically so a crash mid-write can never
 // leave a half-checkpoint behind, and RejoinMedian lets a restarted

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/attack"
+	"repro/internal/compress"
 	"repro/internal/dataset"
 	"repro/internal/gar"
 	"repro/internal/metrics"
@@ -239,17 +240,27 @@ func TestCrashRecoveryOverTCP(t *testing.T) {
 // checkpoint with median rejoin, and the deployment finishes with all six
 // honest finals inside contraction distance — while the shared metrics
 // registry stays healthy across the restart. Rejoin discovery is
-// layout-agnostic, so the cycle runs at one shard and chunk-streamed.
+// layout-agnostic, so the cycle runs at one shard and chunk-streamed. The
+// delta row restarts the victim under delta compression: it comes back with
+// fresh codecs, so its peers' delta streams to it fail their reference
+// check until each heals at its next keyframe, and the run still finishes.
 func TestLiveChurnKillRestart(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a 12-node live deployment with a restart")
 	}
-	for name, shardSize := range map[string]int{"whole": 0, "sharded": 13} {
-		t.Run(name, func(t *testing.T) { liveChurnKillRestart(t, shardSize) })
+	for name, tc := range map[string]struct {
+		shardSize int
+		comp      compress.Config
+	}{
+		"whole":   {},
+		"sharded": {shardSize: 13},
+		"delta":   {comp: compress.Config{Scheme: compress.Delta}},
+	} {
+		t.Run(name, func(t *testing.T) { liveChurnKillRestart(t, tc.shardSize, tc.comp) })
 	}
 }
 
-func liveChurnKillRestart(t *testing.T, shardSize int) {
+func liveChurnKillRestart(t *testing.T, shardSize int, comp compress.Config) {
 	reg := metrics.NewRegistry()
 	model, train, test := testProblem(911)
 	cfg := LiveConfig{
@@ -258,7 +269,7 @@ func liveChurnKillRestart(t *testing.T, shardSize int) {
 		NumWorkers: 6, FWorkers: 0,
 		QuorumServers: 3, QuorumWorkers: 3,
 		Rule: gar.Median{}, ParamRule: gar.Median{},
-		Steps: 30, Batch: 16, ShardSize: shardSize,
+		Steps: 30, Batch: 16, ShardSize: shardSize, Compression: comp,
 		LR:      func(int) float64 { return 0.2 },
 		Timeout: time.Minute,
 		Seed:    7,
@@ -318,6 +329,12 @@ func liveChurnKillRestart(t *testing.T, shardSize int) {
 	// incarnations together perform fewer steps than the run has.
 	if got := vm.Steps.Load(); got >= uint64(cfg.Steps) {
 		t.Fatalf("victim performed %d steps for a %d-step run: rejoin should have skipped the outage", got, cfg.Steps)
+	}
+	// Under delta the second incarnation's decoders are fresh: its peers'
+	// diff frames failed their reference check (counted malformed) until
+	// their next keyframes, and the run above finished all the same.
+	if comp.Enabled() && vm.DroppedMalformed.Load() == 0 {
+		t.Fatal("no delta frame to the restarted server was dropped: did it keep its old codecs?")
 	}
 }
 

@@ -78,16 +78,6 @@ func NewEncoder(cfg Config) *Encoder {
 // Config returns the encoder's configuration.
 func (e *Encoder) Config() Config { return e.cfg }
 
-// Reset discards all per-stream state — delta references and top-k
-// error-feedback accumulators — as if the encoder were freshly built.
-// A node that restarts from a checkpoint calls this on every link so
-// the first delta frame after the rejoin is an absolute keyframe and
-// no compensation accumulated against the pre-crash peer leaks into
-// the new stream. The configuration is unchanged.
-func (e *Encoder) Reset() {
-	e.streams = make(map[streamKey]*encStream)
-}
-
 func (e *Encoder) stream(kind uint8, off int) *encStream {
 	k := streamKey{kind: kind, off: off}
 	st := e.streams[k]
@@ -321,14 +311,6 @@ type Decoder struct {
 // NewDecoder returns a fresh decoder (a new connection's receive state).
 func NewDecoder() *Decoder {
 	return &Decoder{streams: make(map[streamKey]*decStream)}
-}
-
-// Reset discards all per-stream reference state, mirroring
-// Encoder.Reset on the receiving side: the next delta frame per stream
-// must be a keyframe (a diff would fail with ErrReference and be
-// dropped, exactly the dropped-frame self-healing path).
-func (d *Decoder) Reset() {
-	d.streams = make(map[streamKey]*decStream)
 }
 
 // Decode expands payload — scheme-encoded coordinates [off, off+n) shipped

@@ -3,9 +3,9 @@
 // The paper evaluates on CIFAR-10. That dataset is not shipped here; instead
 // SynthImg (see synthimg.go) generates a procedural 10-class image
 // classification task with the same tensor shape and the same role in the
-// pipeline — a non-convex vision task for the CNN substrate. Lower-dimensional
-// workloads (Gaussian blobs, two spirals) are provided for fast tests and for
-// the quickstart example.
+// pipeline — a non-convex vision task for the CNN substrate. A
+// lower-dimensional workload (Gaussian blobs) is provided for fast tests and
+// for the quickstart example.
 package dataset
 
 import (
@@ -68,16 +68,6 @@ func (d *Dataset) Split(trainFrac float64, rng *tensor.RNG) (train, test *Datase
 	return mk(perm[:nTrain]), mk(perm[nTrain:])
 }
 
-// Subset returns examples [lo, hi) as a view (shared feature storage).
-func (d *Dataset) Subset(lo, hi int) *Dataset {
-	return &Dataset{
-		X:          d.X[lo:hi],
-		Labels:     d.Labels[lo:hi],
-		NumClasses: d.NumClasses,
-		FeatureDim: d.FeatureDim,
-	}
-}
-
 // Sampler draws random mini-batches from a dataset. Each worker node owns an
 // independent Sampler (its G^(j) gradient distribution in the paper's
 // notation), so gradient estimates at different workers are mutually
@@ -103,11 +93,4 @@ func (s *Sampler) Batch(size int) ([][]float64, []int) {
 		labels[i] = s.data.Labels[j]
 	}
 	return xs, labels
-}
-
-// OneHot encodes a label as a one-hot vector of length numClasses.
-func OneHot(label, numClasses int) []float64 {
-	v := make([]float64, numClasses)
-	v[label] = 1
-	return v
 }

@@ -6,8 +6,13 @@ import (
 	"repro/internal/tensor"
 )
 
+// defaultSynthImg is the harness-sized image task: 8×8×3, ten classes.
+func defaultSynthImg(examples int) SynthImgConfig {
+	return SynthImgConfig{Size: 8, NumClasses: 10, Examples: examples, Noise: 0.25, Seed: 1}
+}
+
 func TestSynthImgShapeAndBalance(t *testing.T) {
-	cfg := DefaultSynthImg(200)
+	cfg := defaultSynthImg(200)
 	d := SynthImg(cfg)
 	if err := d.Validate(); err != nil {
 		t.Fatal(err)
@@ -27,7 +32,7 @@ func TestSynthImgShapeAndBalance(t *testing.T) {
 }
 
 func TestSynthImgDeterminism(t *testing.T) {
-	cfg := DefaultSynthImg(50)
+	cfg := defaultSynthImg(50)
 	a, b := SynthImg(cfg), SynthImg(cfg)
 	for i := range a.X {
 		for j := range a.X[i] {
@@ -116,17 +121,6 @@ func TestSplitPartitions(t *testing.T) {
 	}
 }
 
-func TestSubsetView(t *testing.T) {
-	d := Blobs(10, 2, 3, 0.5, 3)
-	s := d.Subset(2, 5)
-	if s.Len() != 3 {
-		t.Fatalf("subset len %d", s.Len())
-	}
-	if &s.X[0][0] != &d.X[2][0] {
-		t.Fatal("Subset should share storage")
-	}
-}
-
 func TestSamplerBatch(t *testing.T) {
 	d := Blobs(50, 5, 3, 0.5, 4)
 	s := NewSampler(d, tensor.NewRNG(5))
@@ -161,23 +155,7 @@ func TestSamplersAreIndependent(t *testing.T) {
 	}
 }
 
-func TestOneHot(t *testing.T) {
-	v := OneHot(2, 5)
-	for i, x := range v {
-		want := 0.0
-		if i == 2 {
-			want = 1
-		}
-		if x != want {
-			t.Fatalf("OneHot = %v", v)
-		}
-	}
-}
-
-func TestSpiralsAndBlobsValid(t *testing.T) {
-	if err := Spirals(100, 0.02, 7).Validate(); err != nil {
-		t.Fatal(err)
-	}
+func TestBlobsValid(t *testing.T) {
 	if err := Blobs(100, 10, 4, 0.3, 8).Validate(); err != nil {
 		t.Fatal(err)
 	}

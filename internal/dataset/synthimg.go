@@ -24,11 +24,6 @@ type SynthImgConfig struct {
 	Seed uint64
 }
 
-// DefaultSynthImg returns the configuration used by the experiment harness.
-func DefaultSynthImg(examples int) SynthImgConfig {
-	return SynthImgConfig{Size: 8, NumClasses: 10, Examples: examples, Noise: 0.25, Seed: 1}
-}
-
 // SynthImg generates the "SynthImg" procedural image classification task:
 // each class k is a distinct spatial/chromatic pattern (oriented gratings,
 // radial blobs, checkerboards and color gradients parameterised by k),
@@ -115,33 +110,6 @@ func Blobs(examples, numClasses int, radius, std float64, seed uint64) *Dataset 
 		d.X[i] = []float64{
 			radius*math.Cos(angle) + std*rng.Norm(),
 			radius*math.Sin(angle) + std*rng.Norm(),
-		}
-	}
-	return d
-}
-
-// Spirals generates the classic two-spirals task: a non-linearly separable
-// 2-class dataset that a linear model cannot solve, exercising the hidden
-// layers of the MLP substrate.
-func Spirals(examples int, noise float64, seed uint64) *Dataset {
-	rng := tensor.NewRNG(seed)
-	d := &Dataset{
-		X:          make([][]float64, examples),
-		Labels:     make([]int, examples),
-		NumClasses: 2,
-		FeatureDim: 2,
-	}
-	for i := 0; i < examples; i++ {
-		label := i % 2
-		t := 0.25 + 3*math.Pi*rng.Float64()
-		sign := 1.0
-		if label == 1 {
-			sign = -1
-		}
-		d.Labels[i] = label
-		d.X[i] = []float64{
-			sign*t*math.Cos(t)/10 + noise*rng.Norm(),
-			sign*t*math.Sin(t)/10 + noise*rng.Norm(),
 		}
 	}
 	return d

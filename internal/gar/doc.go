@@ -6,9 +6,9 @@
 //
 // A GAR is a function (R^d)^n → R^d. A (α,f)-Byzantine-resilient GAR
 // tolerates f arbitrary inputs among its n inputs. The package also exposes
-// the legality checks the theory requires. The authoritative statement of
-// the bounds lives in guanyu/gar/bounds.go; validate.go and the registry
-// enforce the same statement:
+// the legality checks the theory requires. The bounds are stated once, in
+// validate.go (populations, quorums) and the registry's MinInputs entries
+// (rule inputs):
 //
 //	deployment populations  n ≥ 3f+3 (servers), n̄ ≥ 3f̄+3 (workers)
 //	quorums                 2f+3 ≤ q ≤ n−f per role

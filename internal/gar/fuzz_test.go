@@ -102,8 +102,8 @@ func FuzzAggregateRules(f *testing.F) {
 	})
 }
 
-// FuzzMedianInto drives the zero-alloc kernel path the public guanyu/gar
-// median uses, with an independently sized destination.
+// FuzzMedianInto drives the in-place median kernel the median streamer
+// folds through, with an independently sized destination.
 func FuzzMedianInto(f *testing.F) {
 	f.Add([]byte{3, 2, 0, 1}, 2)
 	f.Add([]byte{4, 4, 0, 1}, 0)

@@ -347,6 +347,9 @@ func TestValidateHelpers(t *testing.T) {
 	if err := CheckDeployment("server", 3, -1); err == nil {
 		t.Fatal("negative f should be rejected")
 	}
+	if _, err := FromName("multi-krum", -1); err == nil {
+		t.Fatal("FromName with negative f should be rejected")
+	}
 	if err := CheckQuorum("worker", 18, 5, 13); err != nil {
 		t.Fatal(err)
 	}
@@ -358,8 +361,5 @@ func TestValidateHelpers(t *testing.T) {
 	}
 	if MinQuorum(5) != 13 || MaxQuorum(18, 5) != 13 || MinPopulation(1) != 6 {
 		t.Fatal("bound helpers disagree with the theory")
-	}
-	if bp := BreakdownPoint(); math.Abs(bp-1.0/3.0) > 1e-15 {
-		t.Fatalf("breakdown point = %v", bp)
 	}
 }

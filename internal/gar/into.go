@@ -6,10 +6,9 @@ import (
 	"repro/internal/tensor"
 )
 
-// In-place aggregation kernels. These are the allocation-free cores behind
-// Mean and Median; the public guanyu/gar package drives their chunk forms
-// directly so its Aggregate(ctx, dst, inputs) hot path performs no per-call
-// allocations even when it parallelises over coordinate ranges.
+// In-place aggregation kernels: the cores behind Mean and Median and their
+// streamers (stream.go), which write each folded shard into the streamer's
+// pooled output.
 //
 // Both kernels are coordinate-independent: coordinate i of the output
 // depends only on coordinate i of the inputs, and within one coordinate the
@@ -26,20 +25,6 @@ const (
 	coordGrain = 1 << 10
 	meanGrain  = 1 << 12
 )
-
-// CheckInto validates inputs (non-empty, equal dimensions) and that dst
-// matches their dimension. The public guanyu/gar rules call it before
-// driving the chunk kernels directly.
-func CheckInto(dst tensor.Vector, inputs []tensor.Vector) error {
-	if err := checkInputs(inputs); err != nil {
-		return err
-	}
-	if len(dst) != len(inputs[0]) {
-		return fmt.Errorf("gar: destination has dimension %d, inputs have %d",
-			len(dst), len(inputs[0]))
-	}
-	return nil
-}
 
 // MeanChunkInto writes coordinates [lo, hi) of the arithmetic mean of inputs
 // into dst. Inputs must be validated (same dimension, dst matching); the
@@ -60,18 +45,16 @@ func MeanChunkInto(dst tensor.Vector, inputs []tensor.Vector, lo, hi int) {
 	}
 }
 
-// MedianChunkInto writes coordinates [lo, hi) of the coordinate-wise median
-// of inputs into dst. dst may alias one of the inputs.
-func MedianChunkInto(dst tensor.Vector, inputs []tensor.Vector, lo, hi int) {
-	reduceColumns(dst, inputs, lo, hi, medianOf(len(inputs)))
-}
-
-// MedianInto writes the coordinate-wise median of inputs into dst. Large
-// dimensions are processed in parallel coordinate chunks (bit-identical to
-// serial).
+// MedianInto writes the coordinate-wise median of inputs into dst, which
+// must match their dimension. Large dimensions are processed in parallel
+// coordinate chunks (bit-identical to serial).
 func MedianInto(dst tensor.Vector, inputs []tensor.Vector) error {
-	if err := CheckInto(dst, inputs); err != nil {
+	if err := checkInputs(inputs); err != nil {
 		return err
+	}
+	if len(dst) != len(inputs[0]) {
+		return fmt.Errorf("gar: destination has dimension %d, inputs have %d",
+			len(dst), len(inputs[0]))
 	}
 	reduceAllColumns(dst, inputs, medianOf(len(inputs)))
 	return nil

@@ -18,7 +18,7 @@ import (
 //   - every rule is permutation-invariant (exactly for order-free kernels,
 //     to summation-order rounding for averaging ones);
 //   - the legality checks accept exactly the boundary of the paper's
-//     bounds (Section 3.2, restated in guanyu/gar/bounds.go).
+//     bounds (Section 3.2, stated in validate.go and the registry).
 
 // propCase is one seeded random instance: n total inputs of dimension d, of
 // which the f at corruptIdx are adversarial (huge, tiny, sign-flipped or
@@ -215,7 +215,7 @@ func TestAllRulesPermutationInvariant(t *testing.T) {
 }
 
 // TestLegalityBoundaryTable walks the exact boundary of the paper's bounds
-// as stated in guanyu/gar/bounds.go: populations n ≥ 3f+3, quorums
+// as stated in validate.go and the registry: populations n ≥ 3f+3, quorums
 // 2f+3 ≤ q ≤ n−f, and per-rule input preconditions at MinInputs.
 func TestLegalityBoundaryTable(t *testing.T) {
 	for f := 0; f <= 4; f++ {
@@ -248,10 +248,11 @@ func TestLegalityBoundaryTable(t *testing.T) {
 	rng := tensor.NewRNG(5)
 	for _, name := range RuleNames() {
 		for f := 0; f <= 3; f++ {
-			min, err := MinInputs(name, f)
+			spec, err := LookupSpec(name)
 			if err != nil {
 				t.Fatal(err)
 			}
+			min := spec.MinInputs(f)
 			rule, err := FromName(name, f)
 			if err != nil {
 				t.Fatal(err)

@@ -7,8 +7,9 @@ import (
 
 // The registry maps stable rule names to constructors so deployment
 // builders, command-line flags and experiment tables select rules by string
-// instead of switch statements. The public guanyu/gar package layers the
-// redesigned Aggregate(ctx, dst, inputs) contract on top of these entries.
+// instead of switch statements: guanyu.WithRule and WithParamRule resolve
+// their names here, and an unknown name is refused with the list of known
+// ones.
 
 // Spec describes one registered rule family.
 type Spec struct {
@@ -82,16 +83,6 @@ func FromName(name string, f int) (Rule, error) {
 		return nil, fmt.Errorf("gar: rule %q: negative f=%d", name, f)
 	}
 	return s.New(f), nil
-}
-
-// MinInputs returns the named rule's input-cardinality precondition for
-// declared f.
-func MinInputs(name string, f int) (int, error) {
-	s, err := LookupSpec(name)
-	if err != nil {
-		return 0, err
-	}
-	return s.MinInputs(f), nil
 }
 
 // RuleNames lists every registered rule name, sorted.

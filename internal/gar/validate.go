@@ -5,8 +5,9 @@ import (
 	"iter"
 )
 
-// The theoretical preconditions of GuanYu (Section 3.2 of the paper;
-// authoritative statement: guanyu/gar/bounds.go):
+// The theoretical preconditions of GuanYu (Section 3.2 of the paper). This
+// file and the registry's MinInputs entries are their one statement; every
+// runtime, the façade and DESIGN.md enforce or quote exactly these bounds:
 //
 //	n  ≥ 3f+3    parameter servers, f Byzantine
 //	n̄  ≥ 3f̄+3    workers, f̄ Byzantine
@@ -53,7 +54,7 @@ func CheckDeployment(role string, n, f int) error {
 	if f < 0 {
 		return fmt.Errorf("gar: negative Byzantine count f=%d for %s", f, role)
 	}
-	if n < 3*f+3 {
+	if n < MinPopulation(f) {
 		return fmt.Errorf("gar: %s population n=%d violates n ≥ 3f+3 with f=%d",
 			role, n, f)
 	}
@@ -62,11 +63,11 @@ func CheckDeployment(role string, n, f int) error {
 
 // CheckQuorum verifies 2f+3 ≤ q ≤ n−f for one node role.
 func CheckQuorum(role string, n, f, q int) error {
-	if q < 2*f+3 {
+	if q < MinQuorum(f) {
 		return fmt.Errorf("gar: %s quorum q=%d violates q ≥ 2f+3 with f=%d",
 			role, q, f)
 	}
-	if q > n-f {
+	if q > MaxQuorum(n, f) {
 		return fmt.Errorf("gar: %s quorum q=%d violates q ≤ n−f with n=%d f=%d",
 			role, q, n, f)
 	}
@@ -81,8 +82,3 @@ func MaxQuorum(n, f int) int { return n - f }
 
 // MinPopulation returns the smallest legal population 3f+3 for the given f.
 func MinPopulation(f int) int { return 3*f + 3 }
-
-// BreakdownPoint returns the asymptotically optimal Byzantine fraction the
-// paper derives for asynchronous networks: 1/3 (Section 3.5). Exposed so the
-// documentation examples and the EXPERIMENTS harness quote a single source.
-func BreakdownPoint() float64 { return 1.0 / 3.0 }

@@ -10,16 +10,13 @@
 //     work (each output cell written by exactly one chunk, e.g. a coordinate
 //     range of a median) or uses fixed, size-derived chunk boundaries with an
 //     ordered reduction (e.g. BatchGradient's example chunks). Chunk
-//     boundaries handed to a Runner depend only on (n, grain) — never on the
-//     worker count — and chunks are pulled dynamically, so scheduling varies
-//     run to run while values never do.
+//     boundaries handed to For and ForWorker depend only on (n, grain) —
+//     never on the worker count — and chunks are pulled dynamically, so
+//     scheduling varies run to run while values never do.
 //
-//   - Zero steady-state allocation. The parameter-server aggregation loop is
-//     allocation-free (asserted by the guanyu/gar AllocsPerRun tests), so the
-//     pool must be too: workers are persistent goroutines, dispatch sends a
-//     pre-existing *Runner over a buffered channel, and the per-call state
-//     (cursor, worker-slot counter, WaitGroup) lives inside the reusable
-//     Runner. A kernel that owns a Runner parallelises without allocating.
+//   - Cheap dispatch. Workers are persistent goroutines; a region sends one
+//     *Runner holding its per-call state (cursor, worker-slot counter,
+//     WaitGroup) over a buffered channel to each worker it recruits.
 //
 //   - Size awareness. Below the grain size a call collapses to a direct
 //     inline invocation — tiny inputs pay zero synchronisation overhead, and

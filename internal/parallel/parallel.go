@@ -69,7 +69,7 @@ func GrainFor(perItem, targetWork int) int {
 }
 
 // ChunkCount returns the number of fixed chunks [i·grain, min((i+1)·grain, n))
-// that Runner.Run, For and ForWorker split [0, n) into. It depends only on
+// that For and ForWorker split [0, n) into. It depends only on
 // (n, grain) — ordered reductions rely on that.
 func ChunkCount(n, grain int) int {
 	if n <= 0 {
@@ -81,10 +81,12 @@ func ChunkCount(n, grain int) int {
 	return (n + grain - 1) / grain
 }
 
-// Runner is a reusable parallel-for handle: construct it once with the loop
-// body, call Run per invocation. After the pool is warm, Run performs no
-// allocations — hot aggregation kernels own a Runner for exactly that
-// reason. A Runner must not be shared by concurrent callers.
+// Runner is one parallel-for region, the body of For and ForWorker: a pool
+// worker receives the *Runner over the jobs channel and drains its chunks.
+// The body receives a worker slot w — unique among the workers of one Run
+// and smaller than the worker count — and a chunk [lo, hi). It must treat
+// chunks as independent: any cell it writes must be owned by exactly one
+// chunk.
 type Runner struct {
 	body   func(w, lo, hi int)
 	n      int
@@ -92,14 +94,6 @@ type Runner struct {
 	cursor atomic.Int64
 	slots  atomic.Int64
 	wg     sync.WaitGroup
-}
-
-// NewRunner builds a Runner around body. The body receives a worker slot
-// w — unique among the workers of one Run and smaller than the worker count
-// — and a chunk [lo, hi). It must treat chunks as independent: any cell it
-// writes must be owned by exactly one chunk.
-func NewRunner(body func(w, lo, hi int)) *Runner {
-	return &Runner{body: body}
 }
 
 // Run executes body over [0, n) in grain-sized chunks. With one worker, one
@@ -190,11 +184,9 @@ func worker() {
 }
 
 // For executes body over [0, n) in grain-sized chunks, possibly in
-// parallel. It is the convenience form of Runner for call sites where a few
-// allocations per call are acceptable; the body must be element-independent
-// (each output cell written by exactly one chunk), which makes the result
-// identical however the chunks are scheduled — including the serial
-// single-span fallback.
+// parallel. The body must be element-independent (each output cell written
+// by exactly one chunk), which makes the result identical however the
+// chunks are scheduled — including the serial single-span fallback.
 func For(n, grain int, body func(lo, hi int)) {
 	r := Runner{body: func(_, lo, hi int) { body(lo, hi) }}
 	r.Run(n, grain)

@@ -135,23 +135,6 @@ func TestNestedRegionsRunInline(t *testing.T) {
 	}
 }
 
-func TestRunnerIsZeroAllocAfterWarmup(t *testing.T) {
-	withWorkers(t, 4)
-	dst := make([]float64, 4096)
-	r := NewRunner(func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			dst[i] += 1
-		}
-	})
-	r.Run(len(dst), 256) // warm-up: spawns pool workers
-	allocs := testing.AllocsPerRun(10, func() {
-		r.Run(len(dst), 256)
-	})
-	if allocs != 0 {
-		t.Fatalf("Runner.Run allocated %.1f times per run, want 0", allocs)
-	}
-}
-
 func TestDoRunsAllTasksAndReturnsLowestIndexedError(t *testing.T) {
 	withWorkers(t, 4)
 	errA := errors.New("a")

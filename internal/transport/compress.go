@@ -25,6 +25,10 @@ import (
 // lives on the outbound connection and the decoder in the accepting
 // readLoop, so a redial resets both ends together; on the in-process
 // network, Compressor keys encoders by destination and decoders by source.
+// A node restarted in process is opened under a fresh Compressor, so it
+// starts with fresh codecs: its first delta frame on every link is a
+// keyframe, and its peers' delta streams to it fail their reference check
+// (dropped, counted malformed) until each heals at its next keyframe.
 
 // CompressMessage replaces m's raw payload with its encoding under enc,
 // advancing enc's per-stream state — the one place a raw payload becomes a
@@ -158,26 +162,6 @@ func (c *Compressor) SetMetrics(h *metrics.NodeMetrics) { c.counts.Store(h) }
 // (structural garbage, a desynchronised delta stream, or an over-limit
 // declared dimension).
 func (c *Compressor) Metrics() *metrics.NodeMetrics { return c.counts.Load() }
-
-// Reset discards every link's codec state, sender and receiver side.
-// On TCP a redial replaces both per-connection codecs together; the
-// in-process network has no connection to cycle, so a node rejoining
-// from a checkpoint calls Reset instead — the next delta frame on
-// every outbound link is an absolute keyframe, and inbound diff frames
-// from pre-crash streams fail their reference check and are dropped
-// (counted malformed) until the peer's next keyframe heals the stream.
-func (c *Compressor) Reset() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, l := range c.encs {
-		l.mu.Lock()
-		l.enc.Reset()
-		l.mu.Unlock()
-	}
-	for _, dec := range c.decs {
-		dec.Reset()
-	}
-}
 
 func (c *Compressor) linkFor(to string) *compLink {
 	c.mu.Lock()
