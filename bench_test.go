@@ -710,9 +710,7 @@ func benchWireCompressEncode(b *testing.B, spec string) {
 }
 
 // benchWireCompressDecode measures decode: binary frame parse, then payload
-// expansion into a reused vector. Delta replays a keyframe+diff pair per
-// iteration so the stateful diff path is the steady state measured, not
-// the keyframe special case (SetBytes scales accordingly).
+// expansion into a reused vector.
 func benchWireCompressDecode(b *testing.B, spec string) {
 	b.Helper()
 	m := wireBenchMessage()
@@ -720,46 +718,32 @@ func benchWireCompressDecode(b *testing.B, spec string) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	enc := compress.NewEncoder(cfg)
-	steps := 1
-	if cfg.Scheme == compress.Delta {
-		steps = 2
+	payload, err := compress.NewEncoder(cfg).Encode(nil, uint8(m.Kind), 0, 0, m.Vec)
+	if err != nil {
+		b.Fatal(err)
 	}
-	var frames [][]byte
-	for s := 0; s < steps; s++ {
-		payload, err := enc.Encode(nil, uint8(m.Kind), int64(s), 0, m.Vec)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cm := transport.Message{From: m.From, Kind: m.Kind, Step: s,
-			Comp: transport.CompMeta{Scheme: uint8(cfg.Scheme), Dim: len(m.Vec), Data: payload}}
-		frame, err := transport.AppendMessage(nil, &cm)
-		if err != nil {
-			b.Fatal(err)
-		}
-		frames = append(frames, frame)
+	cm := transport.Message{From: m.From, Kind: m.Kind,
+		Comp: transport.CompMeta{Scheme: uint8(cfg.Scheme), Dim: len(m.Vec), Data: payload}}
+	frame, err := transport.AppendMessage(nil, &cm)
+	if err != nil {
+		b.Fatal(err)
 	}
-	dec := compress.NewDecoder()
 	var out transport.Message
-	b.SetBytes(int64(8 * len(m.Vec) * steps))
+	b.SetBytes(int64(8 * len(m.Vec)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, frame := range frames {
-			if _, err := transport.DecodeMessage(frame, &out); err != nil {
-				b.Fatal(err)
-			}
-			if err := transport.DecompressMessage(dec, &out); err != nil {
-				b.Fatal(err)
-			}
+		if _, err := transport.DecodeMessage(frame, &out); err != nil {
+			b.Fatal(err)
+		}
+		if err := transport.DecompressMessage(&out); err != nil {
+			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkWireEncodeFloat321756426(b *testing.B) { benchWireCompressEncode(b, "float32") }
 func BenchmarkWireDecodeFloat321756426(b *testing.B) { benchWireCompressDecode(b, "float32") }
-func BenchmarkWireEncodeDelta1756426(b *testing.B)   { benchWireCompressEncode(b, "delta") }
-func BenchmarkWireDecodeDelta1756426(b *testing.B)   { benchWireCompressDecode(b, "delta") }
 func BenchmarkWireEncodeTopK1756426(b *testing.B)    { benchWireCompressEncode(b, "topk:k=0.01") }
 func BenchmarkWireDecodeTopK1756426(b *testing.B)    { benchWireCompressDecode(b, "topk:k=0.01") }
 

@@ -48,7 +48,7 @@ func run(args []string, out io.Writer) error {
 		faults   = fs.String("faults", "", "scenario matrix only: comma-separated fault profile specs")
 		churn    = fs.String("churn", "", "scenario matrix only: semicolon-separated churn scenarios (none | crash | rolling | joinleave | kind:server@step,... schedules)")
 		parallel = fs.Int("parallel", 0, "worker count for kernels and concurrent curves (0 = all CPUs, 1 = serial; results are identical at any setting)")
-		compAxis = fs.String("compress", "", "scenario matrix only: comma-separated compression specs (none | float32 | delta[:key=N] | topk:k=F)")
+		compAxis = fs.String("compress", "", "scenario matrix only: comma-separated compression specs (none | float32 | topk:k=F)")
 		wireJSON = fs.String("wire-json", "", "write the bandwidth experiment's wire rows to this file (commit as BENCH_wire.json) and exit")
 		wireChk  = fs.String("wire-check", "", "re-measure the bandwidth wire rows and compare byte counts against this committed BENCH_wire.json, then exit")
 	)

@@ -71,7 +71,7 @@ func parseFlags(args []string) (*nodeFlags, error) {
 	fs.DurationVar(&c.Timeout, "timeout", 5*time.Minute, "per-quorum timeout")
 	parallel := fs.Int("parallel", 0, "kernel worker count for this node (0 = all CPUs, 1 = serial; results are identical at any setting)")
 	fs.IntVar(&c.ShardSize, "shard", 0, "stream vectors as chunk frames of this many coordinates (0 = whole-vector framing; arm every node identically)")
-	fs.StringVar(&c.Compression, "compress", "none", "wire compression for THIS node's sends: none | float32 | delta[:key=N] | topk:k=F (negotiated per connection; plain peers drop un-negotiated frames)")
+	fs.StringVar(&c.Compression, "compress", "none", "wire compression for THIS node's sends: none | float32 | topk:k=F (negotiated per connection; plain peers drop un-negotiated frames)")
 	fs.StringVar(&c.Mailbox, "mailbox", "none", "bound THIS node's inbound mailbox per sender, none | policy[:cap=N] with policy backpressure | drop-newest | drop-oldest")
 	fs.StringVar(&c.MetricsAddr, "metrics", "", "serve THIS node's /metrics + /healthz on this address for the process's lifetime (e.g. 127.0.0.1:9464, or :0 for an ephemeral port)")
 	if err := fs.Parse(args); err != nil {

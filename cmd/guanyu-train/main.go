@@ -50,7 +50,7 @@ func run(args []string, out io.Writer) error {
 		evalEvery = fs.Int("eval-every", 10, "accuracy sampling period")
 		parallel  = fs.Int("parallel", 0, "kernel worker count (0 = all CPUs, 1 = serial; results are identical at any setting)")
 		shard     = fs.Int("shard", 0, "live runtime only: stream vectors as chunk frames of this many coordinates (0 = whole-vector framing; results are identical)")
-		comp      = fs.String("compress", "none", "wire compression for honest traffic: none | float32 | delta[:key=N] | topk:k=F")
+		comp      = fs.String("compress", "none", "wire compression for honest traffic: none | float32 | topk:k=F")
 		mbox      = fs.String("mailbox", "none", "live runtime only: bound inbound mailboxes per sender, none | policy[:cap=N] with policy backpressure | drop-newest | drop-oldest")
 		ckptDir   = fs.String("checkpoint-dir", "", "live runtime only: honest servers persist protocol state into this directory every -checkpoint-every steps")
 		ckptEvr   = fs.Int("checkpoint-every", 10, "live runtime only: checkpoint cadence in steps (with -checkpoint-dir)")

@@ -68,7 +68,7 @@ type NodeConfig struct {
 	// memory and pipelining benefit cluster-wide.
 	ShardSize int
 	// Compression selects this node's outbound wire compression by spec
-	// string: "none" (default), "float32", "delta[:key=N]" or "topk:k=F"
+	// string: "none" (default), "float32" or "topk:k=F"
 	// (see WithCompression). Negotiated per connection via the hello
 	// capability mask, so compressing and plain nodes interoperate: a peer
 	// that did not announce a scheme has this node's compressed frames

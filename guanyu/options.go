@@ -261,9 +261,9 @@ func WithShardSize(n int) Option {
 }
 
 // WithCompression selects the wire compression scheme for honest traffic by
-// spec string: "none" (default), "float32", "delta" (or "delta:key=N" for
-// the keyframe period), or "topk:k=F" (top-k sparsification keeping fraction
-// F of coordinates, with error-feedback accumulation at the sender). Applies
+// spec string: "none" (default), "float32", or "topk:k=F" (top-k
+// sparsification keeping fraction F of coordinates, with error-feedback
+// accumulation at the sender). Applies
 // to both runtimes: the Live transports compress real frames (negotiated
 // per connection on TCP), and the simulator round-trips every honest payload
 // through the identical codec so its convergence curves reflect the lossy

@@ -7,13 +7,12 @@ import (
 )
 
 // Compression is a validated wire-compression configuration; build one from
-// a spec string with ParseCompression (schemes: none, float32, delta,
-// delta:key=N, topk:k=F) and install it with WithCompression or
-// NodeConfig.Compression.
+// a spec string with ParseCompression (schemes: none, float32, topk:k=F)
+// and install it with WithCompression or NodeConfig.Compression.
 type Compression = compress.Config
 
 // ParseCompression parses a compression spec string ("none", "float32",
-// "delta", "delta:key=8", "topk:k=0.01", ...). The empty string means none.
+// "topk:k=0.01", ...). The empty string means none.
 func ParseCompression(spec string) (Compression, error) {
 	return compress.ParseSpec(spec)
 }

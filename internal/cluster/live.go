@@ -91,8 +91,8 @@ type LiveConfig struct {
 	// (see ServerConfig.ShardSize). Zero keeps whole-vector framing.
 	ShardSize int
 	// Compression applies wire payload compression to every honest node's
-	// traffic (float32 truncation, delta frames, or top-k sparsification —
-	// see internal/compress), in the layer next to the wire; Byzantine
+	// traffic (float32 truncation or top-k sparsification — see
+	// internal/compress), in the layer next to the wire; Byzantine
 	// nodes send raw and only expand what their honest peers send them
 	// (mesh.go has the stack and the reasons). The zero value disables it.
 	Compression compress.Config

@@ -1,9 +1,12 @@
 package cluster
 
 import (
+	"encoding/binary"
+	"math"
 	"testing"
 	"time"
 
+	"repro/internal/compress"
 	"repro/internal/gar"
 	"repro/internal/metrics"
 	"repro/internal/tensor"
@@ -89,5 +92,42 @@ func TestCancelledServerStillReportsLiveCounters(t *testing.T) {
 	}
 	if h := reg.CheckHealth(time.Nanosecond); h.Healthy {
 		t.Fatal("a cancelled, never-finished node must report unhealthy under a tiny stall window")
+	}
+}
+
+// TestChanMeshCountsMalformedCompressed: on the in-process mesh the
+// compression wrapper, not a socket read loop, expands inbound frames, so it
+// is what must drop a structurally bad payload and count it on the node's
+// registry handle — the in-process twin of the transport's
+// TestTCPMalformedCompressedDropped.
+func TestChanMeshCountsMalformedCompressed(t *testing.T) {
+	m := &chanMesh{net: transport.NewChanNetwork(nil), codec: true, dim: 64}
+	defer m.close()
+	reg := metrics.NewRegistry()
+	ep, err := m.open("ps0", compress.Config{Scheme: compress.TopK, TopKFrac: 0.5}, reg.Node("ps0"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := m.net.Register("wrk0") // under the wrapper: sends bytes as given
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One top-k entry whose index lies outside the declared 4-coordinate range.
+	bad := binary.LittleEndian.AppendUint32(nil, 1)
+	bad = binary.LittleEndian.AppendUint32(bad, 99)
+	bad = binary.LittleEndian.AppendUint32(bad, math.Float32bits(1))
+	if err := raw.Send("ps0", transport.Message{Kind: transport.KindGradient, Step: 1,
+		Comp: transport.CompMeta{Scheme: uint8(compress.TopK), Dim: 4, Data: bad}}); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := ep.Recv(100 * time.Millisecond); ok {
+		t.Fatalf("a malformed compressed frame was delivered: %+v", got)
+	}
+	h := reg.Node("ps0")
+	if got := h.DroppedMalformed.Load(); got != 1 {
+		t.Fatalf("DroppedMalformed = %d, want 1", got)
+	}
+	if got := h.DroppedUnnegotiated.Load(); got != 0 {
+		t.Fatalf("DroppedUnnegotiated = %d, want 0", got)
 	}
 }

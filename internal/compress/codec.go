@@ -11,13 +11,6 @@ import (
 // Compressed-payload layout constants (byte-level spec in WIRE.md §9). All
 // integers are little-endian.
 const (
-	// deltaKeyframe / deltaDiff tag a delta payload's first byte.
-	deltaKeyframe = 0x00
-	deltaDiff     = 0x01
-	// deltaTagSize and deltaBaseSize are the delta payload's tag byte and
-	// the base-step field carried by diff frames.
-	deltaTagSize  = 1
-	deltaBaseSize = 8
 	// topkHeaderSize is the entry-count prefix; topkEntrySize is one
 	// {index uint32, value float32} pair.
 	topkHeaderSize = 4
@@ -26,20 +19,13 @@ const (
 
 // ErrMalformed tags payloads that violate their scheme's wire format —
 // truncated index tables, out-of-range or non-increasing indices, k > n
-// claims, bad tags, length mismatches. Receivers drop such frames and count
-// them (DroppedMalformed on the node's metrics handle).
+// claims, length mismatches, unknown schemes. Receivers drop such frames
+// and count them (DroppedMalformed on the node's metrics handle).
 var ErrMalformed = fmt.Errorf("compress: malformed payload")
-
-// ErrReference tags a delta frame whose base step does not match the
-// decoder's reference state — the stream desynchronised (a dropped or
-// replayed frame). The frame is undecodable but the stream self-heals at
-// the sender's next keyframe.
-var ErrReference = fmt.Errorf("compress: delta reference mismatch")
 
 // streamKey identifies one independent payload stream within a link: the
 // protocol kind plus the shard range's coordinate offset, so chunked
-// streaming gives every shard its own reference/accumulator state and a
-// lost shard frame never corrupts its neighbours.
+// streaming gives every shard its own error-feedback accumulator.
 type streamKey struct {
 	kind uint8
 	off  int
@@ -47,12 +33,6 @@ type streamKey struct {
 
 // encStream is the sender-side state of one stream.
 type encStream struct {
-	// ref mirrors the receiver's reconstruction (delta): the base the next
-	// diff frame is computed against. refStep is the step ref belongs to.
-	ref     []float64
-	refStep int64
-	// sinceKey counts frames since the last keyframe.
-	sinceKey int
 	// acc is the top-k error-feedback accumulator: everything encoded so
 	// far minus everything actually shipped. x is the selection scratch.
 	acc []float64
@@ -91,7 +71,7 @@ func (e *Encoder) stream(kind uint8, off int) *encStream {
 // Encode appends the compressed payload for vec — coordinates
 // [off, off+len(vec)) of a logical vector, shipped at the given step and
 // protocol kind — to dst and returns the extended slice. vec is only read;
-// error feedback and reference updates go to the encoder's internal state.
+// error feedback goes to the encoder's internal state.
 func (e *Encoder) Encode(dst []byte, kind uint8, step int64, off int, vec []float64) ([]byte, error) {
 	if len(vec) == 0 {
 		return dst, fmt.Errorf("compress: cannot encode an empty payload")
@@ -99,8 +79,6 @@ func (e *Encoder) Encode(dst []byte, kind uint8, step int64, off int, vec []floa
 	switch e.cfg.Scheme {
 	case Float32:
 		return appendFloat32(dst, vec), nil
-	case Delta:
-		return e.encodeDelta(dst, kind, step, off, vec), nil
 	case TopK:
 		return e.encodeTopK(dst, kind, off, vec), nil
 	default:
@@ -126,46 +104,6 @@ func appendZeros(dst []byte, n int) []byte {
 		return dst[:need]
 	}
 	return append(dst, make([]byte, n)...)
-}
-
-func (e *Encoder) encodeDelta(dst []byte, kind uint8, step int64, off int, vec []float64) []byte {
-	st := e.stream(kind, off)
-	if st.ref == nil || len(st.ref) != len(vec) || st.sinceKey >= e.cfg.keyframeEvery()-1 {
-		// Keyframe: absolute float32 coordinates. The reference becomes the
-		// receiver's reconstruction — the widened float32, not the true
-		// value — so both ends advance in lockstep.
-		dst = append(dst, deltaKeyframe)
-		pos := len(dst)
-		dst = appendZeros(dst, 4*len(vec))
-		out := dst[pos:]
-		if cap(st.ref) < len(vec) {
-			st.ref = make([]float64, len(vec))
-		}
-		st.ref = st.ref[:len(vec)]
-		for i, v := range vec {
-			f := float32(v)
-			binary.LittleEndian.PutUint32(out[4*i:], math.Float32bits(f))
-			st.ref[i] = float64(f)
-		}
-		st.sinceKey = 0
-		st.refStep = step
-		return dst
-	}
-	dst = append(dst, deltaDiff)
-	var base [deltaBaseSize]byte
-	binary.LittleEndian.PutUint64(base[:], uint64(st.refStep))
-	dst = append(dst, base[:]...)
-	pos := len(dst)
-	dst = appendZeros(dst, 4*len(vec))
-	out := dst[pos:]
-	for i, v := range vec {
-		d := float32(v - st.ref[i])
-		binary.LittleEndian.PutUint32(out[4*i:], math.Float32bits(d))
-		st.ref[i] += float64(d)
-	}
-	st.sinceKey++
-	st.refStep = step
-	return dst
 }
 
 func (e *Encoder) encodeTopK(dst []byte, kind uint8, off int, vec []float64) []byte {
@@ -296,27 +234,19 @@ func kthLargest(a []float64, k int) float64 {
 	return a[lo]
 }
 
-// decStream is the receiver-side reference state of one delta stream.
-type decStream struct {
-	ref     []float64
-	refStep int64
-}
+// Decoder expands compressed payloads. It keeps no state — every payload
+// decodes on its own — so one Decoder serves any number of links and
+// goroutines.
+type Decoder struct{}
 
-// Decoder expands the payloads of one directed link, mirroring the
-// sender's Encoder state. Not safe for concurrent use.
-type Decoder struct {
-	streams map[streamKey]*decStream
-}
-
-// NewDecoder returns a fresh decoder (a new connection's receive state).
-func NewDecoder() *Decoder {
-	return &Decoder{streams: make(map[streamKey]*decStream)}
-}
+// NewDecoder returns a decoder.
+func NewDecoder() *Decoder { return &Decoder{} }
 
 // Decode expands payload — scheme-encoded coordinates [off, off+n) shipped
 // at the given step and kind — into dst (reusing its capacity) and returns
-// the n-coordinate result. Every structural check runs BEFORE dst is
-// grown, so a malformed or truncated payload costs the receiver no
+// the n-coordinate result. The payload alone determines the result: kind,
+// step and off only name the range. Every structural check runs BEFORE
+// dst is grown, so a malformed or truncated payload costs the receiver no
 // allocation: memory is committed only for payloads that already paid
 // their bytes onto the wire.
 func (d *Decoder) Decode(scheme Scheme, kind uint8, step int64, off, n int, payload []byte, dst []float64) ([]float64, error) {
@@ -331,66 +261,10 @@ func (d *Decoder) Decode(scheme Scheme, kind uint8, step int64, off, n int, payl
 		dst = growVec(dst, n)
 		tensor.WidenF32LE(dst, payload)
 		return dst, nil
-	case Delta:
-		return d.decodeDelta(kind, step, off, n, payload, dst)
 	case TopK:
 		return decodeTopK(n, payload, dst)
 	default:
 		return dst, fmt.Errorf("%w: unknown scheme %d", ErrMalformed, scheme)
-	}
-}
-
-func (d *Decoder) decodeDelta(kind uint8, step int64, off, n int, payload []byte, dst []float64) ([]float64, error) {
-	if len(payload) < deltaTagSize {
-		return dst, fmt.Errorf("%w: empty delta payload", ErrMalformed)
-	}
-	key := streamKey{kind: kind, off: off}
-	switch payload[0] {
-	case deltaKeyframe:
-		if len(payload) != deltaTagSize+4*n {
-			return dst, fmt.Errorf("%w: delta keyframe %d bytes for %d coordinates", ErrMalformed, len(payload), n)
-		}
-		body := payload[deltaTagSize:]
-		dst = growVec(dst, n)
-		st := d.streams[key]
-		if st == nil {
-			st = &decStream{}
-			d.streams[key] = st
-		}
-		if cap(st.ref) < n {
-			st.ref = make([]float64, n)
-		}
-		st.ref = st.ref[:n]
-		for i := range dst {
-			dst[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(body[4*i:])))
-			st.ref[i] = dst[i]
-		}
-		st.refStep = step
-		return dst, nil
-	case deltaDiff:
-		if len(payload) != deltaTagSize+deltaBaseSize+4*n {
-			return dst, fmt.Errorf("%w: delta diff %d bytes for %d coordinates", ErrMalformed, len(payload), n)
-		}
-		base := int64(binary.LittleEndian.Uint64(payload[deltaTagSize:]))
-		st := d.streams[key]
-		if st == nil || len(st.ref) != n || st.refStep != base {
-			have := int64(-1)
-			if st != nil {
-				have = st.refStep
-			}
-			return dst, fmt.Errorf("%w: diff against step %d, reference at step %d", ErrReference, base, have)
-		}
-		body := payload[deltaTagSize+deltaBaseSize:]
-		dst = growVec(dst, n)
-		for i := range dst {
-			diff := float64(math.Float32frombits(binary.LittleEndian.Uint32(body[4*i:])))
-			dst[i] = st.ref[i] + diff
-			st.ref[i] = dst[i]
-		}
-		st.refStep = step
-		return dst, nil
-	default:
-		return dst, fmt.Errorf("%w: delta tag %#x", ErrMalformed, payload[0])
 	}
 }
 

@@ -1,14 +1,10 @@
 // Package compress implements lossy gradient/parameter compression for the
 // wire: the payload codecs behind the transport's compressed frames and the
-// simulator's lossy-channel model. Three schemes ship alongside a `none`
+// simulator's lossy-channel model. Two schemes ship alongside a `none`
 // passthrough:
 //
 //   - float32: truncate every coordinate to IEEE-754 single precision
 //     (deterministic 2× payload reduction, ~1e-7 relative error);
-//   - delta: per-link reference state — each frame carries float32
-//     differences against the receiver's last reconstruction, with periodic
-//     absolute keyframes so a dropped frame desynchronises a stream for at
-//     most KeyframeEvery steps instead of forever;
 //   - topk: per-range top-k sparsification as {index, value} pairs with
 //     error-feedback accumulation at the sender (Stich et al.'s memory
 //     trick: coordinates not sent are not lost, they are carried into the
@@ -19,13 +15,12 @@
 // Every scheme is deterministic: the same vector sequence through the same
 // Encoder yields the same bytes on any platform (top-k ties break toward
 // the lower index; no randomness anywhere). An Encoder owns one DIRECTED
-// LINK's state (one sender → one receiver): delta reference vectors and
-// top-k error-feedback accumulators live per (kind, shard-offset) stream
-// inside it, advanced only by Encode. The matching Decoder owns the
-// receiving end's reference state, advanced only by Decode. Neither is safe
-// for concurrent use; give each connection its own pair and never share one
-// across links — error feedback accumulated against one peer is meaningless
-// (and wrong) replayed against another. Encode never mutates the input
+// LINK's state (one sender → one receiver): top-k error-feedback
+// accumulators live per (kind, shard-offset) stream inside it, advanced only
+// by Encode. It is not safe for concurrent use; give each connection its own
+// and never share one across links — error feedback accumulated against one
+// peer is meaningless (and wrong) replayed against another. Decoding keeps
+// no state: every payload expands on its own, whatever arrived before it. Encode never mutates the input
 // vector: compensation is applied to the encoder's internal accumulator,
 // not to the caller's gradient.
 //
@@ -33,8 +28,8 @@
 //
 // Compression is decided per frame, so it composes with the transport's
 // chunk streaming: each shard range [off, off+n) is an independent stream
-// keyed by its offset, and a dropped or reordered shard frame perturbs only
-// its own range's reference state. Payload formats are specified
+// keyed by its offset, so one shard's error feedback never leaks into its
+// neighbours'. Payload formats are specified
 // byte-for-byte in WIRE.md §9; the codec here owns everything inside the
 // compressed payload, the transport codec owns the frame around it.
 package compress
@@ -55,14 +50,14 @@ type Scheme uint8
 const (
 	None    Scheme = 0
 	Float32 Scheme = 1
-	Delta   Scheme = 2
-	TopK    Scheme = 3
+	// 2 is retired: unassigned, it decodes as unknown (WIRE.md §9).
+	TopK Scheme = 3
 )
 
 // Known reports whether s is a scheme this build can decode. Unknown
 // nonzero scheme bytes are legal frames (the codec treats the payload as
 // opaque) that the receiving node drops as un-negotiated.
-func (s Scheme) Known() bool { return s >= Float32 && s <= TopK }
+func (s Scheme) Known() bool { return s == Float32 || s == TopK }
 
 // Bit returns s's capability bit for the hello-frame negotiation mask.
 // Bit 0 is never set: plain frames need no capability.
@@ -80,19 +75,12 @@ func (s Scheme) String() string {
 		return "none"
 	case Float32:
 		return "float32"
-	case Delta:
-		return "delta"
 	case TopK:
 		return "topk"
 	default:
 		return fmt.Sprintf("scheme(%d)", uint8(s))
 	}
 }
-
-// DefaultKeyframeEvery is the delta scheme's keyframe cadence when the spec
-// does not override it: every 16th frame of a stream is absolute, bounding
-// the blackout after a dropped delta frame to at most 15 frames.
-const DefaultKeyframeEvery = 16
 
 // Config selects a scheme and its parameters. The zero value is the `none`
 // passthrough.
@@ -102,9 +90,6 @@ type Config struct {
 	// TopKFrac is the fraction of coordinates kept per encoded range
 	// (topk only), in (0, 1]. k = ceil(TopKFrac · n), at least 1.
 	TopKFrac float64
-	// KeyframeEvery is the delta scheme's absolute-frame cadence
-	// (0 = DefaultKeyframeEvery).
-	KeyframeEvery int
 }
 
 // Enabled reports whether c compresses at all.
@@ -124,11 +109,6 @@ func (c Config) Validate() error {
 	switch c.Scheme {
 	case None, Float32:
 		return nil
-	case Delta:
-		if c.KeyframeEvery < 0 {
-			return fmt.Errorf("compress: delta keyframe cadence %d must be ≥ 0", c.KeyframeEvery)
-		}
-		return nil
 	case TopK:
 		if !(c.TopKFrac > 0 && c.TopKFrac <= 1) {
 			return fmt.Errorf("compress: topk fraction %g outside (0, 1]", c.TopKFrac)
@@ -141,29 +121,15 @@ func (c Config) Validate() error {
 
 // String renders the canonical spec ParseSpec accepts.
 func (c Config) String() string {
-	switch c.Scheme {
-	case TopK:
+	if c.Scheme == TopK {
 		return fmt.Sprintf("topk:k=%g", c.TopKFrac)
-	case Delta:
-		if c.KeyframeEvery > 0 && c.KeyframeEvery != DefaultKeyframeEvery {
-			return fmt.Sprintf("delta:key=%d", c.KeyframeEvery)
-		}
-		return "delta"
-	default:
-		return c.Scheme.String()
 	}
-}
-
-func (c Config) keyframeEvery() int {
-	if c.KeyframeEvery > 0 {
-		return c.KeyframeEvery
-	}
-	return DefaultKeyframeEvery
+	return c.Scheme.String()
 }
 
 // ParseSpec parses a compression spec in the registry syntax used
 // throughout the repo ("name" or "name:key=value,..."): "none" (or ""),
-// "float32", "delta", "delta:key=8", "topk:k=0.01".
+// "float32", "topk:k=0.01".
 func ParseSpec(spec string) (Config, error) {
 	name, rest, hasParams := strings.Cut(strings.TrimSpace(spec), ":")
 	name = strings.TrimSpace(name)
@@ -201,12 +167,10 @@ func ParseSpec(spec string) (Config, error) {
 		cfg = Config{}
 	case "float32", "f32":
 		cfg = Config{Scheme: Float32}
-	case "delta":
-		cfg = Config{Scheme: Delta, KeyframeEvery: int(take("key", 0))}
 	case "topk":
 		cfg = Config{Scheme: TopK, TopKFrac: take("k", 0.01)}
 	default:
-		return Config{}, fmt.Errorf("compress: unknown scheme %q (want none, float32, delta or topk)", name)
+		return Config{}, fmt.Errorf("compress: unknown scheme %q (want none, float32 or topk)", name)
 	}
 	for k := range params {
 		return Config{}, fmt.Errorf("compress: scheme %q does not take parameter %q", name, k)
@@ -238,14 +202,11 @@ func TopKCount(frac float64, n int) int {
 
 // PayloadBytes is the steady-state encoded payload size for an
 // n-coordinate range under c — the number the bandwidth experiment and the
-// simulator's cost model use (delta counts a delta frame, not the periodic
-// keyframe; `none` counts the raw 8-byte coordinates).
+// simulator's cost model use (`none` counts the raw 8-byte coordinates).
 func (c Config) PayloadBytes(n int) int {
 	switch c.Scheme {
 	case Float32:
 		return 4 * n
-	case Delta:
-		return deltaTagSize + deltaBaseSize + 4*n
 	case TopK:
 		return topkHeaderSize + topkEntrySize*TopKCount(c.TopKFrac, n)
 	default:

@@ -18,8 +18,6 @@ func TestParseSpec(t *testing.T) {
 		{"none", Config{}},
 		{"float32", Config{Scheme: Float32}},
 		{"f32", Config{Scheme: Float32}},
-		{"delta", Config{Scheme: Delta}},
-		{"delta:key=8", Config{Scheme: Delta, KeyframeEvery: 8}},
 		{"topk:k=0.01", Config{Scheme: TopK, TopKFrac: 0.01}},
 		{"topk", Config{Scheme: TopK, TopKFrac: 0.01}},
 		{" topk : k = 0.25 ", Config{Scheme: TopK, TopKFrac: 0.25}},
@@ -38,7 +36,7 @@ func TestParseSpec(t *testing.T) {
 			t.Fatalf("round trip of %q via %q: %+v, %v", c.spec, got.String(), back, err)
 		}
 	}
-	for _, bad := range []string{"zstd", "topk:k=0", "topk:k=1.5", "topk:z=1", "float32:k=1", "topk:k"} {
+	for _, bad := range []string{"zstd", "delta", "delta:key=8", "topk:k=0", "topk:k=1.5", "topk:z=1", "float32:k=1", "topk:k"} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Fatalf("ParseSpec(%q) accepted", bad)
 		}
@@ -78,88 +76,6 @@ func TestFloat32RoundTrip(t *testing.T) {
 		if want := float64(float32(v)); out[i] != want {
 			t.Fatalf("coordinate %d: %g, want %g", i, out[i], want)
 		}
-	}
-}
-
-func TestDeltaTracksWithinFloat32Error(t *testing.T) {
-	enc := NewEncoder(Config{Scheme: Delta})
-	dec := NewDecoder()
-	rng := tensor.NewRNG(3)
-	vec := rng.NormVec(make([]float64, 257), 0, 1)
-	for step := int64(0); step < 40; step++ {
-		for i := range vec {
-			vec[i] += 1e-3 * float64(i%7)
-		}
-		out := roundTrip(t, enc, dec, 1, step, 0, vec)
-		for i := range vec {
-			if err := math.Abs(out[i] - vec[i]); err > 1e-4*(1+math.Abs(vec[i])) {
-				t.Fatalf("step %d coordinate %d: reconstruction off by %g", step, i, err)
-			}
-		}
-	}
-}
-
-func TestDeltaKeyframeCadence(t *testing.T) {
-	cfg := Config{Scheme: Delta, KeyframeEvery: 4}
-	enc := NewEncoder(cfg)
-	vec := []float64{1, 2, 3}
-	var tags []byte
-	for step := int64(0); step < 9; step++ {
-		payload, err := enc.Encode(nil, 1, step, 0, vec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tags = append(tags, payload[0])
-	}
-	want := []byte{deltaKeyframe, deltaDiff, deltaDiff, deltaDiff,
-		deltaKeyframe, deltaDiff, deltaDiff, deltaDiff, deltaKeyframe}
-	for i := range want {
-		if tags[i] != want[i] {
-			t.Fatalf("frame %d tag %#x, want %#x (cadence 4)", i, tags[i], want[i])
-		}
-	}
-	// Steady-state payload size matches the advertised estimate.
-	if got, err := enc.Encode(nil, 1, 9, 0, vec); err != nil || len(got) != cfg.PayloadBytes(len(vec)) {
-		t.Fatalf("delta diff payload %d bytes, want %d (%v)", len(got), cfg.PayloadBytes(len(vec)), err)
-	}
-}
-
-func TestDeltaReferenceMismatch(t *testing.T) {
-	enc := NewEncoder(Config{Scheme: Delta})
-	dec := NewDecoder()
-	vec := []float64{1, 2}
-	roundTrip(t, enc, dec, 1, 0, 0, vec) // keyframe establishes the reference
-	diff1, err := enc.Encode(nil, 1, 1, 0, vec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	diff2, err := enc.Encode(nil, 1, 2, 0, vec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Skipping diff1 (a dropped frame) leaves the decoder's reference at
-	// step 0 while diff2 claims base step 1: undecodable, distinguishable
-	// from malformed bytes.
-	if _, err := dec.Decode(Delta, 1, 2, 0, len(vec), diff2, nil); !errors.Is(err, ErrReference) {
-		t.Fatalf("desynchronised diff: %v, want ErrReference", err)
-	}
-	// The in-order frame still decodes: the reference was not corrupted.
-	if _, err := dec.Decode(Delta, 1, 1, 0, len(vec), diff1, nil); err != nil {
-		t.Fatalf("in-order diff after a rejected one: %v", err)
-	}
-}
-
-func TestDeltaStreamsAreIndependent(t *testing.T) {
-	enc := NewEncoder(Config{Scheme: Delta})
-	dec := NewDecoder()
-	a := []float64{1, 2, 3, 4}
-	b := []float64{9, 8}
-	// Interleave two shard streams (offsets 0 and 4) and two kinds; each
-	// keeps its own reference.
-	for step := int64(0); step < 6; step++ {
-		roundTrip(t, enc, dec, 1, step, 0, a)
-		roundTrip(t, enc, dec, 1, step, 4, b)
-		roundTrip(t, enc, dec, 2, step, 0, b)
 	}
 }
 
@@ -259,24 +175,22 @@ func TestTopKMalformedPayloads(t *testing.T) {
 	}
 }
 
-func TestDeltaMalformedPayloads(t *testing.T) {
-	for name, payload := range map[string][]byte{
-		"empty":              nil,
-		"bad tag":            {0x07, 0, 0, 0, 0},
-		"keyframe short":     {deltaKeyframe, 1, 2, 3},
-		"diff missing base":  {deltaDiff, 1, 2, 3, 4},
-		"float32 wrong size": {1, 2, 3},
+func TestMalformedPayloads(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		scheme  Scheme
+		payload []byte
+	}{
+		{"float32 wrong size", Float32, []byte{1, 2, 3}},
+		{"unknown scheme 9", Scheme(9), []byte{1}},
+		{"retired scheme 2", Scheme(2), make([]byte, 4*2)},
 	} {
-		scheme := Delta
-		if name == "float32 wrong size" {
-			scheme = Float32
-		}
-		if _, err := NewDecoder().Decode(scheme, 1, 0, 0, 2, payload, nil); !errors.Is(err, ErrMalformed) {
-			t.Fatalf("%s: %v, want ErrMalformed", name, err)
+		if _, err := NewDecoder().Decode(c.scheme, 1, 0, 0, 2, c.payload, nil); !errors.Is(err, ErrMalformed) {
+			t.Fatalf("%s: %v, want ErrMalformed", c.name, err)
 		}
 	}
-	if _, err := NewDecoder().Decode(Scheme(9), 1, 0, 0, 2, []byte{1}, nil); !errors.Is(err, ErrMalformed) {
-		t.Fatal("unknown scheme must be malformed at the codec layer")
+	if Scheme(2).Known() {
+		t.Fatal("retired scheme 2 reports Known")
 	}
 }
 
@@ -288,8 +202,5 @@ func TestPayloadBytesReductions(t *testing.T) {
 	}
 	if r := raw / float64((Config{Scheme: TopK, TopKFrac: 0.01}).PayloadBytes(dim)); r < 4 {
 		t.Fatalf("topk(1%%) payload reduction %.2f×, want ≥ 4×", r)
-	}
-	if r := raw / float64((Config{Scheme: Delta}).PayloadBytes(dim)); r < 1.9 {
-		t.Fatalf("delta payload reduction %.2f×, want ≥ 1.9×", r)
 	}
 }

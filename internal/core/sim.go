@@ -77,12 +77,13 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 
 	// xmit models one honest message crossing the wire under the configured
 	// compression: the payload is round-tripped through the directed link's
-	// encoder/decoder pair, so receivers see exactly the lossy values a live
-	// cluster would (float32 truncation, delta reconstruction, top-k with
-	// error feedback). Stream state lives per directed link for the whole
-	// run, mirroring connection-lifetime codec state on the live transports.
+	// encoder, so receivers see exactly the lossy values a live cluster
+	// would (float32 truncation, top-k with error feedback). Encoder state
+	// lives per directed link for the whole run, mirroring connection-
+	// lifetime codec state on the live transports.
 	// Disabled compression passes vectors through untouched.
 	var links map[string]*simLink
+	var dec compress.Decoder
 	if cfg.Compression.Enabled() {
 		links = make(map[string]*simLink)
 	}
@@ -93,7 +94,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		key := from + "\x00" + to
 		l := links[key]
 		if l == nil {
-			l = &simLink{enc: compress.NewEncoder(cfg.Compression), dec: compress.NewDecoder()}
+			l = &simLink{enc: compress.NewEncoder(cfg.Compression)}
 			links[key] = l
 		}
 		var err error
@@ -101,7 +102,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: compress %s→%s: %w", from, to, err)
 		}
-		out, err := l.dec.Decode(cfg.Compression.Scheme, uint8(kind), int64(step), 0,
+		out, err := dec.Decode(cfg.Compression.Scheme, uint8(kind), int64(step), 0,
 			len(vec), l.buf, make(tensor.Vector, 0, len(vec)))
 		if err != nil {
 			return nil, fmt.Errorf("core: decompress %s→%s: %w", from, to, err)
@@ -455,12 +456,10 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// simLink is one directed link's compression codec pair: the engine has no
-// sockets, so the sender's encoder and the receiver's decoder live together,
-// with a reused scratch buffer for the encoded payload between them.
+// simLink is one directed link's encoder, with a reused scratch buffer for
+// the encoded payload it hands to the (stateless) decoder.
 type simLink struct {
 	enc *compress.Encoder
-	dec *compress.Decoder
 	buf []byte
 }
 

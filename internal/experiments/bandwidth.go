@@ -29,7 +29,7 @@ import (
 var bandwidthDims = []int{2726, 1756426}
 
 // bandwidthSchemes are the compression specs compared against raw framing.
-var bandwidthSchemes = []string{"none", "float32", "delta", "topk:k=0.01"}
+var bandwidthSchemes = []string{"none", "float32", "topk:k=0.01"}
 
 // bandwidthShard is the chunk-streaming shard size the wire rows assume —
 // 2^16 coordinates (512 KiB raw frames, 27 shards at the paper dimension),
@@ -191,10 +191,8 @@ func measureBandwidth(spec string, vec tensor.Vector) (BandwidthRow, error) {
 	}
 
 	enc := compress.NewEncoder(cfg)
-	dec := compress.NewDecoder()
 	// roundTrip ships the whole vector once at the given step, returning
-	// the wire bytes. Encoder and decoder advance in lockstep, exactly as a
-	// connection's paired codec state does.
+	// the wire bytes. The encoder advances exactly as a connection's does.
 	frame := make([]byte, 0, 9*bandwidthShard)
 	var out transport.Message
 	roundTrip := func(step int) (int, error) {
@@ -213,25 +211,20 @@ func measureBandwidth(spec string, vec tensor.Vector) (BandwidthRow, error) {
 			if _, err := transport.DecodeMessage(frame, &out); err != nil {
 				return 0, err
 			}
-			if err := transport.DecompressMessage(dec, &out); err != nil {
+			if err := transport.DecompressMessage(&out); err != nil {
 				return 0, err
 			}
 		}
 		return total, nil
 	}
 
-	// Step 0 is the delta keyframe; step 1 is the steady state whose bytes
-	// the committed BENCH_wire.json pins.
-	if _, err := roundTrip(0); err != nil {
-		return BandwidthRow{}, err
-	}
+	// Step 1's bytes are what the committed BENCH_wire.json pins.
 	if row.WireBytes, err = roundTrip(1); err != nil {
 		return BandwidthRow{}, err
 	}
 	row.Reduction = float64(row.RawBytes) / float64(row.WireBytes)
 
-	// Advisory codec rate over the logical (raw-equivalent) volume. Steps
-	// keep advancing so delta streams pay their keyframe cadence honestly.
+	// Advisory codec rate over the logical (raw-equivalent) volume.
 	reps := codecReps(dim)
 	step := 2
 	sec := measureCodec(reps, func(reps int) {
@@ -400,8 +393,9 @@ func WireBenchJSON(rows []BandwidthRow) ([]byte, error) {
 }
 
 // CheckWireBench compares freshly measured rows against a committed
-// BENCH_wire.json: every committed (dim, scheme) row must exist with
-// identical shard count and byte volumes. Rates are not compared.
+// BENCH_wire.json: the two must hold the same (dim, scheme) rows — none
+// missing on either side — with identical shard counts and byte volumes.
+// Rates are not compared.
 func CheckWireBench(committed []byte, rows []BandwidthRow) error {
 	var doc struct {
 		Rows []BandwidthRow `json:"rows"`
@@ -412,19 +406,26 @@ func CheckWireBench(committed []byte, rows []BandwidthRow) error {
 	if len(doc.Rows) == 0 {
 		return fmt.Errorf("bandwidth: committed bench file has no rows")
 	}
-	index := make(map[string]BandwidthRow, len(rows))
-	for _, r := range rows {
-		index[fmt.Sprintf("%d/%s", r.Dim, r.Scheme)] = r
+	key := func(r BandwidthRow) string { return fmt.Sprintf("%d/%s", r.Dim, r.Scheme) }
+	index := make(map[string]BandwidthRow, len(doc.Rows))
+	for _, r := range doc.Rows {
+		index[key(r)] = r
 	}
-	for _, want := range doc.Rows {
-		key := fmt.Sprintf("%d/%s", want.Dim, want.Scheme)
-		got, ok := index[key]
+	for _, got := range rows {
+		k := key(got)
+		want, ok := index[k]
 		if !ok {
-			return fmt.Errorf("bandwidth: committed row %s no longer measured", key)
+			return fmt.Errorf("bandwidth: measured row %s is not in the committed file (regenerate BENCH_wire.json to pin it)", k)
 		}
+		delete(index, k)
 		if got.WireBytes != want.WireBytes || got.RawBytes != want.RawBytes || got.Shards != want.Shards {
 			return fmt.Errorf("bandwidth: %s drifted from committed numbers: wire %d→%d, raw %d→%d, shards %d→%d (regenerate BENCH_wire.json if the wire format changed intentionally)",
-				key, want.WireBytes, got.WireBytes, want.RawBytes, got.RawBytes, want.Shards, got.Shards)
+				k, want.WireBytes, got.WireBytes, want.RawBytes, got.RawBytes, want.Shards, got.Shards)
+		}
+	}
+	for _, r := range doc.Rows {
+		if _, left := index[key(r)]; left {
+			return fmt.Errorf("bandwidth: committed row %s no longer measured", key(r))
 		}
 	}
 	return nil

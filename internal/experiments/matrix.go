@@ -39,7 +39,7 @@ type MatrixSpec struct {
 	// changing roster mid-run.
 	Churn []string
 	// Compress are the wire compression specs applied to honest traffic
-	// ("none", "float32", "delta[:key=N]", "topk:k=F"); empty means
+	// ("none", "float32", "topk:k=F"); empty means
 	// {"none"}. Each spec multiplies the grid: the matrix answers whether a
 	// lossy wire changes which rules survive which adversaries.
 	Compress []string

@@ -219,10 +219,10 @@ func TestLeaseEncodesOnce(t *testing.T) {
 	}
 
 	// Stateful schemes and vectors the lease does not hold encode per link.
-	delta := compress.NewEncoder(compress.Config{Scheme: compress.Delta})
+	topk := compress.NewEncoder(compress.Config{Scheme: compress.TopK, TopKFrac: 0.5})
 	stateful := Message{Kind: KindGradient, Step: 3, Vec: l.vec, lease: l}
 	swapped := Message{Kind: KindGradient, Step: 3, Vec: append(tensor.Vector(nil), vec...), lease: l}
-	if stateful.sharesEncoding(delta) || swapped.sharesEncoding(compress.NewEncoder(cfg)) {
+	if stateful.sharesEncoding(topk) || swapped.sharesEncoding(compress.NewEncoder(cfg)) {
 		t.Fatal("a per-link payload was taken for the lease's shared one")
 	}
 }
@@ -277,12 +277,12 @@ func TestBroadcastWireBytesMatchPerLinkSend(t *testing.T) {
 	}
 }
 
-// TestBroadcastSharesNothingAcrossStatefulLinks: delta and top-k keep one
-// encoder per link, so under Broadcast — one shared snapshot — every link
+// TestBroadcastSharesNothingAcrossStatefulLinks: top-k keeps one encoder
+// per link, so under Broadcast — one shared snapshot — every link
 // must decode exactly what per-link Sends of the same traffic deliver.
 func TestBroadcastSharesNothingAcrossStatefulLinks(t *testing.T) {
 	receivers := []string{"r0", "r1", "r2"}
-	for _, spec := range []string{"float32", "delta:key=3", "topk:k=0.2"} {
+	for _, spec := range []string{"float32", "topk:k=0.2"} {
 		cfg, err := compress.ParseSpec(spec)
 		if err != nil {
 			t.Fatal(err)

@@ -46,7 +46,7 @@ import (
 //
 // The codec transports compressed payloads byte-for-byte and stays
 // bijective; expansion is the receiving transport's job (negotiation, then
-// DecompressMessage) because delta streams carry per-connection state.
+// DecompressMessage), which alone knows what the connection announced.
 //
 // The fixed header carries both variable lengths, so a reader knows the
 // exact frame extent after 15 bytes (plus 8 and/or 5 for the extensions) —

@@ -14,21 +14,18 @@ import (
 // payload codecs. The split of responsibilities:
 //
 //   - internal/compress owns the bytes INSIDE a compressed payload and the
-//     per-stream state (delta references, top-k error feedback);
+//     sender's per-stream state (top-k error feedback);
 //   - codec.go owns the frame AROUND it (the compression extension) and
 //     transports the payload opaquely, staying bijective;
 //   - this file converts between the two Message representations (raw Vec ↔
 //     Comp) and wraps in-process endpoints with the same per-link
 //     compression the TCP transport performs inside Send and readLoop.
 //
-// Compression state is strictly per directed link. On TCP, the encoder
-// lives on the outbound connection and the decoder in the accepting
-// readLoop, so a redial resets both ends together; on the in-process
-// network, Compressor keys encoders by destination and decoders by source.
-// A node restarted in process is opened under a fresh Compressor, so it
-// starts with fresh codecs: its first delta frame on every link is a
-// keyframe, and its peers' delta streams to it fail their reference check
-// (dropped, counted malformed) until each heals at its next keyframe.
+// Encoder state is strictly per directed link: on TCP the encoder lives on
+// the outbound connection, on the in-process network Compressor keys
+// encoders by destination. Decoding keeps no state, so every received frame
+// expands on its own — a lost, reordered or replayed frame never makes the
+// next one undecodable, and a restarted node needs no resynchronisation.
 
 // CompressMessage replaces m's raw payload with its encoding under enc,
 // advancing enc's per-stream state — the one place a raw payload becomes a
@@ -42,7 +39,7 @@ import (
 // and the scheme is stateless, its bytes are the same on every link, so the
 // payload is the lease's one encoding — made by the first link to get here,
 // shared read-only by the rest, valid until the courier's Send returns.
-// Stateful schemes (delta, top-k) encode per link, from the shared snapshot.
+// Top-k, which is stateful, encodes per link from the shared snapshot.
 func CompressMessage(enc *compress.Encoder, m *Message) error {
 	if enc == nil || !enc.Config().Enabled() || m.IsCompressed() || len(m.Vec) == 0 {
 		return nil
@@ -71,14 +68,14 @@ func (m *Message) sharesEncoding(enc *compress.Encoder) bool {
 }
 
 // DecompressMessage expands m's compressed payload back into raw
-// coordinates using dec's per-stream state, reusing m.Vec's capacity. A
-// plain message is a no-op. On error m is unchanged: the caller drops the
-// frame and counts it (compress.ErrMalformed and compress.ErrReference
-// discriminate structural garbage from a desynchronised delta stream).
-func DecompressMessage(dec *compress.Decoder, m *Message) error {
+// coordinates, reusing m.Vec's capacity. A plain message is a no-op. On
+// error (compress.ErrMalformed) m is unchanged: the caller drops the frame
+// and counts it.
+func DecompressMessage(m *Message) error {
 	if !m.IsCompressed() {
 		return nil
 	}
+	var dec compress.Decoder
 	vec, err := dec.Decode(compress.Scheme(m.Comp.Scheme), uint8(m.Kind), int64(m.Step),
 		m.Shard.Offset, m.Comp.Dim, m.Comp.Data, m.Vec[:0])
 	if err != nil {
@@ -92,12 +89,11 @@ func DecompressMessage(dec *compress.Decoder, m *Message) error {
 // Compressor wraps an in-process Endpoint with per-link payload
 // compression, mirroring what TCPNode does inside Send and readLoop so the
 // live cluster behaves identically on sockets and channels: outbound
-// payloads are encoded with a per-destination Encoder, inbound ones decoded
-// with a per-source Decoder, and frames that cannot be expanded are dropped
-// and counted instead of delivered. Safe for the same concurrency pattern
-// as the endpoints it wraps (one sender loop, one receiver loop): encoder
-// and decoder maps are guarded, and each per-link codec is only touched by
-// the one goroutine driving that side.
+// payloads are encoded with a per-destination Encoder, inbound ones
+// expanded, and frames that cannot be expanded are dropped and counted
+// instead of delivered. Safe for the same concurrency pattern as the
+// endpoints it wraps (one sender loop, one receiver loop): the encoder map
+// is guarded, and each encoder is used under its link's lock.
 type Compressor struct {
 	ep  Endpoint
 	cfg compress.Config
@@ -109,18 +105,15 @@ type Compressor struct {
 
 	mu   sync.Mutex
 	encs map[string]*compLink
-	decs map[string]*compress.Decoder
 
 	// counts is where inbound drops are counted (DroppedUnnegotiated,
 	// DroppedMalformed); read per frame in Recv, hence the atomic pointer.
 	counts atomic.Pointer[metrics.NodeMetrics]
 }
 
-// compLink is one outbound link's encoder plus the lock that pins encode
-// order to delivery order. The fault injector above this wrapper may call
-// Send from timer goroutines (delay spikes), and a delta stream whose wire
-// order diverged from its encode order would desynchronise the receiver —
-// the same reason TCPNode compresses under its connection write lock.
+// compLink is one outbound link's encoder plus the lock that serialises it:
+// the fault injector above this wrapper may call Send from timer goroutines
+// (delay spikes), and an Encoder is not safe for concurrent use.
 type compLink struct {
 	mu  sync.Mutex
 	enc *compress.Encoder
@@ -139,7 +132,6 @@ func NewCompressor(ep Endpoint, cfg compress.Config, maxDim int) (*Compressor, e
 		cfg:    cfg,
 		maxDim: maxDim,
 		encs:   make(map[string]*compLink),
-		decs:   make(map[string]*compress.Decoder),
 	}
 	c.counts.Store(metrics.NewNodeMetrics())
 	return c, nil
@@ -159,8 +151,7 @@ func (c *Compressor) SetMetrics(h *metrics.NodeMetrics) { c.counts.Store(h) }
 // Metrics returns the handle the wrapper counts into: DroppedUnnegotiated
 // is inbound compressed frames carrying a scheme this wrapper cannot
 // decode, DroppedMalformed those whose payload failed to expand
-// (structural garbage, a desynchronised delta stream, or an over-limit
-// declared dimension).
+// (structural garbage or an over-limit declared dimension).
 func (c *Compressor) Metrics() *metrics.NodeMetrics { return c.counts.Load() }
 
 func (c *Compressor) linkFor(to string) *compLink {
@@ -174,38 +165,26 @@ func (c *Compressor) linkFor(to string) *compLink {
 	return l
 }
 
-func (c *Compressor) decoderFor(from string) *compress.Decoder {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	dec := c.decs[from]
-	if dec == nil {
-		dec = compress.NewDecoder()
-		c.decs[from] = dec
-	}
-	return dec
-}
-
 // Send implements Endpoint: the payload is compressed under the (this →
-// to) link's encoder before the underlying endpoint ships it. Encode and
-// delivery happen under the link lock, so the receiver reconstructs
-// stateful streams in exactly the order they were encoded.
+// to) link's encoder before the underlying endpoint ships it.
 func (c *Compressor) Send(to string, m Message) error {
 	if !c.cfg.Enabled() {
 		return c.ep.Send(to, m)
 	}
 	l := c.linkFor(to)
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	if err := CompressMessage(l.enc, &m); err != nil {
+	err := CompressMessage(l.enc, &m)
+	l.mu.Unlock()
+	if err != nil {
 		return fmt.Errorf("transport: compress to %s: %w", to, err)
 	}
 	return c.ep.Send(to, m)
 }
 
-// Recv implements Endpoint: compressed messages are expanded with the
-// (from → this) link's decoder before delivery; frames that fail to expand
-// are dropped, counted, and never surface to the caller — exactly the
-// socket path's behaviour (expandInbound is both paths' one gate). The
+// Recv implements Endpoint: compressed messages are expanded before
+// delivery; frames that fail to expand are dropped, counted, and never
+// surface to the caller — exactly the socket path's behaviour
+// (expandInbound is both paths' one gate). The
 // in-process network has no hello to negotiate in: every scheme this build
 // can decode counts as announced.
 func (c *Compressor) Recv(timeout time.Duration) (Message, bool) {
@@ -219,7 +198,7 @@ func (c *Compressor) Recv(timeout time.Duration) (Message, bool) {
 		if !ok {
 			return m, false
 		}
-		if !m.IsCompressed() || expandInbound(&m, ^uint8(0), c.maxDim, c.decoderFor(m.From), c.Metrics()) {
+		if !m.IsCompressed() || expandInbound(&m, ^uint8(0), c.maxDim, c.Metrics()) {
 			return m, true
 		}
 		if timeout >= 0 {
@@ -233,13 +212,13 @@ func (c *Compressor) Recv(timeout time.Duration) (Message, bool) {
 
 // expandInbound is the one inbound gate for compressed frames, shared by
 // the TCP read loop and the Compressor so the two transports cannot drift:
-// it expands m in place with the link's decoder and reports whether m may be
-// delivered, counting into h otherwise. Announce-then-use: a scheme outside
-// caps (the link's hello capability mask), or that this build cannot decode,
-// is not negotiated (DroppedUnnegotiated). A declared dimension above maxDim
+// it expands m in place and reports whether m may be delivered, counting
+// into h otherwise. Announce-then-use: a scheme outside caps (the link's
+// hello capability mask), or that this build cannot decode, is not
+// negotiated (DroppedUnnegotiated). A declared dimension above maxDim
 // (0 = unbounded) is refused before the decoder allocates its expansion, and
 // a payload that fails to expand is dropped (both DroppedMalformed).
-func expandInbound(m *Message, caps uint8, maxDim int, dec *compress.Decoder, h *metrics.NodeMetrics) bool {
+func expandInbound(m *Message, caps uint8, maxDim int, h *metrics.NodeMetrics) bool {
 	if s := compress.Scheme(m.Comp.Scheme); !s.Known() || s.Bit()&caps == 0 {
 		h.DroppedUnnegotiated.Add(1)
 		return false
@@ -248,7 +227,7 @@ func expandInbound(m *Message, caps uint8, maxDim int, dec *compress.Decoder, h 
 		h.DroppedMalformed.Add(1)
 		return false
 	}
-	if err := DecompressMessage(dec, m); err != nil {
+	if err := DecompressMessage(m); err != nil {
 		h.DroppedMalformed.Add(1)
 		return false
 	}

@@ -58,7 +58,7 @@ func TestCompressedFrameRoundTrip(t *testing.T) {
 			Comp: CompMeta{Scheme: uint8(compress.TopK), Dim: 40, Data: payload}},
 		{From: "wrk0", Kind: KindGradient, Step: 3,
 			Shard: ShardMeta{Index: 2, Count: 4, Offset: 80},
-			Comp:  CompMeta{Scheme: uint8(compress.Delta), Dim: 40, Data: payload}},
+			Comp:  CompMeta{Scheme: uint8(compress.Float32), Dim: 40, Data: payload}},
 	}
 	for i, m := range msgs {
 		frame := mustEncode(t, m)
@@ -188,7 +188,7 @@ func compressTestSequence() []Message {
 // encoder/decoder pair produces: the transport adds negotiation and
 // framing, never different numbers.
 func TestTCPCompressedDeliveryMatchesReference(t *testing.T) {
-	for _, spec := range []string{"float32", "delta:key=3", "topk:k=0.2"} {
+	for _, spec := range []string{"float32", "topk:k=0.2"} {
 		cfg, err := compress.ParseSpec(spec)
 		if err != nil {
 			t.Fatal(err)
@@ -300,16 +300,19 @@ func TestTCPUnnegotiatedCompressedDropped(t *testing.T) {
 	}
 	waitCounter(t, srv.Metrics().DroppedUnnegotiated.Load, 1, "DroppedUnnegotiated")
 
-	// A hello announcing delta does not license float32, and an unknown
-	// scheme byte is never licensed.
-	wrongCaps := rawPeer(t, srv, "byz2", compress.Delta.Bit())
+	// A hello announcing bit 2 does not license float32, and neither an
+	// unknown scheme byte nor the retired scheme 2 is ever licensed — not
+	// even by its own announced bit.
+	wrongCaps := rawPeer(t, srv, "byz2", 1<<2)
 	unknown := mustEncode(t, Message{From: "byz2", Kind: KindGradient, Step: 1,
 		Comp: CompMeta{Scheme: 17, Dim: 2, Data: []byte{1}}})
+	retired := mustEncode(t, Message{From: "byz2", Kind: KindGradient, Step: 1,
+		Comp: CompMeta{Scheme: 2, Dim: 2, Data: payload}})
 	reframed := mustEncode(t, Message{From: "byz2", Kind: comp.Kind, Step: comp.Step, Comp: comp.Comp})
-	if _, err := wrongCaps.Write(append(reframed, unknown...)); err != nil {
+	if _, err := wrongCaps.Write(append(append(reframed, unknown...), retired...)); err != nil {
 		t.Fatal(err)
 	}
-	waitCounter(t, srv.Metrics().DroppedUnnegotiated.Load, 3, "DroppedUnnegotiated")
+	waitCounter(t, srv.Metrics().DroppedUnnegotiated.Load, 4, "DroppedUnnegotiated")
 
 	if _, ok := srv.Recv(100 * time.Millisecond); ok {
 		t.Fatal("an un-negotiated compressed frame was delivered")
@@ -362,7 +365,7 @@ func TestTCPMalformedCompressedDropped(t *testing.T) {
 // subsystem behind different networks: the same traffic under the same
 // configuration delivers bit-identical vectors.
 func TestCompressorWrapperMatchesTCP(t *testing.T) {
-	for _, spec := range []string{"float32", "delta", "topk:k=0.2"} {
+	for _, spec := range []string{"float32", "topk:k=0.2"} {
 		cfg, err := compress.ParseSpec(spec)
 		if err != nil {
 			t.Fatal(err)
@@ -415,13 +418,12 @@ func TestCompressorWrapperMatchesTCP(t *testing.T) {
 	}
 }
 
-// Compression composes with the fault injector: faults decide ABOVE the
-// codec, so encode order equals wire order and stateful streams stay
+// Compression composes with the fault injector: every frame stays
 // decodable under duplication and reordering — and the whole pipeline is
 // deterministic, delivering bit-identical traffic on every rerun of the
 // same seed.
 func TestCompressionDeterministicUnderDupReorder(t *testing.T) {
-	for _, spec := range []string{"delta:key=4", "topk:k=0.3"} {
+	for _, spec := range []string{"float32", "topk:k=0.3"} {
 		cfg, err := compress.ParseSpec(spec)
 		if err != nil {
 			t.Fatal(err)

@@ -100,8 +100,8 @@
 // Broadcast(tos, Message) method, hands each frame over once for all
 // destinations — one snapshot per frame, and under a stateless codec
 // (float32) one encoding, which CompressMessage takes from the frame's lease
-// on every link after the first. Stateful codecs (delta, top-k) still encode
-// per link, from the shared snapshot. The method is an optional interface,
+// on every link after the first. Top-k, which keeps error feedback per link,
+// still encodes per link, from the shared snapshot. The method is an optional interface,
 // found by type assertion on the outermost endpoint like io.ReaderFrom:
 // Endpoint itself did not grow, because wrappers outside this package embed
 // it (internal/cluster's heldOpen, the benchmark module's traced endpoint) and a fifth

@@ -53,7 +53,7 @@ func FuzzDecodeMessage(f *testing.F) {
 	f.Add(forged)
 
 	// Compressed frames. Genuine ones come from the real encoders (float32,
-	// a delta keyframe + diff pair, top-k, and a compressed SHARD frame);
+	// top-k, and a compressed SHARD frame);
 	// the rest are well-formed frames around adversarial payloads — the wire
 	// codec transports them opaquely and bijectively, and the payload
 	// decoder must reject every one without panicking or allocating the
@@ -66,12 +66,6 @@ func FuzzDecodeMessage(f *testing.F) {
 	f32enc := compress.NewEncoder(compress.Config{Scheme: compress.Float32})
 	if p, err := f32enc.Encode(nil, uint8(KindGradient), 4, 0, vec); err == nil {
 		f.Add(compFrame(uint8(compress.Float32), len(vec), p))
-	}
-	denc := compress.NewEncoder(compress.Config{Scheme: compress.Delta})
-	for step := int64(0); step < 2; step++ { // keyframe, then a diff
-		if p, err := denc.Encode(nil, uint8(KindGradient), step, 0, vec); err == nil {
-			f.Add(compFrame(uint8(compress.Delta), len(vec), p))
-		}
 	}
 	tenc := compress.NewEncoder(compress.Config{Scheme: compress.TopK, TopKFrac: 0.5})
 	if p, err := tenc.Encode(nil, uint8(KindGradient), 4, 32, vec); err == nil {
@@ -87,16 +81,20 @@ func FuzzDecodeMessage(f *testing.F) {
 		return compFrame(uint8(compress.TopK), dim, p)
 	}
 	one := math.Float32bits(1)
-	f.Add(topk(4, 3, 1, one))                                 // truncated index table (3 claimed, 1 shipped)
-	f.Add(topk(4, 1, 100, one))                               // out-of-range index
-	f.Add(topk(4, 2, 2, one, 2, one))                         // duplicate index
-	f.Add(topk(4, 9, 0, one))                                 // k > d claim
-	f.Add(topk(4, 2, 3, one, 1, one))                         // non-increasing indices
-	f.Add(compFrame(7, 4, []byte{1, 2}))                      // unknown scheme byte
-	f.Add(compFrame(uint8(compress.Float32), 1, nil))         // empty payload
-	f.Add(compFrame(uint8(compress.Delta), 4, []byte{0x09}))  // bad delta tag
-	diffNoRef := append([]byte{0x01}, make([]byte, 8+4*4)...) // diff with no reference
-	f.Add(compFrame(uint8(compress.Delta), 4, diffNoRef))
+	f.Add(topk(4, 3, 1, one))                         // truncated index table (3 claimed, 1 shipped)
+	f.Add(topk(4, 1, 100, one))                       // out-of-range index
+	f.Add(topk(4, 2, 2, one, 2, one))                 // duplicate index
+	f.Add(topk(4, 9, 0, one))                         // k > d claim
+	f.Add(topk(4, 2, 3, one, 1, one))                 // non-increasing indices
+	f.Add(compFrame(7, 4, []byte{1, 2}))              // unknown scheme byte
+	f.Add(compFrame(uint8(compress.Float32), 1, nil)) // empty payload
+	// Retired scheme byte 2, carrying what its old keyframe, diff and
+	// malformed-tag payloads looked like and a float32-sized body: all
+	// must fail typed.
+	f.Add(compFrame(2, 4, append([]byte{0x00}, make([]byte, 4*4)...)))
+	f.Add(compFrame(2, 4, append([]byte{0x01}, make([]byte, 8+4*4)...)))
+	f.Add(compFrame(2, 4, []byte{0x09}))
+	f.Add(compFrame(2, 4, make([]byte, 4*4)))
 	// A compression extension whose enc-len exceeds the declared range's
 	// byte bound: rejected from the header, before any staging.
 	overLen := compFrame(uint8(compress.Float32), 1, make([]byte, 16))
@@ -154,11 +152,14 @@ func FuzzDecodeMessage(f *testing.F) {
 				return
 			}
 			cp := m
-			if err := DecompressMessage(compress.NewDecoder(), &cp); err == nil {
+			if err := DecompressMessage(&cp); err == nil {
+				if !compress.Scheme(m.Comp.Scheme).Known() {
+					t.Fatalf("scheme %d is unknown but decoded", m.Comp.Scheme)
+				}
 				if len(cp.Vec) != m.Comp.Dim || cp.IsCompressed() {
 					t.Fatalf("decompressed to %d coordinates, declared %d", len(cp.Vec), m.Comp.Dim)
 				}
-			} else if !errors.Is(err, compress.ErrMalformed) && !errors.Is(err, compress.ErrReference) {
+			} else if !errors.Is(err, compress.ErrMalformed) {
 				t.Fatalf("decompress failed with an untyped error: %v", err)
 			}
 		}

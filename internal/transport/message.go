@@ -61,10 +61,9 @@ type ShardMeta struct {
 // by the internal/compress scheme identified by Scheme — that expands to
 // Dim coordinates. The zero value (Scheme == 0) marks a plain message. The
 // wire codec transports compressed payloads byte-for-byte (the frame
-// format stays bijective); EXPANSION is a separate, stateful step
+// format stays bijective); EXPANSION is a separate step
 // (DecompressMessage) that the receiving transport performs after
-// negotiation checks, because delta streams need per-connection reference
-// state the codec deliberately does not own.
+// negotiation checks. It keeps no state: every frame expands on its own.
 type CompMeta struct {
 	// Scheme is the compression scheme byte (see compress.Scheme).
 	Scheme uint8 `json:"scheme"`

@@ -63,9 +63,8 @@ const dialAttempts = 9
 // node compresses, the connection also owns the link's payload encoder and
 // a second reusable buffer for the encoded payload (idle for a courier
 // broadcast under a stateless scheme, whose frames bring the one encoding
-// all links share — see CompressMessage) — per-connection state,
-// so a redial resets the sender's delta/error-feedback streams exactly when
-// the accepting readLoop (and its decoder) is replaced.
+// all links share — see CompressMessage) — per-connection state, so a
+// redial resets the sender's error-feedback streams.
 type tcpConn struct {
 	mu   sync.Mutex // serialises frame writes
 	c    net.Conn
@@ -170,10 +169,10 @@ func (n *TCPNode) SetMetrics(h *metrics.NodeMetrics) { n.box.SetMetrics(h) }
 // DroppedUnnegotiated: compressed frames whose scheme was not announced in
 // the connection's hello (or is unknown to this build) — negotiation is
 // announce-then-use. DroppedMalformed: compressed frames whose payload
-// failed to expand (structural garbage, a desynchronised delta stream, or
-// a declared dimension above the SetCompression bound). DroppedOverflow /
-// DroppedClosed: frames the bounded mailbox discarded under a drop policy
-// (see SetMailbox), and frames that raced the node's shutdown.
+// failed to expand (structural garbage or a declared dimension above the
+// SetCompression bound). DroppedOverflow / DroppedClosed: frames the
+// bounded mailbox discarded under a drop policy (see SetMailbox), and
+// frames that raced the node's shutdown.
 func (n *TCPNode) Metrics() *metrics.NodeMetrics { return n.box.Metrics() }
 
 // SetMailbox bounds the node's inbound mailbox per sender. With
@@ -227,9 +226,8 @@ func (n *TCPNode) Send(to string, m Message) error {
 	conn.mu.Lock()
 	defer conn.mu.Unlock()
 	if conn.enc != nil && !m.IsCompressed() {
-		// Compress under the connection lock: the encoder's per-stream state
-		// must advance in the exact order frames hit the wire, or a receiver
-		// reconstructing delta streams in arrival order would desynchronise.
+		// Compress under the connection lock: it serialises the encoder and
+		// the staging buffer the payload is encoded into.
 		own := !m.sharesEncoding(conn.enc)
 		m.Comp.Data = conn.cbuf[:0]
 		if err := CompressMessage(conn.enc, &m); err != nil {
@@ -413,10 +411,6 @@ func (n *TCPNode) readLoop(conn net.Conn) {
 	if err != nil {
 		return
 	}
-	// The decoder is per accepted connection, like the sender's encoder is
-	// per outbound connection: a redial replaces both together, so delta
-	// reference state never straddles a reconnect.
-	var dec *compress.Decoder
 	// scratch stages frame heads; comp receives compressed payloads, which
 	// never leave this loop (a compressed frame is expanded or dropped
 	// here). Both are reused by every frame of the connection.
@@ -442,13 +436,10 @@ func (n *TCPNode) readLoop(conn net.Conn) {
 			continue
 		}
 		if m.IsCompressed() {
-			if dec == nil {
-				dec = compress.NewDecoder()
-			}
 			n.mu.Lock()
 			maxDim := n.maxDim
 			n.mu.Unlock()
-			if !expandInbound(&m, caps, maxDim, dec, n.Metrics()) {
+			if !expandInbound(&m, caps, maxDim, n.Metrics()) {
 				continue
 			}
 		}
