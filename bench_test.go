@@ -21,7 +21,6 @@
 package repro_test
 
 import (
-	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -825,29 +824,6 @@ func BenchmarkParamRoundTrip(b *testing.B) {
 			b.Fatal(err)
 		}
 		theta = m.ParamVector()
-	}
-}
-
-// BenchmarkEndToEndGuanYuStepBlob measures one full simulated GuanYu step
-// (6 servers, 6 workers) through the public deployment builder.
-func BenchmarkEndToEndGuanYuStepBlob(b *testing.B) {
-	d, err := guanyu.New(
-		guanyu.WithWorkload(guanyu.BlobWorkload(300, 5)),
-		guanyu.WithServers(6, 1),
-		guanyu.WithWorkers(6, 1),
-		guanyu.WithSteps(1),
-		guanyu.WithBatch(8),
-		guanyu.WithSeed(5),
-	)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := d.Run(ctx); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -26,8 +26,10 @@ import (
 // deterministic virtual-time engine used for the paper's figures lives in
 // internal/core.
 type LiveConfig struct {
-	// Model is the template model; every worker gets an independent clone,
-	// and its initial parameters seed every server's θ₀.
+	// Model is the template model: its initial parameters seed every
+	// server's θ₀, and the workers compute on replicas cloned from it as
+	// they need them (as many as compute at once), so the run reads it
+	// until it returns and never writes it.
 	Model *nn.Sequential
 	// Train supplies the workers' mini-batches.
 	Train *dataset.Dataset
@@ -285,10 +287,14 @@ type plan struct {
 	// nodes snapshot it before corrupting (see attack.SharedView).
 	serverView, workerView *attack.SharedView
 	rng                    *tensor.RNG
+	// replicas is the one free list every worker of the run leases its
+	// model from.
+	replicas *replicas
 }
 
 func (c *LiveConfig) plan() *plan {
-	p := &plan{LiveConfig: c, reg: c.Metrics, theta0: c.Model.ParamVector(), rng: tensor.NewRNG(c.Seed)}
+	p := &plan{LiveConfig: c, reg: c.Metrics, theta0: c.Model.ParamVector(), rng: tensor.NewRNG(c.Seed),
+		replicas: &replicas{template: c.Model}}
 	if p.reg == nil {
 		p.reg = metrics.NewRegistry()
 	}
@@ -337,7 +343,7 @@ func (p *plan) worker(j int) WorkerConfig {
 	return WorkerConfig{
 		ID:           p.workers[j],
 		Servers:      p.servers,
-		Model:        p.Model.Clone(),
+		Model:        p.Model,
 		Sampler:      dataset.NewSampler(p.Train, p.rng.Split()),
 		Batch:        p.Batch,
 		ParamRule:    p.paramRule(),
@@ -348,6 +354,7 @@ func (p *plan) worker(j int) WorkerConfig {
 		View:         p.workerView,
 		ShardSize:    p.ShardSize,
 		Metrics:      p.reg.Node(p.workers[j]),
+		replicas:     p.replicas,
 	}
 }
 

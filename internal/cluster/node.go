@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/attack"
@@ -381,7 +382,11 @@ type WorkerConfig struct {
 	// Servers lists the parameter-server IDs: gradient broadcast targets
 	// and the only senders whose parameter vectors may enter a quorum.
 	Servers []string
-	// Model is this worker's private model replica (mutated in place).
+	// Model is the model this worker computes its gradients on: each step
+	// overwrites its parameters and gradient buffers, so its values at
+	// the start of the run do not matter, only its architecture. A worker
+	// started on its own has it to itself; the workers of one live run
+	// share the template, and lease replicas of it (see replicas).
 	Model *nn.Sequential
 	// Sampler draws this worker's mini-batches (its gradient distribution
 	// G^(j); each worker owns an independently seeded sampler).
@@ -406,6 +411,42 @@ type WorkerConfig struct {
 	ShardSize int
 	// Metrics mirrors ServerConfig.Metrics.
 	Metrics *metrics.NodeMetrics
+
+	// replicas is where the loop leases its model from; nil is a list
+	// holding Model alone.
+	replicas *replicas
+}
+
+// replicas is a free list of model replicas that workers lease for one
+// gradient each: from SetParamVector, which overwrites every parameter, to
+// the end of nn.BatchGradient, which zeroes every gradient buffer before
+// accumulating. A replica therefore carries nothing from one lease into the
+// next, and the workers of a run need only as many replicas as compute at
+// once. The list clones its template only when every replica it holds is
+// leased, so it ends the run holding its peak number of concurrent leases;
+// a list without a template holds one model and never clones.
+type replicas struct {
+	template *nn.Sequential
+	mu       sync.Mutex
+	free     []*nn.Sequential
+}
+
+func (r *replicas) lease() *nn.Sequential {
+	r.mu.Lock()
+	if n := len(r.free); n > 0 {
+		m := r.free[n-1]
+		r.free = r.free[:n-1]
+		r.mu.Unlock()
+		return m
+	}
+	r.mu.Unlock()
+	return r.template.Clone()
+}
+
+func (r *replicas) release(m *nn.Sequential) {
+	r.mu.Lock()
+	r.free = append(r.free, m)
+	r.mu.Unlock()
 }
 
 // RunWorker executes the worker loop.
@@ -414,6 +455,10 @@ func RunWorker(ep transport.Endpoint, cfg WorkerConfig) error {
 	h := cfg.Metrics
 	if h == nil {
 		h = metrics.NewNodeMetrics()
+	}
+	models := cfg.replicas
+	if models == nil {
+		models = &replicas{free: []*nn.Sequential{cfg.Model}}
 	}
 	qm := newQuorum(ep, dim, cfg.ShardSize, cfg.Timeout, h,
 		map[transport.Kind][]string{transport.KindParams: cfg.Servers}, cfg.ParamRule)
@@ -426,14 +471,18 @@ func RunWorker(ep transport.Endpoint, cfg WorkerConfig) error {
 		if err != nil {
 			return fmt.Errorf("worker %s step %d: %w", cfg.ID, t, err)
 		}
-		if err := cfg.Model.SetParamVector(agg); err != nil {
+		// Estimate the gradient at the aggregated parameters, on a leased
+		// replica: the gradient is a vector of its own, so the replica goes
+		// back as soon as it is computed.
+		model := models.lease()
+		if err := model.SetParamVector(agg); err != nil {
+			models.release(model)
 			return fmt.Errorf("worker %s step %d: %w", cfg.ID, t, err)
 		}
 		tensor.Put(agg) // the model holds a copy
-
-		// Estimate the gradient at the aggregated parameters.
 		xs, labels := cfg.Sampler.Batch(cfg.Batch)
-		_, grad := nn.BatchGradient(cfg.Model, xs, labels)
+		_, grad := nn.BatchGradient(model, xs, labels)
+		models.release(model)
 
 		// Phase 2: broadcast the gradient to every server. Honest workers
 		// expose it to the adversary's view first; omniscient Byzantine

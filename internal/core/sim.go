@@ -147,8 +147,10 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		}
 	}
 
-	// State: θ per honest server (all start at θ₀), one model clone and
-	// sampler per honest worker, per-node virtual clocks.
+	// State: θ per honest server (all start at θ₀), a sampler per honest
+	// worker, per-node virtual clocks, and one model replica the workers
+	// take turns on — each gradient overwrites its parameters and zeroes
+	// its gradient buffers first, so a turn inherits nothing.
 	theta0 := cfg.Model.ParamVector()
 	theta := make(map[int]tensor.Vector, len(honestServers))
 	clockS := make(map[int]float64, len(honestServers))
@@ -159,11 +161,10 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 			velocity[i] = make(tensor.Vector, dim)
 		}
 	}
-	models := make(map[int]*nn.Sequential, len(honestWorkers))
+	worker := cfg.Model.Clone()
 	samplers := make(map[int]*dataset.Sampler, len(honestWorkers))
 	clockW := make(map[int]float64, len(honestWorkers))
 	for _, j := range honestWorkers {
-		models[j] = cfg.Model.Clone()
 		source := cfg.Train
 		if len(cfg.WorkerShards) > 0 {
 			source = cfg.WorkerShards[j%len(cfg.WorkerShards)]
@@ -292,11 +293,11 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 			if err != nil {
 				return nil, fmt.Errorf("core: step %d worker %d: %w", t, j, err)
 			}
-			if err := models[j].SetParamVector(agg); err != nil {
+			if err := worker.SetParamVector(agg); err != nil {
 				return nil, err
 			}
 			xs, labels := samplers[j].Batch(cfg.Batch)
-			loss, g := nn.BatchGradient(models[j], xs, labels)
+			loss, g := nn.BatchGradient(worker, xs, labels)
 			meanLoss += loss
 			grads[j] = g
 			start := math.Max(when, clockW[j])

@@ -25,9 +25,8 @@ func TestMean(t *testing.T) {
 func TestMeanIsVulnerable(t *testing.T) {
 	// One Byzantine input drags the mean arbitrarily far — the motivating
 	// weakness of the vanilla baseline.
-	honest := vecs(tensor.Vector{1, 1}, tensor.Vector{1, 1}, tensor.Vector{1, 1})
-	byz := append(tensor.CloneAll(honest), tensor.Vector{1e9, 1e9})
-	out, err := Mean{}.Aggregate(byz)
+	out, err := Mean{}.Aggregate(vecs(
+		tensor.Vector{1, 1}, tensor.Vector{1, 1}, tensor.Vector{1, 1}, tensor.Vector{1e9, 1e9}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -175,9 +175,6 @@ func clipTaps(i0, k, n int) (lo, hi int) {
 	return max(0, -i0), min(k, n-i0)
 }
 
-// OutputShape returns (channels, height, width) of the output activation.
-func (c *Conv2D) OutputShape() (int, int, int) { return c.outC, c.outH, c.outW }
-
 // Forward computes the convolution. Output channels are independent, so the
 // channel loop is chunked across the worker pool (each output cell written
 // by exactly one chunk — identical results at any parallelism); small layers

@@ -48,7 +48,9 @@ type Layer interface {
 	OutputSize() int
 
 	// Clone returns a deep copy of the layer (parameters included, scratch
-	// state excluded). Each node in a deployment owns an independent clone.
+	// state excluded). Workers lease clones of a model one gradient at a
+	// time, so a layer may keep no state across gradients that the next
+	// Forward, or ZeroGrad, does not overwrite.
 	Clone() Layer
 }
 
@@ -69,9 +71,6 @@ func NewSequential(layers ...Layer) *Sequential {
 	}
 	return m
 }
-
-// Layers returns the model's layers (for introspection, e.g. Table 1).
-func (m *Sequential) Layers() []Layer { return m.layers }
 
 // ParamCount returns d, the dimension of the parameter space.
 func (m *Sequential) ParamCount() int { return m.dim }

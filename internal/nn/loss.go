@@ -33,28 +33,6 @@ func SoftmaxCrossEntropy(logits []float64, label int) (loss float64, dlogits []f
 	return loss, dlogits
 }
 
-// Softmax returns the softmax probabilities of the logits (stable).
-func Softmax(logits []float64) []float64 {
-	maxL := logits[0]
-	for _, v := range logits[1:] {
-		if v > maxL {
-			maxL = v
-		}
-	}
-	out := make([]float64, len(logits))
-	var sum float64
-	for i, v := range logits {
-		e := math.Exp(v - maxL)
-		out[i] = e
-		sum += e
-	}
-	inv := 1 / sum
-	for i := range out {
-		out[i] *= inv
-	}
-	return out
-}
-
 // Argmax returns the index of the largest element (first winner on ties).
 func Argmax(xs []float64) int {
 	best := 0
@@ -64,17 +42,4 @@ func Argmax(xs []float64) int {
 		}
 	}
 	return best
-}
-
-// MSE computes the mean-squared-error loss ½‖pred − target‖² for a single
-// example and its gradient with respect to pred. Used by regression-style
-// unit tests and the quickstart example.
-func MSE(pred, target []float64) (loss float64, dpred []float64) {
-	dpred = make([]float64, len(pred))
-	for i := range pred {
-		d := pred[i] - target[i]
-		dpred[i] = d
-		loss += 0.5 * d * d
-	}
-	return loss, dpred
 }

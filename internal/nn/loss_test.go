@@ -8,36 +8,6 @@ import (
 	"repro/internal/tensor"
 )
 
-func TestSoftmaxSumsToOne(t *testing.T) {
-	p := Softmax([]float64{1, 2, 3, 4})
-	var sum float64
-	for _, v := range p {
-		sum += v
-		if v <= 0 || v >= 1 {
-			t.Fatalf("softmax component out of (0,1): %v", v)
-		}
-	}
-	if math.Abs(sum-1) > 1e-12 {
-		t.Fatalf("softmax sums to %v", sum)
-	}
-	// monotone: larger logit → larger probability
-	for i := 0; i+1 < len(p); i++ {
-		if p[i] >= p[i+1] {
-			t.Fatalf("softmax not monotone: %v", p)
-		}
-	}
-}
-
-func TestSoftmaxExtremeLogitsStable(t *testing.T) {
-	p := Softmax([]float64{1e4, -1e4, 0})
-	if !tensor.IsFinite(p) {
-		t.Fatalf("softmax unstable: %v", p)
-	}
-	if p[0] < 0.999 {
-		t.Fatalf("softmax of dominant logit = %v, want ≈1", p[0])
-	}
-}
-
 func TestCrossEntropyKnownValue(t *testing.T) {
 	// Uniform logits → loss = log(K).
 	loss, grad := SoftmaxCrossEntropy([]float64{0, 0, 0, 0}, 2)
@@ -90,17 +60,6 @@ func TestArgmax(t *testing.T) {
 		if got := Argmax(tt.xs); got != tt.want {
 			t.Fatalf("Argmax(%v) = %d, want %d", tt.xs, got, tt.want)
 		}
-	}
-}
-
-func TestMSE(t *testing.T) {
-	loss, grad := MSE([]float64{1, 2}, []float64{0, 4})
-	// ½(1² + 2²) = 2.5, grad = pred − target = [1, −2]
-	if math.Abs(loss-2.5) > 1e-12 {
-		t.Fatalf("MSE loss = %v", loss)
-	}
-	if grad[0] != 1 || grad[1] != -2 {
-		t.Fatalf("MSE grad = %v", grad)
 	}
 }
 

@@ -1,6 +1,8 @@
 package nn
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/parallel"
@@ -157,4 +159,64 @@ func TestAccuracyExactAcrossWorkers(t *testing.T) {
 			t.Fatalf("workers=%d changed accuracy: %v vs %v", w, got, want)
 		}
 	}
+}
+
+// TestBatchGradientOnReusedReplica: a replica that has already computed one
+// gradient computes the next exactly as a fresh clone would — the property
+// that lets the workers of a run lease replicas from one free list instead
+// of owning one each. It covers both zoo models a workload trains, batches
+// of one gradChunk and of two, the serial and the per-chunk-replica paths
+// of BatchGradient, and each convolution body.
+func TestBatchGradientOnReusedReplica(t *testing.T) {
+	models := []struct {
+		name  string
+		model *Sequential
+	}{
+		{"TinyConvNet", NewTinyConvNet(tensor.NewRNG(3), 10)},
+		{"MLP-192-1024-10", NewMLP(tensor.NewRNG(4), 192, 1024, 10)},
+	}
+	batch := func(seed uint64, n int) ([][]float64, []int) {
+		rng := tensor.NewRNG(seed)
+		xs, labels := make([][]float64, n), make([]int, n)
+		for i := range xs {
+			xs[i] = rng.NormVec(make([]float64, 192), 0, 1)
+			labels[i] = rng.Intn(10)
+		}
+		return xs, labels
+	}
+	gradientAt := func(t *testing.T, m *Sequential, theta tensor.Vector, xs [][]float64, labels []int) (float64, tensor.Vector) {
+		t.Helper()
+		if err := m.SetParamVector(theta); err != nil {
+			t.Fatal(err)
+		}
+		return BatchGradient(m, xs, labels)
+	}
+	onEachSide(t, func(t *testing.T) {
+		for _, tm := range models {
+			dim := tm.model.ParamCount()
+			thetaA := tensor.NewRNG(11).NormVec(make([]float64, dim), 0, 0.1)
+			thetaB := tensor.NewRNG(12).NormVec(make([]float64, dim), 0, 0.1)
+			for _, n := range []int{gradChunk, 2 * gradChunk} {
+				for _, workers := range []int{1, 2} {
+					t.Run(fmt.Sprintf("%s/batch%d/workers%d", tm.name, n, workers), func(t *testing.T) {
+						withWorkers(t, workers)
+						xsA, labelsA := batch(21, n)
+						xsB, labelsB := batch(22, n)
+						replica := tm.model.Clone()
+						gradientAt(t, replica, thetaA, xsA, labelsA)
+						loss, grad := gradientAt(t, replica, thetaB, xsB, labelsB)
+						wantLoss, wantGrad := gradientAt(t, tm.model.Clone(), thetaB, xsB, labelsB)
+						if math.Float64bits(loss) != math.Float64bits(wantLoss) {
+							t.Fatalf("reused replica's loss %v, fresh clone's %v", loss, wantLoss)
+						}
+						for i := range wantGrad {
+							if math.Float64bits(grad[i]) != math.Float64bits(wantGrad[i]) {
+								t.Fatalf("gradient coordinate %d: reused replica %v, fresh clone %v", i, grad[i], wantGrad[i])
+							}
+						}
+					})
+				}
+			}
+		}
+	})
 }

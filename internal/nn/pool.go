@@ -34,9 +34,6 @@ func NewMaxPool2D(c, inH, inW, k, stride, pad int) *MaxPool2D {
 	}
 }
 
-// OutputShape returns (channels, height, width) of the output activation.
-func (p *MaxPool2D) OutputShape() (int, int, int) { return p.c, p.outH, p.outW }
-
 // Forward computes the window maxima and records their positions: the
 // in-range part of each window (clipTaps) scanned in (ky, kx) order, the
 // first maximum winning ties.

@@ -11,16 +11,12 @@ func TestMatrixBasics(t *testing.T) {
 		t.Fatalf("bad matrix shape %dx%d len=%d", m.Rows, m.Cols, len(m.Data))
 	}
 	m.Set(1, 2, 7)
-	if m.At(1, 2) != 7 {
-		t.Fatalf("At/Set mismatch: %v", m.At(1, 2))
-	}
-	row := m.Row(1)
-	if len(row) != 3 || row[2] != 7 {
-		t.Fatalf("Row(1) = %v", row)
+	if m.Data[5] != 7 {
+		t.Fatalf("Set(1, 2) wrote %v", m.Data)
 	}
 	c := m.Clone()
 	c.Set(0, 0, 99)
-	if m.At(0, 0) != 0 {
+	if m.Data[0] != 0 {
 		t.Fatal("Clone aliases storage")
 	}
 }
@@ -62,7 +58,7 @@ func TestMatVecMatchesOneRowReference(t *testing.T) {
 				m.MatVec(got, x)
 				for i := range got {
 					var want float64
-					for j, w := range m.Row(i) {
+					for j, w := range m.Data[i*cols : (i+1)*cols] {
 						want += w * x[j]
 					}
 					if math.Float64bits(got[i]) != math.Float64bits(want) {
@@ -102,7 +98,7 @@ func TestMatVecTMatchesTranspose(t *testing.T) {
 		tr := NewMatrix(cols, rows)
 		for i := 0; i < rows; i++ {
 			for j := 0; j < cols; j++ {
-				tr.Set(j, i, m.At(i, j))
+				tr.Set(j, i, m.Data[i*cols+j])
 			}
 		}
 		want := make([]float64, cols)
@@ -128,8 +124,8 @@ func TestAddOuter(t *testing.T) {
 	}
 	// accumulation, not assignment
 	m.AddOuter(1, []float64{1, 0}, []float64{1, 0})
-	if m.At(0, 0) != 7 {
-		t.Fatalf("AddOuter does not accumulate: %v", m.At(0, 0))
+	if m.Data[0] != 7 {
+		t.Fatalf("AddOuter does not accumulate: %v", m.Data[0])
 	}
 }
 

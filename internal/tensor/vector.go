@@ -3,7 +3,6 @@ package tensor
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/cpu"
 )
@@ -21,23 +20,11 @@ const avx2Span = 4096
 // representation.
 type Vector = []float64
 
-// Zeros returns a new zero vector of dimension d.
-func Zeros(d int) Vector { return make(Vector, d) }
-
 // Clone returns a copy of v. Aggregation rules clone at boundaries so callers
 // can mutate their inputs afterwards (slices share backing arrays otherwise).
 func Clone(v Vector) Vector {
 	out := make(Vector, len(v))
 	copy(out, v)
-	return out
-}
-
-// CloneAll deep-copies a set of vectors.
-func CloneAll(vs []Vector) []Vector {
-	out := make([]Vector, len(vs))
-	for i, v := range vs {
-		out[i] = Clone(v)
-	}
 	return out
 }
 
@@ -47,14 +34,6 @@ func AddInPlace(dst, src Vector) {
 	assertSameDim(len(dst), len(src))
 	for i := range dst {
 		dst[i] += src[i]
-	}
-}
-
-// SubInPlace computes dst -= src.
-func SubInPlace(dst, src Vector) {
-	assertSameDim(len(dst), len(src))
-	for i := range dst {
-		dst[i] -= src[i]
 	}
 }
 
@@ -173,23 +152,6 @@ func MaxPairwiseDistance(vs []Vector) float64 {
 		}
 	}
 	return math.Sqrt(maxD)
-}
-
-// MedianScalar returns the median of xs (mean of the two central order
-// statistics for even length). xs is not modified.
-func MedianScalar(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic("tensor: median of empty slice")
-	}
-	tmp := make([]float64, len(xs))
-	copy(tmp, xs)
-	sort.Float64s(tmp)
-	n := len(tmp)
-	if n%2 == 1 {
-		return tmp[n/2]
-	}
-	// Halve before adding so the midpoint cannot overflow for extreme values.
-	return tmp[n/2-1]/2 + tmp[n/2]/2
 }
 
 // IsFinite reports whether every coordinate of v is finite (no NaN/Inf).

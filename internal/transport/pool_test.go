@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/compress"
 	"repro/internal/tensor"
 )
 
@@ -400,5 +401,102 @@ func TestReadLoopReusesItsBufferedReader(t *testing.T) {
 	// Half, not none: the race detector's pools drop a quarter of their Puts.
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > visits/2*(1<<16) {
 		t.Fatalf("%d short-lived connections allocated %d bytes: more than a 64 KiB reader for every second one", visits, grew)
+	}
+}
+
+// TestRecycledConnReaderLeaksNothing: a read loop's pooled state — the
+// buffered reader, the first-chunk scratch and the compressed-payload
+// buffer — passes from one connection to the next. A connection of large
+// frames leaves all three grown and full of its bytes; the smaller frames
+// of the next connection must still read exactly as they were sent, and
+// exactly as through a fresh reader.
+func TestRecycledConnReaderLeaksNothing(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	compressed := func(cfg compress.Config, m Message) Message {
+		if err := CompressMessage(compress.NewEncoder(cfg), &m); err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	f32 := compress.Config{Scheme: compress.Float32}
+	topk := compress.Config{Scheme: compress.TopK, TopKFrac: 0.1}
+	const longID = "a-sender-id-much-longer-than-the-next-connection's"
+	large := []Message{
+		{From: longID, Kind: KindGradient, Step: 1, Vec: awkwardVec(20000)}, // first chunk fills the scratch
+		compressed(f32, Message{From: longID, Kind: KindParams, Step: 2, Vec: awkwardVec(40000)}),
+		compressed(topk, Message{From: longID, Kind: KindGradient, Step: 3,
+			Vec: tensor.NewRNG(8).NormVec(make(tensor.Vector, 30000), 0, 1)}),
+	}
+	small := []Message{
+		{From: "w2", Kind: KindParams, Step: 4, Vec: awkwardVec(100)},
+		compressed(f32, Message{From: "w2", Kind: KindGradient, Step: 5, Vec: awkwardVec(300)}),
+		compressed(topk, Message{From: "w2", Kind: KindPeerParams, Step: 6,
+			Vec: tensor.NewRNG(9).NormVec(make(tensor.Vector, 1000), 0, 1), Shard: ShardMeta{Index: 1, Count: 2, Offset: 1000}}),
+		{From: "w2", Kind: KindGradient, Step: 7, Vec: awkwardVec(50), Shard: ShardMeta{Index: 0, Count: 2}},
+	}
+	// read sends msgs over a new loopback connection and reads them back
+	// through rd, each with its compressed payload copied out of rd's buffer.
+	read := func(rd *connReader, msgs []Message) []Message {
+		t.Helper()
+		var stream []byte
+		for _, m := range msgs {
+			stream = append(stream, mustEncode(t, m)...)
+		}
+		go func() {
+			c, err := net.Dial("tcp", ln.Addr().String())
+			if err != nil {
+				return
+			}
+			defer c.Close()
+			_, _ = c.Write(stream)
+		}()
+		c, err := ln.Accept()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		rd.br.Reset(c)
+		defer rd.br.Reset(nil)
+		got := make([]Message, len(msgs))
+		for i := range got {
+			m, err := rd.next()
+			if err != nil {
+				t.Fatalf("frame %d: %v", i, err)
+			}
+			m.Comp.Data = bytes.Clone(m.Comp.Data)
+			got[i] = m
+		}
+		if _, err := rd.next(); err != io.EOF {
+			t.Fatalf("after the last frame: %v, want io.EOF", err)
+		}
+		return got
+	}
+	fresh := func() *connReader { return readers.New().(*connReader) }
+
+	recycled := fresh()
+	read(recycled, large)
+	if cap(recycled.scratch) < readChunkBytes/2 || cap(recycled.comp) < 4*40000 {
+		t.Fatalf("the large connection left scratch %d and comp %d bytes: it did not exercise their reuse",
+			cap(recycled.scratch), cap(recycled.comp))
+	}
+	got, want := read(recycled, small), read(fresh(), small)
+	for i, sent := range small {
+		for side, m := range map[string]*Message{"recycled": &got[i], "fresh": &want[i]} {
+			if m.From != sent.From || m.Kind != sent.Kind || m.Step != sent.Step || m.Shard != sent.Shard ||
+				m.Comp.Scheme != sent.Comp.Scheme || m.Comp.Dim != sent.Comp.Dim ||
+				!bytes.Equal(m.Comp.Data, sent.Comp.Data) || !sameBits(m.Vec, sent.Vec) {
+				t.Fatalf("frame %d through the %s reader differs from the frame sent", i, side)
+			}
+			if err := DecompressMessage(m); err != nil {
+				t.Fatalf("frame %d through the %s reader: %v", i, side, err)
+			}
+		}
+		if !sameBits(got[i].Vec, want[i].Vec) {
+			t.Fatalf("frame %d decodes differently through the recycled reader", i)
+		}
 	}
 }

@@ -386,10 +386,31 @@ func (n *TCPNode) acceptLoop() {
 	}
 }
 
-// readers recycles the read loops' 64 KiB buffered readers: a deployment
-// that re-dials its mesh every run would otherwise allocate one per accepted
-// connection.
-var readers = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 1<<16) }}
+// connReader is a read loop's per-connection state, reused by every frame
+// of the connection: the 64 KiB buffered reader, the scratch that stages
+// frame heads and first chunks, and the buffer compressed payloads land in,
+// which never leave the loop (a compressed frame is expanded or dropped
+// there). readers recycles all three across connections, so a deployment
+// that re-dials its mesh every run does not allocate them again per link.
+type connReader struct {
+	br            *bufio.Reader
+	scratch, comp []byte
+}
+
+var readers = sync.Pool{New: func() any { return &connReader{br: bufio.NewReaderSize(nil, 1<<16)} }}
+
+// next reads the connection's next frame. A compressed payload aliases the
+// reader's buffer until the following call.
+func (rd *connReader) next() (Message, error) {
+	m := Message{Comp: CompMeta{Data: rd.comp}}
+	if err := ReadMessage(rd.br, &rd.scratch, &m); err != nil {
+		return m, err
+	}
+	if m.IsCompressed() {
+		rd.comp = m.Comp.Data
+	}
+	return m, nil
+}
 
 func (n *TCPNode) readLoop(conn net.Conn) {
 	defer n.readers.Done()
@@ -399,29 +420,22 @@ func (n *TCPNode) readLoop(conn net.Conn) {
 		n.mu.Unlock()
 		_ = conn.Close()
 	}()
-	br := readers.Get().(*bufio.Reader)
-	br.Reset(conn)
+	rd := readers.Get().(*connReader)
+	rd.br.Reset(conn)
 	defer func() {
-		br.Reset(nil) // the pooled reader must not pin the closed connection
-		readers.Put(br)
+		rd.br.Reset(nil) // the pooled reader must not pin the closed connection
+		readers.Put(rd)
 	}()
 	// The connection speaks only after identifying itself; a stream that
 	// cannot produce a well-formed hello is not a peer.
-	peer, caps, err := readHello(br)
+	peer, caps, err := readHello(rd.br)
 	if err != nil {
 		return
 	}
-	// scratch stages frame heads; comp receives compressed payloads, which
-	// never leave this loop (a compressed frame is expanded or dropped
-	// here). Both are reused by every frame of the connection.
-	var scratch, comp []byte
 	for {
-		m := Message{Comp: CompMeta{Data: comp}}
-		if err := ReadMessage(br, &scratch, &m); err != nil {
+		m, err := rd.next()
+		if err != nil {
 			return // peer closed or corrupt stream
-		}
-		if m.IsCompressed() {
-			comp = m.Comp.Data
 		}
 		select {
 		case <-n.closed:
