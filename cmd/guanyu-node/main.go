@@ -64,8 +64,8 @@ func parseFlags(args []string) (*nodeFlags, error) {
 		fmt.Sprintf("make THIS node Byzantine, spec name[:k=v,...] of %v", guanyu.AttackNames()))
 	fs.StringVar(&c.faultSpec, "faults", "none",
 		fmt.Sprintf("fault profile for THIS node's sends, name[:k=v,...] of %v (same spec+seed on all nodes = cluster-wide schedule)", guanyu.FaultNames()))
-	fs.StringVar(&c.ckptPath, "checkpoint", "", "server only: write the final model here")
-	fs.StringVar(&c.ckptDir, "checkpoint-dir", "", "server only: persist protocol state (step, θ, horizon, momentum) into this directory every -checkpoint-every steps, atomically")
+	fs.StringVar(&c.ckptPath, "checkpoint", "", "server only: write the final model here, in the -checkpoint-dir snapshot format")
+	fs.StringVar(&c.ckptDir, "checkpoint-dir", "", "server only: persist protocol state (step, θ, horizon) into this directory every -checkpoint-every steps, atomically")
 	fs.IntVar(&c.ckptEvery, "checkpoint-every", 10, "server only: checkpoint cadence in steps (with -checkpoint-dir)")
 	fs.BoolVar(&c.Rejoin, "rejoin", false, "server only: restart from the newest -checkpoint-dir snapshot and catch up by adopting the median of a live peer quorum (how a crashed ps<i> re-enters a running deployment)")
 	fs.DurationVar(&c.Timeout, "timeout", 5*time.Minute, "per-quorum timeout")
@@ -174,7 +174,7 @@ func run(args []string, out io.Writer) error {
 				return err
 			}
 			defer f.Close()
-			if err := guanyu.SaveCheckpoint(f, res.Model, res.Steps); err != nil {
+			if err := guanyu.SaveCheckpoint(f, res.ID, res.Model, res.Steps-1); err != nil {
 				return err
 			}
 			fmt.Fprintf(out, "%s wrote checkpoint to %s\n", res.ID, cfg.ckptPath)

@@ -31,8 +31,7 @@
 //
 // Every hot kernel executes on a shared, size-aware worker pool. The worker
 // count defaults to runtime.NumCPU() and is controlled by
-// guanyu.SetParallelism, the guanyu.WithParallelism deployment option, or
-// the -parallel flag each command accepts; parallelism never changes
+// guanyu.SetParallelism or the -parallel flag each command accepts; parallelism never changes
 // results — chunk boundaries are size-derived and reductions fold in a
 // fixed order, so every setting is bit-identical to serial.
 //

@@ -65,17 +65,13 @@ type Deployment struct {
 	serverAttacks map[int]Attack
 	workerAttacks map[int]Attack
 
-	steps    int
-	batch    int
-	lr       Schedule
-	momentum float64
-	seed     uint64
+	steps int
+	batch int
+	lr    Schedule
+	seed  uint64
 
 	evalEvery    int
 	evalExamples int
-	alignEvery   int
-	alignAfter   int
-	noExchange   bool
 
 	runtime     Runner
 	timeout     time.Duration
@@ -95,9 +91,6 @@ type Deployment struct {
 
 	metricsAddr     string
 	onMetricsListen func(addr string)
-
-	parallelism    int
-	parallelismSet bool
 }
 
 // New builds and validates a deployment from the given options. It checks
@@ -187,7 +180,7 @@ func (d *Deployment) normalize() error {
 		return fmt.Errorf("WithDelay applies to the Live runtime only (the simulator has its own latency model)")
 	}
 	if d.mailbox.Bounded() && d.runtime != Live {
-		return fmt.Errorf("WithMailbox applies to the Live runtime only (virtual time admits no overflow to bound)")
+		return fmt.Errorf("WithMailboxSpec applies to the Live runtime only (virtual time admits no overflow to bound)")
 	}
 	if d.metricsAddr != "" && d.runtime != Live {
 		return fmt.Errorf("WithMetricsAddr applies to the Live runtime only (the simulator has no wall-clock run to scrape)")
@@ -239,15 +232,6 @@ func (d *Deployment) Runtime() Runner { return d.runtime }
 // Run executes the deployment under its configured runtime (Sim unless
 // WithRuntime changed it). The context cancels the run: the simulator
 // checks it between steps, the live runtime tears the network down.
-//
-// When WithParallelism was given, Run pins the process-wide kernel worker
-// count for the duration and restores the previous setting before
-// returning; concurrent runs of differently-configured deployments should
-// set the knob once via SetParallelism instead.
 func (d *Deployment) Run(ctx context.Context) (*Result, error) {
-	if d.parallelismSet {
-		prev := SetParallelism(d.parallelism)
-		defer SetParallelism(prev)
-	}
 	return d.runtime.Run(ctx, d)
 }

@@ -1,31 +1,11 @@
 package guanyu
 
-import (
-	"fmt"
-
-	"repro/internal/transport"
-)
+import "repro/internal/transport"
 
 // MailboxConfig bounds a node's inbound mailbox per sender; the zero value
-// is the unbounded mailbox of the pure asynchronous model. See WithMailbox
-// and transport.MailboxConfig.
+// is the unbounded mailbox of the pure asynchronous model. See
+// WithMailboxSpec and transport.MailboxConfig.
 type MailboxConfig = transport.MailboxConfig
-
-// OverflowPolicy selects what a bounded mailbox does when one sender's
-// queue is full; see the Backpressure, DropNewest and DropOldest policies.
-type OverflowPolicy = transport.OverflowPolicy
-
-// The overflow policies, re-exported from the transport layer.
-const (
-	// Backpressure blocks the producer until the sender's queue drains —
-	// per-connection flow control on TCP, never cluster-wide.
-	Backpressure = transport.Backpressure
-	// DropNewest discards the incoming frame, keeping what is queued.
-	DropNewest = transport.DropNewest
-	// DropOldest evicts the sender's oldest queued frame to admit the new
-	// one — the right policy for this protocol's superseded-step traffic.
-	DropOldest = transport.DropOldest
-)
 
 // ParseMailbox parses a -mailbox flag spec: "none" (unbounded, default) or
 // "policy[:cap=N]" with policy ∈ {backpressure, drop-newest, drop-oldest}
@@ -34,30 +14,15 @@ func ParseMailbox(spec string) (MailboxConfig, error) {
 	return transport.ParseMailboxSpec(spec)
 }
 
-// WithMailbox bounds every node's inbound mailbox to cap frames per sender
-// with the given overflow policy, and routes every honest node's sends
-// through per-link courier goroutines with equally bounded outboxes. A fast
-// or Byzantine peer can then occupy at most cap frames at each receiver,
-// making a node's worst-case buffering O(n·cap) regardless of traffic
-// rates — the actor runtime described in DESIGN.md. Overflow-free
-// schedules are byte-for-byte unaffected by the bound. Live-only: the
-// simulator's virtual time admits no overflow to bound.
-func WithMailbox(cap int, policy OverflowPolicy) Option {
-	return func(d *Deployment) error {
-		cfg := MailboxConfig{Cap: cap, Policy: policy}
-		if cap <= 0 {
-			return fmt.Errorf("WithMailbox: cap must be positive, got %d", cap)
-		}
-		if err := cfg.Validate(); err != nil {
-			return err
-		}
-		d.mailbox = cfg
-		return nil
-	}
-}
-
-// WithMailboxSpec is WithMailbox in the flag syntax accepted by
-// ParseMailbox ("none" | "policy[:cap=N]").
+// WithMailboxSpec bounds every node's inbound mailbox per sender, in the
+// flag syntax accepted by ParseMailbox ("none" | "policy[:cap=N]"), and
+// routes every honest node's sends through per-link courier goroutines
+// with equally bounded outboxes. A fast or Byzantine peer can then occupy
+// at most cap frames at each receiver, making a node's worst-case
+// buffering O(n·cap) regardless of traffic rates — the actor runtime
+// described in DESIGN.md. Overflow-free schedules are byte-for-byte
+// unaffected by the bound. A bounded spec is Live-only: the simulator's
+// virtual time admits no overflow to bound.
 func WithMailboxSpec(spec string) Option {
 	return func(d *Deployment) error {
 		cfg, err := ParseMailbox(spec)

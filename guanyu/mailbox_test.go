@@ -14,13 +14,13 @@ import (
 // time, not at run time.
 func TestWithMailboxValidation(t *testing.T) {
 	if _, err := guanyu.New(quickOpts(
-		guanyu.WithMailbox(64, guanyu.DropOldest))...); err == nil ||
+		guanyu.WithMailboxSpec("drop-oldest:cap=64"))...); err == nil ||
 		!strings.Contains(err.Error(), "Live") {
-		t.Fatalf("WithMailbox under the Sim default: %v, want a Live-only error", err)
+		t.Fatalf("bounded mailbox under the Sim default: %v, want a Live-only error", err)
 	}
 	if _, err := guanyu.New(quickOpts(guanyu.WithRuntime(guanyu.Live),
-		guanyu.WithMailbox(0, guanyu.DropOldest))...); err == nil {
-		t.Fatal("WithMailbox(0, ...) accepted")
+		guanyu.WithMailboxSpec("drop-oldest:cap=0"))...); err == nil {
+		t.Fatal("mailbox cap=0 accepted")
 	}
 	if _, err := guanyu.New(quickOpts(guanyu.WithRuntime(guanyu.Live),
 		guanyu.WithMailboxSpec("lossy:cap=4"))...); err == nil {
@@ -43,7 +43,7 @@ func TestWithMailboxValidation(t *testing.T) {
 func TestLiveBoundedMailboxThroughBuilder(t *testing.T) {
 	d, err := guanyu.New(quickOpts(
 		guanyu.WithRuntime(guanyu.Live),
-		guanyu.WithMailbox(64, guanyu.DropOldest),
+		guanyu.WithMailboxSpec("drop-oldest:cap=64"),
 	)...)
 	if err != nil {
 		t.Fatal(err)

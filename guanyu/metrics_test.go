@@ -39,7 +39,7 @@ func TestWithMetricsAddrValidation(t *testing.T) {
 func TestLiveResultSurfacesDroppedClosed(t *testing.T) {
 	d, err := guanyu.New(quickOpts(
 		guanyu.WithRuntime(guanyu.Live),
-		guanyu.WithMailbox(8, guanyu.DropNewest),
+		guanyu.WithMailboxSpec("drop-newest:cap=8"),
 		guanyu.WithDelay(func(from, to string) time.Duration {
 			if from == "ps4" { // honest but slow: every quorum completes without it
 				return 200 * time.Millisecond

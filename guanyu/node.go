@@ -78,15 +78,15 @@ type NodeConfig struct {
 	// Mailbox bounds this node's inbound mailbox per sender and routes its
 	// sends through per-link courier goroutines, by spec string: "none"
 	// (default, unbounded) or "policy[:cap=N]" with policy ∈ {backpressure,
-	// drop-newest, drop-oldest} (see WithMailbox). The bound is this node's
-	// own defense — a spraying peer occupies at most cap frames here — so
-	// arming nodes individually is meaningful, but arm every node to bound
-	// the whole deployment.
+	// drop-newest, drop-oldest} (see WithMailboxSpec). The bound is this
+	// node's own defense — a spraying peer occupies at most cap frames
+	// here — so arming nodes individually is meaningful, but arm every node
+	// to bound the whole deployment.
 	Mailbox string
 	// Checkpoint, when non-nil, makes a server persist its protocol state
-	// — step counter, parameters, collector horizon, momentum — into
-	// Checkpoint.Dir every Checkpoint.Every steps, atomically
-	// (write-then-rename, one file per node ID). Servers only.
+	// — step counter, parameters, collector horizon — into Checkpoint.Dir
+	// every Checkpoint.Every steps, atomically (write-then-rename, one
+	// file per node ID). Servers only.
 	Checkpoint *CheckpointSpec
 	// Rejoin, with Checkpoint set, restarts this server elastically: the
 	// newest on-disk snapshot is restored before the loop starts, and the

@@ -159,31 +159,6 @@ func WithLR(s Schedule) Option {
 	}
 }
 
-// WithMomentum enables heavy-ball momentum β on server updates (an
-// extension beyond the paper's plain SGD).
-func WithMomentum(beta float64) Option {
-	return func(d *Deployment) error {
-		if beta < 0 || beta >= 1 {
-			return fmt.Errorf("WithMomentum: β must be in [0, 1), got %v", beta)
-		}
-		d.momentum = beta
-		return nil
-	}
-}
-
-// WithParallelism pins the worker count of the shared kernel pool for this
-// deployment's runs: Run applies it for the duration and restores the
-// previous process-wide setting afterwards (see SetParallelism). n ≤ 0
-// selects the default (runtime.NumCPU()); n = 1 reproduces the serial
-// numerics exactly — parallelism never changes results, only wall-clock.
-func WithParallelism(n int) Option {
-	return func(d *Deployment) error {
-		d.parallelism = n
-		d.parallelismSet = true
-		return nil
-	}
-}
-
 // WithSeed seeds every generator in the run; equal seeds reproduce Sim runs
 // bit-for-bit.
 func WithSeed(seed uint64) Option {
@@ -281,10 +256,10 @@ func WithCompression(spec string) Option {
 }
 
 // WithCheckpointDir makes every honest server of the Live runtime persist
-// its protocol state — step counter, parameters, collector horizon,
-// momentum — into dir every `every` steps, atomically (write-then-rename,
-// one file per server ID; see the cluster checkpoint codec). The snapshots
-// are what WithRejoin and NodeConfig.Rejoin restart from.
+// its protocol state — step counter, parameters, collector horizon — into
+// dir every `every` steps, atomically (write-then-rename, one file per
+// server ID; see the cluster checkpoint codec). The snapshots are what
+// WithRejoin and NodeConfig.Rejoin restart from.
 func WithCheckpointDir(dir string, every int) Option {
 	return func(d *Deployment) error {
 		d.checkpointDir, d.checkpointEvery = dir, every
@@ -367,29 +342,6 @@ func WithEval(every, examples int) Option {
 		}
 		d.evalEvery = every
 		d.evalExamples = examples
-		return nil
-	}
-}
-
-// WithAlignmentProbe enables the paper's Table-2 probe in the simulator:
-// every `every` updates from update `after` on, record the cosine alignment
-// between honest servers' parameter vectors.
-func WithAlignmentProbe(every, after int) Option {
-	return func(d *Deployment) error {
-		if every <= 0 {
-			return fmt.Errorf("WithAlignmentProbe: period must be positive, got %d", every)
-		}
-		d.alignEvery = every
-		d.alignAfter = after
-		return nil
-	}
-}
-
-// WithoutServerExchange disables protocol phase 3 (the inter-server
-// contraction round) — the ablation showing why the round is load-bearing.
-func WithoutServerExchange() Option {
-	return func(d *Deployment) error {
-		d.noExchange = true
 		return nil
 	}
 }

@@ -6,18 +6,14 @@ import "repro/internal/parallel"
 // estimation, the Krum score matrix, the coordinate-wise aggregation
 // kernels, and the experiment suite's independent curves — executes through
 // a shared, size-aware worker pool (internal/parallel). The worker count is
-// a process-wide knob, exposed three ways: these functions, the
-// WithParallelism deployment option, and the -parallel flag on the
-// commands.
+// a process-wide knob, exposed two ways: SetParallelism and the -parallel
+// flag on the commands.
 //
 // Parallelism is a pure scheduling choice: every parallel kernel decomposes
 // into element-independent work or fixed-boundary chunks folded in order, so
 // results are bit-identical at every setting — SetParallelism(1) reproduces
 // the serial numerics exactly, and the experiment determinism tests assert
 // it.
-
-// Parallelism returns the current worker count (default: runtime.NumCPU()).
-func Parallelism() int { return parallel.Workers() }
 
 // SetParallelism sets the process-wide worker count and returns the
 // previous value. n ≤ 0 restores the default (runtime.NumCPU()); n = 1 is

@@ -1,12 +1,15 @@
 package guanyu_test
 
 import (
+	"bytes"
 	"context"
+	"math"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/guanyu"
+	"repro/internal/cluster"
 )
 
 // elasticOpts is the quorum-slack deployment the rejoin cycle needs: all
@@ -161,5 +164,36 @@ func TestRunNodeValidatesCheckpointConfig(t *testing.T) {
 		"wrk0": "127.0.0.1:3", "wrk1": "127.0.0.1:4", "wrk2": "127.0.0.1:5"}
 	if _, err := guanyu.RunNode(ctx, cfg); err == nil || !strings.Contains(err.Error(), "server population n=2 violates n ≥ 3f+3") {
 		t.Errorf("two servers: got %v", err)
+	}
+}
+
+// TestSaveCheckpointRoundTrip: the final-model file guanyu-node -checkpoint
+// writes is a server checkpoint — it decodes with the cluster codec to the
+// stamped ID and step and a bit-identical θ, and a truncated file is
+// refused.
+func TestSaveCheckpointRoundTrip(t *testing.T) {
+	m := guanyu.BlobWorkload(60, 3).Model
+	var buf bytes.Buffer
+	if err := guanyu.SaveCheckpoint(&buf, "ps2", m, 41); err != nil {
+		t.Fatal(err)
+	}
+	got, err := cluster.DecodeCheckpoint(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.ID != "ps2" || got.Step != 41 {
+		t.Fatalf("decoded (ID %q, step %d), want (\"ps2\", 41)", got.ID, got.Step)
+	}
+	want := m.ParamVector()
+	if len(got.Theta) != len(want) {
+		t.Fatalf("decoded dimension %d, want %d", len(got.Theta), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got.Theta[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("θ[%d] = %v, want %v", i, got.Theta[i], want[i])
+		}
+	}
+	if _, err := cluster.DecodeCheckpoint(buf.Bytes()[:buf.Len()-1]); err == nil {
+		t.Fatal("truncated checkpoint accepted")
 	}
 }

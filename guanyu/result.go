@@ -34,9 +34,6 @@ type Result struct {
 
 	// Curve is the accuracy-vs-(updates, virtual time) series. Sim only.
 	Curve *Series
-	// Alignments are the Table-2 probe records (see WithAlignmentProbe).
-	// Sim only.
-	Alignments []AlignmentRecord
 	// VirtualTime is the total virtual seconds consumed. Sim only.
 	VirtualTime float64
 
@@ -97,15 +94,4 @@ func (r *Result) CurveTable(title string, timeAxis bool) string {
 		xLabel = "time(s)"
 	}
 	return stats.FormatSeriesTable(title, xLabel, []*Series{r.Curve}, timeAxis)
-}
-
-// FormatCurves renders several runs' curves side by side, the way the
-// paper's figure legends group systems.
-func FormatCurves(title, xLabel string, curves []*Series, timeAxis bool) string {
-	return stats.FormatSeriesTable(title, xLabel, curves, timeAxis)
-}
-
-// FormatAlignments renders Table-2 probe records.
-func FormatAlignments(records []AlignmentRecord) string {
-	return stats.FormatAlignmentTable(records)
 }

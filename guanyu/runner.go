@@ -43,33 +43,29 @@ func (d *Deployment) simConfig() core.Config {
 		mode = core.ModeVanilla
 	}
 	return core.Config{
-		Mode:                  mode,
-		Model:                 d.workload.Model,
-		Train:                 d.workload.Train,
-		Test:                  d.workload.Test,
-		NumServers:            d.numServers,
-		FServers:              d.fServers,
-		NumWorkers:            d.numWorkers,
-		FWorkers:              d.fWorkers,
-		QuorumServers:         d.qServers,
-		QuorumWorkers:         d.qWorkers,
-		ServerAttacks:         d.serverAttacks,
-		WorkerAttacks:         d.workerAttacks,
-		Steps:                 d.steps,
-		Batch:                 d.batch,
-		LR:                    d.lr,
-		Momentum:              d.momentum,
-		Rule:                  d.gradRule(),
-		ParamRule:             d.paramRule(),
-		DisableServerExchange: d.noExchange,
-		EvalEvery:             d.evalEvery,
-		EvalExamples:          d.evalExamples,
-		AlignEvery:            d.alignEvery,
-		AlignAfter:            d.alignAfter,
-		Cost:                  core.CostModel{OptimizedRuntime: d.optimized},
-		Faults:                d.faults,
-		Compression:           d.compression,
-		Seed:                  d.seed,
+		Mode:          mode,
+		Model:         d.workload.Model,
+		Train:         d.workload.Train,
+		Test:          d.workload.Test,
+		NumServers:    d.numServers,
+		FServers:      d.fServers,
+		NumWorkers:    d.numWorkers,
+		FWorkers:      d.fWorkers,
+		QuorumServers: d.qServers,
+		QuorumWorkers: d.qWorkers,
+		ServerAttacks: d.serverAttacks,
+		WorkerAttacks: d.workerAttacks,
+		Steps:         d.steps,
+		Batch:         d.batch,
+		LR:            d.lr,
+		Rule:          d.gradRule(),
+		ParamRule:     d.paramRule(),
+		EvalEvery:     d.evalEvery,
+		EvalExamples:  d.evalExamples,
+		Cost:          core.CostModel{OptimizedRuntime: d.optimized},
+		Faults:        d.faults,
+		Compression:   d.compression,
+		Seed:          d.seed,
 	}
 }
 
@@ -81,7 +77,6 @@ func (simRunner) Run(ctx context.Context, d *Deployment) (*Result, error) {
 	return &Result{
 		Runtime:       Sim.String(),
 		Curve:         res.Curve,
-		Alignments:    res.Alignments,
 		Final:         res.Final,
 		FinalAccuracy: res.FinalAccuracy,
 		VirtualTime:   res.VirtualTime,
@@ -107,7 +102,6 @@ func (d *Deployment) liveConfig(reg *metrics.Registry) cluster.LiveConfig {
 		Steps:         d.steps,
 		Batch:         d.batch,
 		LR:            d.lr,
-		Momentum:      d.momentum,
 		Rule:          d.gradRule(),
 		ParamRule:     d.paramRule(),
 		TCP:           d.tcp,

@@ -3,6 +3,7 @@ package guanyu
 import (
 	"io"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/nn"
@@ -58,15 +59,16 @@ func Accuracy(m *Model, xs [][]float64, labels []int) float64 {
 	return nn.Accuracy(m, xs, labels)
 }
 
-// SaveCheckpoint serialises a model (with its step counter) to w.
-func SaveCheckpoint(w io.Writer, m *Model, step int) error {
-	return nn.SaveCheckpoint(w, m, step)
-}
-
-// LoadCheckpoint restores a model saved by SaveCheckpoint into m (which
-// must have the same architecture) and returns the saved step.
-func LoadCheckpoint(r io.Reader, m *Model) (int, error) {
-	return nn.LoadCheckpoint(r, m)
+// SaveCheckpoint writes m's parameters to w as a server checkpoint file
+// (the format WithCheckpointDir snapshots use; see the cluster checkpoint
+// codec), stamped with node id and step, the last completed step.
+func SaveCheckpoint(w io.Writer, id string, m *Model, step int) error {
+	data, err := cluster.EncodeCheckpoint(cluster.Checkpoint{ID: id, Step: step, Theta: m.ParamVector()})
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(data)
+	return err
 }
 
 // IsFinite reports whether every coordinate of v is finite — false means a

@@ -7,9 +7,9 @@
 //     crossing a send boundary (goroutine capture, timer callback,
 //     channel send) — the race shape fixed in PRs 2, 3 and 7.
 //   - nodeterminism: the deterministic packages (gar, compress,
-//     tensor, stats, transport, trace, metrics) must not read the wall
-//     clock, use unseeded math/rand, or let Go-map iteration order
-//     flow into an ordered aggregate — the quorum-order bug fixed in
+//     tensor, stats, transport, metrics) must not read the wall clock,
+//     use unseeded math/rand, or let Go-map iteration order flow into
+//     an ordered aggregate — the quorum-order bug fixed in
 //     PR 4. The `//lint:allow-clock` / `//lint:allow-maporder` escape
 //     hatches mark the sites where wall-clock or unordered iteration
 //     is genuinely correct.

@@ -8,7 +8,7 @@ import (
 
 // NoDeterminism enforces the bit-identical-results contract of the
 // deterministic packages (gar, compress, tensor, stats, transport,
-// trace, metrics): the contraction guarantees of the source paper only
+// metrics): the contraction guarantees of the source paper only
 // hold if the aggregation kernels are pure functions of their inputs,
 // and the wire/quorum layers must produce the same frames and the same
 // "first q received" decisions on every replay.
@@ -43,7 +43,6 @@ var deterministicPkgs = map[string]bool{
 	"tensor":    true,
 	"stats":     true,
 	"transport": true,
-	"trace":     true,
 	"metrics":   true,
 }
 

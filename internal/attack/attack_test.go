@@ -1,10 +1,8 @@
 package attack
 
 import (
-	"math"
 	"testing"
 
-	"repro/internal/dataset"
 	"repro/internal/tensor"
 )
 
@@ -129,37 +127,5 @@ func TestAttackNames(t *testing.T) {
 			t.Fatalf("bad or duplicate attack name %q", n)
 		}
 		seen[n] = true
-	}
-}
-
-func TestFlipLabels(t *testing.T) {
-	d := dataset.Blobs(1000, 4, 3, 0.5, 1)
-	p := FlipLabels(d, 0.5, 2)
-	flipped := 0
-	for i := range d.Labels {
-		if p.Labels[i] != d.Labels[i] {
-			if p.Labels[i] != (d.Labels[i]+1)%4 {
-				t.Fatalf("label %d flipped to %d, want next class", d.Labels[i], p.Labels[i])
-			}
-			flipped++
-		}
-	}
-	frac := float64(flipped) / float64(len(d.Labels))
-	if math.Abs(frac-0.5) > 0.06 {
-		t.Fatalf("flip fraction %v, want ≈0.5", frac)
-	}
-	// Original dataset unharmed; features shared.
-	if err := d.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if &p.X[0][0] != &d.X[0][0] {
-		t.Fatal("FlipLabels should share feature storage")
-	}
-	// frac 0 is the identity.
-	id := FlipLabels(d, 0, 3)
-	for i := range d.Labels {
-		if id.Labels[i] != d.Labels[i] {
-			t.Fatal("frac=0 flipped a label")
-		}
 	}
 }

@@ -14,11 +14,10 @@ import (
 	"repro/internal/transport"
 )
 
-// Crash recovery. A parameter server's entire
-// protocol-relevant state is (step, θ, momentum velocity, collector
-// horizon): everything else — collector buffers, compression stream
-// state — is per-connection and rebuilt from live traffic after a
-// restart: the restarted node starts with fresh encoders (a TCP redial, or
+// Crash recovery. A parameter server's entire protocol-relevant state is
+// (step, θ, collector horizon): everything else — collector buffers,
+// compression stream state — is per-connection and rebuilt from live
+// traffic after a restart: the restarted node starts with fresh encoders (a TCP redial, or
 // a fresh transport.Compressor in process), and every frame its peers send
 // it decodes on its own. The Checkpoint codec below
 // serialises that state with bit-exact float round-tripping, the
@@ -43,9 +42,6 @@ const checkpointMagic = "GYCK"
 // an interchange format, so there is no cross-version migration path.
 const checkpointVersion = 1
 
-// checkpoint format flag bits.
-const ckptFlagVelocity = 1 << 0 // a momentum velocity vector follows θ
-
 // Checkpoint is one server's resumable state after completing Step.
 type Checkpoint struct {
 	// ID is the node the checkpoint belongs to; restores refuse a
@@ -58,9 +54,6 @@ type Checkpoint struct {
 	// Theta is the parameter vector θ after Step's update (and, when the
 	// exchange ran, contraction).
 	Theta tensor.Vector
-	// Velocity is the heavy-ball momentum accumulator, nil when the run
-	// uses plain SGD.
-	Velocity tensor.Vector
 	// Horizon is the collector's future-step buffering bound in force
 	// when the checkpoint was taken (0 means transport.DefaultHorizon),
 	// restored so a resumed node buffers exactly as widely as before.
@@ -84,24 +77,16 @@ func EncodeCheckpoint(c Checkpoint) ([]byte, error) {
 	if len(c.Theta) == 0 || len(c.Theta) > transport.MaxVecLen {
 		return nil, fmt.Errorf("cluster: checkpoint dimension %d outside [1,%d]", len(c.Theta), transport.MaxVecLen)
 	}
-	if c.Velocity != nil && len(c.Velocity) != len(c.Theta) {
-		return nil, fmt.Errorf("cluster: velocity dimension %d != θ dimension %d", len(c.Velocity), len(c.Theta))
-	}
-	var flags uint8
-	if c.Velocity != nil {
-		flags |= ckptFlagVelocity
-	}
-	size := 4 + 2 + 1 + 1 + len(c.ID) + 8 + 4 + 4 + 8*len(c.Theta) + 8*len(c.Velocity) + 4
+	size := 4 + 2 + 1 + 1 + len(c.ID) + 8 + 4 + 4 + 8*len(c.Theta) + 4
 	buf := make([]byte, 0, size)
 	buf = append(buf, checkpointMagic...)
 	buf = binary.LittleEndian.AppendUint16(buf, checkpointVersion)
-	buf = append(buf, flags, uint8(len(c.ID)))
+	buf = append(buf, 0, uint8(len(c.ID))) // flags byte: no flag is defined
 	buf = append(buf, c.ID...)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(c.Step))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(c.Horizon))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(c.Theta)))
 	buf = tensor.AppendLE(buf, c.Theta)
-	buf = tensor.AppendLE(buf, c.Velocity)
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
 	return buf, nil
 }
@@ -122,8 +107,7 @@ func DecodeCheckpoint(data []byte) (Checkpoint, error) {
 	if v := binary.LittleEndian.Uint16(data[4:6]); v != checkpointVersion {
 		return c, fmt.Errorf("cluster: unsupported checkpoint version %d (want %d)", v, checkpointVersion)
 	}
-	flags := data[6]
-	if flags&^uint8(ckptFlagVelocity) != 0 {
+	if flags := data[6]; flags != 0 {
 		return c, fmt.Errorf("cluster: unknown checkpoint flags %#x", flags)
 	}
 	idLen := int(data[7])
@@ -149,13 +133,9 @@ func DecodeCheckpoint(data []byte) (Checkpoint, error) {
 	if dim == 0 || dim > transport.MaxVecLen {
 		return c, fmt.Errorf("cluster: checkpoint dimension %d outside [1,%d]", dim, transport.MaxVecLen)
 	}
-	vecs := 1
-	if flags&ckptFlagVelocity != 0 {
-		vecs = 2
-	}
 	// Exact-size check before allocating dim coordinates: a file that is
 	// one byte short or long is corrupt, not approximately right.
-	if want := off + vecs*8*dim + 4; len(data) != want {
+	if want := off + 8*dim + 4; len(data) != want {
 		return c, fmt.Errorf("cluster: checkpoint is %d bytes, format says %d", len(data), want)
 	}
 	sum := binary.LittleEndian.Uint32(data[len(data)-4:])
@@ -164,10 +144,6 @@ func DecodeCheckpoint(data []byte) (Checkpoint, error) {
 	}
 	c.Theta = make(tensor.Vector, dim)
 	tensor.DecodeLE(c.Theta, data[off:off+8*dim])
-	if flags&ckptFlagVelocity != 0 {
-		c.Velocity = make(tensor.Vector, dim)
-		tensor.DecodeLE(c.Velocity, data[off+8*dim:off+16*dim])
-	}
 	return c, nil
 }
 

@@ -15,7 +15,6 @@ import (
 	"repro/internal/nn"
 	"repro/internal/stats"
 	"repro/internal/tensor"
-	"repro/internal/trace"
 	"repro/internal/transport"
 )
 
@@ -83,11 +82,6 @@ type LiveConfig struct {
 	// accumulate per-worker exclusion statistics (requires a selective
 	// gradient rule such as the default Multi-Krum).
 	Suspicion *stats.Suspicion
-	// Trace, when non-nil, records protocol events from every server.
-	Trace *trace.Recorder
-	// Momentum, when positive, enables heavy-ball momentum on server
-	// updates (extension; see ServerConfig.Momentum).
-	Momentum float64
 	// ShardSize, when positive, streams every vector as coordinate shards
 	// of that many coordinates and aggregates inbound shards incrementally
 	// (see ServerConfig.ShardSize). Zero keeps whole-vector framing.
@@ -325,14 +319,12 @@ func (p *plan) server(i int) ServerConfig {
 		LR:              p.lr(),
 		Timeout:         p.timeout(),
 		Attack:          p.ServerAttacks[i],
-		Momentum:        p.Momentum,
 		View:            p.serverView,
 		ShardSize:       p.ShardSize,
 		Metrics:         p.reg.Node(p.servers[i]),
 	}
 	if scfg.Attack == nil {
 		scfg.Suspicion = p.Suspicion // honest servers report exclusions
-		scfg.Trace = p.Trace
 		scfg.Checkpoint = p.Checkpoint
 	}
 	return scfg

@@ -15,7 +15,6 @@ import (
 	"repro/internal/nn"
 	"repro/internal/stats"
 	"repro/internal/tensor"
-	"repro/internal/trace"
 	"repro/internal/transport"
 )
 
@@ -411,57 +410,6 @@ func TestSuspicionIdentifiesByzantineWorker(t *testing.T) {
 	}
 	if ranks[0].Rate < 0.9 {
 		t.Fatalf("Byzantine worker only excluded %.0f%% of rounds", 100*ranks[0].Rate)
-	}
-}
-
-func TestLiveTraceRecordsProtocolEvents(t *testing.T) {
-	model, train, _ := testProblem(1200)
-	rec := trace.NewRecorder(4096)
-	cfg := LiveConfig{
-		Model:      model,
-		Train:      train,
-		NumServers: 6, FServers: 1,
-		NumWorkers: 6, FWorkers: 1,
-		Steps: 5, Batch: 8,
-		LR:      func(int) float64 { return 0.1 },
-		Timeout: 60 * time.Second,
-		Seed:    11,
-		Trace:   rec,
-	}
-	if _, err := RunLiveContext(context.Background(), cfg); err != nil {
-		t.Fatal(err)
-	}
-	// 6 servers × 5 steps × 4 event kinds.
-	if rec.Total() < 6*5*4 {
-		t.Fatalf("only %d events recorded", rec.Total())
-	}
-	if len(rec.Filter(ServerID(0), trace.EventQuorumComplete)) == 0 {
-		t.Fatal("no quorum events for ps0")
-	}
-	if len(rec.Filter("", trace.EventError)) != 0 {
-		t.Fatalf("unexpected error events:\n%s", rec.Dump())
-	}
-}
-
-func TestLiveMomentumConverges(t *testing.T) {
-	model, train, test := testProblem(1300)
-	cfg := LiveConfig{
-		Model:      model,
-		Train:      train,
-		NumServers: 6, FServers: 1,
-		NumWorkers: 6, FWorkers: 1,
-		Steps: 60, Batch: 16,
-		LR:       func(int) float64 { return 0.05 },
-		Momentum: 0.9,
-		Timeout:  60 * time.Second,
-		Seed:     12,
-	}
-	res, err := RunLiveContext(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if acc := evalFinal(t, model, res.Final, test); acc < 0.85 {
-		t.Fatalf("momentum run failed to converge: %.3f", acc)
 	}
 }
 

@@ -13,7 +13,6 @@ import (
 	"repro/internal/nn"
 	"repro/internal/stats"
 	"repro/internal/tensor"
-	"repro/internal/trace"
 	"repro/internal/transport"
 )
 
@@ -197,13 +196,6 @@ type ServerConfig struct {
 	// accumulates which workers' gradients the rule excluded each round —
 	// the accountability signal that surfaces actually-Byzantine senders.
 	Suspicion *stats.Suspicion
-	// Trace, when non-nil, records protocol events for post-mortem
-	// analysis (nil is a valid no-op recorder).
-	Trace *trace.Recorder
-	// Momentum, when positive, applies heavy-ball momentum to the local
-	// update: v ← β·v + F(...); θ ← θ − η_t·v (extension beyond the
-	// paper's plain SGD; mirrors core.Config.Momentum).
-	Momentum float64
 	// ShardSize, when positive, streams every outbound vector as chunk
 	// frames of that many coordinates and — when both rules support
 	// streaming — makes it the collector's layout, so inbound shards are
@@ -223,16 +215,15 @@ type ServerConfig struct {
 	// means a private handle nobody reads.
 	Metrics *metrics.NodeMetrics
 	// Checkpoint, when non-nil with a positive cadence, persists the
-	// server's resumable state (step, θ, velocity, horizon) into
-	// Checkpoint.Dir every Checkpoint.Every steps, atomically — see
-	// checkpoint.go. A persistence failure aborts the run: a server that
-	// silently stops checkpointing would advertise crash-recovery it no
-	// longer has.
+	// server's resumable state (step, θ, horizon) into Checkpoint.Dir every
+	// Checkpoint.Every steps, atomically — see checkpoint.go. A persistence
+	// failure aborts the run: a server that silently stops checkpointing
+	// would advertise crash-recovery it no longer has.
 	Checkpoint *CheckpointSpec
 	// Restore, when non-nil, resumes the loop from a previously persisted
-	// state instead of Init: θ (and velocity) are adopted and the loop
-	// starts at Restore.Step+1. The checkpoint's ID and dimension must
-	// match the config's.
+	// state instead of Init: θ is adopted and the loop starts at
+	// Restore.Step+1. The checkpoint's ID and dimension must match the
+	// config's.
 	Restore *Checkpoint
 	// Rejoin, with Restore set, makes the restart elastic: before
 	// resuming, the server listens to the live contraction-round traffic
@@ -258,10 +249,6 @@ func RunServer(ep transport.Endpoint, cfg ServerConfig) (tensor.Vector, error) {
 		transport.KindPeerParams: cfg.Peers,
 	}, cfg.GradRule, cfg.ParamRule)
 	theta := tensor.Clone(cfg.Init)
-	var velocity tensor.Vector
-	if cfg.Momentum > 0 {
-		velocity = make(tensor.Vector, dim)
-	}
 
 	start := 0
 	if cfg.Restore != nil {
@@ -274,12 +261,6 @@ func RunServer(ep transport.Endpoint, cfg ServerConfig) (tensor.Vector, error) {
 		}
 		theta = tensor.Clone(r.Theta)
 		start = r.Step + 1
-		if cfg.Momentum > 0 && r.Velocity != nil {
-			if len(r.Velocity) != dim {
-				return nil, fmt.Errorf("server %s: restore velocity dimension %d, deployment is %d", cfg.ID, len(r.Velocity), dim)
-			}
-			velocity = tensor.Clone(r.Velocity)
-		}
 		if r.Horizon > 0 {
 			qm.col.Horizon = r.Horizon
 		}
@@ -295,12 +276,8 @@ func RunServer(ep transport.Endpoint, cfg ServerConfig) (tensor.Vector, error) {
 			case err == nil:
 				theta = med
 				start = at + 1
-				if cfg.Momentum > 0 {
-					velocity = make(tensor.Vector, dim) // stale momentum would fight the adopted state
-				}
-				cfg.Trace.Recordf(cfg.ID, at, trace.EventUpdate, "rejoined via median of %d peers", cfg.QuorumParams-1)
 			case errors.Is(err, transport.ErrQuorumTimeout):
-				cfg.Trace.Recordf(cfg.ID, start, trace.EventUpdate, "rejoin quorum timeout; resuming from checkpoint")
+				// Resume from the checkpoint alone.
 			default:
 				return nil, fmt.Errorf("server %s: %w", cfg.ID, err)
 			}
@@ -309,7 +286,6 @@ func RunServer(ep transport.Endpoint, cfg ServerConfig) (tensor.Vector, error) {
 
 	for t := start; t < cfg.Steps; t++ {
 		qm.col.Advance(t)
-		cfg.Trace.Record(cfg.ID, t, trace.EventStepStart, "")
 
 		// Phase 1: publish the current model to every worker. Honest servers
 		// expose θ to the omniscient adversary's view; a Byzantine server
@@ -322,27 +298,17 @@ func RunServer(ep transport.Endpoint, cfg ServerConfig) (tensor.Vector, error) {
 			}
 		}
 		broadcast(ep, cfg.Attack, transport.KindParams, t, cfg.Workers, theta, cfg.ShardSize)
-		cfg.Trace.Recordf(cfg.ID, t, trace.EventBroadcast, "params to %d workers", len(cfg.Workers))
 
 		// Phase 2: gather a quorum of gradients and update locally. At a
 		// sharded layout the aggregation streams: partial distance/median
 		// work runs while later shards are still in flight.
 		agg, err := qm.aggregate(transport.KindGradient, t, cfg.QuorumGradients, nil, "", cfg.GradRule, cfg.Suspicion)
 		if err != nil {
-			cfg.Trace.Recordf(cfg.ID, t, trace.EventError, "%v", err)
 			return nil, fmt.Errorf("server %s step %d: %w", cfg.ID, t, err)
 		}
-		cfg.Trace.Recordf(cfg.ID, t, trace.EventQuorumComplete, "q̄=%d gradients", cfg.QuorumGradients)
 		h.Progress() // gradient quorum made headway this step
-		update := agg
-		if cfg.Momentum > 0 {
-			tensor.ScaleInPlace(velocity, cfg.Momentum)
-			tensor.AddInPlace(velocity, agg)
-			update = velocity
-		}
-		tensor.AXPY(theta, -cfg.LR(t), update)
+		tensor.AXPY(theta, -cfg.LR(t), agg)
 		tensor.Put(agg)
-		cfg.Trace.Recordf(cfg.ID, t, trace.EventUpdate, "η=%g rule=%s", cfg.LR(t), cfg.GradRule.Name())
 
 		// Phase 3: contraction round across servers.
 		if cfg.QuorumParams > 1 && len(cfg.Peers) > 0 {
@@ -363,11 +329,10 @@ func RunServer(ep transport.Endpoint, cfg ServerConfig) (tensor.Vector, error) {
 			tensor.Put(prev)
 		}
 		if cfg.Checkpoint != nil && cfg.Checkpoint.Every > 0 && (t+1)%cfg.Checkpoint.Every == 0 {
-			ckpt := Checkpoint{ID: cfg.ID, Step: t, Theta: theta, Velocity: velocity, Horizon: qm.col.Horizon}
+			ckpt := Checkpoint{ID: cfg.ID, Step: t, Theta: theta, Horizon: qm.col.Horizon}
 			if err := ckpt.WriteFile(cfg.Checkpoint.Dir); err != nil {
 				return nil, fmt.Errorf("server %s step %d: %w", cfg.ID, t, err)
 			}
-			cfg.Trace.Recordf(cfg.ID, t, trace.EventUpdate, "checkpoint written to %s", cfg.Checkpoint.Dir)
 		}
 		h.StepDone(t)
 	}

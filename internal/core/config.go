@@ -152,11 +152,6 @@ type Config struct {
 	Steps int
 	Batch int
 	LR    func(step int) float64
-	// Momentum, when positive, enables heavy-ball momentum on each server's
-	// local update: v ← β·v + F(...); θ ← θ − η_t·v. This is an extension
-	// beyond the paper's plain-SGD update (each server keeps its own
-	// velocity; the contraction round still operates on θ only).
-	Momentum float64
 
 	// Rule aggregates gradients (default MultiKrum{F: FWorkers} in GuanYu
 	// mode, Mean in vanilla). ParamRule aggregates parameter vectors

@@ -26,17 +26,3 @@ func TestInverseTimeLR(t *testing.T) {
 		}
 	}
 }
-
-func TestMomentumRunConverges(t *testing.T) {
-	w := BlobWorkload(500, 130)
-	cfg := fastGuanYu(w, 80, 15)
-	cfg.Momentum = 0.9
-	cfg.LR = func(int) float64 { return 0.05 } // momentum amplifies steps
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.FinalAccuracy < 0.85 {
-		t.Fatalf("momentum run failed to converge: %.3f", res.FinalAccuracy)
-	}
-}

@@ -154,12 +154,8 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	theta0 := cfg.Model.ParamVector()
 	theta := make(map[int]tensor.Vector, len(honestServers))
 	clockS := make(map[int]float64, len(honestServers))
-	velocity := make(map[int]tensor.Vector, len(honestServers))
 	for _, i := range honestServers {
 		theta[i] = tensor.Clone(theta0)
-		if cfg.Momentum > 0 {
-			velocity[i] = make(tensor.Vector, dim)
-		}
 	}
 	worker := cfg.Model.Clone()
 	samplers := make(map[int]*dataset.Sampler, len(honestWorkers))
@@ -218,8 +214,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		// leaves silence their server before this step's traffic; recoveries
 		// and joins adopt the coordinate-wise median of the live honest
 		// servers' parameters (the simulator's median rejoin) with a clock
-		// caught up to the live frontier and any restored momentum discarded
-		// — stale velocity would fight the adopted state.
+		// caught up to the live frontier.
 		for _, ev := range churnByStep[t] {
 			switch ev.Kind {
 			case ChurnCrash, ChurnLeave:
@@ -230,9 +225,6 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 					return nil, fmt.Errorf("core: step %d: churn %s of server %d: %w", t, ev.Kind, ev.Server, err)
 				}
 				theta[ev.Server] = med
-				if cfg.Momentum > 0 {
-					velocity[ev.Server] = make(tensor.Vector, dim)
-				}
 				var frontier float64
 				for _, i := range liveHonest() {
 					if clockS[i] > frontier {
@@ -351,12 +343,6 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 			agg, err := gradRule.Aggregate(sel)
 			if err != nil {
 				return nil, fmt.Errorf("core: step %d server %d: %w", t, i, err)
-			}
-			if cfg.Momentum > 0 {
-				v := velocity[i]
-				tensor.ScaleInPlace(v, cfg.Momentum)
-				tensor.AddInPlace(v, agg)
-				agg = v
 			}
 			tensor.AXPY(theta[i], -eta, agg)
 			start := math.Max(when, clockS[i])

@@ -30,7 +30,6 @@
 // via Do, the kernels inside them run serially.
 //
 // The process-wide parallelism knob is SetWorkers (surfaced publicly as
-// guanyu.SetParallelism / guanyu.WithParallelism and the -parallel flag on
-// the commands). SetWorkers(1) restores fully serial execution; by
+// guanyu.SetParallelism and the -parallel flag on the commands). SetWorkers(1) restores fully serial execution; by
 // construction it produces bit-identical results to any other setting.
 package parallel

@@ -58,18 +58,6 @@ func (s *Series) BestAccuracy() float64 {
 	return best
 }
 
-// StepsToAccuracy returns the first step at which the curve reaches the
-// target accuracy, or -1 if it never does. This is the "convergence rate in
-// model updates" comparison of Figure 3a/3c.
-func (s *Series) StepsToAccuracy(target float64) int {
-	for _, p := range s.Points {
-		if p.Accuracy >= target {
-			return p.Step
-		}
-	}
-	return -1
-}
-
 // TimeToAccuracy returns the first virtual time at which the curve reaches
 // the target accuracy, or +Inf if it never does. This is the comparison
 // behind the 65% / 33% overhead numbers of Section 5.3.

@@ -28,12 +28,6 @@ func TestSeriesAccessors(t *testing.T) {
 	if s.BestAccuracy() != 0.5 {
 		t.Fatalf("best = %v", s.BestAccuracy())
 	}
-	if s.StepsToAccuracy(0.5) != 10 {
-		t.Fatalf("steps-to = %d", s.StepsToAccuracy(0.5))
-	}
-	if s.StepsToAccuracy(0.9) != -1 {
-		t.Fatal("unreached target should be -1")
-	}
 	if s.TimeToAccuracy(0.5) != 5 {
 		t.Fatalf("time-to = %v", s.TimeToAccuracy(0.5))
 	}
