@@ -46,9 +46,6 @@ type Fig4Result = experiments.Fig4Result
 // Fig4 regenerates Figure 4 (Byzantine impact on vanilla vs GuanYu).
 func Fig4(s ExperimentScale) (*Fig4Result, error) { return experiments.Fig4(s) }
 
-// Table1 renders the Table-1 model architecture summary.
-func Table1() string { return experiments.Table1() }
-
 // Table2 regenerates the Table-2 alignment probes.
 func Table2(s ExperimentScale) ([]AlignmentRecord, error) { return experiments.Table2(s) }
 
@@ -82,12 +79,6 @@ type AsyncSweepRow = experiments.AsyncSweepRow
 // AsyncSweep varies the network's latency tail weight.
 func AsyncSweep(s ExperimentScale) ([]AsyncSweepRow, error) { return experiments.AsyncSweep(s) }
 
-// NonIIDRow is one point of the federated (label-sharded) sweep.
-type NonIIDRow = experiments.NonIIDRow
-
-// NonIID probes behaviour outside the paper's IID assumption.
-func NonIID(s ExperimentScale) ([]NonIIDRow, error) { return experiments.NonIID(s) }
-
 // MatrixSpec selects the scenario-matrix grid axes: attack specs, gradient
 // GAR names, and fault-profile specs (registry syntax, see AttackByName and
 // FaultsByName).
@@ -119,19 +110,6 @@ func Matrix(s ExperimentScale, spec MatrixSpec) (*MatrixResult, error) {
 // steady-state bytes per vector under each compression scheme vs raw
 // framing, plus advisory codec rates.
 type BandwidthRow = experiments.BandwidthRow
-
-// BandwidthCell is one (scheme, rule, attack) convergence outcome under
-// the lossy wire.
-type BandwidthCell = experiments.BandwidthCell
-
-// BandwidthResult holds the bandwidth experiment's wire rows and
-// Fig-4-style convergence grid.
-type BandwidthResult = experiments.BandwidthResult
-
-// Bandwidth measures each compression scheme's wire volume and codec rate
-// at the harness and paper dimensions, then runs the convergence grid.
-// Byte counts are exact and machine-independent; rates are advisory.
-func Bandwidth(s ExperimentScale) (*BandwidthResult, error) { return experiments.Bandwidth(s) }
 
 // WireRows measures only the bandwidth experiment's wire rows (no
 // convergence grid) — the fast path behind guanyu-bench's -wire-json and

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"maps"
+
 	"repro/internal/attack"
 	"repro/internal/dataset"
 	"repro/internal/nn"
@@ -106,26 +108,23 @@ func GuanYu(w Workload, fWorkers, fServers, steps, batch int, seed uint64) Confi
 // the given behaviour factory (called per node so stateful attacks don't
 // share generators).
 func WithByzantineWorkers(cfg Config, count int, mk func(i int) attack.Attack) Config {
-	out := cfg
-	out.WorkerAttacks = make(map[int]attack.Attack, count+len(cfg.WorkerAttacks))
-	for k, v := range cfg.WorkerAttacks {
-		out.WorkerAttacks[k] = v
-	}
-	for i := 0; i < count; i++ {
-		out.WorkerAttacks[i] = mk(i)
-	}
-	return out
+	cfg.WorkerAttacks = withAttacks(cfg.WorkerAttacks, count, mk)
+	return cfg
 }
 
 // WithByzantineServers installs actual Byzantine servers 0..count-1.
 func WithByzantineServers(cfg Config, count int, mk func(i int) attack.Attack) Config {
-	out := cfg
-	out.ServerAttacks = make(map[int]attack.Attack, count+len(cfg.ServerAttacks))
-	for k, v := range cfg.ServerAttacks {
-		out.ServerAttacks[k] = v
-	}
+	cfg.ServerAttacks = withAttacks(cfg.ServerAttacks, count, mk)
+	return cfg
+}
+
+// withAttacks copies attacks and sets nodes 0..count-1 to mk's behaviours,
+// leaving the caller's map untouched.
+func withAttacks(attacks map[int]attack.Attack, count int, mk func(i int) attack.Attack) map[int]attack.Attack {
+	out := make(map[int]attack.Attack, count+len(attacks))
+	maps.Copy(out, attacks)
 	for i := 0; i < count; i++ {
-		out.ServerAttacks[i] = mk(i)
+		out[i] = mk(i)
 	}
 	return out
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/attack"
 	"repro/internal/cluster"
@@ -119,8 +120,8 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	}
 	// Churn: live tracks which honest servers are up. A crashed or departed
 	// server is silent (+Inf arrivals) with frozen state; Byzantine servers
-	// never churn (a crashing adversary only helps the honest quorums).
-	live := make(map[int]bool, len(honestServers))
+	// are never live (a crashing adversary only helps the honest quorums).
+	live := make([]bool, cfg.NumServers)
 	for _, i := range honestServers {
 		live[i] = true
 	}
@@ -132,13 +133,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		}
 	}
 	liveHonest := func() []int {
-		out := make([]int, 0, len(honestServers))
-		for _, i := range honestServers {
-			if live[i] {
-				out = append(out, i)
-			}
-		}
-		return out
+		return slices.DeleteFunc(slices.Clone(honestServers), func(i int) bool { return !live[i] })
 	}
 	honestWorkers := make([]int, 0, cfg.NumWorkers)
 	for j := 0; j < cfg.NumWorkers; j++ {
@@ -147,19 +142,20 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		}
 	}
 
-	// State: θ per honest server (all start at θ₀), a sampler per honest
-	// worker, per-node virtual clocks, and one model replica the workers
-	// take turns on — each gradient overwrites its parameters and zeroes
-	// its gradient buffers first, so a turn inherits nothing.
+	// State, indexed by node (Byzantine entries stay empty): θ per honest
+	// server (all start at θ₀), a sampler per honest worker, per-node
+	// virtual clocks, and one model replica the workers take turns on —
+	// each gradient overwrites its parameters and zeroes its gradient
+	// buffers first, so a turn inherits nothing.
 	theta0 := cfg.Model.ParamVector()
-	theta := make(map[int]tensor.Vector, len(honestServers))
-	clockS := make(map[int]float64, len(honestServers))
+	theta := make([]tensor.Vector, cfg.NumServers)
+	clockS := make([]float64, cfg.NumServers)
 	for _, i := range honestServers {
 		theta[i] = tensor.Clone(theta0)
 	}
 	worker := cfg.Model.Clone()
-	samplers := make(map[int]*dataset.Sampler, len(honestWorkers))
-	clockW := make(map[int]float64, len(honestWorkers))
+	samplers := make([]*dataset.Sampler, cfg.NumWorkers)
+	clockW := make([]float64, cfg.NumWorkers)
 	for _, j := range honestWorkers {
 		source := cfg.Train
 		if len(cfg.WorkerShards) > 0 {
@@ -176,13 +172,77 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	// honestThetas is the live honest state: a crashed or departed server's
 	// frozen θ is not part of the deployment's observable state.
 	honestThetas := func() []tensor.Vector {
-		out := make([]tensor.Vector, 0, len(theta))
-		for _, i := range honestServers {
-			if live[i] {
-				out = append(out, theta[i])
-			}
+		out := make([]tensor.Vector, 0, len(honestServers))
+		for _, i := range liveHonest() {
+			out = append(out, theta[i])
 		}
 		return out
+	}
+	// serverRound opens a round of θ broadcasts sent at the given clocks.
+	// The Byzantine servers first observe the live honest θ (the adversary
+	// reads all honest state; it just cannot speak for honest nodes), then
+	// corrupt its median. θ is a snapshot, so a receiver may replace its own
+	// θ while the round's others still aggregate the sent one.
+	serverRound := func(t int, kind transport.Kind, clocks []float64, what string) *round {
+		attack.ObserveAll(cfg.ServerAttacks,
+			attack.NewStepView(t, honestThetas(), cfg.FServers, len(cfg.ServerAttacks)))
+		r := &round{kind: kind, id: cluster.ServerID, attacks: cfg.ServerAttacks,
+			vecs: slices.Clone(theta), clocks: clocks, live: live,
+			q: q, rule: paramRule, what: what}
+		if len(cfg.ServerAttacks) > 0 {
+			r.basis = medianOrFirst(honestThetas())
+		}
+		return r
+	}
+
+	// gather assembles one receiver's quorum of round r and aggregates it.
+	// Each sender k is either Byzantine (its corruption of the round's basis
+	// arrives at once — the adversary owns an instant covert network —
+	// unless rejectPayload refuses it), the receiver itself (self; its own
+	// vector at its own clock, no network), silent (a crashed or departed
+	// server, never arriving) or honest (its vector crosses the link's codec
+	// and lands at its clock plus two serialisations and a sampled latency,
+	// with faults applied). Senders are visited in index order, so every
+	// Corrupt and Latency.Sample draw keeps its sequence. It returns the
+	// aggregate of the first q arrivals and when the q-th landed.
+	gather := func(t int, r *round, to string, self int) (tensor.Vector, float64, error) {
+		n := len(r.vecs)
+		arrivals := make([]float64, n)
+		payloads := make([]tensor.Vector, n)
+		for k := 0; k < n; k++ {
+			from := r.id(k)
+			switch att := r.attacks[k]; {
+			case k == self:
+				payloads[k], arrivals[k] = r.vecs[k], r.clocks[k]
+			case att != nil:
+				if payloads[k] = att.Corrupt(r.basis, t, to); rejectPayload(payloads[k], dim, validate) {
+					arrivals[k] = math.Inf(1)
+				}
+			case r.live != nil && !r.live[k]:
+				arrivals[k] = math.Inf(1)
+			default:
+				p, err := xmit(from, to, r.kind, t, r.vecs[k])
+				if err != nil {
+					return nil, 0, err
+				}
+				payloads[k] = p
+				arrivals[k] = cfg.Faults.Arrival(t, from, to,
+					r.clocks[k]+ser+cost.Latency.Sample(from, to, msgBytes)+ser)
+			}
+		}
+		idx, when := transport.QuorumArrival(arrivals, r.q)
+		if math.IsInf(when, 1) {
+			return nil, 0, fmt.Errorf("core: step %d: %s cannot assemble a %s quorum (q=%d)", t, to, r.what, r.q)
+		}
+		sel := make([]tensor.Vector, len(idx))
+		for k, i := range idx {
+			sel[k] = payloads[i]
+		}
+		agg, err := r.rule.Aggregate(sel)
+		if err != nil {
+			return nil, 0, fmt.Errorf("core: step %d: %s %s round: %w", t, to, r.what, err)
+		}
+		return agg, when, nil
 	}
 
 	evaluate := func(step int, virtualTime, loss float64) error {
@@ -236,54 +296,15 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 			}
 		}
 
-		// Omniscient server attacks see every honest parameter vector of the
-		// step before corrupting (the adversary reads all honest state; it
-		// just cannot speak for honest nodes).
-		attack.ObserveAll(cfg.ServerAttacks,
-			attack.NewStepView(t, honestThetas(), cfg.FServers, len(cfg.ServerAttacks)))
-
 		// ---- Phase 1: servers → workers, median, gradient computation ----
-		// Arrival time of server i's parameters at worker j.
-		grads := make(map[int]tensor.Vector, len(honestWorkers))
+		params := serverRound(t, transport.KindParams, clockS, "parameter")
+		grads := make([]tensor.Vector, cfg.NumWorkers)
+		honestGrads := make([]tensor.Vector, 0, len(honestWorkers))
 		var meanLoss float64
 		for _, j := range honestWorkers {
-			arrivals := make([]float64, cfg.NumServers)
-			payloads := make([]tensor.Vector, cfg.NumServers)
-			for i := 0; i < cfg.NumServers; i++ {
-				if att := cfg.ServerAttacks[i]; att != nil {
-					vec := att.Corrupt(medianOrFirst(honestThetas()), t, cluster.WorkerID(j))
-					if rejectPayload(vec, dim, validate) {
-						arrivals[i] = math.Inf(1) // silence or rejected payload
-						continue
-					}
-					payloads[i] = vec
-					arrivals[i] = 0 // adversary's covert network: instant
-					continue
-				}
-				if !live[i] {
-					arrivals[i] = math.Inf(1) // crashed or departed: silent
-					continue
-				}
-				p, err := xmit(cluster.ServerID(i), cluster.WorkerID(j), transport.KindParams, t, theta[i])
-				if err != nil {
-					return nil, err
-				}
-				payloads[i] = p
-				arrivals[i] = cfg.Faults.Arrival(t, cluster.ServerID(i), cluster.WorkerID(j),
-					clockS[i]+ser+
-						cost.Latency.Sample(cluster.ServerID(i), cluster.WorkerID(j), msgBytes)+ser)
-			}
-			idx, when := transport.QuorumArrival(arrivals, q)
-			if math.IsInf(when, 1) {
-				return nil, fmt.Errorf("core: step %d: worker %d cannot assemble a parameter quorum (q=%d)", t, j, q)
-			}
-			sel := make([]tensor.Vector, len(idx))
-			for k, i := range idx {
-				sel[k] = payloads[i]
-			}
-			agg, err := paramRule.Aggregate(sel)
+			agg, when, err := gather(t, params, cluster.WorkerID(j), -1)
 			if err != nil {
-				return nil, fmt.Errorf("core: step %d worker %d: %w", t, j, err)
+				return nil, err
 			}
 			if err := worker.SetParamVector(agg); err != nil {
 				return nil, err
@@ -292,57 +313,27 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 			loss, g := nn.BatchGradient(worker, xs, labels)
 			meanLoss += loss
 			grads[j] = g
+			honestGrads = append(honestGrads, g)
 			start := math.Max(when, clockW[j])
 			clockW[j] = start + cost.aggTime(paramRule, q) +
 				cost.GradBase + cost.GradPerExample*float64(cfg.Batch)
 		}
 		meanLoss /= float64(len(honestWorkers))
 
-		// Basis gradient handed to the omniscient adversary.
-		honestGradList := make([]tensor.Vector, 0, len(grads))
-		for _, j := range honestWorkers {
-			honestGradList = append(honestGradList, grads[j])
-		}
-		adversaryBasis := tensor.Mean(honestGradList)
-		// Omniscient worker attacks observe every honest gradient of the step.
+		// Omniscient worker attacks observe every honest gradient of the
+		// step, then corrupt their mean.
 		attack.ObserveAll(cfg.WorkerAttacks,
-			attack.NewStepView(t, honestGradList, cfg.FWorkers, len(cfg.WorkerAttacks)))
+			attack.NewStepView(t, honestGrads, cfg.FWorkers, len(cfg.WorkerAttacks)))
 
 		// ---- Phase 2: workers → servers, Multi-Krum, local update ----
+		gradients := &round{kind: transport.KindGradient, id: cluster.WorkerID,
+			attacks: cfg.WorkerAttacks, basis: tensor.Mean(honestGrads),
+			vecs: grads, clocks: clockW,
+			q: qBar, rule: gradRule, what: "gradient"}
 		for _, i := range liveHonest() {
-			arrivals := make([]float64, cfg.NumWorkers)
-			payloads := make([]tensor.Vector, cfg.NumWorkers)
-			for j := 0; j < cfg.NumWorkers; j++ {
-				if att := cfg.WorkerAttacks[j]; att != nil {
-					vec := att.Corrupt(adversaryBasis, t, cluster.ServerID(i))
-					if rejectPayload(vec, dim, validate) {
-						arrivals[j] = math.Inf(1)
-						continue
-					}
-					payloads[j] = vec
-					arrivals[j] = 0
-					continue
-				}
-				p, err := xmit(cluster.WorkerID(j), cluster.ServerID(i), transport.KindGradient, t, grads[j])
-				if err != nil {
-					return nil, err
-				}
-				payloads[j] = p
-				arrivals[j] = cfg.Faults.Arrival(t, cluster.WorkerID(j), cluster.ServerID(i),
-					clockW[j]+ser+
-						cost.Latency.Sample(cluster.WorkerID(j), cluster.ServerID(i), msgBytes)+ser)
-			}
-			idx, when := transport.QuorumArrival(arrivals, qBar)
-			if math.IsInf(when, 1) {
-				return nil, fmt.Errorf("core: step %d: server %d cannot assemble a gradient quorum (q̄=%d)", t, i, qBar)
-			}
-			sel := make([]tensor.Vector, len(idx))
-			for k, j := range idx {
-				sel[k] = payloads[j]
-			}
-			agg, err := gradRule.Aggregate(sel)
+			agg, when, err := gather(t, gradients, cluster.ServerID(i), -1)
 			if err != nil {
-				return nil, fmt.Errorf("core: step %d server %d: %w", t, i, err)
+				return nil, err
 			}
 			tensor.AXPY(theta[i], -eta, agg)
 			start := math.Max(when, clockS[i])
@@ -351,74 +342,25 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 
 		// ---- Phase 3: server ↔ server contraction round ----
 		if cfg.Mode == ModeGuanYu && !cfg.DisableServerExchange && q > 1 {
-			// Snapshot so every receiver aggregates the same round's vectors.
-			exchangers := liveHonest()
-			sentTheta := make(map[int]tensor.Vector, len(exchangers))
-			sentClock := make(map[int]float64, len(exchangers))
-			for _, i := range exchangers {
-				sentTheta[i] = theta[i]
-				sentClock[i] = clockS[i]
-			}
-			medBasis := medianOrFirst(honestThetas())
-			// Refresh the omniscient server attacks' view with the updated
-			// honest parameter vectors before the contraction round.
-			attack.ObserveAll(cfg.ServerAttacks,
-				attack.NewStepView(t, honestThetas(), cfg.FServers, len(cfg.ServerAttacks)))
-			newTheta := make(map[int]tensor.Vector, len(exchangers))
-			for _, i := range exchangers {
-				arrivals := make([]float64, cfg.NumServers)
-				payloads := make([]tensor.Vector, cfg.NumServers)
-				for k := 0; k < cfg.NumServers; k++ {
-					switch {
-					case k == i:
-						payloads[k] = sentTheta[i]
-						arrivals[k] = sentClock[i] // own vector: no network
-					case cfg.ServerAttacks[k] == nil && !live[k]:
-						arrivals[k] = math.Inf(1) // crashed or departed: silent
-					case cfg.ServerAttacks[k] != nil:
-						vec := cfg.ServerAttacks[k].Corrupt(medBasis, t, cluster.ServerID(i))
-						if rejectPayload(vec, dim, validate) {
-							arrivals[k] = math.Inf(1)
-							continue
-						}
-						payloads[k] = vec
-						arrivals[k] = 0
-					default:
-						p, err := xmit(cluster.ServerID(k), cluster.ServerID(i), transport.KindPeerParams, t, sentTheta[k])
-						if err != nil {
-							return nil, err
-						}
-						payloads[k] = p
-						arrivals[k] = cfg.Faults.Arrival(t, cluster.ServerID(k), cluster.ServerID(i),
-							sentClock[k]+ser+
-								cost.Latency.Sample(cluster.ServerID(k), cluster.ServerID(i), msgBytes)+ser)
-					}
-				}
-				idx, when := transport.QuorumArrival(arrivals, q)
-				if math.IsInf(when, 1) {
-					return nil, fmt.Errorf("core: step %d: server %d cannot assemble a peer quorum (q=%d)", t, i, q)
-				}
-				sel := make([]tensor.Vector, len(idx))
-				for k, s := range idx {
-					sel[k] = payloads[s]
-				}
-				agg, err := paramRule.Aggregate(sel)
+			// Every receiver aggregates the same round's vectors: the send
+			// clocks are a snapshot because each receiver's clock advances as
+			// it goes, like its θ.
+			peers := serverRound(t, transport.KindPeerParams, slices.Clone(clockS), "peer")
+			for _, i := range liveHonest() {
+				agg, when, err := gather(t, peers, cluster.ServerID(i), i)
 				if err != nil {
-					return nil, fmt.Errorf("core: step %d server %d exchange: %w", t, i, err)
+					return nil, err
 				}
-				newTheta[i] = agg
+				theta[i] = agg
 				start := math.Max(when, clockS[i])
 				clockS[i] = start + cost.aggTime(paramRule, q)
-			}
-			for i, v := range newTheta {
-				theta[i] = v
 			}
 		}
 
 		// ---- Instrumentation ----
 		update := t + 1
 		if update%cfg.evalEvery() == 0 || update == cfg.Steps {
-			if err := evaluate(update, maxClock(clockS), meanLoss); err != nil {
+			if err := evaluate(update, slices.Max(clockS), meanLoss); err != nil {
 				return nil, err
 			}
 		}
@@ -438,9 +380,27 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	}
 	res.Final = final
 	res.FinalAccuracy = nn.Accuracy(evalModel, cfg.Test.X, cfg.Test.Labels)
-	res.VirtualTime = maxClock(clockS)
+	res.VirtualTime = slices.Max(clockS)
 	res.Updates = cfg.Steps
 	return res, nil
+}
+
+// round is one quorum round's sender side: sender k is id(k), Byzantine
+// when attacks[k] is set (corrupting basis), and otherwise sends vecs[k]
+// at clocks[k] — or nothing when live is set and live[k] is false. The
+// receivers aggregate their first q arrivals with rule; what names the
+// quorum in the liveness error.
+type round struct {
+	kind    transport.Kind
+	id      func(int) string
+	attacks map[int]attack.Attack
+	basis   tensor.Vector
+	vecs    []tensor.Vector
+	clocks  []float64
+	live    []bool
+	q       int
+	rule    gar.Rule
+	what    string
 }
 
 // simLink is one directed link's encoder, with a reused scratch buffer for
@@ -490,16 +450,6 @@ func medianOrFirst(thetas []tensor.Vector) tensor.Vector {
 		return thetas[0]
 	}
 	return med
-}
-
-func maxClock(clocks map[int]float64) float64 {
-	var m float64
-	for _, c := range clocks {
-		if c > m {
-			m = c
-		}
-	}
-	return m
 }
 
 // deploymentName labels result curves the way the paper's legends do.

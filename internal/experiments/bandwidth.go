@@ -6,11 +6,7 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/attack"
 	"repro/internal/compress"
-	"repro/internal/core"
-	"repro/internal/gar"
-	"repro/internal/parallel"
 	"repro/internal/tensor"
 	"repro/internal/transport"
 )
@@ -20,9 +16,10 @@ import (
 // step actually moves per link under each scheme (exact, machine-
 // independent — this is what BENCH_wire.json pins), and what the lossy
 // wire does to convergence under each GAR × attack pairing (Fig-4-style
-// cells on the fast Blob workload). Serialization-bound steps/sec rides
-// along from the same timed encode→frame→decode loop, so the table shows
-// whether a scheme buys its byte reduction with codec time.
+// cells, run as a scenario matrix whose compress axis is the schemes
+// measured). Serialization-bound steps/sec rides along from the same timed
+// encode→frame→decode loop, so the table shows whether a scheme buys its
+// byte reduction with codec time.
 
 // bandwidthDims are the payload dimensions measured: the tiny harness CNN
 // and the paper's full 1,756,426-parameter Table-1 model.
@@ -63,31 +60,22 @@ type BandwidthRow struct {
 	StepsPerSec float64 `json:"steps_per_sec"`
 }
 
-// BandwidthCell is one (scheme, rule, attack) convergence outcome.
-type BandwidthCell struct {
-	// Scheme, Rule and Attack identify the cell; Attack "none" is the
-	// attack-free baseline.
-	Scheme, Rule, Attack string
-	// FinalAccuracy is the run's final test accuracy (0 when Failed).
-	FinalAccuracy float64
-	// Failed is empty for a completed run, otherwise the breakdown class
-	// (same taxonomy as the scenario matrix).
-	Failed string
-}
-
 // BandwidthResult holds the wire rows and the convergence grid.
 type BandwidthResult struct {
-	Rows  []BandwidthRow
-	Cells []BandwidthCell
+	Rows []BandwidthRow
+	Grid *MatrixResult
 }
 
-// bandwidthRules and bandwidthAttacks span the Fig-4-style convergence
-// grid: the headline robust rules under the attack-free baseline and the
-// strongest omniscient attack.
-var (
-	bandwidthRules   = []string{"multi-krum", "coordinate-median"}
-	bandwidthAttacks = []string{"none", "alie:z=1.5"}
-)
+// bandwidthGridSpec is the Fig-4-style convergence grid, run as a scenario
+// matrix: the headline robust rules under the attack-free baseline and the
+// strongest omniscient attack, on every compression scheme of the wire
+// rows, with no faults.
+var bandwidthGridSpec = MatrixSpec{
+	Attacks:  []string{"none", "alie:z=1.5"},
+	Rules:    []string{"multi-krum", "coordinate-median"},
+	Faults:   []string{"none"},
+	Compress: bandwidthSchemes,
+}
 
 // Bandwidth measures each compression scheme's wire volume and codec rate
 // at both dimensions, then runs the convergence grid. The byte counts are
@@ -98,11 +86,11 @@ func Bandwidth(s Scale) (*BandwidthResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	cells, err := bandwidthGrid(s)
+	grid, err := Matrix(s, bandwidthGridSpec)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("bandwidth: %w", err)
 	}
-	return &BandwidthResult{Rows: rows, Cells: cells}, nil
+	return &BandwidthResult{Rows: rows, Grid: grid}, nil
 }
 
 // WireRows measures only the wire rows — the exact byte counts the
@@ -243,86 +231,6 @@ func measureBandwidth(spec string, vec tensor.Vector) (BandwidthRow, error) {
 	return row, nil
 }
 
-// bandwidthGrid runs the Fig-4-style convergence cells: every (scheme,
-// rule, attack) triple as an independent deterministic simulation on the
-// Blob workload, concurrent on the shared pool.
-func bandwidthGrid(s Scale) ([]BandwidthCell, error) {
-	var cells []BandwidthCell
-	for _, spec := range bandwidthSchemes {
-		for _, rule := range bandwidthRules {
-			for _, att := range bandwidthAttacks {
-				cells = append(cells, BandwidthCell{Scheme: spec, Rule: rule, Attack: att})
-			}
-		}
-	}
-	// Resolve specs up front so typos fail loudly.
-	for _, spec := range bandwidthSchemes {
-		if _, err := compress.ParseSpec(spec); err != nil {
-			return nil, fmt.Errorf("bandwidth: %w", err)
-		}
-	}
-	for _, r := range bandwidthRules {
-		if _, err := gar.FromName(r, core.PaperByzWorkers); err != nil {
-			return nil, fmt.Errorf("bandwidth: %w", err)
-		}
-	}
-	for _, a := range bandwidthAttacks {
-		if a == "none" {
-			continue
-		}
-		if _, err := attack.FromSpec(a, s.Seed); err != nil {
-			return nil, fmt.Errorf("bandwidth: %w", err)
-		}
-	}
-
-	tasks := make([]func() error, len(cells))
-	for i := range cells {
-		cell := &cells[i]
-		tasks[i] = func() error {
-			runBandwidthCell(s, cell)
-			return nil // breakdowns are results, not errors
-		}
-	}
-	if err := parallel.Do(tasks...); err != nil {
-		return nil, err
-	}
-	return cells, nil
-}
-
-// runBandwidthCell executes one convergence cell, writing the outcome in.
-func runBandwidthCell(s Scale, cell *BandwidthCell) {
-	comp, _ := compress.ParseSpec(cell.Scheme)
-	rule, _ := gar.FromName(cell.Rule, core.PaperByzWorkers)
-
-	w := core.BlobWorkload(s.Examples, s.Seed)
-	cfg := core.Config{
-		Mode:  core.ModeGuanYu,
-		Model: w.Model, Train: w.Train, Test: w.Test,
-		NumServers: core.PaperServers, FServers: 0,
-		NumWorkers: core.PaperWorkers, FWorkers: core.PaperByzWorkers,
-		Steps: s.Steps, Batch: s.SmallBatch,
-		Rule:        rule,
-		Compression: comp,
-		Seed:        s.Seed,
-	}
-	if cell.Attack != "none" {
-		mk, _ := attack.FromSpec(cell.Attack, s.Seed+500)
-		cfg = core.WithByzantineWorkers(cfg, core.PaperByzWorkers, mk)
-	}
-
-	res, err := core.Run(cfg)
-	switch {
-	case err != nil && strings.Contains(err.Error(), "quorum"):
-		cell.Failed = "no-quorum"
-	case err != nil:
-		cell.Failed = "error"
-	case !tensor.IsFinite(res.Final):
-		cell.Failed = "non-finite"
-	default:
-		cell.FinalAccuracy = res.FinalAccuracy
-	}
-}
-
 // Format renders the wire table and the convergence grid.
 func (r *BandwidthResult) Format() string {
 	var b strings.Builder
@@ -338,41 +246,8 @@ func (r *BandwidthResult) Format() string {
 			fmt.Sprintf("%.2fx", row.Reduction), row.MBps, row.StepsPerSec)
 	}
 
-	b.WriteString("\n## Convergence under the lossy wire: final accuracy by scheme (GAR × attack)\n")
-	fmt.Fprintf(&b, "(%d byz workers of %d when attacked; %d servers, all honest)\n",
-		core.PaperByzWorkers, core.PaperWorkers, core.PaperServers)
-	fmt.Fprintf(&b, "%-20s %-14s", "rule", "attack")
-	for _, spec := range bandwidthSchemes {
-		fmt.Fprintf(&b, " %-12s", spec)
-	}
-	b.WriteByte('\n')
-	for _, rule := range bandwidthRules {
-		for _, att := range bandwidthAttacks {
-			fmt.Fprintf(&b, "%-20s %-14s", rule, att)
-			for _, spec := range bandwidthSchemes {
-				c := r.cell(spec, rule, att)
-				if c == nil {
-					fmt.Fprintf(&b, " %-12s", "-")
-				} else if c.Failed != "" {
-					fmt.Fprintf(&b, " %-12s", "break:"+c.Failed)
-				} else {
-					fmt.Fprintf(&b, " %-12.4f", c.FinalAccuracy)
-				}
-			}
-			b.WriteByte('\n')
-		}
-	}
+	b.WriteString("\n" + r.Grid.Format())
 	return b.String()
-}
-
-func (r *BandwidthResult) cell(scheme, rule, att string) *BandwidthCell {
-	for i := range r.Cells {
-		c := &r.Cells[i]
-		if c.Scheme == scheme && c.Rule == rule && c.Attack == att {
-			return c
-		}
-	}
-	return nil
 }
 
 // WireBenchJSON serialises the wire rows for committing as BENCH_wire.json.

@@ -25,7 +25,8 @@ import (
 // registry syntax ("alie", "alie:z=1.2", "drop:p=0.05"); Rules are
 // gradient-GAR registry names.
 type MatrixSpec struct {
-	// Attacks arm the Byzantine workers, one grid column block per spec.
+	// Attacks arm the Byzantine workers, one grid row per spec; "none"
+	// arms none (the attack-free baseline, f̄ still declared).
 	Attacks []string
 	// Rules are the server-side gradient aggregation rules under test.
 	Rules []string
@@ -163,7 +164,7 @@ func Matrix(s Scale, spec MatrixSpec) (*MatrixResult, error) {
 	// Resolve every spec up front so a typo fails the experiment loudly
 	// instead of surfacing as a grid of "error" cells.
 	for _, a := range spec.Attacks {
-		if _, err := attack.FromSpec(a, s.Seed); err != nil {
+		if _, err := matrixAttack(a, s.Seed); err != nil {
 			return nil, fmt.Errorf("matrix: %w", err)
 		}
 	}
@@ -214,9 +215,17 @@ func matrixChurn(spec string, s Scale) (*core.ChurnPlan, error) {
 	return core.ChurnPreset(spec, core.PaperServers, 1, s.Steps, nil)
 }
 
+// matrixAttack resolves one attack-axis value; "none" arms no worker.
+func matrixAttack(spec string, seed uint64) (func(i int) attack.Attack, error) {
+	if spec == "none" {
+		return nil, nil
+	}
+	return attack.FromSpec(spec, seed)
+}
+
 // runMatrixCell executes one grid point, writing the outcome into cell.
 func runMatrixCell(s Scale, byzWorkers int, cell *MatrixCell) {
-	mkAttack, _ := attack.FromSpec(cell.Attack, s.Seed+500)
+	mkAttack, _ := matrixAttack(cell.Attack, s.Seed+500)
 	rule, _ := gar.FromName(cell.Rule, byzWorkers)
 	faults, _ := faultFromSpec(cell.Fault, s.Seed+900)
 	comp, _ := compress.ParseSpec(cell.Compress)
@@ -239,7 +248,9 @@ func runMatrixCell(s Scale, byzWorkers int, cell *MatrixCell) {
 		Churn:       churn,
 		Seed:        s.Seed,
 	}
-	cfg = core.WithByzantineWorkers(cfg, byzWorkers, mkAttack)
+	if mkAttack != nil {
+		cfg = core.WithByzantineWorkers(cfg, byzWorkers, mkAttack)
+	}
 
 	res, err := core.Run(cfg)
 	switch {

@@ -124,3 +124,26 @@ func TestMatrixRejectsUnknownSpecs(t *testing.T) {
 		}
 	}
 }
+
+// TestMatrixAttackFreeRow: "none" on the attack axis arms no worker, so
+// the mean, which the same grid's armed collusion breaks, converges.
+func TestMatrixAttackFreeRow(t *testing.T) {
+	r, err := Matrix(matrixScale, MatrixSpec{
+		Attacks: []string{"none", "signflip:scale=30"},
+		Rules:   []string{"mean"},
+		Faults:  []string{"none"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clean, armed := r.Cells[0], r.Cells[1]
+	if clean.Attack != "none" || clean.Failed != "" || clean.FinalAccuracy < 0.9 {
+		t.Fatalf("attack-free mean should converge, got %+v", clean)
+	}
+	if armed.Failed == "" && armed.FinalAccuracy > clean.FinalAccuracy-0.2 {
+		t.Fatalf("armed mean (%+v) not clearly worse than the attack-free row (%+v)", armed, clean)
+	}
+	if out := r.Format(); !strings.Contains(out, "\nnone ") {
+		t.Fatalf("formatted matrix has no attack-free row:\n%s", out)
+	}
+}

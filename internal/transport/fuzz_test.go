@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/compress"
@@ -27,30 +29,34 @@ func mustEncode(tb testing.TB, m Message) []byte {
 	return buf
 }
 
-func FuzzDecodeMessage(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte{0xff, 0x00, 0x01})
-	f.Add(mustEncode(f, Message{From: "ps0", Kind: KindParams, Step: 3, Vec: []float64{1, 2, 3}}))
-	f.Add(mustEncode(f, Message{From: "wrk1", Kind: KindGradient, Step: 0,
+// frameSeeds are the frames both decoder fuzz targets start from: valid
+// raw, chunk and compressed frames, and near-misses of each.
+func frameSeeds(tb testing.TB) [][]byte {
+	var seeds [][]byte
+	add := func(frame []byte) { seeds = append(seeds, frame) }
+	add([]byte{})
+	add([]byte{0xff, 0x00, 0x01})
+	add(mustEncode(tb, Message{From: "ps0", Kind: KindParams, Step: 3, Vec: []float64{1, 2, 3}}))
+	add(mustEncode(tb, Message{From: "wrk1", Kind: KindGradient, Step: 0,
 		Vec: []float64{math.NaN(), math.Inf(1)}}))
 	// A header declaring an absurd payload length: must be rejected before
 	// any allocation, not satisfied.
-	huge := mustEncode(f, Message{From: "byz", Kind: KindGradient, Step: 1})
+	huge := mustEncode(tb, Message{From: "byz", Kind: KindGradient, Step: 1})
 	huge[11], huge[12], huge[13], huge[14] = 0xff, 0xff, 0xff, 0xff
-	f.Add(huge)
+	add(huge)
 	// Chunk frames: a middle shard, a degenerate single-shard stream, and a
 	// forged extension whose index exceeds its count (decoder must reject).
-	f.Add(mustEncode(f, Message{From: "wrk2", Kind: KindGradient, Step: 5,
+	add(mustEncode(tb, Message{From: "wrk2", Kind: KindGradient, Step: 5,
 		Vec:   []float64{1, 2, 3},
 		Shard: ShardMeta{Index: 2, Count: 9, Offset: 6}}))
-	f.Add(mustEncode(f, Message{From: "ps1", Kind: KindPeerParams, Step: 0,
+	add(mustEncode(tb, Message{From: "ps1", Kind: KindPeerParams, Step: 0,
 		Vec:   []float64{math.Inf(-1)},
 		Shard: ShardMeta{Index: 0, Count: 1, Offset: 0}}))
-	forged := mustEncode(f, Message{From: "byz", Kind: KindParams, Step: 2,
+	forged := mustEncode(tb, Message{From: "byz", Kind: KindParams, Step: 2,
 		Vec:   []float64{4},
 		Shard: ShardMeta{Index: 0, Count: 2, Offset: 0}})
 	forged[15] = 0x07 // index 7 of count 2
-	f.Add(forged)
+	add(forged)
 
 	// Compressed frames. Genuine ones come from the real encoders (float32,
 	// top-k, and a compressed SHARD frame);
@@ -59,17 +65,17 @@ func FuzzDecodeMessage(f *testing.F) {
 	// decoder must reject every one without panicking or allocating the
 	// claimed expansion.
 	compFrame := func(scheme uint8, dim int, payload []byte) []byte {
-		return mustEncode(f, Message{From: "wrk3", Kind: KindGradient, Step: 4,
+		return mustEncode(tb, Message{From: "wrk3", Kind: KindGradient, Step: 4,
 			Comp: CompMeta{Scheme: scheme, Dim: dim, Data: payload}})
 	}
 	vec := []float64{0.5, -2, 3.25, 1e-9}
 	f32enc := compress.NewEncoder(compress.Config{Scheme: compress.Float32})
 	if p, err := f32enc.Encode(nil, uint8(KindGradient), 4, 0, vec); err == nil {
-		f.Add(compFrame(uint8(compress.Float32), len(vec), p))
+		add(compFrame(uint8(compress.Float32), len(vec), p))
 	}
 	tenc := compress.NewEncoder(compress.Config{Scheme: compress.TopK, TopKFrac: 0.5})
 	if p, err := tenc.Encode(nil, uint8(KindGradient), 4, 32, vec); err == nil {
-		f.Add(mustEncode(f, Message{From: "wrk3", Kind: KindGradient, Step: 4,
+		add(mustEncode(tb, Message{From: "wrk3", Kind: KindGradient, Step: 4,
 			Shard: ShardMeta{Index: 1, Count: 3, Offset: 32},
 			Comp:  CompMeta{Scheme: uint8(compress.TopK), Dim: len(vec), Data: p}}))
 	}
@@ -81,26 +87,32 @@ func FuzzDecodeMessage(f *testing.F) {
 		return compFrame(uint8(compress.TopK), dim, p)
 	}
 	one := math.Float32bits(1)
-	f.Add(topk(4, 3, 1, one))                         // truncated index table (3 claimed, 1 shipped)
-	f.Add(topk(4, 1, 100, one))                       // out-of-range index
-	f.Add(topk(4, 2, 2, one, 2, one))                 // duplicate index
-	f.Add(topk(4, 9, 0, one))                         // k > d claim
-	f.Add(topk(4, 2, 3, one, 1, one))                 // non-increasing indices
-	f.Add(compFrame(7, 4, []byte{1, 2}))              // unknown scheme byte
-	f.Add(compFrame(uint8(compress.Float32), 1, nil)) // empty payload
+	add(topk(4, 3, 1, one))                         // truncated index table (3 claimed, 1 shipped)
+	add(topk(4, 1, 100, one))                       // out-of-range index
+	add(topk(4, 2, 2, one, 2, one))                 // duplicate index
+	add(topk(4, 9, 0, one))                         // k > d claim
+	add(topk(4, 2, 3, one, 1, one))                 // non-increasing indices
+	add(compFrame(7, 4, []byte{1, 2}))              // unknown scheme byte
+	add(compFrame(uint8(compress.Float32), 1, nil)) // empty payload
 	// Retired scheme byte 2, carrying what its old keyframe, diff and
 	// malformed-tag payloads looked like and a float32-sized body: all
 	// must fail typed.
-	f.Add(compFrame(2, 4, append([]byte{0x00}, make([]byte, 4*4)...)))
-	f.Add(compFrame(2, 4, append([]byte{0x01}, make([]byte, 8+4*4)...)))
-	f.Add(compFrame(2, 4, []byte{0x09}))
-	f.Add(compFrame(2, 4, make([]byte, 4*4)))
+	add(compFrame(2, 4, append([]byte{0x00}, make([]byte, 4*4)...)))
+	add(compFrame(2, 4, append([]byte{0x01}, make([]byte, 8+4*4)...)))
+	add(compFrame(2, 4, []byte{0x09}))
+	add(compFrame(2, 4, make([]byte, 4*4)))
 	// A compression extension whose enc-len exceeds the declared range's
 	// byte bound: rejected from the header, before any staging.
 	overLen := compFrame(uint8(compress.Float32), 1, make([]byte, 16))
 	binary.LittleEndian.PutUint32(overLen[FrameHeaderSize+1:], 1<<30)
-	f.Add(overLen)
+	add(overLen)
+	return seeds
+}
 
+func FuzzDecodeMessage(f *testing.F) {
+	for _, frame := range frameSeeds(f) {
+		f.Add(frame)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var m Message
 		n, err := DecodeMessage(data, &m)
@@ -125,18 +137,8 @@ func FuzzDecodeMessage(f *testing.F) {
 		if err := ReadMessage(bytes.NewReader(data[:n]), &scratch, &viaStream); err != nil {
 			t.Fatalf("stream decode of a valid frame failed: %v", err)
 		}
-		if viaStream.From != m.From || viaStream.Kind != m.Kind || viaStream.Step != m.Step ||
-			viaStream.Shard != m.Shard || len(viaStream.Vec) != len(m.Vec) {
-			t.Fatalf("stream decode disagrees: %+v vs %+v", viaStream, m)
-		}
-		for i := range m.Vec {
-			if math.Float64bits(m.Vec[i]) != math.Float64bits(viaStream.Vec[i]) {
-				t.Fatalf("stream decode changed coordinate %d", i)
-			}
-		}
-		if viaStream.Comp.Scheme != m.Comp.Scheme || viaStream.Comp.Dim != m.Comp.Dim ||
-			!bytes.Equal(viaStream.Comp.Data, m.Comp.Data) {
-			t.Fatalf("stream decode disagrees on compression: %+v vs %+v", viaStream.Comp, m.Comp)
+		if diff := messageDiff(&viaStream, &m); diff != "" {
+			t.Fatalf("stream decode disagrees: %s", diff)
 		}
 		if m.IsCompressed() {
 			if len(m.Vec) != 0 {
@@ -164,4 +166,60 @@ func FuzzDecodeMessage(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzReadMessage feeds arbitrary streams of several frames to the reader
+// the network runs, reusing one message and one scratch buffer across the
+// stream's frames as a connection's read loop does. Every frame it accepts
+// must re-encode to exactly the bytes it consumed, and the slice decoder
+// (the reference) must accept the same bytes into the same message.
+func FuzzReadMessage(f *testing.F) {
+	seeds := frameSeeds(f)
+	for i, frame := range seeds {
+		f.Add(frame)
+		// Each seed followed by the next, so reuse across frames and a
+		// stream that goes bad after a good frame are covered.
+		f.Add(append(slices.Clone(frame), seeds[(i+1)%len(seeds)]...))
+	}
+	f.Fuzz(func(t *testing.T, stream []byte) {
+		r := bytes.NewReader(stream)
+		var m Message
+		var scratch []byte
+		for off := 0; ; {
+			if err := ReadMessage(r, &scratch, &m); err != nil {
+				return // a refused or truncated frame ends the connection
+			}
+			end := len(stream) - r.Len()
+			frame := stream[off:end]
+			off = end
+			if again := mustEncode(t, m); !bytes.Equal(again, frame) {
+				t.Fatalf("re-encode changed the frame: %x vs %x", again, frame)
+			}
+			var ref Message
+			n, err := DecodeMessage(frame, &ref)
+			if err != nil || n != len(frame) {
+				t.Fatalf("slice decoder refused a frame the reader accepted: consumed %d of %d, %v", n, len(frame), err)
+			}
+			if diff := messageDiff(&m, &ref); diff != "" {
+				t.Fatalf("reader disagrees with the slice decoder: %s", diff)
+			}
+		}
+	})
+}
+
+// messageDiff describes how two decoded messages differ, payload bits
+// included; "" when they are the same message.
+func messageDiff(a, b *Message) string {
+	if a.From != b.From || a.Kind != b.Kind || a.Step != b.Step || a.Shard != b.Shard || len(a.Vec) != len(b.Vec) {
+		return fmt.Sprintf("%+v vs %+v", *a, *b)
+	}
+	for i := range a.Vec {
+		if math.Float64bits(a.Vec[i]) != math.Float64bits(b.Vec[i]) {
+			return fmt.Sprintf("coordinate %d: %x vs %x", i, math.Float64bits(a.Vec[i]), math.Float64bits(b.Vec[i]))
+		}
+	}
+	if a.Comp.Scheme != b.Comp.Scheme || a.Comp.Dim != b.Comp.Dim || !bytes.Equal(a.Comp.Data, b.Comp.Data) {
+		return fmt.Sprintf("compression %+v vs %+v", a.Comp, b.Comp)
+	}
+	return ""
 }

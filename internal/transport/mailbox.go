@@ -100,7 +100,8 @@ func (c MailboxConfig) String() string {
 
 // ParseMailboxSpec parses the -mailbox flag syntax: "none" (unbounded) or
 // "policy[:cap=N]" with policy ∈ {backpressure, drop-newest, drop-oldest}
-// and N defaulting to DefaultMailboxCap.
+// and N defaulting to DefaultMailboxCap. A repeated cap is refused, as the
+// compression and attack spec parsers refuse a repeated parameter.
 func ParseMailboxSpec(spec string) (MailboxConfig, error) {
 	spec = strings.TrimSpace(spec)
 	if spec == "" || spec == "none" || spec == "unbounded" {
@@ -113,10 +114,13 @@ func ParseMailboxSpec(spec string) (MailboxConfig, error) {
 	}
 	cfg := MailboxConfig{Cap: DefaultMailboxCap, Policy: policy}
 	if hasArgs {
-		for _, kv := range strings.Split(rest, ",") {
+		for i, kv := range strings.Split(rest, ",") {
 			k, v, ok := strings.Cut(strings.TrimSpace(kv), "=")
 			if !ok || k != "cap" {
 				return MailboxConfig{}, fmt.Errorf("transport: bad mailbox spec %q (want policy[:cap=N])", spec)
+			}
+			if i > 0 {
+				return MailboxConfig{}, fmt.Errorf("transport: duplicate parameter %q in mailbox spec %q", k, spec)
 			}
 			n, err := strconv.Atoi(v)
 			if err != nil || n <= 0 {

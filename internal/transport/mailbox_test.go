@@ -3,6 +3,7 @@ package transport
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -319,11 +320,14 @@ func TestMailboxSpecRoundTrip(t *testing.T) {
 			t.Fatalf("round trip %q: got %+v, want %+v", cfg.String(), parsed, cfg)
 		}
 	}
-	if _, err := ParseMailboxSpec("drop-oldest:cap=0"); err == nil {
-		t.Fatal("cap=0 spec parsed without error")
-	}
-	if _, err := ParseMailboxSpec("lossy"); err == nil {
-		t.Fatal("unknown policy parsed without error")
+	for _, c := range []struct{ spec, want string }{
+		{"drop-oldest:cap=0", "positive integer"},
+		{"lossy", "unknown overflow policy"},
+		{"drop-oldest:cap=4,cap=8", "duplicate parameter"},
+	} {
+		if _, err := ParseMailboxSpec(c.spec); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("ParseMailboxSpec(%q) = %v, want an error containing %q", c.spec, err, c.want)
+		}
 	}
 	if cfg, err := ParseMailboxSpec("drop-newest"); err != nil || cfg.Cap != DefaultMailboxCap {
 		t.Fatalf("bare policy spec: cfg=%+v err=%v", cfg, err)
