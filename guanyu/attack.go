@@ -13,7 +13,9 @@ type Attack = attack.Attack
 // ClusterView is the omniscient adversary's window onto the honest cluster
 // at one step: the honest vectors of the message class the Byzantine node
 // is about to corrupt, plus the population's declared bound and the number
-// of colluders. The runtimes feed it; attacks must treat it as read-only.
+// of colluders. The runtimes feed it; attacks must treat it as read-only,
+// and its vectors are valid only until the attack's next Observe (the Live
+// runtime recycles them): an attack that keeps a value longer copies it.
 type ClusterView = attack.ClusterView
 
 // Omniscient marks attacks that adapt to the honest cluster state: the

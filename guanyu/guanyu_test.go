@@ -2,6 +2,7 @@ package guanyu_test
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -186,6 +187,49 @@ func TestDeploymentIsReusable(t *testing.T) {
 	}
 	if r1.FinalAccuracy != r2.FinalAccuracy {
 		t.Fatalf("re-running a deployment diverged: %v vs %v", r1.FinalAccuracy, r2.FinalAccuracy)
+	}
+}
+
+// TestOmniscientAttackRerunIsFresh: a Deployment keeps its attack instances
+// from one Run to the next, so an omniscient attack must craft each run from
+// that run's honest vectors only — not from the last view of the run before.
+func TestOmniscientAttackRerunIsFresh(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs eight simulations")
+	}
+	for _, name := range []string{"alie", "ipm", "mimic", "antikrum"} {
+		t.Run(name, func(t *testing.T) {
+			mk, err := guanyu.AttackByName(name, 9)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d, err := guanyu.New(
+				guanyu.WithWorkload(guanyu.BlobWorkload(600, 7)),
+				guanyu.WithServers(6, 1),
+				guanyu.WithWorkers(18, 5),
+				guanyu.WithAttackedWorkers(5, mk),
+				guanyu.WithSteps(6),
+				guanyu.WithBatch(8),
+				guanyu.WithLR(guanyu.InverseTimeLR(0.2, 100)),
+				guanyu.WithSeed(9),
+			)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var finals [2][]float64
+			for k := range finals {
+				res, err := d.Run(context.Background())
+				if err != nil {
+					t.Fatal(err)
+				}
+				finals[k] = res.Final
+			}
+			for i := range finals[0] {
+				if math.Float64bits(finals[0][i]) != math.Float64bits(finals[1][i]) {
+					t.Fatalf("coordinate %d: first run %v, second run %v", i, finals[0][i], finals[1][i])
+				}
+			}
+		})
 	}
 }
 

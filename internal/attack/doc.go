@@ -22,6 +22,13 @@
 // An honest live server publishes θ once per step, in phase 1, so the
 // snapshot a Byzantine server takes before the phase-3 contraction round
 // shows the pre-update θ, where the simulator shows the updated one.
+// A view's vectors are valid until the attack's next Observe: the live
+// runtimes copy honest vectors into tensor free-list memory, and at the end
+// of a run the launcher hands every attack an empty view and then returns
+// the copies still in the window (SharedView.Close), so an attack that
+// keeps a value past that copies it. Observe adopts the
+// view it is given, whatever its step: a second run of the same attack
+// instances starts from its own first view.
 // Multi-process deployments run without a view (an adversary spanning OS
 // processes would need its own covert channel), in which case omniscient
 // attacks degrade to their documented local-knowledge fallbacks.

@@ -26,20 +26,26 @@ type omniBase struct {
 	cached   tensor.Vector
 }
 
-// Observe implements Omniscient. Accepting a view invalidates the crafted
-// cache, so a refresh within a step is actually acted on by the next
-// Corrupt. Server attacks are re-fed before the phase-3 contraction round:
-// by the simulator with the updated honest thetas, by cluster.RunServer with
-// a fresh snapshot of the same step — which still holds the pre-update
-// thetas, honest servers publishing once per step, in phase 1.
+// Observe implements Omniscient. It adopts v, whatever its step, and
+// invalidates the crafted cache, so a refresh within a step is actually
+// acted on by the next Corrupt and a later run of the same attack starts
+// from its own views. Server attacks are re-fed before the phase-3
+// contraction round: by the simulator with the updated honest thetas, by
+// cluster.RunServer with a fresh snapshot of the same step — which still
+// holds the pre-update thetas, honest servers publishing once per step, in
+// phase 1. Nothing crafted aliases a view's vectors, so the previous view's
+// memory may be recycled once Observe returns.
+//
+// Adopting every view also means the last Observe wins: an instance shared
+// by several live node loops crafts from whichever loop observed last, even
+// an older step's view, and a phase-3 snapshot of a step that has already
+// left the SharedView's window (honest publishers 16 steps ahead) is empty,
+// so that round's corruption falls back to the honest basis.
 func (b *omniBase) Observe(v ClusterView) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.view == nil || v.Step() > b.view.Step() ||
-		(v.Step() == b.view.Step() && len(v.Honest()) >= len(b.view.Honest())) {
-		b.view = v
-		b.cached = nil
-	}
+	b.view = v
+	b.cached = nil
 }
 
 // craft returns the attack vector for step, computing it with mk at most
@@ -86,17 +92,39 @@ func (*ALIE) Name() string { return "alie" }
 func (a *ALIE) Corrupt(honest tensor.Vector, step int, _ string) tensor.Vector {
 	return a.craft(honest, step, func(view ClusterView) tensor.Vector {
 		hv := view.Honest()
-		mean, std := coordMeanStd(hv)
 		z := a.Z
 		if z <= 0 {
 			z = alieZMax(len(hv)+view.Colluders(), maxInt(view.F(), view.Colluders()))
 		}
-		out := make(tensor.Vector, len(mean))
-		for i := range out {
-			out[i] = mean[i] - z*std[i]
-		}
-		return out
+		return alieVector(hv, z)
 	}, tensor.Clone)
+}
+
+// alieVector returns mean − z·σ of vs per coordinate, σ the population
+// standard deviation, in one pass that keeps neither the mean nor σ as a
+// vector. Each coordinate's arithmetic is tensor.Mean's and then the
+// deviation's, in the same order: the sum in vs order scaled by 1/n, the
+// squared deviations summed in vs order, then √(s/n) — so the result is
+// bit-identical to computing the two vectors first.
+func alieVector(vs []tensor.Vector, z float64) tensor.Vector {
+	out := make(tensor.Vector, len(vs[0]))
+	inv := 1 / float64(len(vs))
+	for i := range out {
+		m := vs[0][i]
+		for _, v := range vs[1:] {
+			m += v[i]
+		}
+		m *= inv
+		var s float64
+		if len(vs) >= 2 {
+			for _, v := range vs {
+				d := v[i] - m
+				s += d * d
+			}
+		}
+		out[i] = m - z*math.Sqrt(s*inv)
+	}
+	return out
 }
 
 // alieZMax is the z the ALIE paper derives: the largest deviation such that
@@ -134,7 +162,9 @@ func (a *InnerProduct) Corrupt(honest tensor.Vector, step int, _ string) tensor.
 		eps = 0.5
 	}
 	return a.craft(honest, step, func(view ClusterView) tensor.Vector {
-		return tensor.Scale(tensor.Mean(view.Honest()), -eps)
+		m := tensor.Mean(view.Honest())
+		tensor.ScaleInPlace(m, -eps)
+		return m
 	}, func(h tensor.Vector) tensor.Vector { return tensor.Scale(h, -eps) })
 }
 
@@ -262,27 +292,6 @@ func maxKrumLambda(honest []tensor.Vector, dir, mean tensor.Vector, c, f int) fl
 		}
 	}
 	return lo
-}
-
-// coordMeanStd returns the per-coordinate mean and (population) standard
-// deviation of the vectors.
-func coordMeanStd(vs []tensor.Vector) (mean, std tensor.Vector) {
-	mean = tensor.Mean(vs)
-	std = make(tensor.Vector, len(mean))
-	if len(vs) < 2 {
-		return mean, std
-	}
-	for _, v := range vs {
-		for i, x := range v {
-			d := x - mean[i]
-			std[i] += d * d
-		}
-	}
-	inv := 1 / float64(len(vs))
-	for i := range std {
-		std[i] = math.Sqrt(std[i] * inv)
-	}
-	return mean, std
 }
 
 // invNormCDF is the Acklam rational approximation of the standard normal

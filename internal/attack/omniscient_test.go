@@ -30,8 +30,7 @@ func TestALIECraftsMeanMinusZSigma(t *testing.T) {
 	got := a.Corrupt(honest[0], 4, "ps0")
 	mean, std := coordMeanStd(honest)
 	for i := range got {
-		want := mean[i] - 1.5*std[i]
-		if math.Abs(got[i]-want) > 1e-12 {
+		if want := mean[i] - 1.5*std[i]; math.Float64bits(got[i]) != math.Float64bits(want) {
 			t.Fatalf("coordinate %d: got %v want %v", i, got[i], want)
 		}
 	}
@@ -42,6 +41,51 @@ func TestALIECraftsMeanMinusZSigma(t *testing.T) {
 			t.Fatal("ALIE must send the same crafted vector to every receiver in a step")
 		}
 	}
+}
+
+// TestALIEVectorMatchesTwoPass holds the one-pass crafting to the mean and
+// deviation vectors it replaced, bit for bit, on sets of one, two and many
+// vectors with signed zeros, infinities and NaN among the coordinates.
+func TestALIEVectorMatchesTwoPass(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	sets := [][]tensor.Vector{
+		{{1, -0.0, inf, nan}},
+		{{1, -0.0, inf, 3}, {2, -0.0, -inf, nan}},
+		{{0.1, -0.0, 1e308, 5}, {0.2, 0, 1e308, -inf}, {0.7, -0.0, -1e-308, 5}},
+		honestCloud(13, 257, 5),
+	}
+	for k, vs := range sets {
+		for _, z := range []float64{0.5, 1.75} {
+			got := alieVector(vs, z)
+			mean, std := coordMeanStd(vs)
+			for i := range got {
+				if want := mean[i] - z*std[i]; math.Float64bits(got[i]) != math.Float64bits(want) {
+					t.Fatalf("set %d, z=%v, coordinate %d: got %v, two-pass %v", k, z, i, got[i], want)
+				}
+			}
+		}
+	}
+}
+
+// coordMeanStd is the two-pass reference of alieVector: the per-coordinate
+// mean and (population) standard deviation of the vectors.
+func coordMeanStd(vs []tensor.Vector) (mean, std tensor.Vector) {
+	mean = tensor.Mean(vs)
+	std = make(tensor.Vector, len(mean))
+	if len(vs) < 2 {
+		return mean, std
+	}
+	for _, v := range vs {
+		for i, x := range v {
+			d := x - mean[i]
+			std[i] += d * d
+		}
+	}
+	inv := 1 / float64(len(vs))
+	for i := range std {
+		std[i] = math.Sqrt(std[i] * inv)
+	}
+	return mean, std
 }
 
 func TestALIEAutoZIsPositive(t *testing.T) {

@@ -20,6 +20,12 @@ import (
 // the subset already available — omniscience degraded by real asynchrony.
 // Attacks therefore must tolerate an empty Honest() set (falling back to
 // the honest basis vector Corrupt receives).
+//
+// A view's vectors are valid until the attack's next Observe: a live
+// runtime may hand the memory behind a snapshot back to the tensor free
+// list once the attack has observed the one after it (the launcher does at
+// the end of a run, see SharedView.Close), so an attack that keeps a value
+// past that copies it.
 type ClusterView interface {
 	// Step is the protocol step the view belongs to.
 	Step() int
@@ -37,8 +43,11 @@ type ClusterView interface {
 // Omniscient marks attacks that adapt to the honest cluster state. Runtimes
 // call Observe with the current step's view before invoking Corrupt for
 // that step. Observe may be called multiple times per step (the live
-// runtimes refresh the view as honest vectors arrive); implementations keep
-// the latest view and must be safe for concurrent use.
+// runtimes refresh the view as honest vectors arrive); implementations
+// adopt the view they are given — whatever its step, so a new run starts
+// from its own first view — stop reading the one before, and must be safe
+// for concurrent use. One instance shared by several node loops therefore
+// crafts from whichever loop observed last.
 type Omniscient interface {
 	Attack
 	// Observe hands the attack its view of the honest cluster.
@@ -91,10 +100,14 @@ const sharedViewWindow = 16
 
 // SharedView implements omniscience for the live runtimes: the runtime
 // publishes every honest node's outbound vector of a step (once per step,
-// cloned at publication so senders may keep mutating their buffers), and
+// copied at publication so senders may keep mutating their buffers), and
 // Byzantine nodes snapshot the set published so far. Because nodes run
 // concurrently, a snapshot may be partial — the faithful "arbitrarily fast
 // but not clairvoyant" adversary.
+//
+// The copies come from the tensor free list. A step leaving the window is
+// left to the garbage collector, since a snapshot of it may still be read;
+// what the window holds at the end of the run goes back at Close.
 type SharedView struct {
 	f         int
 	colluders int
@@ -110,13 +123,13 @@ func NewSharedView(f, colluders int) *SharedView {
 	return &SharedView{f: f, colluders: colluders, steps: make(map[int][]tensor.Vector)}
 }
 
-// Publish records one honest node's vector for the given step. The vector
-// is cloned.
+// Publish records a copy of one honest node's vector for the given step.
 func (s *SharedView) Publish(step int, vec tensor.Vector) {
-	clone := tensor.Clone(vec)
+	cp := tensor.Get(len(vec))
+	copy(cp, vec)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.steps[step] = append(s.steps[step], clone)
+	s.steps[step] = append(s.steps[step], cp)
 	for old := range s.steps {
 		if old < step-sharedViewWindow {
 			delete(s.steps, old)
@@ -125,10 +138,29 @@ func (s *SharedView) Publish(step int, vec tensor.Vector) {
 }
 
 // Snapshot returns the view of one step: the honest vectors published so
-// far. The returned vectors are the published clones and are read-only.
+// far. The returned vectors are the published copies and are read-only.
 func (s *SharedView) Snapshot(step int) ClusterView {
 	s.mu.Lock()
 	honest := append([]tensor.Vector(nil), s.steps[step]...)
 	s.mu.Unlock()
 	return NewStepView(step, honest, s.f, s.colluders)
+}
+
+// Close hands every copy still in the window back to the free list. The
+// caller guarantees that nothing reads a snapshot of the view any more: the
+// live launcher closes its views once every node loop has returned and every
+// Omniscient attack has observed an empty view. Closing a nil view does
+// nothing.
+func (s *SharedView) Close() {
+	if s == nil {
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, vecs := range s.steps {
+		for _, v := range vecs {
+			tensor.Put(v)
+		}
+	}
+	clear(s.steps)
 }

@@ -469,6 +469,13 @@ func RunLiveContext(ctx context.Context, cfg LiveConfig) (*LiveResult, error) {
 		}()
 	}
 	loops.Wait()
+	// No loop reads the adversary's views any more: once no attack holds a
+	// snapshot either, the copies still in their windows go back to the
+	// free list.
+	attack.ObserveAll(cfg.ServerAttacks, attack.StepView{})
+	attack.ObserveAll(cfg.WorkerAttacks, attack.StepView{})
+	p.serverView.Close()
+	p.workerView.Close()
 	m.close() // also settles in-flight delayed deliveries before the counters are read
 	flushes.Wait()
 	if err := ctx.Err(); err != nil {
@@ -572,7 +579,7 @@ func runChurnServer(network *transport.ChanNetwork, sep transport.Endpoint, scfg
 
 // AdversaryViews builds the shared omniscient views for an in-process
 // deployment — one per message class, and only when some Byzantine node can
-// actually use one (publishing costs honest nodes a clone per step
+// actually use one (publishing costs honest nodes a copy per step
 // otherwise). The TCP-in-one-process runtime shares them too; true
 // multi-process deployments run without (see ServerConfig.View).
 func AdversaryViews(fServers int, serverAttacks map[int]attack.Attack,

@@ -190,7 +190,9 @@ type ServerConfig struct {
 	// it before corrupting. In-process runtimes share one view per message
 	// class; multi-process deployments leave it nil (an adversary spanning
 	// processes would need its own covert channel), in which case
-	// omniscient attacks degrade to their local-knowledge fallback.
+	// omniscient attacks degrade to their local-knowledge fallback. Whoever
+	// built the view closes it after every loop sharing it has returned
+	// (RunLiveContext does), or leaves its copies to the garbage collector.
 	View *attack.SharedView
 	// Suspicion, when non-nil and GradRule is selective (e.g. Multi-Krum),
 	// accumulates which workers' gradients the rule excluded each round —

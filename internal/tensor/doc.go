@@ -41,6 +41,10 @@
 //	nn.Sequential.GradVector (a gradient)     cluster.RunWorker after its last send;
 //	                                            nn.BatchGradient for the chunk
 //	                                            gradients it folded
+//	attack.SharedView.Publish (the            SharedView.Close, which the launcher
+//	  adversary's copy of an honest θ or        calls once the run's loops returned,
+//	  gradient)                                 for what is still in the 16-step
+//	                                            window (older steps go to the GC)
 //
 // Never returned: a per-shard view of a whole-vector message (the whole is,
 // once), a frame whose length the collector's layout does not produce, a
