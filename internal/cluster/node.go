@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -250,6 +251,7 @@ func RunServer(ep transport.Endpoint, cfg ServerConfig) (tensor.Vector, error) {
 		transport.KindGradient:   cfg.Workers,
 		transport.KindPeerParams: cfg.Peers,
 	}, cfg.GradRule, cfg.ParamRule)
+	defer qm.col.Advance(math.MaxInt) // what the run left buffered goes back
 	theta := tensor.Clone(cfg.Init)
 
 	start := 0
@@ -429,6 +431,7 @@ func RunWorker(ep transport.Endpoint, cfg WorkerConfig) error {
 	}
 	qm := newQuorum(ep, dim, cfg.ShardSize, cfg.Timeout, h,
 		map[transport.Kind][]string{transport.KindParams: cfg.Servers}, cfg.ParamRule)
+	defer qm.col.Advance(math.MaxInt) // what the run left buffered goes back
 
 	for t := 0; t < cfg.Steps; t++ {
 		qm.col.Advance(t)

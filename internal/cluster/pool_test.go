@@ -5,6 +5,8 @@ import (
 	"math"
 	"runtime"
 	"runtime/debug"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -199,4 +201,202 @@ func TestSteadyStateStepAllocatesNoVector(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("worker", clock.allocs)
+}
+
+// tally counts the d-vectors a node's endpoint sent and the ones its loop
+// read.
+type tally struct {
+	transport.Endpoint
+	dim        int
+	sent, read *atomic.Int64
+}
+
+func (e tally) Send(to string, m transport.Message) error {
+	err := e.Endpoint.Send(to, m)
+	if err == nil && len(m.Vec) == e.dim {
+		e.sent.Add(1)
+	}
+	return err
+}
+
+func (e tally) Recv(timeout time.Duration) (transport.Message, bool) {
+	m, ok := e.Endpoint.Recv(timeout)
+	if ok && len(m.Vec) == e.dim {
+		e.read.Add(1)
+	}
+	return m, ok
+}
+
+// TestSecondLiveRunReusesUnreadFrames: a run's unread tail — the frames
+// beyond each quorum of its last step, which no loop receives — goes back
+// to the free list when the endpoints close, so a second run of the same
+// deployment finds those vectors there instead of allocating them again.
+// A 3+3 mesh with quorums of 2 leaves such a tail, at the benchmark's wide
+// dimension, on one processor and without garbage collection, as in
+// TestSteadyStateStepAllocatesNoVector. Beyond the θ each server clones
+// from Init, the second run must allocate fewer than half as many
+// d-vectors as the first run left unread.
+func TestSecondLiveRunReusesUnreadFrames(t *testing.T) {
+	if putPoisons() {
+		t.Skip("the race detector's sync.Pool drops a quarter of all Puts")
+	}
+	procs, gc := runtime.GOMAXPROCS(1), debug.SetGCPercent(-1)
+	defer func() {
+		runtime.GOMAXPROCS(procs)
+		debug.SetGCPercent(gc)
+	}()
+	const steps, quorum = 3, 2
+	model := nn.NewMLP(tensor.NewRNG(3), 192, 1024, 10)
+	dim := model.ParamCount()
+	init := tensor.NewRNG(4).NormVec(make(tensor.Vector, dim), 0, 0.01)
+	serverIDs, workerIDs := []string{"ps0", "ps1", "ps2"}, []string{"wrk0", "wrk1", "wrk2"}
+	data := &dataset.Dataset{NumClasses: 10, FeatureDim: 192}
+	rng := tensor.NewRNG(5)
+	for i := 0; i < 8; i++ {
+		data.X = append(data.X, rng.NormVec(make([]float64, 192), 0, 1))
+		data.Labels = append(data.Labels, i%10)
+	}
+	models := []*nn.Sequential{model, model.Clone(), model.Clone()}
+
+	// run executes the deployment once and returns how many d-vectors its
+	// loops left unread.
+	run := func() int64 {
+		var sent, read atomic.Int64
+		network := transport.NewChanNetwork(nil)
+		eps := make(map[string]transport.Endpoint)
+		for _, id := range append(append([]string(nil), serverIDs...), workerIDs...) {
+			ep, err := network.Register(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eps[id] = tally{Endpoint: ep, dim: dim, sent: &sent, read: &read}
+		}
+		var (
+			wg   sync.WaitGroup
+			mu   sync.Mutex
+			errs []error
+		)
+		fail := func(err error) {
+			mu.Lock()
+			errs = append(errs, err)
+			mu.Unlock()
+		}
+		for i, id := range serverIDs {
+			peers := append(append([]string(nil), serverIDs[:i]...), serverIDs[i+1:]...)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, err := RunServer(eps[id], ServerConfig{
+					ID: id, Workers: workerIDs, Peers: peers, Init: init,
+					GradRule: gar.Median{}, ParamRule: gar.Median{},
+					QuorumGradients: quorum, QuorumParams: quorum,
+					Steps: steps, LR: func(int) float64 { return 0.01 }, Timeout: 10 * time.Second,
+				}); err != nil {
+					fail(err)
+				}
+			}()
+		}
+		for j, id := range workerIDs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if err := RunWorker(eps[id], WorkerConfig{
+					ID: id, Servers: serverIDs, Model: models[j],
+					Sampler: dataset.NewSampler(data, tensor.NewRNG(uint64(6+j))),
+					Batch:   2, ParamRule: gar.Median{}, QuorumParams: quorum,
+					Steps: steps, Timeout: 10 * time.Second,
+				}); err != nil {
+					fail(err)
+				}
+			}()
+		}
+		wg.Wait()
+		network.Close()
+		if len(errs) > 0 {
+			t.Fatal(errs[0])
+		}
+		return sent.Load() - read.Load()
+	}
+
+	unread := run()
+	if unread < int64(len(workerIDs)) {
+		t.Fatalf("the first run left %d frames unread; every worker's last quorum leaves at least one", unread)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run()
+	runtime.ReadMemStats(&after)
+	vectors := float64(after.TotalAlloc-before.TotalAlloc)/float64(8*dim) - float64(len(serverIDs))
+	if vectors >= float64(unread)/2 {
+		t.Errorf("the second run allocated %.1f d-vectors besides the servers' θ clones; the first run left %d unread, which should have come back",
+			vectors, unread)
+	}
+	t.Logf("first run left %d frames unread; the second allocated %.2f d-vectors besides the θ clones", unread, vectors)
+}
+
+// scripted is an endpoint whose Recv hands over queued messages as they
+// are, vector included, and whose Send only borrows.
+type scripted struct{ queue []transport.Message }
+
+func (s *scripted) ID() string                           { return "wrk0" }
+func (s *scripted) Send(string, transport.Message) error { return nil }
+func (s *scripted) Close() error                         { return nil }
+func (s *scripted) Recv(time.Duration) (transport.Message, bool) {
+	if len(s.queue) == 0 {
+		return transport.Message{}, false
+	}
+	m := s.queue[0]
+	s.queue = s.queue[1:]
+	return m, true
+}
+
+// TestNodeLoopReturnsWhatItLeftBuffered: a frame the collector buffered for
+// a step the loop never reached goes back to the free list when the loop
+// returns — its last Advance — instead of to the garbage collector.
+func TestNodeLoopReturnsWhatItLeftBuffered(t *testing.T) {
+	procs, gc := runtime.GOMAXPROCS(1), debug.SetGCPercent(-1)
+	defer func() {
+		runtime.GOMAXPROCS(procs)
+		debug.SetGCPercent(gc)
+	}()
+	model := nn.NewMLP(tensor.NewRNG(3), 7, 5, 3) // a dimension no other test uses
+	dim := model.ParamCount()
+	filled := func(x float64) tensor.Vector {
+		v := make(tensor.Vector, dim)
+		for i := range v {
+			v[i] = x
+		}
+		return v
+	}
+	servers := []string{"ps0", "ps1", "ps2"}
+	ahead := filled(1)
+	ep := &scripted{queue: []transport.Message{{From: "ps0", Kind: transport.KindParams, Step: 1, Vec: ahead}}}
+	for _, from := range servers {
+		ep.queue = append(ep.queue, transport.Message{From: from, Kind: transport.KindParams, Step: 0, Vec: filled(0.5)})
+	}
+	data := &dataset.Dataset{NumClasses: 3, FeatureDim: 7}
+	for i := 0; i < 4; i++ {
+		data.X = append(data.X, filled(float64(i))[:7])
+		data.Labels = append(data.Labels, i%3)
+	}
+	if err := RunWorker(ep, WorkerConfig{
+		ID: "wrk0", Servers: servers, Model: model, Sampler: dataset.NewSampler(data, tensor.NewRNG(4)),
+		Batch: 2, ParamRule: gar.Median{}, QuorumParams: len(servers), Steps: 1, Timeout: time.Second,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if putPoisons() {
+		if !math.IsNaN(ahead[0]) {
+			t.Fatal("the frame buffered for step 1 was not handed to the free list when the loop returned")
+		}
+		return
+	}
+	// The free list holds the step-0 frames and aggregates too: look
+	// through as many vectors as the run can have put back.
+	for range 4 * len(servers) {
+		if v := tensor.Get(dim); &v[0] == &ahead[0] {
+			return
+		}
+	}
+	t.Fatal("the frame buffered for step 1 was not handed to the free list when the loop returned")
 }

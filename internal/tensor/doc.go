@@ -22,10 +22,14 @@
 //	  after its first 64 KiB chunk landed)      for a frame it drops unbuffered, at
 //	compress.Decoder (an expanded frame,        Recycle for one it buffered — after the
 //	  after every structural check)             streamer's Result and the Suspicion
-//	transport.Message.Clone (in-process         report, or at the next Advance
-//	  delivery)
-//	transport.Collector.assemble (a chunk
-//	  stream joined at a one-shard layout)
+//	transport.Message.Clone (in-process         report, or at the next Advance, the
+//	  delivery)                                 last one past the final step when the
+//	transport.Collector.assemble (a chunk       node loop returns. A frame no loop
+//	  stream joined at a one-shard layout)      received: the receiving endpoint's
+//	                                            Mailbox, by Reclaim, when it sheds the
+//	                                            frame (drop-newest, drop-oldest, put
+//	                                            after Close) or the endpoint closes
+//	                                            with it still queued
 //	transport.Couriers.Broadcast (one         the snapshot's lease, at its last
 //	  snapshot per frame — Message.Clone —      release: each destination's queued copy
 //	  leased to every destination's outbox;     holds one share, given up by the link
@@ -47,7 +51,8 @@
 //	                                            window (older steps go to the GC)
 //
 // Never returned: a per-shard view of a whole-vector message (the whole is,
-// once), a frame whose length the collector's layout does not produce, a
+// once), a frame whose length the collector's layout does not produce or,
+// discarded by a mailbox, no existing class has (Reclaim creates none), a
 // vector a failed read left half-filled, the θ RunServer returns, and
 // anything whose owner simply drops it — the simulator, every
 // Rule.Aggregate caller, the fault injector's held copies. Those fall to the

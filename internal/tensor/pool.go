@@ -16,9 +16,11 @@ import "sync"
 //
 //   - Get never creates a size class; only Put does, and only code that
 //     vouches for the length calls Put: the collector for lengths its layout
-//     produces, a node for vectors it made itself. A sender declaring odd
-//     lengths therefore grows nothing — its frames fall through to make and
-//     to the garbage collector, as they always did.
+//     produces, a node for vectors it made itself. Code that cannot vouch —
+//     a mailbox discarding a frame nobody received — calls Reclaim, which
+//     creates none either. A sender declaring odd lengths therefore grows
+//     nothing — its frames fall through to make and to the garbage
+//     collector, as they always did.
 //   - Get reserves memory exactly where make did. The wire reader still
 //     commits a vector only after the frame's first 64 KiB chunk has landed,
 //     and only up to the exact-allocation bound (codec.go).
@@ -57,16 +59,31 @@ func Put(v Vector) {
 	if cap(v) == 0 {
 		return
 	}
-	v = v[:cap(v)]
-	poison(v)
-	p := class(len(v))
+	p := class(cap(v))
 	if p == nil {
 		classMu.Lock()
-		if p = classes[len(v)]; p == nil {
+		if p = classes[cap(v)]; p == nil {
 			p = new(sync.Pool)
-			classes[len(v)] = p
+			classes[cap(v)] = p
 		}
 		classMu.Unlock()
 	}
+	release(p, v)
+}
+
+// Reclaim is Put for a vector whose length nobody vouches for — a received
+// frame a transport discards before any collector saw it, its length the
+// sender's choice. It hands v back only into a size class that already
+// exists and otherwise leaves it to the garbage collector, so it creates no
+// class. The ownership rules are Put's.
+func Reclaim(v Vector) {
+	if p := class(cap(v)); p != nil {
+		release(p, v)
+	}
+}
+
+func release(p *sync.Pool, v Vector) {
+	v = v[:cap(v)]
+	poison(v)
 	p.Put(&v)
 }

@@ -94,14 +94,15 @@ func (n *ChanNetwork) Register(id string) (Endpoint, error) {
 // Register — the in-process analogue of a crashed process freeing its
 // listening socket, which is what lets a killed node restart under the same
 // name mid-run. The ID's metrics handle stays, so its drop history carries
-// over to the next incarnation. Unknown IDs are a no-op.
+// over to the next incarnation; the frames it never received go back to
+// the free list. Unknown IDs are a no-op.
 func (n *ChanNetwork) Unregister(id string) {
 	n.mu.Lock()
 	ep, ok := n.nodes[id]
 	delete(n.nodes, id)
 	n.mu.Unlock()
 	if ok {
-		ep.box.Close()
+		ep.box.shut()
 	}
 }
 
@@ -147,7 +148,8 @@ func (n *ChanNetwork) Metrics(id string) *metrics.NodeMetrics {
 }
 
 // Close shuts down every endpoint and waits for in-flight delayed deliveries
-// to resolve.
+// to resolve. Frames no node received — still queued, or delivered after
+// the close — go back to the free list (see Mailbox.Put).
 func (n *ChanNetwork) Close() error {
 	n.mu.Lock()
 	if n.closed {
@@ -162,7 +164,7 @@ func (n *ChanNetwork) Close() error {
 	}
 	n.mu.Unlock()
 	for _, ep := range nodes {
-		ep.box.Close()
+		ep.box.shut()
 	}
 	n.timers.Wait()
 	return nil
@@ -222,6 +224,6 @@ func (e *chanEndpoint) Recv(timeout time.Duration) (Message, bool) {
 }
 
 func (e *chanEndpoint) Close() error {
-	e.box.Close()
+	e.box.shut()
 	return nil
 }

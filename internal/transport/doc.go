@@ -56,9 +56,11 @@
 // Put), Couriers own one outbox per link (callers hand over a message at
 // Send and must not mutate it afterwards — Couriers clones defensively at
 // enqueue, once per broadcast, so node loops may reuse their broadcast
-// vector anyway). Close on
-// either side flushes: Recv drains messages accepted before Close, Put
-// after Close is refused and counted in DroppedClosed.
+// vector anyway). Close on either side flushes: Recv drains messages
+// accepted before a Mailbox's Close, Put after Close is refused and counted
+// in DroppedClosed. A closing endpoint keeps nothing for a Recv that will
+// not come: the frames still in its inbound Mailbox go back to the free
+// list.
 //
 // Overflow is accounted per sender, which is the property that makes a
 // bound Byzantine-safe: a flooding sender can only evict (DropOldest) or
@@ -134,6 +136,14 @@
 //	                          the message is lent like any other — Clone gives
 //	                          a deep copy with no share in the lease
 //	Endpoint.Recv             the caller; the endpoint keeps no reference
+//	a frame no Recv took      the receiving endpoint's inbound Mailbox, which
+//	                          returns it (tensor.Reclaim) when it sheds it —
+//	                          drop-newest, drop-oldest, put after Close — or
+//	                          when the endpoint closes (TCPNode.Close, a
+//	                          ChanNetwork endpoint's Close, Unregister,
+//	                          ChanNetwork.Close) with the frame still queued.
+//	                          A courier outbox gives up only its copy's share
+//	                          of the lease
 //	Collector, via Recv       the Collector. A frame it drops before buffering
 //	                          (sender not legal for its kind, round already
 //	                          decided, stale, beyond the horizon, failing the
@@ -144,7 +154,9 @@
 //	                          and Recycle — which the node calls once the
 //	                          streamer's Result and the Suspicion report are
 //	                          done, and Advance calls for abandoned rounds —
-//	                          returns the list
+//	                          returns the list. The node loop's last Advance,
+//	                          past its final step as it returns, releases
+//	                          what the run left buffered
 //	ShardFold inputs          the Collector still; a fold may read and retain
 //	                          them until that Recycle
 //
@@ -152,7 +164,8 @@
 // its own layout produces — the dimension, and at a multi-shard layout the
 // shard extents — so a frame declaring any other length is dropped to the
 // garbage collector and never becomes a size class (Get creates none
-// either); it never returns a view into a longer vector (the per-shard
+// either, and a Mailbox returns what it discards only into a class that
+// exists: Reclaim creates none); it never returns a view into a longer vector (the per-shard
 // views of a whole-vector message: the whole goes back, once, when the
 // round is released) nor the chunk frames it joined at a one-shard layout
 // (their lengths are the sender's choice). The wire reader takes a vector

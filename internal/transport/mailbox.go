@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/tensor"
 )
 
 // OverflowPolicy selects what a bounded mailbox does when one sender's
@@ -168,6 +169,10 @@ type Mailbox struct {
 	length     int
 	peers      map[string]*peerQueue
 	closed     bool
+	// free chains unlinked entries (through next) for the next Put to
+	// reuse: entries are made only when it is empty, so the mailbox never
+	// holds more of them than its peak length.
+	free *mailEntry
 
 	// counts is the metrics handle the mailbox increments: overflow and
 	// after-Close drops, and (inbound only) the current queue depth.
@@ -254,21 +259,40 @@ func (m *Mailbox) publishDepth() {
 	}
 }
 
+// discard disposes of a message nobody will receive. A courier outbox's
+// copy gives up its share of the lease and nothing else. An inbound frame
+// (which holds no share) is the mailbox's own, and its vector goes back to
+// the free list — by Reclaim, since the sender declared its length. It
+// needs no lock: Put calls it after releasing mu.
+func (m *Mailbox) discard(msg Message) {
+	if !m.outbox && msg.lease == nil {
+		tensor.Reclaim(msg.Vec)
+	}
+	msg.lease.release()
+}
+
 // Put enqueues a message keyed by its From field. Messages put after Close
 // are dropped and counted under DroppedClosed (the node has left the
 // computation, but the loss stays observable). When the sender's queue is
 // at the cap, the overflow policy decides: Backpressure blocks until the
 // queue drains or the mailbox closes; DropNewest discards msg; DropOldest
 // evicts the sender's oldest queued message to admit msg. Every overflow
-// discard increments DroppedOverflow. A discarded message's share of a
-// courier lease is released here: nobody else will see the message again.
+// discard increments DroppedOverflow. Put hands msg over: a message it
+// discards goes back here (see discard), as nobody else will see it again.
 func (m *Mailbox) Put(msg Message) {
+	if shed, ok := m.enqueue(msg); ok {
+		m.discard(shed)
+	}
+}
+
+// enqueue is Put under mu, short of disposing of what it sheds: it returns
+// the message to discard, if any.
+func (m *Mailbox) enqueue(msg Message) (shed Message, ok bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
 		m.counts.DroppedClosed.Add(1)
-		msg.lease.release()
-		return
+		return msg, true
 	}
 	pq := m.peers[msg.From]
 	if pq == nil {
@@ -283,21 +307,27 @@ func (m *Mailbox) Put(msg Message) {
 			}
 			if m.closed {
 				m.counts.DroppedClosed.Add(1)
-				msg.lease.release()
-				return
+				return msg, true
 			}
 		case DropNewest:
 			m.dropOverflow()
-			msg.lease.release()
-			return
+			return msg, true
 		case DropOldest:
 			evicted := pq.oldest
 			m.unlink(evicted)
 			m.dropOverflow()
-			evicted.msg.lease.release()
+			shed, ok = evicted.msg, true
+			m.recycle(evicted)
 		}
 	}
-	e := &mailEntry{msg: msg, peer: pq}
+	e := m.free
+	if e != nil {
+		m.free = e.next
+		e.next = nil
+	} else {
+		e = new(mailEntry)
+	}
+	e.msg, e.peer = msg, pq
 	if m.tail == nil {
 		m.head, m.tail = e, e
 	} else {
@@ -316,6 +346,7 @@ func (m *Mailbox) Put(msg Message) {
 	m.length++
 	m.publishDepth()
 	m.recvCond.Signal()
+	return shed, ok
 }
 
 // unlink removes e from both chains and the accounting. Caller holds mu.
@@ -343,6 +374,13 @@ func (m *Mailbox) unlink(e *mailEntry) {
 	}
 	pq.count--
 	m.length--
+}
+
+// recycle puts an unlinked entry on the free chain, zeroed first so that it
+// keeps no vector or lease reachable. Caller holds mu.
+func (m *Mailbox) recycle(e *mailEntry) {
+	*e = mailEntry{next: m.free}
+	m.free = e
 }
 
 // Recv dequeues the oldest message across all senders, blocking until one
@@ -380,11 +418,13 @@ func (m *Mailbox) Recv(timeout time.Duration) (Message, bool) {
 	}
 	e := m.head
 	m.unlink(e)
+	msg := e.msg
+	m.recycle(e)
 	m.publishDepth()
 	if m.cfg.Policy == Backpressure {
 		m.sendCond.Broadcast()
 	}
-	return e.msg, true
+	return msg, true
 }
 
 // Len returns the number of queued messages across all senders.
@@ -399,10 +439,30 @@ func (m *Mailbox) Len() int {
 func (m *Mailbox) Close() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	m.close()
+}
+
+func (m *Mailbox) close() {
 	if m.closed {
 		return
 	}
 	m.closed = true
 	m.recvCond.Broadcast()
 	m.sendCond.Broadcast()
+}
+
+// shut is Close by an endpoint that is going away: no Recv will follow, so
+// the messages still queued are discarded (see discard) instead of being
+// kept for one. The closing endpoint is the last owner of the frames its
+// node never received.
+func (m *Mailbox) shut() {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.close()
+	for e := m.head; e != nil; e = m.head {
+		m.unlink(e)
+		m.discard(e.msg)
+		m.recycle(e)
+	}
+	m.publishDepth()
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/compress"
+	"repro/internal/metrics"
 	"repro/internal/tensor"
 )
 
@@ -497,6 +498,270 @@ func TestRecycledConnReaderLeaksNothing(t *testing.T) {
 		}
 		if !sameBits(got[i].Vec, want[i].Vec) {
 			t.Fatalf("frame %d decodes differently through the recycled reader", i)
+		}
+	}
+}
+
+// sizeClass gives the free list a class for length n, the way a collector's
+// first Put at its layout's lengths does, and leaves the class empty.
+func sizeClass(n int) {
+	tensor.Put(make(tensor.Vector, n))
+	tensor.Get(n)
+}
+
+// returnedOnce reports whether each of vs — vectors of one length, which no
+// other test may use — went back to the free list exactly once: recycled,
+// and (outside race builds, whose pools drop Puts) the free list holds
+// nothing more of their length, as it would if one had gone back twice.
+// Needs quietPool.
+func returnedOnce(vs ...tensor.Vector) bool {
+	if !recycled(vs...) {
+		return false
+	}
+	if raceEnabled {
+		return true
+	}
+	extra := tensor.Get(cap(vs[0]))
+	for _, v := range vs {
+		if &extra[0] == &v[:1][0] {
+			return false
+		}
+	}
+	return true
+}
+
+// queued waits until box holds want messages and returns their vectors, in
+// arrival order.
+func queued(t *testing.T, box *Mailbox, want int) []tensor.Vector {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for box.Len() < want {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d frames arrived", box.Len(), want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	box.mu.Lock()
+	defer box.mu.Unlock()
+	var vs []tensor.Vector
+	for e := box.head; e != nil; e = e.next {
+		vs = append(vs, e.msg.Vec)
+	}
+	return vs
+}
+
+// TestClosingTCPNodeReturnsUnreadFrames: the frames a node's read loops
+// queued and its node loop never read are the node's to hand back when it
+// closes — each once, and only into a size class that already exists, so a
+// frame of a length nobody vouched for stays with the garbage collector.
+func TestClosingTCPNodeReturnsUnreadFrames(t *testing.T) {
+	quietPool(t)
+	const n, odd = 1919, 1921
+	sizeClass(n)
+	recv, err := ListenTCP("recv", "127.0.0.1:0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recv.Close()
+	send, err := ListenTCP("send", "127.0.0.1:0", map[string]string{"recv": recv.Addr()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer send.Close()
+	for step, vec := range []tensor.Vector{seq(n, 1), seq(n, 2), seq(odd, 3), seq(n, 4)} {
+		if err := send.Send("recv", Message{Kind: KindGradient, Step: step, Vec: vec}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	unread := queued(t, recv.box, 4)
+	if err := recv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !returnedOnce(unread[0], unread[1], unread[3]) {
+		t.Fatal("the unread frames did not each go back to the free list exactly once")
+	}
+	if recycled(unread[2]) {
+		t.Fatalf("an unread %d-coordinate frame, a length with no class, went to the free list", odd)
+	}
+}
+
+// TestClosingChanNetworkReturnsUnreadFrames: the in-process network hands
+// back what its endpoints never received on every way down — an endpoint's
+// Close, Unregister, and the network's Close, which also settles the
+// delayed deliveries that land after it.
+func TestClosingChanNetworkReturnsUnreadFrames(t *testing.T) {
+	quietPool(t)
+	const n, odd = 2121, 2123
+	sizeClass(n)
+	for _, way := range []string{"endpoint Close", "Unregister", "network Close"} {
+		network := NewChanNetwork(nil)
+		a, _ := network.Register("a")
+		b, _ := network.Register("b")
+		for step, vec := range []tensor.Vector{seq(n, 1), seq(odd, 2), seq(n, 3)} {
+			if err := a.Send("b", Message{Kind: KindParams, Step: step, Vec: vec}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		unread := queued(t, b.(*chanEndpoint).box, 3)
+		switch way {
+		case "endpoint Close":
+			b.Close()
+		case "Unregister":
+			network.Unregister("b")
+		}
+		network.Close()
+		if !returnedOnce(unread[0], unread[2]) {
+			t.Fatalf("%s: the unread frames did not each go back to the free list exactly once", way)
+		}
+		if recycled(unread[1]) {
+			t.Fatalf("%s: an unread frame of a length with no class went to the free list", way)
+		}
+	}
+
+	// A delivery delayed past the network's Close lands in a closed mailbox.
+	// Its vector is the Send's clone, which takes the one the free list
+	// holds (outside race builds, whose pools drop Puts).
+	network := NewChanNetwork(func(string, string) time.Duration { return 20 * time.Millisecond })
+	a, _ := network.Register("a")
+	network.Register("b")
+	held := make(tensor.Vector, n)
+	tensor.Put(held)
+	if err := a.Send("b", Message{Kind: KindParams, Vec: seq(n, 1)}); err != nil {
+		t.Fatal(err)
+	}
+	network.Close()
+	if got := network.Metrics("b").DroppedClosed.Load(); got != 1 {
+		t.Fatalf("DroppedClosed = %d, want the one delayed delivery", got)
+	}
+	if !raceEnabled && !returnedOnce(held) {
+		t.Fatal("the delayed delivery's vector did not go back to the free list exactly once")
+	}
+}
+
+// TestMailboxDropsReturnUnreadFrames: a bounded inbound mailbox owns the
+// frames it sheds — rejected (drop-newest), evicted (drop-oldest) or put
+// after Close — and hands each one's vector back once, into an existing
+// class only. A courier outbox sheds only its copy's share of the lease:
+// the snapshot goes back with the last share, wherever that is released.
+func TestMailboxDropsReturnUnreadFrames(t *testing.T) {
+	quietPool(t)
+	const n, odd = 2525, 2527
+	sizeClass(n)
+	inbound := func(p OverflowPolicy) *Mailbox { return NewMailboxWith(MailboxConfig{Cap: 1, Policy: p}) }
+	msg := func(from string, v tensor.Vector) Message { return Message{From: from, Kind: KindGradient, Vec: v} }
+
+	box := inbound(DropNewest)
+	kept, rejected, rejectedOdd := seq(n, 1), seq(n, 2), seq(odd, 3)
+	box.Put(msg("a", kept))
+	box.Put(msg("a", rejected))
+	box.Put(msg("a", rejectedOdd))
+	if !returnedOnce(rejected) || recycled(rejectedOdd) {
+		t.Fatal("drop-newest: the rejected frame did not go back once, or the one of a classless length did")
+	}
+	if got, ok := box.Recv(0); !ok || &got.Vec[0] != &kept[0] || recycled(kept) {
+		t.Fatal("drop-newest: the queued frame was not delivered untouched")
+	}
+
+	box = inbound(DropOldest)
+	evicted, admitted := seq(n, 4), seq(n, 5)
+	box.Put(msg("a", evicted))
+	box.Put(msg("a", admitted))
+	if !returnedOnce(evicted) || recycled(admitted) {
+		t.Fatal("drop-oldest: the evicted frame did not go back once, or the admitted one did")
+	}
+
+	box.Close()
+	late := seq(n, 6)
+	box.Put(msg("b", late))
+	if !returnedOnce(late) {
+		t.Fatal("a frame put after Close did not go back once")
+	}
+
+	out := newMailbox(MailboxConfig{Cap: 1, Policy: DropNewest}, metrics.NewNodeMetrics(), true)
+	snapshot, unleased := seq(n, 7), seq(n, 8)
+	l := &lease{vec: snapshot}
+	l.refs.Store(2)
+	shared := msg("a", snapshot)
+	shared.lease = l
+	out.Put(shared)
+	out.Put(shared) // rejected: gives up one share
+	out.Put(msg("a", unleased))
+	if l.refs.Load() != 1 || recycled(snapshot) || recycled(unleased) {
+		t.Fatalf("outbox: a rejected copy left %d shares and returned a vector; want 1 share and none", l.refs.Load())
+	}
+	got, _ := out.Recv(0)
+	got.lease.release()
+	if !returnedOnce(snapshot) {
+		t.Fatal("outbox: the last share did not return the snapshot once")
+	}
+}
+
+// TestMailboxReusesItsEntries: a mailbox makes a queue entry only when none
+// is free, so it holds as many as its peak length, and an entry that went
+// back to the free chain keeps no message reachable.
+func TestMailboxReusesItsEntries(t *testing.T) {
+	box := NewMailbox()
+	for round := 0; round < 3; round++ {
+		for i := 0; i < 5; i++ {
+			box.Put(Message{From: "a", Step: i, Vec: tensor.Vector{1}})
+		}
+		for range 5 {
+			if _, ok := box.Recv(0); !ok {
+				t.Fatal("a queued message was not delivered")
+			}
+		}
+	}
+	entries := 0
+	for e := box.free; e != nil; e = e.next {
+		entries++
+		if e.msg.Vec != nil || e.msg.lease != nil || e.peer != nil || e.prev != nil || e.pnext != nil || e.pprev != nil {
+			t.Fatal("a free entry still references a message or its chains")
+		}
+	}
+	if entries != 5 {
+		t.Fatalf("three rounds of five messages left %d entries, want the peak length 5", entries)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		box.Put(Message{From: "a"})
+		box.Recv(0)
+	}); allocs != 0 {
+		t.Fatalf("a Put/Recv round trip allocates %v times, want 0", allocs)
+	}
+}
+
+// TestCollectorReusesRoundBuffers: a decided round's buffer — its slots'
+// candidate lists and dedup sets — serves the next round, emptied: nothing
+// of the previous round's messages stays reachable from it.
+func TestCollectorReusesRoundBuffers(t *testing.T) {
+	const dim = 3131
+	ep := &handoff{}
+	c := NewCollector(ep, NewShardLayout(dim, 1000))
+	bufs := make(map[*stepBuf]bool)
+	for step := 0; step < 4; step++ {
+		c.Advance(step)
+		for _, from := range []string{"a", "b", "c"} {
+			ep.queue = append(ep.queue, Message{From: from, Kind: KindGradient, Step: step, Vec: seq(dim, 1)})
+		}
+		_, err := c.Collect(KindGradient, step, 3, nil, "", false, func(int, int, []string, []tensor.Vector) error {
+			bufs[c.buf[collectorKey{KindGradient, step}]] = true
+			return nil
+		}, time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(bufs) != 1 || len(c.free) != 1 {
+		t.Fatalf("four rounds used %d buffers and kept %d, want one", len(bufs), len(c.free))
+	}
+	for _, s := range c.free[0].slots {
+		if len(s.msgs) != 0 || len(s.seen) != 0 || s.folded || cap(s.msgs) < 3 {
+			t.Fatalf("a retired slot holds %d messages, %d senders, folded=%v, capacity %d; want an empty slot with capacity ≥ 3",
+				len(s.msgs), len(s.seen), s.folded, cap(s.msgs))
+		}
+		for _, m := range s.msgs[:cap(s.msgs)] {
+			if m.Vec != nil {
+				t.Fatal("a retired slot keeps a message's vector reachable")
+			}
 		}
 	}
 }

@@ -118,6 +118,9 @@ type Collector struct {
 	// spent holds the vectors of released slots and rounds. A fold may still
 	// be reading them (see ShardFold), so they wait here for Recycle.
 	spent []tensor.Vector
+	// free holds retired round buffers, emptied but with their slot slices
+	// and dedup sets still grown, for the next round bufFor opens.
+	free []*stepBuf
 	// stored counts the frames buffered so far: a fold that runs while it
 	// is below the frames sent has overlapped the receive stream.
 	stored   int
@@ -205,21 +208,21 @@ func (c *Collector) ResetRound(kind Kind, step int) (wasPinned bool) {
 	if b == nil {
 		return false
 	}
-	c.release(b)
-	delete(c.buf, key)
-	return b.pinned != nil
+	wasPinned = b.pinned != nil
+	c.retire(key, b)
+	return wasPinned
 }
 
 // Advance drops all buffered state for steps before the given step, of any
 // kind, and recycles it along with whatever earlier rounds left spent: by
 // the time a node enters a new step, nothing reads the previous steps'
 // inputs any more. Nodes call it when entering a new step so stale traffic
-// cannot accumulate without bound.
+// cannot accumulate without bound, and once more past their last step when
+// they return, so that what the run left buffered goes back as well.
 func (c *Collector) Advance(step int) {
 	for key, b := range c.buf {
 		if key.step < step {
-			c.release(b)
-			delete(c.buf, key)
+			c.retire(key, b)
 		}
 	}
 	for key := range c.decided {
@@ -263,20 +266,27 @@ func (c *Collector) put(v tensor.Vector) {
 // into at a multi-shard layout.
 func (c *Collector) owned(m *Message) bool { return m.IsShard() || c.Layout.Count() == 1 }
 
-// release returns every buffered payload byte of b to the accounting and
-// its vectors to the spent list.
-func (c *Collector) release(b *stepBuf) {
+// retire releases the round under key — every buffered payload byte back
+// to the accounting, its vectors to the spent list — forgets it, and keeps
+// its emptied buffer for a later round.
+func (c *Collector) retire(key collectorKey, b *stepBuf) {
 	for i := range b.slots {
 		c.releaseSlot(&b.slots[i])
+		b.slots[i].folded = false
 	}
 	c.spent = append(c.spent, b.wholes...)
-	b.wholes = nil
+	clear(b.wholes)
+	b.wholes = b.wholes[:0]
 	for _, a := range b.asm {
 		c.account(-a.bytes)
 	}
-	b.asm = nil
+	b.asm, b.pinned, b.folded = nil, nil, 0
+	delete(c.buf, key)
+	c.free = append(c.free, b)
 }
 
+// releaseSlot empties s, keeping the capacity of its candidate list and its
+// dedup set.
 func (c *Collector) releaseSlot(s *shardSlot) {
 	for i := range s.msgs {
 		m := &s.msgs[i]
@@ -285,15 +295,23 @@ func (c *Collector) releaseSlot(s *shardSlot) {
 			c.spent = append(c.spent, m.Vec)
 		}
 	}
-	s.msgs = nil
-	s.seen = nil
+	clear(s.msgs)
+	s.msgs = s.msgs[:0]
+	clear(s.seen)
 }
 
-// bufFor returns the (kind, step) buffer, creating it on first use.
+// bufFor returns the (kind, step) buffer, taking it on first use from the
+// retired ones when the last has the layout's slot count.
 func (c *Collector) bufFor(key collectorKey) *stepBuf {
 	b := c.buf[key]
 	if b == nil {
-		b = &stepBuf{slots: make([]shardSlot, c.Layout.Count())}
+		if n := len(c.free); n > 0 && len(c.free[n-1].slots) == c.Layout.Count() {
+			b = c.free[n-1]
+			c.free[n-1] = nil
+			c.free = c.free[:n-1]
+		} else {
+			b = &stepBuf{slots: make([]shardSlot, c.Layout.Count())}
+		}
 		c.buf[key] = b
 	}
 	return b
@@ -391,10 +409,10 @@ func (c *Collector) Collect(kind Kind, step, q int, self tensor.Vector, selfID s
 	}
 	// The round is decided; late messages for it are discarded per the
 	// protocol (store drops them on sight until Advance passes the step).
-	c.release(b)
-	delete(c.buf, key)
+	members := b.pinned
+	c.retire(key, b)
 	c.decided[key] = struct{}{}
-	return b.pinned, nil
+	return members, nil
 }
 
 // timeoutError describes a round that did not fill in time by its first

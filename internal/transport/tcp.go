@@ -254,7 +254,8 @@ func (n *TCPNode) Recv(timeout time.Duration) (Message, bool) {
 }
 
 // Close implements Endpoint: it stops the listener, closes all connections,
-// and waits for reader goroutines to exit. Safe for concurrent callers (a
+// and waits for reader goroutines to exit. Inbound frames the node never
+// received go back to the free list. Safe for concurrent callers (a
 // cancellation watcher may race a deferred cleanup).
 func (n *TCPNode) Close() error {
 	var err error
@@ -278,7 +279,7 @@ func (n *TCPNode) close() error {
 	}
 	n.accepted = make(map[net.Conn]struct{})
 	n.mu.Unlock()
-	n.box.Close()
+	n.box.shut()
 	n.readers.Wait()
 	if err != nil && !errors.Is(err, net.ErrClosed) {
 		return err
