@@ -42,6 +42,7 @@ func TestNewValidatesTopology(t *testing.T) {
 	base := guanyu.WithWorkload(guanyu.BlobWorkload(200, 1))
 	delay := guanyu.WithDelay(func(string, string) time.Duration { return time.Millisecond })
 	live := guanyu.WithRuntime(guanyu.Live)
+	alie := &guanyu.ALIE{}
 	topology := []struct {
 		name string
 		opts []guanyu.Option
@@ -55,6 +56,11 @@ func TestNewValidatesTopology(t *testing.T) {
 			"server quorum q=6 violates q ≤ n−f"},
 		{"attack out of range", []guanyu.Option{base, guanyu.WithWorkerAttack(99, guanyu.Zero{})},
 			"worker attack index 99 outside population [0, 18)"},
+		{"omniscient instance at two nodes", []guanyu.Option{base, guanyu.WithWorkerAttack(0, alie), guanyu.WithWorkerAttack(1, alie)},
+			"one alie instance armed at worker 0 and worker 1; an omniscient attack needs one instance per node"},
+		{"omniscient instance at a server and a worker", []guanyu.Option{base, guanyu.WithServers(6, 1),
+			guanyu.WithServerAttack(0, alie), guanyu.WithWorkerAttack(0, alie)},
+			"one alie instance armed at server 0 and worker 0"},
 		{"all servers byz", []guanyu.Option{base, guanyu.WithServers(6, 1),
 			guanyu.WithAttackedServers(6, func(int) guanyu.Attack { return guanyu.Zero{} })},
 			"every server is Byzantine"},

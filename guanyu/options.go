@@ -74,7 +74,9 @@ func WithParamRule(name string) Option {
 
 // WithAttackedWorkers makes workers 0..count-1 actually Byzantine, each
 // running the behaviour returned by mk (called once per node so stateful
-// attacks don't share generators).
+// attacks don't share generators). An Omniscient attack runs one instance
+// per node: mk must return a new one for every index, and New refuses an
+// instance returned twice.
 func WithAttackedWorkers(count int, mk func(i int) Attack) Option {
 	return func(d *Deployment) error {
 		if mk == nil {
@@ -106,7 +108,9 @@ func WithAttackedServers(count int, mk func(i int) Attack) Option {
 	}
 }
 
-// WithWorkerAttack makes one specific worker Byzantine.
+// WithWorkerAttack makes one specific worker Byzantine. An Omniscient
+// attack runs one instance per node: New refuses the same instance at two
+// indices, here or in WithServerAttack.
 func WithWorkerAttack(index int, a Attack) Option {
 	return func(d *Deployment) error {
 		if a == nil {
@@ -120,7 +124,9 @@ func WithWorkerAttack(index int, a Attack) Option {
 	}
 }
 
-// WithServerAttack makes one specific server Byzantine.
+// WithServerAttack makes one specific server Byzantine. An Omniscient
+// attack runs one instance per node: New refuses the same instance at two
+// indices, here or in WithWorkerAttack.
 func WithServerAttack(index int, a Attack) Option {
 	return func(d *Deployment) error {
 		if a == nil {

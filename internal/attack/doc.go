@@ -28,7 +28,11 @@
 // the copies still in the window (SharedView.Close), so an attack that
 // keeps a value past that copies it. Observe adopts the
 // view it is given, whatever its step: a second run of the same attack
-// instances starts from its own first view.
+// instances starts from its own first view. The lending runs the other way
+// too: the omniscient attacks craft into one free-list vector, lend it to
+// every receiver of the view and hand it back at the next Observe, so an
+// instance serves one node — both runtimes refuse one armed at two node
+// indices (CheckInstances).
 // Multi-process deployments run without a view (an adversary spanning OS
 // processes would need its own covert channel), in which case omniscient
 // attacks degrade to their documented local-knowledge fallbacks.

@@ -17,56 +17,80 @@ import (
 // outliers from rules that survive adaptive collusion.
 
 // omniBase carries the shared Observe/state machinery of the omniscient
-// attacks: the latest view, and a per-step cache of the crafted vector so
-// Corrupt (called once per receiver) computes it only once per step.
+// attacks: the latest view, and the one crafted vector the attack owns. That
+// vector comes from tensor.Get; Corrupt (called once per receiver) fills it
+// at most once per view and lends it to every receiver, and the next
+// Observe hands it back to the free list.
 type omniBase struct {
-	mu       sync.Mutex
-	view     ClusterView
-	cacheKey int
-	cached   tensor.Vector
+	mu      sync.Mutex
+	view    ClusterView
+	out     tensor.Vector // owned; lent to Corrupt's callers until the next Observe
+	crafted bool          // out holds the vector crafted from view
 }
 
-// Observe implements Omniscient. It adopts v, whatever its step, and
-// invalidates the crafted cache, so a refresh within a step is actually
-// acted on by the next Corrupt and a later run of the same attack starts
-// from its own views. Server attacks are re-fed before the phase-3
-// contraction round: by the simulator with the updated honest thetas, by
-// cluster.RunServer with a fresh snapshot of the same step — which still
-// holds the pre-update thetas, honest servers publishing once per step, in
-// phase 1. Nothing crafted aliases a view's vectors, so the previous view's
-// memory may be recycled once Observe returns.
-//
-// Adopting every view also means the last Observe wins: an instance shared
-// by several live node loops crafts from whichever loop observed last, even
-// an older step's view, and a phase-3 snapshot of a step that has already
-// left the SharedView's window (honest publishers 16 steps ahead) is empty,
-// so that round's corruption falls back to the honest basis.
+// Observe implements Omniscient. It adopts v, whatever its step, and hands
+// the vector crafted from the view before back to the free list, so a
+// refresh within a step is actually acted on by the next Corrupt and a later
+// run of the same attack starts from its own views. Server attacks are
+// re-fed before the phase-3 contraction round: by the simulator with the
+// updated honest thetas, by cluster.RunServer with a fresh snapshot of the
+// same step — which still holds the pre-update thetas, honest servers
+// publishing once per step, in phase 1. Nothing crafted aliases a view's
+// vectors, so the previous view's memory may be recycled once Observe
+// returns. A phase-3 snapshot of a step that has already left the
+// SharedView's window (honest publishers 16 steps ahead) is empty, so that
+// round's corruption falls back to the honest basis.
 func (b *omniBase) Observe(v ClusterView) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.view = v
-	b.cached = nil
+	tensor.Put(b.out)
+	b.out, b.crafted = nil, false
 }
 
-// craft returns the attack vector for step, computing it with mk at most
-// once per step from the current view's honest set. When no honest vectors
-// are visible (no view yet, or a live snapshot that raced ahead of every
-// honest sender), it falls back to fallback(honest).
-func (b *omniBase) craft(honest tensor.Vector, step int,
-	mk func(view ClusterView) tensor.Vector,
-	fallback func(honest tensor.Vector) tensor.Vector) tensor.Vector {
+// craft returns the attack vector for the current view, written by mk into
+// the owned vector at most once per view from the view's honest set. When
+// no honest vectors are visible (no view yet, or a live snapshot that raced
+// ahead of every honest sender), fallback rewrites the same vector from
+// honest on every call instead — a later Observe may complete the view — so
+// a degraded step holds one vector, not one per receiver.
+func (b *omniBase) craft(honest tensor.Vector,
+	mk func(out tensor.Vector, view ClusterView),
+	fallback func(out, honest tensor.Vector)) tensor.Vector {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.cached != nil && b.cacheKey == step {
-		return b.cached
+	if b.crafted {
+		return b.out
 	}
 	if b.view == nil || len(b.view.Honest()) == 0 {
-		// Degraded view: do not cache, a later Observe may complete it.
-		return fallback(honest)
+		fallback(b.owned(len(honest)), honest)
+		return b.out
 	}
-	b.cacheKey = step
-	b.cached = mk(b.view)
-	return b.cached
+	mk(b.owned(len(b.view.Honest()[0])), b.view)
+	b.crafted = true
+	return b.out
+}
+
+// owned returns the attack's vector at length n, taking one from the free
+// list when it holds none of that length. A vector of another length is left
+// to the garbage collector: a caller may still be reading it.
+func (b *omniBase) owned(n int) tensor.Vector {
+	if len(b.out) != n {
+		b.out = tensor.Get(n)
+	}
+	return b.out
+}
+
+// copyHonest is the pass-through fallback: the honest vector itself.
+func copyHonest(out, honest tensor.Vector) { copy(out, honest) }
+
+// scaled is the fallback that sends alpha times the honest vector.
+func scaled(alpha float64) func(out, honest tensor.Vector) {
+	return func(out, honest tensor.Vector) {
+		for i, x := range honest {
+			out[i] = alpha * x
+		}
+	}
 }
 
 // ALIE is "A Little Is Enough" (Baruch, Baruch, Goldberg — NeurIPS 2019):
@@ -89,25 +113,24 @@ var _ Omniscient = (*ALIE)(nil)
 func (*ALIE) Name() string { return "alie" }
 
 // Corrupt implements Attack.
-func (a *ALIE) Corrupt(honest tensor.Vector, step int, _ string) tensor.Vector {
-	return a.craft(honest, step, func(view ClusterView) tensor.Vector {
+func (a *ALIE) Corrupt(honest tensor.Vector, _ int, _ string) tensor.Vector {
+	return a.craft(honest, func(out tensor.Vector, view ClusterView) {
 		hv := view.Honest()
 		z := a.Z
 		if z <= 0 {
 			z = alieZMax(len(hv)+view.Colluders(), maxInt(view.F(), view.Colluders()))
 		}
-		return alieVector(hv, z)
-	}, tensor.Clone)
+		alieInto(out, hv, z)
+	}, copyHonest)
 }
 
-// alieVector returns mean − z·σ of vs per coordinate, σ the population
+// alieInto writes mean − z·σ of vs per coordinate into out, σ the population
 // standard deviation, in one pass that keeps neither the mean nor σ as a
 // vector. Each coordinate's arithmetic is tensor.Mean's and then the
 // deviation's, in the same order: the sum in vs order scaled by 1/n, the
 // squared deviations summed in vs order, then √(s/n) — so the result is
 // bit-identical to computing the two vectors first.
-func alieVector(vs []tensor.Vector, z float64) tensor.Vector {
-	out := make(tensor.Vector, len(vs[0]))
+func alieInto(out tensor.Vector, vs []tensor.Vector, z float64) {
 	inv := 1 / float64(len(vs))
 	for i := range out {
 		m := vs[0][i]
@@ -124,7 +147,6 @@ func alieVector(vs []tensor.Vector, z float64) tensor.Vector {
 		}
 		out[i] = m - z*math.Sqrt(s*inv)
 	}
-	return out
 }
 
 // alieZMax is the z the ALIE paper derives: the largest deviation such that
@@ -156,16 +178,21 @@ var _ Omniscient = (*InnerProduct)(nil)
 func (*InnerProduct) Name() string { return "inner-product" }
 
 // Corrupt implements Attack.
-func (a *InnerProduct) Corrupt(honest tensor.Vector, step int, _ string) tensor.Vector {
+func (a *InnerProduct) Corrupt(honest tensor.Vector, _ int, _ string) tensor.Vector {
 	eps := a.Eps
 	if eps <= 0 {
 		eps = 0.5
 	}
-	return a.craft(honest, step, func(view ClusterView) tensor.Vector {
-		m := tensor.Mean(view.Honest())
-		tensor.ScaleInPlace(m, -eps)
-		return m
-	}, func(h tensor.Vector) tensor.Vector { return tensor.Scale(h, -eps) })
+	return a.craft(honest, func(out tensor.Vector, view ClusterView) {
+		// tensor.Mean's arithmetic, in out.
+		hv := view.Honest()
+		copy(out, hv[0])
+		for _, v := range hv[1:] {
+			tensor.AddInPlace(out, v)
+		}
+		tensor.ScaleInPlace(out, 1/float64(len(hv)))
+		tensor.ScaleInPlace(out, -eps)
+	}, scaled(-eps))
 }
 
 // Mimic is the mimic attack (Karimireddy, He, Jaggi — ICLR 2022): every
@@ -187,15 +214,15 @@ var _ Omniscient = (*Mimic)(nil)
 func (*Mimic) Name() string { return "mimic" }
 
 // Corrupt implements Attack.
-func (a *Mimic) Corrupt(honest tensor.Vector, step int, _ string) tensor.Vector {
-	return a.craft(honest, step, func(view ClusterView) tensor.Vector {
+func (a *Mimic) Corrupt(honest tensor.Vector, _ int, _ string) tensor.Vector {
+	return a.craft(honest, func(out tensor.Vector, view ClusterView) {
 		hv := view.Honest()
 		v := a.Victim
 		if v < 0 {
 			v = -v
 		}
-		return tensor.Clone(hv[v%len(hv)])
-	}, tensor.Clone)
+		copy(out, hv[v%len(hv)])
+	}, copyHonest)
 }
 
 // AntiKrum is the local-model poisoning attack of Fang et al. (USENIX
@@ -218,8 +245,8 @@ var _ Omniscient = (*AntiKrum)(nil)
 func (*AntiKrum) Name() string { return "anti-krum" }
 
 // Corrupt implements Attack.
-func (a *AntiKrum) Corrupt(honest tensor.Vector, step int, _ string) tensor.Vector {
-	return a.craft(honest, step, func(view ClusterView) tensor.Vector {
+func (a *AntiKrum) Corrupt(honest tensor.Vector, _ int, _ string) tensor.Vector {
+	return a.craft(honest, func(out tensor.Vector, view ClusterView) {
 		hv := view.Honest()
 		c := a.Colluders
 		if c <= 0 {
@@ -236,13 +263,9 @@ func (a *AntiKrum) Corrupt(honest tensor.Vector, step int, _ string) tensor.Vect
 			}
 		}
 		lambda := maxKrumLambda(hv, dir, mean, c, f)
-		out := tensor.Clone(mean)
+		copy(out, mean)
 		tensor.AXPY(out, -lambda, dir)
-		return out
-	}, func(h tensor.Vector) tensor.Vector {
-		// No view yet: plain gradient ascent at unit scale.
-		return tensor.Scale(h, -1)
-	})
+	}, scaled(-1)) // no view yet: plain gradient ascent at unit scale
 }
 
 // maxKrumLambda binary-searches the largest λ for which a crafted vector

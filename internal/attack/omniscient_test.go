@@ -2,6 +2,7 @@ package attack
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/gar"
@@ -67,6 +68,13 @@ func TestALIEVectorMatchesTwoPass(t *testing.T) {
 	}
 }
 
+// alieVector is alieInto on a fresh vector.
+func alieVector(vs []tensor.Vector, z float64) tensor.Vector {
+	out := make(tensor.Vector, len(vs[0]))
+	alieInto(out, vs, z)
+	return out
+}
+
 // coordMeanStd is the two-pass reference of alieVector: the per-coordinate
 // mean and (population) standard deviation of the vectors.
 func coordMeanStd(vs []tensor.Vector) (mean, std tensor.Vector) {
@@ -86,6 +94,82 @@ func coordMeanStd(vs []tensor.Vector) (mean, std tensor.Vector) {
 		std[i] = math.Sqrt(std[i] * inv)
 	}
 	return mean, std
+}
+
+// TestOmniscientAttacksLendOneVectorUntilTheNextObserve: an omniscient
+// attack crafts one vector per view, from the free list, and lends it to
+// every receiver; the next Observe hands it back, once. A degraded view's
+// fallback rewrites that one vector per receiver instead of taking another,
+// and an Observe before any craft hands nothing back — least of all a
+// view's vectors.
+func TestOmniscientAttacksLendOneVectorUntilTheNextObserve(t *testing.T) {
+	quietPool(t)
+	attacks := []struct {
+		mk       func() Omniscient
+		fallback func(honest tensor.Vector) tensor.Vector
+	}{
+		{func() Omniscient { return &ALIE{Z: 1} }, tensor.Clone},
+		{func() Omniscient { return &InnerProduct{Eps: 2} }, func(h tensor.Vector) tensor.Vector { return tensor.Scale(h, -2) }},
+		{func() Omniscient { return &Mimic{Victim: 1} }, tensor.Clone},
+		{func() Omniscient { return &AntiKrum{} }, func(h tensor.Vector) tensor.Vector { return tensor.Scale(h, -1) }},
+	}
+	for k, c := range attacks {
+		n := 1061 + k // a length no other test uses, one per attack
+		honest := honestCloud(6, n, uint64(21+k))
+		kept := make([]tensor.Vector, len(honest))
+		for i, h := range honest {
+			kept[i] = tensor.Clone(h)
+		}
+		a := c.mk()
+		name := a.Name()
+
+		a.Observe(NewStepView(0, honest, 1, 1))
+		a.Observe(NewStepView(0, honest, 1, 1))
+		if g := tensor.Get(n); !sameBits(honest, kept) || slices.ContainsFunc(honest, func(h tensor.Vector) bool { return &h[0] == &g[0] }) {
+			t.Fatalf("%s: an Observe before any craft handed back a view's vector", name)
+		}
+
+		v0 := a.Corrupt(honest[0], 0, "ps0")
+		crafted := tensor.Clone(v0)
+		if v1 := a.Corrupt(honest[1], 0, "ps1"); &v1[0] != &v0[0] || !sameBits([]tensor.Vector{v0}, []tensor.Vector{crafted}) {
+			t.Fatalf("%s: the receivers of one step were not lent the same crafted vector", name)
+		}
+		a.Observe(NewStepView(1, honest, 1, 1))
+		if !recycled(v0) {
+			t.Fatalf("%s: the next Observe did not hand the crafted vector back", name)
+		}
+		if g := tensor.Get(n); !raceEnabled && &g[0] == &v0[0] {
+			t.Fatalf("%s: the crafted vector was handed back twice", name)
+		}
+		if !sameBits(honest, kept) {
+			t.Fatalf("%s: crafting or handing back touched the view's vectors", name)
+		}
+
+		b := c.mk()
+		b.Observe(NewStepView(0, nil, 1, 1)) // a snapshot ahead of every honest sender
+		f0 := b.Corrupt(honest[0], 0, "ps0")
+		f1 := b.Corrupt(honest[1], 0, "ps1")
+		if &f1[0] != &f0[0] {
+			t.Fatalf("%s: the degraded view's fallback took a vector per receiver", name)
+		}
+		if !sameBits([]tensor.Vector{f1}, []tensor.Vector{c.fallback(honest[1])}) {
+			t.Fatalf("%s: the fallback does not hold the latest receiver's vector", name)
+		}
+		b.Observe(StepView{}) // the launcher's end of a run
+		if !recycled(f0) {
+			t.Fatalf("%s: the end-of-run Observe did not hand the fallback's vector back", name)
+		}
+		if g := tensor.Get(n); !raceEnabled && &g[0] == &f0[0] {
+			t.Fatalf("%s: the fallback's vector was handed back twice", name)
+		}
+	}
+}
+
+// sameBits reports whether got and want hold the same vectors bit for bit.
+func sameBits(got, want []tensor.Vector) bool {
+	return slices.EqualFunc(got, want, func(a, b tensor.Vector) bool {
+		return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+	})
 }
 
 func TestALIEAutoZIsPositive(t *testing.T) {

@@ -1,6 +1,10 @@
 package attack
 
 import (
+	"fmt"
+	"maps"
+	"reflect"
+	"slices"
 	"sync"
 
 	"repro/internal/tensor"
@@ -46,12 +50,47 @@ type ClusterView interface {
 // runtimes refresh the view as honest vectors arrive); implementations
 // adopt the view they are given — whatever its step, so a new run starts
 // from its own first view — stop reading the one before, and must be safe
-// for concurrent use. One instance shared by several node loops therefore
-// crafts from whichever loop observed last.
+// for concurrent use.
+//
+// What Corrupt returns is lent to the caller until the attack's next
+// Observe, which may hand it back to the tensor free list (the attacks of
+// this package do; the live launcher's end-of-run Observe of an empty view
+// returns a run's last one). Between two Observes they lend one vector to
+// every receiver, and their degraded-view fallback rewrites it in place
+// from each call's honest basis. One instance therefore serves one node:
+// both runtimes refuse an instance armed at two node indices
+// (CheckInstances), since one loop's Observe would recycle a vector another
+// loop is still sending.
 type Omniscient interface {
 	Attack
 	// Observe hands the attack its view of the honest cluster.
 	Observe(v ClusterView)
+}
+
+// CheckInstances refuses one Omniscient instance armed at two node indices,
+// within one attack map or across the server and worker maps: an omniscient
+// attack owns the vector it crafts, so each node needs its own instance.
+// Only pointer-typed attacks can be shared; a value is a copy per index.
+func CheckInstances(servers, workers map[int]Attack) error {
+	seen := make(map[Omniscient]string)
+	for _, role := range []struct {
+		name    string
+		attacks map[int]Attack
+	}{{"server", servers}, {"worker", workers}} {
+		for _, i := range slices.Sorted(maps.Keys(role.attacks)) {
+			o, ok := role.attacks[i].(Omniscient)
+			if !ok || reflect.ValueOf(o).Kind() != reflect.Pointer {
+				continue
+			}
+			at := fmt.Sprintf("%s %d", role.name, i)
+			if first, dup := seen[o]; dup {
+				return fmt.Errorf("attack: one %s instance armed at %s and %s; an omniscient attack needs one instance per node",
+					o.Name(), first, at)
+			}
+			seen[o] = at
+		}
+	}
+	return nil
 }
 
 // StepView is the ClusterView of the deterministic runtimes: a complete

@@ -76,7 +76,9 @@ type LiveConfig struct {
 	// quorum range 2f+3 ≤ q ≤ n−f, attacked indices inside the population
 	// and at least one honest node — and nothing else Validate checks (used
 	// by tests that deliberately run illegal deployments, e.g. the vanilla
-	// baseline).
+	// baseline). In particular one omniscient attack instance per node
+	// (attack.CheckInstances) still holds: it is a memory rule, not a paper
+	// bound.
 	SkipValidation bool
 	// Suspicion, when non-nil, is shared by all honest servers to
 	// accumulate per-worker exclusion statistics (requires a selective
@@ -164,7 +166,8 @@ func (c *LiveChurn) validate(cfg *LiveConfig) error {
 
 // Validate is everything RunLiveContext refuses before it opens an
 // endpoint: each role against the paper's legality section (gar.CheckRole,
-// unless SkipValidation), then the run's own settings.
+// unless SkipValidation), one omniscient attack instance per node, then the
+// run's own settings.
 func (c *LiveConfig) Validate() error {
 	if !c.SkipValidation {
 		if err := gar.CheckRole("server", c.NumServers, c.FServers, c.QuorumServers, maps.Keys(c.ServerAttacks)); err != nil {
@@ -173,6 +176,9 @@ func (c *LiveConfig) Validate() error {
 		if err := gar.CheckRole("worker", c.NumWorkers, c.FWorkers, c.QuorumWorkers, maps.Keys(c.WorkerAttacks)); err != nil {
 			return err
 		}
+	}
+	if err := attack.CheckInstances(c.ServerAttacks, c.WorkerAttacks); err != nil {
+		return err
 	}
 	if c.Steps <= 0 || c.Batch <= 0 {
 		return fmt.Errorf("cluster: Steps and Batch must be positive")
@@ -471,7 +477,8 @@ func RunLiveContext(ctx context.Context, cfg LiveConfig) (*LiveResult, error) {
 	loops.Wait()
 	// No loop reads the adversary's views any more: once no attack holds a
 	// snapshot either, the copies still in their windows go back to the
-	// free list.
+	// free list. Observing the empty view also makes each omniscient attack
+	// hand back the last vector it crafted, which no loop sends any more.
 	attack.ObserveAll(cfg.ServerAttacks, attack.StepView{})
 	attack.ObserveAll(cfg.WorkerAttacks, attack.StepView{})
 	p.serverView.Close()

@@ -36,7 +36,9 @@ func validator(m transport.Message) bool {
 // destinations. A Byzantine node routes every message through att per
 // destination, because it may equivocate; corruption happens on the whole
 // vector first, so a Byzantine payload shards exactly like an honest one,
-// and a nil result is silence towards that receiver. Send errors are
+// and a nil result is silence towards that receiver; what att returns is
+// lent until its next Observe, which comes after this call, and
+// SendSharded borrows it only until it returns. Send errors are
 // deliberately dropped: the network model is best-effort and the quorum
 // discipline tolerates missing messages. Payload immutability is the
 // transport's job: every Endpoint delivers a snapshot (the in-process

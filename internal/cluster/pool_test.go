@@ -1,15 +1,18 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"runtime"
 	"runtime/debug"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/attack"
 	"repro/internal/dataset"
 	"repro/internal/gar"
 	"repro/internal/metrics"
@@ -399,4 +402,108 @@ func TestNodeLoopReturnsWhatItLeftBuffered(t *testing.T) {
 		}
 	}
 	t.Fatal("the frame buffered for step 1 was not handed to the free list when the loop returned")
+}
+
+// TestSecondLiveRunReusesCraftedVectors: an omniscient attack hands the
+// vector it crafted back to the free list at its next Observe, and the
+// launcher's end-of-run Observe of an empty view hands back each run's last
+// one, so a run of a deployment that ran before crafts only into vectors the
+// free list already holds. Two ALIE workers in a 3+4 channel mesh, on one
+// processor and without garbage collection, as in
+// TestSecondLiveRunReusesUnreadFrames: the allocation profile, every
+// allocation sampled, must show no d-vector allocated under the attack
+// package during the second run, and each attack's last crafted vector must
+// be back in the free list when the run returns.
+func TestSecondLiveRunReusesCraftedVectors(t *testing.T) {
+	if putPoisons() {
+		t.Skip("the race detector's sync.Pool drops a quarter of all Puts")
+	}
+	procs, gc, rate := runtime.GOMAXPROCS(1), debug.SetGCPercent(-1), runtime.MemProfileRate
+	runtime.MemProfileRate = 1
+	defer func() {
+		runtime.GOMAXPROCS(procs)
+		debug.SetGCPercent(gc)
+		runtime.MemProfileRate = rate
+	}()
+	_, train, _ := testProblem(808)
+	model := nn.NewMLP(tensor.NewRNG(809), 2, 512, 3) // a dimension no other test uses
+	dim := model.ParamCount()
+	colluders := []*lastCrafted{{ALIE: &attack.ALIE{Z: 1}}, {ALIE: &attack.ALIE{Z: 1}}}
+	cfg := LiveConfig{
+		Model: model, Train: train,
+		NumServers: 3, NumWorkers: 4, FWorkers: 1,
+		QuorumServers: 2, QuorumWorkers: 3,
+		WorkerAttacks: map[int]attack.Attack{0: colluders[0], 1: colluders[1]},
+		Rule:          gar.Median{},
+		Steps:         4, Batch: 2,
+		Timeout:        10 * time.Second,
+		Seed:           810,
+		SkipValidation: true, // 3+4 with two attacked workers, below n ≥ 3f+3
+	}
+	// fresh is how many d-vectors the allocation profile has recorded under
+	// the attack package so far; runtime.GC publishes the profile.
+	fresh := func() int64 {
+		runtime.GC()
+		n, _ := runtime.MemProfile(nil, true)
+		recs := make([]runtime.MemProfileRecord, n+64)
+		n, ok := runtime.MemProfile(recs, true)
+		if !ok {
+			t.Fatal("the allocation profile outgrew its buffer")
+		}
+		var total int64
+		for _, r := range recs[:n] {
+			if r.AllocObjects == 0 || r.AllocBytes/r.AllocObjects < int64(8*dim) {
+				continue
+			}
+			for frames := runtime.CallersFrames(r.Stack()); ; {
+				f, more := frames.Next()
+				if strings.HasPrefix(f.Function, "repro/internal/attack.") {
+					total += r.AllocObjects
+					break
+				}
+				if !more {
+					break
+				}
+			}
+		}
+		return total
+	}
+	before := fresh()
+	attack.SignFlip{Scale: 1}.Corrupt(make(tensor.Vector, dim), 0, "ps0")
+	if fresh()-before != 1 {
+		t.Fatal("the allocation profile does not show a d-vector allocated under the attack package")
+	}
+	if _, err := RunLiveContext(context.Background(), cfg); err != nil {
+		t.Fatal(err)
+	}
+	before = fresh()
+	if _, err := RunLiveContext(context.Background(), cfg); err != nil {
+		t.Fatal(err)
+	}
+	if got := fresh() - before; got != 0 {
+		t.Errorf("the second run allocated %d d-vectors for crafting; the first run's should have come back", got)
+	}
+	// Every vector the run put back is in the free list now: look through as
+	// many as the run can have put back for the colluders' last ones.
+	last := make(map[*float64]bool)
+	for _, c := range colluders {
+		last[&c.last[0]] = true
+	}
+	for i := 0; i < 64*cfg.Steps*(cfg.NumServers+cfg.NumWorkers) && len(last) > 0; i++ {
+		delete(last, &tensor.Get(dim)[0])
+	}
+	if len(last) > 0 {
+		t.Errorf("%d of the colluders' last crafted vectors did not come back when the run returned", len(last))
+	}
+}
+
+// lastCrafted is an ALIE that remembers the last vector it lent out.
+type lastCrafted struct {
+	*attack.ALIE
+	last tensor.Vector
+}
+
+func (a *lastCrafted) Corrupt(honest tensor.Vector, step int, to string) tensor.Vector {
+	a.last = a.ALIE.Corrupt(honest, step, to)
+	return a.last
 }

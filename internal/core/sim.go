@@ -204,7 +204,10 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	// and lands at its clock plus two serialisations and a sampled latency,
 	// with faults applied). Senders are visited in index order, so every
 	// Corrupt and Latency.Sample draw keeps its sequence. It returns the
-	// aggregate of the first q arrivals and when the q-th landed.
+	// aggregate of the first q arrivals and when the q-th landed. A
+	// Byzantine payload is lent by its attack until the attack's next
+	// Observe; it is read only here, and every Rule.Aggregate returns a
+	// fresh vector, so nothing keeps it past this receiver's aggregation.
 	gather := func(t int, r *round, to string, self int) (tensor.Vector, float64, error) {
 		n := len(r.vecs)
 		arrivals := make([]float64, n)
