@@ -45,10 +45,11 @@ func run(out io.Writer, p params) error {
 		{"zero", func(int) guanyu.Attack { return guanyu.Zero{} }},
 		{"silent", func(int) guanyu.Attack { return guanyu.Silent{} }},
 		// The adaptive adversaries: they read the honest cluster state
-		// (ClusterView) each step before choosing their corruption.
-		{"alie z=1.5", func(int) guanyu.Attack { return &guanyu.ALIE{Z: 1.5} }},
-		{"inner-product", func(int) guanyu.Attack { return &guanyu.InnerProduct{Eps: 3} }},
-		{"anti-krum", func(int) guanyu.Attack { return &guanyu.AntiKrum{} }},
+		// (ClusterView) each step before choosing their corruption, and
+		// the colluders armed with one value craft one vector.
+		{"alie z=1.5", func(int) guanyu.Attack { return guanyu.ALIE{Z: 1.5} }},
+		{"inner-product", func(int) guanyu.Attack { return guanyu.InnerProduct{Eps: 3} }},
+		{"anti-krum", func(int) guanyu.Attack { return guanyu.AntiKrum{} }},
 	}
 
 	ctx := context.Background()

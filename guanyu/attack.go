@@ -13,13 +13,15 @@ type Attack = attack.Attack
 // ClusterView is the omniscient adversary's window onto the honest cluster
 // at one step: the honest vectors of the message class the Byzantine node
 // is about to corrupt, plus the population's declared bound and the number
-// of colluders. The runtimes feed it; attacks must treat it as read-only,
-// and its vectors are valid only until the attack's next Observe (the Live
-// runtime recycles them): an attack that keeps a value longer copies it.
+// of colluders. The runtimes build it; attacks must treat it as read-only,
+// and read it only while they craft (the Live runtime recycles its
+// vectors): an attack that keeps a value longer copies it.
 type ClusterView = attack.ClusterView
 
 // Omniscient marks attacks that adapt to the honest cluster state: the
-// runtimes call Observe with the current step's ClusterView before Corrupt.
+// colluders armed with one (comparable) value send one vector per message
+// kind and step, which the runtimes have it Craft once from that step's
+// ClusterView; Corrupt is its fallback while no honest vector is visible.
 // The adversary is omniscient but not omnipotent — it reads every honest
 // value, yet can only speak through the nodes it controls, and in the live
 // runtimes its view fills in only as honest nodes actually produce values.

@@ -3,6 +3,7 @@ package guanyu_test
 import (
 	"context"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -42,7 +43,6 @@ func TestNewValidatesTopology(t *testing.T) {
 	base := guanyu.WithWorkload(guanyu.BlobWorkload(200, 1))
 	delay := guanyu.WithDelay(func(string, string) time.Duration { return time.Millisecond })
 	live := guanyu.WithRuntime(guanyu.Live)
-	alie := &guanyu.ALIE{}
 	topology := []struct {
 		name string
 		opts []guanyu.Option
@@ -56,11 +56,6 @@ func TestNewValidatesTopology(t *testing.T) {
 			"server quorum q=6 violates q ≤ n−f"},
 		{"attack out of range", []guanyu.Option{base, guanyu.WithWorkerAttack(99, guanyu.Zero{})},
 			"worker attack index 99 outside population [0, 18)"},
-		{"omniscient instance at two nodes", []guanyu.Option{base, guanyu.WithWorkerAttack(0, alie), guanyu.WithWorkerAttack(1, alie)},
-			"one alie instance armed at worker 0 and worker 1; an omniscient attack needs one instance per node"},
-		{"omniscient instance at a server and a worker", []guanyu.Option{base, guanyu.WithServers(6, 1),
-			guanyu.WithServerAttack(0, alie), guanyu.WithWorkerAttack(0, alie)},
-			"one alie instance armed at server 0 and worker 0"},
 		{"all servers byz", []guanyu.Option{base, guanyu.WithServers(6, 1),
 			guanyu.WithAttackedServers(6, func(int) guanyu.Attack { return guanyu.Zero{} })},
 			"every server is Byzantine"},
@@ -236,6 +231,54 @@ func TestOmniscientAttackRerunIsFresh(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestOneOmniscientInstanceAtFiveWorkers: one ALIE instance armed at five
+// workers is one colluding adversary. The simulator's Result equals that of
+// five per-index instances, and a channel-mesh live run of it completes.
+func TestOneOmniscientInstanceAtFiveWorkers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs two simulations and a live run")
+	}
+	opts := func(attacks ...guanyu.Option) []guanyu.Option {
+		return append([]guanyu.Option{
+			guanyu.WithWorkload(guanyu.BlobWorkload(600, 7)),
+			guanyu.WithServers(6, 1),
+			guanyu.WithWorkers(18, 5),
+			guanyu.WithSteps(6),
+			guanyu.WithBatch(8),
+			guanyu.WithSeed(9),
+			guanyu.WithTimeout(time.Minute),
+		}, attacks...)
+	}
+	shared := &guanyu.ALIE{}
+	var one []guanyu.Option
+	for j := range 5 {
+		one = append(one, guanyu.WithWorkerAttack(j, shared))
+	}
+	perIndex := guanyu.WithAttackedWorkers(5, func(int) guanyu.Attack { return &guanyu.ALIE{} })
+
+	var results [2]*guanyu.Result
+	for k, attacks := range [][]guanyu.Option{one, {perIndex}} {
+		d, err := guanyu.New(opts(attacks...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if results[k], err = d.Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !reflect.DeepEqual(results[0], results[1]) {
+		t.Errorf("one shared instance: final %v; five instances: final %v", results[0].Final, results[1].Final)
+	}
+
+	d, err := guanyu.New(opts(append(one, guanyu.WithRuntime(guanyu.Live))...)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Run(context.Background()); err != nil {
+		t.Fatalf("live run with one instance at five workers: %v", err)
 	}
 }
 

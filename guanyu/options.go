@@ -74,9 +74,7 @@ func WithParamRule(name string) Option {
 
 // WithAttackedWorkers makes workers 0..count-1 actually Byzantine, each
 // running the behaviour returned by mk (called once per node so stateful
-// attacks don't share generators). An Omniscient attack runs one instance
-// per node: mk must return a new one for every index, and New refuses an
-// instance returned twice.
+// attacks don't share generators).
 func WithAttackedWorkers(count int, mk func(i int) Attack) Option {
 	return func(d *Deployment) error {
 		if mk == nil {
@@ -108,9 +106,7 @@ func WithAttackedServers(count int, mk func(i int) Attack) Option {
 	}
 }
 
-// WithWorkerAttack makes one specific worker Byzantine. An Omniscient
-// attack runs one instance per node: New refuses the same instance at two
-// indices, here or in WithServerAttack.
+// WithWorkerAttack makes one specific worker Byzantine.
 func WithWorkerAttack(index int, a Attack) Option {
 	return func(d *Deployment) error {
 		if a == nil {
@@ -124,9 +120,7 @@ func WithWorkerAttack(index int, a Attack) Option {
 	}
 }
 
-// WithServerAttack makes one specific server Byzantine. An Omniscient
-// attack runs one instance per node: New refuses the same instance at two
-// indices, here or in WithWorkerAttack.
+// WithServerAttack makes one specific server Byzantine.
 func WithServerAttack(index int, a Attack) Option {
 	return func(d *Deployment) error {
 		if a == nil {

@@ -15,24 +15,19 @@
 // node broadcasts to many receivers at once.
 //
 // Omniscience is mediated by ClusterView/SharedView: honest nodes publish
-// their per-step vectors into a shared view, Byzantine nodes snapshot it
+// their per-step vectors into a shared view, Byzantine nodes craft from it
 // before corrupting. The deterministic simulator feeds complete per-step
 // honest sets (the strongest adversary); the live runtimes publish
-// concurrently, so snapshots may be partial — omniscient, not clairvoyant.
-// An honest live server publishes θ once per step, in phase 1, so the
-// snapshot a Byzantine server takes before the phase-3 contraction round
-// shows the pre-update θ, where the simulator shows the updated one.
-// A view's vectors are valid until the attack's next Observe: the live
-// runtimes copy honest vectors into tensor free-list memory, and at the end
-// of a run the launcher hands every attack an empty view and then returns
-// the copies still in the window (SharedView.Close), so an attack that
-// keeps a value past that copies it. Observe adopts the
-// view it is given, whatever its step: a second run of the same attack
-// instances starts from its own first view. The lending runs the other way
-// too: the omniscient attacks craft into one free-list vector, lend it to
-// every receiver of the view and hand it back at the next Observe, so an
-// instance serves one node — both runtimes refuse one armed at two node
-// indices (CheckInstances).
+// concurrently, so a view may be partial — omniscient, not clairvoyant.
+// An honest live server publishes θ once per step, in phase 1, so what a
+// Byzantine server crafts from before the phase-3 contraction round shows
+// the pre-update θ, where the simulator shows the updated one.
+// The omniscient attacks are stateless values that write one vector per
+// view (Omniscient.Craft), and the run owns what they write: Crafts crafts
+// each distinct attack at most once per message kind and step, into one
+// free-list vector every colluder of that kind sends. The simulator hands
+// it back once a round's receivers have aggregated; a SharedView keeps it
+// in its step window, with the honest copies, and hands both back at Close.
 // Multi-process deployments run without a view (an adversary spanning OS
 // processes would need its own covert channel), in which case omniscient
 // attacks degrade to their documented local-knowledge fallbacks.
@@ -43,5 +38,6 @@
 // ("alie:z=1.2" — see ParseSpec and FromSpec); the registry backs
 // guanyu.AttackByName, the -attack/-byzantine flags on the commands, and
 // the scenario-matrix experiment's grid axis. Stateful attacks are built
-// once per node so generators are never shared.
+// once per node so generators are never shared; the omniscient ones are
+// values, equal across the colluders of one spec.
 package attack

@@ -2,7 +2,6 @@ package attack
 
 import (
 	"math"
-	"sync"
 
 	"repro/internal/gar"
 	"repro/internal/tensor"
@@ -16,81 +15,22 @@ import (
 // and they are what separates robust aggregation rules that merely filter
 // outliers from rules that survive adaptive collusion.
 
-// omniBase carries the shared Observe/state machinery of the omniscient
-// attacks: the latest view, and the one crafted vector the attack owns. That
-// vector comes from tensor.Get; Corrupt (called once per receiver) fills it
-// at most once per view and lends it to every receiver, and the next
-// Observe hands it back to the free list.
-type omniBase struct {
-	mu      sync.Mutex
-	view    ClusterView
-	out     tensor.Vector // owned; lent to Corrupt's callers until the next Observe
-	crafted bool          // out holds the vector crafted from view
+// copied is the pass-through fallback: the honest vector itself, in a
+// free-list vector the caller owns.
+func copied(honest tensor.Vector) tensor.Vector {
+	out := tensor.Get(len(honest))
+	copy(out, honest)
+	return out
 }
 
-// Observe implements Omniscient. It adopts v, whatever its step, and hands
-// the vector crafted from the view before back to the free list, so a
-// refresh within a step is actually acted on by the next Corrupt and a later
-// run of the same attack starts from its own views. Server attacks are
-// re-fed before the phase-3 contraction round: by the simulator with the
-// updated honest thetas, by cluster.RunServer with a fresh snapshot of the
-// same step — which still holds the pre-update thetas, honest servers
-// publishing once per step, in phase 1. Nothing crafted aliases a view's
-// vectors, so the previous view's memory may be recycled once Observe
-// returns. A phase-3 snapshot of a step that has already left the
-// SharedView's window (honest publishers 16 steps ahead) is empty, so that
-// round's corruption falls back to the honest basis.
-func (b *omniBase) Observe(v ClusterView) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.view = v
-	tensor.Put(b.out)
-	b.out, b.crafted = nil, false
-}
-
-// craft returns the attack vector for the current view, written by mk into
-// the owned vector at most once per view from the view's honest set. When
-// no honest vectors are visible (no view yet, or a live snapshot that raced
-// ahead of every honest sender), fallback rewrites the same vector from
-// honest on every call instead — a later Observe may complete the view — so
-// a degraded step holds one vector, not one per receiver.
-func (b *omniBase) craft(honest tensor.Vector,
-	mk func(out tensor.Vector, view ClusterView),
-	fallback func(out, honest tensor.Vector)) tensor.Vector {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.crafted {
-		return b.out
+// scaled is the fallback that sends alpha times the honest vector, in a
+// free-list vector the caller owns.
+func scaled(alpha float64, honest tensor.Vector) tensor.Vector {
+	out := tensor.Get(len(honest))
+	for i, x := range honest {
+		out[i] = alpha * x
 	}
-	if b.view == nil || len(b.view.Honest()) == 0 {
-		fallback(b.owned(len(honest)), honest)
-		return b.out
-	}
-	mk(b.owned(len(b.view.Honest()[0])), b.view)
-	b.crafted = true
-	return b.out
-}
-
-// owned returns the attack's vector at length n, taking one from the free
-// list when it holds none of that length. A vector of another length is left
-// to the garbage collector: a caller may still be reading it.
-func (b *omniBase) owned(n int) tensor.Vector {
-	if len(b.out) != n {
-		b.out = tensor.Get(n)
-	}
-	return b.out
-}
-
-// copyHonest is the pass-through fallback: the honest vector itself.
-func copyHonest(out, honest tensor.Vector) { copy(out, honest) }
-
-// scaled is the fallback that sends alpha times the honest vector.
-func scaled(alpha float64) func(out, honest tensor.Vector) {
-	return func(out, honest tensor.Vector) {
-		for i, x := range honest {
-			out[i] = alpha * x
-		}
-	}
+	return out
 }
 
 // ALIE is "A Little Is Enough" (Baruch, Baruch, Goldberg — NeurIPS 2019):
@@ -103,25 +43,24 @@ type ALIE struct {
 	// Z is the per-coordinate deviation in honest standard deviations.
 	// 0 selects the paper's z_max from the population sizes in the view.
 	Z float64
-
-	omniBase
 }
 
-var _ Omniscient = (*ALIE)(nil)
+var _ Omniscient = ALIE{}
 
 // Name implements Attack.
-func (*ALIE) Name() string { return "alie" }
+func (ALIE) Name() string { return "alie" }
 
-// Corrupt implements Attack.
-func (a *ALIE) Corrupt(honest tensor.Vector, _ int, _ string) tensor.Vector {
-	return a.craft(honest, func(out tensor.Vector, view ClusterView) {
-		hv := view.Honest()
-		z := a.Z
-		if z <= 0 {
-			z = alieZMax(len(hv)+view.Colluders(), maxInt(view.F(), view.Colluders()))
-		}
-		alieInto(out, hv, z)
-	}, copyHonest)
+// Corrupt implements Attack: without a view, the honest vector.
+func (ALIE) Corrupt(honest tensor.Vector, _ int, _ string) tensor.Vector { return copied(honest) }
+
+// Craft implements Omniscient.
+func (a ALIE) Craft(out tensor.Vector, v ClusterView) {
+	hv := v.Honest()
+	z := a.Z
+	if z <= 0 {
+		z = alieZMax(len(hv)+v.Colluders(), max(v.F(), v.Colluders()))
+	}
+	alieInto(out, hv, z)
 }
 
 // alieInto writes mean − z·σ of vs per coordinate into out, σ the population
@@ -168,31 +107,35 @@ func alieZMax(n, f int) float64 {
 type InnerProduct struct {
 	// Eps scales the negated honest mean (default 0.5 when 0).
 	Eps float64
-
-	omniBase
 }
 
-var _ Omniscient = (*InnerProduct)(nil)
+var _ Omniscient = InnerProduct{}
 
 // Name implements Attack.
-func (*InnerProduct) Name() string { return "inner-product" }
+func (InnerProduct) Name() string { return "inner-product" }
 
-// Corrupt implements Attack.
-func (a *InnerProduct) Corrupt(honest tensor.Vector, _ int, _ string) tensor.Vector {
-	eps := a.Eps
-	if eps <= 0 {
-		eps = 0.5
+// Corrupt implements Attack: without a view, −ε times the honest vector.
+func (a InnerProduct) Corrupt(honest tensor.Vector, _ int, _ string) tensor.Vector {
+	return scaled(-a.eps(), honest)
+}
+
+// Craft implements Omniscient.
+func (a InnerProduct) Craft(out tensor.Vector, v ClusterView) {
+	// tensor.Mean's arithmetic, in out.
+	hv := v.Honest()
+	copy(out, hv[0])
+	for _, h := range hv[1:] {
+		tensor.AddInPlace(out, h)
 	}
-	return a.craft(honest, func(out tensor.Vector, view ClusterView) {
-		// tensor.Mean's arithmetic, in out.
-		hv := view.Honest()
-		copy(out, hv[0])
-		for _, v := range hv[1:] {
-			tensor.AddInPlace(out, v)
-		}
-		tensor.ScaleInPlace(out, 1/float64(len(hv)))
-		tensor.ScaleInPlace(out, -eps)
-	}, scaled(-eps))
+	tensor.ScaleInPlace(out, 1/float64(len(hv)))
+	tensor.ScaleInPlace(out, -a.eps())
+}
+
+func (a InnerProduct) eps() float64 {
+	if a.Eps <= 0 {
+		return 0.5
+	}
+	return a.Eps
 }
 
 // Mimic is the mimic attack (Karimireddy, He, Jaggi — ICLR 2022): every
@@ -204,25 +147,24 @@ func (a *InnerProduct) Corrupt(honest tensor.Vector, _ int, _ string) tensor.Vec
 type Mimic struct {
 	// Victim indexes the honest vector to replay (mod the visible set).
 	Victim int
-
-	omniBase
 }
 
-var _ Omniscient = (*Mimic)(nil)
+var _ Omniscient = Mimic{}
 
 // Name implements Attack.
-func (*Mimic) Name() string { return "mimic" }
+func (Mimic) Name() string { return "mimic" }
 
-// Corrupt implements Attack.
-func (a *Mimic) Corrupt(honest tensor.Vector, _ int, _ string) tensor.Vector {
-	return a.craft(honest, func(out tensor.Vector, view ClusterView) {
-		hv := view.Honest()
-		v := a.Victim
-		if v < 0 {
-			v = -v
-		}
-		copy(out, hv[v%len(hv)])
-	}, copyHonest)
+// Corrupt implements Attack: without a view, the honest vector.
+func (Mimic) Corrupt(honest tensor.Vector, _ int, _ string) tensor.Vector { return copied(honest) }
+
+// Craft implements Omniscient.
+func (a Mimic) Craft(out tensor.Vector, v ClusterView) {
+	hv := v.Honest()
+	i := a.Victim % len(hv) // in (−len, len): no negation to overflow
+	if i < 0 {
+		i += len(hv)
+	}
+	copy(out, hv[i])
 }
 
 // AntiKrum is the local-model poisoning attack of Fang et al. (USENIX
@@ -235,37 +177,39 @@ type AntiKrum struct {
 	// Colluders overrides the number of coordinated copies assumed in the
 	// simulation (0 = the view's count).
 	Colluders int
-
-	omniBase
 }
 
-var _ Omniscient = (*AntiKrum)(nil)
+var _ Omniscient = AntiKrum{}
 
 // Name implements Attack.
-func (*AntiKrum) Name() string { return "anti-krum" }
+func (AntiKrum) Name() string { return "anti-krum" }
 
-// Corrupt implements Attack.
-func (a *AntiKrum) Corrupt(honest tensor.Vector, _ int, _ string) tensor.Vector {
-	return a.craft(honest, func(out tensor.Vector, view ClusterView) {
-		hv := view.Honest()
-		c := a.Colluders
-		if c <= 0 {
-			c = maxInt(view.Colluders(), 1)
+// Corrupt implements Attack: without a view, plain gradient ascent at unit
+// scale.
+func (AntiKrum) Corrupt(honest tensor.Vector, _ int, _ string) tensor.Vector {
+	return scaled(-1, honest)
+}
+
+// Craft implements Omniscient.
+func (a AntiKrum) Craft(out tensor.Vector, v ClusterView) {
+	hv := v.Honest()
+	c := a.Colluders
+	if c <= 0 {
+		c = max(v.Colluders(), 1)
+	}
+	f := max(v.F(), c)
+	mean := tensor.Mean(hv)
+	dir := make(tensor.Vector, len(mean))
+	for i, x := range mean {
+		if math.Signbit(x) {
+			dir[i] = -1
+		} else {
+			dir[i] = 1
 		}
-		f := maxInt(view.F(), c)
-		mean := tensor.Mean(hv)
-		dir := make(tensor.Vector, len(mean))
-		for i, x := range mean {
-			if math.Signbit(x) {
-				dir[i] = -1
-			} else {
-				dir[i] = 1
-			}
-		}
-		lambda := maxKrumLambda(hv, dir, mean, c, f)
-		copy(out, mean)
-		tensor.AXPY(out, -lambda, dir)
-	}, scaled(-1)) // no view yet: plain gradient ascent at unit scale
+	}
+	lambda := maxKrumLambda(hv, dir, mean, c, f)
+	copy(out, mean)
+	tensor.AXPY(out, -lambda, dir)
 }
 
 // maxKrumLambda binary-searches the largest λ for which a crafted vector
@@ -351,11 +295,4 @@ func invNormCDF(p float64) float64 {
 		return (((((a[0]*r+a[1])*r+a[2])*r+a[3])*r+a[4])*r + a[5]) * q /
 			(((((b[0]*r+b[1])*r+b[2])*r+b[3])*r+b[4])*r + 1)
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

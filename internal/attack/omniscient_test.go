@@ -26,20 +26,12 @@ func honestCloud(n, d int, seed uint64) []tensor.Vector {
 
 func TestALIECraftsMeanMinusZSigma(t *testing.T) {
 	honest := honestCloud(10, 6, 3)
-	a := &ALIE{Z: 1.5}
-	a.Observe(NewStepView(4, honest, 3, 3))
-	got := a.Corrupt(honest[0], 4, "ps0")
+	got := make(tensor.Vector, 6)
+	ALIE{Z: 1.5}.Craft(got, NewStepView(4, honest, 3, 3))
 	mean, std := coordMeanStd(honest)
 	for i := range got {
 		if want := mean[i] - 1.5*std[i]; math.Float64bits(got[i]) != math.Float64bits(want) {
 			t.Fatalf("coordinate %d: got %v want %v", i, got[i], want)
-		}
-	}
-	// Same step, different receiver: the colluders' lie is one vector.
-	again := a.Corrupt(honest[1], 4, "ps1")
-	for i := range got {
-		if got[i] != again[i] {
-			t.Fatal("ALIE must send the same crafted vector to every receiver in a step")
 		}
 	}
 }
@@ -96,22 +88,23 @@ func coordMeanStd(vs []tensor.Vector) (mean, std tensor.Vector) {
 	return mean, std
 }
 
-// TestOmniscientAttacksLendOneVectorUntilTheNextObserve: an omniscient
-// attack crafts one vector per view, from the free list, and lends it to
-// every receiver; the next Observe hands it back, once. A degraded view's
-// fallback rewrites that one vector per receiver instead of taking another,
-// and an Observe before any craft hands nothing back — least of all a
-// view's vectors.
-func TestOmniscientAttacksLendOneVectorUntilTheNextObserve(t *testing.T) {
+// TestColludersCraftOncePerKind: Crafts crafts each distinct attack at most
+// once per message kind, into a free-list vector; equal attack values share
+// that vector, whatever view they ask with, and Release hands each one back,
+// once. A view without honest vectors crafts nothing, and crafting leaves
+// the view's vectors untouched. A SharedView keeps the crafts of a step in
+// its window and hands them back at Close. The fallback, Corrupt, writes a
+// vector of its own.
+func TestColludersCraftOncePerKind(t *testing.T) {
 	quietPool(t)
 	attacks := []struct {
-		mk       func() Omniscient
+		a        Omniscient
 		fallback func(honest tensor.Vector) tensor.Vector
 	}{
-		{func() Omniscient { return &ALIE{Z: 1} }, tensor.Clone},
-		{func() Omniscient { return &InnerProduct{Eps: 2} }, func(h tensor.Vector) tensor.Vector { return tensor.Scale(h, -2) }},
-		{func() Omniscient { return &Mimic{Victim: 1} }, tensor.Clone},
-		{func() Omniscient { return &AntiKrum{} }, func(h tensor.Vector) tensor.Vector { return tensor.Scale(h, -1) }},
+		{ALIE{Z: 1}, tensor.Clone},
+		{InnerProduct{Eps: 2}, func(h tensor.Vector) tensor.Vector { return tensor.Scale(h, -2) }},
+		{Mimic{Victim: 1}, tensor.Clone},
+		{AntiKrum{}, func(h tensor.Vector) tensor.Vector { return tensor.Scale(h, -1) }},
 	}
 	for k, c := range attacks {
 		n := 1061 + k // a length no other test uses, one per attack
@@ -120,47 +113,59 @@ func TestOmniscientAttacksLendOneVectorUntilTheNextObserve(t *testing.T) {
 		for i, h := range honest {
 			kept[i] = tensor.Clone(h)
 		}
-		a := c.mk()
-		name := a.Name()
+		a, name := c.a, c.a.Name()
+		view := NewStepView(0, honest, 1, 1)
+		want := make(tensor.Vector, n)
+		a.Craft(want, view)
 
-		a.Observe(NewStepView(0, honest, 1, 1))
-		a.Observe(NewStepView(0, honest, 1, 1))
-		if g := tensor.Get(n); !sameBits(honest, kept) || slices.ContainsFunc(honest, func(h tensor.Vector) bool { return &h[0] == &g[0] }) {
-			t.Fatalf("%s: an Observe before any craft handed back a view's vector", name)
+		var crafts Crafts
+		if got := crafts.Get(a, 1, NewStepView(0, nil, 1, 1)); got != nil {
+			t.Fatalf("%s: crafted from a view without honest vectors", name)
 		}
-
-		v0 := a.Corrupt(honest[0], 0, "ps0")
-		crafted := tensor.Clone(v0)
-		if v1 := a.Corrupt(honest[1], 0, "ps1"); &v1[0] != &v0[0] || !sameBits([]tensor.Vector{v0}, []tensor.Vector{crafted}) {
-			t.Fatalf("%s: the receivers of one step were not lent the same crafted vector", name)
+		v := crafts.Get(a, 1, view)
+		if !sameBits([]tensor.Vector{v}, []tensor.Vector{want}) {
+			t.Fatalf("%s: the crafted vector is not Craft's", name)
 		}
-		a.Observe(NewStepView(1, honest, 1, 1))
-		if !recycled(v0) {
-			t.Fatalf("%s: the next Observe did not hand the crafted vector back", name)
+		colluder := c.a // an equal value, as the registry arms every colluder
+		if again := crafts.Get(colluder, 1, NewStepView(0, honest[:2], 1, 1)); &again[0] != &v[0] {
+			t.Fatalf("%s: an equal colluder crafted again", name)
 		}
-		if g := tensor.Get(n); !raceEnabled && &g[0] == &v0[0] {
-			t.Fatalf("%s: the crafted vector was handed back twice", name)
+		other := crafts.Get(a, 2, view)
+		if &other[0] == &v[0] {
+			t.Fatalf("%s: two message kinds share one craft", name)
 		}
 		if !sameBits(honest, kept) {
-			t.Fatalf("%s: crafting or handing back touched the view's vectors", name)
+			t.Fatalf("%s: crafting touched the view's vectors", name)
+		}
+		crafts.Release()
+		if !recycled(v, other) {
+			t.Fatalf("%s: Release did not hand the crafted vectors back", name)
+		}
+		crafts.Release()
+		if g := tensor.Get(n); !raceEnabled && (&g[0] == &v[0] || &g[0] == &other[0]) {
+			t.Fatalf("%s: a crafted vector was handed back twice", name)
 		}
 
-		b := c.mk()
-		b.Observe(NewStepView(0, nil, 1, 1)) // a snapshot ahead of every honest sender
-		f0 := b.Corrupt(honest[0], 0, "ps0")
-		f1 := b.Corrupt(honest[1], 0, "ps1")
-		if &f1[0] != &f0[0] {
-			t.Fatalf("%s: the degraded view's fallback took a vector per receiver", name)
+		shared := NewSharedView(1, 1)
+		if got := shared.Craft(a, 1, 0); got != nil {
+			t.Fatalf("%s: a SharedView crafted before any honest vector was published", name)
 		}
-		if !sameBits([]tensor.Vector{f1}, []tensor.Vector{c.fallback(honest[1])}) {
-			t.Fatalf("%s: the fallback does not hold the latest receiver's vector", name)
+		for _, h := range honest {
+			shared.Publish(0, h)
 		}
-		b.Observe(StepView{}) // the launcher's end of a run
-		if !recycled(f0) {
-			t.Fatalf("%s: the end-of-run Observe did not hand the fallback's vector back", name)
+		sv := shared.Craft(a, 1, 0)
+		if again := shared.Craft(colluder, 1, 0); &again[0] != &sv[0] || !sameBits([]tensor.Vector{sv}, []tensor.Vector{want}) {
+			t.Fatalf("%s: the colluders of one step do not send one crafted vector", name)
 		}
-		if g := tensor.Get(n); !raceEnabled && &g[0] == &f0[0] {
-			t.Fatalf("%s: the fallback's vector was handed back twice", name)
+		window := append(shared.Snapshot(0).Honest(), sv)
+		shared.Close()
+		if !recycled(window...) {
+			t.Fatalf("%s: Close did not hand the step's crafted vector back", name)
+		}
+
+		f := a.Corrupt(honest[1], 0, "")
+		if &f[0] == &honest[1][0] || !sameBits([]tensor.Vector{f}, []tensor.Vector{c.fallback(kept[1])}) {
+			t.Fatalf("%s: the fallback is not a vector of its own holding %s's local answer", name, name)
 		}
 	}
 }
@@ -183,9 +188,8 @@ func TestALIEAutoZIsPositive(t *testing.T) {
 }
 
 func TestALIEFallsBackWithoutView(t *testing.T) {
-	a := &ALIE{Z: 1}
 	honest := tensor.Vector{1, 2, 3}
-	got := a.Corrupt(honest, 0, "ps0")
+	got := ALIE{Z: 1}.Corrupt(honest, 0, "ps0")
 	for i := range honest {
 		if got[i] != honest[i] {
 			t.Fatal("without a view ALIE should pass the honest vector through")
@@ -195,9 +199,8 @@ func TestALIEFallsBackWithoutView(t *testing.T) {
 
 func TestInnerProductNegatesHonestMean(t *testing.T) {
 	honest := honestCloud(8, 5, 7)
-	a := &InnerProduct{Eps: 2}
-	a.Observe(NewStepView(1, honest, 2, 2))
-	got := a.Corrupt(honest[0], 1, "ps0")
+	got := make(tensor.Vector, 5)
+	InnerProduct{Eps: 2}.Craft(got, NewStepView(1, honest, 2, 2))
 	mean := tensor.Mean(honest)
 	if dot := tensor.Dot(got, mean); dot >= 0 {
 		t.Fatalf("crafted vector should oppose the honest mean, dot=%v", dot)
@@ -208,21 +211,21 @@ func TestInnerProductNegatesHonestMean(t *testing.T) {
 		}
 	}
 	// Fallback without a view: negate the local honest vector.
-	b := &InnerProduct{Eps: 2}
 	local := tensor.Vector{1, -1}
-	if got := b.Corrupt(local, 0, "x"); got[0] != -2 || got[1] != 2 {
+	if got := (InnerProduct{Eps: 2}).Corrupt(local, 0, "x"); got[0] != -2 || got[1] != 2 {
 		t.Fatalf("fallback = %v, want [-2 2]", got)
 	}
 }
 
 func TestMimicReplaysAnHonestVector(t *testing.T) {
 	honest := honestCloud(6, 4, 9)
-	a := &Mimic{Victim: 2}
-	a.Observe(NewStepView(0, honest, 1, 1))
-	got := a.Corrupt(honest[0], 0, "ps0")
-	for i := range got {
-		if got[i] != honest[2][i] {
-			t.Fatalf("mimic should replay honest[2], got %v", got)
+	for _, victim := range []int{2, 8, -4} { // all honest[2] among six
+		got := make(tensor.Vector, 4)
+		Mimic{Victim: victim}.Craft(got, NewStepView(0, honest, 1, 1))
+		for i := range got {
+			if got[i] != honest[2][i] {
+				t.Fatalf("mimic victim %d should replay honest[2], got %v", victim, got)
+			}
 		}
 	}
 }
@@ -230,9 +233,8 @@ func TestMimicReplaysAnHonestVector(t *testing.T) {
 func TestAntiKrumCraftIsSelectedByKrum(t *testing.T) {
 	honest := honestCloud(13, 8, 13)
 	const colluders, f = 5, 5
-	a := &AntiKrum{}
-	a.Observe(NewStepView(2, honest, f, colluders))
-	crafted := a.Corrupt(honest[0], 2, "ps0")
+	crafted := make(tensor.Vector, 8)
+	AntiKrum{}.Craft(crafted, NewStepView(2, honest, f, colluders))
 
 	// Re-run the server's own defence: the crafted vector, submitted by
 	// all colluders, must win the Krum selection.
@@ -338,8 +340,8 @@ func TestRegistrySpecs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a := mk(0).(*ALIE); a.Z != 1.25 {
-		t.Fatalf("alie z = %v, want 1.25", a.Z)
+	if a := mk(0).(ALIE); a.Z != 1.25 || mk(1) != a {
+		t.Fatalf("alie z = %v, want 1.25 and one value for every colluder", a.Z)
 	}
 	mk, err = FromSpec("stale:age=9", 1)
 	if err != nil {
@@ -348,10 +350,24 @@ func TestRegistrySpecs(t *testing.T) {
 	if a := mk(0).(*StaleReplay); a.Age != 9 {
 		t.Fatalf("stale age = %v, want 9", a.Age)
 	}
-	for _, bad := range []string{"", "nosuch", "alie:zz=1", "alie:z", "alie:z=x", "alie:z=1,z=2"} {
+	for _, bad := range []string{"", "nosuch", "alie:zz=1", "alie:z", "alie:z=x", "alie:z=1,z=2",
+		"mimic:victim=nan", "mimic:victim=-inf", "alie:z=+Inf"} {
 		if _, err := FromSpec(bad, 1); err == nil {
 			t.Fatalf("spec %q should be rejected", bad)
 		}
+	}
+	// Fault-profile specs parse through ParseSpec too.
+	if _, _, err := ParseSpec("drop:p=NaN"); err == nil {
+		t.Fatal(`ParseSpec accepted "drop:p=NaN"`)
+	}
+	// The largest and smallest victims int() can make of a finite float.
+	for _, spec := range []string{"mimic:victim=-9.3e18", "mimic:victim=9.3e18", "mimic:victim=-7"} {
+		mk, err := FromSpec(spec, 1)
+		if err != nil {
+			t.Fatalf("%s: %v", spec, err)
+		}
+		honest := honestCloud(6, 3, 1)
+		mk(0).(Omniscient).Craft(make(tensor.Vector, 3), NewStepView(0, honest, 1, 1))
 	}
 }
 

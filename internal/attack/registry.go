@@ -2,6 +2,7 @@ package attack
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -16,7 +17,9 @@ import (
 //	stale:age=10          — integer-valued parameters parse from floats
 //
 // Factories take the Byzantine node's index so stateful attacks never
-// share generators or history across nodes.
+// share generators or history across nodes. The omniscient attacks are
+// built as values, so the colluders armed from one spec compare equal and
+// craft once (see Omniscient).
 
 // spec describes one registered behaviour family.
 type spec struct {
@@ -71,25 +74,25 @@ var registry = map[string]spec{
 	"alie": {
 		defaults: map[string]float64{"z": 0},
 		build: func(p map[string]float64, _ uint64, _ int) Attack {
-			return &ALIE{Z: p["z"]}
+			return ALIE{Z: p["z"]}
 		},
 	},
 	"ipm": {
 		defaults: map[string]float64{"eps": 0.5},
 		build: func(p map[string]float64, _ uint64, _ int) Attack {
-			return &InnerProduct{Eps: p["eps"]}
+			return InnerProduct{Eps: p["eps"]}
 		},
 	},
 	"mimic": {
 		defaults: map[string]float64{"victim": 0},
 		build: func(p map[string]float64, _ uint64, _ int) Attack {
-			return &Mimic{Victim: int(p["victim"])}
+			return Mimic{Victim: int(p["victim"])}
 		},
 	},
 	"antikrum": {
 		defaults: map[string]float64{"colluders": 0},
 		build: func(p map[string]float64, _ uint64, _ int) Attack {
-			return &AntiKrum{Colluders: int(p["colluders"])}
+			return AntiKrum{Colluders: int(p["colluders"])}
 		},
 	},
 	"equivocate": {
@@ -178,6 +181,9 @@ func ParseSpec(specStr string) (name string, params map[string]float64, err erro
 		x, perr := strconv.ParseFloat(v, 64)
 		if perr != nil {
 			return "", nil, fmt.Errorf("attack: parameter %s in spec %q: %v", k, specStr, perr)
+		}
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return "", nil, fmt.Errorf("attack: parameter %s in spec %q is %v, want a finite number", k, specStr, x)
 		}
 		if _, dup := params[k]; dup {
 			return "", nil, fmt.Errorf("attack: duplicate parameter %q in spec %q", k, specStr)

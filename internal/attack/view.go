@@ -1,9 +1,6 @@
 package attack
 
 import (
-	"fmt"
-	"maps"
-	"reflect"
 	"slices"
 	"sync"
 
@@ -16,25 +13,20 @@ import (
 // through the nodes it controls. Accordingly a view is read-only: attacks
 // must not modify the vectors it exposes.
 //
-// The runtimes feed views with the honest vectors of the message class the
-// Byzantine node is about to corrupt: gradients for a worker, parameter
-// vectors for a server. The deterministic simulator supplies the complete
+// The runtimes build views from the honest vectors of the message class the
+// Byzantine nodes are about to corrupt: gradients for workers, parameter
+// vectors for servers. The deterministic simulator supplies the complete
 // honest set every step; the live runtimes publish honest vectors as they
-// are produced, so a concurrently-running Byzantine node may observe only
-// the subset already available — omniscience degraded by real asynchrony.
-// Attacks therefore must tolerate an empty Honest() set (falling back to
-// the honest basis vector Corrupt receives).
-//
-// A view's vectors are valid until the attack's next Observe: a live
-// runtime may hand the memory behind a snapshot back to the tensor free
-// list once the attack has observed the one after it (the launcher does at
-// the end of a run, see SharedView.Close), so an attack that keeps a value
-// past that copies it.
+// are produced, so a concurrently-running Byzantine node may see only the
+// subset already available — omniscience degraded by real asynchrony. A
+// view is read only while Omniscient.Craft runs: the live runtimes recycle
+// its vectors at the end of a run (SharedView.Close), so an attack that
+// keeps a value past that copies it.
 type ClusterView interface {
 	// Step is the protocol step the view belongs to.
 	Step() int
 	// Honest returns the honest vectors visible this step. The slice and
-	// its vectors are read-only. May be empty.
+	// its vectors are read-only. Craft is only called with a non-empty set.
 	Honest() []tensor.Vector
 	// F is the declared Byzantine bound of the sender population the
 	// Byzantine node belongs to (f̄ for workers, f for servers).
@@ -44,53 +36,72 @@ type ClusterView interface {
 	Colluders() int
 }
 
-// Omniscient marks attacks that adapt to the honest cluster state. Runtimes
-// call Observe with the current step's view before invoking Corrupt for
-// that step. Observe may be called multiple times per step (the live
-// runtimes refresh the view as honest vectors arrive); implementations
-// adopt the view they are given — whatever its step, so a new run starts
-// from its own first view — stop reading the one before, and must be safe
-// for concurrent use.
-//
-// What Corrupt returns is lent to the caller until the attack's next
-// Observe, which may hand it back to the tensor free list (the attacks of
-// this package do; the live launcher's end-of-run Observe of an empty view
-// returns a run's last one). Between two Observes they lend one vector to
-// every receiver, and their degraded-view fallback rewrites it in place
-// from each call's honest basis. One instance therefore serves one node:
-// both runtimes refuse an instance armed at two node indices
-// (CheckInstances), since one loop's Observe would recycle a vector another
-// loop is still sending.
+// Omniscient marks attacks that adapt to the honest cluster state. They
+// are stateless values: Craft writes the one vector every colluder sends,
+// and the runtimes call it at most once per distinct attack, message kind
+// and step (see Crafts) — colluders armed with equal values (==) share that
+// craft, so an implementation must be comparable. Corrupt is the attack's
+// local-knowledge fallback, for a colluder that sees no honest vector yet
+// (or no view at all, across processes): it is called once per broadcast,
+// and the vector it returns, which the caller owns and hands to the tensor
+// free list once sent, goes to every receiver. Both must be safe for
+// concurrent use.
 type Omniscient interface {
 	Attack
-	// Observe hands the attack its view of the honest cluster.
-	Observe(v ClusterView)
+	// Craft writes the colluders' vector for view v into out, whose length
+	// is the dimension of v's honest vectors.
+	Craft(out tensor.Vector, v ClusterView)
 }
 
-// CheckInstances refuses one Omniscient instance armed at two node indices,
-// within one attack map or across the server and worker maps: an omniscient
-// attack owns the vector it crafts, so each node needs its own instance.
-// Only pointer-typed attacks can be shared; a value is a copy per index.
-func CheckInstances(servers, workers map[int]Attack) error {
-	seen := make(map[Omniscient]string)
-	for _, role := range []struct {
-		name    string
-		attacks map[int]Attack
-	}{{"server", servers}, {"worker", workers}} {
-		for _, i := range slices.Sorted(maps.Keys(role.attacks)) {
-			o, ok := role.attacks[i].(Omniscient)
-			if !ok || reflect.ValueOf(o).Kind() != reflect.Pointer {
-				continue
-			}
-			at := fmt.Sprintf("%s %d", role.name, i)
-			if first, dup := seen[o]; dup {
-				return fmt.Errorf("attack: one %s instance armed at %s and %s; an omniscient attack needs one instance per node",
-					o.Name(), first, at)
-			}
-			seen[o] = at
-		}
+// Crafts holds the vectors the omniscient colluders of one step send: each
+// distinct attack crafts at most once per message kind, from the view it is
+// first asked with, into one free-list vector that every colluder of that
+// kind sends until Release. The zero value is empty; it is safe for
+// concurrent use.
+type Crafts struct {
+	mu   sync.Mutex
+	vecs map[crafted]tensor.Vector
+}
+
+// crafted keys one craft: the attack and the message kind it speaks in.
+type crafted struct {
+	by   Omniscient
+	kind uint8
+}
+
+// Get returns a's vector for kind, crafted from v on the first call; nil
+// when no vector has been crafted yet and v shows no honest one — the
+// colluder then falls back to a.Corrupt. The vector stays the Crafts' own:
+// callers read it until Release.
+func (c *Crafts) Get(a Omniscient, kind uint8, v ClusterView) tensor.Vector {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	k := crafted{a, kind}
+	if out, ok := c.vecs[k]; ok {
+		return out
 	}
-	return nil
+	hv := v.Honest()
+	if len(hv) == 0 {
+		return nil
+	}
+	out := tensor.Get(len(hv[0]))
+	a.Craft(out, v)
+	if c.vecs == nil {
+		c.vecs = make(map[crafted]tensor.Vector)
+	}
+	c.vecs[k] = out
+	return out
+}
+
+// Release hands every crafted vector back to the free list; the caller
+// guarantees that nothing reads them any more.
+func (c *Crafts) Release() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, v := range c.vecs {
+		tensor.Put(v)
+	}
+	clear(c.vecs)
 }
 
 // StepView is the ClusterView of the deterministic runtimes: a complete
@@ -123,16 +134,6 @@ func (v StepView) F() int { return v.f }
 // Colluders implements ClusterView.
 func (v StepView) Colluders() int { return v.colluders }
 
-// ObserveAll feeds the view to every Omniscient attack in the map. The
-// runtimes call it once per step and message class.
-func ObserveAll(attacks map[int]Attack, v ClusterView) {
-	for _, a := range attacks {
-		if o, ok := a.(Omniscient); ok {
-			o.Observe(v)
-		}
-	}
-}
-
 // sharedViewWindow bounds how many steps of history a SharedView retains;
 // old steps are garbage-collected as new ones are published.
 const sharedViewWindow = 16
@@ -140,26 +141,34 @@ const sharedViewWindow = 16
 // SharedView implements omniscience for the live runtimes: the runtime
 // publishes every honest node's outbound vector of a step (once per step,
 // copied at publication so senders may keep mutating their buffers), and
-// Byzantine nodes snapshot the set published so far. Because nodes run
-// concurrently, a snapshot may be partial — the faithful "arbitrarily fast
+// Byzantine nodes craft from the set published so far. Because nodes run
+// concurrently, that set may be partial — the faithful "arbitrarily fast
 // but not clairvoyant" adversary.
 //
-// The copies come from the tensor free list. A step leaving the window is
-// left to the garbage collector, since a snapshot of it may still be read;
-// what the window holds at the end of the run goes back at Close.
+// The copies and the crafted vectors come from the tensor free list. A step
+// leaving the window is left to the garbage collector, since a colluder may
+// still be reading or sending from it; what the window holds at the end of
+// the run goes back at Close.
 type SharedView struct {
 	f         int
 	colluders int
 
 	mu    sync.Mutex
-	steps map[int][]tensor.Vector
+	steps map[int]*viewStep
+}
+
+// viewStep is one step of a SharedView: the honest copies published so far
+// and what the colluders crafted from them.
+type viewStep struct {
+	honest []tensor.Vector
+	crafts Crafts
 }
 
 // NewSharedView builds an empty view for one message class (gradients or
 // parameter vectors) with the population's declared bound f and the number
 // of colluding Byzantine senders.
 func NewSharedView(f, colluders int) *SharedView {
-	return &SharedView{f: f, colluders: colluders, steps: make(map[int][]tensor.Vector)}
+	return &SharedView{f: f, colluders: colluders, steps: make(map[int]*viewStep)}
 }
 
 // Publish records a copy of one honest node's vector for the given step.
@@ -168,7 +177,12 @@ func (s *SharedView) Publish(step int, vec tensor.Vector) {
 	copy(cp, vec)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.steps[step] = append(s.steps[step], cp)
+	w := s.steps[step]
+	if w == nil {
+		w = new(viewStep)
+		s.steps[step] = w
+	}
+	w.honest = append(w.honest, cp)
 	for old := range s.steps {
 		if old < step-sharedViewWindow {
 			delete(s.steps, old)
@@ -180,26 +194,46 @@ func (s *SharedView) Publish(step int, vec tensor.Vector) {
 // far. The returned vectors are the published copies and are read-only.
 func (s *SharedView) Snapshot(step int) ClusterView {
 	s.mu.Lock()
-	honest := append([]tensor.Vector(nil), s.steps[step]...)
+	var honest []tensor.Vector
+	if w := s.steps[step]; w != nil {
+		honest = slices.Clone(w.honest)
+	}
 	s.mu.Unlock()
 	return NewStepView(step, honest, s.f, s.colluders)
 }
 
-// Close hands every copy still in the window back to the free list. The
-// caller guarantees that nothing reads a snapshot of the view any more: the
-// live launcher closes its views once every node loop has returned and every
-// Omniscient attack has observed an empty view. Closing a nil view does
-// nothing.
+// Craft returns the vector a's colluders send in kind at step: crafted by
+// the first of them to find an honest vector published for the step, from
+// the snapshot it finds, and kept in the step's window. It returns nil while
+// nothing is published for the step, and on a nil view.
+func (s *SharedView) Craft(a Omniscient, kind uint8, step int) tensor.Vector {
+	if s == nil {
+		return nil
+	}
+	s.mu.Lock()
+	w := s.steps[step]
+	s.mu.Unlock()
+	if w == nil {
+		return nil
+	}
+	return w.crafts.Get(a, kind, s.Snapshot(step))
+}
+
+// Close hands every copy and crafted vector still in the window back to the
+// free list. The caller guarantees that nothing reads the view any more:
+// the live launcher closes its views once every node loop has returned.
+// Closing a nil view does nothing.
 func (s *SharedView) Close() {
 	if s == nil {
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, vecs := range s.steps {
-		for _, v := range vecs {
+	for _, w := range s.steps {
+		for _, v := range w.honest {
 			tensor.Put(v)
 		}
+		w.crafts.Release()
 	}
 	clear(s.steps)
 }

@@ -178,14 +178,14 @@ func TestChaosTCPClusterSurvivesFaultsAndEquivocation(t *testing.T) {
 // TestLiveOmniscientAttackGetsSharedView checks the live runtimes' side of
 // the ClusterView contract: in an in-process deployment, honest nodes
 // publish their vectors to the shared view and an omniscient Byzantine
-// worker actually observes non-empty honest state while the cluster still
-// converges around it.
+// worker actually crafts from non-empty honest state while the cluster
+// still converges around it.
 func TestLiveOmniscientAttackGetsSharedView(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full live run")
 	}
 	model, train, test := testProblem(707)
-	probe := &viewProbe{inner: &attack.ALIE{Z: 1.5}}
+	probe := &viewProbe{inner: attack.ALIE{Z: 1.5}}
 	cfg := LiveConfig{
 		Model: model, Train: train,
 		NumServers: 6, FServers: 1,
@@ -201,14 +201,15 @@ func TestLiveOmniscientAttackGetsSharedView(t *testing.T) {
 		t.Fatal(err)
 	}
 	if probe.maxHonest() == 0 {
-		t.Fatal("omniscient worker never observed any honest gradient")
+		t.Fatal("omniscient worker never crafted from any honest gradient")
 	}
 	if acc := evalFinal(t, model, res.Final, test); acc < 0.85 {
 		t.Fatalf("cluster did not converge around the ALIE colluder: accuracy %.3f", acc)
 	}
 }
 
-// viewProbe wraps an Omniscient attack and records the richest view seen.
+// viewProbe wraps an Omniscient attack and records the richest view it
+// crafted from.
 type viewProbe struct {
 	inner attack.Omniscient
 
@@ -218,13 +219,13 @@ type viewProbe struct {
 
 func (p *viewProbe) Name() string { return p.inner.Name() }
 
-func (p *viewProbe) Observe(v attack.ClusterView) {
+func (p *viewProbe) Craft(out tensor.Vector, v attack.ClusterView) {
 	p.mu.Lock()
 	if n := len(v.Honest()); n > p.best {
 		p.best = n
 	}
 	p.mu.Unlock()
-	p.inner.Observe(v)
+	p.inner.Craft(out, v)
 }
 
 func (p *viewProbe) Corrupt(honest tensor.Vector, step int, receiver string) tensor.Vector {

@@ -76,9 +76,7 @@ type LiveConfig struct {
 	// quorum range 2f+3 ≤ q ≤ n−f, attacked indices inside the population
 	// and at least one honest node — and nothing else Validate checks (used
 	// by tests that deliberately run illegal deployments, e.g. the vanilla
-	// baseline). In particular one omniscient attack instance per node
-	// (attack.CheckInstances) still holds: it is a memory rule, not a paper
-	// bound.
+	// baseline).
 	SkipValidation bool
 	// Suspicion, when non-nil, is shared by all honest servers to
 	// accumulate per-worker exclusion statistics (requires a selective
@@ -166,8 +164,7 @@ func (c *LiveChurn) validate(cfg *LiveConfig) error {
 
 // Validate is everything RunLiveContext refuses before it opens an
 // endpoint: each role against the paper's legality section (gar.CheckRole,
-// unless SkipValidation), one omniscient attack instance per node, then the
-// run's own settings.
+// unless SkipValidation), then the run's own settings.
 func (c *LiveConfig) Validate() error {
 	if !c.SkipValidation {
 		if err := gar.CheckRole("server", c.NumServers, c.FServers, c.QuorumServers, maps.Keys(c.ServerAttacks)); err != nil {
@@ -176,9 +173,6 @@ func (c *LiveConfig) Validate() error {
 		if err := gar.CheckRole("worker", c.NumWorkers, c.FWorkers, c.QuorumWorkers, maps.Keys(c.WorkerAttacks)); err != nil {
 			return err
 		}
-	}
-	if err := attack.CheckInstances(c.ServerAttacks, c.WorkerAttacks); err != nil {
-		return err
 	}
 	if c.Steps <= 0 || c.Batch <= 0 {
 		return fmt.Errorf("cluster: Steps and Batch must be positive")
@@ -284,7 +278,7 @@ type plan struct {
 	theta0           tensor.Vector
 	// Omniscient attacks get one shared view per message class: honest
 	// nodes' vectors are published to it as they are produced, Byzantine
-	// nodes snapshot it before corrupting (see attack.SharedView).
+	// nodes craft from it before corrupting (see attack.SharedView).
 	serverView, workerView *attack.SharedView
 	rng                    *tensor.RNG
 	// replicas is the one free list every worker of the run leases its
@@ -475,12 +469,9 @@ func RunLiveContext(ctx context.Context, cfg LiveConfig) (*LiveResult, error) {
 		}()
 	}
 	loops.Wait()
-	// No loop reads the adversary's views any more: once no attack holds a
-	// snapshot either, the copies still in their windows go back to the
-	// free list. Observing the empty view also makes each omniscient attack
-	// hand back the last vector it crafted, which no loop sends any more.
-	attack.ObserveAll(cfg.ServerAttacks, attack.StepView{})
-	attack.ObserveAll(cfg.WorkerAttacks, attack.StepView{})
+	// No loop reads or sends from the adversary's views any more: the
+	// copies and crafted vectors still in their windows go back to the
+	// free list.
 	p.serverView.Close()
 	p.workerView.Close()
 	m.close() // also settles in-flight delayed deliveries before the counters are read

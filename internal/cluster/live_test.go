@@ -290,10 +290,6 @@ func TestLiveValidationRejectsIllegalDeployments(t *testing.T) {
 			c.WorkerAttacks = map[int]attack.Attack{99: attack.Zero{}}
 		}, "worker attack index 99 outside population [0, 6)"},
 		{"zero steps", func(c *LiveConfig) { c.Steps = 0 }, "cluster: Steps and Batch must be positive"},
-		{"omniscient instance at two nodes, bounds skipped", func(c *LiveConfig) {
-			alie := &attack.ALIE{}
-			c.WorkerAttacks, c.SkipValidation = map[int]attack.Attack{0: alie, 1: alie}, true
-		}, "one alie instance armed at worker 0 and worker 1"},
 	}
 	for _, c := range cases {
 		cfg := LiveConfig{Model: model, Train: train,

@@ -33,26 +33,38 @@ func validator(m transport.Message) bool {
 // it as chunk frames (see transport.SendSharded). A nil attack means honest:
 // one transport.Broadcast, which splits the vector once and lets an endpoint
 // that can — the couriers — snapshot and encode each frame once for all
-// destinations. A Byzantine node routes every message through att per
-// destination, because it may equivocate; corruption happens on the whole
-// vector first, so a Byzantine payload shards exactly like an honest one,
-// and a nil result is silence towards that receiver; what att returns is
-// lent until its next Observe, which comes after this call, and
-// SendSharded borrows it only until it returns. Send errors are
-// deliberately dropped: the network model is best-effort and the quorum
-// discipline tolerates missing messages. Payload immutability is the
-// transport's job: every Endpoint delivers a snapshot (the in-process
-// network clones per receiver, TCP copies by serialising, the couriers clone
-// once per broadcast) and only borrows vec until the call returns, so a
-// sender may keep mutating vec afterwards — or recycle it.
-func broadcast(ep transport.Endpoint, att attack.Attack, kind transport.Kind,
+// destinations. An omniscient attack sends every receiver one vector: the
+// one its colluders craft for (kind, step) from view, or, while view shows
+// no honest vector (or is nil), its own fallback, handed back once sent. Any
+// other Byzantine node routes every message through att per destination,
+// because it may equivocate. Corruption happens on the whole vector first,
+// so a Byzantine payload shards exactly like an honest one, and a nil result
+// is silence towards that receiver. Send errors are deliberately dropped:
+// the network model is best-effort and the quorum discipline tolerates
+// missing messages. Payload immutability is the transport's job: every
+// Endpoint delivers a snapshot (the in-process network clones per receiver,
+// TCP copies by serialising, the couriers clone once per broadcast) and only
+// borrows vec until the call returns, so a sender may keep mutating vec
+// afterwards — or recycle it.
+func broadcast(ep transport.Endpoint, att attack.Attack, view *attack.SharedView, kind transport.Kind,
 	step int, tos []string, vec tensor.Vector, shardSize int) {
 	if att == nil {
 		_ = transport.Broadcast(ep, tos, transport.Message{Kind: kind, Step: step, Vec: vec}, shardSize)
 		return
 	}
+	o, omniscient := att.(attack.Omniscient)
+	var out tensor.Vector
+	if omniscient {
+		if out = view.Craft(o, uint8(kind), step); out == nil {
+			out = o.Corrupt(vec, step, "")
+			defer tensor.Put(out)
+		}
+	}
 	for _, to := range tos {
-		if out := att.Corrupt(vec, step, to); out != nil {
+		if !omniscient {
+			out = att.Corrupt(vec, step, to)
+		}
+		if out != nil {
 			_ = transport.SendSharded(ep, to, transport.Message{Kind: kind, Step: step, Vec: out}, shardSize)
 		}
 	}
@@ -189,13 +201,14 @@ type ServerConfig struct {
 	Attack attack.Attack
 	// View, when non-nil, is the omniscient adversary's window onto the
 	// honest servers' parameter vectors: honest servers publish their θ to
-	// it each step, Byzantine servers running an attack.Omniscient snapshot
-	// it before corrupting. In-process runtimes share one view per message
-	// class; multi-process deployments leave it nil (an adversary spanning
-	// processes would need its own covert channel), in which case
-	// omniscient attacks degrade to their local-knowledge fallback. Whoever
-	// built the view closes it after every loop sharing it has returned
-	// (RunLiveContext does), or leaves its copies to the garbage collector.
+	// it each step, Byzantine servers running an attack.Omniscient send
+	// what their colluders craft from it. In-process runtimes share one
+	// view per message class; multi-process deployments leave it nil (an
+	// adversary spanning processes would need its own covert channel), in
+	// which case omniscient attacks degrade to their local-knowledge
+	// fallback. Whoever built the view closes it after every loop sharing it
+	// has returned (RunLiveContext does), or leaves its vectors to the
+	// garbage collector.
 	View *attack.SharedView
 	// Suspicion, when non-nil and GradRule is selective (e.g. Multi-Krum),
 	// accumulates which workers' gradients the rule excluded each round —
@@ -295,15 +308,11 @@ func RunServer(ep transport.Endpoint, cfg ServerConfig) (tensor.Vector, error) {
 
 		// Phase 1: publish the current model to every worker. Honest servers
 		// expose θ to the omniscient adversary's view; a Byzantine server
-		// snapshots whatever honest state is already visible this step.
-		if cfg.View != nil {
-			if cfg.Attack == nil {
-				cfg.View.Publish(t, theta)
-			} else if o, ok := cfg.Attack.(attack.Omniscient); ok {
-				o.Observe(cfg.View.Snapshot(t))
-			}
+		// crafts from whatever honest state is already visible this step.
+		if cfg.View != nil && cfg.Attack == nil {
+			cfg.View.Publish(t, theta)
 		}
-		broadcast(ep, cfg.Attack, transport.KindParams, t, cfg.Workers, theta, cfg.ShardSize)
+		broadcast(ep, cfg.Attack, cfg.View, transport.KindParams, t, cfg.Workers, theta, cfg.ShardSize)
 
 		// Phase 2: gather a quorum of gradients and update locally. At a
 		// sharded layout the aggregation streams: partial distance/median
@@ -318,12 +327,7 @@ func RunServer(ep transport.Endpoint, cfg ServerConfig) (tensor.Vector, error) {
 
 		// Phase 3: contraction round across servers.
 		if cfg.QuorumParams > 1 && len(cfg.Peers) > 0 {
-			if cfg.View != nil {
-				if att, ok := cfg.Attack.(attack.Omniscient); ok {
-					att.Observe(cfg.View.Snapshot(t))
-				}
-			}
-			broadcast(ep, cfg.Attack, transport.KindPeerParams, t, cfg.Peers, theta, cfg.ShardSize)
+			broadcast(ep, cfg.Attack, cfg.View, transport.KindPeerParams, t, cfg.Peers, theta, cfg.ShardSize)
 			// The node's own θ rides along as input 0 — "its own vector
 			// included" without a loopback message — and is recycled once
 			// the contracted θ has replaced it.
@@ -376,7 +380,7 @@ type WorkerConfig struct {
 	Attack attack.Attack
 	// View mirrors ServerConfig.View for the gradient message class:
 	// honest workers publish their gradient each step, omniscient
-	// Byzantine workers snapshot the set published so far.
+	// Byzantine workers craft from the set published so far.
 	View *attack.SharedView
 	// ShardSize mirrors ServerConfig.ShardSize for the worker's traffic.
 	ShardSize int
@@ -458,15 +462,11 @@ func RunWorker(ep transport.Endpoint, cfg WorkerConfig) error {
 
 		// Phase 2: broadcast the gradient to every server. Honest workers
 		// expose it to the adversary's view first; omniscient Byzantine
-		// workers snapshot the honest gradients visible so far.
-		if cfg.View != nil {
-			if cfg.Attack == nil {
-				cfg.View.Publish(t, grad)
-			} else if o, ok := cfg.Attack.(attack.Omniscient); ok {
-				o.Observe(cfg.View.Snapshot(t))
-			}
+		// workers craft from the honest gradients visible so far.
+		if cfg.View != nil && cfg.Attack == nil {
+			cfg.View.Publish(t, grad)
 		}
-		broadcast(ep, cfg.Attack, transport.KindGradient, t, cfg.Servers, grad, cfg.ShardSize)
+		broadcast(ep, cfg.Attack, cfg.View, transport.KindGradient, t, cfg.Servers, grad, cfg.ShardSize)
 		tensor.Put(grad) // the broadcast only borrowed it
 		h.StepDone(t)
 	}

@@ -404,16 +404,16 @@ func TestNodeLoopReturnsWhatItLeftBuffered(t *testing.T) {
 	t.Fatal("the frame buffered for step 1 was not handed to the free list when the loop returned")
 }
 
-// TestSecondLiveRunReusesCraftedVectors: an omniscient attack hands the
-// vector it crafted back to the free list at its next Observe, and the
-// launcher's end-of-run Observe of an empty view hands back each run's last
-// one, so a run of a deployment that ran before crafts only into vectors the
-// free list already holds. Two ALIE workers in a 3+4 channel mesh, on one
-// processor and without garbage collection, as in
-// TestSecondLiveRunReusesUnreadFrames: the allocation profile, every
-// allocation sampled, must show no d-vector allocated under the attack
-// package during the second run, and each attack's last crafted vector must
-// be back in the free list when the run returns.
+// TestSecondLiveRunReusesCraftedVectors: the colluders' crafted vectors stay
+// in the adversary's view until the launcher closes it at the end of the
+// run, which hands them back to the free list, as the colluders' fallback
+// vectors go back once sent, so a run of a deployment that ran before crafts
+// only into vectors the free list already holds. Two workers armed with one
+// ALIE in a 3+4 channel mesh, on one processor and without garbage
+// collection, as in TestSecondLiveRunReusesUnreadFrames: the allocation
+// profile, every allocation sampled, must show no d-vector allocated under
+// the attack package during the second run, and every vector crafted in a
+// run must be back in the free list when the run returns.
 func TestSecondLiveRunReusesCraftedVectors(t *testing.T) {
 	if putPoisons() {
 		t.Skip("the race detector's sync.Pool drops a quarter of all Puts")
@@ -428,12 +428,12 @@ func TestSecondLiveRunReusesCraftedVectors(t *testing.T) {
 	_, train, _ := testProblem(808)
 	model := nn.NewMLP(tensor.NewRNG(809), 2, 512, 3) // a dimension no other test uses
 	dim := model.ParamCount()
-	colluders := []*lastCrafted{{ALIE: &attack.ALIE{Z: 1}}, {ALIE: &attack.ALIE{Z: 1}}}
+	colluders := &craftRecorder{ALIE: attack.ALIE{Z: 1}}
 	cfg := LiveConfig{
 		Model: model, Train: train,
 		NumServers: 3, NumWorkers: 4, FWorkers: 1,
 		QuorumServers: 2, QuorumWorkers: 3,
-		WorkerAttacks: map[int]attack.Attack{0: colluders[0], 1: colluders[1]},
+		WorkerAttacks: map[int]attack.Attack{0: colluders, 1: colluders},
 		Rule:          gar.Median{},
 		Steps:         4, Batch: 2,
 		Timeout:        10 * time.Second,
@@ -473,37 +473,104 @@ func TestSecondLiveRunReusesCraftedVectors(t *testing.T) {
 	if fresh()-before != 1 {
 		t.Fatal("the allocation profile does not show a d-vector allocated under the attack package")
 	}
-	if _, err := RunLiveContext(context.Background(), cfg); err != nil {
-		t.Fatal(err)
+	// run runs the deployment and checks that every vector crafted in it is
+	// in the free list when it returns: it looks through as many vectors as
+	// the run can have put back, then puts them back again.
+	run := func(which string) {
+		colluders.outs = nil
+		if _, err := RunLiveContext(context.Background(), cfg); err != nil {
+			t.Fatal(err)
+		}
+		if len(colluders.outs) == 0 {
+			t.Fatalf("the %s run crafted nothing", which)
+		}
+		out := make(map[*float64]bool)
+		for _, v := range colluders.outs {
+			out[&v[0]] = true
+		}
+		var drawn []tensor.Vector
+		for i := 0; i < 64*cfg.Steps*(cfg.NumServers+cfg.NumWorkers) && len(out) > 0; i++ {
+			drawn = append(drawn, tensor.Get(dim))
+			delete(out, &drawn[len(drawn)-1][0])
+		}
+		for _, v := range drawn {
+			tensor.Put(v)
+		}
+		if len(out) > 0 {
+			t.Errorf("%d of the %d vectors crafted in the %s run did not come back when it returned",
+				len(out), len(colluders.outs), which)
+		}
 	}
+	run("first")
 	before = fresh()
-	if _, err := RunLiveContext(context.Background(), cfg); err != nil {
-		t.Fatal(err)
-	}
+	run("second")
 	if got := fresh() - before; got != 0 {
 		t.Errorf("the second run allocated %d d-vectors for crafting; the first run's should have come back", got)
 	}
-	// Every vector the run put back is in the free list now: look through as
-	// many as the run can have put back for the colluders' last ones.
-	last := make(map[*float64]bool)
-	for _, c := range colluders {
-		last[&c.last[0]] = true
-	}
-	for i := 0; i < 64*cfg.Steps*(cfg.NumServers+cfg.NumWorkers) && len(last) > 0; i++ {
-		delete(last, &tensor.Get(dim)[0])
-	}
-	if len(last) > 0 {
-		t.Errorf("%d of the colluders' last crafted vectors did not come back when the run returned", len(last))
-	}
 }
 
-// lastCrafted is an ALIE that remembers the last vector it lent out.
-type lastCrafted struct {
-	*attack.ALIE
-	last tensor.Vector
+// craftRecorder is an ALIE that records every vector it crafts into.
+type craftRecorder struct {
+	attack.ALIE
+	mu   sync.Mutex
+	outs []tensor.Vector
 }
 
-func (a *lastCrafted) Corrupt(honest tensor.Vector, step int, to string) tensor.Vector {
-	a.last = a.ALIE.Corrupt(honest, step, to)
-	return a.last
+func (a *craftRecorder) Craft(out tensor.Vector, v attack.ClusterView) {
+	a.mu.Lock()
+	a.outs = append(a.outs, out)
+	a.mu.Unlock()
+	a.ALIE.Craft(out, v)
+}
+
+// sentVecs is an endpoint that records the backing array of every vector
+// sent through it and delivers nothing; only Send is called on it.
+type sentVecs struct {
+	transport.Endpoint
+	sent []*float64
+}
+
+func (s *sentVecs) Send(_ string, m transport.Message) error {
+	s.sent = append(s.sent, &m.Vec[0])
+	return nil
+}
+
+// TestColludersCraftOnceOrSendOneFallback: an omniscient Byzantine node's
+// broadcast sends every receiver one vector. Before any honest vector of
+// the step is published, that is the node's own fallback, handed back to
+// the free list once sent; after, it is the one vector the colluders
+// crafted for (kind, step), whichever colluder broadcasts.
+func TestColludersCraftOnceOrSendOneFallback(t *testing.T) {
+	if putPoisons() {
+		t.Skip("the race detector's sync.Pool drops a quarter of all Puts")
+	}
+	procs, gc := runtime.GOMAXPROCS(1), debug.SetGCPercent(-1)
+	defer func() {
+		runtime.GOMAXPROCS(procs)
+		debug.SetGCPercent(gc)
+	}()
+	const dim = 1031 // a length no other test uses
+	tos := []string{"ps0", "ps1", "ps2"}
+	view := attack.NewSharedView(1, 2)
+	ep := &sentVecs{}
+	broadcast(ep, attack.ALIE{Z: 1}, view, transport.KindGradient, 0, tos, make(tensor.Vector, dim), 0)
+	if len(ep.sent) != len(tos) || ep.sent[1] != ep.sent[0] || ep.sent[2] != ep.sent[0] {
+		t.Fatal("the fallback broadcast did not send one vector to every receiver")
+	}
+	if &tensor.Get(dim)[0] != ep.sent[0] {
+		t.Fatal("the fallback vector was not handed back once sent")
+	}
+
+	view.Publish(0, tensor.NewRNG(1).NormVec(make(tensor.Vector, dim), 0, 1))
+	ep.sent = nil
+	for range 2 { // two colluders armed from one spec
+		broadcast(ep, attack.ALIE{Z: 1}, view, transport.KindGradient, 0, tos, make(tensor.Vector, dim), 0)
+	}
+	crafted := view.Craft(attack.ALIE{Z: 1}, uint8(transport.KindGradient), 0)
+	for _, v := range ep.sent {
+		if v != &crafted[0] {
+			t.Fatal("a colluder sent something other than the step's one crafted vector")
+		}
+	}
+	view.Close()
 }

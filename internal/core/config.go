@@ -208,17 +208,13 @@ type Config struct {
 
 // Validate checks the configuration: in GuanYu mode each role against the
 // paper's legality section (gar.CheckRole); in vanilla mode the baseline's
-// one honest server and its attack map, the only bounds it has; in both, one
-// omniscient attack instance per node (attack.CheckInstances).
+// one honest server and its attack map, the only bounds it has.
 func (c *Config) Validate() error {
 	if c.Model == nil || c.Train == nil {
 		return fmt.Errorf("core: Model and Train are required")
 	}
 	if c.Steps <= 0 || c.Batch <= 0 {
 		return fmt.Errorf("core: Steps and Batch must be positive")
-	}
-	if err := attack.CheckInstances(c.ServerAttacks, c.WorkerAttacks); err != nil {
-		return err
 	}
 	switch c.Mode {
 	case ModeVanilla:

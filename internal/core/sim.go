@@ -179,18 +179,18 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		return out
 	}
 	// serverRound opens a round of θ broadcasts sent at the given clocks.
-	// The Byzantine servers first observe the live honest θ (the adversary
-	// reads all honest state; it just cannot speak for honest nodes), then
-	// corrupt its median. θ is a snapshot, so a receiver may replace its own
-	// θ while the round's others still aggregate the sent one.
+	// The Byzantine servers see the live honest θ (the adversary reads all
+	// honest state; it just cannot speak for honest nodes) and corrupt its
+	// median. θ is a snapshot, so a receiver may replace its own θ while the
+	// round's others still aggregate the sent one.
 	serverRound := func(t int, kind transport.Kind, clocks []float64, what string) *round {
-		attack.ObserveAll(cfg.ServerAttacks,
-			attack.NewStepView(t, honestThetas(), cfg.FServers, len(cfg.ServerAttacks)))
 		r := &round{kind: kind, id: cluster.ServerID, attacks: cfg.ServerAttacks,
 			vecs: slices.Clone(theta), clocks: clocks, live: live,
 			q: q, rule: paramRule, what: what}
 		if len(cfg.ServerAttacks) > 0 {
-			r.basis = medianOrFirst(honestThetas())
+			honest := honestThetas()
+			r.basis = medianOrFirst(honest)
+			r.view = attack.NewStepView(t, honest, cfg.FServers, len(cfg.ServerAttacks))
 		}
 		return r
 	}
@@ -204,10 +204,10 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	// and lands at its clock plus two serialisations and a sampled latency,
 	// with faults applied). Senders are visited in index order, so every
 	// Corrupt and Latency.Sample draw keeps its sequence. It returns the
-	// aggregate of the first q arrivals and when the q-th landed. A
-	// Byzantine payload is lent by its attack until the attack's next
-	// Observe; it is read only here, and every Rule.Aggregate returns a
-	// fresh vector, so nothing keeps it past this receiver's aggregation.
+	// aggregate of the first q arrivals and when the q-th landed. An
+	// omniscient payload is the round's (round.corrupt); it is read only
+	// here, and every Rule.Aggregate returns a fresh vector, so nothing
+	// keeps it past the round.
 	gather := func(t int, r *round, to string, self int) (tensor.Vector, float64, error) {
 		n := len(r.vecs)
 		arrivals := make([]float64, n)
@@ -218,7 +218,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 			case k == self:
 				payloads[k], arrivals[k] = r.vecs[k], r.clocks[k]
 			case att != nil:
-				if payloads[k] = att.Corrupt(r.basis, t, to); rejectPayload(payloads[k], dim, validate) {
+				if payloads[k] = r.corrupt(att, t, to); rejectPayload(payloads[k], dim, validate) {
 					arrivals[k] = math.Inf(1)
 				}
 			case r.live != nil && !r.live[k]:
@@ -322,15 +322,14 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 				cost.GradBase + cost.GradPerExample*float64(cfg.Batch)
 		}
 		meanLoss /= float64(len(honestWorkers))
-
-		// Omniscient worker attacks observe every honest gradient of the
-		// step, then corrupt their mean.
-		attack.ObserveAll(cfg.WorkerAttacks,
-			attack.NewStepView(t, honestGrads, cfg.FWorkers, len(cfg.WorkerAttacks)))
+		params.crafts.Release()
 
 		// ---- Phase 2: workers → servers, Multi-Krum, local update ----
+		// Byzantine workers see every honest gradient of the step and
+		// corrupt their mean.
 		gradients := &round{kind: transport.KindGradient, id: cluster.WorkerID,
 			attacks: cfg.WorkerAttacks, basis: tensor.Mean(honestGrads),
+			view: attack.NewStepView(t, honestGrads, cfg.FWorkers, len(cfg.WorkerAttacks)),
 			vecs: grads, clocks: clockW,
 			q: qBar, rule: gradRule, what: "gradient"}
 		for _, i := range liveHonest() {
@@ -342,6 +341,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 			start := math.Max(when, clockS[i])
 			clockS[i] = start + cost.aggTime(gradRule, qBar) + cost.UpdateTime
 		}
+		gradients.crafts.Release()
 
 		// ---- Phase 3: server ↔ server contraction round ----
 		if cfg.Mode == ModeGuanYu && !cfg.DisableServerExchange && q > 1 {
@@ -358,6 +358,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 				start := math.Max(when, clockS[i])
 				clockS[i] = start + cost.aggTime(paramRule, q)
 			}
+			peers.crafts.Release()
 		}
 
 		// ---- Instrumentation ----
@@ -389,21 +390,37 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 }
 
 // round is one quorum round's sender side: sender k is id(k), Byzantine
-// when attacks[k] is set (corrupting basis), and otherwise sends vecs[k]
-// at clocks[k] — or nothing when live is set and live[k] is false. The
-// receivers aggregate their first q arrivals with rule; what names the
-// quorum in the liveness error.
+// when attacks[k] is set (corrupting basis, or crafting from view), and
+// otherwise sends vecs[k] at clocks[k] — or nothing when live is set and
+// live[k] is false. The receivers aggregate their first q arrivals with
+// rule; what names the quorum in the liveness error. crafts holds what the
+// round's omniscient colluders send, until the caller releases it once
+// every receiver has aggregated.
 type round struct {
 	kind    transport.Kind
 	id      func(int) string
 	attacks map[int]attack.Attack
 	basis   tensor.Vector
+	view    attack.ClusterView
+	crafts  attack.Crafts
 	vecs    []tensor.Vector
 	clocks  []float64
 	live    []bool
 	q       int
 	rule    gar.Rule
 	what    string
+}
+
+// corrupt is Byzantine attack att's payload to receiver to at step t: an
+// omniscient attack's one vector for the round, crafted from view on first
+// use, and otherwise att's corruption of basis.
+func (r *round) corrupt(att attack.Attack, t int, to string) tensor.Vector {
+	if o, ok := att.(attack.Omniscient); ok {
+		if out := r.crafts.Get(o, uint8(r.kind), r.view); out != nil {
+			return out
+		}
+	}
+	return att.Corrupt(r.basis, t, to)
 }
 
 // simLink is one directed link's encoder, with a reused scratch buffer for

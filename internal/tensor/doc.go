@@ -49,10 +49,11 @@
 //	  adversary's copy of an honest θ or        calls once the run's loops returned,
 //	  gradient)                                 for what is still in the 16-step
 //	                                            window (older steps go to the GC)
-//	an omniscient attack's crafting (the      the attack's next Observe; the
-//	  one vector Corrupt lends to every         launcher's end-of-run Observe of an
-//	  receiver until then; the degraded-view    empty view returns each run's last
-//	  fallback rewrites the same one)           one
+//	attack.Crafts (the one vector every       the simulator's round once its
+//	  colluder of an omniscient attack          receivers aggregated; in the live
+//	  sends in one message kind and step)       runtime SharedView.Close, like the
+//	                                            honest copies of its window
+//	an omniscient attack's fallback           cluster.broadcast once sent
 //
 // Never returned: a per-shard view of a whole-vector message (the whole is,
 // once), a frame whose length the collector's layout does not produce or,
