@@ -94,9 +94,8 @@ func coordMeanStd(vs []tensor.Vector) (mean, std tensor.Vector) {
 // once. A view without honest vectors crafts nothing, and crafting leaves
 // the view's vectors untouched. A SharedView keeps the crafts of a step in
 // its window and hands them back at Close. The fallback, Corrupt, writes a
-// vector of its own.
+// vector of its own. The free list's ledger counts every hand-back.
 func TestColludersCraftOncePerKind(t *testing.T) {
-	quietPool(t)
 	attacks := []struct {
 		a        Omniscient
 		fallback func(honest tensor.Vector) tensor.Vector
@@ -108,6 +107,9 @@ func TestColludersCraftOncePerKind(t *testing.T) {
 	}
 	for k, c := range attacks {
 		n := 1061 + k // a length no other test uses, one per attack
+		tensor.Put(make(tensor.Vector, n))
+		base := tensor.Outstanding()[n]
+		moved := func() int64 { return tensor.Outstanding()[n] - base }
 		honest := honestCloud(6, n, uint64(21+k))
 		kept := make([]tensor.Vector, len(honest))
 		for i, h := range honest {
@@ -137,13 +139,13 @@ func TestColludersCraftOncePerKind(t *testing.T) {
 		if !sameBits(honest, kept) {
 			t.Fatalf("%s: crafting touched the view's vectors", name)
 		}
-		crafts.Release()
-		if !recycled(v, other) {
-			t.Fatalf("%s: Release did not hand the crafted vectors back", name)
+		if moved() != 2 {
+			t.Fatalf("%s: two crafts moved the ledger by %d, want 2 vectors from the free list", name, moved())
 		}
 		crafts.Release()
-		if g := tensor.Get(n); !raceEnabled && (&g[0] == &v[0] || &g[0] == &other[0]) {
-			t.Fatalf("%s: a crafted vector was handed back twice", name)
+		crafts.Release()
+		if moved() != 0 {
+			t.Fatalf("%s: after two Releases the ledger stands at %d; want each crafted vector handed back once", name, moved())
 		}
 
 		shared := NewSharedView(1, 1)
@@ -157,10 +159,9 @@ func TestColludersCraftOncePerKind(t *testing.T) {
 		if again := shared.Craft(colluder, 1, 0); &again[0] != &sv[0] || !sameBits([]tensor.Vector{sv}, []tensor.Vector{want}) {
 			t.Fatalf("%s: the colluders of one step do not send one crafted vector", name)
 		}
-		window := append(shared.Snapshot(0).Honest(), sv)
 		shared.Close()
-		if !recycled(window...) {
-			t.Fatalf("%s: Close did not hand the step's crafted vector back", name)
+		if moved() != 0 {
+			t.Fatalf("%s: after Close the ledger stands at %d; want the step's copies and crafted vector handed back once", name, moved())
 		}
 
 		f := a.Corrupt(honest[1], 0, "")

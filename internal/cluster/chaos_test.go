@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"context"
 	"sync"
 	"testing"
 	"time"
@@ -196,7 +195,7 @@ func TestLiveOmniscientAttackGetsSharedView(t *testing.T) {
 		Timeout: time.Minute,
 		Seed:    3,
 	}
-	res, err := RunLiveContext(context.Background(), cfg)
+	res, err := runLive(t, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -48,7 +47,7 @@ func TestLiveGuanYuConvergesNonByzantine(t *testing.T) {
 		Timeout: 60 * time.Second,
 		Seed:    1,
 	}
-	res, err := RunLiveContext(context.Background(), cfg)
+	res, err := runLive(t, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +85,7 @@ func TestLiveGuanYuSurvivesByzantineWorkersAndServer(t *testing.T) {
 		Timeout: 60 * time.Second,
 		Seed:    2,
 	}
-	res, err := RunLiveContext(context.Background(), cfg)
+	res, err := runLive(t, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +120,7 @@ func TestLiveVanillaDivergesUnderSingleByzantineWorker(t *testing.T) {
 		Seed:           3,
 		SkipValidation: true, // vanilla deliberately ignores the theory bounds
 	}
-	res, err := RunLiveContext(context.Background(), vanilla)
+	res, err := runLive(t, vanilla)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +145,7 @@ func TestLiveVanillaConvergesWithoutAttack(t *testing.T) {
 		Seed:           4,
 		SkipValidation: true,
 	}
-	res, err := RunLiveContext(context.Background(), vanilla)
+	res, err := runLive(t, vanilla)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +167,7 @@ func TestLiveSilentServerDoesNotBlockProgress(t *testing.T) {
 		Timeout: 60 * time.Second,
 		Seed:    5,
 	}
-	res, err := RunLiveContext(context.Background(), cfg)
+	res, err := runLive(t, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +189,7 @@ func TestLiveNaNInjectionIsFilteredAtReceipt(t *testing.T) {
 		Timeout: 60 * time.Second,
 		Seed:    6,
 	}
-	res, err := RunLiveContext(context.Background(), cfg)
+	res, err := runLive(t, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +215,7 @@ func TestLiveWithInjectedAsynchrony(t *testing.T) {
 		Timeout: 120 * time.Second,
 		Seed:    7,
 	}
-	res, err := RunLiveContext(context.Background(), cfg)
+	res, err := runLive(t, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +242,7 @@ func TestLiveBringUpLosesNoFrameToUnregisteredEndpoints(t *testing.T) {
 	const want = steps * (servers*workers + workers*servers + servers*(servers-1))
 	for round := 0; round < 5; round++ {
 		var delivered atomic.Int64
-		_, err := RunLiveContext(context.Background(), LiveConfig{
+		_, err := runLive(t, LiveConfig{
 			Model:      model,
 			Train:      train,
 			NumServers: servers, FServers: 1,
@@ -296,7 +295,7 @@ func TestLiveValidationRejectsIllegalDeployments(t *testing.T) {
 			NumServers: 6, FServers: 1, NumWorkers: 6, FWorkers: 1,
 			Steps: 2, Batch: 4, Timeout: 5 * time.Second, Seed: 8}
 		c.mutate(&cfg)
-		if _, err := RunLiveContext(context.Background(), cfg); err == nil || !strings.Contains(err.Error(), c.want) {
+		if _, err := runLive(t, cfg); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: got %v, want an error containing %q", c.name, err, c.want)
 		}
 	}
@@ -321,7 +320,7 @@ func TestLiveQuorumTimeoutSurfacesAsError(t *testing.T) {
 		Timeout: 300 * time.Millisecond,
 		Seed:    8,
 	}
-	if _, err := RunLiveContext(context.Background(), cfg); err == nil {
+	if _, err := runLive(t, cfg); err == nil {
 		t.Fatal("expected quorum timeout, run succeeded")
 	}
 }
@@ -350,7 +349,7 @@ func TestLiveFirstErrorTearsTheMeshDown(t *testing.T) {
 			Checkpoint: &CheckpointSpec{Dir: notADir, Every: 1},
 		}
 		start := time.Now()
-		_, err := RunLiveContext(context.Background(), cfg)
+		_, err := runLive(t, cfg)
 		if err == nil || !strings.Contains(err.Error(), "checkpoint") {
 			t.Fatalf("tcp=%v: want the checkpoint error first, got %v", tcp, err)
 		}
@@ -373,7 +372,7 @@ func TestLiveDelayedServerToleratedByQuorums(t *testing.T) {
 		Timeout: 60 * time.Second,
 		Seed:    9,
 	}
-	res, err := RunLiveContext(context.Background(), cfg)
+	res, err := runLive(t, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +396,7 @@ func TestSuspicionIdentifiesByzantineWorker(t *testing.T) {
 		Seed:      10,
 		Suspicion: susp,
 	}
-	if _, err := RunLiveContext(context.Background(), cfg); err != nil {
+	if _, err := runLive(t, cfg); err != nil {
 		t.Fatal(err)
 	}
 	ranks := susp.Ranking()

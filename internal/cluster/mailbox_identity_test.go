@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -65,7 +64,7 @@ func TestMailboxPoliciesBitIdenticalWithoutOverflow(t *testing.T) {
 				v.mut(&cfg)
 				cfg.Mailbox = p.cfg
 				cfg.TCP = tcp
-				res, err := RunLiveContext(context.Background(), cfg)
+				res, err := runLive(t, cfg)
 				if err != nil {
 					t.Fatalf("%s: %v", cell, err)
 				}

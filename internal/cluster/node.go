@@ -293,6 +293,7 @@ func RunServer(ep transport.Endpoint, cfg ServerConfig) (tensor.Vector, error) {
 			med, at, err := RejoinMedian(qm.col, start, cfg.QuorumParams-1, cfg.Timeout)
 			switch {
 			case err == nil:
+				tensor.Put(theta) // the restored copy, which the median replaces
 				theta = med
 				start = at + 1
 			case errors.Is(err, transport.ErrQuorumTimeout):

@@ -6,9 +6,7 @@ import (
 	"math"
 	"runtime"
 	"runtime/debug"
-	"strings"
-	"sync"
-	"sync/atomic"
+	"slices"
 	"testing"
 	"time"
 
@@ -206,323 +204,6 @@ func TestSteadyStateStepAllocatesNoVector(t *testing.T) {
 	check("worker", clock.allocs)
 }
 
-// tally counts the d-vectors a node's endpoint sent and the ones its loop
-// read.
-type tally struct {
-	transport.Endpoint
-	dim        int
-	sent, read *atomic.Int64
-}
-
-func (e tally) Send(to string, m transport.Message) error {
-	err := e.Endpoint.Send(to, m)
-	if err == nil && len(m.Vec) == e.dim {
-		e.sent.Add(1)
-	}
-	return err
-}
-
-func (e tally) Recv(timeout time.Duration) (transport.Message, bool) {
-	m, ok := e.Endpoint.Recv(timeout)
-	if ok && len(m.Vec) == e.dim {
-		e.read.Add(1)
-	}
-	return m, ok
-}
-
-// TestSecondLiveRunReusesUnreadFrames: a run's unread tail — the frames
-// beyond each quorum of its last step, which no loop receives — goes back
-// to the free list when the endpoints close, so a second run of the same
-// deployment finds those vectors there instead of allocating them again.
-// A 3+3 mesh with quorums of 2 leaves such a tail, at the benchmark's wide
-// dimension, on one processor and without garbage collection, as in
-// TestSteadyStateStepAllocatesNoVector. Beyond the θ each server clones
-// from Init, the second run must allocate fewer than half as many
-// d-vectors as the first run left unread.
-func TestSecondLiveRunReusesUnreadFrames(t *testing.T) {
-	if putPoisons() {
-		t.Skip("the race detector's sync.Pool drops a quarter of all Puts")
-	}
-	procs, gc := runtime.GOMAXPROCS(1), debug.SetGCPercent(-1)
-	defer func() {
-		runtime.GOMAXPROCS(procs)
-		debug.SetGCPercent(gc)
-	}()
-	const steps, quorum = 3, 2
-	model := nn.NewMLP(tensor.NewRNG(3), 192, 1024, 10)
-	dim := model.ParamCount()
-	init := tensor.NewRNG(4).NormVec(make(tensor.Vector, dim), 0, 0.01)
-	serverIDs, workerIDs := []string{"ps0", "ps1", "ps2"}, []string{"wrk0", "wrk1", "wrk2"}
-	data := &dataset.Dataset{NumClasses: 10, FeatureDim: 192}
-	rng := tensor.NewRNG(5)
-	for i := 0; i < 8; i++ {
-		data.X = append(data.X, rng.NormVec(make([]float64, 192), 0, 1))
-		data.Labels = append(data.Labels, i%10)
-	}
-	models := []*nn.Sequential{model, model.Clone(), model.Clone()}
-
-	// run executes the deployment once and returns how many d-vectors its
-	// loops left unread.
-	run := func() int64 {
-		var sent, read atomic.Int64
-		network := transport.NewChanNetwork(nil)
-		eps := make(map[string]transport.Endpoint)
-		for _, id := range append(append([]string(nil), serverIDs...), workerIDs...) {
-			ep, err := network.Register(id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			eps[id] = tally{Endpoint: ep, dim: dim, sent: &sent, read: &read}
-		}
-		var (
-			wg   sync.WaitGroup
-			mu   sync.Mutex
-			errs []error
-		)
-		fail := func(err error) {
-			mu.Lock()
-			errs = append(errs, err)
-			mu.Unlock()
-		}
-		for i, id := range serverIDs {
-			peers := append(append([]string(nil), serverIDs[:i]...), serverIDs[i+1:]...)
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				if _, err := RunServer(eps[id], ServerConfig{
-					ID: id, Workers: workerIDs, Peers: peers, Init: init,
-					GradRule: gar.Median{}, ParamRule: gar.Median{},
-					QuorumGradients: quorum, QuorumParams: quorum,
-					Steps: steps, LR: func(int) float64 { return 0.01 }, Timeout: 10 * time.Second,
-				}); err != nil {
-					fail(err)
-				}
-			}()
-		}
-		for j, id := range workerIDs {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				if err := RunWorker(eps[id], WorkerConfig{
-					ID: id, Servers: serverIDs, Model: models[j],
-					Sampler: dataset.NewSampler(data, tensor.NewRNG(uint64(6+j))),
-					Batch:   2, ParamRule: gar.Median{}, QuorumParams: quorum,
-					Steps: steps, Timeout: 10 * time.Second,
-				}); err != nil {
-					fail(err)
-				}
-			}()
-		}
-		wg.Wait()
-		network.Close()
-		if len(errs) > 0 {
-			t.Fatal(errs[0])
-		}
-		return sent.Load() - read.Load()
-	}
-
-	unread := run()
-	if unread < int64(len(workerIDs)) {
-		t.Fatalf("the first run left %d frames unread; every worker's last quorum leaves at least one", unread)
-	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	run()
-	runtime.ReadMemStats(&after)
-	vectors := float64(after.TotalAlloc-before.TotalAlloc)/float64(8*dim) - float64(len(serverIDs))
-	if vectors >= float64(unread)/2 {
-		t.Errorf("the second run allocated %.1f d-vectors besides the servers' θ clones; the first run left %d unread, which should have come back",
-			vectors, unread)
-	}
-	t.Logf("first run left %d frames unread; the second allocated %.2f d-vectors besides the θ clones", unread, vectors)
-}
-
-// scripted is an endpoint whose Recv hands over queued messages as they
-// are, vector included, and whose Send only borrows.
-type scripted struct{ queue []transport.Message }
-
-func (s *scripted) ID() string                           { return "wrk0" }
-func (s *scripted) Send(string, transport.Message) error { return nil }
-func (s *scripted) Close() error                         { return nil }
-func (s *scripted) Recv(time.Duration) (transport.Message, bool) {
-	if len(s.queue) == 0 {
-		return transport.Message{}, false
-	}
-	m := s.queue[0]
-	s.queue = s.queue[1:]
-	return m, true
-}
-
-// TestNodeLoopReturnsWhatItLeftBuffered: a frame the collector buffered for
-// a step the loop never reached goes back to the free list when the loop
-// returns — its last Advance — instead of to the garbage collector.
-func TestNodeLoopReturnsWhatItLeftBuffered(t *testing.T) {
-	procs, gc := runtime.GOMAXPROCS(1), debug.SetGCPercent(-1)
-	defer func() {
-		runtime.GOMAXPROCS(procs)
-		debug.SetGCPercent(gc)
-	}()
-	model := nn.NewMLP(tensor.NewRNG(3), 7, 5, 3) // a dimension no other test uses
-	dim := model.ParamCount()
-	filled := func(x float64) tensor.Vector {
-		v := make(tensor.Vector, dim)
-		for i := range v {
-			v[i] = x
-		}
-		return v
-	}
-	servers := []string{"ps0", "ps1", "ps2"}
-	ahead := filled(1)
-	ep := &scripted{queue: []transport.Message{{From: "ps0", Kind: transport.KindParams, Step: 1, Vec: ahead}}}
-	for _, from := range servers {
-		ep.queue = append(ep.queue, transport.Message{From: from, Kind: transport.KindParams, Step: 0, Vec: filled(0.5)})
-	}
-	data := &dataset.Dataset{NumClasses: 3, FeatureDim: 7}
-	for i := 0; i < 4; i++ {
-		data.X = append(data.X, filled(float64(i))[:7])
-		data.Labels = append(data.Labels, i%3)
-	}
-	if err := RunWorker(ep, WorkerConfig{
-		ID: "wrk0", Servers: servers, Model: model, Sampler: dataset.NewSampler(data, tensor.NewRNG(4)),
-		Batch: 2, ParamRule: gar.Median{}, QuorumParams: len(servers), Steps: 1, Timeout: time.Second,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if putPoisons() {
-		if !math.IsNaN(ahead[0]) {
-			t.Fatal("the frame buffered for step 1 was not handed to the free list when the loop returned")
-		}
-		return
-	}
-	// The free list holds the step-0 frames and aggregates too: look
-	// through as many vectors as the run can have put back.
-	for range 4 * len(servers) {
-		if v := tensor.Get(dim); &v[0] == &ahead[0] {
-			return
-		}
-	}
-	t.Fatal("the frame buffered for step 1 was not handed to the free list when the loop returned")
-}
-
-// TestSecondLiveRunReusesCraftedVectors: the colluders' crafted vectors stay
-// in the adversary's view until the launcher closes it at the end of the
-// run, which hands them back to the free list, as the colluders' fallback
-// vectors go back once sent, so a run of a deployment that ran before crafts
-// only into vectors the free list already holds. Two workers armed with one
-// ALIE in a 3+4 channel mesh, on one processor and without garbage
-// collection, as in TestSecondLiveRunReusesUnreadFrames: the allocation
-// profile, every allocation sampled, must show no d-vector allocated under
-// the attack package during the second run, and every vector crafted in a
-// run must be back in the free list when the run returns.
-func TestSecondLiveRunReusesCraftedVectors(t *testing.T) {
-	if putPoisons() {
-		t.Skip("the race detector's sync.Pool drops a quarter of all Puts")
-	}
-	procs, gc, rate := runtime.GOMAXPROCS(1), debug.SetGCPercent(-1), runtime.MemProfileRate
-	runtime.MemProfileRate = 1
-	defer func() {
-		runtime.GOMAXPROCS(procs)
-		debug.SetGCPercent(gc)
-		runtime.MemProfileRate = rate
-	}()
-	_, train, _ := testProblem(808)
-	model := nn.NewMLP(tensor.NewRNG(809), 2, 512, 3) // a dimension no other test uses
-	dim := model.ParamCount()
-	colluders := &craftRecorder{ALIE: attack.ALIE{Z: 1}}
-	cfg := LiveConfig{
-		Model: model, Train: train,
-		NumServers: 3, NumWorkers: 4, FWorkers: 1,
-		QuorumServers: 2, QuorumWorkers: 3,
-		WorkerAttacks: map[int]attack.Attack{0: colluders, 1: colluders},
-		Rule:          gar.Median{},
-		Steps:         4, Batch: 2,
-		Timeout:        10 * time.Second,
-		Seed:           810,
-		SkipValidation: true, // 3+4 with two attacked workers, below n ≥ 3f+3
-	}
-	// fresh is how many d-vectors the allocation profile has recorded under
-	// the attack package so far; runtime.GC publishes the profile.
-	fresh := func() int64 {
-		runtime.GC()
-		n, _ := runtime.MemProfile(nil, true)
-		recs := make([]runtime.MemProfileRecord, n+64)
-		n, ok := runtime.MemProfile(recs, true)
-		if !ok {
-			t.Fatal("the allocation profile outgrew its buffer")
-		}
-		var total int64
-		for _, r := range recs[:n] {
-			if r.AllocObjects == 0 || r.AllocBytes/r.AllocObjects < int64(8*dim) {
-				continue
-			}
-			for frames := runtime.CallersFrames(r.Stack()); ; {
-				f, more := frames.Next()
-				if strings.HasPrefix(f.Function, "repro/internal/attack.") {
-					total += r.AllocObjects
-					break
-				}
-				if !more {
-					break
-				}
-			}
-		}
-		return total
-	}
-	before := fresh()
-	attack.SignFlip{Scale: 1}.Corrupt(make(tensor.Vector, dim), 0, "ps0")
-	if fresh()-before != 1 {
-		t.Fatal("the allocation profile does not show a d-vector allocated under the attack package")
-	}
-	// run runs the deployment and checks that every vector crafted in it is
-	// in the free list when it returns: it looks through as many vectors as
-	// the run can have put back, then puts them back again.
-	run := func(which string) {
-		colluders.outs = nil
-		if _, err := RunLiveContext(context.Background(), cfg); err != nil {
-			t.Fatal(err)
-		}
-		if len(colluders.outs) == 0 {
-			t.Fatalf("the %s run crafted nothing", which)
-		}
-		out := make(map[*float64]bool)
-		for _, v := range colluders.outs {
-			out[&v[0]] = true
-		}
-		var drawn []tensor.Vector
-		for i := 0; i < 64*cfg.Steps*(cfg.NumServers+cfg.NumWorkers) && len(out) > 0; i++ {
-			drawn = append(drawn, tensor.Get(dim))
-			delete(out, &drawn[len(drawn)-1][0])
-		}
-		for _, v := range drawn {
-			tensor.Put(v)
-		}
-		if len(out) > 0 {
-			t.Errorf("%d of the %d vectors crafted in the %s run did not come back when it returned",
-				len(out), len(colluders.outs), which)
-		}
-	}
-	run("first")
-	before = fresh()
-	run("second")
-	if got := fresh() - before; got != 0 {
-		t.Errorf("the second run allocated %d d-vectors for crafting; the first run's should have come back", got)
-	}
-}
-
-// craftRecorder is an ALIE that records every vector it crafts into.
-type craftRecorder struct {
-	attack.ALIE
-	mu   sync.Mutex
-	outs []tensor.Vector
-}
-
-func (a *craftRecorder) Craft(out tensor.Vector, v attack.ClusterView) {
-	a.mu.Lock()
-	a.outs = append(a.outs, out)
-	a.mu.Unlock()
-	a.ALIE.Craft(out, v)
-}
-
 // sentVecs is an endpoint that records the backing array of every vector
 // sent through it and delivers nothing; only Send is called on it.
 type sentVecs struct {
@@ -541,15 +222,10 @@ func (s *sentVecs) Send(_ string, m transport.Message) error {
 // the free list once sent; after, it is the one vector the colluders
 // crafted for (kind, step), whichever colluder broadcasts.
 func TestColludersCraftOnceOrSendOneFallback(t *testing.T) {
-	if putPoisons() {
-		t.Skip("the race detector's sync.Pool drops a quarter of all Puts")
-	}
-	procs, gc := runtime.GOMAXPROCS(1), debug.SetGCPercent(-1)
-	defer func() {
-		runtime.GOMAXPROCS(procs)
-		debug.SetGCPercent(gc)
-	}()
 	const dim = 1031 // a length no other test uses
+	tensor.Put(make(tensor.Vector, dim))
+	base := tensor.Outstanding()[dim]
+	moved := func() int64 { return tensor.Outstanding()[dim] - base }
 	tos := []string{"ps0", "ps1", "ps2"}
 	view := attack.NewSharedView(1, 2)
 	ep := &sentVecs{}
@@ -557,8 +233,8 @@ func TestColludersCraftOnceOrSendOneFallback(t *testing.T) {
 	if len(ep.sent) != len(tos) || ep.sent[1] != ep.sent[0] || ep.sent[2] != ep.sent[0] {
 		t.Fatal("the fallback broadcast did not send one vector to every receiver")
 	}
-	if &tensor.Get(dim)[0] != ep.sent[0] {
-		t.Fatal("the fallback vector was not handed back once sent")
+	if moved() != 0 {
+		t.Fatalf("the fallback vector left the ledger at %d; want it handed back once sent", moved())
 	}
 
 	view.Publish(0, tensor.NewRNG(1).NormVec(make(tensor.Vector, dim), 0, 1))
@@ -572,5 +248,128 @@ func TestColludersCraftOnceOrSendOneFallback(t *testing.T) {
 			t.Fatal("a colluder sent something other than the step's one crafted vector")
 		}
 	}
-	view.Close()
+	if view.Close(); moved() != 0 {
+		t.Fatalf("after Close the ledger stands at %d; want the published copy and the crafted vector handed back once", moved())
+	}
+}
+
+// TestLiveRunsHandBackEveryVectorOnce runs small deployments down every
+// path that hands a vector back — the unread tail left by quorums below the
+// population, the node loops' last Advance in a run that fails, the sockets
+// of a TCP mesh closing on unread frames, chunk frames through bounded
+// mailboxes and courier leases, fault-injected copies, colluders' crafted
+// and fallback vectors — and lets runLive's ledger check hold each run to
+// exactly once.
+func TestLiveRunsHandBackEveryVectorOnce(t *testing.T) {
+	model, train, _ := testProblem(808)
+	for _, row := range []struct {
+		name string
+		mut  func(*LiveConfig)
+	}{
+		{"unread tail", func(*LiveConfig) {}},
+		{"over TCP", func(c *LiveConfig) { c.TCP = true }},
+		{"sharded, bounded", func(c *LiveConfig) {
+			c.ShardSize, c.Mailbox = 13, transport.MailboxConfig{Cap: 64, Policy: transport.DropOldest}
+		}},
+		{"faults", func(c *LiveConfig) {
+			c.Faults = transport.NewFaultInjector(transport.FaultConfig{
+				Seed: 9, Duplicate: 0.2, Reorder: 0.2, DelayRate: 0.2, DelaySpike: 0.001})
+		}},
+		{"colluders", func(c *LiveConfig) {
+			c.NumWorkers, c.QuorumWorkers = 4, 3
+			c.WorkerAttacks = map[int]attack.Attack{0: attack.ALIE{Z: 1}, 1: attack.ALIE{Z: 1}}
+		}},
+		{"a failed run", func(c *LiveConfig) { // each worker is left one buffered frame
+			c.ServerAttacks, c.Timeout = map[int]attack.Attack{1: attack.Silent{}, 2: attack.Silent{}}, 50*time.Millisecond
+		}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			cfg := LiveConfig{
+				Model: model, Train: train,
+				NumServers: 3, NumWorkers: 3,
+				QuorumServers: 2, QuorumWorkers: 2,
+				Rule: gar.Median{}, Steps: 4, Batch: 2,
+				Timeout: 10 * time.Second, Seed: 810,
+				SkipValidation: true, // quorums below the population leave an unread tail
+			}
+			row.mut(&cfg)
+			if _, err := runLive(t, cfg); (err != nil) != (row.name == "a failed run") {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// runLive is how the tests of this package run a deployment: RunLiveContext
+// with the tensor free list's ledger checked around it. First it makes the
+// size classes of the lengths the deployment's collectors vouch for (the
+// model dimension and its shard extents) — the ledger counts a vector only
+// if it was taken once its class existed. After the run every one of those
+// classes must stand where it stood before, less the vectors a run keeps by
+// design, which are named here and nowhere else:
+//
+//   - the θ each server returns, which stays out: it is offset by the copy
+//     of θ₀ the server made itself and handed to the free list at its first
+//     contraction round, so it moves no count (nor when a server fails or
+//     is killed with its θ in hand);
+//   - the adversary's window: a SharedView step older than its 16 newest
+//     goes to the garbage collector with the copy each honest node
+//     published into it and at most one crafted vector per omniscient
+//     attack and message kind, since a lagging colluder may still read it;
+//   - over TCP, a vector that a read cut short by the teardown left
+//     half-filled: at most one per link.
+func runLive(t *testing.T, cfg LiveConfig) (*LiveResult, error) {
+	t.Helper()
+	var lens []int
+	if cfg.Model != nil {
+		dim := cfg.Model.ParamCount()
+		layout := transport.NewShardLayout(dim, cfg.ShardSize)
+		lens = []int{dim}
+		for i := 0; i < layout.Count() && layout.Count() > 1; i++ {
+			if lo, hi := layout.Bounds(i); !slices.Contains(lens, hi-lo) {
+				lens = append(lens, hi-lo)
+			}
+		}
+	}
+	for _, n := range lens {
+		tensor.Put(make(tensor.Vector, n))
+	}
+	before := tensor.Outstanding()
+	res, err := RunLiveContext(context.Background(), cfg)
+	after := tensor.Outstanding()
+
+	var kept, crafts int64 // at the model dimension
+	if evicted := int64(cfg.Steps - 16 - 1); evicted > 0 {
+		views := []struct {
+			n, kinds int
+			attacks  map[int]attack.Attack
+		}{{cfg.NumServers, 2, cfg.ServerAttacks}, {cfg.NumWorkers, 1, cfg.WorkerAttacks}}
+		for _, v := range views {
+			omniscient := map[attack.Attack]bool{}
+			for _, a := range v.attacks {
+				if _, ok := a.(attack.Omniscient); ok {
+					omniscient[a] = true
+				}
+			}
+			if len(omniscient) > 0 && err == nil {
+				kept += evicted * int64(v.n-len(v.attacks))
+				crafts += evicted * int64(v.kinds*len(omniscient))
+			}
+		}
+	}
+	var cut int64
+	if cfg.TCP {
+		nodes := int64(cfg.NumServers + cfg.NumWorkers)
+		cut = nodes * (nodes - 1)
+	}
+	for _, n := range lens {
+		lo, hi := int64(0), cut
+		if n == lens[0] {
+			lo, hi = kept, kept+crafts+cut
+		}
+		if got := after[n] - before[n]; got < lo || got > hi {
+			t.Errorf("the run left %d vectors of length %d out of the free list, want %d to %d (err %v)", got, n, lo, hi, err)
+		}
+	}
+	return res, err
 }

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"context"
 	"sync"
 	"testing"
 	"time"
@@ -285,7 +284,7 @@ func liveChurnKillRestart(t *testing.T, shardSize int, comp compress.Config) {
 	// second incarnation counts into the first one's handle.
 	stop, reads := make(chan struct{}), make(chan int)
 	go func() { reads <- scrapeMonotonic(t, reg, stop) }()
-	res, err := RunLiveContext(context.Background(), cfg)
+	res, err := runLive(t, cfg)
 	close(stop)
 	if n := <-reads; n < 2 {
 		t.Errorf("the scraper read the registry %d times during the run, want at least 2", n)
@@ -392,7 +391,7 @@ func TestLiveChurnRejectsBadCycles(t *testing.T) {
 	for name, mutate := range mutations {
 		cfg := base()
 		mutate(&cfg)
-		if _, err := RunLiveContext(context.Background(), cfg); err == nil {
+		if _, err := runLive(t, cfg); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"context"
 	"net"
 	"sync"
 	"testing"
@@ -32,7 +31,7 @@ func TestLiveShardedConverges(t *testing.T) {
 		Seed:      1,
 		ShardSize: 13,
 	}
-	res, err := RunLiveContext(context.Background(), cfg)
+	res, err := runLive(t, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +73,7 @@ func TestLiveShardedSurvivesByzantineAndFaults(t *testing.T) {
 		Suspicion: sus,
 		ShardSize: 13,
 	}
-	res, err := RunLiveContext(context.Background(), cfg)
+	res, err := runLive(t, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +116,7 @@ func TestLiveShardedMedianSurvivesDrops(t *testing.T) {
 		}),
 		ShardSize: 13,
 	}
-	res, err := RunLiveContext(context.Background(), cfg)
+	res, err := runLive(t, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

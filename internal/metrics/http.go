@@ -4,11 +4,15 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"maps"
 	"net"
 	"net/http"
+	"slices"
 	"sort"
 	"strings"
 	"time"
+
+	"repro/internal/tensor"
 )
 
 // DefaultStallAfter is the healthz stall window when the caller does
@@ -79,8 +83,10 @@ var gaugeFamilies = []struct {
 
 // WritePrometheus renders the registry in the Prometheus text
 // exposition format: HELP/TYPE headers per family, one sample per
-// node labelled node="<id>", plus a guanyu_node_info info-metric that
-// carries each node's listen address as a label.
+// node labelled node="<id>", the process's free-list ledger per vector
+// length labelled len="<n>" (only vouched lengths have a class, so the set
+// stays bounded), and a guanyu_node_info info-metric that carries each
+// node's listen address as a label.
 func WritePrometheus(w io.Writer, r *Registry) {
 	snaps := r.Snapshot()
 	for _, f := range counterFamilies {
@@ -94,6 +100,11 @@ func WritePrometheus(w io.Writer, r *Registry) {
 		for _, s := range snaps {
 			fmt.Fprintf(w, "%s{node=%q} %g\n", f.name, s.ID, f.value(s))
 		}
+	}
+	ledger := tensor.Outstanding()
+	fmt.Fprintf(w, "# HELP guanyu_free_list_outstanding Vectors taken from the process's free list and not yet handed back, per length.\n# TYPE guanyu_free_list_outstanding gauge\n")
+	for _, n := range slices.Sorted(maps.Keys(ledger)) {
+		fmt.Fprintf(w, "guanyu_free_list_outstanding{len=\"%d\"} %d\n", n, ledger[n])
 	}
 	fmt.Fprintf(w, "# HELP guanyu_node_info Node identity and listen address.\n# TYPE guanyu_node_info gauge\n")
 	for _, s := range snaps {

@@ -12,6 +12,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/tensor"
 )
 
 func TestRegistryNodeIsGetOrCreate(t *testing.T) {
@@ -108,6 +110,11 @@ func TestWritePrometheusExposition(t *testing.T) {
 	h.SetAddr("127.0.0.1:7000")
 	h.StepDone(3)
 	r.Node("wrk0").CourierDropped.Add(2)
+	// A class of a length no other test uses, with a vector out.
+	tensor.Put(make(tensor.Vector, 4099))
+	tensor.Get(4099)
+	tensor.Get(4099)
+	ledger := fmt.Sprintf(`guanyu_free_list_outstanding{len="4099"} %d`, tensor.Outstanding()[4099])
 
 	var b strings.Builder
 	WritePrometheus(&b, r)
@@ -122,6 +129,8 @@ func TestWritePrometheusExposition(t *testing.T) {
 		`guanyu_steps_total{node="ps0"} 1`,
 		`guanyu_last_step{node="ps0"} 3`,
 		`guanyu_node_info{node="ps0",addr="127.0.0.1:7000"} 1`,
+		"# TYPE guanyu_free_list_outstanding gauge",
+		ledger,
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("exposition missing %q:\n%s", want, out)

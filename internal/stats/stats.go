@@ -70,10 +70,10 @@ func (s *Series) TimeToAccuracy(target float64) float64 {
 	return math.Inf(1)
 }
 
-// Throughput returns model updates per virtual second over the whole run
-// (0 for degenerate curves).
+// Throughput returns model updates per virtual second over the whole run,
+// read off its last point (0 for an empty curve or one at time 0).
 func (s *Series) Throughput() float64 {
-	if len(s.Points) < 2 {
+	if len(s.Points) == 0 {
 		return 0
 	}
 	last := s.Points[len(s.Points)-1]

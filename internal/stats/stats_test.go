@@ -43,6 +43,26 @@ func TestSeriesAccessors(t *testing.T) {
 	}
 }
 
+// TestThroughputReadsTheLastPoint: a curve of one point has a rate (a short
+// simulation evaluates once, at its end); only an empty curve or one still
+// at time 0 has none.
+func TestThroughputReadsTheLastPoint(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		points []Point
+		want   float64
+	}{
+		{"no point", nil, 0},
+		{"one point", []Point{{Step: 5, Time: 0.05}}, 100},
+		{"two points", []Point{{Step: 0, Time: 0}, {Step: 8, Time: 2}}, 4},
+		{"one point at time 0", []Point{{Step: 0, Time: 0}}, 0},
+	} {
+		if got := curve("x", c.points...).Throughput(); got != c.want {
+			t.Errorf("%s: throughput %v, want %v", c.name, got, c.want)
+		}
+	}
+}
+
 func TestOverheadPercent(t *testing.T) {
 	base := curve("base", Point{Step: 10, Time: 100, Accuracy: 0.6})
 	slow := curve("slow", Point{Step: 10, Time: 165, Accuracy: 0.6})

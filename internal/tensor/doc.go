@@ -12,9 +12,11 @@
 // package state so that no constructor or interface had to learn about it.
 // The contract is ownership, not reference counting — a vector has exactly
 // one owner at any time, hand-overs are explicit (Endpoint.Send lends,
-// Endpoint.Recv gives), and only the last owner calls Put, once. (The one
-// owner that counts is the couriers' lease: a broadcast's snapshot is queued
-// on every link's outbox, and the lease — not any link — owns it.)
+// Endpoint.Recv gives), and only the last owner hands it back, once. (The
+// one owner that counts is the couriers' lease: a broadcast's snapshot is
+// queued on every link's outbox, and the lease — not any link — owns it.)
+// This table is the one statement of who that is; transport's and
+// DESIGN.md's ownership notes point here.
 //
 //	taken by                                  returned by, when
 //	----------------------------------------  -----------------------------------------
@@ -25,23 +27,31 @@
 //	transport.Message.Clone (in-process         report, or at the next Advance, the
 //	  delivery)                                 last one past the final step when the
 //	transport.Collector.assemble (a chunk       node loop returns. A frame no loop
-//	  stream joined at a one-shard layout)      received: the receiving endpoint's
-//	                                            Mailbox, by Reclaim, when it sheds the
-//	                                            frame (drop-newest, drop-oldest, put
-//	                                            after Close) or the endpoint closes
-//	                                            with it still queued
+//	  stream joined at a one-shard layout)      received: Message.Release by the
+//	                                            receiving endpoint's Mailbox when it
+//	                                            sheds the frame (drop-newest,
+//	                                            drop-oldest, put after Close) or the
+//	                                            endpoint closes with it still queued,
+//	                                            or by the in-process network when the
+//	                                            destination is gone
 //	transport.Couriers.Broadcast (one         the snapshot's lease, at its last
-//	  snapshot per frame — Message.Clone —      release: each destination's queued copy
-//	  leased to every destination's outbox;     holds one share, given up by the link
-//	  under a stateless codec also one          goroutine when the wrapped Send returns
-//	  encoding, made by the first link to       or by the outbox that rejects, evicts
-//	  compress it, in a pooled byte buffer)     or (closed) refuses the copy; snapshot
-//	                                            and encoding go back together
+//	  snapshot per frame — Message.Clone —      share: each destination's queued copy
+//	  leased to every destination's outbox;     holds one, given up by Message.Release
+//	  under a stateless codec also one          — the link goroutine's once the
+//	  encoding, made by the first link to       wrapped Send returns, the outbox's that
+//	  compress it, in a pooled byte buffer)     rejects, evicts or (closed) refuses the
+//	                                            copy; snapshot and encoding go back
+//	                                            together
+//	the fault injector's copies               Message.Release once the deferred Send
+//	  (Message.Clone of a delayed or            of the copy returned (the timer's, the
+//	  reordered delivery)                       next send's to that destination, Close)
 //	gar streamers (an aggregate: the first    cluster.RunServer after the update (the
 //	  fold of a coordinate-wise rule,           gradient aggregate) and after the
 //	  Multi-Krum's Result)                      contraction round replaced θ (the
-//	                                            previous θ); cluster.RunWorker after
-//	                                            SetParamVector copied it
+//	                                            previous θ — the first time, the copy
+//	                                            of θ₀ the server made itself);
+//	                                            cluster.RunWorker after SetParamVector
+//	                                            copied it
 //	nn.Sequential.GradVector (a gradient)     cluster.RunWorker after its last send;
 //	                                            nn.BatchGradient for the chunk
 //	                                            gradients it folded
@@ -57,13 +67,23 @@
 //
 // Never returned: a per-shard view of a whole-vector message (the whole is,
 // once), a frame whose length the collector's layout does not produce or,
-// discarded by a mailbox, no existing class has (Reclaim creates none), a
-// vector a failed read left half-filled, the θ RunServer returns, and
-// anything whose owner simply drops it — the simulator, every
-// Rule.Aggregate caller, the fault injector's held copies. Those fall to the
-// garbage collector exactly as before; Get is then make.
+// released by a transport, no existing class has (Reclaim creates none),
+// the chunk frames a one-shard collector joined, a vector a failed read
+// left half-filled, a SharedView step that left its window, the θ
+// RunServer returns, and anything whose owner simply drops it — the simulator,
+// every Rule.Aggregate caller. Those fall to the garbage collector exactly
+// as before; Get is then make.
 //
-// pool.go states the three rules that face Byzantine senders; race builds
-// poison on Put (poison_race.go), which turns a read after hand-back into a
-// NaN that the finiteness validator and the bit-identity suites catch.
+// The check is the free list's ledger (Outstanding): each size class counts
+// the vectors Get handed out less those Put and Reclaim brought back, and
+// the /metrics exposition shows it per length. The live tests of
+// internal/cluster run every deployment through one helper that makes the
+// deployment's size classes, snapshots the ledger, runs, and requires each
+// class back where it stood, less the exceptions above that a run keeps by
+// design — so a path that forgets a vector leaves the count up and one that
+// hands a vector back twice drives it down, on every path a live test
+// walks. pool.go states the three rules that face Byzantine senders; race
+// builds also poison on Put (poison_race.go), which turns a read after
+// hand-back into a NaN that the finiteness validator and the bit-identity
+// suites catch.
 package tensor

@@ -1,6 +1,9 @@
 package tensor
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // One process-wide free list for the d-sized vectors of a live step:
 // received frames, courier snapshots, aggregates, gradients. There is one
@@ -12,6 +15,11 @@ import "sync"
 // table of who that is for each kind of vector. Code that never Puts (the
 // simulator, every Rule.Aggregate) behaves as if Get were make.
 //
+// Each class keeps a ledger of that rule (Outstanding): +1 for every Get at
+// its length, −1 for every Put or Reclaim that reaches it. A run that hands
+// back everything it took leaves the count where it found it; a vector put
+// twice drives it down, one never put leaves it up.
+//
 // Three rules face Byzantine senders:
 //
 //   - Get never creates a size class; only Put does, and only code that
@@ -19,8 +27,8 @@ import "sync"
 //     produces, a node for vectors it made itself. Code that cannot vouch —
 //     a mailbox discarding a frame nobody received — calls Reclaim, which
 //     creates none either. A sender declaring odd lengths therefore grows
-//     nothing — its frames fall through to make and to the garbage
-//     collector, as they always did.
+//     nothing, neither a pool nor a ledger entry — its frames fall through
+//     to make and to the garbage collector, as they always did.
 //   - Get reserves memory exactly where make did. The wire reader still
 //     commits a vector only after the frame's first 64 KiB chunk has landed,
 //     and only up to the exact-allocation bound (codec.go).
@@ -30,10 +38,16 @@ import "sync"
 //     trips the finiteness validator or a bit-identity comparison.
 var (
 	classMu sync.RWMutex
-	classes = map[int]*sync.Pool{} // by capacity; entries are added by Put only
+	classes = map[int]*sizeClass{} // by capacity; entries are added by Put only
 )
 
-func class(n int) *sync.Pool {
+// sizeClass is the free list of one exact length and its ledger.
+type sizeClass struct {
+	pool sync.Pool
+	out  atomic.Int64 // Gets less Puts and Reclaims since the class was made
+}
+
+func class(n int) *sizeClass {
 	classMu.RLock()
 	defer classMu.RUnlock()
 	return classes[n]
@@ -43,8 +57,9 @@ func class(n int) *sync.Pool {
 // Put at exactly that length if the free list holds any, a fresh one
 // otherwise.
 func Get(n int) Vector {
-	if p := class(n); p != nil {
-		if v, ok := p.Get().(*Vector); ok {
+	if c := class(n); c != nil {
+		c.out.Add(1)
+		if v, ok := c.pool.Get().(*Vector); ok {
 			return *v
 		}
 	}
@@ -59,16 +74,16 @@ func Put(v Vector) {
 	if cap(v) == 0 {
 		return
 	}
-	p := class(cap(v))
-	if p == nil {
+	c := class(cap(v))
+	if c == nil {
 		classMu.Lock()
-		if p = classes[cap(v)]; p == nil {
-			p = new(sync.Pool)
-			classes[cap(v)] = p
+		if c = classes[cap(v)]; c == nil {
+			c = new(sizeClass)
+			classes[cap(v)] = c
 		}
 		classMu.Unlock()
 	}
-	release(p, v)
+	c.release(v)
 }
 
 // Reclaim is Put for a vector whose length nobody vouches for — a received
@@ -77,13 +92,29 @@ func Put(v Vector) {
 // exists and otherwise leaves it to the garbage collector, so it creates no
 // class. The ownership rules are Put's.
 func Reclaim(v Vector) {
-	if p := class(cap(v)); p != nil {
-		release(p, v)
+	if c := class(cap(v)); c != nil {
+		c.release(v)
 	}
 }
 
-func release(p *sync.Pool, v Vector) {
+func (c *sizeClass) release(v Vector) {
+	c.out.Add(-1)
 	v = v[:cap(v)]
 	poison(v)
-	p.Put(&v)
+	c.pool.Put(&v)
+}
+
+// Outstanding returns the ledger of every size class, by length: how many
+// vectors Get handed out since the class was made, less the ones Put and
+// Reclaim brought back. Only vectors taken after their class existed are
+// counted out, so the count is exact from the class's first Put on; the
+// vectors the free list holds are never outstanding.
+func Outstanding() map[int]int64 {
+	classMu.RLock()
+	defer classMu.RUnlock()
+	out := make(map[int]int64, len(classes))
+	for n, c := range classes {
+		out[n] = c.out.Load()
+	}
+	return out
 }

@@ -10,6 +10,8 @@ import (
 const (
 	neverPutLen = 7001
 	roundLen    = 7002
+	ledgerLen   = 7003
+	classless   = 7004
 )
 
 // putThenGet returns v to the free list and takes a vector of the same
@@ -75,12 +77,53 @@ func TestPutIgnoresNilAndZeroCapacity(t *testing.T) {
 	}
 }
 
+// TestLedgerCountsEveryGetAndHandBack: a class's count rises by one at
+// every Get, whether or not the pool had a vector, and falls by one at every
+// Put and Reclaim, whatever length the vector was cut to; a vector Put
+// twice shows as a count below where the class stood.
+func TestLedgerCountsEveryGetAndHandBack(t *testing.T) {
+	Put(make(Vector, ledgerLen)) // makes the class, holding one vector
+	at := func() int64 { return Outstanding()[ledgerLen] }
+	base := at()
+	a, b, c := Get(ledgerLen), Get(ledgerLen), Get(ledgerLen) // the pool has at most one
+	if got := at() - base; got != 3 {
+		t.Fatalf("three Gets moved the count by %d, want 3", got)
+	}
+	Put(a[:1])
+	Reclaim(b)
+	if got := at() - base; got != 1 {
+		t.Fatalf("a Put and a Reclaim after three Gets leave %d out, want 1", got)
+	}
+	Put(c)
+	Put(c) // a double Put is what the ledger is there to show
+	if got := at() - base; got != -1 {
+		t.Fatalf("after a double Put the count moved by %d, want -1", got)
+	}
+}
+
+// TestLedgerKeepsNoEntryForAClasslessLength: Get at a length nobody Put
+// creates neither a class nor a ledger entry, and Reclaim into a missing
+// class counts nothing — so a sender's odd lengths grow neither.
+func TestLedgerKeepsNoEntryForAClasslessLength(t *testing.T) {
+	Get(classless)
+	Reclaim(make(Vector, classless))
+	if _, ok := Outstanding()[classless]; ok || class(classless) != nil {
+		t.Fatalf("Get and Reclaim at %d, a length never Put, made a ledger entry or a class", classless)
+	}
+}
+
+// poisons reports whether this build's Put overwrites what it is given: the
+// race detector's builds, whose sync.Pool also drops a quarter of all Puts.
+func poisons() bool {
+	probe := Vector{1}
+	poison(probe)
+	return math.IsNaN(probe[0])
+}
+
 // TestPutPoisonsExactlyInRaceBuilds pins the stale-reference guard to the
 // build it belongs to: NaN fill under -race, nothing otherwise.
 func TestPutPoisonsExactlyInRaceBuilds(t *testing.T) {
-	probe := Vector{1}
-	poison(probe)
-	poisons := math.IsNaN(probe[0])
+	poisons := poisons()
 
 	v := make(Vector, 64, 128)
 	for i := range v {

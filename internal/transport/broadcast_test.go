@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/compress"
-	"repro/internal/metrics"
 	"repro/internal/tensor"
 )
 
@@ -58,7 +57,7 @@ func TestLeaseReleasedByEveryDisposer(t *testing.T) {
 	tos := []string{"slow", "f1", "f2"}
 	cases := []struct {
 		policy   OverflowPolicy
-		dim      int // one length per case: recycled needs it to itself
+		dim      int // one length per case: the ledger of its own
 		slowSaw  []int
 		overflow uint64
 	}{
@@ -68,7 +67,7 @@ func TestLeaseReleasedByEveryDisposer(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.policy.String(), func(t *testing.T) {
-			quietPool(t)
+			moved := ledger(tc.dim)
 			inner := newStallable("slow")
 			c := NewCouriers(inner, MailboxConfig{Cap: 1, Policy: tc.policy})
 			mine := seq(tc.dim, 1)
@@ -109,60 +108,10 @@ func TestLeaseReleasedByEveryDisposer(t *testing.T) {
 					t.Fatalf("frame %d: the fast links were lent different vectors", i)
 				}
 			}
-			if !recycled(snapshots...) {
-				t.Fatal("a snapshot whose last share was dropped or flushed did not return to the free list")
-			}
-			again := tensor.Get(tc.dim)
-			for _, v := range snapshots {
-				if &again[0] == &v[0] {
-					t.Fatal("a snapshot was returned to the free list more than once")
-				}
+			if moved() != 0 {
+				t.Fatalf("the snapshots left the ledger at %d; want each handed back once, by whoever released its last share", moved())
 			}
 		})
-	}
-}
-
-// TestLeaseReleasedByPutAfterClose: an outbox that is already closed takes
-// no share; the message's lease is released on the spot.
-func TestLeaseReleasedByPutAfterClose(t *testing.T) {
-	quietPool(t)
-	snapshot := seq(3434, 1)
-	l := &lease{vec: snapshot}
-	l.refs.Store(2)
-	box := newMailbox(MailboxConfig{Cap: 1, Policy: DropOldest}, metrics.NewNodeMetrics(), true)
-	box.Close()
-	box.Put(Message{Vec: snapshot, lease: l})
-	if got := box.Metrics().DroppedClosed.Load(); got != 1 {
-		t.Fatalf("DroppedClosed = %d, want 1", got)
-	}
-	if snapshot[0] != 1 {
-		t.Fatal("the snapshot went back while a share was still out")
-	}
-	l.release()
-	if !recycled(snapshot) {
-		t.Fatal("the last release did not return the snapshot")
-	}
-}
-
-// TestCouriersBroadcastAfterClose: a closed Couriers refuses the broadcast
-// and keeps nothing of it — the snapshot it took goes straight back.
-func TestCouriersBroadcastAfterClose(t *testing.T) {
-	quietPool(t)
-	inner := &borrower{lent: make(chan tensor.Vector, 1)}
-	c := NewCouriers(inner, MailboxConfig{})
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-	next := seq(3535, 0) // what the free list hands out next: the snapshot-to-be
-	tensor.Put(next)
-	if err := c.Broadcast([]string{"n0", "n1"}, Message{Vec: seq(3535, 1)}); err == nil {
-		t.Fatal("Broadcast after Close succeeded")
-	}
-	if len(inner.lent) != 0 {
-		t.Fatal("a closed Couriers sent a frame")
-	}
-	if !recycled(next) {
-		t.Fatal("the refused broadcast kept its snapshot")
 	}
 }
 

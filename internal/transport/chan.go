@@ -182,6 +182,7 @@ func (n *ChanNetwork) deliver(from, to string, m Message) error {
 	if !ok {
 		return fmt.Errorf("transport: unknown destination %q", to)
 	}
+	m = m.Clone() // taken only once there is a mailbox to hand it to
 	if delay == nil {
 		dst.box.Put(m)
 		return nil
@@ -216,7 +217,7 @@ func (e *chanEndpoint) Send(to string, m Message) error {
 	// a slow receiver may still be reading the previous broadcast. Messages
 	// must be immutable copies — exactly what a real network provides (the
 	// TCP transport copies by serialising, so it needs no extra clone).
-	return e.net.deliver(e.id, to, m.Clone())
+	return e.net.deliver(e.id, to, m)
 }
 
 func (e *chanEndpoint) Recv(timeout time.Duration) (Message, bool) {

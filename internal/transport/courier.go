@@ -90,7 +90,7 @@ func (c *Couriers) Broadcast(tos []string, m Message) error {
 		box, err := c.outbox(to)
 		if err != nil {
 			for range tos[i:] {
-				m.lease.release() // the shares no outbox took
+				m.Release() // the shares no outbox took
 			}
 			return err
 		}
@@ -131,7 +131,7 @@ func (c *Couriers) run(to string, box *Mailbox) {
 			return
 		}
 		_ = c.ep.Send(to, m)
-		m.lease.release() // Send only borrowed the snapshot taken at enqueue
+		m.Release() // Send only borrowed the snapshot taken at enqueue
 	}
 }
 

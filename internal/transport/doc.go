@@ -117,65 +117,31 @@
 // # Vector ownership
 //
 // Payload vectors come from and go back to one free list (tensor.Get /
-// tensor.Put; internal/tensor's package comment has the whole table). This
-// package's half of it:
-//
-//	hand-over                 who owns the vector afterwards
-//	------------------------  ------------------------------------------------
-//	Endpoint.Send(to, m)      still the caller: Send borrows m.Vec until it
-//	                          returns; an endpoint that keeps the message
-//	                          longer (Couriers, ChanNetwork, the fault
-//	                          injector, a recording fake) clones it first
-//	Couriers.Broadcast        still the caller. The couriers' clone belongs to
-//	                          its lease: every destination's queued copy holds
-//	                          a share, released by the link goroutine after the
-//	                          wrapped Send or by the outbox that drops the copy
-//	                          (rejected, evicted, put after Close); the last
-//	                          release returns the snapshot and, if a stateless
-//	                          codec made one, its encoding. Below the couriers
-//	                          the message is lent like any other — Clone gives
-//	                          a deep copy with no share in the lease
-//	Endpoint.Recv             the caller; the endpoint keeps no reference
-//	a frame no Recv took      the receiving endpoint's inbound Mailbox, which
-//	                          returns it (tensor.Reclaim) when it sheds it —
-//	                          drop-newest, drop-oldest, put after Close — or
-//	                          when the endpoint closes (TCPNode.Close, a
-//	                          ChanNetwork endpoint's Close, Unregister,
-//	                          ChanNetwork.Close) with the frame still queued.
-//	                          A courier outbox gives up only its copy's share
-//	                          of the lease
-//	Collector, via Recv       the Collector. A frame it drops before buffering
-//	                          (sender not legal for its kind, round already
-//	                          decided, stale, beyond the horizon, failing the
-//	                          validator, duplicate sender, slot folded,
-//	                          outside the pin, pruned when the pin is decided)
-//	                          goes back at once; one it buffered goes on a
-//	                          spent list when its slot or round is released,
-//	                          and Recycle — which the node calls once the
-//	                          streamer's Result and the Suspicion report are
-//	                          done, and Advance calls for abandoned rounds —
-//	                          returns the list. The node loop's last Advance,
-//	                          past its final step as it returns, releases
-//	                          what the run left buffered
-//	ShardFold inputs          the Collector still; a fold may read and retain
-//	                          them until that Recycle
+// tensor.Put); internal/tensor's package comment has the one ownership
+// table, and its ledger is the check. What this package's API promises:
+// Endpoint.Send borrows m.Vec until it returns, so an endpoint that keeps
+// the message longer (Couriers, ChanNetwork, the fault injector, a
+// recording fake) clones it first; Endpoint.Recv gives the vector to the
+// caller, and the endpoint keeps no reference. A transport layer that ends
+// up holding a message nobody will receive — a mailbox shedding or
+// shutting, a courier after its Send, the fault injector after a deferred
+// Send — disposes of it with Message.Release, the one spelling: a courier
+// copy gives up its share of the broadcast's lease, anything else goes back
+// by tensor.Reclaim. The Collector owns what Recv gave it and alone may
+// create a size class, for the lengths its layout produces (Collector.put);
+// a ShardFold's inputs stay the Collector's until Recycle.
 //
 // Three rules face Byzantine senders. The Collector returns only lengths
 // its own layout produces — the dimension, and at a multi-shard layout the
 // shard extents — so a frame declaring any other length is dropped to the
 // garbage collector and never becomes a size class (Get creates none
-// either, and a Mailbox returns what it discards only into a class that
-// exists: Reclaim creates none); it never returns a view into a longer vector (the per-shard
-// views of a whole-vector message: the whole goes back, once, when the
-// round is released) nor the chunk frames it joined at a one-shard layout
-// (their lengths are the sender's choice). The wire reader takes a vector
-// only where it allocated before: after the frame's first 64 KiB chunk has
-// landed and only up to preallocCoords; a vector a truncated stream left
-// half-filled is dropped, not returned. And every vector from the free
-// list is written in full before it is read — the decoders always did
-// (they reuse dirty capacity), reassembly checks its chunks tile the
-// vector, the streamers refuse a Result before their folds tile the
-// dimension.
+// either, and Release goes back only into a class that exists: Reclaim
+// creates none). The wire reader takes a vector only where it allocated
+// before: after the frame's first 64 KiB chunk has landed and only up to
+// preallocCoords. And every vector from the free list is written in full
+// before it is read — the decoders always did (they reuse dirty capacity),
+// reassembly checks its chunks tile the vector, the streamers refuse a
+// Result before their folds tile the dimension.
 //
 // Receivers are hardened against resource-exhaustion from the header alone
 // (bounded declared lengths, traffic-paced allocation), against senders

@@ -245,6 +245,7 @@ func (e *faultEndpoint) Send(to string, m Message) error {
 		time.AfterFunc(time.Duration(d.delay*float64(time.Second)), func() {
 			defer e.timers.Done()
 			_ = e.inner.Send(to, delayed)
+			delayed.Release()
 		})
 		e.flushHeld(to)
 		return nil
@@ -278,6 +279,7 @@ func (e *faultEndpoint) flushHeld(to string) {
 	e.mu.Unlock()
 	if ok {
 		_ = e.inner.Send(to, m)
+		m.Release()
 	}
 }
 
@@ -294,6 +296,7 @@ func (e *faultEndpoint) Close() error {
 	e.mu.Unlock()
 	for to, m := range held {
 		_ = e.inner.Send(to, m)
+		m.Release()
 	}
 	e.timers.Wait()
 	return e.inner.Close()

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/metrics"
-	"repro/internal/tensor"
 )
 
 // OverflowPolicy selects what a bounded mailbox does when one sender's
@@ -259,18 +258,6 @@ func (m *Mailbox) publishDepth() {
 	}
 }
 
-// discard disposes of a message nobody will receive. A courier outbox's
-// copy gives up its share of the lease and nothing else. An inbound frame
-// (which holds no share) is the mailbox's own, and its vector goes back to
-// the free list — by Reclaim, since the sender declared its length. It
-// needs no lock: Put calls it after releasing mu.
-func (m *Mailbox) discard(msg Message) {
-	if !m.outbox && msg.lease == nil {
-		tensor.Reclaim(msg.Vec)
-	}
-	msg.lease.release()
-}
-
 // Put enqueues a message keyed by its From field. Messages put after Close
 // are dropped and counted under DroppedClosed (the node has left the
 // computation, but the loss stays observable). When the sender's queue is
@@ -278,10 +265,11 @@ func (m *Mailbox) discard(msg Message) {
 // queue drains or the mailbox closes; DropNewest discards msg; DropOldest
 // evicts the sender's oldest queued message to admit msg. Every overflow
 // discard increments DroppedOverflow. Put hands msg over: a message it
-// discards goes back here (see discard), as nobody else will see it again.
+// discards is released here (Message.Release), as nobody else will see it
+// again.
 func (m *Mailbox) Put(msg Message) {
 	if shed, ok := m.enqueue(msg); ok {
-		m.discard(shed)
+		shed.Release()
 	}
 }
 
@@ -452,7 +440,7 @@ func (m *Mailbox) close() {
 }
 
 // shut is Close by an endpoint that is going away: no Recv will follow, so
-// the messages still queued are discarded (see discard) instead of being
+// the messages still queued are released (Message.Release) instead of being
 // kept for one. The closing endpoint is the last owner of the frames its
 // node never received.
 func (m *Mailbox) shut() {
@@ -461,7 +449,7 @@ func (m *Mailbox) shut() {
 	m.close()
 	for e := m.head; e != nil; e = m.head {
 		m.unlink(e)
-		m.discard(e.msg)
+		e.msg.Release()
 		m.recycle(e)
 	}
 	m.publishDepth()

@@ -131,3 +131,18 @@ func (m Message) Clone() Message {
 	}
 	return m
 }
+
+// Release disposes of a message its holder will pass on no further: a
+// courier's queued copy gives up its share of the snapshot's lease (the last
+// share hands the snapshot back), anything else hands its vector back by
+// tensor.Reclaim, since the holder cannot vouch for the length. Every
+// transport layer that is the last holder of a message — a mailbox shedding
+// or shutting, a courier after its Send, the fault injector after a deferred
+// Send — ends it here.
+func (m Message) Release() {
+	if m.lease != nil {
+		m.lease.release()
+		return
+	}
+	tensor.Reclaim(m.Vec)
+}

@@ -16,36 +16,21 @@ import (
 )
 
 // Ownership tests: who returns a vector to the free list (tensor.Get/Put),
-// when, and which vectors never go there.
+// when, and which vectors never go there — read off the free list's ledger.
 
-// quietPool makes the free list deterministic for one test: one processor
-// (a sync.Pool's private slot belongs to a processor) and no garbage
-// collection (two cycles empty a pool). The race detector's pools still
-// drop a quarter of all Puts; recycled reads the poison there instead.
-func quietPool(t *testing.T) {
-	t.Helper()
-	procs, gc := runtime.GOMAXPROCS(1), debug.SetGCPercent(-1)
-	t.Cleanup(func() {
-		runtime.GOMAXPROCS(procs)
-		debug.SetGCPercent(gc)
-	})
+// ledger makes length n's size class, as a collector's first Put at its
+// layout's lengths does, and returns how far n's ledger has moved since. n
+// must be a length no other test uses.
+func ledger(n int) func() int64 {
+	tensor.Put(make(tensor.Vector, n))
+	base := tensor.Outstanding()[n]
+	return func() int64 { return tensor.Outstanding()[n] - base }
 }
 
-// recycled reports whether every one of vs — vectors of one length, which no
-// other test may use — was handed to tensor.Put: in a race build Put
-// poisoned them, otherwise the free list hands exactly them back (and this
-// call takes them out again). Needs quietPool.
-func recycled(vs ...tensor.Vector) bool {
-	back := make(map[*float64]bool, len(vs))
-	for range vs {
-		back[&tensor.Get(cap(vs[0]))[0]] = true
-	}
-	for _, v := range vs {
-		if raceEnabled && v[0] == v[0] || !raceEnabled && !back[&v[:1][0]] {
-			return false
-		}
-	}
-	return true
+// classless reports whether nothing ever Put a vector of v's length.
+func classless(v tensor.Vector) bool {
+	_, ok := tensor.Outstanding()[cap(v)]
+	return !ok
 }
 
 // handoff is an endpoint whose Recv hands over queued messages as they are,
@@ -78,30 +63,28 @@ func noFold(int, int, []string, []tensor.Vector) error { return nil }
 // vector from tensor.Get once the first chunk has landed, and a stream that
 // breaks off after that point delivers nothing and returns nothing.
 func TestReadMessageCommitsFromTheFreeList(t *testing.T) {
-	quietPool(t)
 	const n = readChunkBytes/8 + 777 // the payload continues past the first chunk
 	want := awkwardVec(n)
 	frame := mustEncode(t, Message{From: "wrk1", Kind: KindGradient, Step: 2, Vec: want})
+	moved := ledger(n)
 
 	for _, direct := range payloadPaths() {
 		var scratch []byte
-		pooled := make(tensor.Vector, n)
-		tensor.Put(pooled)
 		var got Message
+		at := moved()
 		if err := readMessage(bytes.NewReader(frame), &scratch, &got, direct); err != nil {
 			t.Fatal(err)
 		}
 		if !sameBits(got.Vec, want) {
 			t.Fatalf("direct=%v: payload decoded into a pooled vector differs from the wire", direct)
 		}
-		if !raceEnabled && &got.Vec[0] != &pooled[0] {
-			t.Fatalf("direct=%v: the frame's vector is not the one the free list held", direct)
+		if moved() != at+1 {
+			t.Fatalf("direct=%v: the frame's vector did not come from the free list", direct)
 		}
+		tensor.Put(got.Vec)
 
 		// Cut the stream inside the part that is read straight into the
 		// committed vector.
-		pooled = make(tensor.Vector, n)
-		tensor.Put(pooled)
 		got = Message{}
 		err := readMessage(bytes.NewReader(frame[:len(frame)-8]), &scratch, &got, direct)
 		if !errors.Is(err, io.ErrUnexpectedEOF) {
@@ -110,8 +93,9 @@ func TestReadMessageCommitsFromTheFreeList(t *testing.T) {
 		if len(got.Vec) != 0 {
 			t.Fatalf("direct=%v: a truncated frame delivered %d coordinates", direct, len(got.Vec))
 		}
-		if again := tensor.Get(n); &again[0] == &pooled[0] {
-			t.Fatalf("direct=%v: the half-filled vector of a truncated frame went back to the free list", direct)
+		if moved() != at+1 {
+			t.Fatalf("direct=%v: the half-filled vector of a truncated frame moved the ledger to %d, want %d: taken, and left to the garbage collector",
+				direct, moved(), at+1)
 		}
 	}
 }
@@ -121,7 +105,6 @@ func TestReadMessageCommitsFromTheFreeList(t *testing.T) {
 // a stale frame of an odd length is dropped before the layout check — none
 // of them reaches tensor.Put, so none of their lengths becomes a size class.
 func TestCollectorNeverRecyclesALengthItsLayoutDoesNotProduce(t *testing.T) {
-	quietPool(t)
 	const dim, size = 1313, 104
 	wrongDim, wrongExtent, staleOdd := seq(dim+1, 0), seq(size+1, 0), seq(dim+3, 0)
 	ep := &handoff{queue: []Message{
@@ -138,7 +121,7 @@ func TestCollectorNeverRecyclesALengthItsLayoutDoesNotProduce(t *testing.T) {
 	}
 	c.Recycle()
 	for name, v := range map[string]tensor.Vector{"wrong dimension": wrongDim, "wrong extent": wrongExtent, "stale, odd length": staleOdd} {
-		if recycled(v) {
+		if !classless(v) {
 			t.Fatalf("%s: a %d-coordinate vector went to the free list at a (%d, %d) layout", name, len(v), dim, size)
 		}
 	}
@@ -149,8 +132,8 @@ func TestCollectorNeverRecyclesALengthItsLayoutDoesNotProduce(t *testing.T) {
 // d-vector behind them, once, and only at Recycle — the fold may still be
 // reading until then.
 func TestCollectorRecyclesWholesNotViews(t *testing.T) {
-	quietPool(t)
 	const dim, size = 1313, 104 // 12 shards of 104 and one of 65
+	moved := ledger(dim)
 	whole := seq(dim, 1)
 	ep := &handoff{queue: []Message{{From: "a", Kind: KindGradient, Step: 0, Vec: whole}}}
 	c := NewCollector(ep, NewShardLayout(dim, size))
@@ -171,12 +154,12 @@ func TestCollectorRecyclesWholesNotViews(t *testing.T) {
 	if folds != 13 || len(c.spent) != 1 || &c.spent[0][0] != &whole[0] || len(c.spent[0]) != dim {
 		t.Fatalf("%d folds left %d spent vectors; want 13 folds and exactly the one whole vector", folds, len(c.spent))
 	}
-	if whole[dim-1] != float64(dim) {
+	if whole[dim-1] != float64(dim) || moved() != 0 {
 		t.Fatal("the whole vector was recycled before Recycle")
 	}
 	c.Recycle()
-	if len(c.spent) != 0 || !recycled(whole) {
-		t.Fatal("Recycle did not hand the whole vector to the free list")
+	if len(c.spent) != 0 || moved() != -1 {
+		t.Fatalf("Recycle moved the ledger by %d; want the one whole vector handed back once", moved())
 	}
 }
 
@@ -186,8 +169,8 @@ func TestCollectorRecyclesWholesNotViews(t *testing.T) {
 // one-shard layout does not produce, so they are left to the garbage
 // collector.
 func TestCollectorRecyclesTheReassembledVector(t *testing.T) {
-	quietPool(t)
 	const dim, size = 1414, 111
+	moved := ledger(dim)
 	parts := SplitMessage(Message{From: "a", Kind: KindGradient, Step: 0, Vec: seq(dim, 1)}, size)
 	ep := &handoff{}
 	for _, p := range parts {
@@ -211,12 +194,15 @@ func TestCollectorRecyclesTheReassembledVector(t *testing.T) {
 			t.Fatalf("reassembled coordinate %d = %v", i, x)
 		}
 	}
+	if moved() != 1 {
+		t.Fatalf("the reassembled vector moved the ledger by %d, want 1: taken from the free list", moved())
+	}
 	c.Recycle()
-	if !recycled(joined) {
-		t.Fatal("Recycle did not hand the reassembled vector to the free list")
+	if moved() != 0 {
+		t.Fatalf("after Recycle the ledger stands at %d; want the reassembled vector handed back once", moved())
 	}
 	for _, p := range sent {
-		if recycled(p.Vec) {
+		if !classless(p.Vec) {
 			t.Fatalf("chunk %d (%d coordinates) went to the free list of a one-shard collector", p.Shard.Index, len(p.Vec))
 		}
 	}
@@ -227,8 +213,8 @@ func TestCollectorRecyclesTheReassembledVector(t *testing.T) {
 // folded — is nobody's input, so it goes back without waiting for Recycle.
 // Frames pruned when the membership pins go the same way.
 func TestCollectorReturnsDroppedFramesAtOnce(t *testing.T) {
-	quietPool(t)
 	const dim, size = 1222, 611
+	moved := ledger(size)
 	chunk := func(from string, step, index int) Message {
 		return Message{From: from, Kind: KindGradient, Step: step, Vec: seq(size, float64(index)),
 			Shard: ShardMeta{Index: index, Count: 2, Offset: index * size}}
@@ -249,11 +235,14 @@ func TestCollectorReturnsDroppedFramesAtOnce(t *testing.T) {
 		t.Fatalf("pinned membership %v, err %v; want [a b]", members, err)
 	}
 	// stale, duplicate sender, pruned at pin time, outside the pin, folded slot
-	if !recycled(stale.Vec, dup.Vec, pruned.Vec, outside.Vec, folded.Vec) {
-		t.Fatal("a frame dropped before buffering was not returned to the free list at once")
+	if moved() != -5 {
+		t.Fatalf("the five frames dropped before buffering moved the ledger by %d, want -5: each back at once", moved())
 	}
 	if len(c.spent) != 4 {
 		t.Fatalf("%d spent vectors, want the 4 chunks that were folded", len(c.spent))
+	}
+	if c.Recycle(); moved() != -9 {
+		t.Fatalf("after Recycle the ledger moved by %d, want -9: the folded chunks back once", moved())
 	}
 }
 
@@ -262,8 +251,8 @@ func TestCollectorReturnsDroppedFramesAtOnce(t *testing.T) {
 // forgets the round. A round that timed out is not decided: its late frames
 // still count, and ResetRound still clears them.
 func TestDecidedRoundDiscardsLateFrames(t *testing.T) {
-	quietPool(t)
 	const dim = 1717
+	moved := ledger(dim)
 	late := seq(dim, 7)
 	ep := &handoff{queue: []Message{
 		{From: "a", Kind: KindGradient, Step: 3, Vec: seq(dim, 1)},
@@ -278,6 +267,7 @@ func TestDecidedRoundDiscardsLateFrames(t *testing.T) {
 	bytesBefore, peakBefore, validatedBefore := c.curBytes, c.Metrics.PeakBytes(), validated
 
 	// The straggler arrives while the node waits for the next phase.
+	at := moved()
 	ep.queue = []Message{{From: "c", Kind: KindGradient, Step: 3, Vec: late}}
 	if _, err := collect(c, KindPeerParams, 3, 1, time.Second); err == nil {
 		t.Fatal("the empty peer round filled")
@@ -287,8 +277,8 @@ func TestDecidedRoundDiscardsLateFrames(t *testing.T) {
 		t.Fatalf("a late frame of a decided round moved the collector: bytes %d → %d, peak %d → %d, validations %d → %d",
 			bytesBefore, c.curBytes, peakBefore, c.Metrics.PeakBytes(), validatedBefore, validated)
 	}
-	if !recycled(late) {
-		t.Fatal("the late frame was not returned to the free list")
+	if moved() != at-1 {
+		t.Fatal("the late frame was not returned to the free list once")
 	}
 
 	// The peer round above did not fill: it is not decided.
@@ -321,41 +311,6 @@ type borrower struct {
 func (b *borrower) Send(_ string, m Message) error {
 	b.lent <- m.Vec
 	return nil
-}
-
-// TestCouriersReturnTheirSnapshot: the snapshot taken at enqueue is the
-// couriers' own vector, one for all the links of a broadcast, and it goes
-// back once — when the last link's wrapped Send has returned.
-func TestCouriersReturnTheirSnapshot(t *testing.T) {
-	quietPool(t)
-	tos := []string{"n0", "n1", "n2"}
-	inner := &borrower{lent: make(chan tensor.Vector, len(tos))}
-	c := NewCouriers(inner, MailboxConfig{})
-	mine := seq(6464, 1)
-	if err := c.Broadcast(tos, Message{Kind: KindParams, Vec: mine}); err != nil {
-		t.Fatal(err)
-	}
-	snapshot := <-inner.lent
-	for range tos[1:] {
-		if other := <-inner.lent; &other[0] != &snapshot[0] {
-			t.Fatal("two links of one broadcast were lent different vectors")
-		}
-	}
-	if err := c.Close(); err != nil { // waits for the link goroutines
-		t.Fatal(err)
-	}
-	if &snapshot[0] == &mine[0] {
-		t.Fatal("the couriers lent the caller's own vector, not a snapshot")
-	}
-	if mine[0] != 1 || mine[6463] != 6464 {
-		t.Fatal("the caller's vector was touched")
-	}
-	if !recycled(snapshot) {
-		t.Fatal("the couriers' snapshot was not returned to the free list after the last Send")
-	}
-	if again := tensor.Get(len(mine)); &again[0] == &snapshot[0] {
-		t.Fatal("the snapshot was returned to the free list more than once")
-	}
 }
 
 // TestReadLoopReusesItsBufferedReader: connections that come and go must not
@@ -502,34 +457,6 @@ func TestRecycledConnReaderLeaksNothing(t *testing.T) {
 	}
 }
 
-// sizeClass gives the free list a class for length n, the way a collector's
-// first Put at its layout's lengths does, and leaves the class empty.
-func sizeClass(n int) {
-	tensor.Put(make(tensor.Vector, n))
-	tensor.Get(n)
-}
-
-// returnedOnce reports whether each of vs — vectors of one length, which no
-// other test may use — went back to the free list exactly once: recycled,
-// and (outside race builds, whose pools drop Puts) the free list holds
-// nothing more of their length, as it would if one had gone back twice.
-// Needs quietPool.
-func returnedOnce(vs ...tensor.Vector) bool {
-	if !recycled(vs...) {
-		return false
-	}
-	if raceEnabled {
-		return true
-	}
-	extra := tensor.Get(cap(vs[0]))
-	for _, v := range vs {
-		if &extra[0] == &v[:1][0] {
-			return false
-		}
-	}
-	return true
-}
-
 // queued waits until box holds want messages and returns their vectors, in
 // arrival order.
 func queued(t *testing.T, box *Mailbox, want int) []tensor.Vector {
@@ -555,9 +482,8 @@ func queued(t *testing.T, box *Mailbox, want int) []tensor.Vector {
 // closes — each once, and only into a size class that already exists, so a
 // frame of a length nobody vouched for stays with the garbage collector.
 func TestClosingTCPNodeReturnsUnreadFrames(t *testing.T) {
-	quietPool(t)
 	const n, odd = 1919, 1921
-	sizeClass(n)
+	moved := ledger(n)
 	recv, err := ListenTCP("recv", "127.0.0.1:0", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -574,125 +500,196 @@ func TestClosingTCPNodeReturnsUnreadFrames(t *testing.T) {
 		}
 	}
 	unread := queued(t, recv.box, 4)
+	if moved() != 3 {
+		t.Fatalf("three queued frames of a classed length moved the ledger by %d, want 3", moved())
+	}
 	if err := recv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if !returnedOnce(unread[0], unread[1], unread[3]) {
-		t.Fatal("the unread frames did not each go back to the free list exactly once")
+	if moved() != 0 {
+		t.Fatalf("after Close the ledger stands at %d; want the unread frames each handed back once", moved())
 	}
-	if recycled(unread[2]) {
+	if !classless(unread[2]) {
 		t.Fatalf("an unread %d-coordinate frame, a length with no class, went to the free list", odd)
 	}
 }
 
-// TestClosingChanNetworkReturnsUnreadFrames: the in-process network hands
-// back what its endpoints never received on every way down — an endpoint's
-// Close, Unregister, and the network's Close, which also settles the
-// delayed deliveries that land after it.
-func TestClosingChanNetworkReturnsUnreadFrames(t *testing.T) {
-	quietPool(t)
-	const n, odd = 2121, 2123
-	sizeClass(n)
-	for _, way := range []string{"endpoint Close", "Unregister", "network Close"} {
-		network := NewChanNetwork(nil)
-		a, _ := network.Register("a")
-		b, _ := network.Register("b")
-		for step, vec := range []tensor.Vector{seq(n, 1), seq(odd, 2), seq(n, 3)} {
-			if err := a.Send("b", Message{Kind: KindParams, Step: step, Vec: vec}); err != nil {
+// TestEveryDisposalReleasesOnce: each way a transport layer disposes of a
+// message nobody will receive — a mailbox shedding or shutting, a network
+// going down under its queued and delayed deliveries, a closed Couriers
+// refusing a broadcast, the fault injector after a deferred Send — hands
+// its vector back exactly once (Message.Release), and one of a length with
+// no class not at all. The five tests below run one group of rows each.
+func TestEveryDisposalReleasesOnce(t *testing.T) { releasesOnce(t, "") }
+
+// A bounded inbound mailbox hands back what it sheds — rejected, evicted,
+// put after Close — and a courier outbox only its copy's lease share.
+func TestMailboxDropsReturnUnreadFrames(t *testing.T) { releasesOnce(t, "mailbox") }
+
+// The in-process network hands back what its endpoints never received, on
+// every way down, and a send's clone that finds no destination.
+func TestClosingChanNetworkReturnsUnreadFrames(t *testing.T) { releasesOnce(t, "network") }
+
+// A closed outbox takes no share: the copy's share is released on the spot.
+func TestLeaseReleasedByPutAfterClose(t *testing.T) { releasesOnce(t, "lease") }
+
+// A closed Couriers refuses a broadcast and hands its snapshot straight back.
+func TestCouriersBroadcastAfterClose(t *testing.T) { releasesOnce(t, "closed couriers") }
+
+// The couriers lend every link of a broadcast one snapshot of their own and
+// hand it back once the last link's Send has returned.
+func TestCouriersReturnTheirSnapshot(t *testing.T) { releasesOnce(t, "couriers") }
+
+// releasesOnce runs the disposal rows of one group ("" for all), each on a
+// length of its own, and checks the ledger of that length.
+func releasesOnce(t *testing.T, group string) {
+	msg := func(from string, v tensor.Vector) Message { return Message{From: from, Kind: KindGradient, Vec: v} }
+	inbound := func(p OverflowPolicy) *Mailbox { return NewMailboxWith(MailboxConfig{Cap: 1, Policy: p}) }
+	leased := func(n, refs int) (*lease, Message) {
+		l := &lease{vec: seq(n, 7)}
+		l.refs.Store(int32(refs))
+		m := msg("a", l.vec)
+		m.lease = l
+		return l, m
+	}
+	for _, row := range []struct {
+		group, name string
+		n           int
+		// run disposes of messages of length n and returns the ledger's
+		// wanted move: the vectors it made itself that went back, negated.
+		run func(t *testing.T, n int) int64
+	}{
+		{"mailbox", "an inbound mailbox rejects, evicts, refuses after Close", 2525, func(t *testing.T, n int) int64 {
+			box, kept, odd := inbound(DropNewest), seq(n, 1), seq(n+2, 3)
+			box.Put(msg("a", kept))
+			box.Put(msg("a", seq(n, 2))) // rejected
+			box.Put(msg("a", odd))       // rejected, of a length with no class
+			if got, ok := box.Recv(0); !ok || &got.Vec[0] != &kept[0] || !classless(odd) {
+				t.Fatal("the queued frame was not delivered untouched, or the odd one went to the free list")
+			}
+			box = inbound(DropOldest)
+			box.Put(msg("a", seq(n, 4))) // evicted by the next
+			box.Put(msg("a", seq(n, 5)))
+			box.Close()
+			box.Put(msg("b", seq(n, 6))) // refused
+			return -3
+		}},
+		{"mailbox", "an outbox sheds a share of the lease", 2828, func(t *testing.T, n int) int64 {
+			out := newMailbox(MailboxConfig{Cap: 1, Policy: DropNewest}, metrics.NewNodeMetrics(), true)
+			l, shared := leased(n, 2)
+			out.Put(shared)
+			out.Put(shared) // rejected: gives up one share, and the snapshot stays out
+			if l.refs.Load() != 1 || l.vec == nil {
+				t.Fatalf("a rejected copy left %d shares, want 1 and the snapshot out", l.refs.Load())
+			}
+			got, _ := out.Recv(0)
+			got.Release() // the last share returns the snapshot
+			return -1
+		}},
+		{"lease", "a closed outbox refuses a leased copy", 3434, func(t *testing.T, n int) int64 {
+			box := newMailbox(MailboxConfig{Cap: 1, Policy: DropOldest}, metrics.NewNodeMetrics(), true)
+			box.Close()
+			l, shared := leased(n, 2)
+			box.Put(shared)
+			if box.Metrics().DroppedClosed.Load() != 1 || l.vec == nil {
+				t.Fatal("the refused copy was not counted, or the snapshot went back while a share was still out")
+			}
+			l.release()
+			return -1
+		}},
+		{"network", "every way an endpoint goes down", 2121, func(t *testing.T, n int) int64 {
+			for _, way := range []string{"endpoint Close", "Unregister", "network Close"} {
+				network := NewChanNetwork(nil)
+				a, _ := network.Register("a")
+				b, _ := network.Register("b")
+				for step, vec := range []tensor.Vector{seq(n, 1), seq(n+2, 2), seq(n, 3)} {
+					if err := a.Send("b", Message{Kind: KindParams, Step: step, Vec: vec}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				unread := queued(t, b.(*chanEndpoint).box, 3)
+				switch way {
+				case "endpoint Close":
+					b.Close()
+				case "Unregister":
+					network.Unregister("b")
+				}
+				network.Close()
+				if !classless(unread[1]) {
+					t.Fatalf("%s: an unread frame of a length with no class went to the free list", way)
+				}
+			}
+			return 0 // the two clones of a classed length each time, taken and handed back
+		}},
+		{"network", "a delivery delayed past the network's Close, a send after it", 2424, func(t *testing.T, n int) int64 {
+			network := NewChanNetwork(func(string, string) time.Duration { return 20 * time.Millisecond })
+			a, _ := network.Register("a")
+			network.Register("b")
+			if err := a.Send("b", Message{Kind: KindParams, Vec: seq(n, 1)}); err != nil {
 				t.Fatal(err)
 			}
+			network.Close()
+			if got := network.Metrics("b").DroppedClosed.Load(); got != 1 {
+				t.Fatalf("DroppedClosed = %d, want the one delayed delivery", got)
+			}
+			if a.Send("b", Message{Kind: KindParams, Vec: seq(n, 2)}) == nil {
+				t.Fatal("a send to a closed network succeeded")
+			}
+			return 0 // the first Send's clone, taken and handed back
+		}},
+		{"couriers", "a broadcast's one snapshot, after the last Send", 6464, func(t *testing.T, n int) int64 {
+			inner := &borrower{lent: make(chan tensor.Vector, 3)}
+			c := NewCouriers(inner, MailboxConfig{})
+			mine := seq(n, 1)
+			if err := c.Broadcast([]string{"n0", "n1", "n2"}, Message{Kind: KindParams, Vec: mine}); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Close(); err != nil { // waits for the link goroutines
+				t.Fatal(err)
+			}
+			a, b, d := <-inner.lent, <-inner.lent, <-inner.lent
+			if &a[0] != &b[0] || &a[0] != &d[0] || &a[0] == &mine[0] || mine[0] != 1 || mine[n-1] != float64(n) {
+				t.Fatal("the links were not all lent one snapshot of the caller's untouched vector")
+			}
+			return 0 // the snapshot, taken and handed back
+		}},
+		{"closed couriers", "a closed Couriers refuses a broadcast", 3535, func(t *testing.T, n int) int64 {
+			inner := &borrower{lent: make(chan tensor.Vector, 1)}
+			c := NewCouriers(inner, MailboxConfig{})
+			if err := c.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if c.Broadcast([]string{"n0", "n1"}, Message{Vec: seq(n, 1)}) == nil || len(inner.lent) != 0 {
+				t.Fatal("a closed Couriers took the broadcast")
+			}
+			return 0 // its snapshot, taken and handed back
+		}},
+		{"faults", "the fault injector's delayed and held copies", 3636, func(t *testing.T, n int) int64 {
+			for _, cfg := range []FaultConfig{{Seed: 1, DelayRate: 1, DelaySpike: 0.002}, {Seed: 1, Reorder: 1}} {
+				inner := &borrower{lent: make(chan tensor.Vector, 3)}
+				ep := NewFaultInjector(cfg).Wrap(inner)
+				for step := range 3 {
+					if err := ep.Send("n0", Message{Kind: KindParams, Step: step, Vec: seq(n, 1)}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				// Close flushes the held copy and waits for the delayed ones.
+				if err := ep.Close(); err != nil || len(inner.lent) != 3 {
+					t.Fatalf("%d of 3 frames were delivered (Close: %v)", len(inner.lent), err)
+				}
+			}
+			return 0 // every copy taken and handed back
+		}},
+	} {
+		if group != "" && row.group != group {
+			continue
 		}
-		unread := queued(t, b.(*chanEndpoint).box, 3)
-		switch way {
-		case "endpoint Close":
-			b.Close()
-		case "Unregister":
-			network.Unregister("b")
-		}
-		network.Close()
-		if !returnedOnce(unread[0], unread[2]) {
-			t.Fatalf("%s: the unread frames did not each go back to the free list exactly once", way)
-		}
-		if recycled(unread[1]) {
-			t.Fatalf("%s: an unread frame of a length with no class went to the free list", way)
-		}
-	}
-
-	// A delivery delayed past the network's Close lands in a closed mailbox.
-	// Its vector is the Send's clone, which takes the one the free list
-	// holds (outside race builds, whose pools drop Puts).
-	network := NewChanNetwork(func(string, string) time.Duration { return 20 * time.Millisecond })
-	a, _ := network.Register("a")
-	network.Register("b")
-	held := make(tensor.Vector, n)
-	tensor.Put(held)
-	if err := a.Send("b", Message{Kind: KindParams, Vec: seq(n, 1)}); err != nil {
-		t.Fatal(err)
-	}
-	network.Close()
-	if got := network.Metrics("b").DroppedClosed.Load(); got != 1 {
-		t.Fatalf("DroppedClosed = %d, want the one delayed delivery", got)
-	}
-	if !raceEnabled && !returnedOnce(held) {
-		t.Fatal("the delayed delivery's vector did not go back to the free list exactly once")
-	}
-}
-
-// TestMailboxDropsReturnUnreadFrames: a bounded inbound mailbox owns the
-// frames it sheds — rejected (drop-newest), evicted (drop-oldest) or put
-// after Close — and hands each one's vector back once, into an existing
-// class only. A courier outbox sheds only its copy's share of the lease:
-// the snapshot goes back with the last share, wherever that is released.
-func TestMailboxDropsReturnUnreadFrames(t *testing.T) {
-	quietPool(t)
-	const n, odd = 2525, 2527
-	sizeClass(n)
-	inbound := func(p OverflowPolicy) *Mailbox { return NewMailboxWith(MailboxConfig{Cap: 1, Policy: p}) }
-	msg := func(from string, v tensor.Vector) Message { return Message{From: from, Kind: KindGradient, Vec: v} }
-
-	box := inbound(DropNewest)
-	kept, rejected, rejectedOdd := seq(n, 1), seq(n, 2), seq(odd, 3)
-	box.Put(msg("a", kept))
-	box.Put(msg("a", rejected))
-	box.Put(msg("a", rejectedOdd))
-	if !returnedOnce(rejected) || recycled(rejectedOdd) {
-		t.Fatal("drop-newest: the rejected frame did not go back once, or the one of a classless length did")
-	}
-	if got, ok := box.Recv(0); !ok || &got.Vec[0] != &kept[0] || recycled(kept) {
-		t.Fatal("drop-newest: the queued frame was not delivered untouched")
-	}
-
-	box = inbound(DropOldest)
-	evicted, admitted := seq(n, 4), seq(n, 5)
-	box.Put(msg("a", evicted))
-	box.Put(msg("a", admitted))
-	if !returnedOnce(evicted) || recycled(admitted) {
-		t.Fatal("drop-oldest: the evicted frame did not go back once, or the admitted one did")
-	}
-
-	box.Close()
-	late := seq(n, 6)
-	box.Put(msg("b", late))
-	if !returnedOnce(late) {
-		t.Fatal("a frame put after Close did not go back once")
-	}
-
-	out := newMailbox(MailboxConfig{Cap: 1, Policy: DropNewest}, metrics.NewNodeMetrics(), true)
-	snapshot, unleased := seq(n, 7), seq(n, 8)
-	l := &lease{vec: snapshot}
-	l.refs.Store(2)
-	shared := msg("a", snapshot)
-	shared.lease = l
-	out.Put(shared)
-	out.Put(shared) // rejected: gives up one share
-	out.Put(msg("a", unleased))
-	if l.refs.Load() != 1 || recycled(snapshot) || recycled(unleased) {
-		t.Fatalf("outbox: a rejected copy left %d shares and returned a vector; want 1 share and none", l.refs.Load())
-	}
-	got, _ := out.Recv(0)
-	got.lease.release()
-	if !returnedOnce(snapshot) {
-		t.Fatal("outbox: the last share did not return the snapshot once")
+		t.Run(row.name, func(t *testing.T) {
+			moved := ledger(row.n)
+			if want := row.run(t, row.n); moved() != want {
+				t.Fatalf("the ledger of length %d moved by %d, want %d", row.n, moved(), want)
+			}
+		})
 	}
 }
 
