@@ -1,19 +1,12 @@
-// Benchmark harness: one testing.B target per table and figure of the
-// paper's evaluation (see the experiment index in DESIGN.md), plus
-// micro-benchmarks of the kernels on the paper's critical path.
+// Benchmark harness: micro-benchmarks of the kernels on the paper's
+// critical path — the aggregation rules, gradients and convolutions, the
+// wire codecs and the mailboxes. They reach into internal/ deliberately:
+// they measure building blocks the guanyu façade does not (and should not)
+// re-export. The paper's tables and figures are printed by cmd/guanyu-bench
+// (see EXPERIMENTS.md), and the live runtime's steps/s, MB/step and
+// resident memory come from the benchmark module under benchmark/.
 //
-// The macro benchmarks drive the public guanyu façade — the same API the
-// commands and examples use. The kernel micro-benchmarks at the bottom
-// reach into internal/ deliberately: they measure building blocks the
-// façade does not (and should not) re-export.
-//
-// The macro benchmarks report domain metrics via b.ReportMetric (final
-// accuracy, overhead percentages, drift ratios) so `go test -bench` output
-// doubles as the measured column of EXPERIMENTS.md (see its "Measured
-// column" section; the "Experiment index" section maps each benchmark to
-// its experiment id and the paper's expected value).
-//
-// Some kernel micro-benchmarks are pinned with a suffix: Serial runs at
+// Some micro-benchmarks are pinned with a suffix: Serial runs at
 // parallelism 1, how a benchmark node runs its kernels, and the gradient
 // and forward Parallel twins run at the machine's CPU count; the unsuffixed
 // rows measure the ambient default. Parallelism never changes results (see
@@ -33,166 +26,6 @@ import (
 	"repro/internal/tensor"
 	"repro/internal/transport"
 )
-
-// benchScale keeps each macro-benchmark iteration around a second on a
-// single CPU. Use cmd/guanyu-bench -full for paper-leaning run lengths.
-var benchScale = guanyu.ExperimentScale{Steps: 30, Batch: 8, SmallBatch: 4, Examples: 400, Seed: 42}
-
-// ---------------------------------------------------------------------------
-// Macro benchmarks: one per experiment id, through the public façade.
-// ---------------------------------------------------------------------------
-
-// BenchmarkTable1ModelBuild regenerates Table 1 (CNN architecture).
-func BenchmarkTable1ModelBuild(b *testing.B) {
-	var params int
-	for i := 0; i < b.N; i++ {
-		m := nn.NewCIFARNet(tensor.NewRNG(1))
-		params = m.ParamCount()
-	}
-	b.ReportMetric(float64(params), "params")
-}
-
-// BenchmarkFig3aConvergencePerUpdate regenerates Figure 3(a)/(c): the five
-// systems' accuracy per model update.
-func BenchmarkFig3aConvergencePerUpdate(b *testing.B) {
-	var final float64
-	for i := 0; i < b.N; i++ {
-		r, err := guanyu.Fig3(benchScale)
-		if err != nil {
-			b.Fatal(err)
-		}
-		final = r.LargeBatch[len(r.LargeBatch)-1].FinalAccuracy()
-	}
-	b.ReportMetric(final, "final-acc")
-}
-
-// BenchmarkFig3bConvergencePerTime regenerates Figure 3(b)/(d): the same
-// systems against the virtual-time axis; the reported metric is the ratio of
-// GuanYu(5,1) virtual time to vanilla TF virtual time for the same steps.
-func BenchmarkFig3bConvergencePerTime(b *testing.B) {
-	var ratio float64
-	for i := 0; i < b.N; i++ {
-		r, err := guanyu.Fig3(benchScale)
-		if err != nil {
-			b.Fatal(err)
-		}
-		curves := r.LargeBatch
-		tTF := curves[0].Points[len(curves[0].Points)-1].Time
-		tGY := curves[4].Points[len(curves[4].Points)-1].Time
-		ratio = tGY / tTF
-	}
-	b.ReportMetric(ratio, "time-ratio")
-}
-
-// BenchmarkFig4ByzantineImpact regenerates Figure 4; the metric is the
-// accuracy gap between GuanYu-under-attack and vanilla-under-attack.
-func BenchmarkFig4ByzantineImpact(b *testing.B) {
-	var gap float64
-	for i := 0; i < b.N; i++ {
-		r, err := guanyu.Fig4(benchScale)
-		if err != nil {
-			b.Fatal(err)
-		}
-		gap = r.GuanYuByzantine.FinalAccuracy() - r.VanillaByzantine.FinalAccuracy()
-	}
-	b.ReportMetric(gap, "acc-gap")
-}
-
-// BenchmarkTable2Alignment regenerates Table 2; the metric is the mean
-// cos φ over the recorded probes (paper: ≈ 0.98–0.99).
-func BenchmarkTable2Alignment(b *testing.B) {
-	var mean float64
-	for i := 0; i < b.N; i++ {
-		recs, err := guanyu.Table2(benchScale)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(recs) == 0 {
-			b.Fatal("no alignment records")
-		}
-		var s float64
-		for _, r := range recs {
-			s += r.CosPhi
-		}
-		mean = s / float64(len(recs))
-	}
-	b.ReportMetric(mean, "mean-cos-phi")
-}
-
-// BenchmarkOverheadBreakdown regenerates the Section-5.3 numbers.
-func BenchmarkOverheadBreakdown(b *testing.B) {
-	var runtimePct, byzPct float64
-	for i := 0; i < b.N; i++ {
-		r, err := guanyu.Overhead(benchScale)
-		if err != nil {
-			b.Fatal(err)
-		}
-		runtimePct, byzPct = r.RuntimeOverheadPct, r.ByzantineOverheadPct
-	}
-	b.ReportMetric(runtimePct, "runtime-overhead-%")
-	b.ReportMetric(byzPct, "byz-overhead-%")
-}
-
-// BenchmarkContraction is the phase-3 ablation; metric: drift ratio
-// (no-exchange / exchange).
-func BenchmarkContraction(b *testing.B) {
-	var ratio float64
-	for i := 0; i < b.N; i++ {
-		r, err := guanyu.Contraction(benchScale)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ratio = r.DriftWithout / r.DriftWith
-	}
-	b.ReportMetric(ratio, "drift-ratio")
-}
-
-// BenchmarkQuorumSweep is the declared-f̄ trade-off sweep; metric: throughput
-// loss factor between f̄=0 and f̄=5.
-func BenchmarkQuorumSweep(b *testing.B) {
-	var factor float64
-	for i := 0; i < b.N; i++ {
-		rows, err := guanyu.QuorumSweep(benchScale)
-		if err != nil {
-			b.Fatal(err)
-		}
-		factor = rows[0].Throughput / rows[len(rows)-1].Throughput
-	}
-	b.ReportMetric(factor, "throughput-factor")
-}
-
-// BenchmarkGARAblation compares server-side rules under attack; metric: the
-// accuracy margin of Multi-Krum over mean.
-func BenchmarkGARAblation(b *testing.B) {
-	var margin float64
-	for i := 0; i < b.N; i++ {
-		rows, err := guanyu.GARAblation(benchScale)
-		if err != nil {
-			b.Fatal(err)
-		}
-		byName := map[string]float64{}
-		for _, r := range rows {
-			byName[r.Rule] = r.FinalAccuracy
-		}
-		margin = byName["multi-krum(f=5)"] - byName["mean"]
-	}
-	b.ReportMetric(margin, "krum-margin")
-}
-
-// BenchmarkAsyncSweep varies the latency tail weight; metric: the virtual-
-// time ratio between the heaviest-tailed and the deterministic network
-// (accuracy should stay flat — checked in the experiments tests).
-func BenchmarkAsyncSweep(b *testing.B) {
-	var ratio float64
-	for i := 0; i < b.N; i++ {
-		rows, err := guanyu.AsyncSweep(benchScale)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ratio = rows[len(rows)-1].VirtualTime / rows[0].VirtualTime
-	}
-	b.ReportMetric(ratio, "time-ratio")
-}
 
 // ---------------------------------------------------------------------------
 // Micro benchmarks: the aggregation rules at the paper's fan-in (q̄ = 13
@@ -776,8 +609,10 @@ func benchWireQuorum(b *testing.B, size int) {
 		net := transport.NewChanNetwork(nil)
 		recv, _ := net.Register("recv")
 		eps := make([]transport.Endpoint, len(vecs))
+		ids := make([]string, len(vecs))
 		for j := range vecs {
-			eps[j], _ = net.Register(string(rune('a' + j)))
+			ids[j] = string(rune('a' + j))
+			eps[j], _ = net.Register(ids[j])
 		}
 		for s := 0; s < layout.Count(); s++ {
 			for j := range eps {
@@ -785,6 +620,7 @@ func benchWireQuorum(b *testing.B, size int) {
 			}
 		}
 		col := transport.NewCollector(recv, layout)
+		col.Senders = map[transport.Kind][]string{transport.KindParams: ids}
 		if _, err := col.Collect(transport.KindParams, 0, 5, nil, "", false, fold, -1); err != nil {
 			b.Fatal(err)
 		}

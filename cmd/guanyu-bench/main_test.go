@@ -5,25 +5,37 @@ import (
 	"strings"
 	"testing"
 
-	"repro/guanyu"
+	"repro/internal/experiments"
 )
 
-// TestListExperiments pins the experiment ids, in presentation order.
+// TestListExperiments pins the experiment ids, in presentation order, as
+// an unknown -exp lists them.
 func TestListExperiments(t *testing.T) {
 	var out strings.Builder
-	if err := run([]string{"-list"}, &out); err != nil {
-		t.Fatal(err)
+	err := run([]string{"-exp", "help"}, &out)
+	want := "known: [table1 fig3 fig4 table2 overhead contraction quorum gar async noniid matrix bandwidth]"
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("-exp help: error %v, want one listing %q", err, want)
 	}
-	want := "table1 fig3 fig4 table2 overhead contraction quorum gar async noniid matrix bandwidth"
-	if got := strings.Join(strings.Fields(out.String()), " "); got != want {
-		t.Fatalf("-list printed %q, want %q", got, want)
+}
+
+// TestUnknownScaleRejected: -scale takes only the named sizes, and its
+// error lists them.
+func TestUnknownScaleRejected(t *testing.T) {
+	var out strings.Builder
+	err := run([]string{"-scale", "paper", "-exp", "table1"}, &out)
+	if err == nil || !strings.Contains(err.Error(), "known: quick, full, smoke") {
+		t.Fatalf("-scale paper: error %v, want one listing the known scales", err)
+	}
+	if out.Len() != 0 {
+		t.Fatalf("-scale paper still ran: %q", out.String())
 	}
 }
 
 // TestUnknownExperimentRejected covers a made-up id and the four retired
 // systems experiments: each errors, and the error lists the known ids.
 func TestUnknownExperimentRejected(t *testing.T) {
-	known := fmt.Sprint(guanyu.ExperimentIDs())
+	known := fmt.Sprint(experiments.IDs())
 	for _, id := range []string{"fig99", "throughput", "memory", "scale", "soak"} {
 		t.Run(id, func(t *testing.T) {
 			var out strings.Builder
@@ -52,10 +64,10 @@ func TestRunOneSmallExperiments(t *testing.T) {
 	if testing.Short() {
 		t.Skip("macro experiments")
 	}
-	tiny := guanyu.ExperimentScale{Steps: 20, Batch: 8, SmallBatch: 4, Examples: 300, Seed: 5}
+	tiny := experiments.Scale{Steps: 20, Batch: 8, SmallBatch: 4, Examples: 300, Seed: 5}
 	for _, id := range []string{"fig4", "contraction", "quorum"} {
 		var out strings.Builder
-		if err := guanyu.RunExperiment(id, tiny, &out); err != nil {
+		if err := experiments.Run(id, tiny, &out); err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
 		if out.Len() == 0 {

@@ -55,8 +55,9 @@
 // whole-vector framing at any shard size.
 //
 // The protocol implementation lives under internal/ (see DESIGN.md for the
-// system inventory), the runnable entry points under cmd/ and examples/,
-// and the benchmark harness regenerating every table and figure of the
-// paper's evaluation in bench_test.go at this root — EXPERIMENTS.md indexes
-// the experiments, their benchmarks and the paper's expected values.
+// system inventory), the runnable entry points under cmd/ and examples/ —
+// cmd/guanyu-bench regenerates every table and figure of the paper's
+// evaluation, and EXPERIMENTS.md indexes the experiments, the table rows
+// to read and the paper's expected values — and the kernel
+// micro-benchmarks in bench_test.go at this root.
 package repro

@@ -185,6 +185,9 @@ func (d *Deployment) normalize() error {
 	if d.metricsAddr != "" && d.runtime != Live {
 		return fmt.Errorf("WithMetricsAddr applies to the Live runtime only (the simulator has no wall-clock run to scrape)")
 	}
+	if d.suspicion != nil && d.runtime != Live {
+		return fmt.Errorf("WithSuspicion applies to the Live runtime only (the simulator records no exclusions)")
+	}
 	if (d.checkpointDir != "" || d.rejoinSet) && d.runtime != Live {
 		return fmt.Errorf("WithCheckpointDir and WithRejoin apply to the Live runtime only (the simulator has no process state to persist)")
 	}

@@ -85,6 +85,8 @@ func TestNewValidatesTopology(t *testing.T) {
 			"WithTCPTransport applies to the Live runtime only"},
 		{"delay on sim", []guanyu.Option{base, delay},
 			"WithDelay applies to the Live runtime only"},
+		{"suspicion on sim", []guanyu.Option{base, guanyu.WithSuspicion(guanyu.NewSuspicion())},
+			"WithSuspicion applies to the Live runtime only"},
 		{"delay over tcp", []guanyu.Option{base, live, guanyu.WithTCPTransport(), delay},
 			"Delay is injected by the channel mesh; it has no effect over TCP"},
 		// Bulyan needs n ≥ 4f+3 = 23 inputs at f̄=5, more than the paper

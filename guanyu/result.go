@@ -13,10 +13,6 @@ type Series = stats.Series
 // Point is one sample of a Series.
 type Point = stats.Point
 
-// AlignmentRecord is one Table-2 probe: the cosine alignment between honest
-// servers' parameter vectors at a step.
-type AlignmentRecord = stats.AlignmentRecord
-
 // Result is the outcome of one deployment run, under either runtime.
 // Sim-only fields are zero after Live runs and vice versa.
 type Result struct {

@@ -211,6 +211,7 @@ func TestRejoinMedian(t *testing.T) {
 				}
 			}
 			col := transport.NewCollector(recv, transport.NewShardLayout(2, tc.layoutSize))
+			col.Senders = map[transport.Kind][]string{transport.KindPeerParams: {"ps1", "ps2", "ps3"}}
 			theta, step, err := RejoinMedian(col, 13, 3, time.Second)
 			if err != nil {
 				t.Fatal(err)

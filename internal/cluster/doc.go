@@ -41,7 +41,7 @@
 // receive memory is O(q·shard) instead of O(q·d) and aggregation overlaps
 // the network receive. Aggregates are bit-identical at any layout and
 // parallelism (the regression suite asserts it). A node whose rules have no
-// streaming path (krum, bulyan, geomed, mda) keeps the one-shard layout
+// streaming path (bulyan, geomed, mda) keeps the one-shard layout
 // whatever ShardSize says — its collector reassembles inbound chunk streams
 // per sender, and a sharded collector takes whole vectors as every shard at
 // once, so the two framings interoperate within one deployment.

@@ -57,7 +57,8 @@ func FuzzInboundValidator(f *testing.F) {
 		accepted := func(m transport.Message) (bool, uint64) {
 			m.Vec = tensor.Clone(m.Vec) // Recv hands the vector over: the collector recycles it
 			h := metrics.NewNodeMetrics()
-			qm := newQuorum(&oneShot{m: &m}, dim, 0, time.Second, h, nil, gar.Median{})
+			qm := newQuorum(&oneShot{m: &m}, dim, 0, time.Second, h,
+				map[transport.Kind][]string{transport.KindGradient: {"wrk0"}}, gar.Median{})
 			_, err := qm.aggregate(m.Kind, m.Step, 1, nil, "", gar.Median{}, nil)
 			return err == nil, h.DroppedMalformed.Load()
 		}

@@ -24,7 +24,7 @@ import (
 // senders' framings mixed (whole vectors at a sharded receiver, chunk
 // streams at a one-shard one). Every layout must pin the same ordered
 // first-q sender set and produce the bits of the rule applied to those
-// senders' vectors, for both steps; a rule with no streaming path (krum)
+// senders' vectors, for both steps; a rule with no streaming path (mda)
 // must come out the same through the one-shard adapter even when a shard
 // size is asked for.
 func TestLayoutEquivalenceProperty(t *testing.T) {
@@ -33,7 +33,7 @@ func TestLayoutEquivalenceProperty(t *testing.T) {
 		chunk      = 7 // what chunk-streaming senders frame at toward a one-shard receiver
 		step, kind = 4, transport.KindGradient
 	)
-	rules := []gar.Rule{gar.Mean{}, gar.Median{}, gar.TrimmedMean{F: 2}, gar.MultiKrum{F: 2}, gar.Krum{F: 2}}
+	rules := []gar.Rule{gar.Mean{}, gar.Median{}, gar.TrimmedMean{F: 2}, gar.MultiKrum{F: 2}, gar.MDA{F: 2}}
 	for seed := uint64(1); seed <= 12; seed++ {
 		rng := tensor.NewRNG(seed)
 		// vecs[t][i] is sender i's vector for step step+t.
@@ -71,14 +71,19 @@ func TestLayoutEquivalenceProperty(t *testing.T) {
 				name := fmt.Sprintf("seed %d, %s, shard size %d", seed, rule.Name(), size)
 				net := transport.NewChanNetwork(nil)
 				recv, _ := net.Register("srv")
-				qm := newQuorum(recv, dim, size, time.Second, metrics.NewNodeMetrics(), nil, rule)
+				ids := make([]string, n)
+				for i := range ids {
+					ids[i] = fmt.Sprintf("w%d", i)
+				}
+				qm := newQuorum(recv, dim, size, time.Second, metrics.NewNodeMetrics(),
+					map[transport.Kind][]string{kind: ids}, rule)
 				layout := qm.col.Layout
 				if _, streams := rule.(gar.StreamingRule); !streams && layout.Count() != 1 {
 					t.Fatalf("%s: a rule without a streaming path got %d shards", name, layout.Count())
 				}
 				eps := make([]transport.Endpoint, n)
 				for i := range eps {
-					eps[i], _ = net.Register(fmt.Sprintf("w%d", i))
+					eps[i], _ = net.Register(ids[i])
 				}
 				// Odd senders use the other framing than the receiver's.
 				framing := func(i int) int {

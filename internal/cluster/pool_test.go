@@ -40,15 +40,18 @@ func TestAggregateRecyclesInputsOnlyAfterTheirLastReader(t *testing.T) {
 		rng := tensor.NewRNG(17)
 		net := transport.NewChanNetwork(nil)
 		recv, _ := net.Register("srv")
-		qm := newQuorum(recv, dim, size, time.Second, metrics.NewNodeMetrics(), nil, rule)
-		inputs := make([]tensor.Vector, n)
 		ids := make([]string, n)
+		for i := range ids {
+			ids[i] = fmt.Sprintf("w%d", i)
+		}
+		qm := newQuorum(recv, dim, size, time.Second, metrics.NewNodeMetrics(),
+			map[transport.Kind][]string{transport.KindGradient: ids}, rule)
+		inputs := make([]tensor.Vector, n)
 		for i := range inputs {
 			inputs[i] = rng.NormVec(make(tensor.Vector, dim), 0, 1)
 			if i < 2 {
 				tensor.ScaleInPlace(inputs[i], 40) // two outliers for the rule to exclude
 			}
-			ids[i] = fmt.Sprintf("w%d", i)
 			ep, _ := net.Register(ids[i])
 			m := transport.Message{Kind: transport.KindGradient, Step: 0, Vec: inputs[i]}
 			if err := transport.SendSharded(ep, "srv", m, size); err != nil {

@@ -414,12 +414,14 @@ func TestPinnedStreamFailover(t *testing.T) {
 	net := transport.NewChanNetwork(nil)
 	defer net.Close()
 	recv, _ := net.Register("srv")
-	eps := make(map[string]transport.Endpoint, 6)
-	for _, id := range []string{"w0", "w1", "w2", "w3", "w4", "w5"} {
+	ids := []string{"w0", "w1", "w2", "w3", "w4", "w5"}
+	eps := make(map[string]transport.Endpoint, len(ids))
+	for _, id := range ids {
 		eps[id], _ = net.Register(id)
 	}
 	layout := transport.NewShardLayout(dim, shard)
 	col := transport.NewCollector(recv, layout)
+	col.Senders = map[transport.Kind][]string{transport.KindGradient: ids}
 
 	vec := func(x float64) tensor.Vector { return tensor.Vector{x, x, x, x} }
 	sendShard := func(id string, idx int, v tensor.Vector) {

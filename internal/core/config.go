@@ -113,7 +113,7 @@ func (c CostModel) aggTime(r gar.Rule, n int) float64 {
 		return c.AggPerVector * float64(n)
 	case gar.Median, gar.TrimmedMean:
 		return 2 * c.AggPerVector * float64(n)
-	case gar.Krum, gar.MultiKrum, gar.Bulyan, gar.GeoMed, gar.MDA:
+	case gar.MultiKrum, gar.Bulyan, gar.GeoMed, gar.MDA:
 		return c.AggPerVector * float64(n) * float64(n)
 	default:
 		return c.AggPerVector * float64(n)

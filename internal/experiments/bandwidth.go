@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"strings"
-	"time"
 
 	"repro/internal/compress"
 	"repro/internal/tensor"
@@ -17,9 +16,8 @@ import (
 // independent — this is what BENCH_wire.json pins), and what the lossy
 // wire does to convergence under each GAR × attack pairing (Fig-4-style
 // cells, run as a scenario matrix whose compress axis is the schemes
-// measured). Serialization-bound steps/sec rides along from the same timed
-// encode→frame→decode loop, so the table shows whether a scheme buys its
-// byte reduction with codec time.
+// measured). Codec rates are the root BenchmarkWire* rows; nothing here
+// reads the clock.
 
 // bandwidthDims are the payload dimensions measured: the tiny harness CNN
 // and the paper's full 1,756,426-parameter Table-1 model.
@@ -52,12 +50,6 @@ type BandwidthRow struct {
 	RawBytes int `json:"raw_bytes"`
 	// Reduction is RawBytes / WireBytes.
 	Reduction float64 `json:"reduction"`
-	// MBps is the logical (raw-equivalent) megabytes per second one core
-	// moves through encode → frame → decode. Timing-based, advisory.
-	MBps float64 `json:"mbps"`
-	// StepsPerSec is the serialization-bound step ceiling at the paper's
-	// (6 servers, 18 workers) testbed shape. Timing-based, advisory.
-	StepsPerSec float64 `json:"steps_per_sec"`
 }
 
 // BandwidthResult holds the wire rows and the convergence grid.
@@ -77,10 +69,9 @@ var bandwidthGridSpec = MatrixSpec{
 	Compress: bandwidthSchemes,
 }
 
-// Bandwidth measures each compression scheme's wire volume and codec rate
-// at both dimensions, then runs the convergence grid. The byte counts are
-// deterministic; the rates are machine-dependent; the accuracy cells are
-// bit-identical at any parallelism for a fixed seed.
+// Bandwidth measures each compression scheme's wire volume at both
+// dimensions, then runs the convergence grid. The byte counts are exact;
+// the accuracy cells are bit-identical at any parallelism for a fixed seed.
 func Bandwidth(s Scale) (*BandwidthResult, error) {
 	rows, err := WireRows(s)
 	if err != nil {
@@ -94,8 +85,7 @@ func Bandwidth(s Scale) (*BandwidthResult, error) {
 }
 
 // WireRows measures only the wire rows — the exact byte counts the
-// committed BENCH_wire.json pins plus the advisory codec rates — without
-// running the convergence grid.
+// committed BENCH_wire.json pins — without running the convergence grid.
 func WireRows(s Scale) ([]BandwidthRow, error) {
 	var rows []BandwidthRow
 	rng := tensor.NewRNG(s.Seed)
@@ -134,116 +124,55 @@ func shardMeta(i, n, off int) transport.ShardMeta {
 	return transport.ShardMeta{Index: i, Count: n, Offset: off}
 }
 
-// codecReps sizes a measurement batch: enough messages that per-trial
-// setup amortises away, without making the paper-dimension rows take
-// seconds per trial.
-func codecReps(dim int) int {
-	reps := 4_000_000 / dim
-	if reps < 4 {
-		reps = 4
-	}
-	return reps
-}
-
-// measureCodec times fn (reps encode+decode passes over one message) and
-// returns seconds per message, taking the best of three trials so a
-// scheduler hiccup cannot masquerade as codec cost.
-func measureCodec(reps int, fn func(reps int)) float64 {
-	best := 0.0
-	for trial := 0; trial < 3; trial++ {
-		start := time.Now()
-		fn(reps)
-		if sec := time.Since(start).Seconds() / float64(reps); trial == 0 || sec < best {
-			best = sec
-		}
-	}
-	return best
-}
-
-// measureBandwidth prices one (scheme, vector) pair: exact steady-state
-// wire bytes, then a timed encode→frame→decode loop for the advisory rates.
+// measureBandwidth prices one (scheme, vector) pair: the exact wire bytes
+// of the vector's first step under the scheme, all shard frames, against
+// plain float64 framing. Each frame counted is decoded back, as a receiver
+// would take it.
 func measureBandwidth(spec string, vec tensor.Vector) (BandwidthRow, error) {
 	cfg, err := compress.ParseSpec(spec)
 	if err != nil {
 		return BandwidthRow{}, err
 	}
-	dim := len(vec)
-	spans := shardSpans(dim)
-	row := BandwidthRow{Dim: dim, Scheme: spec, Shards: len(spans)}
-
-	// Raw framing volume: every shard as a plain float64 frame.
+	spans := shardSpans(len(vec))
+	row := BandwidthRow{Dim: len(vec), Scheme: spec, Shards: len(spans)}
+	enc := compress.NewEncoder(cfg)
+	var (
+		frame []byte
+		out   transport.Message
+	)
 	for i, sp := range spans {
 		m := transport.Message{From: "wrk12", Kind: transport.KindGradient, Step: 1,
 			Vec: vec[sp[0]:sp[1]], Shard: shardMeta(i, len(spans), sp[0])}
 		row.RawBytes += transport.EncodedSize(&m)
-	}
-
-	enc := compress.NewEncoder(cfg)
-	// roundTrip ships the whole vector once at the given step, returning
-	// the wire bytes. The encoder advances exactly as a connection's does.
-	frame := make([]byte, 0, 9*bandwidthShard)
-	var out transport.Message
-	roundTrip := func(step int) (int, error) {
-		total := 0
-		for i, sp := range spans {
-			m := transport.Message{From: "wrk12", Kind: transport.KindGradient, Step: step,
-				Vec: vec[sp[0]:sp[1]], Shard: shardMeta(i, len(spans), sp[0])}
-			if err := transport.CompressMessage(enc, &m); err != nil {
-				return 0, err
-			}
-			frame, err = transport.AppendMessage(frame[:0], &m)
-			if err != nil {
-				return 0, err
-			}
-			total += len(frame)
-			if _, err := transport.DecodeMessage(frame, &out); err != nil {
-				return 0, err
-			}
-			if err := transport.DecompressMessage(&out); err != nil {
-				return 0, err
-			}
+		if err := transport.CompressMessage(enc, &m); err != nil {
+			return BandwidthRow{}, err
 		}
-		return total, nil
-	}
-
-	// Step 1's bytes are what the committed BENCH_wire.json pins.
-	if row.WireBytes, err = roundTrip(1); err != nil {
-		return BandwidthRow{}, err
+		if frame, err = transport.AppendMessage(frame[:0], &m); err != nil {
+			return BandwidthRow{}, err
+		}
+		row.WireBytes += len(frame)
+		if _, err := transport.DecodeMessage(frame, &out); err != nil {
+			return BandwidthRow{}, err
+		}
+		if err := transport.DecompressMessage(&out); err != nil {
+			return BandwidthRow{}, err
+		}
 	}
 	row.Reduction = float64(row.RawBytes) / float64(row.WireBytes)
-
-	// Advisory codec rate over the logical (raw-equivalent) volume.
-	reps := codecReps(dim)
-	step := 2
-	sec := measureCodec(reps, func(reps int) {
-		for i := 0; i < reps; i++ {
-			if _, err := roundTrip(step); err != nil {
-				panic(err)
-			}
-			step++
-		}
-	})
-	logicalMB := float64(8*dim) / 1e6
-	row.MBps = logicalMB / sec
-	n, w := 6, 18 // the paper's testbed shape
-	msgs := n*w + w*n + n*(n-1)
-	row.StepsPerSec = 1 / (float64(msgs) * sec)
 	return row, nil
 }
 
 // Format renders the wire table and the convergence grid.
 func (r *BandwidthResult) Format() string {
 	var b strings.Builder
-	b.WriteString("# Bandwidth: wire volume and codec rate per compression scheme\n")
-	fmt.Fprintf(&b, "(shard %d coords; bytes are exact steady-state volume of one vector, all frames;\n", bandwidthShard)
-	b.WriteString(" MB/s is logical raw-equivalent volume through encode→frame→decode on one core;\n")
-	b.WriteString(" steps/s is the serialization ceiling at the paper's 6×18 testbed)\n")
-	fmt.Fprintf(&b, "%-9s %-12s %-7s %-12s %-12s %-10s %-10s %-10s\n",
-		"dim", "scheme", "shards", "wire bytes", "raw bytes", "reduction", "MB/s", "steps/s")
+	b.WriteString("# Bandwidth: wire volume per compression scheme\n")
+	fmt.Fprintf(&b, "(shard %d coords; bytes are exact steady-state volume of one vector, all frames)\n", bandwidthShard)
+	fmt.Fprintf(&b, "%-9s %-12s %-7s %-12s %-12s %-10s\n",
+		"dim", "scheme", "shards", "wire bytes", "raw bytes", "reduction")
 	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%-9d %-12s %-7d %-12d %-12d %-10s %-10.0f %-10.2f\n",
+		fmt.Fprintf(&b, "%-9d %-12s %-7d %-12d %-12d %-10s\n",
 			row.Dim, row.Scheme, row.Shards, row.WireBytes, row.RawBytes,
-			fmt.Sprintf("%.2fx", row.Reduction), row.MBps, row.StepsPerSec)
+			fmt.Sprintf("%.2fx", row.Reduction))
 	}
 
 	b.WriteString("\n" + r.Grid.Format())
@@ -251,14 +180,12 @@ func (r *BandwidthResult) Format() string {
 }
 
 // WireBenchJSON serialises the wire rows for committing as BENCH_wire.json.
-// Byte counts are exact; the MB/s and steps/s fields are advisory and
-// ignored by CheckWireBench.
 func WireBenchJSON(rows []BandwidthRow) ([]byte, error) {
 	out, err := json.MarshalIndent(struct {
 		Note string         `json:"note"`
 		Rows []BandwidthRow `json:"rows"`
 	}{
-		Note: "wire_bytes/raw_bytes are exact and enforced by -wire-check; mbps/steps_per_sec are machine-dependent and advisory",
+		Note: "wire_bytes/raw_bytes are exact and enforced by -wire-check",
 		Rows: rows,
 	}, "", "  ")
 	if err != nil {
@@ -270,7 +197,6 @@ func WireBenchJSON(rows []BandwidthRow) ([]byte, error) {
 // CheckWireBench compares freshly measured rows against a committed
 // BENCH_wire.json: the two must hold the same (dim, scheme) rows — none
 // missing on either side — with identical shard counts and byte volumes.
-// Rates are not compared.
 func CheckWireBench(committed []byte, rows []BandwidthRow) error {
 	var doc struct {
 		Rows []BandwidthRow `json:"rows"`

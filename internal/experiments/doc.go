@@ -3,12 +3,13 @@
 // reproduction grew around it: the scenario matrix (attack × GAR × fault
 // grid) and the bandwidth comparison of the wire compression schemes.
 // Each experiment returns both structured results and a formatted text
-// rendering; cmd/guanyu-bench prints them, the root benchmark suite wraps
-// them in testing.B, and EXPERIMENTS.md (see its "Experiment index" and
-// "Measured column" sections, and the paper cross-reference table) records
-// the measured outcomes next to the paper's. Systems numbers of the live
-// runtime — steps/s, MB/step, resident memory — come from the benchmark
-// module, not from here.
+// rendering; cmd/guanyu-bench prints them, and EXPERIMENTS.md (see its
+// "Experiment index" and "Measured column" sections, and the paper
+// cross-reference table) records the measured outcomes next to the paper's.
+// Systems numbers of the live runtime — steps/s, MB/step, resident memory —
+// come from the benchmark module, and codec rates from the root
+// BenchmarkWire* rows, not from here: nothing in this package reads the
+// clock.
 //
 // # Determinism contract
 //
@@ -19,7 +20,5 @@
 // self-contained deterministic simulation writing to its own result slot,
 // so concurrency never changes any number: simulation-derived results are
 // bit-identical across reruns, parallelism settings, and machines for a
-// fixed seed. The one exception is labelled in its own file: the bandwidth
-// experiment's codec rates (MB/s, steps/s) are timing-based and advisory,
-// while its byte counts are exact.
+// fixed seed, and the bandwidth experiment's byte counts are exact.
 package experiments

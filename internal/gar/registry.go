@@ -33,11 +33,6 @@ var registry = map[string]Spec{
 		New:       func(int) Rule { return Median{} },
 		MinInputs: func(int) int { return 1 },
 	},
-	"krum": {
-		New:       func(f int) Rule { return Krum{F: f} },
-		MinInputs: func(f int) int { return 2*f + 3 },
-		UsesF:     true,
-	},
 	"multi-krum": {
 		New:       func(f int) Rule { return MultiKrum{F: f} },
 		MinInputs: func(f int) int { return 2*f + 3 },

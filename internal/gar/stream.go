@@ -56,7 +56,7 @@ type StreamingRule interface {
 
 // StreamerFor starts one aggregation round of rule at the given dimension
 // and reports the membership mode it needs: a StreamingRule's own streamer,
-// or — for a rule without a streaming path (krum, bulyan, geomed, mda) — a
+// or — for a rule without a streaming path (bulyan, geomed, mda) — a
 // one-shard adapter whose single Fold takes the whole vectors and whose
 // Result is rule.Aggregate over them. With one shard pinned and per-shard
 // membership coincide; the adapter asks for pinned so that its caller learns

@@ -174,7 +174,7 @@ func TestStreamErrors(t *testing.T) {
 func TestStreamerForAdaptsNonStreamingRules(t *testing.T) {
 	const n, d = 9, 23
 	inputs := streamInputs(t, n, d)
-	for _, rule := range []Rule{Krum{F: 2}, Bulyan{F: 1}, GeoMed{}, MDA{F: 2}} {
+	for _, rule := range []Rule{Bulyan{F: 1}, GeoMed{}, MDA{F: 2}} {
 		st, pinned := StreamerFor(rule, d)
 		if !pinned {
 			t.Fatalf("%s: adapter must ask for a pinned quorum", rule.Name())

@@ -14,7 +14,7 @@ import (
 //	2f+3 ≤ q ≤ n−f      quorum for the coordinate-wise median M
 //	2f̄+3 ≤ q̄ ≤ n̄−f̄      quorum for Multi-Krum F
 //
-// Per-rule input bounds (n ≥ 2f+3 for krum/multi-krum, n ≥ 2f+1 for
+// Per-rule input bounds (n ≥ 2f+3 for multi-krum, n ≥ 2f+1 for
 // trimmed-mean, n ≥ 4f+3 for bulyan, n ≥ f+1 for mda) are enforced by the
 // registry's MinInputs entries. CheckRole is the one legality function:
 // core.Config, cluster.LiveConfig and guanyu.RunNode call it per role, and

@@ -64,103 +64,3 @@ func (r *ReLU) OutputSize() int { return r.size }
 
 // Clone returns a fresh ReLU of the same size.
 func (r *ReLU) Clone() Layer { return NewReLU(r.size) }
-
-// Tanh is the hyperbolic-tangent activation, applied element-wise.
-type Tanh struct {
-	size   int
-	outBuf []float64
-	dinBuf []float64
-}
-
-var _ Layer = (*Tanh)(nil)
-
-// NewTanh builds a Tanh over activations of the given size.
-func NewTanh(size int) *Tanh {
-	return &Tanh{
-		size:   size,
-		outBuf: make([]float64, size),
-		dinBuf: make([]float64, size),
-	}
-}
-
-// Forward computes tanh(x).
-func (t *Tanh) Forward(x []float64) []float64 {
-	for i, v := range x {
-		t.outBuf[i] = math.Tanh(v)
-	}
-	return t.outBuf
-}
-
-// Backward uses d tanh(x)/dx = 1 − tanh²(x) from the cached output.
-func (t *Tanh) Backward(dout []float64) []float64 {
-	for i, d := range dout {
-		y := t.outBuf[i]
-		t.dinBuf[i] = d * (1 - y*y)
-	}
-	return t.dinBuf
-}
-
-// Params returns no parameters.
-func (t *Tanh) Params() [][]float64 { return nil }
-
-// Grads returns no gradients.
-func (t *Tanh) Grads() [][]float64 { return nil }
-
-// OutputSize returns the activation size.
-func (t *Tanh) OutputSize() int { return t.size }
-
-// Clone returns a fresh Tanh of the same size.
-func (t *Tanh) Clone() Layer { return NewTanh(t.size) }
-
-// Sigmoid is the logistic activation, applied element-wise.
-type Sigmoid struct {
-	size   int
-	outBuf []float64
-	dinBuf []float64
-}
-
-var _ Layer = (*Sigmoid)(nil)
-
-// NewSigmoid builds a Sigmoid over activations of the given size.
-func NewSigmoid(size int) *Sigmoid {
-	return &Sigmoid{
-		size:   size,
-		outBuf: make([]float64, size),
-		dinBuf: make([]float64, size),
-	}
-}
-
-// Forward computes 1/(1+e^−x), branch-stabilised for large |x|.
-func (s *Sigmoid) Forward(x []float64) []float64 {
-	for i, v := range x {
-		if v >= 0 {
-			e := math.Exp(-v)
-			s.outBuf[i] = 1 / (1 + e)
-		} else {
-			e := math.Exp(v)
-			s.outBuf[i] = e / (1 + e)
-		}
-	}
-	return s.outBuf
-}
-
-// Backward uses dσ/dx = σ(1−σ) from the cached output.
-func (s *Sigmoid) Backward(dout []float64) []float64 {
-	for i, d := range dout {
-		y := s.outBuf[i]
-		s.dinBuf[i] = d * y * (1 - y)
-	}
-	return s.dinBuf
-}
-
-// Params returns no parameters.
-func (s *Sigmoid) Params() [][]float64 { return nil }
-
-// Grads returns no gradients.
-func (s *Sigmoid) Grads() [][]float64 { return nil }
-
-// OutputSize returns the activation size.
-func (s *Sigmoid) OutputSize() int { return s.size }
-
-// Clone returns a fresh Sigmoid of the same size.
-func (s *Sigmoid) Clone() Layer { return NewSigmoid(s.size) }

@@ -109,39 +109,6 @@ func TestGradCheckTinyConvNet(t *testing.T) {
 	checkGrads(t, m, x, 7)
 }
 
-func TestGradCheckTanh(t *testing.T) {
-	rng := tensor.NewRNG(8)
-	m := NewSequential(NewDense(4, 5, rng), NewTanh(5), NewDense(5, 3, rng))
-	x := rng.NormVec(make([]float64, 4), 0, 1)
-	checkGrads(t, m, x, 1)
-}
-
-func TestGradCheckSigmoid(t *testing.T) {
-	rng := tensor.NewRNG(9)
-	m := NewSequential(NewDense(4, 5, rng), NewSigmoid(5), NewDense(5, 3, rng))
-	x := rng.NormVec(make([]float64, 4), 0, 1)
-	checkGrads(t, m, x, 2)
-}
-
-func TestSigmoidExtremeInputsStable(t *testing.T) {
-	s := NewSigmoid(3)
-	out := s.Forward([]float64{1e4, -1e4, 0})
-	if !tensor.IsFinite(out) {
-		t.Fatalf("sigmoid unstable: %v", out)
-	}
-	if out[0] < 0.999 || out[1] > 0.001 || math.Abs(out[2]-0.5) > 1e-12 {
-		t.Fatalf("sigmoid values wrong: %v", out)
-	}
-}
-
-func TestTanhRange(t *testing.T) {
-	tt := NewTanh(2)
-	out := tt.Forward([]float64{100, -100})
-	if out[0] != 1 || out[1] != -1 {
-		t.Fatalf("tanh saturation wrong: %v", out)
-	}
-}
-
 func TestGradCheckPaddedPool(t *testing.T) {
 	rng := tensor.NewRNG(7)
 	pool := NewMaxPool2D(1, 5, 5, 3, 2, 1)

@@ -113,6 +113,7 @@ func TestCollectorNeverRecyclesALengthItsLayoutDoesNotProduce(t *testing.T) {
 		{From: "a", Kind: KindGradient, Step: 0, Vec: staleOdd},
 	}}
 	c := NewCollector(ep, NewShardLayout(dim, size))
+	c.Senders = declared("a")
 	if _, err := c.Collect(KindGradient, 1, 1, nil, "", false, noFold, time.Second); err == nil {
 		t.Fatal("a quorum filled although nothing well-formed was sent")
 	}
@@ -137,6 +138,7 @@ func TestCollectorRecyclesWholesNotViews(t *testing.T) {
 	whole := seq(dim, 1)
 	ep := &handoff{queue: []Message{{From: "a", Kind: KindGradient, Step: 0, Vec: whole}}}
 	c := NewCollector(ep, NewShardLayout(dim, size))
+	c.Senders = declared("a")
 	if c.Layout.Count() != 13 {
 		t.Fatalf("layout has %d shards, want 13", c.Layout.Count())
 	}
@@ -177,7 +179,7 @@ func TestCollectorRecyclesTheReassembledVector(t *testing.T) {
 		ep.queue = append(ep.queue, p.Clone())
 	}
 	sent := append([]Message(nil), ep.queue...)
-	c := wholeCollector(ep, dim)
+	c := wholeCollector(ep, dim, "a")
 	var joined tensor.Vector
 	fold := func(_, _ int, _ []string, inputs []tensor.Vector) error {
 		joined = inputs[0]
@@ -230,6 +232,7 @@ func TestCollectorReturnsDroppedFramesAtOnce(t *testing.T) {
 		chunk("a", 1, 1), chunk("b", 1, 1),
 	}}
 	c := NewCollector(ep, NewShardLayout(dim, size))
+	c.Senders = declared("a", "b", "c", "d")
 	members, err := c.Collect(KindGradient, 1, 2, nil, "", true, noFold, time.Second)
 	if err != nil || len(members) != 2 || members[0] != "a" || members[1] != "b" {
 		t.Fatalf("pinned membership %v, err %v; want [a b]", members, err)
@@ -258,7 +261,7 @@ func TestDecidedRoundDiscardsLateFrames(t *testing.T) {
 		{From: "a", Kind: KindGradient, Step: 3, Vec: seq(dim, 1)},
 		{From: "b", Kind: KindGradient, Step: 3, Vec: seq(dim, 2)},
 	}}
-	c := wholeCollector(ep, dim)
+	c := wholeCollector(ep, dim, "a", "b", "c", "p")
 	validated := 0
 	c.Validator = func(Message) bool { validated++; return true }
 	if _, err := collect(c, KindGradient, 3, 2, time.Second); err != nil {
@@ -733,6 +736,7 @@ func TestCollectorReusesRoundBuffers(t *testing.T) {
 	const dim = 3131
 	ep := &handoff{}
 	c := NewCollector(ep, NewShardLayout(dim, 1000))
+	c.Senders = declared("a", "b", "c")
 	bufs := make(map[*stepBuf]bool)
 	for step := 0; step < 4; step++ {
 		c.Advance(step)

@@ -91,6 +91,7 @@ func TestCollectorRandomOrderProperty(t *testing.T) {
 			soup = append(soup, planned{from, Message{Kind: KindPeerParams, Step: step, Vec: tensor.Vector{-4}}})   // other kind
 		}
 		eps := make(map[string]Endpoint, senders)
+		var ids []string
 		for s := 0; s < senders; s++ {
 			from := fmt.Sprintf("w%d", s)
 			ep, err := net.Register(from)
@@ -98,6 +99,7 @@ func TestCollectorRandomOrderProperty(t *testing.T) {
 				return false
 			}
 			eps[from] = ep
+			ids = append(ids, from)
 		}
 		perm := rng.Perm(len(soup))
 		for _, p := range perm {
@@ -106,7 +108,7 @@ func TestCollectorRandomOrderProperty(t *testing.T) {
 			}
 		}
 
-		c := wholeCollector(recv, 1)
+		c := wholeCollector(recv, 1, ids...)
 		c.Advance(step)
 		msgs, err := collect(c, KindGradient, step, q, 2*time.Second)
 		if err != nil || len(msgs) != q {

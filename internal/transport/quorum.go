@@ -81,17 +81,17 @@ type Collector struct {
 	// steps t+1..t+10⁹ would grow the buffer without limit.
 	Horizon int
 
-	// Senders, when non-nil, is who may fill a quorum at this node: the
-	// legal senders of each kind the node collects, straight from its own
-	// configuration (a server: its workers' gradients and its peers'
-	// parameters; a worker: its servers' parameters). Any other (kind,
-	// sender) pair — an identity the node was never told about, a worker
-	// posing as a server peer, a peer claiming the node's own ID, a kind
+	// Senders is who may fill a quorum at this node: the legal senders of
+	// each kind the node collects, straight from its own configuration (a
+	// server: its workers' gradients and its peers' parameters; a worker:
+	// its servers' parameters). Any other (kind, sender) pair — an
+	// identity the node was never told about, a worker posing as a server
+	// peer, a peer claiming the node's own ID, a kind
 	// with no entry — is dropped on arrival and counted, before it can cost
 	// a buffer, a reassembly or a validation, however well-formed and
 	// authenticated its frames: the paper's bounds count enumerated nodes.
 	// The table also lets a timeout name who a round is still waiting on.
-	// Nil admits every sender (a bare collector in a test or experiment).
+	// A nil table admits no one: every frame is dropped as DroppedRoster.
 	Senders map[Kind][]string
 
 	// Metrics is where the collector counts, never nil (NewCollector starts
@@ -608,7 +608,7 @@ func (c *Collector) prune(b *stepBuf) {
 // m.Vec's owner: a frame dropped here goes straight back to the free list
 // (put).
 func (c *Collector) store(m Message, currentStep int) {
-	if c.Senders != nil && !slices.Contains(c.Senders[m.Kind], m.From) {
+	if !slices.Contains(c.Senders[m.Kind], m.From) {
 		// Not a sender this node takes this kind from (or a kind it never
 		// collects): dropped first, so it is counted whatever step it claims
 		// and can be charged no buffer, reassembly or validation.

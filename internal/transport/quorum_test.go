@@ -6,10 +6,18 @@ import (
 	"repro/internal/tensor"
 )
 
+// declared is a test collector's sender table: every kind from the given
+// IDs (a collector with no table admits no one).
+func declared(ids ...string) map[Kind][]string {
+	return map[Kind][]string{KindParams: ids, KindGradient: ids, KindPeerParams: ids}
+}
+
 // wholeCollector builds the one-shard collector of a dim-coordinate
-// deployment: whole-vector framing.
-func wholeCollector(ep Endpoint, dim int) *Collector {
-	return NewCollector(ep, NewShardLayout(dim, 0))
+// deployment: whole-vector framing, every kind taken from senders.
+func wholeCollector(ep Endpoint, dim int, senders ...string) *Collector {
+	c := NewCollector(ep, NewShardLayout(dim, 0))
+	c.Senders = declared(senders...)
+	return c
 }
 
 // collect gathers one (kind, step) quorum at a one-shard collector and

@@ -117,6 +117,23 @@ func TestCollectorMembership(t *testing.T) {
 	}
 }
 
+// TestCollectorWithoutSendersAdmitsNoOne: a collector whose sender table
+// was never set takes no frame from anyone — each is dropped and counted
+// as DroppedRoster, the same as an undeclared sender's.
+func TestCollectorWithoutSendersAdmitsNoOne(t *testing.T) {
+	ep := &handoff{queue: []Message{
+		{From: "a", Kind: KindGradient, Step: 0, Vec: tensor.Vector{1}},
+		{From: "b", Kind: KindParams, Step: 0, Vec: tensor.Vector{2}},
+	}}
+	c := NewCollector(ep, NewShardLayout(1, 0))
+	if _, err := collect(c, KindGradient, 0, 1, 10*time.Millisecond); err == nil {
+		t.Fatal("a collector without a sender table filled a quorum")
+	}
+	if got := c.Metrics.DroppedRoster.Load(); got != 2 {
+		t.Fatalf("DroppedRoster = %d, want 2: every frame dropped", got)
+	}
+}
+
 // TestCollectorCountsWrongDimension: a whole frame whose dimension is not the
 // deployment's is counted malformed at every layout — a wrong-dimension
 // sprayer must be visible in the drop counters wherever it sprays.
@@ -133,6 +150,7 @@ func TestCollectorCountsWrongDimension(t *testing.T) {
 			}
 			_ = ok.Send("srv", Message{Kind: KindGradient, Step: 0, Vec: make(tensor.Vector, 4)})
 			c := NewCollector(recv, NewShardLayout(4, size))
+			c.Senders = declared("byz", "ok")
 			senders := map[string]bool{}
 			_, err := c.Collect(KindGradient, 0, 1, nil, "", false,
 				func(_, _ int, from []string, _ []tensor.Vector) error {
@@ -170,7 +188,7 @@ func TestCollectAnyLatchesLiveStep(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	c := wholeCollector(recv, 1)
+	c := wholeCollector(recv, 1, "p0", "p1", "p2", "p3")
 	msgs, step, err := collectAny(c, KindPeerParams, 12, 3, time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -205,7 +223,7 @@ func TestCollectAnyMobileFloor(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	c := wholeCollector(recv, 1)
+	c := wholeCollector(recv, 1, "p0", "p1", "p2")
 	c.Horizon = 16
 	msgs, step, err := collectAny(c, KindPeerParams, 0, 3, time.Second)
 	if err != nil {
@@ -224,7 +242,7 @@ func TestCollectAnyTimesOut(t *testing.T) {
 	if err := p.Send("rejoiner", Message{Kind: KindPeerParams, Step: 9, Vec: tensor.Vector{1}}); err != nil {
 		t.Fatal(err)
 	}
-	c := wholeCollector(recv, 1)
+	c := wholeCollector(recv, 1, "p0")
 	// Only one live sender: no step can ever reach q=3, so the rejoiner
 	// must time out — the caller then resumes from the checkpoint alone.
 	if _, _, err := collectAny(c, KindPeerParams, 0, 3, 100*time.Millisecond); err == nil {
@@ -248,6 +266,7 @@ func TestShardCollectorPinnedFailover(t *testing.T) {
 
 	layout := NewShardLayout(4, 2) // two shards
 	c := NewCollector(recv, layout)
+	c.Senders = declared("a", "b", "c", "d")
 	vec := tensor.Vector{1, 2, 3, 4}
 	shard := func(id string, idx int, step int) {
 		t.Helper()

@@ -250,7 +250,7 @@ func TestCollectorReassemblesChunks(t *testing.T) {
 	_ = b.Send("recv", sb[2]) // b completes here
 	_ = a.Send("recv", sa[0]) // a completes last
 
-	col := wholeCollector(recv, 10)
+	col := wholeCollector(recv, 10, "a", "b", "c")
 	msgs, err := collect(col, KindParams, 0, 3, 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -291,7 +291,7 @@ func TestCollectorDropsInconsistentChunkStreams(t *testing.T) {
 		Shard: ShardMeta{Index: 1, Count: 3, Offset: 3}}) // count changed: assembly dropped
 	_ = ok.Send("recv", Message{Kind: KindParams, Step: 0, Vec: v})
 
-	col := wholeCollector(recv, 6)
+	col := wholeCollector(recv, 6, "byz", "ok")
 	msgs, err := collect(col, KindParams, 0, 1, 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -312,7 +312,7 @@ func TestCollectorDropsInconsistentChunkStreams(t *testing.T) {
 		Shard: ShardMeta{Index: 0, Count: 2, Offset: 0}})
 	_ = byz2.Send("recv", Message{Kind: KindParams, Step: 0, Vec: v[:3],
 		Shard: ShardMeta{Index: 1, Count: 2, Offset: 5}}) // gap: 3 expected
-	col2 := wholeCollector(recv2, 6)
+	col2 := wholeCollector(recv2, 6, "byz")
 	if _, err := collect(col2, KindParams, 0, 1, 200*time.Millisecond); err == nil {
 		t.Fatal("non-tiling stream satisfied a quorum")
 	}
@@ -379,6 +379,7 @@ func TestShardCollectorInterleavedAcrossSendersAndSteps(t *testing.T) {
 	_ = eps[1].Send("recv", f1[1][2])
 
 	col := NewCollector(recv, NewShardLayout(dim, size))
+	col.Senders = declared("a", "b", "c", "d")
 	type foldRec struct {
 		lo, hi  int
 		senders []string
@@ -449,6 +450,7 @@ func TestShardCollectorPinned(t *testing.T) {
 	_ = b.Send("recv", sb[1]) // shard 1 completes for the pinned set
 
 	col := NewCollector(recv, NewShardLayout(dim, size))
+	col.Senders = declared("a", "b", "c", "d")
 	var got [][]string
 	fold := func(lo, hi int, senders []string, inputs []tensor.Vector) error {
 		got = append(got, append([]string(nil), senders...))
@@ -487,6 +489,7 @@ func TestShardCollectorWholeVectorInterop(t *testing.T) {
 		_ = b.Send("recv", sm)
 	}
 	col := NewCollector(recv, NewShardLayout(dim, size))
+	col.Senders = declared("a", "b", "c", "d")
 	folds := 0
 	fold := func(lo, hi int, senders []string, inputs []tensor.Vector) error {
 		folds++
@@ -535,6 +538,7 @@ func TestShardCollectorUnderFaults(t *testing.T) {
 		_ = fep.Close()
 	}
 	col := NewCollector(recv, NewShardLayout(dim, size))
+	col.Senders = declared("a", "b", "c", "d")
 	byName := map[string]tensor.Vector{"a": vecs[0], "b": vecs[1], "c": vecs[2], "d": vecs[3]}
 	folds := 0
 	fold := func(lo, hi int, sendersIn []string, inputs []tensor.Vector) error {
@@ -584,6 +588,7 @@ func TestShardCollectorHorizonAndMalformed(t *testing.T) {
 	_ = b.Send("recv", Message{Kind: KindGradient, Step: 0, Vec: v})
 
 	col := NewCollector(recv, NewShardLayout(dim, size))
+	col.Senders = declared("a", "b", "c", "d")
 	fold := func(int, int, []string, []tensor.Vector) error { return nil }
 	if _, err := col.Collect(KindGradient, 0, 2, nil, "", false, fold, 2*time.Second); err != nil {
 		t.Fatal(err)
@@ -615,7 +620,7 @@ func TestShardCollectorPeakBytes(t *testing.T) {
 		ep, _ := wholeNet.Register(string(rune('a' + i)))
 		_ = ep.Send("recv", Message{Kind: KindParams, Step: 0, Vec: vecs[i]})
 	}
-	col := wholeCollector(recv, dim)
+	col := wholeCollector(recv, dim, "a", "b", "c", "d", "e", "f")
 	if _, err := collect(col, KindParams, 0, q, 2*time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -638,6 +643,7 @@ func TestShardCollectorPeakBytes(t *testing.T) {
 		}
 	}
 	scol := NewCollector(recv2, NewShardLayout(dim, size))
+	scol.Senders = declared("a", "b", "c", "d", "e", "f")
 	sent := senders * len(frames[0])
 	folds, overlapped := 0, 0
 	fold := func(int, int, []string, []tensor.Vector) error {

@@ -179,15 +179,17 @@ func TestCollectorQuorum(t *testing.T) {
 	defer net.Close()
 	recv, _ := net.Register("srv")
 	senders := make([]Endpoint, 5)
+	ids := make([]string, len(senders))
 	for i := range senders {
-		senders[i], _ = net.Register(fmt.Sprintf("w%d", i))
+		ids[i] = fmt.Sprintf("w%d", i)
+		senders[i], _ = net.Register(ids[i])
 	}
 	for i, s := range senders {
 		if err := s.Send("srv", Message{Kind: KindGradient, Step: 0, Vec: tensor.Vector{float64(i)}}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	c := wholeCollector(recv, 1)
+	c := wholeCollector(recv, 1, ids...)
 	msgs, err := collect(c, KindGradient, 0, 3, time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -215,8 +217,10 @@ func TestCollectorArrivalOrder(t *testing.T) {
 	defer net.Close()
 	recv, _ := net.Register("srv")
 	eps := make([]Endpoint, senders)
+	ids := make([]string, senders)
 	for s := range eps {
-		eps[s], _ = net.Register(fmt.Sprintf("w%d", s))
+		ids[s] = fmt.Sprintf("w%d", s)
+		eps[s], _ = net.Register(ids[s])
 	}
 	// Interleave with a dash of noise: duplicates and another kind must not
 	// displace anyone from the arrival order.
@@ -229,7 +233,7 @@ func TestCollectorArrivalOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	c := wholeCollector(recv, 1)
+	c := wholeCollector(recv, 1, ids...)
 	c.Advance(2)
 	msgs, err := collect(c, KindGradient, 2, q, time.Second)
 	if err != nil {
@@ -259,7 +263,7 @@ func TestCollectorFutureHorizonBounded(t *testing.T) {
 	byz, _ := net.Register("byz")
 	honest, _ := net.Register("honest")
 
-	c := wholeCollector(recv, 1)
+	c := wholeCollector(recv, 1, "byz", "honest")
 	c.Horizon = 16
 	const spray = 200
 	for s := 1; s <= spray; s++ {
@@ -306,7 +310,7 @@ func TestCollectorDropsInvalidKinds(t *testing.T) {
 	if err := honest.Send("srv", Message{Kind: KindGradient, Step: 0, Vec: tensor.Vector{0}}); err != nil {
 		t.Fatal(err)
 	}
-	c := wholeCollector(recv, 1)
+	c := wholeCollector(recv, 1, "byz", "honest")
 	if msgs, err := collect(c, KindGradient, 0, 1, time.Second); err != nil || msgs[0].From != "honest" {
 		t.Fatalf("collect: %v %+v", err, msgs)
 	}
@@ -356,7 +360,7 @@ func TestCollectorDedupesSenders(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	c := wholeCollector(recv, 1)
+	c := wholeCollector(recv, 1, "byz", "honest")
 	if _, err := collect(c, KindGradient, 0, 2, 50*time.Millisecond); err == nil {
 		t.Fatal("quorum of 2 satisfied by a single flooding sender")
 	}
@@ -388,7 +392,7 @@ func TestCollectorBuffersFutureDropsPast(t *testing.T) {
 	if err := w.Send("srv", Message{Kind: KindGradient, Step: 1, Vec: tensor.Vector{1}}); err != nil {
 		t.Fatal(err)
 	}
-	c := wholeCollector(recv, 1)
+	c := wholeCollector(recv, 1, "w")
 	msgs, err := collect(c, KindGradient, 1, 1, time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -414,7 +418,7 @@ func TestCollectorAdvanceDropsStale(t *testing.T) {
 	if err := w.Send("srv", Message{Kind: KindParams, Step: 3, Vec: tensor.Vector{3}}); err != nil {
 		t.Fatal(err)
 	}
-	c := wholeCollector(recv, 1)
+	c := wholeCollector(recv, 1, "w")
 	// Pull it into the buffer by collecting a different kind with timeout.
 	_, _ = collect(c, KindGradient, 3, 1, 20*time.Millisecond)
 	if buffered(c, KindParams, 3) != 1 {
@@ -440,7 +444,7 @@ func TestCollectorTimeoutMessage(t *testing.T) {
 	noFold := func(int, int, []string, []tensor.Vector) error { return nil }
 	vec := tensor.Vector{1, 2, 3, 4}
 
-	c := wholeCollector(recv, 4)
+	c := wholeCollector(recv, 4, "a", "b", "c")
 	_ = eps["b"].Send("srv", Message{Kind: KindGradient, Step: 7, Vec: vec})
 	_ = eps["a"].Send("srv", Message{Kind: KindGradient, Step: 7, Vec: vec})
 	_, err := c.Collect(KindGradient, 7, 4, nil, "", false, noFold, 10*time.Millisecond)
@@ -456,6 +460,7 @@ func TestCollectorTimeoutMessage(t *testing.T) {
 	// Two shards, pinned: c and a fill shard 0 and are pinned; shard 1 has
 	// c's frame only (b's is outside the pin and discarded).
 	c = NewCollector(recv, NewShardLayout(4, 2))
+	c.Senders = declared("a", "b", "c")
 	fc := SplitMessage(Message{Kind: KindGradient, Step: 8, Vec: vec}, 2)
 	_ = eps["c"].Send("srv", fc[0])
 	_ = eps["a"].Send("srv", fc[0])
