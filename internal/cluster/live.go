@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"maps"
 	"sync"
@@ -394,8 +395,11 @@ func RunLiveContext(ctx context.Context, cfg LiveConfig) (*LiveResult, error) {
 	// registered ("unknown destination") was lost for good and left that
 	// worker one vector short of its quorum for the whole timeout.
 	type node struct {
+		id   string
 		ep   transport.Endpoint
 		loop func() error
+		// serves marks an honest server: its final θ is the run's output.
+		serves bool
 	}
 	var nodes []node
 	for i := range p.servers {
@@ -416,13 +420,13 @@ func RunLiveContext(ctx context.Context, cfg LiveConfig) (*LiveResult, error) {
 				return theta, err
 			}
 		}
-		nodes = append(nodes, node{ep, func() error {
+		nodes = append(nodes, node{p.servers[i], ep, func() error {
 			theta, err := run()
 			if err == nil && honest {
 				finals[i] = theta
 			}
 			return err
-		}})
+		}, honest})
 	}
 	for j := range p.workers {
 		ep, err := open(p.workers[j], cfg.WorkerAttacks[j] == nil)
@@ -430,7 +434,7 @@ func RunLiveContext(ctx context.Context, cfg LiveConfig) (*LiveResult, error) {
 			return nil, err
 		}
 		wcfg := p.worker(j)
-		nodes = append(nodes, node{ep, func() error { return RunWorker(ep, wcfg) }})
+		nodes = append(nodes, node{p.workers[j], ep, func() error { return RunWorker(ep, wcfg) }, false})
 	}
 	// From here on the mesh is closed by whoever needs every quorum wait
 	// unblocked: cancellation, the first node to fail, or the end of the run.
@@ -442,11 +446,28 @@ func RunLiveContext(ctx context.Context, cfg LiveConfig) (*LiveResult, error) {
 	// couriers still queue, which a peer still in its last quorum wait may
 	// need — and which nobody needs once every loop has returned, so the
 	// mesh goes down then and cuts the remaining flushes short.
+	//
+	// The run's output is the honest servers' final θ, and links shed frames
+	// that nobody resends, so a node can be stranded: left waiting on a round
+	// the others finished without it. That is no failure of the run where
+	// the others do without the node — a worker or a Byzantine server timing
+	// out on a quorum, or the last honest server timing out once another has
+	// finished (it is left out of the final median). Once the last honest
+	// server has returned, the loops still running have nobody left to
+	// serve: their endpoints stop accepting frames, they finish on what they
+	// hold, and whatever they return from then on is no failure either.
 	var (
 		loops, flushes sync.WaitGroup
 		mu             sync.Mutex
 		runErrs        []error
+		serving        int // honest servers whose loops are still running
+		finished       int // honest servers that returned their final θ
 	)
+	for _, n := range nodes {
+		if n.serves {
+			serving++
+		}
+	}
 	loops.Add(len(nodes))
 	flushes.Add(len(nodes))
 	for _, n := range nodes {
@@ -454,16 +475,32 @@ func RunLiveContext(ctx context.Context, cfg LiveConfig) (*LiveResult, error) {
 			defer flushes.Done()
 			defer n.ep.Close()
 			defer loops.Done()
-			if err := n.loop(); err != nil {
-				mu.Lock()
+			err := n.loop()
+			mu.Lock()
+			stranded := errors.Is(err, transport.ErrQuorumTimeout) && (!n.serves || serving == 1 && finished > 0)
+			first := false
+			if err != nil && !stranded && (n.serves || serving > 0) {
 				runErrs = append(runErrs, err)
-				first := len(runErrs) == 1
-				mu.Unlock()
-				if first {
-					// Fail fast: the run is lost, so no other node sits out
-					// its quorum timeout; what the teardown makes the others
-					// report lands behind this error.
-					m.close()
+				first = len(runErrs) == 1
+			}
+			if n.serves {
+				serving--
+				if err == nil {
+					finished++
+				}
+			}
+			served := n.serves && serving == 0
+			mu.Unlock()
+			if first {
+				// Fail fast: the run is lost, so no other node sits out
+				// its quorum timeout; what the teardown makes the others
+				// report lands behind this error.
+				m.close()
+			} else if served {
+				for _, o := range nodes {
+					if !o.serves {
+						m.closeInbound(o.id)
+					}
 				}
 			}
 		}()
