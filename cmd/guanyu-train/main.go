@@ -158,6 +158,9 @@ func run(args []string, out io.Writer) error {
 	case "live":
 		fmt.Fprintf(out, "wall time:      %v (%d honest servers)\n",
 			res.WallTime.Round(time.Millisecond), len(res.ServerParams))
+		if len(res.Stranded) > 0 {
+			fmt.Fprintf(out, "stranded:       %v\n", res.Stranded)
+		}
 		if *rejoin != "" {
 			verdict := "NO (the run outran the kill; lower -checkpoint-every or kill later)"
 			if res.ChurnRestarted {

@@ -76,6 +76,11 @@ type Result struct {
 	// killed and came back through checkpoint + median rejoin (false when
 	// the run outran the kill, or no rejoin cycle was armed). Live only.
 	ChurnRestarted bool
+	// Stranded lists the nodes the run finished without: each timed out on
+	// a round its links had shed and the others did not need it for (a
+	// server listed here has no entry in ServerParams). Empty when every
+	// node finished. Live only.
+	Stranded []string
 }
 
 // CurveTable renders the convergence curve as the experiment harness's

@@ -173,6 +173,7 @@ func (liveRunner) Run(ctx context.Context, d *Deployment) (*Result, error) {
 		CourierDropped:      drops.CourierDropped,
 		DroppedClosed:       drops.DroppedClosed,
 		ChurnRestarted:      res.ChurnRestarted,
+		Stranded:            res.Stranded,
 	}
 	if d.workload.Test != nil {
 		eval := d.workload.Model.Clone()

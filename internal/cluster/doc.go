@@ -20,15 +20,6 @@
 // an attack.Attack, which may replace it (corruption, equivocation) or
 // suppress it (silence).
 //
-// A node that falls behind catches up: once a later step's full quorum of
-// the kind it is waiting for has arrived and its own round can no longer
-// fill (transport.OvertakenError), the deployment went on without it, and
-// it resumes there — a worker at that
-// step's gradient, a server at that step's phase 1, or, overtaken in the
-// contraction round, by contracting with its peers at the step they reached.
-// Links shed frames and nobody resends them, so the round it gives up may
-// never have filled.
-//
 // # Launcher
 //
 // RunLiveContext is the one way a whole deployment comes up in a process:
@@ -38,10 +29,8 @@
 // returns, and reports the median of the honest servers' finals. A node
 // stranded past shed frames fails the run only if the others needed it: a
 // worker's or a Byzantine server's quorum timeout does not, nor does the
-// last honest server's once another has finished (its final is left out).
-// Once the last honest server has returned, the loops still running serve
-// nobody: their endpoints stop accepting frames, and what they return from
-// then on does not fail the run. mesh.go
+// last honest server's once another has finished (its final is left out);
+// LiveResult.Stranded names them. mesh.go
 // holds both meshes and the layer order of a node's endpoint; guanyu.RunNode,
 // one node per OS process, builds its endpoint from the same two functions.
 //
@@ -72,12 +61,11 @@
 // snapshot — and, under float32, encode — it once for all destinations; a
 // Byzantine node sends per destination, because it may equivocate. The
 // zero-value configuration keeps the historical unbounded behaviour; when
-// a bound is set, drop-oldest is the protocol-safe lossy policy — a node
-// that falls behind catches up to the freshest step its senders' frames
-// fill, so an evicted older frame is one it skips, and the per-sender
-// accounting means a flooding Byzantine node can never evict honest
-// traffic. Drop-newest keeps the older frames instead: a node that lags
-// past its cap right as the run ends may find its last rounds shed. When no overflow occurs
+// a bound is set, drop-oldest is the protocol-safe lossy policy — quorums
+// only ever admit a sender's freshest step, so evicting that sender's
+// oldest queued frame discards exactly what the collector would have
+// rejected as stale, and the per-sender accounting means a flooding
+// Byzantine node can never evict honest traffic. When no overflow occurs
 // the bound is invisible: the regression suite asserts whole-vector,
 // sharded and compressed runs are bit-identical under every policy.
 // Every hardening counter lives in exactly one place, the node's

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"slices"
 	"sync"
 	"time"
 
@@ -266,6 +267,11 @@ type LiveResult struct {
 	// killed and came back through the checkpoint-restore + rejoin leg
 	// (false when the run outran the kill, or no churn was configured).
 	ChurnRestarted bool
+	// Stranded lists, sorted, the nodes the run did without: a worker or
+	// Byzantine server that timed out on a quorum, and the last honest
+	// server if it timed out once another had finished — it has no entry
+	// in ServerParams. Empty when every loop finished.
+	Stranded []string
 }
 
 // plan is what every node's config is cut from: the deployment, the
@@ -452,14 +458,13 @@ func RunLiveContext(ctx context.Context, cfg LiveConfig) (*LiveResult, error) {
 	// the others finished without it. That is no failure of the run where
 	// the others do without the node — a worker or a Byzantine server timing
 	// out on a quorum, or the last honest server timing out once another has
-	// finished (it is left out of the final median). Once the last honest
-	// server has returned, the loops still running have nobody left to
-	// serve: their endpoints stop accepting frames, they finish on what they
-	// hold, and whatever they return from then on is no failure either.
+	// finished (it is left out of the final median) — and LiveResult.Stranded
+	// names it. Every other error fails the run.
 	var (
 		loops, flushes sync.WaitGroup
 		mu             sync.Mutex
 		runErrs        []error
+		stranded       []string
 		serving        int // honest servers whose loops are still running
 		finished       int // honest servers that returned their final θ
 	)
@@ -477,9 +482,12 @@ func RunLiveContext(ctx context.Context, cfg LiveConfig) (*LiveResult, error) {
 			defer loops.Done()
 			err := n.loop()
 			mu.Lock()
-			stranded := errors.Is(err, transport.ErrQuorumTimeout) && (!n.serves || serving == 1 && finished > 0)
 			first := false
-			if err != nil && !stranded && (n.serves || serving > 0) {
+			switch {
+			case err == nil:
+			case errors.Is(err, transport.ErrQuorumTimeout) && (!n.serves || serving == 1 && finished > 0):
+				stranded = append(stranded, n.id)
+			default:
 				runErrs = append(runErrs, err)
 				first = len(runErrs) == 1
 			}
@@ -489,19 +497,12 @@ func RunLiveContext(ctx context.Context, cfg LiveConfig) (*LiveResult, error) {
 					finished++
 				}
 			}
-			served := n.serves && serving == 0
 			mu.Unlock()
 			if first {
 				// Fail fast: the run is lost, so no other node sits out
 				// its quorum timeout; what the teardown makes the others
 				// report lands behind this error.
 				m.close()
-			} else if served {
-				for _, o := range nodes {
-					if !o.serves {
-						m.closeInbound(o.id)
-					}
-				}
 			}
 		}()
 	}
@@ -519,7 +520,9 @@ func RunLiveContext(ctx context.Context, cfg LiveConfig) (*LiveResult, error) {
 	if len(runErrs) > 0 {
 		return nil, fmt.Errorf("cluster: run failed: %w (and %d more)", runErrs[0], len(runErrs)-1)
 	}
-	res := &LiveResult{ServerParams: make(map[int]tensor.Vector), Totals: p.reg.Totals(), ChurnRestarted: restarted}
+	slices.Sort(stranded)
+	res := &LiveResult{ServerParams: make(map[int]tensor.Vector), Totals: p.reg.Totals(), ChurnRestarted: restarted,
+		Stranded: stranded}
 	var vecs []tensor.Vector
 	for i, theta := range finals {
 		if theta != nil {

@@ -1,8 +1,10 @@
 package cluster
 
 import (
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -322,6 +324,65 @@ func TestLiveQuorumTimeoutSurfacesAsError(t *testing.T) {
 	}
 	if _, err := runLive(t, cfg); err == nil {
 		t.Fatal("expected quorum timeout, run succeeded")
+	}
+}
+
+// TestLiveRunEndsWithTheHonestServers: every frame bound for one honest
+// worker and for one honest server is held back past their quorum timeout,
+// so neither gets through step 0. The other nodes' quorums never needed
+// them: the worker's timeout is no failure of the run, nor is the stranded
+// server's once the others have finished, and the run returns their five
+// finals and names the two it did without.
+func TestLiveRunEndsWithTheHonestServers(t *testing.T) {
+	model, train, _ := testProblem(43)
+	res, err := runLive(t, LiveConfig{
+		Model: model, Train: train,
+		NumServers: 6, FServers: 1,
+		NumWorkers: 6, FWorkers: 1,
+		Delay: func(from, to string) time.Duration {
+			if to == "wrk5" || to == "ps5" {
+				return 3 * time.Second
+			}
+			return 0
+		},
+		Steps: 8, Batch: 4,
+		Timeout: 2 * time.Second,
+		Seed:    44,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := res.ServerParams[5]; ok || len(res.ServerParams) != 5 {
+		t.Fatalf("finals of servers %v, want 0–4", slices.Sorted(maps.Keys(res.ServerParams)))
+	}
+	if !slices.Equal(res.Stranded, []string{"ps5", "wrk5"}) {
+		t.Fatalf("stranded %v, want [ps5 wrk5]", res.Stranded)
+	}
+}
+
+// TestLiveReorderingLinksGiveNoRoundUp: heavy-tailed delays reorder every
+// link, but a delay stays a late message. With nothing shed (unbounded
+// mailboxes), every node runs every step and none is stranded — also when a
+// later step's quorum fills before a round's last frame lands, which is no
+// sign that the frame was lost.
+func TestLiveReorderingLinksGiveNoRoundUp(t *testing.T) {
+	model, train, _ := testProblem(45)
+	lat := transport.NewLatencyModel(1e-3, 1.5, 0, 46)
+	const servers, workers, steps = 6, 6, 30
+	res, err := runLive(t, LiveConfig{
+		Model: model, Train: train,
+		NumServers: servers, FServers: 1,
+		NumWorkers: workers, FWorkers: 1,
+		Delay: lat.DelayFunc(0, 1),
+		Steps: steps, Batch: 4,
+		Timeout: time.Minute,
+		Seed:    47,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Totals.Steps; got != (servers+workers)*steps || len(res.Stranded) > 0 {
+		t.Fatalf("%d steps run, stranded %v; want %d steps, none stranded", got, res.Stranded, (servers+workers)*steps)
 	}
 }
 

@@ -34,9 +34,6 @@ type mesh interface {
 	// outbound payloads under comp (the zero config sends raw; inbound
 	// compressed frames are expanded either way).
 	open(id string, comp compress.Config, h *metrics.NodeMetrics) (transport.Endpoint, error)
-	// closeInbound stops id's endpoint accepting frames: its loop receives
-	// what is queued, then finds the endpoint closed.
-	closeInbound(id string)
 	// close takes every endpoint down, which unblocks every Recv, and waits
 	// for in-flight deliveries. Idempotent; safe for concurrent callers once
 	// the last endpoint is open.
@@ -77,8 +74,6 @@ func (m *chanMesh) open(id string, comp compress.Config, h *metrics.NodeMetrics)
 	return c, nil
 }
 
-func (m *chanMesh) closeInbound(id string) { m.net.CloseInbound(id) }
-
 func (m *chanMesh) close() { m.net.Close() }
 
 // tcpMesh is one loopback socket per node on an ephemeral port. A node is
@@ -114,14 +109,6 @@ func (m *tcpMesh) open(id string, comp compress.Config, h *metrics.NodeMetrics) 
 	}
 	m.nodes = append(m.nodes, node)
 	return heldOpen{node}, nil
-}
-
-func (m *tcpMesh) closeInbound(id string) {
-	for _, node := range m.nodes {
-		if node.ID() == id {
-			node.CloseInbound()
-		}
-	}
 }
 
 func (m *tcpMesh) close() {

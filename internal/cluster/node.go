@@ -96,17 +96,6 @@ func newQuorum(ep transport.Endpoint, dim, shardSize int, timeout time.Duration,
 	return &quorum{col: col, timeout: timeout}
 }
 
-// overtaken reports the later step a quorum wait was overtaken by (see
-// transport.OvertakenError): the node has fallen behind its senders and
-// resumes where they are.
-func overtaken(err error) (step int, behind bool) {
-	var o *transport.OvertakenError
-	if errors.As(err, &o) {
-		return o.Step, true
-	}
-	return 0, false
-}
-
 // aggregate gathers n messages of (kind, step) and reduces them with rule,
 // which must be one of the rules the quorum was built for. A non-nil self is
 // this node's own vector, aggregated as input 0 under selfID — the
@@ -168,11 +157,9 @@ func (q *quorum) reduce(kind transport.Kind, step, n int, self tensor.Vector, se
 	}
 	senders, err = collect()
 	if err != nil && errors.Is(err, transport.ErrQuorumTimeout) && q.col.ResetRound(kind, step) {
-		gar.Discard(st)
 		senders, err = collect()
 	}
 	if err != nil {
-		gar.Discard(st)
 		return nil, nil, nil, err
 	}
 	if out, err = st.Result(); err != nil {
@@ -332,12 +319,6 @@ func RunServer(ep transport.Endpoint, cfg ServerConfig) (tensor.Vector, error) {
 		// sharded layout the aggregation streams: partial distance/median
 		// work runs while later shards are still in flight.
 		agg, err := qm.aggregate(transport.KindGradient, t, cfg.QuorumGradients, nil, "", cfg.GradRule, cfg.Suspicion)
-		if to, behind := overtaken(err); behind {
-			// The workers went on without this server: rejoin them at the
-			// step they reached, from its phase 1.
-			t = to - 1
-			continue
-		}
 		if err != nil {
 			return nil, fmt.Errorf("server %s step %d: %w", cfg.ID, t, err)
 		}
@@ -352,18 +333,7 @@ func RunServer(ep transport.Endpoint, cfg ServerConfig) (tensor.Vector, error) {
 			// included" without a loopback message — and is recycled once
 			// the contracted θ has replaced it.
 			prev := theta
-			for {
-				theta, err = qm.aggregate(transport.KindPeerParams, t, cfg.QuorumParams-1, prev, cfg.ID, cfg.ParamRule, nil)
-				to, behind := overtaken(err)
-				if !behind {
-					break
-				}
-				// The peers went on without this server: contract with
-				// them at the step they reached, and offer them its θ there.
-				t = to
-				qm.col.Advance(t)
-				broadcast(ep, cfg.Attack, cfg.View, transport.KindPeerParams, t, cfg.Peers, prev, cfg.ShardSize)
-			}
+			theta, err = qm.aggregate(transport.KindPeerParams, t, cfg.QuorumParams-1, prev, cfg.ID, cfg.ParamRule, nil)
 			if err != nil {
 				return nil, fmt.Errorf("server %s step %d: %w", cfg.ID, t, err)
 			}
@@ -475,12 +445,6 @@ func RunWorker(ep transport.Endpoint, cfg WorkerConfig) error {
 		// Phase 1: await a quorum of parameter vectors and aggregate (shard
 		// by shard, the moment each shard's quorum fills, when streaming).
 		agg, err := qm.aggregate(transport.KindParams, t, cfg.QuorumParams, nil, "", cfg.ParamRule, nil)
-		if to, behind := overtaken(err); behind {
-			// The servers went on without this worker: compute at the step
-			// they reached, whose quorum is buffered.
-			t = to - 1
-			continue
-		}
 		if err != nil {
 			return fmt.Errorf("worker %s step %d: %w", cfg.ID, t, err)
 		}

@@ -116,28 +116,6 @@ type coordStreamer struct {
 
 func newCoordStreamer(dim int) coordStreamer { return coordStreamer{dim: dim} }
 
-// discard hands back the output vector of a round given up before Result.
-func (c *coordStreamer) discard() {
-	if c.out != nil {
-		tensor.Put(c.out)
-		c.out = nil
-	}
-}
-
-// Discard hands back what st holds for a round its caller gives up before
-// Result: the output vector a coordinate-wise streamer took at its first
-// fold. Other streamers take theirs only at Result.
-func Discard(st ShardStreamer) {
-	switch s := st.(type) {
-	case *meanStreamer:
-		s.discard()
-	case *medianStreamer:
-		s.cs.discard()
-	case *trimmedStreamer:
-		s.cs.discard()
-	}
-}
-
 // claim validates one fold's range and inputs and marks the range folded.
 func (c *coordStreamer) claim(lo, hi int, inputs []tensor.Vector) error {
 	if lo < 0 || hi > c.dim || lo >= hi {

@@ -106,19 +106,6 @@ func (n *ChanNetwork) Unregister(id string) {
 	}
 }
 
-// CloseInbound stops the named endpoint accepting frames without closing
-// it: what is queued can still be received, after which Recv reports
-// closure, and a frame that arrives later is dropped and counted
-// (DroppedClosed). Unknown IDs are a no-op.
-func (n *ChanNetwork) CloseInbound(id string) {
-	n.mu.Lock()
-	ep := n.nodes[id]
-	n.mu.Unlock()
-	if ep != nil {
-		ep.box.Close()
-	}
-}
-
 // SetMailbox bounds every endpoint's inbound mailbox per sender — those
 // already registered and those yet to come. With Backpressure the sender's
 // goroutine (or the delayed-delivery timer) blocks in Put until the

@@ -37,10 +37,7 @@
 //     peak collector memory from O(q·d) to O(q·shard) and overlaps
 //     aggregation with the network receive (the aggregation side holds
 //     that bound for coordinate-wise rules; see gar.StreamingRule for
-//     Multi-Krum's retention floor). A round that a later step's full
-//     quorum overtakes is given up (OvertakenError) once its remaining
-//     senders have moved past it and nothing more has arrived, so a node
-//     that fell behind past shed frames resumes where its senders are;
+//     Multi-Krum's retention floor);
 //   - FaultInjector, seeded fault schedules (drops, duplication, reorder
 //     holds, delay spikes, step-windowed partitions) derived from pure
 //     (seed, step, sender, receiver, shard) hashes, with one schedule shared

@@ -139,26 +139,6 @@ const DefaultHorizon = 64
 // errors.Is.
 var ErrQuorumTimeout = fmt.Errorf("transport: quorum timeout")
 
-// OvertakenError is Collect's report that the node has fallen behind: a
-// full quorum of the same kind arrived for a later step, too few of the
-// senders the round still lacks can send it, and nothing more has arrived.
-// With q > f that quorum holds an honest sender that finished the round the
-// node is still in, so the deployment went on without it, and the frames
-// the round lacks will not come: a bounded mailbox or courier that
-// overflowed while the node lagged shed them, and nobody resends. The
-// caller resumes at Step, whose quorum is buffered and folds at once. Match
-// with errors.As.
-type OvertakenError struct {
-	Kind Kind
-	// From is the step the node was collecting, Step the later one that
-	// filled.
-	From, Step int
-}
-
-func (e *OvertakenError) Error() string {
-	return fmt.Sprintf("transport: %s step %d overtaken by a full quorum at step %d", e.Kind, e.From, e.Step)
-}
-
 type collectorKey struct {
 	kind Kind
 	step int
@@ -385,10 +365,7 @@ func (w waiter) recv(ep Endpoint) (m Message, ok, expired bool) {
 // returned slice is the pinned ordered membership (nil in per-shard mode);
 // it excludes selfID. Messages for other (kind, step) pairs observed while
 // waiting are buffered if current-or-near-future, dropped if stale or
-// beyond the horizon. A round the node has fallen behind on is not waited
-// out: once a later step of the same kind has q senders for every shard
-// buffered, the round can no longer fill (see stranded) and nothing more
-// has arrived, Collect returns an *OvertakenError.
+// beyond the horizon.
 func (c *Collector) Collect(kind Kind, step, q int, self tensor.Vector, selfID string,
 	pinned bool, fold ShardFold, timeout time.Duration) ([]string, error) {
 	count := c.Layout.Count()
@@ -414,41 +391,20 @@ func (c *Collector) Collect(kind Kind, step, q int, self tensor.Vector, selfID s
 	if err := c.progress(b, q, self, selfID, pinned, fold); err != nil {
 		return nil, err
 	}
-	later := -1 // the lowest later step of kind with a full quorum, once there is one
-	if b.folded < count {
-		later = c.lowestComplete(kind, step+1, q)
-	}
 	for b.folded < count {
-		var m Message
-		if later >= 0 && c.stranded(b, kind, step, q) {
-			// What has already arrived is taken before the round is given
-			// up: a sender's frames need not arrive in step order.
-			var ok bool
-			if m, ok = c.ep.Recv(0); !ok {
-				return nil, &OvertakenError{Kind: kind, From: step, Step: later}
-			}
-		} else {
-			var ok, expired bool
-			m, ok, expired = w.recv(c.ep)
-			if expired {
-				return nil, c.timeoutError(b, kind, step, q)
-			}
-			if !ok {
-				return nil, fmt.Errorf("transport: endpoint closed while collecting %s step %d (%d/%d shards)",
-					kind, step, b.folded, count)
-			}
+		m, ok, expired := w.recv(c.ep)
+		if expired {
+			return nil, c.timeoutError(b, kind, step, q)
+		}
+		if !ok {
+			return nil, fmt.Errorf("transport: endpoint closed while collecting %s step %d (%d/%d shards)",
+				kind, step, b.folded, count)
 		}
 		c.store(m, step)
-		if m.Kind != kind {
-			continue
-		}
-		if m.Step == step {
+		if m.Kind == kind && m.Step == step {
 			if err := c.progress(b, q, self, selfID, pinned, fold); err != nil {
 				return nil, err
 			}
-		} else if m.Step > step && (later < 0 || m.Step < later) &&
-			c.complete(collectorKey{kind: kind, step: m.Step}, q) {
-			later = m.Step
 		}
 	}
 	// The round is decided; late messages for it are discarded per the
@@ -518,8 +474,17 @@ func (c *Collector) CollectAny(kind Kind, minStep, q int, timeout time.Duration)
 	}
 	floor := minStep
 	w := newWaiter(timeout)
+	short := func(s shardSlot) bool { return len(s.msgs) < q }
 	for {
-		if best := c.lowestComplete(kind, floor, q); best >= 0 {
+		// Lowest already-complete step ≥ floor wins.
+		best := -1
+		for key, b := range c.buf {
+			if key.kind == kind && key.step >= floor && (best < 0 || key.step < best) &&
+				!slices.ContainsFunc(b.slots, short) {
+				best = key.step
+			}
+		}
+		if best >= 0 {
 			return best, nil
 		}
 		m, ok, expired := w.recv(c.ep)
@@ -536,75 +501,6 @@ func (c *Collector) CollectAny(kind Kind, minStep, q int, timeout time.Duration)
 		}
 		c.store(m, floor)
 	}
-}
-
-// stranded reports whether round b of (kind, step) can no longer fill: some
-// unfolded shard lacks q senders even counting every candidate that may
-// still deliver it — a legal sender (a pinned member, once pinned) not in
-// that shard yet and not already seen at a later step of kind. Over a FIFO
-// link a sender that has moved on never sends the round's frame after, so
-// its frame was lost, or it skipped the round.
-func (c *Collector) stranded(b *stepBuf, kind Kind, step, q int) bool {
-	var moved []string
-	for key, later := range c.buf {
-		if key.kind != kind || key.step <= step {
-			continue
-		}
-		for i := range later.slots {
-			for _, m := range later.slots[i].msgs {
-				if !slices.Contains(moved, m.From) {
-					moved = append(moved, m.From)
-				}
-			}
-		}
-	}
-	candidates := c.Senders[kind]
-	if b.pinned != nil {
-		candidates, q = b.pinned, len(b.pinned)
-	}
-	for i := range b.slots {
-		slot := &b.slots[i]
-		if slot.folded {
-			continue
-		}
-		can := len(slot.msgs)
-		for _, id := range candidates {
-			if _, in := slot.seen[id]; !in && !slices.Contains(moved, id) {
-				can++
-			}
-		}
-		if can < q {
-			return true
-		}
-	}
-	return false
-}
-
-// complete reports whether the round under key has q distinct senders
-// buffered for every shard.
-func (c *Collector) complete(key collectorKey, q int) bool {
-	b := c.buf[key]
-	if b == nil {
-		return false
-	}
-	for i := range b.slots {
-		if len(b.slots[i].msgs) < q {
-			return false
-		}
-	}
-	return true
-}
-
-// lowestComplete returns the lowest step ≥ floor whose round of kind is
-// complete, or -1.
-func (c *Collector) lowestComplete(kind Kind, floor, q int) int {
-	best := -1
-	for key := range c.buf {
-		if key.kind == kind && key.step >= floor && (best < 0 || key.step < best) && c.complete(key, q) {
-			best = key.step
-		}
-	}
-	return best
 }
 
 // progress folds every shard whose quorum is complete under the current

@@ -253,11 +253,6 @@ func (n *TCPNode) Recv(timeout time.Duration) (Message, bool) {
 	return n.box.Recv(timeout)
 }
 
-// CloseInbound stops the node accepting frames without closing it: what is
-// queued can still be received, after which Recv reports closure, and a
-// frame read later is dropped and counted (DroppedClosed).
-func (n *TCPNode) CloseInbound() { n.box.Close() }
-
 // Close implements Endpoint: it stops the listener, closes all connections,
 // and waits for reader goroutines to exit. Inbound frames the node never
 // received go back to the free list. Safe for concurrent callers (a

@@ -410,63 +410,6 @@ func TestCollectorBuffersFutureDropsPast(t *testing.T) {
 	}
 }
 
-// TestCollectorCatchUpReportsOvertaken: once a later step's full quorum has
-// arrived, a round that too few senders are left to fill — the others have
-// moved on to later steps — is given up, whether that quorum fills while
-// the collector waits or is already buffered when it is asked; the later
-// round then folds from the buffer without waiting. A round that can still
-// fill keeps waiting.
-func TestCollectorCatchUpReportsOvertaken(t *testing.T) {
-	net := NewChanNetwork(nil)
-	defer net.Close()
-	recv, _ := net.Register("srv")
-	eps := map[string]Endpoint{}
-	send := func(from string, step int) {
-		if eps[from] == nil {
-			ep, err := net.Register(from)
-			if err != nil {
-				t.Fatal(err)
-			}
-			eps[from] = ep
-		}
-		if err := eps[from].Send("srv", Message{Kind: KindParams, Step: step, Vec: tensor.Vector{float64(step)}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c := wholeCollector(recv, 1, "a", "b", "c")
-	// Step 0 gets one of its two frames; the other two senders fill step 1.
-	send("a", 0)
-	send("b", 1)
-	send("c", 1)
-	var over *OvertakenError
-	if _, err := collect(c, KindParams, 0, 2, time.Second); !errors.As(err, &over) || over.From != 0 || over.Step != 1 {
-		t.Fatalf("collect step 0: %v, want it overtaken by step 1", err)
-	}
-	// Step 3 is full before step 2 is asked for.
-	send("b", 3)
-	send("c", 3)
-	c.Advance(2)
-	if _, err := collect(c, KindGradient, 2, 1, 50*time.Millisecond); !errors.Is(err, ErrQuorumTimeout) {
-		t.Fatalf("another kind's round: %v, want a timeout", err) // pulls step 3 into the buffer
-	}
-	if _, err := collect(c, KindParams, 2, 2, time.Second); !errors.As(err, &over) || over.From != 2 || over.Step != 3 {
-		t.Fatalf("collect step 2: %v, want it overtaken by step 3", err)
-	}
-	c.Advance(3)
-	msgs, err := collect(c, KindParams, 3, 2, 0)
-	if err != nil || len(msgs) != 2 || msgs[0].Vec[0] != 3 {
-		t.Fatalf("collect step 3 from the buffer: %v %+v", err, msgs)
-	}
-	// Step 5 fills while step 4 has one frame and one sender that has not
-	// moved on: step 4 can still fill, so it waits.
-	send("a", 4)
-	send("b", 5)
-	send("a", 5)
-	if _, err := collect(c, KindParams, 4, 2, 50*time.Millisecond); !errors.Is(err, ErrQuorumTimeout) {
-		t.Fatalf("collect step 4: %v, want a timeout", err)
-	}
-}
-
 func TestCollectorAdvanceDropsStale(t *testing.T) {
 	net := NewChanNetwork(nil)
 	defer net.Close()
