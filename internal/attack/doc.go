@@ -27,7 +27,9 @@
 // each distinct attack at most once per message kind and step, into one
 // free-list vector every colluder of that kind sends. The simulator hands
 // it back once a round's receivers have aggregated; a SharedView keeps it
-// in its step window, with the honest copies, and hands both back at Close.
+// with the step's honest copies and hands both back once every colluder
+// has passed the step (SharedView.Pass), or at Close for a step some
+// colluder never passed.
 // Multi-process deployments run without a view (an adversary spanning OS
 // processes would need its own covert channel), in which case omniscient
 // attacks degrade to their documented local-knowledge fallbacks.

@@ -148,7 +148,7 @@ func TestColludersCraftOncePerKind(t *testing.T) {
 			t.Fatalf("%s: after two Releases the ledger stands at %d; want each crafted vector handed back once", name, moved())
 		}
 
-		shared := NewSharedView(1, 1)
+		shared := NewSharedView(1, 1, 1)
 		if got := shared.Craft(a, 1, 0); got != nil {
 			t.Fatalf("%s: a SharedView crafted before any honest vector was published", name)
 		}
@@ -311,7 +311,7 @@ func TestSlowDriftGrowsLinearly(t *testing.T) {
 }
 
 func TestSharedViewPublishSnapshot(t *testing.T) {
-	v := NewSharedView(2, 3)
+	v := NewSharedView(2, 3, 3)
 	if got := v.Snapshot(0); len(got.Honest()) != 0 {
 		t.Fatal("fresh view should be empty")
 	}

@@ -20,8 +20,8 @@ import (
 // are produced, so a concurrently-running Byzantine node may see only the
 // subset already available — omniscience degraded by real asynchrony. A
 // view is read only while Omniscient.Craft runs: the live runtimes recycle
-// its vectors at the end of a run (SharedView.Close), so an attack that
-// keeps a value past that copies it.
+// its vectors once every colluder has passed the step (SharedView.Pass), so
+// an attack that keeps a value past that copies it.
 type ClusterView interface {
 	// Step is the protocol step the view belongs to.
 	Step() int
@@ -145,43 +145,78 @@ const sharedViewWindow = 16
 // concurrently, that set may be partial — the faithful "arbitrarily fast
 // but not clairvoyant" adversary.
 //
-// The copies and the crafted vectors come from the tensor free list. A step
-// leaving the window is left to the garbage collector, since a colluder may
+// The copies and the crafted vectors come from the tensor free list. Every
+// node that crafts from the view passes each step once it has sent its last
+// vector of it (Pass); when the last of them has passed a step, nothing
+// reads that step or any earlier one again, and they go back. A step whose
+// crafters do not all pass it (one crashed or failed) stays until it leaves
+// the window, when it is left to the garbage collector, since a colluder may
 // still be reading or sending from it; what the window holds at the end of
 // the run goes back at Close.
 type SharedView struct {
 	f         int
 	colluders int
+	crafters  int
 
 	mu    sync.Mutex
 	steps map[int]*viewStep
+	// done is the first step not yet retired: every crafter has passed
+	// each step below it.
+	done int
 }
 
-// viewStep is one step of a SharedView: the honest copies published so far
-// and what the colluders crafted from them.
+// viewStep is one step of a SharedView: the honest copies published so far,
+// what the colluders crafted from them, and how many crafters passed it.
 type viewStep struct {
 	honest []tensor.Vector
 	crafts Crafts
+	passed int
+}
+
+// release hands the step's copies and crafted vectors back to the free list.
+func (w *viewStep) release() {
+	for _, v := range w.honest {
+		tensor.Put(v)
+	}
+	w.crafts.Release()
 }
 
 // NewSharedView builds an empty view for one message class (gradients or
-// parameter vectors) with the population's declared bound f and the number
-// of colluding Byzantine senders.
-func NewSharedView(f, colluders int) *SharedView {
-	return &SharedView{f: f, colluders: colluders, steps: make(map[int]*viewStep)}
+// parameter vectors) with the population's declared bound f, the number of
+// colluding Byzantine senders, and how many of them craft from the view and
+// pass each step (see Pass).
+func NewSharedView(f, colluders, crafters int) *SharedView {
+	return &SharedView{f: f, colluders: colluders, crafters: crafters, steps: make(map[int]*viewStep)}
 }
 
-// Publish records a copy of one honest node's vector for the given step.
-func (s *SharedView) Publish(step int, vec tensor.Vector) {
-	cp := tensor.Get(len(vec))
-	copy(cp, vec)
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// at returns step's entry, creating it. Caller holds mu.
+func (s *SharedView) at(step int) *viewStep {
 	w := s.steps[step]
 	if w == nil {
 		w = new(viewStep)
 		s.steps[step] = w
 	}
+	return w
+}
+
+// Publish records a copy of one honest node's vector for the given step. A
+// step every crafter has already passed gets no copy.
+func (s *SharedView) Publish(step int, vec tensor.Vector) {
+	s.mu.Lock()
+	late := step < s.done
+	s.mu.Unlock()
+	if late {
+		return
+	}
+	cp := tensor.Get(len(vec))
+	copy(cp, vec)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if step < s.done { // the last crafter passed it while we copied
+		tensor.Put(cp)
+		return
+	}
+	w := s.at(step)
 	w.honest = append(w.honest, cp)
 	for old := range s.steps {
 		if old < step-sharedViewWindow {
@@ -204,8 +239,9 @@ func (s *SharedView) Snapshot(step int) ClusterView {
 
 // Craft returns the vector a's colluders send in kind at step: crafted by
 // the first of them to find an honest vector published for the step, from
-// the snapshot it finds, and kept in the step's window. It returns nil while
-// nothing is published for the step, and on a nil view.
+// the snapshot it finds, and kept until every crafter has passed the step.
+// It returns nil while nothing is published for the step, and on a nil
+// view.
 func (s *SharedView) Craft(a Omniscient, kind uint8, step int) tensor.Vector {
 	if s == nil {
 		return nil
@@ -219,10 +255,38 @@ func (s *SharedView) Craft(a Omniscient, kind uint8, step int) tensor.Vector {
 	return w.crafts.Get(a, kind, s.Snapshot(step))
 }
 
-// Close hands every copy and crafted vector still in the window back to the
-// free list. The caller guarantees that nothing reads the view any more:
-// the live launcher closes its views once every node loop has returned.
-// Closing a nil view does nothing.
+// Pass records that one crafter has sent its last vector of step, so it
+// reads nothing of that step or any earlier one again: crafters pass their
+// steps in order, each step once. When the last crafter has passed step,
+// its copies and crafted vectors go back to the free list with those of
+// every earlier step still held, and a later Publish into any of them
+// copies nothing. Passing on a nil view does nothing.
+func (s *SharedView) Pass(step int) {
+	if s == nil {
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if step < s.done {
+		return
+	}
+	w := s.at(step)
+	if w.passed++; w.passed < s.crafters {
+		return
+	}
+	for t, w := range s.steps {
+		if t <= step {
+			w.release()
+			delete(s.steps, t)
+		}
+	}
+	s.done = step + 1
+}
+
+// Close hands every copy and crafted vector still held back to the free
+// list. The caller guarantees that nothing reads the view any more: the live
+// launcher closes its views once every node loop has returned. Closing a nil
+// view does nothing.
 func (s *SharedView) Close() {
 	if s == nil {
 		return
@@ -230,10 +294,7 @@ func (s *SharedView) Close() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, w := range s.steps {
-		for _, v := range w.honest {
-			tensor.Put(v)
-		}
-		w.crafts.Release()
+		w.release()
 	}
 	clear(s.steps)
 }

@@ -508,8 +508,8 @@ func RunLiveContext(ctx context.Context, cfg LiveConfig) (*LiveResult, error) {
 	}
 	loops.Wait()
 	// No loop reads or sends from the adversary's views any more: the
-	// copies and crafted vectors still in their windows go back to the
-	// free list.
+	// copies and crafted vectors of steps some colluder never passed go
+	// back to the free list.
 	p.serverView.Close()
 	p.workerView.Close()
 	m.close() // also settles in-flight delayed deliveries before the counters are read
@@ -622,20 +622,23 @@ func runChurnServer(network *transport.ChanNetwork, sep transport.Endpoint, scfg
 // multi-process deployments run without (see ServerConfig.View).
 func AdversaryViews(fServers int, serverAttacks map[int]attack.Attack,
 	fWorkers int, workerAttacks map[int]attack.Attack) (serverView, workerView *attack.SharedView) {
-	if anyOmniscient(serverAttacks) {
-		serverView = attack.NewSharedView(fServers, len(serverAttacks))
+	if n := omniscient(serverAttacks); n > 0 {
+		serverView = attack.NewSharedView(fServers, len(serverAttacks), n)
 	}
-	if anyOmniscient(workerAttacks) {
-		workerView = attack.NewSharedView(fWorkers, len(workerAttacks))
+	if n := omniscient(workerAttacks); n > 0 {
+		workerView = attack.NewSharedView(fWorkers, len(workerAttacks), n)
 	}
 	return serverView, workerView
 }
 
-func anyOmniscient(attacks map[int]attack.Attack) bool {
+// omniscient counts the nodes whose attack crafts from a view: each of them
+// passes every step it finishes (attack.SharedView.Pass).
+func omniscient(attacks map[int]attack.Attack) int {
+	n := 0
 	for _, a := range attacks {
 		if _, ok := a.(attack.Omniscient); ok {
-			return true
+			n++
 		}
 	}
-	return false
+	return n
 }

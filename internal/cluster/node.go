@@ -206,9 +206,12 @@ type ServerConfig struct {
 	// view per message class; multi-process deployments leave it nil (an
 	// adversary spanning processes would need its own covert channel), in
 	// which case omniscient attacks degrade to their local-knowledge
-	// fallback. Whoever built the view closes it after every loop sharing it
-	// has returned (RunLiveContext does), or leaves its vectors to the
-	// garbage collector.
+	// fallback. A Byzantine server running an attack.Omniscient passes
+	// each step on the view once its phase-3 broadcast is out, which hands
+	// the step back when it is the view's last crafter to do so (see
+	// attack.SharedView.Pass). Whoever built the view closes it after every
+	// loop sharing it has returned (RunLiveContext does), or leaves what a
+	// failed crafter never passed to the garbage collector.
 	View *attack.SharedView
 	// Suspicion, when non-nil and GradRule is selective (e.g. Multi-Krum),
 	// accumulates which workers' gradients the rule excluded each round —
@@ -304,6 +307,7 @@ func RunServer(ep transport.Endpoint, cfg ServerConfig) (tensor.Vector, error) {
 		}
 	}
 
+	_, crafts := cfg.Attack.(attack.Omniscient)
 	for t := start; t < cfg.Steps; t++ {
 		qm.col.Advance(t)
 
@@ -338,6 +342,9 @@ func RunServer(ep transport.Endpoint, cfg ServerConfig) (tensor.Vector, error) {
 				return nil, fmt.Errorf("server %s step %d: %w", cfg.ID, t, err)
 			}
 			tensor.Put(prev)
+		}
+		if crafts {
+			cfg.View.Pass(t) // this server sends nothing more of step t
 		}
 		if cfg.Checkpoint != nil && cfg.Checkpoint.Every > 0 && (t+1)%cfg.Checkpoint.Every == 0 {
 			ckpt := Checkpoint{ID: cfg.ID, Step: t, Theta: theta, Horizon: qm.col.Horizon}
@@ -381,7 +388,8 @@ type WorkerConfig struct {
 	Attack attack.Attack
 	// View mirrors ServerConfig.View for the gradient message class:
 	// honest workers publish their gradient each step, omniscient
-	// Byzantine workers craft from the set published so far.
+	// Byzantine workers craft from the set published so far and pass the
+	// step once their gradient broadcast is out.
 	View *attack.SharedView
 	// ShardSize mirrors ServerConfig.ShardSize for the worker's traffic.
 	ShardSize int
@@ -440,6 +448,7 @@ func RunWorker(ep transport.Endpoint, cfg WorkerConfig) error {
 		map[transport.Kind][]string{transport.KindParams: cfg.Servers}, cfg.ParamRule)
 	defer qm.col.Advance(math.MaxInt) // what the run left buffered goes back
 
+	_, crafts := cfg.Attack.(attack.Omniscient)
 	for t := 0; t < cfg.Steps; t++ {
 		qm.col.Advance(t)
 		// Phase 1: await a quorum of parameter vectors and aggregate (shard
@@ -469,6 +478,9 @@ func RunWorker(ep transport.Endpoint, cfg WorkerConfig) error {
 		}
 		broadcast(ep, cfg.Attack, cfg.View, transport.KindGradient, t, cfg.Servers, grad, cfg.ShardSize)
 		tensor.Put(grad) // the broadcast only borrowed it
+		if crafts {
+			cfg.View.Pass(t)
+		}
 		h.StepDone(t)
 	}
 	h.MarkDone()

@@ -55,21 +55,28 @@
 //	nn.Sequential.GradVector (a gradient)     cluster.RunWorker after its last send;
 //	                                            nn.BatchGradient for the chunk
 //	                                            gradients it folded
-//	attack.SharedView.Publish (the            SharedView.Close, which the launcher
-//	  adversary's copy of an honest θ or        calls once the run's loops returned,
-//	  gradient)                                 for what is still in the 16-step
-//	                                            window (older steps go to the GC)
+//	attack.SharedView.Publish (the            SharedView.Pass, by the last of the
+//	  adversary's copy of an honest θ or        omniscient colluders to finish the
+//	  gradient; none for a step every           step (cluster.RunWorker after its
+//	  colluder has passed)                      gradient broadcast, RunServer after
+//	                                            phase 3), with every earlier step
+//	                                            still held; what no such pass
+//	                                            reached, SharedView.Close once the
+//	                                            run's loops returned, for what is
+//	                                            still in the 16-step window (older
+//	                                            steps go to the GC)
 //	attack.Crafts (the one vector every       the simulator's round once its
 //	  colluder of an omniscient attack          receivers aggregated; in the live
-//	  sends in one message kind and step)       runtime SharedView.Close, like the
-//	                                            honest copies of its window
+//	  sends in one message kind and step)       runtime with its step's honest
+//	                                            copies, as above
 //	an omniscient attack's fallback           cluster.broadcast once sent
 //
 // Never returned: a per-shard view of a whole-vector message (the whole is,
 // once), a frame whose length the collector's layout does not produce or,
 // released by a transport, no existing class has (Reclaim creates none),
 // the chunk frames a one-shard collector joined, a vector a failed read
-// left half-filled, a SharedView step that left its window, the θ
+// left half-filled, a SharedView step that left its window before every
+// colluder passed it (one crashed or failed), the θ
 // RunServer returns, and anything whose owner simply drops it — the simulator,
 // every Rule.Aggregate caller. Those fall to the garbage collector exactly
 // as before; Get is then make.

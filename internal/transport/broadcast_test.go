@@ -447,9 +447,9 @@ func (r *refusing) Send(to string, m Message) error {
 }
 
 // TestReadMessageWarmCompressedBufferSkipsStaging: a compressed frame whose
-// payload fits the buffer the caller brought is read straight into it — only
-// the sender ID goes through scratch — and a cold buffer still pays for one
-// staged chunk first.
+// payload fits the buffer the caller brought is read straight into it, and
+// a cold buffer is committed only once the first chunk has landed — a frame
+// cut inside that chunk commits nothing.
 func TestReadMessageWarmCompressedBufferSkipsStaging(t *testing.T) {
 	const dim = 16384 // a 64 KiB float32 payload: the benchmark's chunk frame
 	sent := Message{From: "wrk3", Kind: KindGradient, Step: 4, Vec: awkwardVec(dim),
@@ -459,10 +459,9 @@ func TestReadMessageWarmCompressedBufferSkipsStaging(t *testing.T) {
 	}
 	frame := mustEncode(t, sent)
 
-	var scratch []byte
 	warm := make([]byte, 0, 4*dim)
 	got := Message{Comp: CompMeta{Data: warm}}
-	if err := ReadMessage(bytes.NewReader(frame), &scratch, &got); err != nil {
+	if err := ReadMessage(chunkReader(frame), nil, &got); err != nil {
 		t.Fatal(err)
 	}
 	if got.From != sent.From || got.Kind != sent.Kind || got.Step != sent.Step || got.Shard != sent.Shard ||
@@ -472,20 +471,18 @@ func TestReadMessageWarmCompressedBufferSkipsStaging(t *testing.T) {
 	if &got.Comp.Data[0] != &warm[:1][0] {
 		t.Fatal("the payload did not land in the caller's buffer")
 	}
-	if cap(scratch) >= readChunkBytes/2 {
-		t.Fatalf("scratch grew to %d bytes: the payload was staged", cap(scratch))
-	}
-	err := ReadMessage(bytes.NewReader(frame[:len(frame)-1]), &scratch, &Message{Comp: CompMeta{Data: warm}})
+	err := ReadMessage(chunkReader(frame[:len(frame)-1]), nil, &Message{Comp: CompMeta{Data: warm}})
 	if !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("truncated frame into a warm buffer: err = %v, want io.ErrUnexpectedEOF", err)
 	}
 
 	var cold Message
-	if err := ReadMessage(bytes.NewReader(frame), &scratch, &cold); err != nil {
-		t.Fatal(err)
+	err = ReadMessage(chunkReader(frame[:readChunkBytes/2]), nil, &cold)
+	if !errors.Is(err, io.ErrUnexpectedEOF) || cap(cold.Comp.Data) != 0 {
+		t.Fatalf("a frame cut inside its first chunk: err = %v, %d bytes committed; want io.ErrUnexpectedEOF and none",
+			err, cap(cold.Comp.Data))
 	}
-	if !bytes.Equal(cold.Comp.Data, sent.Comp.Data) || cap(scratch) < readChunkBytes/2 {
-		t.Fatalf("cold buffer: payload equal = %v, scratch %d bytes; want the first chunk staged",
-			bytes.Equal(cold.Comp.Data, sent.Comp.Data), cap(scratch))
+	if err := ReadMessage(chunkReader(frame), nil, &cold); err != nil || !bytes.Equal(cold.Comp.Data, sent.Comp.Data) {
+		t.Fatalf("cold buffer: err = %v, payload equal = %v", err, bytes.Equal(cold.Comp.Data, sent.Comp.Data))
 	}
 }

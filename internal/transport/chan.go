@@ -51,8 +51,18 @@ type ChanNetwork struct {
 	handles map[string]*metrics.NodeMetrics
 	delay   DelayFunc
 	mbox    MailboxConfig
+	// pending holds the delayed deliveries whose timers have not fired;
+	// timers counts those not yet resolved, fired or stopped.
+	pending map[*delayed]struct{}
 	timers  sync.WaitGroup
 	closed  bool
+}
+
+// delayed is one delivery waiting out its delay.
+type delayed struct {
+	t   *time.Timer
+	m   Message
+	dst *Mailbox
 }
 
 // NewChanNetwork builds an empty network. delay may be nil.
@@ -61,6 +71,7 @@ func NewChanNetwork(delay DelayFunc) *ChanNetwork {
 		nodes:   make(map[string]*chanEndpoint),
 		handles: make(map[string]*metrics.NodeMetrics),
 		delay:   delay,
+		pending: make(map[*delayed]struct{}),
 	}
 }
 
@@ -147,9 +158,11 @@ func (n *ChanNetwork) Metrics(id string) *metrics.NodeMetrics {
 	return n.handle(id)
 }
 
-// Close shuts down every endpoint and waits for in-flight delayed deliveries
-// to resolve. Frames no node received — still queued, or delivered after
-// the close — go back to the free list (see Mailbox.Put).
+// Close shuts down every endpoint, then stops the timers of delayed
+// deliveries, whose frames it drops on their shut mailboxes, and waits for
+// those already firing. Frames no node received — still queued, still
+// delayed, or delivered after the close — go back to the free list (see
+// Mailbox.Put).
 func (n *ChanNetwork) Close() error {
 	n.mu.Lock()
 	if n.closed {
@@ -162,9 +175,17 @@ func (n *ChanNetwork) Close() error {
 		//lint:allow-maporder close order across endpoints is immaterial
 		nodes = append(nodes, ep)
 	}
+	pending := n.pending
+	n.pending = nil
 	n.mu.Unlock()
 	for _, ep := range nodes {
 		ep.box.shut()
+	}
+	for d := range pending {
+		if d.t.Stop() {
+			d.dst.Put(d.m) // dropped on the shut mailbox, as if it had fired
+			n.timers.Done()
+		}
 	}
 	n.timers.Wait()
 	return nil
@@ -192,9 +213,23 @@ func (n *ChanNetwork) deliver(from, to string, m Message) error {
 		dst.box.Put(m)
 		return nil
 	}
+	dl := &delayed{m: m, dst: dst.box}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.closed {
+		m.Release()
+		return fmt.Errorf("transport: network closed")
+	}
+	n.pending[dl] = struct{}{}
 	n.timers.Add(1)
-	time.AfterFunc(d, func() {
+	// The timer is set under mu, which its function takes before anything
+	// else: Close finds dl.t set, and waits for a function its Stop came
+	// too late for.
+	dl.t = time.AfterFunc(d, func() {
 		defer n.timers.Done()
+		n.mu.Lock()
+		delete(n.pending, dl)
+		n.mu.Unlock()
 		dst.box.Put(m)
 	})
 	return nil

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -81,7 +82,7 @@ import (
 // reader directly into that destination, which — when m brings no capacity,
 // as in the TCP read loop — it takes from the vector free list (tensor.Get)
 // and hands to m's owner. Neither the input buffer, nor the reader's own
-// buffers, nor the scratch buffer is ever retained: decoded messages alias
+// buffer, nor a scratch buffer is ever retained: decoded messages alias
 // nothing.
 //
 // # Hardening
@@ -90,13 +91,13 @@ import (
 // coordinates — or shard/compression extension fields outside their limits
 // — are rejected before any allocation. Within the limits ReadMessage
 // commits memory only as body bytes actually arrive: the first body chunk
-// (readChunkBytes) is staged through the scratch buffer, and the
-// destination is committed only once it has landed — exact-size (and from
-// the free list, which grows no size class on a reader's behalf) up to
-// preallocCoords, geometrically (at most twice the bytes received so far)
-// beyond. A Byzantine peer therefore cannot make a receiver reserve memory
-// it never pays for in traffic: a header alone pins at most one staging
-// chunk. Truncated frames surface as io.ErrUnexpectedEOF from ReadMessage
+// (readChunkBytes) is parsed where it lies in the connection's buffered
+// reader, and the destination is committed only once it has landed —
+// exact-size (and from the free list, which grows no size class on a
+// reader's behalf) up to preallocCoords, geometrically (at most twice the
+// bytes received so far) beyond. A Byzantine peer therefore cannot make a
+// receiver reserve memory it never pays for in traffic: a header alone pins
+// nothing beyond the reader the connection holds anyway. Truncated frames surface as io.ErrUnexpectedEOF from ReadMessage
 // and ErrShortFrame from DecodeMessage.
 const (
 	// FrameHeaderSize is the fixed frame header length in bytes.
@@ -371,18 +372,19 @@ func DecodeMessage(data []byte, m *Message) (int, error) {
 }
 
 // readChunkBytes is the size of a frame's FIRST body chunk — sender ID plus
-// the leading payload bytes — the only part of a body ReadMessage stages
-// through its scratch buffer. Everything after it is read straight into the
-// destination (see ReadMessage). preallocCoords is the largest declared
-// payload that gets an exact-size allocation (16 MiB — the paper's
-// 1,756,426-coordinate model fits with room to spare, so honest traffic
-// never pays regrowth copies); larger declarations grow geometrically
-// instead. Either way nothing is allocated until the first chunk has
-// actually been read, so a receiver's memory tracks what a peer SENDS, not
-// what its 15-byte header CLAIMS: a header alone pins one staging chunk,
-// and pinning the 16 MiB prealloc costs the attacker that chunk in real
-// traffic (256× amplification at worst, per connection, bounded — versus
-// the unbounded claim-only reservation a trusting reader would make).
+// the leading payload bytes — the only part of a body ReadMessage reads in
+// the reader's own buffer before committing a destination; everything after
+// it is read straight into the destination (see ReadMessage).
+// preallocCoords is the largest declared payload that gets an exact-size
+// allocation (16 MiB — the paper's 1,756,426-coordinate model fits with room
+// to spare, so honest traffic never pays regrowth copies); larger
+// declarations grow geometrically instead. Either way nothing is allocated
+// until the first chunk has actually been read, so a receiver's memory
+// tracks what a peer SENDS, not what its 15-byte header CLAIMS: a header
+// alone pins nothing beyond the connection's reader, and pinning the 16 MiB
+// prealloc costs the attacker that chunk in real traffic (256×
+// amplification at worst, per connection, bounded — versus the unbounded
+// claim-only reservation a trusting reader would make).
 const (
 	readChunkBytes = 1 << 16
 	preallocCoords = 1 << 21
@@ -390,37 +392,103 @@ const (
 	maxFrameHeadSize = FrameHeaderSize + ShardHeaderSize + CompHeaderSize
 )
 
-// ReadMessage reads one frame from r into m. Header, extensions and the
-// first body chunk are staged through *scratch (pass the same pointer
-// across calls; it never grows beyond readChunkBytes); once that chunk has
-// landed the destination is committed and the rest of the payload is read
-// directly into it — m.Vec's own memory on a little-endian host, m.Comp.Data
-// for a compressed frame — so a payload byte is copied once out of the
-// reader, not staged and decoded. Steady-state reads take only the payload
-// the receiver keeps, from the free list, and nothing when m's capacity
-// suffices; a compressed frame that fits m.Comp.Data's capacity commits
-// nothing, so only its sender ID is staged and the whole payload is read
-// into place.
+// frameReader is what a frame is read through: a *bufio.Reader whose buffer
+// holds at least one chunk (readChunkBytes) — the TCP read loop's — or, for
+// any other reader, a stage. Header, extensions and the first body chunk
+// are looked at in place (Peek) and then consumed (Discard), as is each
+// chunk of the portable payload path; the rest of a payload is Read
+// straight into its destination.
+type frameReader interface {
+	io.Reader
+	Peek(n int) ([]byte, error)
+	Discard(n int) (int, error)
+}
+
+// ReadMessage reads one frame from r into m. A *bufio.Reader of at least
+// one chunk (readChunkBytes) is read through its own buffer, and scratch
+// goes unused (it may be nil); any other reader is staged through *scratch
+// (pass the same pointer across calls; it never grows beyond one chunk).
+// Header, extensions and the first body chunk are parsed where they lie;
+// once that chunk has landed the destination is committed and the rest of
+// the payload is read directly into it — m.Vec's own memory on a
+// little-endian host, m.Comp.Data for a compressed frame — so a payload
+// byte is copied once out of the reader, not staged and decoded.
+// Steady-state reads take only the payload the receiver keeps, from the
+// free list, and nothing when m's capacity suffices.
 // Truncated streams return io.ErrUnexpectedEOF; a clean close before the
 // first header byte returns io.EOF. After an error m's payload is
-// unspecified (but still aliases neither r nor *scratch).
+// unspecified (but still aliases neither r's buffer nor *scratch).
 func ReadMessage(r io.Reader, scratch *[]byte, m *Message) error {
-	return readMessage(r, scratch, m, tensor.NativeLE())
+	var fr frameReader
+	if br, ok := r.(*bufio.Reader); ok && br.Size() >= readChunkBytes {
+		fr = br
+	} else {
+		fr = &stage{r: r, buf: scratch}
+	}
+	return readMessage(fr, m, tensor.NativeLE())
+}
+
+// stage gives a reader without a buffer of its own the frameReader methods,
+// holding what is peeked in *buf: each Peek reads only what it asks for
+// beyond what is held, so nothing past the frame leaves r.
+type stage struct {
+	r    io.Reader
+	buf  *[]byte
+	held int // bytes of *buf peeked and not yet discarded
+}
+
+func (s *stage) Peek(n int) ([]byte, error) {
+	if cap(*s.buf) < n {
+		grown := make([]byte, n)
+		copy(grown, (*s.buf)[:s.held])
+		*s.buf = grown
+	}
+	b := (*s.buf)[:n]
+	k, err := io.ReadFull(s.r, b[s.held:])
+	s.held += k
+	return b[:s.held], err
+}
+
+func (s *stage) Discard(n int) (int, error) {
+	s.held = copy(*s.buf, (*s.buf)[n:s.held])
+	return n, nil
+}
+
+func (s *stage) Read(p []byte) (int, error) {
+	if s.held > 0 {
+		k := copy(p, (*s.buf)[:s.held])
+		s.Discard(k)
+		return k, nil
+	}
+	return s.r.Read(p)
+}
+
+// take consumes the next n bytes of r and returns them; they stay valid
+// until r is next called. A stream that ends first is io.ErrUnexpectedEOF:
+// the header already committed it to a body.
+func take(r frameReader, n int) ([]byte, error) {
+	b, err := r.Peek(n)
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil {
+		return nil, err
+	}
+	_, err = r.Discard(n)
+	return b, err
 }
 
 // readMessage is ReadMessage with the payload path explicit: direct reads
 // the remainder of a raw payload into m.Vec's memory (little-endian hosts
-// only); otherwise every chunk is staged through *scratch and decoded per
+// only); otherwise every chunk is taken in r's buffer and decoded per
 // coordinate — the path a big-endian host takes, exercised directly by the
 // tests on any host.
-func readMessage(r io.Reader, scratch *[]byte, m *Message, direct bool) error {
-	// The header is staged too: a stack array would escape through the
-	// io.Reader interface and cost an allocation per frame.
-	if cap(*scratch) < maxFrameHeadSize {
-		*scratch = make([]byte, maxFrameHeadSize)
-	}
-	hdr := (*scratch)[:FrameHeaderSize]
-	if _, err := io.ReadFull(r, hdr); err != nil {
+func readMessage(r frameReader, m *Message, direct bool) error {
+	hdr, err := r.Peek(FrameHeaderSize)
+	if err != nil {
+		if err == io.EOF && len(hdr) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
 		return err
 	}
 	step, fromLen, vecLen, err := frameExtent(hdr)
@@ -429,23 +497,27 @@ func readMessage(r io.Reader, scratch *[]byte, m *Message, direct bool) error {
 	}
 	kind := Kind(hdr[0] &^ byte(kindFlagMask))
 	chunked, compressed := hdr[0]&chunkFlag != 0, hdr[0]&compFlag != 0
+	headLen := FrameHeaderSize
+	if chunked {
+		headLen += ShardHeaderSize
+	}
+	if compressed {
+		headLen += CompHeaderSize
+	}
+	head, err := take(r, headLen)
+	if err != nil {
+		return err
+	}
 	var shard ShardMeta
 	if chunked {
-		ext := (*scratch)[:ShardHeaderSize]
-		if err := readFull(r, ext); err != nil {
-			return err
-		}
-		if shard, err = shardExtent(ext, vecLen); err != nil {
+		if shard, err = shardExtent(head[FrameHeaderSize:], vecLen); err != nil {
 			return err
 		}
 	}
 	var scheme uint8
 	payloadBytes := 8 * vecLen
 	if compressed {
-		ext := (*scratch)[:CompHeaderSize]
-		if err := readFull(r, ext); err != nil {
-			return err
-		}
+		ext := head[headLen-CompHeaderSize:]
 		scheme = ext[0]
 		payloadBytes = int(binary.LittleEndian.Uint32(ext[1:]))
 		if err := checkCompMeta(scheme, vecLen, payloadBytes); err != nil {
@@ -454,38 +526,29 @@ func readMessage(r io.Reader, scratch *[]byte, m *Message, direct bool) error {
 	}
 
 	// First chunk: sender ID plus as much payload as fits beside it, whole
-	// coordinates only. This is all a header can make the receiver commit.
+	// coordinates only. Nothing is committed before it has landed.
 	first := (readChunkBytes - fromLen) &^ 7
 	if first > payloadBytes {
 		first = payloadBytes
 	}
-	if compressed && cap(m.Comp.Data) >= payloadBytes {
-		// The caller's buffer already holds a payload this size (a read loop
-		// reuses one per connection): nothing is committed for this frame, so
-		// nothing of it needs staging — it is read straight into place below.
-		first = 0
-	}
-	if cap(*scratch) < fromLen+first {
-		*scratch = make([]byte, fromLen+first)
-	}
-	buf := (*scratch)[:cap(*scratch)]
-	if err := readFull(r, buf[:fromLen+first]); err != nil {
+	body, err := take(r, fromLen+first)
+	if err != nil {
 		return err
 	}
-	if from := buf[:fromLen]; string(from) != m.From {
+	if from := body[:fromLen]; string(from) != m.From {
 		m.From = string(from)
 	}
 	m.Kind = kind
 	m.Step = step
 	m.Shard = shard
-	head := buf[fromLen : fromLen+first]
+	body = body[fromLen:]
 
 	if compressed {
 		data := m.Comp.Data[:0]
 		if cap(data) < payloadBytes {
 			data = make([]byte, 0, commitCap(first, payloadBytes, 8*preallocCoords))
 		}
-		data = append(data, head...)
+		data = append(data, body...)
 		for len(data) < payloadBytes {
 			if len(data) == cap(data) {
 				data = append(make([]byte, 0, commitCap(len(data), payloadBytes, 8*preallocCoords)), data...)
@@ -517,7 +580,7 @@ func readMessage(r io.Reader, scratch *[]byte, m *Message, direct bool) error {
 		}
 	}
 	vec = vec[:first/8]
-	tensor.DecodeLE(vec, head)
+	tensor.DecodeLE(vec, body)
 	for filled := len(vec); filled < vecLen; {
 		if filled == cap(vec) {
 			vec = append(make([]float64, 0, commitCap(filled, vecLen, preallocCoords)), vec...)
@@ -526,10 +589,10 @@ func readMessage(r io.Reader, scratch *[]byte, m *Message, direct bool) error {
 		if direct {
 			err = readFull(r, tensor.Bytes(vec[filled:next]))
 		} else {
-			next = min(next, filled+len(buf)/8)
-			stage := buf[:8*(next-filled)]
-			if err = readFull(r, stage); err == nil {
-				tensor.DecodeLE(vec[filled:next], stage)
+			next = min(next, filled+readChunkBytes/8)
+			var chunk []byte
+			if chunk, err = take(r, 8*(next-filled)); err == nil {
+				tensor.DecodeLE(vec[filled:next], chunk)
 			}
 		}
 		if err != nil {

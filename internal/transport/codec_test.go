@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -49,15 +50,23 @@ func TestCodecTruncatedFrameRejected(t *testing.T) {
 			t.Fatalf("cut %d: DecodeMessage err = %v, want ErrShortFrame", cut, err)
 		}
 		var scratch []byte
-		err := ReadMessage(bytes.NewReader(frame[:cut]), &scratch, &got)
-		if cut == 0 {
-			if err != io.EOF {
-				t.Fatalf("empty stream: err = %v, want io.EOF", err)
+		for source, r := range map[string]io.Reader{"in place": chunkReader(frame[:cut]), "staged": bytes.NewReader(frame[:cut])} {
+			err := ReadMessage(r, &scratch, &got)
+			if cut == 0 {
+				if err != io.EOF {
+					t.Fatalf("%s, empty stream: err = %v, want io.EOF", source, err)
+				}
+			} else if !errors.Is(err, io.ErrUnexpectedEOF) {
+				t.Fatalf("%s, cut %d: ReadMessage err = %v, want io.ErrUnexpectedEOF", source, cut, err)
 			}
-		} else if !errors.Is(err, io.ErrUnexpectedEOF) {
-			t.Fatalf("cut %d: ReadMessage err = %v, want io.ErrUnexpectedEOF", cut, err)
 		}
 	}
+}
+
+// chunkReader is the reader ReadMessage gets in the TCP read loop: a
+// bufio.Reader of one chunk, here over data.
+func chunkReader(data []byte) *bufio.Reader {
+	return bufio.NewReaderSize(bytes.NewReader(data), readChunkBytes)
 }
 
 // Oversized declared lengths must be rejected from the 15-byte header
@@ -73,8 +82,7 @@ func TestCodecOversizedFrameRejected(t *testing.T) {
 		if _, err := DecodeMessage(frame, &got); err == nil || errors.Is(err, ErrShortFrame) {
 			t.Fatalf("%s: DecodeMessage err = %v, want limit error", name, err)
 		}
-		var scratch []byte
-		if err := ReadMessage(bytes.NewReader(frame), &scratch, &got); err == nil {
+		if err := ReadMessage(chunkReader(frame), nil, &got); err == nil {
 			t.Fatalf("%s: ReadMessage accepted an oversized header", name)
 		}
 	}
@@ -148,8 +156,8 @@ func TestCodecSteadyStateAllocs(t *testing.T) {
 
 // A payload declared larger than the up-front trust threshold must still
 // round-trip exactly through the incremental (pay-as-bytes-arrive) read
-// path, and the staging buffer must stay chunk-sized — the memory a header
-// can pin without shipping traffic.
+// path, and a reader without a buffer of its own is staged through at most
+// one chunk — the memory a header can pin without shipping traffic.
 func TestReadMessageOversizedClaimIncrementalPath(t *testing.T) {
 	dim := preallocCoords + 1023 // forces the geometric-growth branch
 	rng := tensor.NewRNG(4)
@@ -157,19 +165,19 @@ func TestReadMessageOversizedClaimIncrementalPath(t *testing.T) {
 		Vec: rng.NormVec(make(tensor.Vector, dim), 0, 1)}
 	frame := mustEncode(t, m)
 	var scratch []byte
-	var got Message
-	if err := ReadMessage(bytes.NewReader(frame), &scratch, &got); err != nil {
-		t.Fatal(err)
-	}
-	if cap(scratch) > readChunkBytes {
-		t.Fatalf("scratch grew to %d bytes (chunk bound %d)", cap(scratch), readChunkBytes)
-	}
-	if got.From != m.From || got.Kind != m.Kind || got.Step != m.Step || len(got.Vec) != dim {
-		t.Fatalf("header mismatch: %q %v %d len=%d", got.From, got.Kind, got.Step, len(got.Vec))
-	}
-	for i := range m.Vec {
-		if math.Float64bits(got.Vec[i]) != math.Float64bits(m.Vec[i]) {
-			t.Fatalf("coordinate %d corrupted", i)
+	for source, r := range map[string]io.Reader{"in place": chunkReader(frame), "staged": bytes.NewReader(frame)} {
+		var got Message
+		if err := ReadMessage(r, &scratch, &got); err != nil {
+			t.Fatal(err)
+		}
+		if cap(scratch) > readChunkBytes {
+			t.Fatalf("%s: scratch grew to %d bytes (chunk bound %d)", source, cap(scratch), readChunkBytes)
+		}
+		if got.From != m.From || got.Kind != m.Kind || got.Step != m.Step || len(got.Vec) != dim {
+			t.Fatalf("%s: header mismatch: %q %v %d len=%d", source, got.From, got.Kind, got.Step, len(got.Vec))
+		}
+		if !sameBits(got.Vec, m.Vec) {
+			t.Fatalf("%s: payload corrupted", source)
 		}
 	}
 }

@@ -89,8 +89,7 @@ func TestCompressedFrameRoundTrip(t *testing.T) {
 			t.Fatalf("msg %d: DecodeMessage = %d, %v", i, n, err)
 		}
 		var viaStream Message
-		var scratch []byte
-		if err := ReadMessage(bytes.NewReader(frame), &scratch, &viaStream); err != nil {
+		if err := ReadMessage(chunkReader(frame), nil, &viaStream); err != nil {
 			t.Fatalf("msg %d: ReadMessage: %v", i, err)
 		}
 		for name, got := range map[string]Message{"slice": viaSlice, "stream": viaStream} {

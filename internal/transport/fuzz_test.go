@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -133,8 +134,7 @@ func FuzzDecodeMessage(f *testing.F) {
 			t.Fatalf("re-encode changed the frame: %x vs %x", again, data[:n])
 		}
 		var viaStream Message
-		var scratch []byte
-		if err := ReadMessage(bytes.NewReader(data[:n]), &scratch, &viaStream); err != nil {
+		if err := ReadMessage(chunkReader(data[:n]), nil, &viaStream); err != nil {
 			t.Fatalf("stream decode of a valid frame failed: %v", err)
 		}
 		if diff := messageDiff(&viaStream, &m); diff != "" {
@@ -169,10 +169,12 @@ func FuzzDecodeMessage(f *testing.F) {
 }
 
 // FuzzReadMessage feeds arbitrary streams of several frames to the reader
-// the network runs, reusing one message and one scratch buffer across the
-// stream's frames as a connection's read loop does. Every frame it accepts
-// must re-encode to exactly the bytes it consumed, and the slice decoder
-// (the reference) must accept the same bytes into the same message.
+// the network runs — a bufio.Reader of one chunk, read in place — reusing
+// one message across the stream's frames as a connection's read loop does.
+// Every frame it accepts must re-encode to exactly the bytes it consumed,
+// the slice decoder (the reference) must accept the same bytes into the
+// same message, and a plain reader staged through one scratch buffer must
+// read the same frames and stop where it stops.
 func FuzzReadMessage(f *testing.F) {
 	seeds := frameSeeds(f)
 	for i, frame := range seeds {
@@ -182,14 +184,22 @@ func FuzzReadMessage(f *testing.F) {
 		f.Add(append(slices.Clone(frame), seeds[(i+1)%len(seeds)]...))
 	}
 	f.Fuzz(func(t *testing.T, stream []byte) {
-		r := bytes.NewReader(stream)
-		var m Message
+		r, plain := bytes.NewReader(stream), bytes.NewReader(stream)
+		br := bufio.NewReaderSize(r, readChunkBytes)
+		var m, staged Message
 		var scratch []byte
 		for off := 0; ; {
-			if err := ReadMessage(r, &scratch, &m); err != nil {
+			err := ReadMessage(br, nil, &m)
+			if errStaged := ReadMessage(plain, &scratch, &staged); (err == nil) != (errStaged == nil) {
+				t.Fatalf("in place: %v; staged: %v", err, errStaged)
+			}
+			if err != nil {
 				return // a refused or truncated frame ends the connection
 			}
-			end := len(stream) - r.Len()
+			end := len(stream) - r.Len() - br.Buffered()
+			if staged := len(stream) - plain.Len(); staged != end {
+				t.Fatalf("the staged reader consumed %d bytes, the in-place one %d", staged, end)
+			}
 			frame := stream[off:end]
 			off = end
 			if again := mustEncode(t, m); !bytes.Equal(again, frame) {
@@ -202,6 +212,9 @@ func FuzzReadMessage(f *testing.F) {
 			}
 			if diff := messageDiff(&m, &ref); diff != "" {
 				t.Fatalf("reader disagrees with the slice decoder: %s", diff)
+			}
+			if diff := messageDiff(&staged, &ref); diff != "" {
+				t.Fatalf("staged reader disagrees with the slice decoder: %s", diff)
 			}
 		}
 	})

@@ -69,10 +69,9 @@ func TestReadMessageCommitsFromTheFreeList(t *testing.T) {
 	moved := ledger(n)
 
 	for _, direct := range payloadPaths() {
-		var scratch []byte
 		var got Message
 		at := moved()
-		if err := readMessage(bytes.NewReader(frame), &scratch, &got, direct); err != nil {
+		if err := readMessage(chunkReader(frame), &got, direct); err != nil {
 			t.Fatal(err)
 		}
 		if !sameBits(got.Vec, want) {
@@ -86,7 +85,7 @@ func TestReadMessageCommitsFromTheFreeList(t *testing.T) {
 		// Cut the stream inside the part that is read straight into the
 		// committed vector.
 		got = Message{}
-		err := readMessage(bytes.NewReader(frame[:len(frame)-8]), &scratch, &got, direct)
+		err := readMessage(chunkReader(frame[:len(frame)-8]), &got, direct)
 		if !errors.Is(err, io.ErrUnexpectedEOF) {
 			t.Fatalf("direct=%v: truncated stream: err = %v, want io.ErrUnexpectedEOF", direct, err)
 		}
@@ -364,11 +363,11 @@ func TestReadLoopReusesItsBufferedReader(t *testing.T) {
 }
 
 // TestRecycledConnReaderLeaksNothing: a read loop's pooled state — the
-// buffered reader, the first-chunk scratch and the compressed-payload
-// buffer — passes from one connection to the next. A connection of large
-// frames leaves all three grown and full of its bytes; the smaller frames
-// of the next connection must still read exactly as they were sent, and
-// exactly as through a fresh reader.
+// buffered reader and the compressed-payload buffer — passes from one
+// connection to the next. A connection of large frames leaves both full of
+// its bytes, the payload buffer grown; the smaller frames of the next
+// connection must still read exactly as they were sent, and exactly as
+// through a fresh reader.
 func TestRecycledConnReaderLeaksNothing(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -385,7 +384,7 @@ func TestRecycledConnReaderLeaksNothing(t *testing.T) {
 	topk := compress.Config{Scheme: compress.TopK, TopKFrac: 0.1}
 	const longID = "a-sender-id-much-longer-than-the-next-connection's"
 	large := []Message{
-		{From: longID, Kind: KindGradient, Step: 1, Vec: awkwardVec(20000)}, // first chunk fills the scratch
+		{From: longID, Kind: KindGradient, Step: 1, Vec: awkwardVec(20000)}, // first chunk fills the reader
 		compressed(f32, Message{From: longID, Kind: KindParams, Step: 2, Vec: awkwardVec(40000)}),
 		compressed(topk, Message{From: longID, Kind: KindGradient, Step: 3,
 			Vec: tensor.NewRNG(8).NormVec(make(tensor.Vector, 30000), 0, 1)}),
@@ -438,9 +437,8 @@ func TestRecycledConnReaderLeaksNothing(t *testing.T) {
 
 	recycled := fresh()
 	read(recycled, large)
-	if cap(recycled.scratch) < readChunkBytes/2 || cap(recycled.comp) < 4*40000 {
-		t.Fatalf("the large connection left scratch %d and comp %d bytes: it did not exercise their reuse",
-			cap(recycled.scratch), cap(recycled.comp))
+	if cap(recycled.comp) < 4*40000 {
+		t.Fatalf("the large connection left comp %d bytes: it did not exercise its reuse", cap(recycled.comp))
 	}
 	got, want := read(recycled, small), read(fresh(), small)
 	for i, sent := range small {
@@ -625,13 +623,17 @@ func releasesOnce(t *testing.T, group string) {
 			return 0 // the two clones of a classed length each time, taken and handed back
 		}},
 		{"network", "a delivery delayed past the network's Close, a send after it", 2424, func(t *testing.T, n int) int64 {
-			network := NewChanNetwork(func(string, string) time.Duration { return 20 * time.Millisecond })
+			network := NewChanNetwork(func(string, string) time.Duration { return time.Hour })
 			a, _ := network.Register("a")
 			network.Register("b")
 			if err := a.Send("b", Message{Kind: KindParams, Vec: seq(n, 1)}); err != nil {
 				t.Fatal(err)
 			}
+			start := time.Now()
 			network.Close()
+			if waited := time.Since(start); waited > time.Minute {
+				t.Fatalf("Close waited %v for a delivery nobody will receive", waited)
+			}
 			if got := network.Metrics("b").DroppedClosed.Load(); got != 1 {
 				t.Fatalf("DroppedClosed = %d, want the one delayed delivery", got)
 			}

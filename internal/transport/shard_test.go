@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"bytes"
 	"io"
 	"math"
 	"testing"
@@ -143,8 +142,7 @@ func TestChunkFrameRoundTrip(t *testing.T) {
 	}
 
 	var viaStream Message
-	var scratch []byte
-	if err := ReadMessage(bytes.NewReader(frame), &scratch, &viaStream); err != nil {
+	if err := ReadMessage(chunkReader(frame), nil, &viaStream); err != nil {
 		t.Fatal(err)
 	}
 	if viaStream.Shard != m.Shard || viaStream.From != m.From {
@@ -197,8 +195,7 @@ func TestChunkFrameRejections(t *testing.T) {
 		if _, err := DecodeMessage(frame[:cut], &m); err == nil {
 			t.Fatalf("truncation at %d decoded", cut)
 		}
-		var scratch []byte
-		err := ReadMessage(bytes.NewReader(frame[:cut]), &scratch, &m)
+		err := ReadMessage(chunkReader(frame[:cut]), nil, &m)
 		if err == nil {
 			t.Fatalf("stream truncation at %d decoded", cut)
 		}

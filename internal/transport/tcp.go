@@ -388,23 +388,24 @@ func (n *TCPNode) acceptLoop() {
 }
 
 // connReader is a read loop's per-connection state, reused by every frame
-// of the connection: the 64 KiB buffered reader, the scratch that stages
-// frame heads and first chunks, and the buffer compressed payloads land in,
-// which never leave the loop (a compressed frame is expanded or dropped
-// there). readers recycles all three across connections, so a deployment
-// that re-dials its mesh every run does not allocate them again per link.
+// of the connection: the buffered reader of one chunk, in which frame heads
+// and first chunks are parsed where they lie, and the buffer compressed
+// payloads land in, which never leave the loop (a compressed frame is
+// expanded or dropped there). readers recycles both across connections, so
+// a deployment that re-dials its mesh every run does not allocate them
+// again per link.
 type connReader struct {
-	br            *bufio.Reader
-	scratch, comp []byte
+	br   *bufio.Reader
+	comp []byte
 }
 
-var readers = sync.Pool{New: func() any { return &connReader{br: bufio.NewReaderSize(nil, 1<<16)} }}
+var readers = sync.Pool{New: func() any { return &connReader{br: bufio.NewReaderSize(nil, readChunkBytes)} }}
 
 // next reads the connection's next frame. A compressed payload aliases the
 // reader's buffer until the following call.
 func (rd *connReader) next() (Message, error) {
 	m := Message{Comp: CompMeta{Data: rd.comp}}
-	if err := ReadMessage(rd.br, &rd.scratch, &m); err != nil {
+	if err := readMessage(rd.br, &m, tensor.NativeLE()); err != nil {
 		return m, err
 	}
 	if m.IsCompressed() {

@@ -17,12 +17,12 @@ import (
 )
 
 // Tests for the zero-copy TCP path: Send writes head + payload with one
-// writev from the vector's own memory, ReadMessage receives past the first
-// staged chunk straight into the destination. The wire bytes, the snapshot
-// semantics and every hardening rule must be what they were when each
-// payload was encoded into a frame buffer and decoded out of a staging
-// buffer — on both payload paths (direct and the per-coordinate one a
-// big-endian host runs).
+// writev from the vector's own memory, ReadMessage parses the head and the
+// first chunk in the connection's buffered reader and receives the rest
+// straight into the destination. The wire bytes, the snapshot semantics and
+// every hardening rule must be what they were when each payload was encoded
+// into a frame buffer and decoded out of a staging buffer — on both payload
+// paths (direct and the per-coordinate one a big-endian host runs).
 
 // payloadPaths are the values of the `direct` argument a host can exercise.
 func payloadPaths() []bool {
@@ -213,9 +213,9 @@ func TestTCPSendIsSnapshot(t *testing.T) {
 	}
 }
 
-// (c) A stream cut anywhere — header, staged first chunk, or the directly
-// read remainder — is io.ErrUnexpectedEOF, and a message that does decode
-// aliases neither the input nor the scratch buffer.
+// (c) A stream cut anywhere — header, first chunk, or the directly read
+// remainder — is io.ErrUnexpectedEOF, and a message that does decode
+// aliases neither the input nor the reader's buffer.
 func TestReadMessageTruncationAndAliasing(t *testing.T) {
 	const tail = 256 // coordinates read past the first chunk
 	raw := Message{From: "wrk7", Kind: KindGradient, Step: 3,
@@ -232,10 +232,9 @@ func TestReadMessageTruncationAndAliasing(t *testing.T) {
 			cuts = append(cuts, c)
 		}
 		for _, direct := range payloadPaths() {
-			var scratch []byte
 			for _, cut := range cuts {
 				var got Message
-				err := readMessage(bytes.NewReader(frame[:cut]), &scratch, &got, direct)
+				err := readMessage(chunkReader(frame[:cut]), &got, direct)
 				if cut == 0 && err == io.EOF {
 					continue
 				}
@@ -245,48 +244,48 @@ func TestReadMessageTruncationAndAliasing(t *testing.T) {
 			}
 			var got Message
 			input := append([]byte(nil), frame...)
-			if err := readMessage(bytes.NewReader(input), &scratch, &got, direct); err != nil {
+			br := chunkReader(input)
+			if err := readMessage(br, &got, direct); err != nil {
 				t.Fatal(err)
-			}
-			if cap(scratch) > readChunkBytes {
-				t.Fatalf("%s direct=%v: scratch grew to %d bytes (chunk bound %d)", name, direct, cap(scratch), readChunkBytes)
 			}
 			for i := range input {
 				input[i] = 0xff
 			}
-			for i := range scratch[:cap(scratch)] {
-				scratch[:cap(scratch)][i] = 0xff
+			br.Reset(bytes.NewReader(bytes.Repeat([]byte{0xff}, readChunkBytes)))
+			if _, err := br.Peek(readChunkBytes); err != nil { // overwrites the whole buffer
+				t.Fatal(err)
 			}
 			if got.From != m.From || got.Kind != m.Kind || got.Step != m.Step ||
 				!sameBits(got.Vec, m.Vec) || !bytes.Equal(got.Comp.Data, m.Comp.Data) {
-				t.Fatalf("%s direct=%v: decoded message aliases the reader's bytes or the scratch buffer", name, direct)
+				t.Fatalf("%s direct=%v: decoded message aliases the input or the reader's buffer", name, direct)
 			}
 		}
 	}
 }
 
 // (d) A header-only peer: a valid 15-byte header declaring the largest legal
-// payload, then silence. The receiver may commit one staging chunk for it
-// and nothing else — no part of the 512 MiB the header claims.
+// payload, then silence. The one chunk the receiver holds for it is the
+// connection's buffered reader, which it holds anyway; the read commits
+// nothing else — no staging chunk, no part of the 512 MiB the header claims.
 func TestReadMessageHeaderOnlyPeerPinsOneChunk(t *testing.T) {
 	hdr := mustEncode(t, Message{From: "byz", Kind: KindGradient, Step: 1})[:FrameHeaderSize]
 	hdr[11], hdr[12], hdr[13], hdr[14] = 0, 0, 0, 0x04 // vec-len = MaxVecLen = 2²⁶
 	partial := append(append([]byte(nil), hdr...), make([]byte, readChunkBytes/2)...)
 	for name, stream := range map[string][]byte{"header": hdr, "half a chunk": partial} {
-		var scratch []byte
+		br := chunkReader(stream)
 		var got Message
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		err := ReadMessage(bytes.NewReader(stream), &scratch, &got)
+		err := ReadMessage(br, nil, &got)
 		runtime.ReadMemStats(&after)
 		if !errors.Is(err, io.ErrUnexpectedEOF) {
 			t.Fatalf("%s: err = %v, want io.ErrUnexpectedEOF", name, err)
 		}
-		if cap(scratch) > readChunkBytes || cap(got.Vec) != 0 {
-			t.Fatalf("%s: committed scratch %d B, vector %d coordinates", name, cap(scratch), cap(got.Vec))
+		if cap(got.Vec) != 0 {
+			t.Fatalf("%s: committed a vector of %d coordinates", name, cap(got.Vec))
 		}
-		if grew := after.TotalAlloc - before.TotalAlloc; grew > 2*readChunkBytes {
-			t.Fatalf("%s: ReadMessage allocated %d bytes for an unpaid claim (chunk is %d)", name, grew, readChunkBytes)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > readChunkBytes/4 {
+			t.Fatalf("%s: ReadMessage allocated %d bytes for an unpaid claim (a chunk is %d)", name, grew, readChunkBytes)
 		}
 	}
 }
@@ -299,7 +298,7 @@ func TestReadMessageHeaderOnlyPeerPinsOneChunk(t *testing.T) {
 func TestReadMessageOneChunkCommitIsBounded(t *testing.T) {
 	const from = "byz"
 	firstChunk := (readChunkBytes - len(from)) &^ 7 // payload bytes beside the sender ID
-	const slack = 2 * readChunkBytes                // scratch + allocator rounding
+	const slack = readChunkBytes / 4                // allocator rounding; a staged chunk would exceed it
 	for _, tc := range []struct {
 		name    string
 		vecLen  int
@@ -313,17 +312,14 @@ func TestReadMessageOneChunkCommitIsBounded(t *testing.T) {
 		hdr := mustEncode(t, Message{From: from, Kind: KindGradient, Step: 1})[:FrameHeaderSize]
 		binary.LittleEndian.PutUint32(hdr[11:], uint32(tc.vecLen))
 		stream := append(append(append([]byte(nil), hdr...), from...), make([]byte, tc.payload)...)
-		var scratch []byte
+		br := chunkReader(stream)
 		var got Message
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		err := ReadMessage(bytes.NewReader(stream), &scratch, &got)
+		err := ReadMessage(br, nil, &got)
 		runtime.ReadMemStats(&after)
 		if !errors.Is(err, io.ErrUnexpectedEOF) {
 			t.Fatalf("%s: err = %v, want io.ErrUnexpectedEOF", tc.name, err)
-		}
-		if cap(scratch) > readChunkBytes {
-			t.Fatalf("%s: scratch grew to %d bytes (chunk bound %d)", tc.name, cap(scratch), readChunkBytes)
 		}
 		if grew := int(after.TotalAlloc - before.TotalAlloc); grew > tc.ceiling {
 			t.Fatalf("%s: ReadMessage allocated %d bytes for %d received (ceiling %d)",
@@ -378,12 +374,13 @@ func TestZeroCopySteadyStateAllocs(t *testing.T) {
 	}
 	for name, frame := range frames {
 		for _, direct := range payloadPaths() {
-			var scratch []byte
 			var out Message
 			r := bytes.NewReader(frame)
+			br := bufio.NewReaderSize(r, readChunkBytes)
 			if n := testing.AllocsPerRun(50, func() {
 				r.Reset(frame)
-				if err := readMessage(r, &scratch, &out, direct); err != nil {
+				br.Reset(r)
+				if err := readMessage(br, &out, direct); err != nil {
 					t.Fatal(err)
 				}
 			}); n != 0 {
@@ -404,18 +401,14 @@ func TestReadMessagePortablePathMatchesDirect(t *testing.T) {
 			Shard: ShardMeta{Index: 0, Count: 2, Offset: 0}}
 		frame := mustEncode(t, m)
 		var a, b Message
-		var sa, sb []byte
-		if err := readMessage(bytes.NewReader(frame), &sa, &a, true); err != nil {
+		if err := readMessage(chunkReader(frame), &a, true); err != nil {
 			t.Fatal(err)
 		}
-		if err := readMessage(bytes.NewReader(frame), &sb, &b, false); err != nil {
+		if err := readMessage(chunkReader(frame), &b, false); err != nil {
 			t.Fatal(err)
 		}
 		if !sameBits(a.Vec, m.Vec) || !sameBits(b.Vec, m.Vec) || a.Shard != b.Shard || a.From != b.From {
 			t.Fatalf("dim %d: direct and portable reads disagree", dim)
-		}
-		if cap(sa) > readChunkBytes || cap(sb) > readChunkBytes {
-			t.Fatalf("dim %d: scratch %d / %d bytes exceeds the chunk bound", dim, cap(sa), cap(sb))
 		}
 	}
 }
