@@ -443,10 +443,13 @@ func (s *stage) Peek(n int) ([]byte, error) {
 		copy(grown, (*s.buf)[:s.held])
 		*s.buf = grown
 	}
-	b := (*s.buf)[:n]
-	k, err := io.ReadFull(s.r, b[s.held:])
-	s.held += k
-	return b[:s.held], err
+	var err error
+	if s.held < n {
+		var k int
+		k, err = io.ReadFull(s.r, (*s.buf)[s.held:n])
+		s.held += k
+	}
+	return (*s.buf)[:min(n, s.held)], err
 }
 
 func (s *stage) Discard(n int) (int, error) {
