@@ -73,6 +73,7 @@ func TestChaosTCPClusterSurvivesFaultsAndEquivocation(t *testing.T) {
 
 	var (
 		wg     sync.WaitGroup
+		eps    []transport.Endpoint
 		mu     sync.Mutex
 		finals []tensor.Vector
 		errs   []error
@@ -102,6 +103,7 @@ func TestChaosTCPClusterSurvivesFaultsAndEquivocation(t *testing.T) {
 			scfg.Attack = attack.Equivocate{Std: 0.5, Seed: 13}
 		}
 		ep := inj.Wrap(nodes[serverIDs[i]])
+		eps = append(eps, ep)
 		byz := scfg.Attack != nil
 		wg.Add(1)
 		go func() {
@@ -129,6 +131,7 @@ func TestChaosTCPClusterSurvivesFaultsAndEquivocation(t *testing.T) {
 			Timeout:      time.Minute,
 		}
 		ep := inj.Wrap(nodes[workerIDs[j]])
+		eps = append(eps, ep)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -140,6 +143,11 @@ func TestChaosTCPClusterSurvivesFaultsAndEquivocation(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	// The injector's delayed copies go back before the test returns, not
+	// into the free-list ledger of the next one.
+	for _, ep := range eps {
+		ep.Close()
+	}
 	if len(errs) > 0 {
 		t.Fatalf("chaos deployment failed: %v (and %d more)", errs[0], len(errs)-1)
 	}
