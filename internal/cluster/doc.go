@@ -92,7 +92,10 @@
 //     arrival time alone; the inbound boundary discards malformed payloads
 //     (wrong dimension or shard extent — counted in DroppedMalformed by the
 //     collector; non-finite values, anonymous senders — the validator) so
-//     they act as silence, never as poison.
+//     they act as silence, never as poison. Finiteness is checked once per
+//     payload: by the TCP read loop while it widens a float32 frame (the
+//     validator takes that check's word, Message.Finite), by the validator
+//     (tensor.IsFinite) for every other payload.
 //   - Send errors are dropped: the network model is best-effort and the
 //     quorum discipline tolerates missing messages.
 //   - Payload immutability from the Send boundary on is the transport's

@@ -22,11 +22,15 @@ import (
 // connection's hello-authenticated peer; an empty From could otherwise
 // occupy a quorum slot as a phantom sender) and payloads — whole vectors or
 // single shards — must contain only finite values. Anything else is treated
-// as silence from that sender. Dimension and shard-extent checks are the
-// collector's layout job; frame-level sanity (bounded lengths, well-formed
-// floats) is the wire codec's — see transport/codec.go.
+// as silence from that sender. Finiteness is Message.Finite: the TCP reader
+// checks a float32 frame while it widens it and says so on the message;
+// every other payload is scanned here (tensor.IsFinite). A non-finite frame
+// reaches the validator either way and is dropped here. Dimension and
+// shard-extent checks are the collector's layout job; frame-level sanity
+// (bounded lengths, well-formed floats) is the wire codec's — see
+// transport/codec.go.
 func validator(m transport.Message) bool {
-	return m.From != "" && tensor.IsFinite(m.Vec)
+	return m.From != "" && m.Finite()
 }
 
 // broadcast transmits vec to every node in tos; a positive shardSize streams

@@ -86,15 +86,29 @@ func (e *Encoder) Encode(dst []byte, kind uint8, step int64, off int, vec []floa
 	}
 }
 
+// Float32Size is the width of one coordinate in a Float32 payload: the
+// payload of coordinates [off, off+n) is their n little-endian float32s, in
+// order, so coordinate i of it lies at bytes [Float32Size·i,
+// Float32Size·(i+1)). A payload cut at coordinate boundaries is therefore a
+// run of Float32 payloads, which a receiver may widen piece by piece as the
+// bytes arrive (WidenFloat32).
+const Float32Size = 4
+
 func appendFloat32(dst []byte, vec []float64) []byte {
 	n := len(dst)
-	dst = appendZeros(dst, 4*len(vec))
+	dst = appendZeros(dst, Float32Size*len(vec))
 	out := dst[n:]
 	for i, v := range vec {
-		binary.LittleEndian.PutUint32(out[4*i:], math.Float32bits(float32(v)))
+		binary.LittleEndian.PutUint32(out[Float32Size*i:], math.Float32bits(float32(v)))
 	}
 	return dst
 }
+
+// WidenFloat32 expands the Float32 payload src into dst and reports whether
+// every coordinate is finite, checked in the same pass (one kernel,
+// tensor.WidenF32LE). Panics unless len(src) == Float32Size·len(dst): the
+// caller sizes both from one checked header. src may lie at any alignment.
+func WidenFloat32(dst []float64, src []byte) bool { return tensor.WidenF32LE(dst, src) }
 
 // appendZeros extends dst by n bytes, reslicing instead of append-extending
 // when capacity suffices (the reused-buffer steady state; the extension is
@@ -255,11 +269,11 @@ func (d *Decoder) Decode(scheme Scheme, kind uint8, step int64, off, n int, payl
 	}
 	switch scheme {
 	case Float32:
-		if len(payload) != 4*n {
+		if len(payload) != Float32Size*n {
 			return dst, fmt.Errorf("%w: float32 payload %d bytes for %d coordinates", ErrMalformed, len(payload), n)
 		}
 		dst = growVec(dst, n)
-		tensor.WidenF32LE(dst, payload)
+		WidenFloat32(dst, payload)
 		return dst, nil
 	case TopK:
 		return decodeTopK(n, payload, dst)

@@ -66,6 +66,12 @@ func renderClass(label int, cfg SynthImgConfig, rng *tensor.RNG) []float64 {
 	cy := float64(s)/2 + rng.Norm()
 
 	cosA, sinA := math.Cos(angle), math.Sin(angle)
+	// Channel mixing: each class has its own chromatic signature, one
+	// weight per channel.
+	var w [3]float64
+	for c := range w {
+		w[c] = 0.5 + 0.5*math.Cos(float64(label+c*3)*2*math.Pi/float64(cfg.NumClasses))
+	}
 	for y := 0; y < s; y++ {
 		for x := 0; x < s; x++ {
 			fx, fy := float64(x), float64(y)
@@ -81,11 +87,8 @@ func renderClass(label int, cfg SynthImgConfig, rng *tensor.RNG) []float64 {
 				checker = 0.5
 			}
 			base := amp * (0.6*grating + 0.4*radial)
-			// Channel mixing: each class has its own chromatic signature.
-			for c := 0; c < 3; c++ {
-				w := 0.5 + 0.5*math.Cos(float64(label+c*3)*2*math.Pi/float64(cfg.NumClasses))
-				v := w*base + checker*float64(c%2) + cfg.Noise*rng.Norm()
-				img[(c*s+y)*s+x] = v
+			for c, wc := range w {
+				img[(c*s+y)*s+x] = wc*base + checker*float64(c%2) + cfg.Noise*rng.Norm()
 			}
 		}
 	}

@@ -73,24 +73,35 @@ func DecodeLE(dst Vector, src []byte) {
 }
 
 // WidenF32LE fills dst by converting each float32 of src, its little-endian
-// encoding, to float64. Panics unless len(src) == 4·len(dst), like DecodeLE.
-// On a little-endian host with a 4-aligned src it reads src as a []float32;
-// otherwise it decodes coordinate by coordinate. The alignment guard is ours
-// to keep: checkptr lets unaligned pointer-free views through (LINT.md).
-func WidenF32LE(dst Vector, src []byte) {
+// encoding, to float64, and reports whether every one of them was finite (a
+// finite float32 widens to a finite float64, so the result is IsFinite(dst)).
+// Panics unless len(src) == 4·len(dst), like DecodeLE. src is read as bytes,
+// at any alignment: a received payload lies where the frame put it in the
+// connection's buffer. Every coordinate is written whatever the report, bit
+// for bit float64(float32) (NaN payloads, −0 and subnormals included); the
+// AVX2 body covers at most avx2Span coordinates a call, and the Go loop is
+// the tail, the body elsewhere and the tests' reference.
+func WidenF32LE(dst Vector, src []byte) bool {
 	if len(src) != 4*len(dst) {
 		panic("tensor: WidenF32LE length mismatch")
 	}
-	p := unsafe.Pointer(unsafe.SliceData(src))
-	if !nativeLE || uintptr(p)%4 != 0 {
-		for i := range dst {
-			dst[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:])))
-		}
-		return
+	finite := true
+	i := 0
+	for useAVX2 && len(dst)-i >= 16 {
+		n := min(len(dst)-i, avx2Span) &^ 15
+		finite = widenF32AVX2(dst[i:i+n], src[4*i:4*(i+n)]) && finite
+		i += n
 	}
-	for i, x := range unsafe.Slice((*float32)(p), len(dst)) {
-		dst[i] = float64(x)
+	// A float32's exponent is all ones (NaN, ±Inf) exactly when adding one
+	// to it carries into the sign bit.
+	const expMask = 0xff << 23
+	var carry uint32
+	for ; i < len(dst); i++ {
+		b := binary.LittleEndian.Uint32(src[4*i:])
+		dst[i] = float64(math.Float32frombits(b))
+		carry |= b&expMask + 1<<23
 	}
+	return finite && carry>>31 == 0
 }
 
 // appendLEPortable is AppendLE's per-coordinate form: the only one a

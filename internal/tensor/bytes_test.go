@@ -3,6 +3,7 @@ package tensor
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"testing"
 )
@@ -100,31 +101,73 @@ var f32Classes = []uint32{
 	0x7f800001, 0xffbfffff, // signalling NaNs, lowest and full payload
 }
 
-// WidenF32LE must equal the per-coordinate loop bit for bit, through the
-// []float32 view (src 4-aligned) and through its per-coordinate fallback
-// (src at the other byte offsets of the same buffer): one of offsets 0–3
-// takes each path whatever the buffer's own alignment.
-func TestWidenF32LEMatchesPortable(t *testing.T) {
-	var enc []byte
-	for r := 0; r < 3; r++ { // enough coordinates for an unrolled loop body
-		for _, b := range f32Classes {
-			enc = binary.LittleEndian.AppendUint32(enc, b)
+// WidenF32LE must equal float64(float32) coordinate by coordinate, bit for
+// bit, and report finiteness exactly when no float32 has an all-ones
+// exponent: on both bodies, at source offsets 0–3 (a payload lies at any
+// offset of a connection's buffer), at lengths on both sides of the AVX2
+// block and of avx2Span, every float32 class at every lane.
+func TestWidenF32LEMatchesPortable(t *testing.T) { onEachSide(t, testWidenF32LEMatchesPortable) }
+
+func testWidenF32LEMatchesPortable(t *testing.T) {
+	rng := NewRNG(5)
+	check := func(t *testing.T, what string, src []byte) {
+		t.Helper()
+		got := make(Vector, len(src)/4)
+		finite := WidenF32LE(got, src)
+		wantFinite := true
+		for i := range got {
+			b := binary.LittleEndian.Uint32(src[4*i:])
+			want := float64(math.Float32frombits(b))
+			if math.Float64bits(got[i]) != math.Float64bits(want) {
+				t.Fatalf("%s, coordinate %d (float32 %#08x): got %#x, reference %#x", what, i, b,
+					math.Float64bits(got[i]), math.Float64bits(want))
+			}
+			wantFinite = wantFinite && !math.IsNaN(want) && !math.IsInf(want, 0)
+		}
+		if finite != wantFinite {
+			t.Fatalf("%s: reported finite %v, want %v", what, finite, wantFinite)
 		}
 	}
-	n := len(enc) / 4
-	buf := make([]byte, len(enc)+3)
-	for off := 0; off < 4; off++ {
-		src := buf[off : off+len(enc)]
-		copy(src, enc)
-		for _, m := range []int{0, 1, n} {
-			got := make(Vector, m)
-			WidenF32LE(got, src[:4*m])
-			for i := range got {
-				// The reference: the loop compress.Decoder ran before PR 29.
-				want := float64(math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:])))
-				if math.Float64bits(got[i]) != math.Float64bits(want) {
-					t.Fatalf("offset %d, coordinate %d (float32 %#08x): got %#x, reference %#x", off, i,
-						binary.LittleEndian.Uint32(src[4*i:]), math.Float64bits(got[i]), math.Float64bits(want))
+	for _, n := range []int{0, 1, 7, 8, 9, 15, 16, 17, 45, avx2Span - 1, avx2Span, avx2Span + 1, 16384} {
+		enc := make([]byte, 4*n)
+		for i := range n {
+			// Every class cycles through every lane of a block; the rest
+			// are ordinary finite values.
+			b := math.Float32bits(float32(rng.Norm()))
+			if i%3 == 0 {
+				b = f32Classes[(i/3)%len(f32Classes)]
+			}
+			binary.LittleEndian.PutUint32(enc[4*i:], b)
+		}
+		finite := make([]byte, 4*n)
+		for i := range n {
+			b := binary.LittleEndian.Uint32(enc[4*i:])
+			if b&(0xff<<23) == 0xff<<23 {
+				b &^= 1 << 23 // the largest finite exponent, same payload bits
+			}
+			binary.LittleEndian.PutUint32(finite[4*i:], b)
+		}
+		buf := make([]byte, 4*n+3)
+		for off := range 4 {
+			src := buf[off : off+4*n]
+			copy(src, enc)
+			check(t, fmt.Sprintf("n %d, offset %d, every class", n, off), src)
+			copy(src, finite)
+			check(t, fmt.Sprintf("n %d, offset %d, finite", n, off), src)
+			if n == 0 {
+				continue
+			}
+			// One non-finite value at the first, a middle, the last
+			// coordinate, and in the tail after the last full block.
+			at := []int{0, n / 2, n - 1, n &^ 15}
+			for _, i := range at {
+				if i >= n {
+					continue
+				}
+				for _, bad := range []uint32{0x7f800000, 0xff800000, 0x7fc00001, 0xff800001} {
+					copy(src, finite)
+					binary.LittleEndian.PutUint32(src[4*i:], bad)
+					check(t, fmt.Sprintf("n %d, offset %d, %#08x at %d", n, off, bad, i), src)
 				}
 			}
 		}
@@ -141,13 +184,21 @@ func TestWidenF32LELengthMismatchPanics(t *testing.T) {
 }
 
 // BenchmarkWidenF32LE16384 widens one float32 shard of the streaming
-// workloads (16,384 coordinates, cache-resident).
-func BenchmarkWidenF32LE16384(b *testing.B) {
+// workloads (16,384 coordinates, cache-resident) from a 4-aligned source;
+// BenchmarkWidenF32LE16384Unaligned from one byte further on, where a
+// received shard lies in its connection's buffer, behind the frame head
+// and the sender ID.
+func BenchmarkWidenF32LE16384(b *testing.B) { benchmarkWidenF32LE(b, 0) }
+
+func BenchmarkWidenF32LE16384Unaligned(b *testing.B) { benchmarkWidenF32LE(b, 1) }
+
+func benchmarkWidenF32LE(b *testing.B, off int) {
 	v := NewRNG(3).NormVec(make(Vector, 16384), 0, 1)
-	var src []byte
+	buf := make([]byte, off, off+4*len(v))
 	for _, x := range v {
-		src = binary.LittleEndian.AppendUint32(src, math.Float32bits(float32(x)))
+		buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(float32(x)))
 	}
+	src := buf[off:]
 	b.SetBytes(int64(len(src)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

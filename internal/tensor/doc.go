@@ -21,16 +21,16 @@
 //	taken by                                  returned by, when
 //	----------------------------------------  -----------------------------------------
 //	transport.readMessage (a received frame,  the node's transport.Collector: at once
-//	  after its first 64 KiB chunk landed)      for a frame it drops unbuffered, at
-//	compress.Decoder (an expanded frame,        Recycle for one it buffered — after the
-//	  after every structural check)             streamer's Result and the Suspicion
-//	transport.Message.Clone (in-process         report, or at the next Advance, the
-//	  delivery)                                 last one past the final step when the
-//	transport.Collector.assemble (a chunk       node loop returns. A frame no loop
-//	  stream joined at a one-shard layout)      received: Message.Release by the
-//	                                            receiving endpoint's Mailbox when it
-//	                                            sheds the frame (drop-newest,
-//	                                            drop-oldest, put after Close) or the
+//	  after its first 64 KiB chunk landed;      for a frame it drops unbuffered, at
+//	  a float32 frame once the link admitted    Recycle for one it buffered — after the
+//	  it, widened where it lies)                streamer's Result and the Suspicion
+//	compress.Decoder (an expanded top-k or      report, or at the next Advance, the
+//	  in-process frame, after every             last one past the final step when the
+//	  structural check)                         node loop returns. A frame no loop
+//	transport.Message.Clone (in-process         received: Message.Release by the
+//	  delivery)                                 receiving endpoint's Mailbox when it
+//	transport.Collector.assemble (a chunk       sheds the frame (drop-newest,
+//	  stream joined at a one-shard layout)      drop-oldest, put after Close) or the
 //	                                            endpoint closes with it still queued,
 //	                                            or by the in-process network when the
 //	                                            destination is gone

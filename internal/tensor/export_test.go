@@ -6,7 +6,8 @@ import (
 	"repro/internal/cpu"
 )
 
-// onEachSide runs f as one subtest per body IsFinite can take on this CPU:
+// onEachSide runs f as one subtest per body IsFinite and WidenF32LE can take
+// on this CPU:
 // the Go loop always, the AVX2 assembly when cpu.AVX2. The switch exists
 // for tests only; the package itself decides from the CPU alone.
 func onEachSide(t *testing.T, f func(t *testing.T)) {

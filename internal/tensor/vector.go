@@ -7,9 +7,10 @@ import (
 	"repro/internal/cpu"
 )
 
-// useAVX2 selects IsFinite's assembly body (vector_amd64.s), which scans at
-// most avx2Span coordinates a call, as a goroutine cannot be preempted in
-// one; the Go loop is the body elsewhere and the tests' reference.
+// useAVX2 selects the assembly bodies of IsFinite and WidenF32LE
+// (vector_amd64.s), which cover at most avx2Span coordinates a call, as a
+// goroutine cannot be preempted in one; the Go loops are the bodies
+// elsewhere and the tests' reference.
 var useAVX2 = cpu.AVX2
 
 const avx2Span = 4096

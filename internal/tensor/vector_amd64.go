@@ -4,3 +4,8 @@ package tensor
 //
 //go:noescape
 func isFiniteAVX2(v []float64) bool
+
+// widenF32AVX2 is WidenF32LE over a len(dst) that is a multiple of 16.
+//
+//go:noescape
+func widenF32AVX2(dst []float64, src []byte) bool

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/compress"
 	"repro/internal/tensor"
 )
 
@@ -425,7 +426,7 @@ func ReadMessage(r io.Reader, scratch *[]byte, m *Message) error {
 	} else {
 		fr = &stage{r: r, buf: scratch}
 	}
-	return readMessage(fr, m, tensor.NativeLE())
+	return readMessage(fr, m, tensor.NativeLE(), nil)
 }
 
 // stage gives a reader without a buffer of its own the frameReader methods,
@@ -485,8 +486,11 @@ func take(r frameReader, n int) ([]byte, error) {
 // the remainder of a raw payload into m.Vec's memory (little-endian hosts
 // only); otherwise every chunk is taken in r's buffer and decoded per
 // coordinate — the path a big-endian host takes, exercised directly by the
-// tests on any host.
-func readMessage(r frameReader, m *Message, direct bool) error {
+// tests on any host. A read loop passes its link (in): a float32 frame is
+// then gated and widened where it lies (readFloat32) instead of staged, and
+// errDropped reports one the gate dropped. With in nil every compressed
+// payload is staged opaquely, as ReadMessage's bijective contract wants.
+func readMessage(r frameReader, m *Message, direct bool, in *inbound) error {
 	hdr, err := r.Peek(FrameHeaderSize)
 	if err != nil {
 		if err == io.EOF && len(hdr) > 0 {
@@ -544,8 +548,12 @@ func readMessage(r frameReader, m *Message, direct bool) error {
 	m.Kind = kind
 	m.Step = step
 	m.Shard = shard
+	m.finite = false
 	body = body[fromLen:]
 
+	if compressed && in != nil && compress.Scheme(scheme) == compress.Float32 {
+		return readFloat32(r, m, body, payloadBytes, vecLen, in)
+	}
 	if compressed {
 		data := m.Comp.Data[:0]
 		if cap(data) < payloadBytes {
@@ -574,20 +582,10 @@ func readMessage(r frameReader, m *Message, direct bool) error {
 	// (≤ preallocCoords, no regrowth), geometric growth tracking received
 	// bytes beyond that. A vector taken here and abandoned by a later read
 	// error is left to the garbage collector, never Put: it is half-filled.
-	vec := m.Vec[:0]
-	if cap(vec) < vecLen {
-		if vecLen <= preallocCoords {
-			vec = tensor.Get(vecLen)[:0]
-		} else {
-			vec = make([]float64, 0, commitCap(first/8, vecLen, preallocCoords))
-		}
-	}
-	vec = vec[:first/8]
+	vec := commit(m.Vec, first/8, vecLen)
 	tensor.DecodeLE(vec, body)
 	for filled := len(vec); filled < vecLen; {
-		if filled == cap(vec) {
-			vec = append(make([]float64, 0, commitCap(filled, vecLen, preallocCoords)), vec...)
-		}
+		vec = regrow(vec, vecLen)
 		next := min(cap(vec), vecLen)
 		if direct {
 			err = readFull(r, tensor.Bytes(vec[filled:next]))
@@ -605,6 +603,93 @@ func readMessage(r frameReader, m *Message, direct bool) error {
 	}
 	m.Vec = vec
 	return nil
+}
+
+// readFloat32 finishes a Float32 frame for a read loop once its sender ID
+// and first payload bytes (first) have landed: the payload is widened into
+// the vector the receiver keeps from where it lies in r's buffer, a piece at
+// a time, and its finiteness checked in the same pass (Message.Finite).
+// The link decides before a vector is taken. A frame from anyone but the
+// link's peer is read past and returned without a payload, for the read
+// loop to drop as forged. A scheme the peer did not announce, a dimension
+// over the node's bound (admitCompressed) or a payload that is not dim
+// float32s is read past, counted, and reported as errDropped. The
+// commitment rule is the raw payload's: exact-size from the free list up to
+// preallocCoords, geometric beyond, and a vector a later read error
+// abandons is left to the garbage collector.
+func readFloat32(r frameReader, m *Message, first []byte, encLen, dim int, in *inbound) error {
+	m.Comp = CompMeta{}
+	m.Vec = m.Vec[:0]
+	rest := encLen - len(first)
+	if m.From != in.peer {
+		return skip(r, rest)
+	}
+	if !admitCompressed(uint8(compress.Float32), dim, in.caps, in.maxDim(), in.n.Metrics()) {
+		return dropRest(r, rest)
+	}
+	if encLen != compress.Float32Size*dim {
+		in.n.Metrics().DroppedMalformed.Add(1)
+		return dropRest(r, rest)
+	}
+	vec := commit(m.Vec, len(first)/compress.Float32Size, dim)
+	finite := compress.WidenFloat32(vec, first)
+	for filled := len(vec); filled < dim; {
+		vec = regrow(vec, dim)
+		next := min(cap(vec), dim, filled+readChunkBytes/compress.Float32Size)
+		piece, err := take(r, compress.Float32Size*(next-filled))
+		if err != nil {
+			return err
+		}
+		finite = compress.WidenFloat32(vec[filled:next], piece) && finite
+		vec, filled = vec[:next], next
+	}
+	m.Vec, m.finite = vec, finite
+	return nil
+}
+
+// commit returns the destination of a payload of total coordinates, have of
+// which (the first chunk) have landed, with length have: vec's own memory
+// when its capacity suffices (ownership contract), else exact-size from the
+// free list for honest protocol dimensions (≤ preallocCoords, no regrowth),
+// else memory tracking the bytes received (commitCap).
+func commit(vec []float64, have, total int) []float64 {
+	switch {
+	case cap(vec) >= total:
+		return vec[:have]
+	case total <= preallocCoords:
+		return tensor.Get(total)[:have]
+	}
+	return make([]float64, have, commitCap(have, total, preallocCoords))
+}
+
+// regrow returns vec with room for more of its total coordinates once it
+// is full, keeping what it holds.
+func regrow(vec []float64, total int) []float64 {
+	if len(vec) < cap(vec) {
+		return vec
+	}
+	return append(make([]float64, 0, commitCap(len(vec), total, preallocCoords)), vec...)
+}
+
+// skip consumes the next n bytes of r, a chunk at a time.
+func skip(r frameReader, n int) error {
+	for n > 0 {
+		k := min(n, readChunkBytes)
+		if _, err := take(r, k); err != nil {
+			return err
+		}
+		n -= k
+	}
+	return nil
+}
+
+// dropRest reads past the rest (n bytes) of a frame the read loop's gate
+// dropped and reports errDropped, or the read error that cut it short.
+func dropRest(r frameReader, n int) error {
+	if err := skip(r, n); err != nil {
+		return err
+	}
+	return errDropped
 }
 
 // commitCap is the capacity to commit for a body of total units of which

@@ -213,21 +213,33 @@ func (c *Compressor) Recv(timeout time.Duration) (Message, bool) {
 // expandInbound is the one inbound gate for compressed frames, shared by
 // the TCP read loop and the Compressor so the two transports cannot drift:
 // it expands m in place and reports whether m may be delivered, counting
-// into h otherwise. Announce-then-use: a scheme outside caps (the link's
-// hello capability mask), or that this build cannot decode, is not
-// negotiated (DroppedUnnegotiated). A declared dimension above maxDim
-// (0 = unbounded) is refused before the decoder allocates its expansion, and
-// a payload that fails to expand is dropped (both DroppedMalformed).
+// into h otherwise. The frame must first pass admitCompressed; a payload
+// that then fails to expand is dropped (DroppedMalformed).
 func expandInbound(m *Message, caps uint8, maxDim int, h *metrics.NodeMetrics) bool {
-	if s := compress.Scheme(m.Comp.Scheme); !s.Known() || s.Bit()&caps == 0 {
-		h.DroppedUnnegotiated.Add(1)
-		return false
-	}
-	if maxDim > 0 && m.Comp.Dim > maxDim {
-		h.DroppedMalformed.Add(1)
+	if !admitCompressed(m.Comp.Scheme, m.Comp.Dim, caps, maxDim, h) {
 		return false
 	}
 	if err := DecompressMessage(m); err != nil {
+		h.DroppedMalformed.Add(1)
+		return false
+	}
+	return true
+}
+
+// admitCompressed decides, from its extension alone and before anything is
+// expanded or a vector taken for it, whether a compressed frame of dim
+// coordinates under scheme may be expanded, counting into h when not. It is
+// the gate of expandInbound and of the TCP reader's in-place float32 path
+// (readFloat32). Announce-then-use: a scheme outside caps (the link's hello
+// capability mask), or that this build cannot decode, is not negotiated
+// (DroppedUnnegotiated). A declared dimension above maxDim (0 = unbounded)
+// is refused (DroppedMalformed).
+func admitCompressed(scheme uint8, dim int, caps uint8, maxDim int, h *metrics.NodeMetrics) bool {
+	if s := compress.Scheme(scheme); !s.Known() || s.Bit()&caps == 0 {
+		h.DroppedUnnegotiated.Add(1)
+		return false
+	}
+	if maxDim > 0 && dim > maxDim {
 		h.DroppedMalformed.Add(1)
 		return false
 	}

@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math"
 	"net"
 	"testing"
@@ -357,6 +358,73 @@ func TestTCPMalformedCompressedDropped(t *testing.T) {
 	}
 	if srv.Metrics().DroppedUnnegotiated.Load() != 0 {
 		t.Fatalf("DroppedUnnegotiated = %d", srv.Metrics().DroppedUnnegotiated.Load())
+	}
+}
+
+// TestTCPNonFiniteFloat32ShardFillsNoSlot: the read loop checks a float32
+// shard's finiteness while it widens it, and the validator takes that
+// check's word (Message.Finite) — so the check must be right. A shard
+// carrying one NaN is dropped at the validator as silence: its slot never
+// fills, and its vector goes back to the free list like every other frame's.
+func TestTCPNonFiniteFloat32ShardFillsNoSlot(t *testing.T) {
+	const dim, size = 4006, 2003 // a length no other test uses (ledger)
+	moved := ledger(size)
+	srv, err := ListenTCP("srv", "127.0.0.1:0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	if err := srv.SetCompression(compress.Config{}, dim); err != nil {
+		t.Fatal(err)
+	}
+	send := func(id string, vec tensor.Vector) {
+		node, err := ListenTCP(id, "127.0.0.1:0", map[string]string{"srv": srv.Addr()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = node.Close() })
+		if err := node.SetCompression(compress.Config{Scheme: compress.Float32}, dim); err != nil {
+			t.Fatal(err)
+		}
+		if err := SendSharded(node, "srv", Message{Kind: KindGradient, Step: 1, Vec: vec}, size); err != nil {
+			t.Fatal(err)
+		}
+	}
+	poisoned := seq(dim, 1)
+	poisoned[dim-7] = math.NaN() // in shard 1, past its first AVX2 blocks
+	send("a", seq(dim, 1))
+	send("c", poisoned)
+
+	c := NewCollector(srv, NewShardLayout(dim, size))
+	c.Senders = declared("a", "c")
+	c.Validator = func(m Message) bool { return m.Finite() }
+	folded := map[int][]string{}
+	fold := func(lo, _ int, senders []string, inputs []tensor.Vector) error {
+		for _, v := range inputs {
+			if !tensor.IsFinite(v) {
+				t.Errorf("shard at %d folded a non-finite input (senders %v)", lo, senders)
+			}
+		}
+		folded[lo] = append([]string(nil), senders...)
+		return nil
+	}
+	if _, err := c.Collect(KindGradient, 1, 2, nil, "", false, fold, 500*time.Millisecond); !errors.Is(err, ErrQuorumTimeout) {
+		t.Fatalf("Collect = %v, want a quorum timeout: only one finite shard 1 was sent", err)
+	}
+	if len(folded[0]) != 2 {
+		t.Fatalf("shard 0 folded %v, want both senders: its frames are finite", folded[0])
+	}
+	if senders, ok := folded[size]; ok {
+		t.Fatalf("shard 1 folded %v: the NaN shard filled a slot", senders)
+	}
+	c.Recycle()
+	c.Advance(math.MaxInt)
+	deadline := time.Now().Add(5 * time.Second)
+	for moved() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("the ledger of the %d-coordinate shards moved by %d, want 0", size, moved())
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 

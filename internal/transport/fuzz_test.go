@@ -11,6 +11,8 @@ import (
 	"testing"
 
 	"repro/internal/compress"
+	"repro/internal/metrics"
+	"repro/internal/tensor"
 )
 
 // Fuzz targets for the wire layer: arbitrary bytes fed to the frame
@@ -102,6 +104,24 @@ func frameSeeds(tb testing.TB) [][]byte {
 	add(compFrame(2, 4, append([]byte{0x01}, make([]byte, 8+4*4)...)))
 	add(compFrame(2, 4, []byte{0x09}))
 	add(compFrame(2, 4, make([]byte, 4*4)))
+	// Float32 frames for the read loop's in-place path (fuzzLinks): a NaN
+	// in the first chunk; a NaN in a piece read after it; a forged sender;
+	// a dimension over the links' bound, behind a payload far too short
+	// for it. Every float32 frame is also un-negotiated on one link.
+	f32 := func(from string, v []float64) []byte {
+		p, err := f32enc.Encode(nil, uint8(KindGradient), 4, 0, v)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return mustEncode(tb, Message{From: from, Kind: KindGradient, Step: 4,
+			Comp: CompMeta{Scheme: uint8(compress.Float32), Dim: len(v), Data: p}})
+	}
+	add(f32("wrk3", []float64{0.5, math.NaN(), 3.25, 1e-9}))
+	later := make([]float64, 20000) // 80,000 payload bytes: more than the first chunk
+	later[19990] = math.Inf(-1)
+	add(f32("wrk3", later))
+	add(f32("byz", vec))
+	add(compFrame(uint8(compress.Float32), 40000, make([]byte, 8)))
 	// A compression extension whose enc-len exceeds the declared range's
 	// byte bound: rejected from the header, before any staging.
 	overLen := compFrame(uint8(compress.Float32), 1, make([]byte, 16))
@@ -183,7 +203,11 @@ func FuzzReadMessage(f *testing.F) {
 		// stream that goes bad after a good frame are covered.
 		f.Add(append(slices.Clone(frame), seeds[(i+1)%len(seeds)]...))
 	}
+	links := fuzzLinks(f)
 	f.Fuzz(func(t *testing.T, stream []byte) {
+		for _, link := range links {
+			readInPlace(t, stream, link)
+		}
 		r, plain := bytes.NewReader(stream), bytes.NewReader(stream)
 		br := bufio.NewReaderSize(r, readChunkBytes)
 		var m, staged Message
@@ -218,6 +242,83 @@ func FuzzReadMessage(f *testing.F) {
 			}
 		}
 	})
+}
+
+// fuzzLinks are the read loops FuzzReadMessage reads every stream through
+// besides ReadMessage: both from peer wrk3 (the compressed seeds' sender;
+// any other sender is forged on them) with a 2¹⁵-coordinate bound, one
+// licensed for float32 and top-k, one for top-k only, so every float32
+// frame is un-negotiated there.
+func fuzzLinks(tb testing.TB) []*inbound {
+	var links []*inbound
+	for _, caps := range []uint8{compress.Float32.Bit() | compress.TopK.Bit(), compress.TopK.Bit()} {
+		node, err := ListenTCP("fuzz", "127.0.0.1:0", nil)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		tb.Cleanup(func() { _ = node.Close() })
+		if err := node.SetCompression(compress.Config{}, 1<<15); err != nil {
+			tb.Fatal(err)
+		}
+		links = append(links, &inbound{n: node, peer: "wrk3", caps: caps})
+	}
+	return links
+}
+
+// readInPlace reads stream through link's read-loop path — float32 frames
+// gated and widened where they lie — in lockstep with the staged reference:
+// ReadMessage (DecodeMessage's twin, held to it below), then the read
+// loop's rules for a float32 frame (a forged one arrives without payload,
+// expandInbound gates and expands the rest through DecompressMessage), then
+// tensor.IsFinite. Both must consume the same bytes and fail together,
+// deliver the same bits, count the same drops and agree on finiteness.
+func readInPlace(t *testing.T, stream []byte, link *inbound) {
+	r, plain := bytes.NewReader(stream), bytes.NewReader(stream)
+	br := bufio.NewReaderSize(r, readChunkBytes)
+	h := link.n.Metrics()
+	var scratch []byte
+	for {
+		var got, ref Message
+		unneg, malformed := h.DroppedUnnegotiated.Load(), h.DroppedMalformed.Load()
+		err := readMessage(br, &got, true, link)
+		errRef := ReadMessage(plain, &scratch, &ref)
+		if (err != nil && err != errDropped) != (errRef != nil) {
+			t.Fatalf("in place: %v; staged: %v", err, errRef)
+		}
+		if errRef != nil {
+			return
+		}
+		if staged, end := len(stream)-plain.Len(), len(stream)-r.Len()-br.Buffered(); staged != end {
+			t.Fatalf("the staged reader consumed %d bytes, the in-place one %d", staged, end)
+		}
+		want := metrics.NewNodeMetrics()
+		dropped, widened := false, false
+		if ref.IsCompressed() && compress.Scheme(ref.Comp.Scheme) == compress.Float32 {
+			if ref.From != link.peer {
+				ref.Comp = CompMeta{}
+			} else {
+				dropped = !expandInbound(&ref, link.caps, link.maxDim(), want)
+				widened = !dropped
+			}
+		}
+		if (err == errDropped) != dropped {
+			t.Fatalf("in place dropped the frame: %v; the reference: %v", err == errDropped, dropped)
+		}
+		if u, m := h.DroppedUnnegotiated.Load()-unneg, h.DroppedMalformed.Load()-malformed; u != want.DroppedUnnegotiated.Load() || m != want.DroppedMalformed.Load() {
+			t.Fatalf("in place counted %d un-negotiated, %d malformed; the reference %d, %d",
+				u, m, want.DroppedUnnegotiated.Load(), want.DroppedMalformed.Load())
+		}
+		if dropped {
+			continue
+		}
+		if diff := messageDiff(&got, &ref); diff != "" {
+			t.Fatalf("in place disagrees with the staged reference: %s", diff)
+		}
+		if finite := tensor.IsFinite(ref.Vec); got.Finite() != finite || got.finite != (widened && finite) {
+			t.Fatalf("in place: Finite %v (checked while widening: %v); IsFinite of the reference: %v",
+				got.Finite(), got.finite, finite)
+		}
+	}
 }
 
 // messageDiff describes how two decoded messages differ, payload bits

@@ -86,6 +86,13 @@ type Message struct {
 	From string `json:"from"`
 	// Kind is the protocol phase this message belongs to.
 	Kind Kind `json:"kind"`
+	// finite says every coordinate of Vec was found finite while the TCP
+	// read loop widened it from a float32 frame (readFloat32, the only
+	// place that sets it), so Finite need not scan Vec again. Clone drops
+	// it: a copy is scanned like any other in-process delivery. It sits in
+	// Kind's padding, so a Message stays 128 bytes, one allocation size
+	// class below 144.
+	finite bool
 	// Step is the learning step t the payload belongs to.
 	Step int `json:"step"`
 	// Vec is the payload (a parameter vector or a gradient, whole or one
@@ -111,6 +118,12 @@ func (m *Message) IsShard() bool { return m.Shard.Count > 0 }
 // Vec, is the payload).
 func (m *Message) IsCompressed() bool { return m.Comp.Scheme != 0 }
 
+// Finite reports whether every coordinate of m.Vec is finite (no NaN, no
+// ±Inf): at once for a float32 frame the TCP reader checked as it widened
+// it, by tensor.IsFinite for every other payload — raw frames, in-process
+// deliveries, expanded top-k frames and reassembled chunk streams.
+func (m *Message) Finite() bool { return m.finite || tensor.IsFinite(m.Vec) }
+
 // Clone returns a copy of m whose payload aliases nothing — the snapshot
 // every transport must take when it holds a message past its Send boundary
 // (the sender keeps mutating its vector in place). The TCP transport gets
@@ -120,7 +133,7 @@ func (m *Message) IsCompressed() bool { return m.Comp.Scheme != 0 }
 // whoever ends up owning the clone may return it. The clone holds no share
 // of a courier lease: it outlives the Send that lent m.
 func (m Message) Clone() Message {
-	m.lease = nil
+	m.lease, m.finite = nil, false
 	if m.Vec != nil {
 		vec := tensor.Get(len(m.Vec))
 		copy(vec, m.Vec)

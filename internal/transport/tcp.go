@@ -389,9 +389,9 @@ func (n *TCPNode) acceptLoop() {
 
 // connReader is a read loop's per-connection state, reused by every frame
 // of the connection: the buffered reader of one chunk, in which frame heads
-// and first chunks are parsed where they lie, and the buffer compressed
-// payloads land in, which never leave the loop (a compressed frame is
-// expanded or dropped there). readers recycles both across connections, so
+// and first chunks are parsed and float32 payloads widened where they lie,
+// and the buffer top-k payloads land in, which never leave the loop (such a
+// frame is expanded or dropped there). readers recycles both across connections, so
 // a deployment that re-dials its mesh every run does not allocate them
 // again per link.
 type connReader struct {
@@ -401,11 +401,32 @@ type connReader struct {
 
 var readers = sync.Pool{New: func() any { return &connReader{br: bufio.NewReaderSize(nil, readChunkBytes)} }}
 
+// inbound is what a read loop knows of its link beyond the bytes: the peer
+// its hello authenticated, the schemes that peer announced, and the node
+// whose dimension bound and counters apply. With it readMessage gates a
+// float32 frame and widens it where it lies.
+type inbound struct {
+	n    *TCPNode
+	peer string
+	caps uint8
+}
+
+// errDropped is readMessage's report that the link's gate dropped a frame,
+// counted, after reading past it: the read loop reads on.
+var errDropped = errors.New("transport: inbound frame dropped")
+
+// maxDim is the node's inbound declared-dimension bound (0 = none).
+func (in *inbound) maxDim() int {
+	in.n.mu.Lock()
+	defer in.n.mu.Unlock()
+	return in.n.maxDim
+}
+
 // next reads the connection's next frame. A compressed payload aliases the
-// reader's buffer until the following call.
-func (rd *connReader) next() (Message, error) {
+// reader's buffer until the following call; a float32 one arrives widened.
+func (rd *connReader) next(in *inbound) (Message, error) {
 	m := Message{Comp: CompMeta{Data: rd.comp}}
-	if err := readMessage(rd.br, &m, tensor.NativeLE()); err != nil {
+	if err := readMessage(rd.br, &m, tensor.NativeLE(), in); err != nil {
 		return m, err
 	}
 	if m.IsCompressed() {
@@ -434,8 +455,12 @@ func (n *TCPNode) readLoop(conn net.Conn) {
 	if err != nil {
 		return
 	}
+	in := &inbound{n: n, peer: peer, caps: caps}
 	for {
-		m, err := rd.next()
+		m, err := rd.next(in)
+		if err == errDropped {
+			continue
+		}
 		if err != nil {
 			return // peer closed or corrupt stream
 		}
@@ -451,13 +476,8 @@ func (n *TCPNode) readLoop(conn net.Conn) {
 			n.Metrics().ForgedDropped.Add(1)
 			continue
 		}
-		if m.IsCompressed() {
-			n.mu.Lock()
-			maxDim := n.maxDim
-			n.mu.Unlock()
-			if !expandInbound(&m, caps, maxDim, n.Metrics()) {
-				continue
-			}
+		if m.IsCompressed() && !expandInbound(&m, caps, in.maxDim(), n.Metrics()) {
+			continue
 		}
 		n.box.Put(m)
 	}

@@ -234,7 +234,7 @@ func TestReadMessageTruncationAndAliasing(t *testing.T) {
 		for _, direct := range payloadPaths() {
 			for _, cut := range cuts {
 				var got Message
-				err := readMessage(chunkReader(frame[:cut]), &got, direct)
+				err := readMessage(chunkReader(frame[:cut]), &got, direct, nil)
 				if cut == 0 && err == io.EOF {
 					continue
 				}
@@ -245,7 +245,7 @@ func TestReadMessageTruncationAndAliasing(t *testing.T) {
 			var got Message
 			input := append([]byte(nil), frame...)
 			br := chunkReader(input)
-			if err := readMessage(br, &got, direct); err != nil {
+			if err := readMessage(br, &got, direct, nil); err != nil {
 				t.Fatal(err)
 			}
 			for i := range input {
@@ -380,7 +380,7 @@ func TestZeroCopySteadyStateAllocs(t *testing.T) {
 			if n := testing.AllocsPerRun(50, func() {
 				r.Reset(frame)
 				br.Reset(r)
-				if err := readMessage(br, &out, direct); err != nil {
+				if err := readMessage(br, &out, direct, nil); err != nil {
 					t.Fatal(err)
 				}
 			}); n != 0 {
@@ -401,10 +401,10 @@ func TestReadMessagePortablePathMatchesDirect(t *testing.T) {
 			Shard: ShardMeta{Index: 0, Count: 2, Offset: 0}}
 		frame := mustEncode(t, m)
 		var a, b Message
-		if err := readMessage(chunkReader(frame), &a, true); err != nil {
+		if err := readMessage(chunkReader(frame), &a, true, nil); err != nil {
 			t.Fatal(err)
 		}
-		if err := readMessage(chunkReader(frame), &b, false); err != nil {
+		if err := readMessage(chunkReader(frame), &b, false, nil); err != nil {
 			t.Fatal(err)
 		}
 		if !sameBits(a.Vec, m.Vec) || !sameBits(b.Vec, m.Vec) || a.Shard != b.Shard || a.From != b.From {
